@@ -11,18 +11,18 @@ import sys
 
 from sinhpierce.cli import _sweep_summary_rows
 from sinhpierce.coeffs import BlowupConfig, constant_potential
-from sinhpierce.corrector import continuation_sweep, farfield_error_at
+from sinhpierce.corrector import Run, continuation_sweep, farfield_error_at
 from sinhpierce.geometry import DomainSpec, MeshPolicy
-from sinhpierce.greens import GreenProvider
 
 
 def main():
     rho_list = [1e-2, 1e-3, 1e-4]
     disk = DomainSpec()
-    gp = GreenProvider(disk)
     cfg = BlowupConfig(domain=disk, centers=[[0.0, 0.0]], alphas=[3.0], m1=1, tau=1.0,
                        V1=constant_potential(1.0), V2=constant_potential(1.0))
-    sweep = continuation_sweep(cfg, rho_list, policy=MeshPolicy(h=0.02), gp=gp)
+    run = Run(cfg, MeshPolicy(h=0.02))
+    gp = run.gp
+    sweep = continuation_sweep(run, rho_list)
 
     target = 10 * math.pi * gp.green((0.5, 0.0), (0.0, 0.0))
     print(f"far-field target at (0.5, 0): {target:.6f}")

@@ -9,19 +9,17 @@ import sys
 
 from sinhpierce.cli import _sweep_summary_rows
 from sinhpierce.coeffs import BlowupConfig, constant_potential
-from sinhpierce.corrector import continuation_sweep
+from sinhpierce.corrector import Run, continuation_sweep
 from sinhpierce.geometry import DomainSpec, MeshPolicy
-from sinhpierce.greens import GreenProvider
 
 
 def main():
     rho_list = [1e-2, 1e-3, 1e-4]
     disk = DomainSpec()
-    gp = GreenProvider(disk)
     cfg = BlowupConfig(domain=disk, centers=[[-0.4, 0.0], [0.4, 0.0]],
                        alphas=[3.0, 3.0], m1=1, tau=1.0,
                        V1=constant_potential(1.0), V2=constant_potential(1.0))
-    sweep = continuation_sweep(cfg, rho_list, policy=MeshPolicy(h=0.02), gp=gp)
+    sweep = continuation_sweep(Run(cfg, MeshPolicy(h=0.02)), rho_list)
     for rep in sweep.reports:
         print(f"rho={rep.rho:8.1e}  status={rep.status:9s} "
               f"peaks=({rep.peaks[0]:6.2f}, {rep.peaks[1]:6.2f})  "

@@ -14,12 +14,15 @@ from .coeffs import (
     solve_gamma,
 )
 from .corrector import (
+    Run,
     SolveReport,
     Solution,
+    Stage,
     construct_solution,
     continuation_sweep,
     fixed_point_correct,
     newton_correct,
+    prepare,
 )
 from .geometry import (
     DomainSpec,
@@ -35,12 +38,8 @@ from .greens import GreenProvider
 from .operators import (
     Field,
     LinearOperator,
-    discrete_laplacian,
     nonlinear_N,
-    norms,
     residual_R,
-    solve_L,
-    solve_dirichlet,
     weight_W,
 )
 from .bubbles import (

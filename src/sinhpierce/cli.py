@@ -19,9 +19,9 @@ import numpy as np
 
 from . import verify
 from .coeffs import choose_scales, constraint_deviation, dump_csv, solve_beta
-from .corrector import construct_solution, continuation_sweep
+from .corrector import Run, construct_solution, continuation_sweep
 from .errors import ConstraintViolation, NonpositiveSampled, SchemaError, SinhPierceError
-from .greens import AnalyticDiskGreen, GreenProvider, NumericGreen
+from .greens import AnalyticDiskGreen, NumericGreen
 from .runconfig import COMMANDS, RunConfig, parse_config
 
 EXIT_OK = 0
@@ -57,9 +57,7 @@ def write_field_csv(field, path):
 
 
 def _cmd_construct(rc: RunConfig, man: Manifest):
-    gp = GreenProvider(rc.problem.domain)
-    rho = rc.rho_list[0]
-    sol = construct_solution(rc.problem, rho, policy=rc.policy, gp=gp, tol=rc.tol,
+    sol = construct_solution(Run(rc.problem, rc.policy), rc.rho_list[0], tol=rc.tol,
                              maxiter=rc.maxiter, p_norms=tuple(rc.p_list))
     out = man.out_dir
     sol.report.write(os.path.join(out, "report"))
@@ -96,9 +94,8 @@ def _sweep_summary_rows(sw):
 
 
 def _cmd_sweep(rc: RunConfig, man: Manifest):
-    gp = GreenProvider(rc.problem.domain)
-    sw = continuation_sweep(rc.problem, rc.rho_list, policy=rc.policy, gp=gp,
-                            tol=rc.tol, maxiter=rc.maxiter, p_norms=tuple(rc.p_list))
+    sw = continuation_sweep(Run(rc.problem, rc.policy), rc.rho_list, tol=rc.tol,
+                            maxiter=rc.maxiter, p_norms=tuple(rc.p_list))
     out = man.out_dir
     rows = _sweep_summary_rows(sw)
     path = os.path.join(out, "sweep.csv")
@@ -170,7 +167,7 @@ def _cmd_green_check(rc: RunConfig, man: Manifest, trials=60):
 
 def _cmd_verify(rc: RunConfig, man: Manifest):
     cfg = rc.problem
-    gp = GreenProvider(cfg.domain)
+    run = Run(cfg, rc.policy)
     out = man.out_dir
     results = []
 
@@ -183,7 +180,7 @@ def _cmd_verify(rc: RunConfig, man: Manifest):
     # diagonal dominance of the matching systems: log the threshold
     from .coeffs import dominance_threshold
 
-    thr = dominance_threshold(cfg, gp)
+    thr = dominance_threshold(cfg, run.gp)
     results.append(verify.CheckResult(
         check_id="diagonal-dominance-threshold",
         claim="matching systems are row diagonally dominant below this rho",
@@ -193,8 +190,7 @@ def _cmd_verify(rc: RunConfig, man: Manifest):
     # matching-constraint decay
     devs = []
     for rho in rho_list + [rho_list[-1] / 10]:
-        scales = choose_scales(cfg, rho, gp)
-        beta = solve_beta(cfg, scales, gp)
+        beta = solve_beta(cfg, choose_scales(cfg, rho, run.gp), run.gp)
         devs.append(float(constraint_deviation(cfg, beta).max()))
     results.append(verify.CheckResult(
         check_id="matching-constraint-decay",
@@ -203,15 +199,14 @@ def _cmd_verify(rc: RunConfig, man: Manifest):
         and verify.decreasing(devs, floor=1e-12),
         detail=" ".join(f"{d:.3e}" for d in devs)))
 
-    st = verify.check_expansion(cfg, rho_list, policy=rc.policy, gp=gp)
+    st = verify.check_expansion(run, rho_list)
     results.append(verify.CheckResult(
         check_id="projection-expansion-agreement",
         claim="numeric projection approaches its Green-function expansion",
         measured=st.slope, threshold=0.0, passed=st.slope > 0,
         detail=f"errors {['%.3e' % v for v in st.values]}"))
 
-    studies = verify.check_residual_scaling(cfg, rho_list, p_list=rc.p_list,
-                                            policy=rc.policy, gp=gp)
+    studies = verify.check_residual_scaling(run, rho_list, p_list=rc.p_list)
     sigma_floor = 0.5 * min(1.0 / a for a in cfg.alphas)
     for p, study in sorted(studies.items()):
         results.append(verify.CheckResult(
@@ -221,16 +216,16 @@ def _cmd_verify(rc: RunConfig, man: Manifest):
             passed=study.slope >= sigma_floor, p=p,
             threshold_origin="half the derived exponent min(1/alpha)"))
 
-    ob = verify.check_operator_bound(cfg, rho_list, trials=10, p=min(rc.p_list),
-                                     policy=rc.policy, gp=gp, seed=rc.seed)
+    ob = verify.check_operator_bound(run, rho_list, trials=10, p=min(rc.p_list),
+                                     seed=rc.seed)
     results.append(verify.CheckResult(
         check_id="linear-solver-log-bound",
         claim="solver amplification grows no faster than |log rho|",
         measured=ob["spread"], threshold=10.0, passed=ob["spread"] <= 10.0,
         detail=" ".join(f"{a:.4g}" for a in ob["per_log_rho"])))
 
-    sw = continuation_sweep(cfg, rho_list, policy=rc.policy, gp=gp, tol=rc.tol,
-                            maxiter=rc.maxiter, p_norms=tuple(rc.p_list))
+    sw = continuation_sweep(run, rho_list, tol=rc.tol, maxiter=rc.maxiter,
+                            p_norms=tuple(rc.p_list))
     conv = [r for r in sw.reports if r.status == "converged"]
     results.append(verify.CheckResult(
         check_id="contraction-convergence",

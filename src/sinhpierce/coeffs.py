@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonpositivePotentialAtCenter, SingularSystem
+from .errors import ConstraintViolation, NonpositivePotentialAtCenter, SingularSystem
 from .geometry import DomainSpec
 from .greens import GreenProvider, green_pair_table
 
@@ -44,16 +44,22 @@ class BlowupConfig:
         m = c.shape[0]
         if a.shape[0] != m:
             raise ValueError("alphas and centers length mismatch")
-        if not 0 <= self.m1 <= m:
-            raise ValueError(f"m1={self.m1} outside 0..{m}")
-        if self.tau <= 0:
-            raise ValueError("tau must be positive")
-        for ai in a:
+        for i, ai in enumerate(a):
             if ai <= 2:
-                raise ValueError(f"exponent alpha={ai} must exceed 2")
+                raise ConstraintViolation(
+                    "exponent assumption violated: alpha must exceed 2 "
+                    f"(alpha_{i + 1} = {ai})")
             near_even = round(ai / 2) * 2
             if near_even >= 4 and abs(ai - near_even) < 1e-9:
-                raise ValueError(f"exponent alpha={ai} must not be an even integer")
+                raise ConstraintViolation(
+                    "exponent assumption violated: alpha must not be an even integer "
+                    f"(alpha_{i + 1} = {ai})")
+        if not 0 <= self.m1 <= m:
+            raise ConstraintViolation(
+                f"sign split assumption violated: m1 must lie in 0..{m} (m1 = {self.m1})")
+        if self.tau <= 0:
+            raise ConstraintViolation(
+                f"coupling assumption violated: tau must be positive (tau = {self.tau})")
         v1 = self.V1 if self.V1 is not None else _const(0.0)
         v2 = self.V2 if self.V2 is not None else _const(0.0)
         object.__setattr__(self, "V1", v1)

@@ -22,17 +22,17 @@ from .geometry import FieldEvaluator, MeshPolicy, PierceSpec, build_mesh, build_
 from .greens import GreenProvider
 from .operators import (
     DIRICHLET_ZERO,
+    EIG_FLOOR,
+    SUP_GUARD,
     Field,
     LinearOperator,
+    _potential_values,
     get_ops,
     nonlinear_N,
     residual_R,
     semianalytic_laplacian_U,
     weight_W,
 )
-
-SUP_GUARD = 50.0
-EIG_FLOOR = 1e-8
 
 
 @dataclass
@@ -100,23 +100,43 @@ class SolveReport:
                 wr.writerow([i + 1, f"{upd:.17g}", fac])
 
 
-def _final_residual(phi, U, cfg, scales):
-    """Discrete defect of u = U + phi relative to the data scale, both in L1."""
+def _check_resonance(report, L):
+    """Record the smallest eigenvalue of L; refuse to solve near resonance."""
+    lam = L.smallest_eigenvalue()
+    report.smallest_eigenvalue = lam
+    if abs(lam) < EIG_FLOOR:
+        report.status = "near-singular"
+        raise NearSingular(f"linearized operator near resonance, |lambda| ~ {abs(lam):.3e}",
+                           eigenvalue=lam)
+
+
+def _guard_sup(report, ops, phi):
+    """Stop with the partial report once phi leaves the sup-norm guard."""
+    if ops.norm_sup(phi) > SUP_GUARD:
+        report.status = "diverged"
+        report.error = f"sup norm {ops.norm_sup(phi):.3g} exceeded the guard"
+        raise Diverged(report.error, report=report)
+
+
+def _finish(report, phi, U, cfg, scales):
+    """Mark the run converged and fill in the norms of phi and the discrete
+    defect of u = U + phi relative to the data scale, both in L1."""
     mesh = U.mesh
     ops = get_ops(mesh)
     u = U.values + phi.values
-    v1 = np.broadcast_to(np.asarray(cfg.V1(mesh.nodes[:, 0], mesh.nodes[:, 1]), float),
-                         (mesh.n_nodes,))
-    v2 = np.broadcast_to(np.asarray(cfg.V2(mesh.nodes[:, 0], mesh.nodes[:, 1]), float),
-                         (mesh.n_nodes,))
+    v1, v2 = _potential_values(cfg, mesh)
     rho, tau = scales.rho, cfg.tau
     lap = semianalytic_laplacian_U(cfg, scales, mesh) + ops.laplacian(phi).values
     res = lap + rho * (v1 * np.exp(u) - v2 * np.exp(-tau * u))
     res[ops.boundary] = 0.0
     data = rho * (v1 * np.exp(u) + v2 * np.exp(-tau * u))
-    res_l1 = ops.norm_lp(res, 1)
-    data_l1 = ops.norm_lp(data, 1)
-    return res_l1, data_l1
+    report.status = "converged"
+    report.phi_sup = ops.norm_sup(phi)
+    report.phi_h01 = ops.norm_h01(phi)
+    report.residual_l1 = ops.norm_lp(res, 1)
+    report.data_scale_l1 = ops.norm_lp(data, 1)
+    report.relative_residual = report.residual_l1 / max(report.data_scale_l1, 1e-300)
+    return phi, report
 
 
 def fixed_point_correct(U: Field, cfg, scales, tol=1e-10, maxiter=50,
@@ -126,12 +146,7 @@ def fixed_point_correct(U: Field, cfg, scales, tol=1e-10, maxiter=50,
     ops = get_ops(mesh)
     report = SolveReport(rho=scales.rho, method="fixed-point")
     L = LinearOperator(mesh, weight_W(U, cfg, scales))
-    lam = L.smallest_eigenvalue()
-    report.smallest_eigenvalue = lam
-    if abs(lam) < EIG_FLOOR:
-        report.status = "near-singular"
-        raise NearSingular(f"linearized operator near resonance, |lambda| ~ {abs(lam):.3e}",
-                           eigenvalue=lam)
+    _check_resonance(report, L)
     R = residual_R(U, cfg, scales)
     for p in p_norms:
         report.r_norms[p] = ops.norm_lp(R, p)
@@ -152,10 +167,7 @@ def fixed_point_correct(U: Field, cfg, scales, tol=1e-10, maxiter=50,
         prev_update = upd
         phi = new
         report.iterations = it + 1
-        if ops.norm_sup(phi) > SUP_GUARD:
-            report.status = "diverged"
-            report.error = f"sup norm {ops.norm_sup(phi):.3g} exceeded the guard"
-            raise Diverged(report.error, report=report)
+        _guard_sup(report, ops, phi)
         if upd < tol * max(1.0, ops.norm_h01(phi)):
             break
     else:
@@ -164,12 +176,7 @@ def fixed_point_correct(U: Field, cfg, scales, tol=1e-10, maxiter=50,
                        f"(last update {prev_update:.3e})"
         raise Diverged(report.error, report=report)
 
-    report.status = "converged"
-    report.phi_sup = ops.norm_sup(phi)
-    report.phi_h01 = ops.norm_h01(phi)
-    report.residual_l1, report.data_scale_l1 = _final_residual(phi, U, cfg, scales)
-    report.relative_residual = report.residual_l1 / max(report.data_scale_l1, 1e-300)
-    return phi, report
+    return _finish(report, phi, U, cfg, scales)
 
 
 def newton_correct(U: Field, cfg, scales, tol=1e-10, maxiter=50,
@@ -178,10 +185,7 @@ def newton_correct(U: Field, cfg, scales, tol=1e-10, maxiter=50,
     mesh = U.mesh
     ops = get_ops(mesh)
     report = SolveReport(rho=scales.rho, method="newton")
-    v1 = np.broadcast_to(np.asarray(cfg.V1(mesh.nodes[:, 0], mesh.nodes[:, 1]), float),
-                         (mesh.n_nodes,))
-    v2 = np.broadcast_to(np.asarray(cfg.V2(mesh.nodes[:, 0], mesh.nodes[:, 1]), float),
-                         (mesh.n_nodes,))
+    v1, v2 = _potential_values(cfg, mesh)
     rho, tau = scales.rho, cfg.tau
     lapU = semianalytic_laplacian_U(cfg, scales, mesh)
     R = residual_R(U, cfg, scales)
@@ -192,10 +196,7 @@ def newton_correct(U: Field, cfg, scales, tol=1e-10, maxiter=50,
                                                      DIRICHLET_ZERO)
     prev_update = None
     for it in range(maxiter):
-        if ops.norm_sup(phi) > SUP_GUARD:
-            report.status = "diverged"
-            report.error = f"sup norm {ops.norm_sup(phi):.3g} exceeded the guard"
-            raise Diverged(report.error, report=report)
+        _guard_sup(report, ops, phi)
         u = U.values + phi.values
         res = lapU + ops.laplacian(phi).values \
             + rho * (v1 * np.exp(u) - v2 * np.exp(-tau * u))
@@ -203,13 +204,7 @@ def newton_correct(U: Field, cfg, scales, tol=1e-10, maxiter=50,
         Wu = rho * v1 * np.exp(u) + rho * tau * v2 * np.exp(-tau * u)
         J = LinearOperator(mesh, Field(mesh, Wu))
         if it == 0:
-            lam = J.smallest_eigenvalue()
-            report.smallest_eigenvalue = lam
-            if abs(lam) < EIG_FLOOR:
-                report.status = "near-singular"
-                raise NearSingular(
-                    f"linearized operator near resonance, |lambda| ~ {abs(lam):.3e}",
-                    eigenvalue=lam)
+            _check_resonance(report, J)
         delta = J.solve(Field(mesh, -res))
         upd = ops.norm_h01(delta)
         report.updates_h01.append(upd)
@@ -225,16 +220,51 @@ def newton_correct(U: Field, cfg, scales, tol=1e-10, maxiter=50,
         report.error = f"no convergence in {maxiter} iterations"
         raise Diverged(report.error, report=report)
 
-    report.status = "converged"
-    report.phi_sup = ops.norm_sup(phi)
-    report.phi_h01 = ops.norm_h01(phi)
-    report.residual_l1, report.data_scale_l1 = _final_residual(phi, U, cfg, scales)
-    report.relative_residual = report.residual_l1 / max(report.data_scale_l1, 1e-300)
-    return phi, report
+    return _finish(report, phi, U, cfg, scales)
 
 
 # ---------------------------------------------------------------------------
 # end-to-end construction
+
+@dataclass(frozen=True)
+class Stage:
+    """What the construction fixes at one rho before any correction."""
+
+    scales: object
+    pd: object
+    mesh: object
+    coeffs: object
+    U: Field
+
+
+def prepare(cfg, rho, policy: MeshPolicy, gp: GreenProvider) -> Stage:
+    """The per-rho chain: scales -> pierced domain -> mesh -> coefficients -> ansatz."""
+    scales = choose_scales(cfg, rho, gp)
+    pd = build_pierced_domain(cfg.domain, PierceSpec(centers=cfg.centers, radii=scales.eps))
+    mesh = build_mesh(pd, policy)
+    coeffs = coefficient_set(cfg, scales, gp)
+    U = build_ansatz(cfg, scales, mesh, coeffs=coeffs, gp=gp)
+    return Stage(scales=scales, pd=pd, mesh=mesh, coeffs=coeffs, U=U)
+
+
+class Run:
+    """One command's problem, mesh policy and Green function.
+
+    stage(rho) prepares each rho once; every later call, from the solver or
+    from a check, gets the same Stage and so the same mesh and operators.
+    """
+
+    def __init__(self, cfg, policy: MeshPolicy | None = None, gp: GreenProvider | None = None):
+        self.cfg = cfg
+        self.policy = policy or MeshPolicy()
+        self.gp = gp or GreenProvider(cfg.domain)
+        self._stages = {}
+
+    def stage(self, rho) -> Stage:
+        if rho not in self._stages:
+            self._stages[rho] = prepare(self.cfg, rho, self.policy, self.gp)
+        return self._stages[rho]
+
 
 @dataclass
 class Solution:
@@ -300,24 +330,15 @@ def farfield_sample_points(cfg, pd, n_per_ring=16, radii=(0.5, 0.7, 0.85)):
     return np.asarray(pts)
 
 
-def construct_solution(cfg, rho, policy: MeshPolicy | None = None, method="fixed-point",
-                       gp: GreenProvider | None = None, tol=1e-10, maxiter=50,
+def construct_solution(run: Run, rho, method="fixed-point", tol=1e-10, maxiter=50,
                        phi0=None, p_norms=(1.01, 1.1, 1.3),
                        kernel_coeffs=True) -> Solution:
-    """Full pipeline: scales -> coefficients -> projections -> correction."""
-    policy = policy or MeshPolicy()
-    gp = gp or GreenProvider(cfg.domain)
-    scales = choose_scales(cfg, rho, gp)
-    pd = build_pierced_domain(cfg.domain, PierceSpec(centers=cfg.centers, radii=scales.eps))
-    mesh = build_mesh(pd, policy)
-    coeffs = coefficient_set(cfg, scales, gp)
-    U = build_ansatz(cfg, scales, mesh, coeffs=coeffs, gp=gp)
-
-    start = None
-    if phi0 is not None:
-        start = Field(mesh, phi0, DIRICHLET_ZERO) if isinstance(phi0, np.ndarray) else phi0
+    """Correct the prepared ansatz at rho, from phi0 (a Field on its mesh) or 0."""
+    cfg, gp = run.cfg, run.gp
+    st = run.stage(rho)
+    scales, pd, mesh, U = st.scales, st.pd, st.mesh, st.U
     correct = fixed_point_correct if method == "fixed-point" else newton_correct
-    phi, report = correct(U, cfg, scales, tol=tol, maxiter=maxiter, phi0=start,
+    phi, report = correct(U, cfg, scales, tol=tol, maxiter=maxiter, phi0=phi0,
                           p_norms=p_norms)
     u = Field(mesh, U.values + phi.values, DIRICHLET_ZERO)
 
@@ -349,7 +370,7 @@ def construct_solution(cfg, rho, policy: MeshPolicy | None = None, method="fixed
         report.kernel_coefficients = [
             kernel_coefficient(phi, cfg, scales, pd, j) for j in range(cfg.m)
         ]
-    return Solution(u=u, phi=phi, U=U, cfg=cfg, scales=scales, coeffs=coeffs,
+    return Solution(u=u, phi=phi, U=U, cfg=cfg, scales=scales, coeffs=st.coeffs,
                     pd=pd, mesh=mesh, report=report)
 
 
@@ -362,38 +383,30 @@ class SweepResult:
     insufficient_data: bool = False
 
 
-def continuation_sweep(cfg, rho_list, policy: MeshPolicy | None = None,
-                       method="fixed-point", gp: GreenProvider | None = None,
+def continuation_sweep(run: Run, rho_list, method="fixed-point",
                        tol=1e-10, maxiter=50, p_norms=(1.01, 1.1, 1.3),
                        kernel_coeffs=True, warm_start=True) -> SweepResult:
     """Run the construction at each rho (descending), warm-starting phi."""
     rho_list = list(rho_list)
     if sorted(rho_list, reverse=True) != rho_list:
         raise ValueError("rho list must be sorted descending")
-    gp = gp or GreenProvider(cfg.domain)
-    policy = policy or MeshPolicy()
     solutions, reports = [], []
     prev = None
     for rho in rho_list:
         phi0 = None
         if warm_start and prev is not None:
             try:
-                scales = choose_scales(cfg, rho, gp)
-                pd = build_pierced_domain(cfg.domain,
-                                          PierceSpec(centers=cfg.centers, radii=scales.eps))
-                mesh = build_mesh(pd, policy)
-                ev = FieldEvaluator(prev.mesh)
-                vals = np.asarray(ev(prev.phi.values, mesh.nodes), dtype=float)
+                mesh = run.stage(rho).mesh
+                vals = np.asarray(FieldEvaluator(prev.mesh)(prev.phi.values, mesh.nodes),
+                                  dtype=float)
                 vals[mesh.is_boundary] = 0.0
-                # construct_solution rebuilds the same mesh deterministically,
-                # so handing over plain nodal values is enough
-                phi0 = vals
+                phi0 = Field(mesh, vals, DIRICHLET_ZERO)
             except SinhPierceError:
                 phi0 = None
         try:
-            sol = construct_solution(cfg, rho, policy=policy, method=method, gp=gp,
-                                     tol=tol, maxiter=maxiter, phi0=phi0,
-                                     p_norms=p_norms, kernel_coeffs=kernel_coeffs)
+            sol = construct_solution(run, rho, method=method, tol=tol, maxiter=maxiter,
+                                     phi0=phi0, p_norms=p_norms,
+                                     kernel_coeffs=kernel_coeffs)
             solutions.append(sol)
             reports.append(sol.report)
             prev = sol

@@ -119,5 +119,6 @@ class SchemaError(SinhPierceError):
         super().__init__("; ".join(self.problems))
 
 
-class ConstraintViolation(SinhPierceError):
-    pass
+class ConstraintViolation(SinhPierceError, ValueError):
+    """A standing assumption of the construction (exponents, sign split, tau)
+    does not hold."""

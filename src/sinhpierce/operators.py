@@ -23,6 +23,9 @@ from .geometry import Mesh
 DIRICHLET_ZERO = "dirichlet-zero"
 FREE = "free"
 
+SUP_GUARD = 50.0   # sup norm of a correction beyond which the iteration diverges
+EIG_FLOOR = 1e-8   # |smallest eigenvalue| of Lap + W below which it is resonant
+
 
 @dataclass(eq=False)
 class Field:
@@ -146,27 +149,6 @@ def get_ops(mesh: Mesh) -> DiscreteOperators:
     return ops
 
 
-def discrete_laplacian(f: Field) -> Field:
-    return get_ops(f.mesh).laplacian(f)
-
-
-def solve_dirichlet(rhs: Field, boundary_values=None) -> Field:
-    return get_ops(rhs.mesh).solve_dirichlet(rhs, boundary_values)
-
-
-def norms(f: Field, p) -> float:
-    """Lp norm ('h01' and 'sup' live on DiscreteOperators / norm_* helpers)."""
-    return get_ops(f.mesh).norm_lp(f, p)
-
-
-def norm_h01(f: Field) -> float:
-    return get_ops(f.mesh).norm_h01(f)
-
-
-def norm_sup(f: Field) -> float:
-    return get_ops(f.mesh).norm_sup(f)
-
-
 # ---------------------------------------------------------------------------
 # problem-specific fields
 
@@ -218,9 +200,9 @@ def weight_W(U: Field, cfg, scales) -> Field:
 def nonlinear_N(phi: Field, U: Field, cfg, scales) -> Field:
     """Superlinear remainder N(phi); guards against runaway exponentials."""
     phi.same_mesh(U)
-    if np.abs(phi.values).max() > 50.0:
+    if np.abs(phi.values).max() > SUP_GUARD:
         raise OverflowGuard(
-            f"correction reached sup norm {np.abs(phi.values).max():.3g} > 50; "
+            f"correction reached sup norm {np.abs(phi.values).max():.3g} > {SUP_GUARD:g}; "
             "iteration diverging")
     v1, v2 = _potential_values(cfg, U.mesh)
     rho = scales.rho
@@ -301,11 +283,3 @@ class LinearOperator:
         phi = np.zeros(self.mesh.n_nodes)
         phi[ops.interior] = phi_I
         return Field(self.mesh, phi, DIRICHLET_ZERO)
-
-
-def assemble_L(U: Field, cfg, scales) -> LinearOperator:
-    return LinearOperator(U.mesh, weight_W(U, cfg, scales))
-
-
-def solve_L(op: LinearOperator, h: Field) -> Field:
-    return op.solve(h)

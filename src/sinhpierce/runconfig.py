@@ -114,6 +114,8 @@ def parse_config(text: str) -> RunConfig:
                 boundary = _parse_points(btxt)
             except ValueError as exc:
                 problems.append(str(exc))
+            if boundary is not None and len(boundary) < 3:
+                problems.append("boundary curve needs at least three points")
     elif domain_kind != "unit-disk":
         problems.append(f"unknown domain kind {domain_kind!r}")
 
@@ -187,35 +189,23 @@ def parse_config(text: str) -> RunConfig:
     if problems:
         raise SchemaError(problems)
 
-    # assumption checks (named individually)
     m = centers.shape[0]
     if alphas.shape[0] != m:
         raise SchemaError([f"{m} centers but {alphas.shape[0]} alphas"])
-    for i, a in enumerate(alphas):
-        if a <= 2:
-            raise ConstraintViolation(
-                f"exponent assumption violated: alpha must exceed 2 (alpha_{i + 1} = {a})")
-        near_even = round(a / 2) * 2
-        if near_even >= 4 and abs(a - near_even) < 1e-9:
-            raise ConstraintViolation(
-                "exponent assumption violated: alpha must not be an even integer "
-                f"(alpha_{i + 1} = {a})")
-    if not 0 <= m1 <= m:
-        raise ConstraintViolation(
-            f"sign split assumption violated: m1 must lie in 0..{m} (m1 = {m1})")
-    if tau <= 0:
-        raise ConstraintViolation(
-            f"coupling assumption violated: tau must be positive (tau = {tau})")
+
+    # fold nu into V2; BlowupConfig checks the assumptions (alpha, m1, tau),
+    # each by name. The potentials stay in the equation either way; only the
+    # positivity requirement depends on the sign split.
+    def v2_scaled(x, y, _e=v2_expr, _nu=nu):
+        return _nu * _e(x, y)
+
+    domain = DomainSpec(kind=domain_kind, boundary=boundary)
+    problem = BlowupConfig(domain=domain, centers=centers, alphas=alphas, m1=int(m1),
+                           tau=float(tau), V1=v1_expr, V2=v2_scaled)
     if rho_list != sorted(rho_list, reverse=True):
         raise SchemaError(["rho values must be sorted descending"])
     if any(r <= 0 for r in rho_list):
         raise ConstraintViolation("rho values must be positive")
-
-    domain = DomainSpec(kind=domain_kind, boundary=boundary)
-
-    # fold nu into V2, then check the positivity that the sign split requires
-    def v2_scaled(x, y, _e=v2_expr, _nu=nu):
-        return _nu * _e(x, y)
 
     sample = domain_sample_points(domain)
     if m1 > 0:
@@ -223,10 +213,6 @@ def parse_config(text: str) -> RunConfig:
     if m1 < m:
         check_positive(v2_scaled, sample, name="nu*V2")
 
-    # the potentials stay in the equation either way; only the positivity
-    # requirement depends on the sign split
-    problem = BlowupConfig(domain=domain, centers=centers, alphas=alphas, m1=int(m1),
-                           tau=float(tau), V1=v1_expr, V2=v2_scaled)
     return RunConfig(command=command, problem=problem, policy=policy,
                      rho_list=rho_list, p_list=p_list, tol=float(tol),
                      maxiter=int(maxiter), seed=int(seed), out_dir=out_dir,

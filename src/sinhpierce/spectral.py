@@ -16,6 +16,7 @@ import numpy as np
 from scipy.linalg import solve_banded
 
 from .errors import Diverged
+from .operators import SUP_GUARD
 
 
 class RadialAnnulusSolver:
@@ -136,7 +137,7 @@ class RadialAnnulusSolver:
             upd = self.norm_h01(new - phi)
             history.append(upd)
             phi = new
-            if np.abs(phi).max() > 50:
+            if np.abs(phi).max() > SUP_GUARD:
                 raise Diverged("radial correction exceeded the overflow guard")
             if upd < tol * max(1.0, self.norm_h01(phi)):
                 break

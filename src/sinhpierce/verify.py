@@ -16,13 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import quad
 
-from .bubbles import make_bubbles
-from .coeffs import choose_scales, coefficient_set
+from .bubbles import make_bubbles, project_asymptotic, project_numeric
 from .errors import InsufficientSamples, NearSingular, QuadratureNonConvergence
-from .geometry import MeshPolicy, PierceSpec, build_mesh, build_pierced_domain
-from .greens import GreenProvider
-from .operators import Field, LinearOperator, get_ops, weight_W, residual_R
-from .bubbles import build_ansatz, project_asymptotic, project_numeric
+from .operators import EIG_FLOOR, Field, LinearOperator, get_ops, weight_W, residual_R
 
 _TWO_PI = 2.0 * math.pi
 
@@ -247,22 +243,19 @@ def check_kernel_annihilation(alpha, resolution=1e-3, r_range=(0.6, 1.6),
         detail=f"patch r in {r_range}, theta in {theta_range}, h={resolution}")
 
 
-def check_expansion(cfg, rho_list, policy=None, gp=None, margin=0.95):
+def check_expansion(run, rho_list, margin=0.95):
     """Agreement of the numeric projection with its far expansion, per rho."""
-    policy = policy or MeshPolicy()
-    gp = gp or GreenProvider(cfg.domain)
+    cfg, gp = run.cfg, run.gp
     errs = []
     for rho in rho_list:
-        scales = choose_scales(cfg, rho, gp)
-        pd = build_pierced_domain(cfg.domain, PierceSpec(cfg.centers, scales.eps))
-        mesh = build_mesh(pd, policy)
-        coeffs = coefficient_set(cfg, scales, gp)
+        st = run.stage(rho)
+        mesh, coeffs = st.mesh, st.coeffs
         worst = 0.0
-        for b in make_bubbles(cfg, scales):
+        for b in make_bubbles(cfg, st.scales):
             P = project_numeric(b, mesh, coeffs=coeffs, gp=gp)
             far = np.ones(mesh.n_nodes, dtype=bool)
             for k in range(cfg.m):
-                far &= mesh.center_distance(k) > pd.eta
+                far &= mesh.center_distance(k) > st.pd.eta
             if cfg.domain.kind == "unit-disk":
                 far &= np.hypot(mesh.nodes[:, 0], mesh.nodes[:, 1]) < margin
             idx = np.flatnonzero(far)[::7]
@@ -273,47 +266,37 @@ def check_expansion(cfg, rho_list, policy=None, gp=None, margin=0.95):
     return ScalingStudy.fit(rho_list, errs, label="projection-expansion-agreement")
 
 
-def check_residual_scaling(cfg, rho_list, p_list=(1.01, 1.1, 1.3), policy=None,
-                           gp=None):
+def check_residual_scaling(run, rho_list, p_list=(1.01, 1.1, 1.3)):
     """||R||_p across rho and the fitted decay slope per p."""
-    policy = policy or MeshPolicy()
-    gp = gp or GreenProvider(cfg.domain)
     norms_per_p = {p: [] for p in p_list}
     for rho in rho_list:
-        scales = choose_scales(cfg, rho, gp)
-        pd = build_pierced_domain(cfg.domain, PierceSpec(cfg.centers, scales.eps))
-        mesh = build_mesh(pd, policy)
-        U = build_ansatz(cfg, scales, mesh, coeffs=coefficient_set(cfg, scales, gp), gp=gp)
-        R = residual_R(U, cfg, scales)
-        ops = get_ops(mesh)
+        st = run.stage(rho)
+        R = residual_R(st.U, run.cfg, st.scales)
+        ops = get_ops(st.mesh)
         for p in p_list:
             norms_per_p[p].append(ops.norm_lp(R, p))
     return {p: ScalingStudy.fit(rho_list, vals, label=f"residual-lp-scaling-p{p}")
             for p, vals in norms_per_p.items()}
 
 
-def check_operator_bound(cfg, rho_list, trials=10, p=1.01, policy=None, gp=None,
-                         seed=0, zero_weight=False):
+def check_operator_bound(run, rho_list, trials=10, p=1.01, seed=0, zero_weight=False):
     """Amplification of the solver T over random right-hand sides, per rho."""
-    policy = policy or MeshPolicy()
-    gp = gp or GreenProvider(cfg.domain)
+    cfg = run.cfg
     amps = []
     kernel_amps = []
     near_singular = []
     for rho in rho_list:
-        scales = choose_scales(cfg, rho, gp)
-        pd = build_pierced_domain(cfg.domain, PierceSpec(cfg.centers, scales.eps))
-        mesh = build_mesh(pd, policy)
-        U = build_ansatz(cfg, scales, mesh, coeffs=coefficient_set(cfg, scales, gp), gp=gp)
+        st = run.stage(rho)
+        scales, mesh = st.scales, st.mesh
         ops = get_ops(mesh)
-        W = weight_W(U, cfg, scales)
+        W = weight_W(st.U, cfg, scales)
         if zero_weight:
             W = Field(mesh, np.zeros(mesh.n_nodes))
         L = LinearOperator(mesh, W)
         flagged = None
         try:
             lam = L.smallest_eigenvalue()
-            if abs(lam) < 1e-8:
+            if abs(lam) < EIG_FLOOR:
                 flagged = lam
         except NearSingular as exc:
             flagged = exc.eigenvalue

@@ -40,7 +40,14 @@ def single_mesh(disk, coarse_policy):
 
 
 @pytest.fixture(scope="session")
-def coarse_solution(single_cfg, gp, coarse_policy):
+def coarse_run(single_cfg, gp, coarse_policy):
+    from sinhpierce.corrector import Run
+
+    return Run(single_cfg, coarse_policy, gp)
+
+
+@pytest.fixture(scope="session")
+def coarse_solution(coarse_run):
     from sinhpierce.corrector import construct_solution
 
-    return construct_solution(single_cfg, 1e-3, policy=coarse_policy, gp=gp)
+    return construct_solution(coarse_run, 1e-3)

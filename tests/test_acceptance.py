@@ -17,7 +17,7 @@ from sinhpierce.coeffs import (
     constraint_deviation,
     solve_beta,
 )
-from sinhpierce.corrector import construct_solution, continuation_sweep, farfield_error_at
+from sinhpierce.corrector import Run, construct_solution, continuation_sweep, farfield_error_at
 from sinhpierce.geometry import DomainSpec, MeshPolicy
 from sinhpierce.greens import AnalyticDiskGreen, GreenProvider, NumericGreen
 from sinhpierce.verify import (
@@ -60,13 +60,18 @@ def two_cfg(disk):
 
 
 @pytest.fixture(scope="module")
-def sweep_single(single_cfg, gp):
-    return continuation_sweep(single_cfg, RHO_SWEEP, policy=POLICY, gp=gp)
+def single_run(single_cfg, gp):
+    return Run(single_cfg, POLICY, gp)
+
+
+@pytest.fixture(scope="module")
+def sweep_single(single_run):
+    return continuation_sweep(single_run, RHO_SWEEP)
 
 
 @pytest.fixture(scope="module")
 def sweep_two(two_cfg, gp):
-    return continuation_sweep(two_cfg, RHO_SWEEP, policy=POLICY, gp=gp)
+    return continuation_sweep(Run(two_cfg, POLICY, gp), RHO_SWEEP)
 
 
 def test_criterion_1_green_fidelity(disk):
@@ -152,10 +157,9 @@ def test_criterion_5_residual_scaling(sweep_single):
     assert sigma >= floor
 
 
-def test_criterion_6_operator_bound(single_cfg, gp):
+def test_criterion_6_operator_bound(single_run):
     t0 = time.time()
-    ob = check_operator_bound(single_cfg, RHO_SWEEP, trials=10, p=1.01,
-                              policy=POLICY, gp=gp, seed=7)
+    ob = check_operator_bound(single_run, RHO_SWEEP, trials=10, p=1.01, seed=7)
     elapsed = time.time() - t0
     ok = ob["spread"] <= 10.0 and not any(ob["near_singular"])
     assert _report(6, ok, f"solver bound: amplification/|log rho| spread "
@@ -163,7 +167,7 @@ def test_criterion_6_operator_bound(single_cfg, gp):
     assert ob["spread"] <= 10.0
 
 
-def test_criterion_7_contraction_and_solution(sweep_single, single_cfg, gp):
+def test_criterion_7_contraction_and_solution(sweep_single, single_run):
     reports = sweep_single.reports
     conv = all(r.status == "converged" and r.iterations <= 50 for r in reports)
     factors = all(r.max_contraction_factor < 1.0 for r in reports)
@@ -173,8 +177,7 @@ def test_criterion_7_contraction_and_solution(sweep_single, single_cfg, gp):
 
     agree = 0.0
     for rho, sol in zip(RHO_SWEEP, sweep_single.solutions):
-        sol_n = construct_solution(single_cfg, rho, policy=POLICY, gp=gp,
-                                   method="newton", kernel_coeffs=False)
+        sol_n = construct_solution(single_run, rho, method="newton", kernel_coeffs=False)
         agree = max(agree, float(np.abs(sol_n.u.values - sol.u.values).max()))
     ok = conv and factors and residuals and sup_dec and agree <= 1e-8
     assert _report(7, ok, f"contraction: converged at all rho, factor < 1, "

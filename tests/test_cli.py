@@ -125,13 +125,44 @@ def test_sweep_smoke_and_byte_identical(tmp_path):
     text = BASE.format(out=tmp_path).replace("rho = 1e-2", "rho = 1e-2 1e-3") \
         .replace("command = construct", "command = sweep")
     cfg = _write(tmp_path, text)
-    out1, out2 = tmp_path / "a", tmp_path / "b"
-    assert main(["sweep", "--config", cfg, "--out", str(out1)]) == 0
-    assert main(["sweep", "--config", cfg, "--out", str(out2)]) == 0
-    for name in sorted(os.listdir(out1)):
-        assert filecmp.cmp(out1 / name, out2 / name, shallow=False), name
+    # verify falls back to three rho values when given fewer
+    for command in ("sweep", "verify"):
+        out1, out2 = tmp_path / f"{command}-a", tmp_path / f"{command}-b"
+        assert main([command, "--config", cfg, "--out", str(out1)]) == 0
+        assert main([command, "--config", cfg, "--out", str(out2)]) == 0
+        assert sorted(os.listdir(out1)) == sorted(os.listdir(out2))
+        for name in sorted(os.listdir(out1)):
+            assert filecmp.cmp(out1 / name, out2 / name, shallow=False), (command, name)
     # two rho values cannot support a slope fit
-    assert "insufficient-data" in (out1 / "sweep_slopes.txt").read_text()
+    assert "insufficient-data" in (tmp_path / "sweep-a" / "sweep_slopes.txt").read_text()
+
+
+def test_one_mesh_per_rho_per_command(tmp_path, monkeypatch):
+    # the checks, the warm start and the solver all share one prepared stage per rho
+    import sinhpierce.corrector as corrector_mod
+
+    real = corrector_mod.build_mesh
+    calls = []
+
+    def counting(pd, policy):
+        calls.append(pd)
+        return real(pd, policy)
+
+    monkeypatch.setattr(corrector_mod, "build_mesh", counting)
+    cfg = _write(tmp_path, BASE.format(out=tmp_path).replace("rho = 1e-2",
+                                                             "rho = 1e-2 1e-3 1e-4"))
+    for command, meshes in (("construct", 1), ("sweep", 3), ("verify", 3)):
+        calls.clear()
+        assert main([command, "--config", cfg, "--out", str(tmp_path / command)]) == 0
+        assert len(calls) == meshes, command
+
+
+def test_short_boundary_curve_schema_error(tmp_path):
+    text = BASE.format(out=tmp_path).replace(
+        "domain = unit-disk", "domain = boundary-curve\nboundary = -0.9 -0.9; 0.9 -0.9")
+    with pytest.raises(SchemaError) as exc:
+        parse_config(text)
+    assert "at least three points" in str(exc.value)
 
 
 def test_green_check_command(tmp_path):

@@ -18,7 +18,7 @@ from sinhpierce.coeffs import (
     solve_beta,
     solve_gamma,
 )
-from sinhpierce.errors import NonpositivePotentialAtCenter
+from sinhpierce.errors import ConstraintViolation, NonpositivePotentialAtCenter
 
 TWO_PI = 2 * math.pi
 
@@ -32,6 +32,20 @@ def test_config_validation(disk):
         BlowupConfig(domain=disk, centers=[[0, 0]], alphas=[3.0], m1=2)
     with pytest.raises(ValueError):
         BlowupConfig(domain=disk, centers=[[0, 0]], alphas=[3.0], m1=1, tau=-1.0)
+
+
+def test_config_violations_are_named(disk):
+    # the one validation path: each assumption raises ConstraintViolation by name
+    cases = [({"alphas": [1.5]}, "alpha must exceed 2 (alpha_1 = 1.5)"),
+             ({"alphas": [3.0, 4.0], "centers": [[0, 0], [0.5, 0]]}, "even integer (alpha_2"),
+             ({"m1": 2}, "m1 must lie in 0..1 (m1 = 2)"),
+             ({"tau": 0.0}, "tau must be positive (tau = 0.0)")]
+    for override, text in cases:
+        kw = dict(domain=disk, centers=[[0, 0]], alphas=[3.0], m1=1)
+        kw.update(override)
+        with pytest.raises(ConstraintViolation) as exc:
+            BlowupConfig(**kw)
+        assert text in str(exc.value)
 
 
 def test_rho_i_centered_single(single_cfg, gp):

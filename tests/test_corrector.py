@@ -4,16 +4,15 @@ import numpy as np
 import pytest
 
 import sinhpierce.corrector as corrector_mod
-from sinhpierce.coeffs import BlowupConfig, choose_scales, coefficient_set, constant_potential
+from sinhpierce.coeffs import BlowupConfig, constant_potential
 from sinhpierce.corrector import (
+    Run,
     construct_solution,
     continuation_sweep,
     farfield_target,
     fixed_point_correct,
 )
 from sinhpierce.errors import Diverged, SinhPierceError
-from sinhpierce.geometry import PierceSpec, build_mesh, build_pierced_domain
-from sinhpierce.bubbles import build_ansatz
 from sinhpierce.operators import DIRICHLET_ZERO, Field
 
 
@@ -59,9 +58,8 @@ def test_farfield_value_single_bubble(coarse_solution, gp):
     assert target == pytest.approx(5 * math.log(2), rel=1e-12)
 
 
-def test_newton_agrees_with_fixed_point(single_cfg, gp, coarse_policy, coarse_solution):
-    sol_n = construct_solution(single_cfg, 1e-3, policy=coarse_policy, gp=gp,
-                               method="newton")
+def test_newton_agrees_with_fixed_point(coarse_run, coarse_solution):
+    sol_n = construct_solution(coarse_run, 1e-3, method="newton")
     assert sol_n.report.status == "converged"
     assert np.abs(sol_n.u.values - coarse_solution.u.values).max() <= 1e-8
     # quadratic tail: the last Newton step shrinks much faster than linearly
@@ -70,7 +68,7 @@ def test_newton_agrees_with_fixed_point(single_cfg, gp, coarse_policy, coarse_so
         assert upd[-1] <= max(10 * upd[-2] ** 2 / max(upd[0], 1e-300), 1e-12)
 
 
-def test_zero_defect_gives_zero_correction(single_cfg, gp, coarse_policy, monkeypatch):
+def test_zero_defect_gives_zero_correction(coarse_run, monkeypatch):
     # force R = 0: the map phi -> T(-(R + N(phi))) fixes phi = 0 in one sweep
     import sinhpierce.operators as op_mod
 
@@ -82,28 +80,21 @@ def test_zero_defect_gives_zero_correction(single_cfg, gp, coarse_policy, monkey
         return out
 
     monkeypatch.setattr(corrector_mod, "residual_R", zero_R)
-    sol = construct_solution(single_cfg, 1e-3, policy=coarse_policy, gp=gp,
-                             kernel_coeffs=False)
+    sol = construct_solution(coarse_run, 1e-3, kernel_coeffs=False)
     assert sol.report.iterations == 1
     assert np.abs(sol.phi.values).max() == 0.0
 
 
-def test_divergence_guard(single_cfg, gp, coarse_policy):
+def test_divergence_guard(single_cfg, coarse_run):
     # a grossly wrong ansatz (scaled up threefold) breaks the contraction
-    scales = choose_scales(single_cfg, 1e-2, gp)
-    pd = build_pierced_domain(single_cfg.domain,
-                              PierceSpec(single_cfg.centers, scales.eps))
-    mesh = build_mesh(pd, coarse_policy)
-    coeffs = coefficient_set(single_cfg, scales, gp)
-    U = build_ansatz(single_cfg, scales, mesh, coeffs=coeffs, gp=gp)
-    bad = Field(mesh, 3.0 * U.values, DIRICHLET_ZERO)
+    st = coarse_run.stage(1e-2)
+    bad = Field(st.mesh, 3.0 * st.U.values, DIRICHLET_ZERO)
     with pytest.raises(Diverged):
-        fixed_point_correct(bad, single_cfg, scales, maxiter=30)
+        fixed_point_correct(bad, single_cfg, st.scales, maxiter=30)
 
 
-def test_sweep_full_run(single_cfg, gp, coarse_policy):
-    sw = continuation_sweep(single_cfg, [1e-2, 1e-3, 1e-4], policy=coarse_policy,
-                            gp=gp, kernel_coeffs=False)
+def test_sweep_full_run(coarse_run):
+    sw = continuation_sweep(coarse_run, [1e-2, 1e-3, 1e-4], kernel_coeffs=False)
     assert all(r.status == "converged" for r in sw.reports)
     assert not sw.insufficient_data
     assert sw.sigma_fits[1.01] > 0.5
@@ -111,27 +102,25 @@ def test_sweep_full_run(single_cfg, gp, coarse_policy):
     assert sups[0] > sups[1] > sups[2]
 
 
-def test_sweep_single_entry_flagged(single_cfg, gp, coarse_policy):
-    sw = continuation_sweep(single_cfg, [1e-3], policy=coarse_policy, gp=gp,
-                            kernel_coeffs=False)
+def test_sweep_single_entry_flagged(coarse_run):
+    sw = continuation_sweep(coarse_run, [1e-3], kernel_coeffs=False)
     assert sw.insufficient_data
     assert sw.sigma_fits == {}
     assert len(sw.reports) == 1
 
 
-def test_sweep_isolates_failures(single_cfg, gp, coarse_policy, monkeypatch):
+def test_sweep_isolates_failures(coarse_run, monkeypatch):
     real = corrector_mod.construct_solution
     calls = []
 
-    def flaky(cfg, rho, **kw):
+    def flaky(run, rho, **kw):
         calls.append(rho)
         if rho == 1e-3:
             raise SinhPierceError("synthetic failure at the middle step")
-        return real(cfg, rho, **kw)
+        return real(run, rho, **kw)
 
     monkeypatch.setattr(corrector_mod, "construct_solution", flaky)
-    sw = corrector_mod.continuation_sweep(single_cfg, [1e-2, 1e-3, 1e-4],
-                                          policy=coarse_policy, gp=gp,
+    sw = corrector_mod.continuation_sweep(coarse_run, [1e-2, 1e-3, 1e-4],
                                           kernel_coeffs=False)
     statuses = [r.status for r in sw.reports]
     assert statuses[0] == "converged"
@@ -141,17 +130,16 @@ def test_sweep_isolates_failures(single_cfg, gp, coarse_policy, monkeypatch):
     assert calls == [1e-2, 1e-3, 1e-4]
 
 
-def test_sweep_rejects_unsorted(single_cfg, gp, coarse_policy):
+def test_sweep_rejects_unsorted(coarse_run):
     with pytest.raises(ValueError):
-        continuation_sweep(single_cfg, [1e-4, 1e-2], policy=coarse_policy, gp=gp)
+        continuation_sweep(coarse_run, [1e-4, 1e-2])
 
 
 def test_negative_liouville_case(disk, gp, coarse_policy):
     # m1 = 0 with V1 absent: all bubbles blow down
     cfg = BlowupConfig(domain=disk, centers=[[0.0, 0.0]], alphas=[3.0], m1=0,
                        tau=1.0, V1=None, V2=constant_potential(1.0))
-    sol = construct_solution(cfg, 1e-2, policy=coarse_policy, gp=gp,
-                             kernel_coeffs=False)
+    sol = construct_solution(Run(cfg, coarse_policy, gp), 1e-2, kernel_coeffs=False)
     assert sol.report.status == "converged"
     d = sol.mesh.center_distance(0)
     inner = d <= math.sqrt(sol.scales.eps[0] * sol.pd.eta)

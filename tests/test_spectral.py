@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from sinhpierce.corrector import construct_solution, solution_value_at
+from sinhpierce.corrector import Run, construct_solution, solution_value_at
 from sinhpierce.geometry import MeshPolicy
 from sinhpierce.spectral import RadialAnnulusSolver
 
@@ -55,7 +55,7 @@ def test_fem_pipeline_agrees_with_radial_backend(single_cfg, gp):
     # the composite-mesh solver and the log-radial backend solve the same
     # centered problem; compare the solutions away from the hole
     rho = 1e-3
-    sol = construct_solution(single_cfg, rho, policy=MeshPolicy(h=0.03), gp=gp)
+    sol = construct_solution(Run(single_cfg, MeshPolicy(h=0.03), gp), rho)
 
     d = 1.0 / 18.0
     s = RadialAnnulusSolver((d * rho) ** 2, n_r=8192)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from sinhpierce.corrector import Run
 from sinhpierce.errors import InsufficientSamples
 from sinhpierce.verify import (
     CheckResult,
@@ -111,17 +112,16 @@ def test_check_csv_format(tmp_path):
     assert lines[1].startswith("demo,0.001,1.01,1.0,2.0,1")
 
 
-def test_residual_scaling_insufficient_samples(single_cfg, gp, coarse_policy):
+def test_residual_scaling_insufficient_samples(coarse_run):
     with pytest.raises(InsufficientSamples):
-        check_residual_scaling(single_cfg, [1e-2, 1e-3], p_list=(1.01,),
-                               policy=coarse_policy, gp=gp)
+        check_residual_scaling(coarse_run, [1e-2, 1e-3], p_list=(1.01,))
 
 
-def test_operator_bound_zero_weight_control(single_cfg, gp, coarse_policy):
+def test_operator_bound_zero_weight_control(coarse_run):
     # with W = 0 the solver is the plain Poisson operator: amplification is
     # rho-independent up to mesh differences
-    ob = check_operator_bound(single_cfg, [1e-2, 1e-3, 1e-4], trials=3,
-                              policy=coarse_policy, gp=gp, seed=1, zero_weight=True)
+    ob = check_operator_bound(coarse_run, [1e-2, 1e-3, 1e-4], trials=3, seed=1,
+                              zero_weight=True)
     amps = ob["amplification"]
     assert max(amps) / min(amps) <= 1.2
     # the kernel-concentrated right-hand side is recorded alongside
@@ -129,22 +129,23 @@ def test_operator_bound_zero_weight_control(single_cfg, gp, coarse_policy):
     assert all(v > 0 for v in ob["kernel_amplification"])
 
 
-def test_expansion_positive_slope(single_cfg, gp, coarse_policy):
-    st = check_expansion(single_cfg, [1e-2, 1e-3, 1e-4], policy=coarse_policy, gp=gp)
+def test_expansion_positive_slope(coarse_run):
+    st = check_expansion(coarse_run, [1e-2, 1e-3, 1e-4])
     assert st.slope > 0.5
     # self-consistency: errors strictly decrease
     assert st.values[0] > st.values[1] > st.values[2]
 
 
 def test_scaling_study_bit_reproducible(single_cfg, gp, coarse_policy):
-    a = check_residual_scaling(single_cfg, [1e-2, 1e-3, 1e-4], p_list=(1.01,),
-                               policy=coarse_policy, gp=gp)[1.01]
-    b = check_residual_scaling(single_cfg, [1e-2, 1e-3, 1e-4], p_list=(1.01,),
-                               policy=coarse_policy, gp=gp)[1.01]
+    # two separate runs, so every mesh and ansatz is built twice
+    a = check_residual_scaling(Run(single_cfg, coarse_policy, gp), [1e-2, 1e-3, 1e-4],
+                               p_list=(1.01,))[1.01]
+    b = check_residual_scaling(Run(single_cfg, coarse_policy, gp), [1e-2, 1e-3, 1e-4],
+                               p_list=(1.01,))[1.01]
     assert a.slope == b.slope
     assert a.values == b.values
 
 
 def test_expansion_two_bubble_positive_slope(two_cfg, gp, coarse_policy):
-    st = check_expansion(two_cfg, [1e-2, 1e-3, 1e-4], policy=coarse_policy, gp=gp)
+    st = check_expansion(Run(two_cfg, coarse_policy, gp), [1e-2, 1e-3, 1e-4])
     assert st.slope > 0.3
