@@ -241,8 +241,9 @@ def assemble_U(projections, tau: float, m1: int) -> Field:
     return Field(mesh, vals, DIRICHLET_ZERO)
 
 
-def build_ansatz(cfg, scales, mesh, coeffs=None, gp=None) -> Field:
-    """Projections of all bubbles combined into the ansatz on the given mesh."""
+def build_ansatz(cfg, scales, mesh, coeffs=None, gp=None) -> tuple[Field, tuple]:
+    """The ansatz U on the given mesh and the bubble projections it sums,
+    in the order of make_bubbles."""
     bubbles = make_bubbles(cfg, scales)
-    projections = [project_numeric(b, mesh, coeffs=coeffs, gp=gp) for b in bubbles]
-    return assemble_U(projections, cfg.tau, cfg.m1)
+    projections = tuple(project_numeric(b, mesh, coeffs=coeffs, gp=gp) for b in bubbles)
+    return assemble_U(projections, cfg.tau, cfg.m1), projections

@@ -235,6 +235,7 @@ class Stage:
     mesh: object
     coeffs: object
     U: Field
+    projections: tuple   # projected bubbles in make_bubbles order; U is their signed sum
 
 
 def prepare(cfg, rho, policy: MeshPolicy, gp: GreenProvider) -> Stage:
@@ -243,8 +244,8 @@ def prepare(cfg, rho, policy: MeshPolicy, gp: GreenProvider) -> Stage:
     pd = build_pierced_domain(cfg.domain, PierceSpec(centers=cfg.centers, radii=scales.eps))
     mesh = build_mesh(pd, policy)
     coeffs = coefficient_set(cfg, scales, gp)
-    U = build_ansatz(cfg, scales, mesh, coeffs=coeffs, gp=gp)
-    return Stage(scales=scales, pd=pd, mesh=mesh, coeffs=coeffs, U=U)
+    U, projections = build_ansatz(cfg, scales, mesh, coeffs=coeffs, gp=gp)
+    return Stage(scales=scales, pd=pd, mesh=mesh, coeffs=coeffs, U=U, projections=projections)
 
 
 class Run:

@@ -690,9 +690,12 @@ def _check_conformity(mesh, bpoly):
 # ---------------------------------------------------------------------------
 # field evaluation helpers
 
+_TWO_PI = 2 * math.pi
+
+
 class FieldEvaluator:
-    """Point evaluation of nodal fields: structured lookup inside patches,
-    spatial-hash triangle location elsewhere."""
+    """Point evaluation of nodal fields over whole point arrays: structured
+    lookup inside patches, spatial-hash triangle location elsewhere."""
 
     def __init__(self, mesh: Mesh):
         self.mesh = mesh
@@ -706,83 +709,123 @@ class FieldEvaluator:
         imax = np.floor((pts[:, :, 0].max(axis=1) - lo[0]) / self._cell).astype(int)
         jmin = np.floor((pts[:, :, 1].min(axis=1) - lo[1]) / self._cell).astype(int)
         jmax = np.floor((pts[:, :, 1].max(axis=1) - lo[1]) / self._cell).astype(int)
-        buckets = {}
-        for k in range(self._back_tris.shape[0]):
-            for ii in range(imin[k], imax[k] + 1):
-                for jj in range(jmin[k], jmax[k] + 1):
-                    buckets.setdefault((ii, jj), []).append(k)
-        self._buckets = buckets
-
-    def _locate_background(self, p):
-        ii = int(math.floor((p[0] - self._lo[0]) / self._cell))
-        jj = int(math.floor((p[1] - self._lo[1]) / self._cell))
-        cand = self._buckets.get((ii, jj), ())
-        verts = self.mesh.nodes
-        for k in cand:
-            a, b, c = verts[self._back_tris[k]]
-            l1, l2, l3 = _barycentric(p, a, b, c)
-            if l1 >= -1e-10 and l2 >= -1e-10 and l3 >= -1e-10:
-                return self._back_tris[k], (l1, l2, l3)
-        return None, None
+        # spatial hash in CSR layout: the candidates of cell c = i * ny + j are
+        # _cand[_start[c]:_start[c + 1]], in increasing background-triangle order
+        ni, nj = imax - imin + 1, jmax - jmin + 1
+        per_tri = ni * nj
+        tri = np.repeat(np.arange(per_tri.size), per_tri)
+        off = np.arange(tri.size) - np.repeat(np.cumsum(per_tri) - per_tri, per_tri)
+        self._shape = (int(imax.max()) + 1, int(jmax.max()) + 1)
+        cell = (imin[tri] + off // nj[tri]) * self._shape[1] + jmin[tri] + off % nj[tri]
+        self._cand = tri[np.argsort(cell, kind="stable")]
+        counts = np.bincount(cell, minlength=self._shape[0] * self._shape[1])
+        self._start = np.concatenate([[0], np.cumsum(counts)])
 
     def patch_value(self, patch_index, dx, dy, values):
         """Evaluate at center offsets (dx, dy) inside patch patch_index."""
+        return self._patch_values(patch_index, np.array([dx], dtype=float),
+                                  np.array([dy], dtype=float), np.asarray(values))[0]
+
+    def _patch_values(self, patch_index, dx, dy, values):
+        """Evaluate at the center offset arrays (dx, dy) inside one patch."""
         p = self.mesh.patches[patch_index]
-        r = math.hypot(dx, dy)
-        r = min(max(r, p.radii[0]), p.radii[-1])
-        k = int(np.searchsorted(p.radii, r, side="right")) - 1
-        k = min(max(k, 0), len(p.radii) - 2)
-        th = math.atan2(dy, dx) % (2 * math.pi)
-        dth = 2 * math.pi / p.n_theta
-        j = int(th // dth) % p.n_theta
-        j2 = (j + 1) % p.n_theta
+        r = np.minimum(np.maximum(_each(math.hypot, dx, dy), p.radii[0]), p.radii[-1])
+        k = np.clip(np.searchsorted(p.radii, r, side="right") - 1, 0, len(p.radii) - 2)
+        # numpy's % and // on floats follow the same fmod-based rule as Python's
+        th = _each(math.atan2, dy, dx) % _TWO_PI
+        j = (th // (_TWO_PI / p.n_theta)).astype(np.int64) % p.n_theta
         g = p.node_grid
-        quad = (g[k, j], g[k + 1, j], g[k + 1, j2], g[k, j2])
-        pt = np.array([dx, dy])
-        md = self.mesh
-        corners = [np.array([md.node_dx[q], md.node_dy[q]]) for q in quad]
+        j2 = (j + 1) % p.n_theta
+        quad = np.column_stack([g[k, j], g[k + 1, j], g[k + 1, j2], g[k, j2]])
+        corners = np.stack([self.mesh.node_dx[quad], self.mesh.node_dy[quad]], axis=2)
+        pt = np.column_stack([dx, dy])
+        out = np.empty(len(dx))
+        done = np.zeros(len(dx), dtype=bool)
         for tri in ((0, 1, 2), (0, 2, 3)):
-            a, b, c = (corners[t] for t in tri)
-            l1, l2, l3 = _barycentric(pt, a, b, c)
-            if l1 >= -1e-9 and l2 >= -1e-9 and l3 >= -1e-9:
-                idx = [quad[t] for t in tri]
-                return l1 * values[idx[0]] + l2 * values[idx[1]] + l3 * values[idx[2]]
+            lam = _barycentric_rows(pt, *(corners[:, t] for t in tri))
+            hit = ~done & (lam[0] >= -1e-9) & (lam[1] >= -1e-9) & (lam[2] >= -1e-9)
+            out[hit] = _interpolate(values, quad[hit][:, tri], [lm[hit] for lm in lam])
+            done |= hit
         # clamped fallback: nearest corner
-        d = [np.hypot(*(pt - cc)) for cc in corners]
-        return values[quad[int(np.argmin(d))]]
+        rest = np.flatnonzero(~done)
+        off = pt[rest, None, :] - corners[rest]
+        d = np.hypot(off[:, :, 0], off[:, :, 1])
+        out[rest] = values[quad[rest, np.argmin(d, axis=1)]]
+        return out
 
     def __call__(self, values, points):
         pts = np.atleast_2d(np.asarray(points, dtype=float))
+        values = np.asarray(values)
         out = np.empty(pts.shape[0])
         mesh = self.mesh
-        for n, p in enumerate(pts):
-            hit = False
-            for i, patch in enumerate(mesh.patches):
-                dx, dy = p[0] - patch.center[0], p[1] - patch.center[1]
-                if math.hypot(dx, dy) <= patch.radii[-1]:
-                    out[n] = self.patch_value(i, dx, dy, values)
-                    hit = True
-                    break
-            if hit:
-                continue
-            tri, lam = self._locate_background(p)
-            if tri is None:
-                # thin sliver between a patch rim polygon and its circle, or
-                # a hair outside the boundary polygon: fall back to nearest node
-                d = np.hypot(mesh.nodes[:, 0] - p[0], mesh.nodes[:, 1] - p[1])
-                out[n] = values[int(np.argmin(d))]
-            else:
-                out[n] = lam[0] * values[tri[0]] + lam[1] * values[tri[1]] + lam[2] * values[tri[2]]
+        # each point goes to the first patch whose circle holds it
+        back = np.arange(pts.shape[0])
+        for i, patch in enumerate(mesh.patches):
+            dx, dy = pts[back, 0] - patch.center[0], pts[back, 1] - patch.center[1]
+            inside = _each(math.hypot, dx, dy) <= patch.radii[-1]
+            out[back[inside]] = self._patch_values(i, dx[inside], dy[inside], values)
+            back = back[~inside]
+        vals, found = self._background_values(values, pts[back])
+        out[back] = vals
+        for n in back[~found]:
+            # thin sliver between a patch rim polygon and its circle, or
+            # a hair outside the boundary polygon: fall back to nearest node
+            p = pts[n]
+            d = np.hypot(mesh.nodes[:, 0] - p[0], mesh.nodes[:, 1] - p[1])
+            out[n] = values[int(np.argmin(d))]
         return out if np.asarray(points).ndim > 1 else float(out[0])
 
+    def _background_values(self, values, pts):
+        """Values at points outside the patches, and where some candidate
+        triangle of the point's cell holds it (the other values are unset)."""
+        ii = np.floor((pts[:, 0] - self._lo[0]) / self._cell).astype(np.int64)
+        jj = np.floor((pts[:, 1] - self._lo[1]) / self._cell).astype(np.int64)
+        ok = (ii >= 0) & (ii < self._shape[0]) & (jj >= 0) & (jj < self._shape[1])
+        cell = ii[ok] * self._shape[1] + jj[ok]
+        slot = np.zeros(len(pts), dtype=np.int64)
+        stop = np.zeros(len(pts), dtype=np.int64)
+        slot[ok] = self._start[cell]
+        stop[ok] = self._start[cell + 1]
+        out = np.empty(len(pts))
+        found = np.zeros(len(pts), dtype=bool)
+        todo = np.flatnonzero(slot < stop)
+        verts = self.mesh.nodes
+        # try the cell's candidates slot by slot; the first one holding a point wins
+        while todo.size:
+            t = self._back_tris[self._cand[slot[todo]]]
+            lam = _barycentric_rows(pts[todo], verts[t[:, 0]], verts[t[:, 1]], verts[t[:, 2]])
+            hit = (lam[0] >= -1e-10) & (lam[1] >= -1e-10) & (lam[2] >= -1e-10)
+            out[todo[hit]] = _interpolate(values, t[hit], [lm[hit] for lm in lam])
+            found[todo[hit]] = True
+            todo = todo[~hit]
+            slot[todo] += 1
+            todo = todo[slot[todo] < stop[todo]]
+        return out, found
 
-def _barycentric(p, a, b, c):
+
+def _each(f, x, y):
+    """f(x, y) point by point through math: patch membership, ring and sector
+    compare these exactly against ring radii and spoke angles, and numpy's
+    hypot and arctan2 can differ from math's by an ulp."""
+    return np.fromiter(map(f, x.tolist(), y.tolist()), dtype=float, count=len(x))
+
+
+def _barycentric_rows(p, a, b, c):
+    """Barycentric coordinates of each row of p in the triangle (a, b, c) of
+    the same row; a degenerate triangle gets -1 for all three."""
     v0 = b - a
     v1 = c - a
     v2 = p - a
-    den = v0[0] * v1[1] - v1[0] * v0[1]
-    if den == 0:
-        return -1.0, -1.0, -1.0
-    l2 = (v2[0] * v1[1] - v1[0] * v2[1]) / den
-    l3 = (v0[0] * v2[1] - v2[0] * v0[1]) / den
-    return 1.0 - l2 - l3, l2, l3
+    den = v0[:, 0] * v1[:, 1] - v1[:, 0] * v0[:, 1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        l2 = (v2[:, 0] * v1[:, 1] - v1[:, 0] * v2[:, 1]) / den
+        l3 = (v0[:, 0] * v2[:, 1] - v2[:, 0] * v0[:, 1]) / den
+    l1 = 1.0 - l2 - l3
+    flat = den == 0
+    for lam in (l1, l2, l3):
+        lam[flat] = -1.0
+    return l1, l2, l3
+
+
+def _interpolate(values, tris, lam):
+    return lam[0] * values[tris[:, 0]] + lam[1] * values[tris[:, 1]] + lam[2] * values[tris[:, 2]]

@@ -16,7 +16,7 @@ import numpy as np
 
 from .coeffs import BlowupConfig
 from .errors import ConstraintViolation, SchemaError
-from .geometry import DomainSpec, MeshPolicy, distance_to_boundary
+from .geometry import DomainSpec, MeshPolicy, _signed_inside_distance
 from .potentials import PotentialExpr, check_positive, parse_potential
 
 COMMANDS = ("construct", "sweep", "verify", "green-check")
@@ -66,15 +66,11 @@ def domain_sample_points(domain: DomainSpec, n=2000, seed=0):
         b = domain.boundary
         lo = b.min(axis=0)
         hi = b.max(axis=0)
-    pts = []
+    pts = np.empty((0, 2))
     while len(pts) < n:
         cand = rng.uniform(lo, hi, size=(4 * n, 2))
-        for p in cand:
-            if distance_to_boundary(domain, p) > 0:
-                pts.append(p)
-                if len(pts) >= n:
-                    break
-    return np.asarray(pts)
+        pts = np.vstack([pts, cand[_signed_inside_distance(cand, domain, domain.boundary) > 0]])
+    return pts[:n]
 
 
 def parse_config(text: str) -> RunConfig:

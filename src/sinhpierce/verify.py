@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import quad
 
-from .bubbles import make_bubbles, project_asymptotic, project_numeric
+from .bubbles import make_bubbles, project_asymptotic
 from .errors import InsufficientSamples, NearSingular, QuadratureNonConvergence
 from .operators import EIG_FLOOR, Field, LinearOperator, get_ops, weight_W, residual_R
 
@@ -251,8 +251,7 @@ def check_expansion(run, rho_list, margin=0.95):
         st = run.stage(rho)
         mesh, coeffs = st.mesh, st.coeffs
         worst = 0.0
-        for b in make_bubbles(cfg, st.scales):
-            P = project_numeric(b, mesh, coeffs=coeffs, gp=gp)
+        for b, P in zip(make_bubbles(cfg, st.scales), st.projections):
             far = np.ones(mesh.n_nodes, dtype=bool)
             for k in range(cfg.m):
                 far &= mesh.center_distance(k) > st.pd.eta

@@ -260,7 +260,7 @@ def test_ansatz_near_field_form(proj_setup, single_cfg, gp):
                                   PierceSpec(single_cfg.centers, scales.eps))
         mesh = build_mesh(pd, MeshPolicy(h=0.045))
         coeffs = coefficient_set(single_cfg, scales, gp)
-        U = build_ansatz(single_cfg, scales, mesh, coeffs=coeffs, gp=gp)
+        U, _ = build_ansatz(single_cfg, scales, mesh, coeffs=coeffs, gp=gp)
         b = make_bubbles(single_cfg, scales)[0]
         patch = mesh.patches[0]
         k = int(np.argmin(np.abs(np.log(patch.radii)
@@ -291,7 +291,7 @@ def test_mirrored_near_field_form_negative_bubble(two_cfg, gp):
                                   PierceSpec(two_cfg.centers, scales.eps))
         mesh = build_mesh(pd, MeshPolicy(h=0.045))
         coeffs = coefficient_set(two_cfg, scales, gp)
-        U = build_ansatz(two_cfg, scales, mesh, coeffs=coeffs, gp=gp)
+        U, _ = build_ansatz(two_cfg, scales, mesh, coeffs=coeffs, gp=gp)
         b2 = make_bubbles(two_cfg, scales)[1]
         patch = mesh.patches[1]
         k = int(np.argmin(np.abs(np.log(patch.radii)

@@ -1,11 +1,14 @@
 import filecmp
+import math
 import os
 
+import numpy as np
 import pytest
 
 from sinhpierce.cli import main, write_field_csv
 from sinhpierce.errors import ConstraintViolation, NonpositiveSampled, SchemaError
-from sinhpierce.runconfig import parse_config
+from sinhpierce.geometry import DomainSpec, distance_to_boundary
+from sinhpierce.runconfig import domain_sample_points, parse_config
 
 BASE = """
 [problem]
@@ -138,23 +141,39 @@ def test_sweep_smoke_and_byte_identical(tmp_path):
 
 
 def test_one_mesh_per_rho_per_command(tmp_path, monkeypatch):
-    # the checks, the warm start and the solver all share one prepared stage per rho
+    # the checks, the warm start and the solver all share one prepared stage per
+    # rho: one mesh, and one projection per bubble on it
+    import sys
+
+    import sinhpierce.bubbles as bubbles_mod
     import sinhpierce.corrector as corrector_mod
 
     real = corrector_mod.build_mesh
     calls = []
+    projections = []
 
     def counting(pd, policy):
         calls.append(pd)
         return real(pd, policy)
 
+    real_project = bubbles_mod.project_numeric
+
+    def counting_project(*args, **kwargs):
+        projections.append(args[0])
+        return real_project(*args, **kwargs)
+
     monkeypatch.setattr(corrector_mod, "build_mesh", counting)
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("sinhpierce") and getattr(mod, "project_numeric", None) is real_project:
+            monkeypatch.setattr(mod, "project_numeric", counting_project)
     cfg = _write(tmp_path, BASE.format(out=tmp_path).replace("rho = 1e-2",
                                                              "rho = 1e-2 1e-3 1e-4"))
     for command, meshes in (("construct", 1), ("sweep", 3), ("verify", 3)):
         calls.clear()
+        projections.clear()
         assert main([command, "--config", cfg, "--out", str(tmp_path / command)]) == 0
         assert len(calls) == meshes, command
+        assert len(projections) == meshes, command
 
 
 def test_short_boundary_curve_schema_error(tmp_path):
@@ -163,6 +182,33 @@ def test_short_boundary_curve_schema_error(tmp_path):
     with pytest.raises(SchemaError) as exc:
         parse_config(text)
     assert "at least three points" in str(exc.value)
+
+
+def test_domain_sample_points_match_pointwise_draws():
+    # reference: the same draws, kept point by point with distance_to_boundary
+    def pointwise(domain, n, seed):
+        rng = np.random.default_rng(seed)
+        b = np.array([[-1.0, -1.0], [1.0, 1.0]]) if domain.boundary is None else domain.boundary
+        lo, hi = b.min(axis=0), b.max(axis=0)
+        pts = []
+        while len(pts) < n:
+            for p in rng.uniform(lo, hi, size=(4 * n, 2)):
+                if distance_to_boundary(domain, p) > 0:
+                    pts.append(p)
+                    if len(pts) >= n:
+                        break
+        return np.asarray(pts)
+
+    t = 2 * math.pi * np.arange(40) / 40
+    rad = 0.6 + 0.3 * np.cos(5 * t)
+    domains = [DomainSpec(),
+               DomainSpec("boundary-curve", [[-0.9, -0.9], [0.9, -0.9], [0.9, 0.9], [-0.9, 0.9]]),
+               DomainSpec("boundary-curve", np.column_stack([rad * np.cos(t), rad * np.sin(t)]))]
+    for domain in domains:
+        for n, seed in ((500, 0), (7, 1)):
+            got = domain_sample_points(domain, n=n, seed=seed)
+            assert got.shape == (n, 2)
+            assert np.array_equal(got, pointwise(domain, n, seed))
 
 
 def test_green_check_command(tmp_path):

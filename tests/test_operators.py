@@ -130,7 +130,7 @@ def ansatz_setup(single_cfg, gp, coarse_policy):
                               PierceSpec(single_cfg.centers, scales.eps))
     mesh = build_mesh(pd, coarse_policy)
     coeffs = coefficient_set(single_cfg, scales, gp)
-    U = build_ansatz(single_cfg, scales, mesh, coeffs=coeffs, gp=gp)
+    U, _ = build_ansatz(single_cfg, scales, mesh, coeffs=coeffs, gp=gp)
     return mesh, scales, coeffs, U
 
 
@@ -154,7 +154,7 @@ def test_weight_liouville_case(disk, gp, coarse_policy):
     pd = build_pierced_domain(disk, PierceSpec(cfg.centers, scales.eps))
     mesh = build_mesh(pd, coarse_policy)
     coeffs = coefficient_set(cfg, scales, gp)
-    U = build_ansatz(cfg, scales, mesh, coeffs=coeffs, gp=gp)
+    U, _ = build_ansatz(cfg, scales, mesh, coeffs=coeffs, gp=gp)
     W = weight_W(U, cfg, scales)
     v1 = np.ones(mesh.n_nodes)
     want = scales.rho * v1 * np.exp(U.values)
@@ -267,7 +267,7 @@ def test_nonlinearity_lipschitz_constant_decays(single_cfg, gp, coarse_policy):
                                   PierceSpec(single_cfg.centers, scales.eps))
         mesh = build_mesh(pd, coarse_policy)
         coeffs = coefficient_set(single_cfg, scales, gp)
-        U = build_ansatz(single_cfg, scales, mesh, coeffs=coeffs, gp=gp)
+        U, _ = build_ansatz(single_cfg, scales, mesh, coeffs=coeffs, gp=gp)
         ops = get_ops(mesh)
         rng = np.random.default_rng(9)
         worst = 0.0
@@ -299,7 +299,7 @@ def test_local_expansion_of_weight_term(single_cfg, gp, coarse_policy):
                                   PierceSpec(single_cfg.centers, scales.eps))
         mesh = build_mesh(pd, coarse_policy)
         coeffs = coefficient_set(single_cfg, scales, gp)
-        U = build_ansatz(single_cfg, scales, mesh, coeffs=coeffs, gp=gp)
+        U, _ = build_ansatz(single_cfg, scales, mesh, coeffs=coeffs, gp=gp)
         b = make_bubbles(single_cfg, scales)[0]
         src = bubble_source(b, mesh)
         lead = math.exp(2 * math.pi * scales.rho_i[0]) / (2 * 9 * scales.delta_pow[0])
@@ -323,7 +323,7 @@ def test_cross_sign_suppression(two_cfg, gp, coarse_policy):
                                   PierceSpec(two_cfg.centers, scales.eps))
         mesh = build_mesh(pd, coarse_policy)
         coeffs = coefficient_set(two_cfg, scales, gp)
-        U = build_ansatz(two_cfg, scales, mesh, coeffs=coeffs, gp=gp)
+        U, _ = build_ansatz(two_cfg, scales, mesh, coeffs=coeffs, gp=gp)
         d2 = mesh.center_distance(1)
         sel = np.abs(d2 - scales.delta[1]) < 0.2 * scales.delta[1]
         cross = np.exp(U.values[sel])            # V1 e^U on the negative annulus
@@ -344,7 +344,7 @@ def test_residual_small_outside_annuli(single_cfg, gp, coarse_policy):
                                   PierceSpec(single_cfg.centers, scales.eps))
         mesh = build_mesh(pd, coarse_policy)
         coeffs = coefficient_set(single_cfg, scales, gp)
-        U = build_ansatz(single_cfg, scales, mesh, coeffs=coeffs, gp=gp)
+        U, _ = build_ansatz(single_cfg, scales, mesh, coeffs=coeffs, gp=gp)
         R = residual_R(U, single_cfg, scales)
         outside = (~mesh.is_boundary) & (mesh.center_distance(0) > pd.eta)
         consts.append(np.abs(R.values[outside]).max() / rho)
