@@ -52,6 +52,7 @@ from .bubbles import (
     make_bubbles,
     project_asymptotic,
     project_numeric,
+    regular_parts,
 )
 from .potentials import PotentialExpr, parse_potential
 from .runconfig import RunConfig, parse_config

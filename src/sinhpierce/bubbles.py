@@ -159,37 +159,43 @@ def build_test_functions(cfg, scales, gamma_star, j) -> TestFunctionSet:
 # ---------------------------------------------------------------------------
 # projections onto the pierced domain
 
-def explicit_harmonic_part(b: Bubble, coeffs, gp, mesh: Mesh) -> np.ndarray:
+def regular_parts(gp, mesh: Mesh, centers) -> tuple:
+    """H(., xi_k) at the mesh nodes, one array per center: what every bubble's
+    explicit harmonic part needs, so one evaluation serves all of them."""
+    return tuple(gp.robin_H_many(mesh.nodes, c) for c in centers)
+
+
+def explicit_harmonic_part(b: Bubble, coeffs, H, mesh: Mesh) -> np.ndarray:
     """Leading harmonic correction of the projection, evaluated exactly.
 
     -log(2 a^2 d^a) + 4 pi a H(x, xi_i) - sum_k beta_ik G(x, xi_k): harmonic
     on the pierced domain (the log poles of G sit inside the holes).  Using
     the Green function directly here keeps the large log-scale structure out
     of the finite element solve; only a small smooth remainder is left to it.
+    H holds H(., xi_k) at the mesh nodes, as regular_parts returns it.
     """
     i = b.index
-    centers = coeffs.centers
     vals = np.full(mesh.n_nodes, -(math.log(2 * b.alpha ** 2) + math.log(b.delta_pow)))
-    vals += 4 * math.pi * b.alpha * gp.robin_H_many(mesh.nodes, centers[i])
-    for k in range(centers.shape[0]):
+    vals += 4 * math.pi * b.alpha * H[i]
+    for k in range(coeffs.centers.shape[0]):
         r_k = mesh.center_distance(k)
-        g_k = -np.log(r_k) / _TWO_PI + gp.robin_H_many(mesh.nodes, centers[k])
+        g_k = -np.log(r_k) / _TWO_PI + H[k]
         vals -= coeffs.beta[i, k] * g_k
     return vals
 
 
-def project_numeric(b: Bubble, mesh: Mesh, coeffs=None, gp=None) -> Field:
+def project_numeric(b: Bubble, mesh: Mesh, coeffs=None, H=None) -> Field:
     """Dirichlet projection: w plus a harmonic lift of -w.
 
-    With coefficient data the lift splits into the explicit Green-function
-    combination plus a discrete harmonic remainder whose boundary data are
-    already small; without it the whole lift is discrete (coarser, used as a
-    cross-check).
+    With coefficient data and the regular parts H (see regular_parts) the
+    lift splits into the explicit Green-function combination plus a discrete
+    harmonic remainder whose boundary data are already small; without them
+    the whole lift is discrete (coarser, used as a cross-check).
     """
     ops = get_ops(mesh)
     w = _bubble_from_r(b, mesh.center_distance(b.index))
-    if coeffs is not None and gp is not None:
-        lead = explicit_harmonic_part(b, coeffs, gp, mesh)
+    if coeffs is not None and H is not None:
+        lead = explicit_harmonic_part(b, coeffs, H, mesh)
         base = w + lead
     else:
         base = w
@@ -245,5 +251,6 @@ def build_ansatz(cfg, scales, mesh, coeffs=None, gp=None) -> tuple[Field, tuple]
     """The ansatz U on the given mesh and the bubble projections it sums,
     in the order of make_bubbles."""
     bubbles = make_bubbles(cfg, scales)
-    projections = tuple(project_numeric(b, mesh, coeffs=coeffs, gp=gp) for b in bubbles)
+    H = regular_parts(gp, mesh, coeffs.centers) if coeffs is not None and gp is not None else None
+    projections = tuple(project_numeric(b, mesh, coeffs=coeffs, H=H) for b in bubbles)
     return assemble_U(projections, cfg.tau, cfg.m1), projections

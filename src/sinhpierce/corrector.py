@@ -284,15 +284,11 @@ class Solution:
 
 def farfield_target(cfg, gp, points):
     """Green combination the solution approaches away from the holes."""
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    out = np.zeros(pts.shape[0])
-    for n, p in enumerate(pts):
-        v = 0.0
-        for i in range(cfg.m):
-            g = gp.green(p, cfg.centers[i])
-            coef = 2 * math.pi * (cfg.alphas[i] + 2)
-            v += coef * g if i < cfg.m1 else -coef * g / cfg.tau
-        out[n] = v
+    out = np.zeros(np.atleast_2d(points).shape[0])
+    for i in range(cfg.m):
+        g = gp.green_many(points, cfg.centers[i])
+        coef = 2 * math.pi * (cfg.alphas[i] + 2)
+        out += coef * g if i < cfg.m1 else -coef * g / cfg.tau
     return out
 
 

@@ -13,6 +13,7 @@ resolution.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -158,29 +159,58 @@ def _polygon_area(poly):
 
 
 def _point_in_polygon(points, poly):
-    """Vectorized ray-casting test; True for points strictly inside."""
-    x = points[:, 0][:, None]
-    y = points[:, 1][:, None]
-    x0, y0 = poly[:, 0][None, :], poly[:, 1][None, :]
-    x1, y1 = np.roll(poly[:, 0], -1)[None, :], np.roll(poly[:, 1], -1)[None, :]
-    cond = (y0 <= y) != (y1 <= y)
+    """Ray-casting test; True for points strictly inside.
+
+    Edge k crosses the horizontal line through a point exactly when
+    min(y0, y1) <= y < max(y0, y1); with the points sorted by y that is one
+    contiguous run of them, so only those pairs are evaluated.
+    """
+    x, y = points[:, 0], points[:, 1]
+    x0, y0 = poly[:, 0], poly[:, 1]
+    x1, y1 = np.roll(x0, -1), np.roll(y0, -1)
+    order = np.argsort(y, kind="stable")
+    ys = y[order]
+    edge, run = _ranges(np.searchsorted(ys, np.minimum(y0, y1)),
+                        np.searchsorted(ys, np.maximum(y0, y1)))
+    pt = order[run]
     with np.errstate(divide="ignore", invalid="ignore"):
-        xcross = x0 + (y - y0) * (x1 - x0) / (y1 - y0)
-    hits = cond & (x < xcross)
-    return np.sum(hits, axis=1) % 2 == 1
+        xcross = x0[edge] + (y[pt] - y0[edge]) * (x1[edge] - x0[edge]) / (y1[edge] - y0[edge])
+    hits = x[pt] < xcross
+    return np.bincount(pt[hits], minlength=len(points)) % 2 == 1
 
 
 def _dist_to_polygon(points, poly):
-    """Unsigned distance from each point to the closed polygon boundary."""
+    """Unsigned distance from each point to the closed polygon boundary.
+
+    The nearest edge comes within the nearest-vertex distance of the point,
+    so its midpoint lies within that distance plus half the longest edge;
+    only edges whose midpoints are that close (with a rounding margin) are
+    evaluated.
+    """
     a = poly
     b = np.roll(poly, -1, axis=0)
     ab = b - a
     denom = np.einsum("ij,ij->i", ab, ab)
-    p = points[:, None, :] - a[None, :, :]
-    t = np.clip(np.einsum("ikj,kj->ik", p, ab) / denom[None, :], 0.0, 1.0)
-    proj = a[None, :, :] + t[:, :, None] * ab[None, :, :]
-    d = np.hypot(points[:, None, 0] - proj[:, :, 0], points[:, None, 1] - proj[:, :, 1])
-    return d.min(axis=1)
+    vertex_dist, _ = cKDTree(a).query(points)
+    reach = (vertex_dist + 0.5 * math.sqrt(denom.max())) * (1 + 1e-9) \
+        + 1e-12 * (1.0 + np.abs(a).max())
+    near = cKDTree(0.5 * (a + b)).query_ball_point(points, reach)
+    counts = np.fromiter(map(len, near), dtype=np.int64, count=len(near))
+    pt = np.repeat(np.arange(len(near)), counts)
+    edge = np.fromiter(itertools.chain.from_iterable(near), dtype=np.int64, count=pt.size)
+    p = points[pt] - a[edge]
+    t = np.clip(np.einsum("ij,ij->i", p, ab[edge]) / denom[edge], 0.0, 1.0)
+    proj = a[edge] + t[:, None] * ab[edge]
+    d = np.hypot(points[pt, 0] - proj[:, 0], points[pt, 1] - proj[:, 1])
+    # every point has a candidate: the edges at its nearest vertex
+    return np.minimum.reduceat(d, np.cumsum(counts) - counts)
+
+
+def _ranges(start, stop):
+    """(k, i) for every i in every half-open range [start[k], stop[k])."""
+    n = stop - start
+    k = np.repeat(np.arange(n.size), n)
+    return k, np.arange(k.size) + np.repeat(start - (np.cumsum(n) - n), n)
 
 
 def _signed_inside_distance(points, domain: DomainSpec, poly):
@@ -424,40 +454,56 @@ def _inside_rim_polygon(centroids, center, rim_r, n_theta):
 
 def build_domain_mesh(domain: DomainSpec, h: float, smooth_iters: int = 2) -> Mesh:
     """Mesh the outer domain alone (no holes); used by the numeric Green backend."""
-    return _build_mesh_impl(domain, None, MeshPolicy(h=h, smooth_iters=smooth_iters))
+    policy = MeshPolicy(h=h, smooth_iters=smooth_iters)
+    return _assemble(_background(domain, np.zeros((0, 2)), 0.0, policy), None, policy)
+
+
+# One-entry memo of the last background build_mesh made, keyed by everything
+# _background reads: a sweep meshes the same domain, centers and eta at every rho.
+_last_background = None
 
 
 def build_mesh(pd: PiercedDomain, policy: MeshPolicy) -> Mesh:
     """Composite mesh of the pierced domain: polar patches + hex background."""
+    global _last_background
     for i, eps in enumerate(pd.pierce.radii):
         if eps < MIN_HOLE_RADIUS:
             raise UnresolvableHole(
                 f"hole {i + 1} radius {eps:.3g} below the resolvable scale "
                 f"{MIN_HOLE_RADIUS:g}")
-    return _build_mesh_impl(pd.domain, pd, policy)
+    domain = pd.domain
+    key = (domain.kind, None if domain.boundary is None else domain.boundary.tobytes(),
+           pd.pierce.centers.tobytes(), pd.eta, policy)
+    if _last_background is None or _last_background[0] != key:
+        _last_background = (key, _background(domain, pd.pierce.centers, pd.eta, policy))
+    return _assemble(_last_background[1], pd, policy)
 
 
-def _build_mesh_impl(domain, pd, policy):
+@dataclass(frozen=True)
+class _Background:
+    """The part of a mesh that does not depend on the hole radii; every array
+    is read-only, so memoized backgrounds can be shared."""
+
+    bpoly: np.ndarray        # boundary polygon, the first pot nodes
+    pot: np.ndarray          # stitch nodes: boundary, patch rims, transition circles, hex lattice
+    origin: np.ndarray       # 0 boundary, 1 circle or rim, 2 hex
+    rim_slices: tuple        # (start, n_theta) of each rim in pot
+    n_theta: int
+    tris: np.ndarray         # filtered Delaunay triangles of pot, outside the rims
+
+
+def _background(domain, centers, eta, policy) -> _Background:
     h = policy.h
     bpoly = domain_boundary_polygon(domain, h)
     n_bdry = bpoly.shape[0]
-
-    centers = pd.pierce.centers if pd is not None else np.zeros((0, 2))
     m = centers.shape[0]
-    eta = pd.eta if pd is not None else 0.0
 
     # --- stitch pot: boundary nodes, transition circles, patch rims, hex lattice
     pot_pts = [bpoly]
-    pot_origin = [np.full(n_bdry, 0)]           # 0 boundary, 1 circle, 2 hex
-    rim_slices = []                             # (start, n_theta) of each rim in pot
+    pot_origin = [np.full(n_bdry, 0)]
+    rim_slices = []
     exclusion = []                              # (center, radius) hex keep-out per hole
-
-    patch_ring_radii = []
     n_theta = _patch_angular_count(policy) if m else 0
-    for i in range(m):
-        eps = pd.pierce.radii[i]
-        radii = _build_patch_rings(eps, eta, policy.q, n_theta)
-        patch_ring_radii.append(radii)
 
     circle_pts = []
     circle_spacing = []
@@ -565,11 +611,22 @@ def _build_mesh_impl(domain, pd, policy):
         pot[ok] = nbr_sum[ok] / nbr_cnt[ok, None]
         tris = triangulate(pot)
 
+    for arr in (bpoly, pot, origin, tris):
+        arr.flags.writeable = False
+    return _Background(bpoly=bpoly, pot=pot, origin=origin, rim_slices=tuple(rim_slices),
+                       n_theta=n_theta, tris=tris)
+
+
+def _assemble(bg: _Background, pd, policy) -> Mesh:
+    """Add the polar patches of pd's holes to the background and check the whole mesh."""
+    pot, tris, n_theta = bg.pot, bg.tris, bg.n_theta
     n_pot = pot.shape[0]
+    centers = pd.pierce.centers if pd is not None else np.zeros((0, 2))
+    eta = pd.eta if pd is not None else 0.0
 
     # --- assemble global node arrays: pot nodes first, then patch interiors
     nodes = [pot]
-    node_marker = [np.where(origin == 0, OUTER, INTERIOR)]
+    node_marker = [np.where(bg.origin == 0, OUTER, INTERIOR)]
     node_patch = [np.full(n_pot, -1)]
     node_dx = [pot[:, 0].copy()]
     node_dy = [pot[:, 1].copy()]
@@ -579,15 +636,15 @@ def _build_mesh_impl(domain, pd, policy):
     tri_patch = [np.full(tris.shape[0], -1)]
 
     next_id = n_pot
-    for i in range(m):
+    for i in range(centers.shape[0]):
         xi = centers[i]
-        radii = patch_ring_radii[i]
+        radii = _build_patch_rings(pd.pierce.radii[i], eta, policy.q, n_theta)
         k1 = len(radii)
         th = 2 * np.pi * np.arange(n_theta) / n_theta
         ct, st = np.cos(th), np.sin(th)
 
         grid = np.empty((k1, n_theta), dtype=np.int64)
-        start, cnt = rim_slices[i]
+        start, cnt = bg.rim_slices[i]
         grid[-1] = np.arange(start, start + cnt)
         inner_count = (k1 - 1) * n_theta
         grid[:-1] = np.arange(next_id, next_id + inner_count).reshape(k1 - 1, n_theta)
@@ -626,10 +683,10 @@ def _build_mesh_impl(domain, pd, policy):
     mesh = Mesh(nodes=nodes, triangles=triangles, node_marker=node_marker,
                 node_patch=node_patch, node_dx=node_dx, node_dy=node_dy,
                 tri_patch=tri_patch, weights=np.zeros(nodes.shape[0]),
-                patches=patches, pd=pd, h=h, boundary_polygon=bpoly)
+                patches=patches, pd=pd, h=policy.h, boundary_polygon=bg.bpoly)
 
     _orient_and_weigh(mesh)
-    _check_conformity(mesh, bpoly)
+    _check_conformity(mesh, bg.bpoly)
     coords = mesh.all_tri_coords()
     mesh.min_quality = float(_tri_quality(coords).min())
     return mesh
@@ -653,7 +710,9 @@ def _check_conformity(mesh, bpoly):
     t = mesh.triangles
     edges = np.vstack([t[:, [0, 1]], t[:, [1, 2]], t[:, [2, 0]]])
     edges.sort(axis=1)
-    uniq, counts = np.unique(edges, axis=0, return_counts=True)
+    # one int64 key per edge, ordered like the (a, b) rows
+    keys, counts = np.unique(edges[:, 0] * mesh.n_nodes + edges[:, 1], return_counts=True)
+    uniq = np.column_stack(np.divmod(keys, mesh.n_nodes))
     if np.any(counts > 2):
         raise StitchFailure("an edge is shared by more than two triangles")
     lone = {tuple(e) for e in uniq[counts == 1]}
@@ -712,9 +771,7 @@ class FieldEvaluator:
         # spatial hash in CSR layout: the candidates of cell c = i * ny + j are
         # _cand[_start[c]:_start[c + 1]], in increasing background-triangle order
         ni, nj = imax - imin + 1, jmax - jmin + 1
-        per_tri = ni * nj
-        tri = np.repeat(np.arange(per_tri.size), per_tri)
-        off = np.arange(tri.size) - np.repeat(np.cumsum(per_tri) - per_tri, per_tri)
+        tri, off = _ranges(np.zeros_like(ni), ni * nj)
         self._shape = (int(imax.max()) + 1, int(jmax.max()) + 1)
         cell = (imin[tri] + off // nj[tri]) * self._shape[1] + jmin[tri] + off % nj[tri]
         self._cand = tri[np.argsort(cell, kind="stable")]

@@ -11,7 +11,13 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import CoincidentPoints, PointOutsideDomain
-from .geometry import DomainSpec, FieldEvaluator, build_domain_mesh, distance_to_boundary
+from .geometry import (
+    DomainSpec,
+    FieldEvaluator,
+    _signed_inside_distance,
+    build_domain_mesh,
+    distance_to_boundary,
+)
 from .operators import get_ops
 
 _TWO_PI = 2.0 * np.pi
@@ -27,13 +33,16 @@ class AnalyticDiskGreen:
             raise ValueError("analytic backend only pairs with the unit disk")
         self.domain = domain
 
-    def _check(self, *pts):
-        for p in pts:
-            if np.hypot(p[0], p[1]) > 1.0 + 1e-12:
-                raise PointOutsideDomain(f"point {tuple(p)} lies outside the unit disk")
+    def _check(self, points):
+        """Raise on the first of the points, an (n, 2) array, outside the disk."""
+        pts = np.asarray(points, dtype=float)
+        out = np.flatnonzero(np.hypot(pts[:, 0], pts[:, 1]) > 1.0 + 1e-12)
+        if out.size:
+            raise PointOutsideDomain(
+                f"point {tuple(pts[out[0]].tolist())} lies outside the unit disk")
 
     def robin_H(self, x, y) -> float:
-        self._check(x, y)
+        self._check((x, y))
         zx = complex(x[0], x[1])
         zy = complex(y[0], y[1])
         return float(np.log(abs(1.0 - zx * zy.conjugate())) / _TWO_PI)
@@ -45,7 +54,7 @@ class AnalyticDiskGreen:
         return np.log(np.hypot(u, v)) / _TWO_PI
 
     def green(self, x, y) -> float:
-        self._check(x, y)
+        self._check((x, y))
         d = np.hypot(x[0] - y[0], x[1] - y[1])
         if d < 1e-14:
             raise CoincidentPoints(f"green undefined on the diagonal, |x-y|={d:.3g}")
@@ -65,10 +74,14 @@ class NumericGreen:
         self.evaluator = FieldEvaluator(self.mesh)
         self._h_fields = {}
 
-    def _check(self, *pts):
-        for p in pts:
-            if distance_to_boundary(self.domain, p) < -1e-10:
-                raise PointOutsideDomain(f"point {tuple(p)} lies outside the domain")
+    def _check(self, points):
+        """Raise on the first of the points, an (n, 2) array, outside the domain."""
+        pts = np.asarray(points, dtype=float)
+        out = np.flatnonzero(
+            _signed_inside_distance(pts, self.domain, self.domain.boundary) < -1e-10)
+        if out.size:
+            raise PointOutsideDomain(
+                f"point {tuple(pts[out[0]].tolist())} lies outside the domain")
 
     def _harmonic_part(self, y):
         key = (float(y[0]), float(y[1]))
@@ -82,7 +95,7 @@ class NumericGreen:
         return fld
 
     def robin_H(self, x, y) -> float:
-        self._check(x, y)
+        self._check((x, y))
         fld = self._harmonic_part(y)
         return float(self.evaluator(fld.values, np.asarray(x, dtype=float)))
 
@@ -92,7 +105,7 @@ class NumericGreen:
         return np.asarray(self.evaluator(fld.values, pts), dtype=float)
 
     def green(self, x, y) -> float:
-        self._check(x, y)
+        self._check((x, y))
         d = np.hypot(x[0] - y[0], x[1] - y[1])
         if d < 1e-14:
             raise CoincidentPoints(f"green undefined on the diagonal, |x-y|={d:.3g}")
@@ -116,6 +129,17 @@ class GreenProvider:
 
     def green(self, x, y) -> float:
         return self._impl.green(x, y)
+
+    def green_many(self, points, y) -> np.ndarray:
+        """G(., y) at many points: green's checks, on all points at once, and
+        its formula -log|x - y| / 2pi + H(x, y) per point."""
+        pts = np.atleast_2d(np.asarray(points, dtype=float))
+        self._impl._check(np.vstack([pts, y]))
+        d = np.hypot(pts[:, 0] - y[0], pts[:, 1] - y[1])
+        close = np.flatnonzero(d < 1e-14)
+        if close.size:
+            raise CoincidentPoints(f"green undefined on the diagonal, |x-y|={d[close[0]]:.3g}")
+        return -np.log(d) / _TWO_PI + self.robin_H_many(pts, y)
 
     def robin_H(self, x, y) -> float:
         return self._impl.robin_H(x, y)

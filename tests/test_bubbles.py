@@ -15,6 +15,7 @@ from sinhpierce.bubbles import (
     make_bubbles,
     project_asymptotic,
     project_numeric,
+    regular_parts,
 )
 from sinhpierce.coeffs import choose_scales, coefficient_set
 from sinhpierce.errors import MeshMismatch, RegimeViolation, UndefinedAngleAtOrigin
@@ -166,7 +167,7 @@ def proj_setup(single_cfg, gp, coarse_policy):
 def test_projection_boundary_values(proj_setup, single_cfg, gp):
     pd, mesh, scales, coeffs = proj_setup
     b = make_bubbles(single_cfg, scales)[0]
-    P = project_numeric(b, mesh, coeffs=coeffs, gp=gp)
+    P = project_numeric(b, mesh, coeffs=coeffs, H=regular_parts(gp, mesh, coeffs.centers))
     assert np.abs(P.values[mesh.is_boundary]).max() <= 1e-8
 
 
@@ -174,7 +175,7 @@ def test_projection_interior_harmonicity(proj_setup, single_cfg, gp):
     pd, mesh, scales, coeffs = proj_setup
     ops = get_ops(mesh)
     b = make_bubbles(single_cfg, scales)[0]
-    P = project_numeric(b, mesh, coeffs=coeffs, gp=gp)
+    P = project_numeric(b, mesh, coeffs=coeffs, H=regular_parts(gp, mesh, coeffs.centers))
     w_vals = bubble_value(b, mesh.nodes)
     w_vals = np.asarray(w_vals)
     # difference P - w is discrete harmonic plus the exactly harmonic lead;
@@ -191,7 +192,7 @@ def test_projection_interior_harmonicity(proj_setup, single_cfg, gp):
 def test_projection_matches_far_expansion(proj_setup, single_cfg, gp):
     pd, mesh, scales, coeffs = proj_setup
     b = make_bubbles(single_cfg, scales)[0]
-    P = project_numeric(b, mesh, coeffs=coeffs, gp=gp)
+    P = project_numeric(b, mesh, coeffs=coeffs, H=regular_parts(gp, mesh, coeffs.centers))
     r = mesh.center_distance(0)
     sel = (~mesh.is_boundary) & (r > pd.eta) & (np.hypot(*mesh.nodes.T) < 0.9)
     idx = np.flatnonzero(sel)[::11]
@@ -222,7 +223,7 @@ def test_far_regime_violation(proj_setup, single_cfg, gp):
 def test_assemble_single_is_projection(proj_setup, single_cfg, gp):
     pd, mesh, scales, coeffs = proj_setup
     b = make_bubbles(single_cfg, scales)[0]
-    P = project_numeric(b, mesh, coeffs=coeffs, gp=gp)
+    P = project_numeric(b, mesh, coeffs=coeffs, H=regular_parts(gp, mesh, coeffs.centers))
     U = assemble_U([P], tau=1.0, m1=1)
     assert np.abs(U.values - P.values).max() == 0.0
 
@@ -233,7 +234,8 @@ def test_assemble_mixed_signs(two_cfg, gp, coarse_policy):
     mesh = build_mesh(pd, coarse_policy)
     coeffs = coefficient_set(two_cfg, scales, gp)
     bs = make_bubbles(two_cfg, scales)
-    P = [project_numeric(b, mesh, coeffs=coeffs, gp=gp) for b in bs]
+    H = regular_parts(gp, mesh, coeffs.centers)
+    P = [project_numeric(b, mesh, coeffs=coeffs, H=H) for b in bs]
     U = assemble_U(P, tau=1.0, m1=1)
     assert np.abs(U.values - (P[0].values - P[1].values)).max() <= 1e-14 * np.abs(U.values).max()
 
@@ -241,7 +243,7 @@ def test_assemble_mixed_signs(two_cfg, gp, coarse_policy):
 def test_assemble_mesh_mismatch(proj_setup, single_cfg, gp, disk):
     pd, mesh, scales, coeffs = proj_setup
     b = make_bubbles(single_cfg, scales)[0]
-    P = project_numeric(b, mesh, coeffs=coeffs, gp=gp)
+    P = project_numeric(b, mesh, coeffs=coeffs, H=regular_parts(gp, mesh, coeffs.centers))
     other = build_domain_mesh(disk, 0.2)
     from sinhpierce.operators import Field
 

@@ -142,15 +142,25 @@ def test_sweep_smoke_and_byte_identical(tmp_path):
 
 def test_one_mesh_per_rho_per_command(tmp_path, monkeypatch):
     # the checks, the warm start and the solver all share one prepared stage per
-    # rho: one mesh, and one projection per bubble on it
+    # rho: one mesh, and one projection per bubble on it; the rho-independent
+    # background (one hex lattice each) is built once per command
     import sys
 
     import sinhpierce.bubbles as bubbles_mod
     import sinhpierce.corrector as corrector_mod
+    import sinhpierce.geometry as geometry_mod
 
     real = corrector_mod.build_mesh
     calls = []
     projections = []
+    lattices = []
+    real_lattice = geometry_mod._hex_lattice
+
+    def counting_lattice(*args):
+        lattices.append(args)
+        return real_lattice(*args)
+
+    monkeypatch.setattr(geometry_mod, "_hex_lattice", counting_lattice)
 
     def counting(pd, policy):
         calls.append(pd)
@@ -171,9 +181,12 @@ def test_one_mesh_per_rho_per_command(tmp_path, monkeypatch):
     for command, meshes in (("construct", 1), ("sweep", 3), ("verify", 3)):
         calls.clear()
         projections.clear()
+        lattices.clear()
+        monkeypatch.setattr(geometry_mod, "_last_background", None, raising=False)
         assert main([command, "--config", cfg, "--out", str(tmp_path / command)]) == 0
         assert len(calls) == meshes, command
         assert len(projections) == meshes, command
+        assert len(lattices) == 1, command
 
 
 def test_short_boundary_curve_schema_error(tmp_path):

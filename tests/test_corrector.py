@@ -9,10 +9,13 @@ from sinhpierce.corrector import (
     Run,
     construct_solution,
     continuation_sweep,
+    farfield_sample_points,
     farfield_target,
     fixed_point_correct,
 )
-from sinhpierce.errors import Diverged, SinhPierceError
+from sinhpierce.errors import CoincidentPoints, Diverged, PointOutsideDomain, SinhPierceError
+from sinhpierce.geometry import DomainSpec, PierceSpec, build_pierced_domain
+from sinhpierce.greens import GreenProvider
 from sinhpierce.operators import DIRICHLET_ZERO, Field
 
 
@@ -56,6 +59,41 @@ def test_farfield_value_single_bubble(coarse_solution, gp):
     assert err <= 0.05
     target = farfield_target(coarse_solution.cfg, gp, np.array([[0.5, 0.0]]))[0]
     assert target == pytest.approx(5 * math.log(2), rel=1e-12)
+
+
+def _farfield_target_pointwise(cfg, gp, points):
+    """Reference: the Green combination point by point through gp.green."""
+    out = np.zeros(len(points))
+    for n, p in enumerate(points):
+        v = 0.0
+        for i in range(cfg.m):
+            g = gp.green(p, cfg.centers[i])
+            coef = 2 * math.pi * (cfg.alphas[i] + 2)
+            v += coef * g if i < cfg.m1 else -coef * g / cfg.tau
+        out[n] = v
+    return out
+
+
+@pytest.mark.parametrize("domain", [DomainSpec(), DomainSpec(
+    "boundary-curve", [[-0.9, -0.9], [0.9, -0.9], [0.9, 0.9], [-0.9, 0.9]])],
+    ids=["disk", "square"])
+def test_farfield_target_matches_pointwise_green(domain):
+    # batched logs and regular parts give the bits of the per-point Green function
+    gp = GreenProvider(domain)
+    cfg = BlowupConfig(domain=domain, centers=[[-0.4, 0.0], [0.4, 0.1], [0.0, -0.45]],
+                       alphas=[3.0, 2.5, 3.0], m1=1, tau=0.7,
+                       V1=constant_potential(1.0), V2=constant_potential(1.0))
+    pd = build_pierced_domain(domain, PierceSpec(cfg.centers, [1e-3] * 3))
+    rng = np.random.default_rng(5)
+    pts = np.vstack([farfield_sample_points(cfg, pd), rng.uniform(-0.6, 0.6, size=(400, 2))])
+    got = farfield_target(cfg, gp, pts)
+    ref = _farfield_target_pointwise(cfg, gp, pts)
+    assert np.array_equal(got.view(np.int64), ref.view(np.int64))
+    # the same conditions as green: outside the domain, on a center
+    with pytest.raises(PointOutsideDomain):
+        farfield_target(cfg, gp, np.vstack([pts[:3], [[0.95, 0.95]]]))
+    with pytest.raises(CoincidentPoints):
+        farfield_target(cfg, gp, np.vstack([pts[:3], cfg.centers[1] + [5e-15, 0.0]]))
 
 
 def test_newton_agrees_with_fixed_point(coarse_run, coarse_solution):
