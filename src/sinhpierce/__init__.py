@@ -48,6 +48,7 @@ from .bubbles import (
     bubble_value,
     build_ansatz,
     build_test_functions,
+    far_expansion,
     kernel_Y,
     make_bubbles,
     project_asymptotic,

@@ -222,8 +222,8 @@ def project_asymptotic(b: Bubble, coeffs, gp, x, regime: str, eta=None) -> float
                 raise RegimeViolation(
                     f"far form needs dist(x, every center) >= eta={eta:.3g}; "
                     f"closest is {d.min():.3g}")
-        val = 4 * math.pi * b.alpha * gp.green(pt, centers[i])
-    elif regime == "near":
+        return float(far_expansion(b, coeffs, gp, pt[None, :])[0])
+    if regime == "near":
         val = float(bubble_value(b, pt)) \
             - (math.log(2 * b.alpha ** 2) + math.log(b.delta_pow)) \
             + 4 * math.pi * b.alpha * gp.robin_H(pt, centers[i])
@@ -232,6 +232,16 @@ def project_asymptotic(b: Bubble, coeffs, gp, x, regime: str, eta=None) -> float
     for k in range(centers.shape[0]):
         val -= coeffs.beta[i, k] * gp.green(pt, centers[k])
     return float(val)
+
+
+def far_expansion(b: Bubble, coeffs, gp, points) -> np.ndarray:
+    """The far form of project_asymptotic at each of the points, an (n, 2) array."""
+    i = b.index
+    g = [gp.green_many(points, c) for c in coeffs.centers]
+    val = 4 * math.pi * b.alpha * g[i]
+    for k, gk in enumerate(g):
+        val -= coeffs.beta[i, k] * gk
+    return val
 
 
 def assemble_U(projections, tau: float, m1: int) -> Field:

@@ -707,10 +707,11 @@ def _orient_and_weigh(mesh):
 
 def _check_conformity(mesh, bpoly):
     """Every edge in exactly two triangles, or one if on a boundary cycle."""
-    t = mesh.triangles
+    t = mesh.triangles.astype(np.int64, copy=False)
     edges = np.vstack([t[:, [0, 1]], t[:, [1, 2]], t[:, [2, 0]]])
     edges.sort(axis=1)
-    # one int64 key per edge, ordered like the (a, b) rows
+    # one int64 key per edge, ordered like the (a, b) rows; Delaunay's int32
+    # triangles would wrap around past ~46k nodes
     keys, counts = np.unique(edges[:, 0] * mesh.n_nodes + edges[:, 1], return_counts=True)
     uniq = np.column_stack(np.divmod(keys, mesh.n_nodes))
     if np.any(counts > 2):

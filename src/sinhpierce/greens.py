@@ -23,7 +23,26 @@ from .operators import get_ops
 _TWO_PI = 2.0 * np.pi
 
 
-class AnalyticDiskGreen:
+class _Green:
+    """G(x, y) = -(1/2pi) log|x - y| + H(x, y) from the domain check
+    `check_inside(points)` and the regular part `robin_H_many(points, y)`."""
+
+    def green(self, x, y) -> float:
+        return float(self.green_many(x, y)[0])
+
+    def green_many(self, points, y) -> np.ndarray:
+        """G(., y) at each of the points: all of them and y must lie in the
+        domain, and none on y."""
+        pts = np.atleast_2d(np.asarray(points, dtype=float))
+        self.check_inside(np.vstack([pts, y]))
+        d = np.hypot(pts[:, 0] - y[0], pts[:, 1] - y[1])
+        close = np.flatnonzero(d < 1e-14)
+        if close.size:
+            raise CoincidentPoints(f"green undefined on the diagonal, |x-y|={d[close[0]]:.3g}")
+        return -np.log(d) / _TWO_PI + self.robin_H_many(pts, y)
+
+
+class AnalyticDiskGreen(_Green):
     """Image formula on the unit disk: H(x,y) = (1/2pi) log|1 - x conj(y)|."""
 
     backend = "analytic-disk"
@@ -33,7 +52,7 @@ class AnalyticDiskGreen:
             raise ValueError("analytic backend only pairs with the unit disk")
         self.domain = domain
 
-    def _check(self, points):
+    def check_inside(self, points):
         """Raise on the first of the points, an (n, 2) array, outside the disk."""
         pts = np.asarray(points, dtype=float)
         out = np.flatnonzero(np.hypot(pts[:, 0], pts[:, 1]) > 1.0 + 1e-12)
@@ -42,7 +61,7 @@ class AnalyticDiskGreen:
                 f"point {tuple(pts[out[0]].tolist())} lies outside the unit disk")
 
     def robin_H(self, x, y) -> float:
-        self._check((x, y))
+        self.check_inside((x, y))
         zx = complex(x[0], x[1])
         zy = complex(y[0], y[1])
         return float(np.log(abs(1.0 - zx * zy.conjugate())) / _TWO_PI)
@@ -53,15 +72,8 @@ class AnalyticDiskGreen:
         v = -(pts[:, 1] * y[0] - pts[:, 0] * y[1])
         return np.log(np.hypot(u, v)) / _TWO_PI
 
-    def green(self, x, y) -> float:
-        self._check((x, y))
-        d = np.hypot(x[0] - y[0], x[1] - y[1])
-        if d < 1e-14:
-            raise CoincidentPoints(f"green undefined on the diagonal, |x-y|={d:.3g}")
-        return float(-np.log(d) / _TWO_PI) + self.robin_H(x, y)
 
-
-class NumericGreen:
+class NumericGreen(_Green):
     """Finite element backend on a mesh of the (unpierced) outer domain."""
 
     backend = "numeric"
@@ -74,7 +86,7 @@ class NumericGreen:
         self.evaluator = FieldEvaluator(self.mesh)
         self._h_fields = {}
 
-    def _check(self, points):
+    def check_inside(self, points):
         """Raise on the first of the points, an (n, 2) array, outside the domain."""
         pts = np.asarray(points, dtype=float)
         out = np.flatnonzero(
@@ -95,7 +107,7 @@ class NumericGreen:
         return fld
 
     def robin_H(self, x, y) -> float:
-        self._check((x, y))
+        self.check_inside((x, y))
         fld = self._harmonic_part(y)
         return float(self.evaluator(fld.values, np.asarray(x, dtype=float)))
 
@@ -104,15 +116,8 @@ class NumericGreen:
         fld = self._harmonic_part(y)
         return np.asarray(self.evaluator(fld.values, pts), dtype=float)
 
-    def green(self, x, y) -> float:
-        self._check((x, y))
-        d = np.hypot(x[0] - y[0], x[1] - y[1])
-        if d < 1e-14:
-            raise CoincidentPoints(f"green undefined on the diagonal, |x-y|={d:.3g}")
-        return float(-np.log(d) / _TWO_PI) + self.robin_H(x, y)
 
-
-class GreenProvider:
+class GreenProvider(_Green):
     """Facade choosing the analytic disk formula or the numeric backend."""
 
     def __init__(self, domain: DomainSpec, backend: str = "auto", h: float = 0.02):
@@ -127,19 +132,8 @@ class GreenProvider:
         self.domain = domain
         self.backend = backend
 
-    def green(self, x, y) -> float:
-        return self._impl.green(x, y)
-
-    def green_many(self, points, y) -> np.ndarray:
-        """G(., y) at many points: green's checks, on all points at once, and
-        its formula -log|x - y| / 2pi + H(x, y) per point."""
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        self._impl._check(np.vstack([pts, y]))
-        d = np.hypot(pts[:, 0] - y[0], pts[:, 1] - y[1])
-        close = np.flatnonzero(d < 1e-14)
-        if close.size:
-            raise CoincidentPoints(f"green undefined on the diagonal, |x-y|={d[close[0]]:.3g}")
-        return -np.log(d) / _TWO_PI + self.robin_H_many(pts, y)
+    def check_inside(self, points):
+        self._impl.check_inside(points)
 
     def robin_H(self, x, y) -> float:
         return self._impl.robin_H(x, y)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import quad
 
-from .bubbles import make_bubbles, project_asymptotic
+from .bubbles import far_expansion, make_bubbles
 from .errors import InsufficientSamples, NearSingular, QuadratureNonConvergence
 from .operators import EIG_FLOOR, Field, LinearOperator, get_ops, weight_W, residual_R
 
@@ -258,9 +258,8 @@ def check_expansion(run, rho_list, margin=0.95):
             if cfg.domain.kind == "unit-disk":
                 far &= np.hypot(mesh.nodes[:, 0], mesh.nodes[:, 1]) < margin
             idx = np.flatnonzero(far)[::7]
-            for n in idx:
-                a = project_asymptotic(b, coeffs, gp, mesh.nodes[n], "far")
-                worst = max(worst, abs(P.values[n] - a))
+            a = far_expansion(b, coeffs, gp, mesh.nodes[idx])
+            worst = float(np.max(np.abs(P.values[idx] - a), initial=worst))
         errs.append(worst)
     return ScalingStudy.fit(rho_list, errs, label="projection-expansion-agreement")
 

@@ -11,6 +11,7 @@ from sinhpierce.bubbles import (
     bubble_value,
     build_ansatz,
     build_test_functions,
+    far_expansion,
     kernel_Y,
     make_bubbles,
     project_asymptotic,
@@ -189,6 +190,14 @@ def test_projection_interior_harmonicity(proj_setup, single_cfg, gp):
     assert np.abs(lap.values[sel]).max() <= 1e-2
 
 
+def _far_form_pointwise(b, coeffs, gp, x):
+    """Reference: the far form through one-point Green calls."""
+    val = 4 * math.pi * b.alpha * gp.green(x, coeffs.centers[b.index])
+    for k, c in enumerate(coeffs.centers):
+        val -= coeffs.beta[b.index, k] * gp.green(x, c)
+    return val
+
+
 def test_projection_matches_far_expansion(proj_setup, single_cfg, gp):
     pd, mesh, scales, coeffs = proj_setup
     b = make_bubbles(single_cfg, scales)[0]
@@ -196,9 +205,13 @@ def test_projection_matches_far_expansion(proj_setup, single_cfg, gp):
     r = mesh.center_distance(0)
     sel = (~mesh.is_boundary) & (r > pd.eta) & (np.hypot(*mesh.nodes.T) < 0.9)
     idx = np.flatnonzero(sel)[::11]
-    worst = max(abs(P.values[n]
-                    - project_asymptotic(b, coeffs, gp, mesh.nodes[n], "far"))
-                for n in idx)
+    far = far_expansion(b, coeffs, gp, mesh.nodes[idx])
+    # the batched far form carries the bits of the one-point Green calls
+    ref = np.array([_far_form_pointwise(b, coeffs, gp, mesh.nodes[n]) for n in idx])
+    one = np.array([project_asymptotic(b, coeffs, gp, mesh.nodes[n], "far") for n in idx])
+    assert np.array_equal(far.view(np.int64), ref.view(np.int64))
+    assert np.array_equal(one.view(np.int64), ref.view(np.int64))
+    worst = np.abs(P.values[idx] - far).max()
     assert worst <= 5e-3  # the remainder is O(delta^alpha + ...) ~ 1e-4 + lift error
 
 

@@ -23,6 +23,29 @@ def test_robin_function_at_center(gp):
                                                  rel=1e-12)
 
 
+def _green_scalar(gp, x, y):
+    """Reference: the one-point formula on Python scalars."""
+    return float(-np.log(np.hypot(x[0] - y[0], x[1] - y[1])) / (2 * math.pi)) \
+        + gp.robin_H(x, y)
+
+
+@pytest.mark.parametrize("domain", [DomainSpec(), DomainSpec(
+    "boundary-curve", [[-0.9, -0.9], [0.9, -0.9], [0.9, 0.9], [-0.9, 0.9]])],
+    ids=["disk", "square"])
+def test_green_carries_the_bits_of_the_scalar_formula(domain):
+    # green and green_many share one batched formula; the array log and the
+    # regular part on arrays must give the scalar bits
+    gp = GreenProvider(domain)
+    rng = np.random.default_rng(11)
+    pts = rng.uniform(-0.6, 0.6, size=(400, 2))
+    for y in ([-0.4, 0.0], [0.4, 0.1], [0.0, -0.45]):
+        ref = np.array([_green_scalar(gp, x, y) for x in pts])
+        one = np.array([gp.green(x, y) for x in pts])
+        many = gp.green_many(pts, y)
+        assert np.array_equal(one.view(np.int64), ref.view(np.int64))
+        assert np.array_equal(many.view(np.int64), ref.view(np.int64))
+
+
 def test_coincident_points_rejected(gp):
     with pytest.raises(CoincidentPoints):
         gp.green((0.2, 0.2), (0.2, 0.2))

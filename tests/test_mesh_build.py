@@ -163,18 +163,51 @@ def test_memoized_mesh_equals_cold_build(domain, centers, monkeypatch):
 
 # --- conformity check ----------------------------------------------------
 
+def _assert_rejects_broken(mesh, k):
+    """Removing or duplicating triangle k must fail the conformity check."""
+    t = mesh.triangles
+    removed = dataclasses.replace(mesh, triangles=np.delete(t, k, axis=0),
+                                  tri_patch=np.delete(mesh.tri_patch, k))
+    with pytest.raises(StitchFailure, match="non-conforming stitch"):
+        geometry._check_conformity(removed, mesh.boundary_polygon)
+    doubled = dataclasses.replace(mesh, triangles=np.vstack([t, t[k:k + 1]]),
+                                  tri_patch=np.append(mesh.tri_patch, mesh.tri_patch[k]))
+    with pytest.raises(StitchFailure, match="shared by more than two triangles"):
+        geometry._check_conformity(doubled, mesh.boundary_polygon)
+
+
 @pytest.mark.parametrize("where", ["background", "patch"])
 def test_conformity_rejects_broken_meshes(single_mesh, where):
     geometry._check_conformity(single_mesh, single_mesh.boundary_polygon)
     k = int(np.flatnonzero(single_mesh.tri_patch < 0 if where == "background"
                            else single_mesh.tri_patch >= 0)[0])
-    t = single_mesh.triangles
-    removed = dataclasses.replace(single_mesh, triangles=np.delete(t, k, axis=0),
-                                  tri_patch=np.delete(single_mesh.tri_patch, k))
-    with pytest.raises(StitchFailure, match="non-conforming stitch"):
-        geometry._check_conformity(removed, single_mesh.boundary_polygon)
-    doubled = dataclasses.replace(single_mesh, triangles=np.vstack([t, t[k:k + 1]]),
-                                  tri_patch=np.append(single_mesh.tri_patch,
-                                                      single_mesh.tri_patch[k]))
-    with pytest.raises(StitchFailure, match="shared by more than two triangles"):
-        geometry._check_conformity(doubled, single_mesh.boundary_polygon)
+    _assert_rejects_broken(single_mesh, k)
+
+
+def _strip_mesh(n):
+    """Two rows of n nodes, every node on the boundary polygon (bottom row
+    left to right, then top row right to left), with int32 triangles as
+    Delaunay returns them."""
+    k = np.arange(n - 1)
+    bottom, top = k, 2 * n - 1 - k          # column k's nodes; column k+1's are +1 / -1
+    tris = np.vstack([np.column_stack([bottom, bottom + 1, top - 1]),
+                      np.column_stack([bottom, top - 1, top])]).astype(np.int32)
+    x = np.arange(n) / (n - 1)
+    nodes = np.vstack([np.column_stack([x, np.zeros(n)]),
+                       np.column_stack([x[::-1], np.full(n, 1.0 / n)])])
+    mesh = geometry.Mesh(nodes=nodes, triangles=tris,
+                         node_marker=np.full(2 * n, geometry.OUTER),
+                         node_patch=np.full(2 * n, -1), node_dx=np.zeros(2 * n),
+                         node_dy=np.zeros(2 * n), tri_patch=np.full(tris.shape[0], -1),
+                         weights=np.zeros(2 * n), boundary_polygon=nodes)
+    geometry._orient_and_weigh(mesh)
+    return mesh
+
+
+def test_conformity_keys_do_not_wrap_on_int32_triangles():
+    # 50,000 nodes: an int32 key a * n_nodes + b would wrap past a ~ 43,000,
+    # and here the open (boundary) edges run up to the last node
+    mesh = _strip_mesh(25_000)
+    assert mesh.triangles.dtype == np.int32 and mesh.n_nodes ** 2 > np.iinfo(np.int32).max
+    geometry._check_conformity(mesh, mesh.boundary_polygon)
+    _assert_rejects_broken(mesh, mesh.n_triangles // 2)  # nodes 0, 2n - 2, 2n - 1
