@@ -21,6 +21,7 @@ from . import verify
 from .coeffs import choose_scales, constraint_deviation, dump_csv, solve_beta
 from .corrector import Run, construct_solution, continuation_sweep
 from .errors import ConstraintViolation, NonpositiveSampled, SchemaError, SinhPierceError
+from .geometry import format_17g
 from .greens import AnalyticDiskGreen, NumericGreen
 from .runconfig import COMMANDS, RunConfig, parse_config
 
@@ -46,14 +47,18 @@ class Manifest:
         return path
 
 
-def write_field_csv(field, path):
-    mesh = field.mesh
+def write_field_csv(field, path, coords=None):
+    """node_id,x,y,value rows with CRLF line ends, as csv.writer writes them.
+
+    coords, if given, is the mesh's `coordinate_text()`. Returns the
+    coordinate strings used, for the next writer of the same mesh.
+    """
+    xs, ys = field.mesh.coordinate_text() if coords is None else coords
+    vs = format_17g(field.values)
     with open(path, "w", newline="") as f:
-        wr = csv.writer(f)
-        wr.writerow(["node_id", "x", "y", "value"])
-        for i in range(mesh.n_nodes):
-            wr.writerow([i, f"{mesh.nodes[i, 0]:.17g}", f"{mesh.nodes[i, 1]:.17g}",
-                         f"{field.values[i]:.17g}"])
+        f.write("node_id,x,y,value\r\n")
+        f.write("".join([f"{i},{x},{y},{v}\r\n" for i, (x, y, v) in enumerate(zip(xs, ys, vs))]))
+    return xs, ys
 
 
 def _cmd_construct(rc: RunConfig, man: Manifest):
@@ -65,13 +70,14 @@ def _cmd_construct(rc: RunConfig, man: Manifest):
             "converged correction and blow-up profile data")
     man.add(os.path.join(out, "report_iterations.csv"), "construct",
             "per-iteration contraction history")
-    write_field_csv(sol.u, os.path.join(out, "solution.csv"))
+    # u, phi and the mesh share one mesh: format its coordinates once
+    coords = write_field_csv(sol.u, os.path.join(out, "solution.csv"))
     man.add(os.path.join(out, "solution.csv"), "construct", "solution field u = U + phi")
-    write_field_csv(sol.phi, os.path.join(out, "correction.csv"))
+    write_field_csv(sol.phi, os.path.join(out, "correction.csv"), coords)
     man.add(os.path.join(out, "correction.csv"), "construct", "correction field phi")
     for p in dump_csv(sol.coeffs, os.path.join(out, "coeffs")):
         man.add(p, "construct", "matching-system coefficients")
-    sol.mesh.export(os.path.join(out, "mesh.txt"))
+    sol.mesh.export(os.path.join(out, "mesh.txt"), coords)
     man.add(os.path.join(out, "mesh.txt"), "construct", "pierced-domain mesh")
     return EXIT_OK
 

@@ -102,17 +102,17 @@ def parse_config(text: str) -> RunConfig:
         problems.append(f"unknown command {command!r}; expected one of {COMMANDS}")
 
     domain_kind = get("problem", "domain", default="unit-disk")
-    boundary = None
+    domain = None
     if domain_kind == "boundary-curve":
         btxt = get("problem", "boundary", required=True)
         if btxt is not None:
             try:
-                boundary = _parse_points(btxt)
+                domain = DomainSpec(kind=domain_kind, boundary=_parse_points(btxt))
             except ValueError as exc:
                 problems.append(str(exc))
-            if boundary is not None and len(boundary) < 3:
-                problems.append("boundary curve needs at least three points")
-    elif domain_kind != "unit-disk":
+    elif domain_kind == "unit-disk":
+        domain = DomainSpec()
+    else:
         problems.append(f"unknown domain kind {domain_kind!r}")
 
     centers = alphas = None
@@ -195,7 +195,6 @@ def parse_config(text: str) -> RunConfig:
     def v2_scaled(x, y, _e=v2_expr, _nu=nu):
         return _nu * _e(x, y)
 
-    domain = DomainSpec(kind=domain_kind, boundary=boundary)
     problem = BlowupConfig(domain=domain, centers=centers, alphas=alphas, m1=int(m1),
                            tau=float(tau), V1=v1_expr, V2=v2_scaled)
     if rho_list != sorted(rho_list, reverse=True):

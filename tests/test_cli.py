@@ -1,3 +1,5 @@
+import csv
+import dataclasses
 import filecmp
 import math
 import os
@@ -8,7 +10,13 @@ import pytest
 from sinhpierce.cli import main, write_field_csv
 from sinhpierce.errors import ConstraintViolation, NonpositiveSampled, SchemaError
 from sinhpierce.geometry import DomainSpec, distance_to_boundary
+from sinhpierce.operators import Field
 from sinhpierce.runconfig import domain_sample_points, parse_config
+
+# values whose '%.17g' text is easy to get wrong, then a spread of magnitudes
+AWKWARD = np.concatenate([[0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, 1e-320,
+                           1.7976931348623157e308, 0.1, 1 / 3],
+                          np.logspace(-12, 2, 57), -np.geomspace(1e2, 1e-12, 43)])
 
 BASE = """
 [problem]
@@ -190,11 +198,30 @@ def test_one_mesh_per_rho_per_command(tmp_path, monkeypatch):
 
 
 def test_short_boundary_curve_schema_error(tmp_path):
-    text = BASE.format(out=tmp_path).replace(
-        "domain = unit-disk", "domain = boundary-curve\nboundary = -0.9 -0.9; 0.9 -0.9")
-    with pytest.raises(SchemaError) as exc:
-        parse_config(text)
-    assert "at least three points" in str(exc.value)
+    # two points, and two points closed by a repeat of the first
+    for curve in ("-0.9 -0.9; 0.9 -0.9", "-0.9 -0.9; 0.9 -0.9; -0.9 -0.9"):
+        text = BASE.format(out=tmp_path).replace(
+            "domain = unit-disk", f"domain = boundary-curve\nboundary = {curve}")
+        with pytest.raises(SchemaError) as exc:
+            parse_config(text)
+        assert "at least three points" in str(exc.value)
+
+
+SQUARE_TEXT = "-0.9 -0.9; 0.9 -0.9; 0.9 0.9; -0.9 0.9"
+
+
+def test_closed_boundary_curve_constructs_like_open(tmp_path):
+    # the repeated closing point is dropped: same domain, same bytes
+    outs = []
+    for name, curve in (("open", SQUARE_TEXT), ("closed", SQUARE_TEXT + "; -0.9 -0.9")):
+        out = tmp_path / name
+        cfg = _write(tmp_path, BASE.format(out=out).replace(
+            "domain = unit-disk", f"domain = boundary-curve\nboundary = {curve}"), f"{name}.cfg")
+        assert main(["construct", "--config", cfg]) == 0, name
+        outs.append(out)
+    assert sorted(os.listdir(outs[0])) == sorted(os.listdir(outs[1]))
+    for name in sorted(os.listdir(outs[0])):
+        assert filecmp.cmp(outs[0] / name, outs[1] / name, shallow=False), name
 
 
 def test_domain_sample_points_match_pointwise_draws():
@@ -255,6 +282,37 @@ def test_field_csv_export(tmp_path, coarse_solution):
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "node_id,x,y,value"
     assert len(lines) == 1 + coarse_solution.mesh.n_nodes
+
+
+def write_field_csv_rows(field, path):
+    """Reference: the per-row csv.writer that write_field_csv replaces."""
+    mesh = field.mesh
+    with open(path, "w", newline="") as f:
+        wr = csv.writer(f)
+        wr.writerow(["node_id", "x", "y", "value"])
+        for i in range(mesh.n_nodes):
+            wr.writerow([i, f"{mesh.nodes[i, 0]:.17g}", f"{mesh.nodes[i, 1]:.17g}",
+                         f"{field.values[i]:.17g}"])
+
+
+def test_field_csv_bytes_match_row_writer(tmp_path, coarse_solution):
+    mesh = coarse_solution.mesh
+    odd_mesh = dataclasses.replace(
+        mesh, nodes=np.column_stack([np.resize(AWKWARD, mesh.n_nodes),
+                                     np.resize(AWKWARD[::-1], mesh.n_nodes)]))
+    fields = [coarse_solution.u, coarse_solution.phi,
+              Field(mesh, np.resize(AWKWARD, mesh.n_nodes)),
+              Field(odd_mesh, np.resize(AWKWARD[3:], mesh.n_nodes))]
+    for k, field in enumerate(fields):
+        want, alone, shared = (tmp_path / f"{k}-{name}.csv"
+                               for name in ("rows", "alone", "shared"))
+        write_field_csv_rows(field, want)
+        coords = write_field_csv(field, alone)
+        assert coords == field.mesh.coordinate_text()
+        # the coordinate strings another writer of the same mesh built
+        assert write_field_csv(field, shared, field.mesh.coordinate_text()) == coords
+        assert alone.read_bytes() == want.read_bytes(), k
+        assert shared.read_bytes() == want.read_bytes(), k
 
 
 def test_exit_code_solver_failure(tmp_path):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -163,6 +164,35 @@ def test_mesh_export_roundtrip(tmp_path, single_mesh):
             cells += 1
     assert nodes == single_mesh.n_nodes
     assert cells == single_mesh.n_triangles
+
+
+def export_per_node(mesh, path):
+    """Reference: the per-node, per-cell writer that Mesh.export replaces."""
+    with open(path, "w") as f:
+        for i in range(mesh.n_nodes):
+            f.write(f"node {i} {mesh.nodes[i, 0]:.17g} {mesh.nodes[i, 1]:.17g} "
+                    f"{int(mesh.node_marker[i])}\n")
+        for k in range(mesh.n_triangles):
+            a, b, c = mesh.triangles[k]
+            f.write(f"cell {k} {a} {b} {c}\n")
+
+
+def test_mesh_export_bytes_match_per_node_writer(tmp_path, single_mesh):
+    domain_mesh = build_domain_mesh(DomainSpec(), 0.05)
+    odd = np.concatenate([[0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, 1e-320,
+                           1.7976931348623157e308, 0.1, 1 / 3], np.logspace(-12, 2, 57)])
+    n = single_mesh.n_nodes
+    odd_mesh = dataclasses.replace(single_mesh, nodes=np.column_stack(
+        [np.resize(odd, n), np.resize(-odd[::-1], n)]))
+    assert single_mesh.triangles.dtype == np.int64
+    assert domain_mesh.triangles.dtype == np.int32
+    for k, mesh in enumerate((single_mesh, domain_mesh, odd_mesh)):
+        want, alone, shared = (tmp_path / f"{k}-{name}.txt" for name in ("ref", "alone", "shared"))
+        export_per_node(mesh, want)
+        mesh.export(alone)
+        mesh.export(shared, mesh.coordinate_text())
+        assert alone.read_bytes() == want.read_bytes(), k
+        assert shared.read_bytes() == want.read_bytes(), k
 
 
 def test_field_evaluator_linear_reproduction(single_mesh):

@@ -1,6 +1,8 @@
 """Exactness of the mesh construction's fast paths: the pruned polygon tests
-against the all-pairs broadcasts they replace, the memoized background
-against a cold build, and the conformity check on broken meshes."""
+against the all-pairs broadcasts they replace, the bincount sums against the
+np.add.at accumulation, the memoized background against a cold build, a
+closed boundary curve against the open one, and the conformity check on
+broken meshes."""
 
 import dataclasses
 import math
@@ -18,6 +20,7 @@ from sinhpierce.geometry import (
     build_domain_mesh,
     build_mesh,
     build_pierced_domain,
+    distance_to_boundary,
     domain_boundary_polygon,
 )
 from sinhpierce.greens import GreenProvider
@@ -159,6 +162,92 @@ def test_memoized_mesh_equals_cold_build(domain, centers, monkeypatch):
         other_cold = other()
         _assert_same_mesh(build_mesh(pd, policy), ref)
         _assert_same_mesh(other(), other_cold)
+
+
+# --- bincount sums ----------------------------------------------------------
+
+def neighbour_sums_add_at(pot, tris):
+    """Reference: the smoothing sums as np.add.at accumulated them."""
+    nbr_sum = np.zeros_like(pot)
+    nbr_cnt = np.zeros(pot.shape[0])
+    for a, b in ((0, 1), (1, 2), (2, 0)):
+        np.add.at(nbr_sum, tris[:, a], pot[tris[:, b]])
+        np.add.at(nbr_cnt, tris[:, a], 1.0)
+        np.add.at(nbr_sum, tris[:, b], pot[tris[:, a]])
+        np.add.at(nbr_cnt, tris[:, b], 1.0)
+    return nbr_sum, nbr_cnt
+
+
+def orient_and_weigh_add_at(mesh):
+    """Reference: orientation and lumped weights as np.add.at accumulated them."""
+    areas = geometry._tri_areas(mesh.all_tri_coords())
+    flip = areas < 0
+    if np.any(flip):
+        mesh.triangles[flip] = mesh.triangles[flip][:, [0, 2, 1]]
+        areas = np.abs(areas)
+    w = np.zeros(mesh.n_nodes)
+    for v in range(3):
+        np.add.at(w, mesh.triangles[:, v], areas / 3.0)
+    mesh.weights = w
+
+
+def _bits(a):
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.int64)
+
+
+_DISK_PD = build_pierced_domain(DomainSpec(), PierceSpec([[0.0, 0.0]], [1e-3]))
+_SQUARE_PD = build_pierced_domain(SQUARE, PierceSpec([[-0.4, 0.0], [0.4, 0.0]], [1e-3, 1e-3]))
+
+
+@pytest.mark.parametrize("build", [lambda: build_mesh(_DISK_PD, MeshPolicy(h=0.02)),
+                                   lambda: build_mesh(_SQUARE_PD, MeshPolicy(h=0.03)),
+                                   lambda: build_domain_mesh(SQUARE, 0.03)],
+                         ids=["disk-h0.02", "square-h0.03", "domain-square-h0.03"])
+def test_bincount_sums_equal_add_at(build, monkeypatch):
+    real = geometry._neighbour_sums
+    passes = []
+
+    def checked(pot, tris):
+        nbr_sum, nbr_cnt = real(pot, tris)
+        ref_sum, ref_cnt = neighbour_sums_add_at(pot, tris)
+        assert np.array_equal(_bits(nbr_sum), _bits(ref_sum))
+        assert np.array_equal(_bits(nbr_cnt), _bits(ref_cnt))
+        passes.append(len(tris))
+        return nbr_sum, nbr_cnt
+
+    monkeypatch.setattr(geometry, "_neighbour_sums", checked)
+    monkeypatch.setattr(geometry, "_last_background", None)
+    mesh = build()
+    assert len(passes) == MeshPolicy().smooth_iters
+    monkeypatch.setattr(geometry, "_neighbour_sums", neighbour_sums_add_at)
+    monkeypatch.setattr(geometry, "_orient_and_weigh", orient_and_weigh_add_at)
+    monkeypatch.setattr(geometry, "_last_background", None)
+    ref = build()
+    # the smoothed stitch nodes come first, the weights cover every node
+    assert np.array_equal(_bits(mesh.nodes), _bits(ref.nodes))
+    assert np.array_equal(_bits(mesh.weights), _bits(ref.weights))
+    _assert_same_mesh(mesh, ref)
+
+
+# --- closed boundary curves ----------------------------------------------
+
+def test_closed_boundary_curve_equals_open(monkeypatch):
+    closed = DomainSpec("boundary-curve", np.vstack([SQUARE.boundary, SQUARE.boundary[:1]]))
+    assert np.array_equal(closed.boundary, SQUARE.boundary)
+    # the zero-length closing edge gave NaN here
+    assert distance_to_boundary(closed, [0.4, 0.0]) == pytest.approx(0.5)
+    pts = np.random.default_rng(5).uniform(-1.2, 1.2, size=(200, 2))
+    for p in pts:
+        assert distance_to_boundary(closed, p) == distance_to_boundary(SQUARE, p)
+    holes = PierceSpec([[-0.4, 0.0], [0.4, 0.0]], [1e-3, 1e-3])
+    pd_open = build_pierced_domain(SQUARE, holes)
+    pd_closed = build_pierced_domain(closed, holes)
+    assert pd_closed.eta == pd_open.eta
+    meshes = []
+    for pd in (pd_open, pd_closed):
+        monkeypatch.setattr(geometry, "_last_background", None)
+        meshes.append(build_mesh(pd, MeshPolicy(h=0.04)))
+    _assert_same_mesh(dataclasses.replace(meshes[1], pd=pd_open), meshes[0])
 
 
 # --- conformity check ----------------------------------------------------
