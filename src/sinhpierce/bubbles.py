@@ -65,10 +65,6 @@ def _bubble_from_r(b: Bubble, r):
     return math.log(2 * b.alpha ** 2) + math.log(b.delta_pow) - 2 * np.log(b.delta_pow + ra)
 
 
-def bubble_field(b: Bubble, mesh: Mesh) -> Field:
-    return Field(mesh, _bubble_from_r(b, mesh.center_distance(b.index)))
-
-
 def bubble_source_from_r(b: Bubble, r):
     """|x-xi|^(a-2) e^w = 2 a^2 d^a r^(a-2) / (d^a + r^a)^2, the -Lap of the bubble."""
     r = np.asarray(r, dtype=float)
@@ -141,11 +137,6 @@ class TestFunctionSet:
 
     def Z(self, r):
         return self.eta(r) + self.gamma_star * self.eta0(r)
-
-    def at_points(self, fn, pts):
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        r = np.hypot(pts[:, 0] - self.center[0], pts[:, 1] - self.center[1])
-        return fn(r)
 
 
 def build_test_functions(cfg, scales, gamma_star, j) -> TestFunctionSet:

@@ -45,16 +45,17 @@ class SolveReport:
     iterations: int = 0
     contraction_factors: list = field(default_factory=list)
     updates_h01: list = field(default_factory=list)
-    phi_sup: float = 0.0
-    phi_h01: float = 0.0
-    residual_l1: float = 0.0
-    data_scale_l1: float = 0.0
-    relative_residual: float = 0.0
+    # measured only on convergence: nan (and None for the signs) otherwise
+    phi_sup: float = float("nan")
+    phi_h01: float = float("nan")
+    residual_l1: float = float("nan")
+    data_scale_l1: float = float("nan")
+    relative_residual: float = float("nan")
     r_norms: dict = field(default_factory=dict)       # p -> ||R||_p before correction
     amplification_T: float = 0.0                      # ||phi_1|| / ||R||_p
     smallest_eigenvalue: float = float("nan")
     peaks: list = field(default_factory=list)         # signed peak height per annulus
-    inner_sign_ok: bool = True
+    inner_sign_ok: bool | None = None
     farfield_error: float = float("nan")
     kernel_coefficients: list = field(default_factory=list)
     sigma_fits: dict = field(default_factory=dict)    # p -> fitted slope (sweep level)
@@ -245,6 +246,8 @@ def prepare(cfg, rho, policy: MeshPolicy, gp: GreenProvider) -> Stage:
     mesh = build_mesh(pd, policy)
     coeffs = coefficient_set(cfg, scales, gp)
     U, projections = build_ansatz(cfg, scales, mesh, coeffs=coeffs, gp=gp)
+    # the projections were the last Poisson solves on this mesh
+    get_ops(mesh).release_poisson_factor()
     return Stage(scales=scales, pd=pd, mesh=mesh, coeffs=coeffs, U=U, projections=projections)
 
 

@@ -54,13 +54,16 @@ class DomainSpec:
             raise ValueError("unit-disk domain carries no curve data")
         if self.kind == "boundary-curve":
             b = np.asarray(self.boundary, dtype=float)
-            # a curve given closed repeats its first point; keep one copy, so
-            # no polygon test sees a zero-length closing edge
-            if b.ndim == 2 and len(b) > 1 and np.allclose(b[0], b[-1]):
-                b = b[:-1]
+            # drop every point that repeats its cyclic predecessor, so no
+            # polygon test sees a zero-length edge; of the pair first/last (a
+            # curve given closed) the last goes, so the curve keeps its start
+            if b.ndim == 2 and len(b) > 1 and b.shape[1] == 2:
+                b = b[np.concatenate([[True], ~np.isclose(b[1:], b[:-1]).all(axis=1)])]
+                if len(b) > 1 and np.allclose(b[-1], b[0]):
+                    b = b[:-1]
             if b.ndim != 2 or b.shape[0] < 3 or b.shape[1] != 2:
                 raise ValueError("boundary curve needs at least three points, as an "
-                                 "(n, 2) list without the repeated closing point")
+                                 "(n, 2) list without repeated consecutive points")
             object.__setattr__(self, "boundary", b)
 
 
@@ -327,13 +330,6 @@ class Mesh:
     @property
     def interior_index(self):
         return np.flatnonzero(self.node_marker == INTERIOR)
-
-    def tri_coords(self, k):
-        """Vertex coordinates of triangle k in the least-cancellation frame."""
-        tri = self.triangles[k]
-        if self.tri_patch[k] >= 0:
-            return np.column_stack([self.node_dx[tri], self.node_dy[tri]])
-        return self.nodes[tri]
 
     def all_tri_coords(self):
         """(T, 3, 2) vertex coordinates, patch triangles in offset frame."""

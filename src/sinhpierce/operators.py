@@ -53,10 +53,6 @@ class Field:
         return Field(self.mesh, self.values.copy(), self.bc)
 
 
-def zero_field(mesh, bc=DIRICHLET_ZERO):
-    return Field(mesh, np.zeros(mesh.n_nodes), bc)
-
-
 def _assemble_stiffness(mesh: Mesh) -> sp.csr_matrix:
     coords = mesh.all_tri_coords()
     x = coords[:, :, 0]
@@ -120,6 +116,10 @@ class DiscreteOperators:
         if not np.isfinite(rel) or rel > 1e-10:
             raise SolverFailure(f"Poisson solve residual {rel:.3e}", residual=rel)
         return Field(self.mesh, u, DIRICHLET_ZERO if g is None else FREE)
+
+    def release_poisson_factor(self):
+        """Drop the cached factor of K_II; a later solve_dirichlet refactors."""
+        self._poisson_lu = None
 
     # -- norms ---------------------------------------------------------------
 

@@ -21,6 +21,7 @@ from .errors import InsufficientSamples, NearSingular, QuadratureNonConvergence
 from .operators import EIG_FLOOR, Field, LinearOperator, get_ops, weight_W, residual_R
 
 _TWO_PI = 2.0 * math.pi
+_STENCIL_ROWS = 64   # grid rows per block of the kernel-annihilation stencil
 
 
 @dataclass
@@ -211,30 +212,43 @@ def check_kernel_annihilation(alpha, resolution=1e-3, r_range=(0.6, 1.6),
 
     The patch stays away from the angular branch cut at theta = pi, where the
     non-integer powers are discontinuous.
+
+    Every factor depends on r alone or on theta alone, so the factors are
+    formed once on the two axes and the 5-point stencil runs over blocks of
+    _STENCIL_ROWS grid rows (plus a one-row halo). Each grid value takes the
+    operations of the whole-grid evaluation in the same order, and the maxima
+    are exact, so the measured ratio does not depend on the block size.
     """
     r = np.arange(r_range[0], r_range[1] + resolution / 2, resolution)
     th = np.arange(theta_range[0], theta_range[1] + resolution / 2, resolution)
-    R, T = np.meshgrid(r, th, indexing="ij")
-    ra = R ** alpha
-    V = 2 * alpha ** 2 * R ** (alpha - 2) / (1 + ra) ** 2
-    fields = {
-        0: (1 - ra) / (1 + ra),
-        1: R ** (alpha / 2) * np.cos(alpha * T / 2) / (1 + ra),
-        2: R ** (alpha / 2) * np.sin(alpha * T / 2) / (1 + ra),
-    }
+    ra = r ** alpha
+    V = 2 * alpha ** 2 * r ** (alpha - 2) / (1 + ra) ** 2
     dr = resolution
     dth = resolution
-    worst = 0.0
-    for k, Y in fields.items():
-        lap = np.zeros_like(Y)
-        lap[1:-1, 1:-1] = (
-            (Y[2:, 1:-1] - 2 * Y[1:-1, 1:-1] + Y[:-2, 1:-1]) / dr ** 2
-            + (Y[2:, 1:-1] - Y[:-2, 1:-1]) / (2 * dr * R[1:-1, 1:-1])
-            + (Y[1:-1, 2:] - 2 * Y[1:-1, 1:-1] + Y[1:-1, :-2])
-            / (dth ** 2 * R[1:-1, 1:-1] ** 2))
-        res = lap[1:-1, 1:-1] + (V * Y)[1:-1, 1:-1]
-        scale = np.abs((V * Y)[1:-1, 1:-1]).max()
-        worst = max(worst, float(np.abs(res).max() / scale))
+    c_r = 2 * dr * r                  # the stencil's per-row divisors
+    c_th = dth ** 2 * r ** 2
+    # Y0 is radial: its theta second difference is exactly zero, so one column
+    # of the grid carries every value the whole grid would
+    y0 = (1 - ra) / (1 + ra)
+    lap0 = (y0[2:] - 2 * y0[1:-1] + y0[:-2]) / dr ** 2 + (y0[2:] - y0[:-2]) / c_r[1:-1]
+    vy0 = (V * y0)[1:-1]
+    worst = max(0.0, float(np.abs(lap0 + vy0).max() / np.abs(vy0).max()))
+    r_half = r ** (alpha / 2)
+    den = 1 + ra
+    n_r = len(r)
+    for trig in (np.cos(alpha * th / 2), np.sin(alpha * th / 2)):
+        res_max = scale = 0.0
+        for i0 in range(1, n_r - 1, _STENCIL_ROWS):
+            i1 = min(i0 + _STENCIL_ROWS, n_r - 1)
+            Y = r_half[i0 - 1:i1 + 1, None] * trig / den[i0 - 1:i1 + 1, None]
+            mid = Y[1:-1, 1:-1]
+            lap = ((Y[2:, 1:-1] - 2 * mid + Y[:-2, 1:-1]) / dr ** 2
+                   + (Y[2:, 1:-1] - Y[:-2, 1:-1]) / c_r[i0:i1, None]
+                   + (Y[1:-1, 2:] - 2 * mid + Y[1:-1, :-2]) / c_th[i0:i1, None])
+            vy = V[i0:i1, None] * mid
+            res_max = max(res_max, np.abs(lap + vy).max())
+            scale = max(scale, np.abs(vy).max())
+        worst = max(worst, float(res_max / scale))
     return CheckResult(
         check_id=f"kernel-annihilation-alpha-{alpha}",
         claim="Y0, Y1, Y2 annihilate the linearized bubble operator",

@@ -7,9 +7,17 @@ import os
 import numpy as np
 import pytest
 
+import sinhpierce.geometry as geometry_mod
 from sinhpierce.cli import main, write_field_csv
 from sinhpierce.errors import ConstraintViolation, NonpositiveSampled, SchemaError
-from sinhpierce.geometry import DomainSpec, distance_to_boundary
+from sinhpierce.geometry import (
+    DomainSpec,
+    MeshPolicy,
+    PierceSpec,
+    build_mesh,
+    build_pierced_domain,
+    distance_to_boundary,
+)
 from sinhpierce.operators import Field
 from sinhpierce.runconfig import domain_sample_points, parse_config
 
@@ -151,12 +159,15 @@ def test_sweep_smoke_and_byte_identical(tmp_path):
 def test_one_mesh_per_rho_per_command(tmp_path, monkeypatch):
     # the checks, the warm start and the solver all share one prepared stage per
     # rho: one mesh, and one projection per bubble on it; the rho-independent
-    # background (one hex lattice each) is built once per command
+    # background (one hex lattice each) is built once per command; K_II of each
+    # mesh is factored once, although prepare releases the factor
     import sys
+
+    import scipy.sparse.linalg as spla
 
     import sinhpierce.bubbles as bubbles_mod
     import sinhpierce.corrector as corrector_mod
-    import sinhpierce.geometry as geometry_mod
+    import sinhpierce.operators as operators_mod
 
     real = corrector_mod.build_mesh
     calls = []
@@ -180,21 +191,41 @@ def test_one_mesh_per_rho_per_command(tmp_path, monkeypatch):
         projections.append(args[0])
         return real_project(*args, **kwargs)
 
+    real_splu = spla.splu
+    factored = []   # (matrix, is some mesh's K_II), matrices kept alive
+
+    def counting_splu(A, *args, **kwargs):
+        poisson = any(A is ops._K_II for ops in list(operators_mod._ops_cache.values()))
+        factored.append((A, poisson))
+        return real_splu(A, *args, **kwargs)
+
     monkeypatch.setattr(corrector_mod, "build_mesh", counting)
+    monkeypatch.setattr(spla, "splu", counting_splu)
     for name, mod in list(sys.modules.items()):
-        if name.startswith("sinhpierce") and getattr(mod, "project_numeric", None) is real_project:
+        if not name.startswith("sinhpierce"):
+            continue
+        if getattr(mod, "project_numeric", None) is real_project:
             monkeypatch.setattr(mod, "project_numeric", counting_project)
-    cfg = _write(tmp_path, BASE.format(out=tmp_path).replace("rho = 1e-2",
-                                                             "rho = 1e-2 1e-3 1e-4"))
-    for command, meshes in (("construct", 1), ("sweep", 3), ("verify", 3)):
+        if getattr(mod, "splu", None) is real_splu:
+            monkeypatch.setattr(mod, "splu", counting_splu)
+    text = BASE.format(out=tmp_path).replace("rho = 1e-2", "rho = 1e-2 1e-3 1e-4")
+    cfg = _write(tmp_path, text)
+    # two bubbles: two projections, so two Poisson solves, per mesh
+    pair = _write(tmp_path, text.replace("centers = 0.0 0.0", "centers = -0.4 0.0; 0.4 0.0")
+                  .replace("alphas = 3.0", "alphas = 3.0 3.0"), "pair.cfg")
+    for command, path, meshes, bubbles in (("construct", cfg, 1, 1), ("sweep", cfg, 3, 1),
+                                           ("verify", cfg, 3, 1), ("sweep", pair, 3, 2)):
         calls.clear()
         projections.clear()
         lattices.clear()
+        factored.clear()
         monkeypatch.setattr(geometry_mod, "_last_background", None, raising=False)
-        assert main([command, "--config", cfg, "--out", str(tmp_path / command)]) == 0
+        assert main([command, "--config", path, "--out", str(tmp_path / command)]) == 0
         assert len(calls) == meshes, command
-        assert len(projections) == meshes, command
+        assert len(projections) == meshes * bubbles, command
         assert len(lattices) == 1, command
+        assert sum(poisson for _, poisson in factored) == meshes, command
+        assert len({id(A) for A, _ in factored}) == len(factored), command
 
 
 def test_short_boundary_curve_schema_error(tmp_path):
@@ -222,6 +253,30 @@ def test_closed_boundary_curve_constructs_like_open(tmp_path):
     assert sorted(os.listdir(outs[0])) == sorted(os.listdir(outs[1]))
     for name in sorted(os.listdir(outs[0])):
         assert filecmp.cmp(outs[0] / name, outs[1] / name, shallow=False), name
+
+
+def test_repeated_vertex_is_dropped(tmp_path, monkeypatch):
+    # a zero-length edge inside the curve gave NaN distances and a Delaunay crash
+    corners = [[-0.9, -0.9], [0.9, -0.9], [0.9, 0.9], [-0.9, 0.9]]
+    square = DomainSpec("boundary-curve", corners)
+    domain = DomainSpec("boundary-curve", corners[:2] + corners[1:])
+    doubled = "-0.9 -0.9; 0.9 -0.9; 0.9 -0.9; 0.9 0.9; -0.9 0.9"
+    assert np.array_equal(domain.boundary, square.boundary)
+    assert distance_to_boundary(domain, (0.4, 0.0)) == pytest.approx(0.5, abs=1e-12)
+    assert distance_to_boundary(domain, (0.0, -0.5)) == pytest.approx(0.4, abs=1e-12)
+    meshes = []
+    for dom in (square, domain):
+        monkeypatch.setattr(geometry_mod, "_last_background", None)
+        pd = build_pierced_domain(dom, PierceSpec(centers=[[0.1, 0.0]], radii=[1e-3]))
+        meshes.append(build_mesh(pd, MeshPolicy(h=0.1, q=1.3)))
+    for f in dataclasses.fields(meshes[0]):
+        a, b = getattr(meshes[0], f.name), getattr(meshes[1], f.name)
+        if isinstance(a, np.ndarray):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), f.name
+    out = tmp_path / "doubled"
+    cfg = _write(tmp_path, BASE.format(out=out).replace(
+        "domain = unit-disk", f"domain = boundary-curve\nboundary = {doubled}"))
+    assert main(["construct", "--config", cfg]) == 0
 
 
 def test_domain_sample_points_match_pointwise_draws():

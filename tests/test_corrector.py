@@ -16,7 +16,7 @@ from sinhpierce.corrector import (
 from sinhpierce.errors import CoincidentPoints, Diverged, PointOutsideDomain, SinhPierceError
 from sinhpierce.geometry import DomainSpec, PierceSpec, build_pierced_domain
 from sinhpierce.greens import GreenProvider
-from sinhpierce.operators import DIRICHLET_ZERO, Field
+from sinhpierce.operators import DIRICHLET_ZERO, DiscreteOperators, Field, get_ops
 
 
 def test_construct_solution_report(coarse_solution):
@@ -166,6 +166,57 @@ def test_sweep_isolates_failures(coarse_run, monkeypatch):
     assert statuses[2] == "converged"
     assert sw.reports[1].error != ""
     assert calls == [1e-2, 1e-3, 1e-4]
+
+
+def test_failed_report_is_not_a_measurement(single_cfg, gp, coarse_policy, tmp_path,
+                                            monkeypatch):
+    # the middle entry is stopped after one step: a Diverged with its partial
+    # report, whose unmeasured norms and signs must not read as values
+    real = corrector_mod.fixed_point_correct
+
+    def one_step_at_1e_3(U, cfg, scales, **kw):
+        if scales.rho == 1e-3:
+            kw["maxiter"] = 1
+        return real(U, cfg, scales, **kw)
+
+    rhos = [1e-2, 1e-3, 1e-4]
+    plain = continuation_sweep(Run(single_cfg, coarse_policy, gp), rhos, kernel_coeffs=False)
+    monkeypatch.setattr(corrector_mod, "fixed_point_correct", one_step_at_1e_3)
+    sw = continuation_sweep(Run(single_cfg, coarse_policy, gp), rhos, kernel_coeffs=False)
+    failed = sw.reports[1]
+    assert failed.status == "diverged" and failed.iterations == 1
+    for name in ("phi_sup", "phi_h01", "residual_l1", "data_scale_l1", "relative_residual"):
+        assert math.isnan(getattr(failed, name)), name
+    assert failed.inner_sign_ok is None
+    failed.write(str(tmp_path / "failed"))
+    text = (tmp_path / "failed.txt").read_text()
+    assert "phi_sup nan\n" in text and "inner_sign_ok None\n" in text
+    # the first report converged as in the plain sweep and keeps its lines
+    # (two converged entries give no slope fit, so those lines drop out); the
+    # warm-started last entry keeps amplification_T 0.0, as before
+    plain.reports[0].write(str(tmp_path / "plain"))
+    sw.reports[0].write(str(tmp_path / "forced"))
+    want = [ln for ln in (tmp_path / "plain.txt").read_text().splitlines()
+            if not ln.startswith("sigma_fit")]
+    assert (tmp_path / "forced.txt").read_text().splitlines() == want
+    assert sw.reports[2].inner_sign_ok is True
+    assert sw.reports[2].amplification_T == 0.0 == plain.reports[2].amplification_T
+
+
+def test_stage_releases_poisson_factor(single_cfg, gp, coarse_policy):
+    # nothing solves a Poisson problem on a pierced mesh after the ansatz
+    mesh = Run(single_cfg, coarse_policy, gp).stage(1e-2).mesh
+    ops = get_ops(mesh)
+    assert ops._poisson_lu is None
+    # a later solve refactors, with the bits of an operator never released
+    rng = np.random.default_rng(5)
+    rhs = rng.standard_normal(mesh.n_nodes)
+    g = rng.standard_normal(len(ops.boundary))
+    fresh = DiscreteOperators(mesh)
+    for boundary_values in (None, g):
+        want = fresh.solve_dirichlet(rhs, boundary_values)
+        got = ops.solve_dirichlet(rhs, boundary_values)
+        assert got.values.tobytes() == want.values.tobytes()
 
 
 def test_sweep_rejects_unsorted(coarse_run):

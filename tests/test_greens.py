@@ -135,3 +135,26 @@ def test_provider_backend_selection(disk):
     with pytest.raises(ValueError):
         AnalyticDiskGreen(DomainSpec(kind="boundary-curve",
                                      boundary=[[0, 0], [1, 0], [0, 1]]))
+
+
+def test_numeric_green_factors_its_mesh_once(monkeypatch):
+    # every H(., y) is one solve on the domain mesh: one factor serves them all
+    import scipy.sparse.linalg as spla
+
+    real_splu = spla.splu
+    factored = []
+
+    def counting_splu(A, *args, **kwargs):
+        factored.append(A)
+        return real_splu(A, *args, **kwargs)
+
+    monkeypatch.setattr(spla, "splu", counting_splu)
+    ng = NumericGreen(DomainSpec("boundary-curve",
+                                 [[-0.9, -0.9], [0.9, -0.9], [0.9, 0.9], [-0.9, 0.9]]), h=0.1)
+    pts = np.array([[0.1, 0.2], [-0.3, 0.4], [0.5, -0.5]])
+    for y in pts:
+        ng.robin_H_many(pts, y)
+    ng.robin_H(pts[0], pts[0])
+    assert len(ng._h_fields) == 3
+    assert len(factored) == 1 and factored[0] is ng.ops._K_II
+    assert ng.ops._poisson_lu is not None

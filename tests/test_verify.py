@@ -1,8 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import sinhpierce.verify as verify_mod
 from sinhpierce.corrector import Run
 from sinhpierce.errors import InsufficientSamples
 from sinhpierce.verify import (
@@ -61,6 +63,67 @@ def test_kernel_annihilation_coarse():
         res = check_kernel_annihilation(alpha, resolution=4e-3)
         assert res.passed
         assert res.measured <= 1e-4
+
+
+def kernel_annihilation_meshgrid(alpha, resolution=1e-3, r_range=(0.6, 1.6),
+                                 theta_range=(-1.0, 1.0)):
+    """Reference: the whole-grid evaluation the blocked check replaces."""
+    r = np.arange(r_range[0], r_range[1] + resolution / 2, resolution)
+    th = np.arange(theta_range[0], theta_range[1] + resolution / 2, resolution)
+    R, T = np.meshgrid(r, th, indexing="ij")
+    ra = R ** alpha
+    V = 2 * alpha ** 2 * R ** (alpha - 2) / (1 + ra) ** 2
+    fields = {
+        0: (1 - ra) / (1 + ra),
+        1: R ** (alpha / 2) * np.cos(alpha * T / 2) / (1 + ra),
+        2: R ** (alpha / 2) * np.sin(alpha * T / 2) / (1 + ra),
+    }
+    dr = resolution
+    dth = resolution
+    worst = 0.0
+    for k, Y in fields.items():
+        lap = np.zeros_like(Y)
+        lap[1:-1, 1:-1] = (
+            (Y[2:, 1:-1] - 2 * Y[1:-1, 1:-1] + Y[:-2, 1:-1]) / dr ** 2
+            + (Y[2:, 1:-1] - Y[:-2, 1:-1]) / (2 * dr * R[1:-1, 1:-1])
+            + (Y[1:-1, 2:] - 2 * Y[1:-1, 1:-1] + Y[1:-1, :-2])
+            / (dth ** 2 * R[1:-1, 1:-1] ** 2))
+        res = lap[1:-1, 1:-1] + (V * Y)[1:-1, 1:-1]
+        scale = np.abs((V * Y)[1:-1, 1:-1]).max()
+        worst = max(worst, float(np.abs(res).max() / scale))
+    return worst
+
+
+@pytest.mark.parametrize("alpha", [2.2, 2.7, 3.0, 3.5, 5.5])
+def test_kernel_annihilation_bits_match_whole_grid(alpha):
+    got = check_kernel_annihilation(alpha, resolution=4e-3).measured
+    assert got == kernel_annihilation_meshgrid(alpha, resolution=4e-3)
+
+
+def test_kernel_annihilation_bits_match_whole_grid_at_default_resolution():
+    assert check_kernel_annihilation(2.7).measured == kernel_annihilation_meshgrid(2.7)
+
+
+def test_kernel_annihilation_partial_last_block():
+    # 2 * _STENCIL_ROWS + 5 radii leave 3 interior rows to the last block;
+    # 9 radii give fewer interior rows than one block
+    for n_rows in (2 * verify_mod._STENCIL_ROWS + 5, 9):
+        r_range = (0.6, 0.6 + (n_rows - 1) * 4e-3)
+        assert len(np.arange(r_range[0], r_range[1] + 2e-3, 4e-3)) == n_rows
+        got = check_kernel_annihilation(3.5, resolution=4e-3, r_range=r_range)
+        want = kernel_annihilation_meshgrid(3.5, resolution=4e-3, r_range=r_range)
+        assert got.measured == want, n_rows
+
+
+def test_kernel_annihilation_memory():
+    # the whole-grid evaluation held ~183 MiB of 2-D temporaries here
+    tracemalloc.start()
+    try:
+        check_kernel_annihilation(3.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2 ** 20
 
 
 def test_weighted_norms():
