@@ -9,7 +9,6 @@ import math
 import pathlib
 import sys
 
-from sinhpierce.cli import _sweep_summary_rows
 from sinhpierce.coeffs import BlowupConfig, constant_potential
 from sinhpierce.corrector import Run, continuation_sweep, farfield_error_at
 from sinhpierce.geometry import DomainSpec, MeshPolicy
@@ -36,13 +35,7 @@ def main():
 
     out = pathlib.Path("out/single_sweep")
     out.mkdir(parents=True, exist_ok=True)
-    import csv
-
-    rows = _sweep_summary_rows(sweep)
-    with open(out / "sweep.csv", "w", newline="") as f:
-        wr = csv.DictWriter(f, fieldnames=list(rows[0].keys()))
-        wr.writeheader()
-        wr.writerows(rows)
+    sweep.write_csv(out / "sweep.csv")
     print(f"wrote {out / 'sweep.csv'}")
     return 0
 

@@ -7,7 +7,6 @@ Sweeps rho, reporting the sign structure, peaks and kernel coefficients.
 import pathlib
 import sys
 
-from sinhpierce.cli import _sweep_summary_rows
 from sinhpierce.coeffs import BlowupConfig, constant_potential
 from sinhpierce.corrector import Run, continuation_sweep
 from sinhpierce.geometry import DomainSpec, MeshPolicy
@@ -29,13 +28,7 @@ def main():
 
     out = pathlib.Path("out/two_sweep")
     out.mkdir(parents=True, exist_ok=True)
-    import csv
-
-    rows = _sweep_summary_rows(sweep)
-    with open(out / "sweep.csv", "w", newline="") as f:
-        wr = csv.DictWriter(f, fieldnames=list(rows[0].keys()))
-        wr.writeheader()
-        wr.writerows(rows)
+    sweep.write_csv(out / "sweep.csv")
     print(f"wrote {out / 'sweep.csv'}")
     return 0
 

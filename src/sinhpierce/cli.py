@@ -10,7 +10,6 @@ Exit codes: 0 success, 1 validation failure, 2 solver failure, 3 check failure.
 from __future__ import annotations
 
 import argparse
-import csv
 import math
 import os
 import sys
@@ -82,33 +81,12 @@ def _cmd_construct(rc: RunConfig, man: Manifest):
     return EXIT_OK
 
 
-def _sweep_summary_rows(sw):
-    rows = []
-    for rep in sw.reports:
-        rows.append({
-            "rho": rep.rho, "status": rep.status, "iterations": rep.iterations,
-            "max_contraction_factor": rep.max_contraction_factor,
-            "phi_sup": rep.phi_sup, "phi_h01": rep.phi_h01,
-            "relative_residual": rep.relative_residual,
-            "farfield_error": rep.farfield_error,
-            "peaks": " ".join(f"{p:.6g}" for p in rep.peaks),
-            "kernel_coefficients": " ".join(f"{a:.6g}" for a in rep.kernel_coefficients),
-            "r_norms": " ".join(f"{p}:{v:.6g}" for p, v in sorted(rep.r_norms.items())),
-            "error": rep.error,
-        })
-    return rows
-
-
 def _cmd_sweep(rc: RunConfig, man: Manifest):
     sw = continuation_sweep(Run(rc.problem, rc.policy), rc.rho_list, tol=rc.tol,
                             maxiter=rc.maxiter, p_norms=tuple(rc.p_list))
     out = man.out_dir
-    rows = _sweep_summary_rows(sw)
     path = os.path.join(out, "sweep.csv")
-    with open(path, "w", newline="") as f:
-        wr = csv.DictWriter(f, fieldnames=list(rows[0].keys()))
-        wr.writeheader()
-        wr.writerows(rows)
+    sw.write_csv(path)
     man.add(path, "sweep", "continuation run: norms, peaks, contraction per rho")
     with open(os.path.join(out, "sweep_slopes.txt"), "w") as f:
         if sw.insufficient_data:
@@ -222,16 +200,23 @@ def _cmd_verify(rc: RunConfig, man: Manifest):
             passed=study.slope >= sigma_floor, p=p,
             threshold_origin="half the derived exponent min(1/alpha)"))
 
-    ob = verify.check_operator_bound(run, rho_list, trials=10, p=min(rc.p_list),
-                                     seed=rc.seed)
+    # the solver-bound trials at each rho run right after its correction, on
+    # the fixed point's own Lap + W factor
+    bounds = []
+
+    def bound_at(rho):
+        bounds.append(verify.check_operator_bound(run, [rho], trials=10, p=min(rc.p_list),
+                                                  seed=rc.seed))
+
+    sw = continuation_sweep(run, rho_list, tol=rc.tol, maxiter=rc.maxiter,
+                            p_norms=tuple(rc.p_list), after_rho=bound_at)
+    ob = verify.merge_operator_bounds(bounds)
     results.append(verify.CheckResult(
         check_id="linear-solver-log-bound",
         claim="solver amplification grows no faster than |log rho|",
         measured=ob["spread"], threshold=10.0, passed=ob["spread"] <= 10.0,
         detail=" ".join(f"{a:.4g}" for a in ob["per_log_rho"])))
 
-    sw = continuation_sweep(run, rho_list, tol=rc.tol, maxiter=rc.maxiter,
-                            p_norms=tuple(rc.p_list))
     conv = [r for r in sw.reports if r.status == "converged"]
     results.append(verify.CheckResult(
         check_id="contraction-convergence",
@@ -270,12 +255,8 @@ def _cmd_verify(rc: RunConfig, man: Manifest):
     path = os.path.join(out, "checks.csv")
     verify.write_check_csv(results, path)
     man.add(path, "verify", "full measurable-check suite")
-    rows = _sweep_summary_rows(sw)
     spath = os.path.join(out, "verify_sweep.csv")
-    with open(spath, "w", newline="") as f:
-        wr = csv.DictWriter(f, fieldnames=list(rows[0].keys()))
-        wr.writeheader()
-        wr.writerows(rows)
+    sw.write_csv(spath)
     man.add(spath, "verify", "sweep data backing the checks")
     return EXIT_OK if all(r.passed for r in results) else EXIT_CHECK
 

@@ -144,7 +144,9 @@ def choose_scales(cfg: BlowupConfig, rho: float, gp: GreenProvider) -> ScalePara
             if v <= 0:
                 raise NonpositivePotentialAtCenter(
                     f"V2({tuple(cfg.centers[i])}) = {v:.3g} <= 0")
-            d[i] = v * math.exp(2 * math.pi * rho_i[i]) / (2 * a[i] ** 2 * tau)
+            # near a negative hole w = -tau u solves a Liouville equation with
+            # potential tau V2, so the bubble scale carries tau
+            d[i] = v * math.exp(2 * math.pi * rho_i[i]) * tau / (2 * a[i] ** 2)
     r = d * np.exp(-math.pi * rho_i)
     delta_pow = d * rho
     eps_pow = r * rho

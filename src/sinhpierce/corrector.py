@@ -107,8 +107,8 @@ def _check_resonance(report, L):
     report.smallest_eigenvalue = lam
     if abs(lam) < EIG_FLOOR:
         report.status = "near-singular"
-        raise NearSingular(f"linearized operator near resonance, |lambda| ~ {abs(lam):.3e}",
-                           eigenvalue=lam)
+        report.error = f"linearized operator near resonance, |lambda| ~ {abs(lam):.3e}"
+        raise NearSingular(report.error, eigenvalue=lam, report=report)
 
 
 def _guard_sup(report, ops, phi):
@@ -141,12 +141,18 @@ def _finish(report, phi, U, cfg, scales):
 
 
 def fixed_point_correct(U: Field, cfg, scales, tol=1e-10, maxiter=50,
-                        phi0=None, p_norms=(1.01, 1.1, 1.3)) -> tuple[Field, SolveReport]:
-    """Iterate phi -> T(-(R + N(phi))) from phi = 0 until the update stalls."""
+                        phi0=None, p_norms=(1.01, 1.1, 1.3),
+                        L: LinearOperator | None = None) -> tuple[Field, SolveReport]:
+    """Iterate phi -> T(-(R + N(phi))) from phi = 0 until the update stalls.
+
+    L, if given, is Lap + W(U) already built (Run.linear_operator); its
+    factor and eigenvalue estimate are reused.
+    """
     mesh = U.mesh
     ops = get_ops(mesh)
     report = SolveReport(rho=scales.rho, method="fixed-point")
-    L = LinearOperator(mesh, weight_W(U, cfg, scales))
+    if L is None:
+        L = LinearOperator(mesh, weight_W(U, cfg, scales))
     _check_resonance(report, L)
     R = residual_R(U, cfg, scales)
     for p in p_norms:
@@ -256,6 +262,10 @@ class Run:
 
     stage(rho) prepares each rho once; every later call, from the solver or
     from a check, gets the same Stage and so the same mesh and operators.
+    linear_operator(rho) is the solver T = (Lap + W)^-1 at rho's ansatz, shared
+    by the fixed point and the solver-bound check. Only one is kept: asking for
+    another rho, or preparing a new stage, drops it first, so no two Lap + W
+    factors (nor one and a new Poisson factor) are alive at once.
     """
 
     def __init__(self, cfg, policy: MeshPolicy | None = None, gp: GreenProvider | None = None):
@@ -263,11 +273,20 @@ class Run:
         self.policy = policy or MeshPolicy()
         self.gp = gp or GreenProvider(cfg.domain)
         self._stages = {}
+        self._linear = None   # (rho, LinearOperator) or None
 
     def stage(self, rho) -> Stage:
         if rho not in self._stages:
+            self._linear = None
             self._stages[rho] = prepare(self.cfg, rho, self.policy, self.gp)
         return self._stages[rho]
+
+    def linear_operator(self, rho) -> LinearOperator:
+        if self._linear is None or self._linear[0] != rho:
+            self._linear = None
+            st = self.stage(rho)
+            self._linear = (rho, LinearOperator(st.mesh, weight_W(st.U, self.cfg, st.scales)))
+        return self._linear[1]
 
 
 @dataclass
@@ -337,9 +356,13 @@ def construct_solution(run: Run, rho, method="fixed-point", tol=1e-10, maxiter=5
     cfg, gp = run.cfg, run.gp
     st = run.stage(rho)
     scales, pd, mesh, U = st.scales, st.pd, st.mesh, st.U
-    correct = fixed_point_correct if method == "fixed-point" else newton_correct
-    phi, report = correct(U, cfg, scales, tol=tol, maxiter=maxiter, phi0=phi0,
-                          p_norms=p_norms)
+    if method == "fixed-point":
+        phi, report = fixed_point_correct(U, cfg, scales, tol=tol, maxiter=maxiter,
+                                          phi0=phi0, p_norms=p_norms,
+                                          L=run.linear_operator(rho))
+    else:
+        phi, report = newton_correct(U, cfg, scales, tol=tol, maxiter=maxiter, phi0=phi0,
+                                     p_norms=p_norms)
     u = Field(mesh, U.values + phi.values, DIRICHLET_ZERO)
 
     # annulus peaks and inner-region signs
@@ -382,11 +405,32 @@ class SweepResult:
     sigma_fits: dict          # p -> fitted residual slope, from converged entries
     insufficient_data: bool = False
 
+    def write_csv(self, path):
+        """One summary row per rho: status, norms, peaks, kernel coefficients."""
+        with open(path, "w", newline="") as f:
+            wr = csv.writer(f)
+            wr.writerow(["rho", "status", "iterations", "max_contraction_factor", "phi_sup",
+                         "phi_h01", "relative_residual", "farfield_error", "peaks",
+                         "kernel_coefficients", "r_norms", "error"])
+            for rep in self.reports:
+                wr.writerow([
+                    rep.rho, rep.status, rep.iterations, rep.max_contraction_factor,
+                    rep.phi_sup, rep.phi_h01, rep.relative_residual, rep.farfield_error,
+                    " ".join(f"{p:.6g}" for p in rep.peaks),
+                    " ".join(f"{a:.6g}" for a in rep.kernel_coefficients),
+                    " ".join(f"{p}:{v:.6g}" for p, v in sorted(rep.r_norms.items())),
+                    rep.error])
+
 
 def continuation_sweep(run: Run, rho_list, method="fixed-point",
                        tol=1e-10, maxiter=50, p_norms=(1.01, 1.1, 1.3),
-                       kernel_coeffs=True, warm_start=True) -> SweepResult:
-    """Run the construction at each rho (descending), warm-starting phi."""
+                       kernel_coeffs=True, warm_start=True, after_rho=None) -> SweepResult:
+    """Run the construction at each rho (descending), warm-starting phi.
+
+    after_rho(rho), if given, is called once each entry is recorded, while
+    rho's operator is still run's current one; what it raises is not a failed
+    entry but ends the sweep.
+    """
     rho_list = list(rho_list)
     if sorted(rho_list, reverse=True) != rho_list:
         raise ValueError("rho list must be sorted descending")
@@ -416,6 +460,8 @@ def continuation_sweep(run: Run, rho_list, method="fixed-point",
             stub.error = stub.error or str(exc)
             solutions.append(None)
             reports.append(stub)
+        if after_rho is not None:
+            after_rho(rho)
 
     sigma_fits = {}
     good = [r for r in reports if r.status == "converged"]

@@ -79,9 +79,10 @@ class OverflowGuard(SinhPierceError):
 
 
 class NearSingular(SinhPierceError):
-    def __init__(self, message, eigenvalue=None):
+    def __init__(self, message, eigenvalue=None, report=None):
         super().__init__(message)
         self.eigenvalue = eigenvalue
+        self.report = report
 
 
 # --- corrector ---

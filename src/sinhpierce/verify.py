@@ -18,7 +18,7 @@ from scipy.integrate import quad
 
 from .bubbles import far_expansion, make_bubbles
 from .errors import InsufficientSamples, NearSingular, QuadratureNonConvergence
-from .operators import EIG_FLOOR, Field, LinearOperator, get_ops, weight_W, residual_R
+from .operators import EIG_FLOOR, Field, LinearOperator, get_ops, residual_R
 
 _TWO_PI = 2.0 * math.pi
 _STENCIL_ROWS = 64   # grid rows per block of the kernel-annihilation stencil
@@ -292,51 +292,62 @@ def check_residual_scaling(run, rho_list, p_list=(1.01, 1.1, 1.3)):
 
 
 def check_operator_bound(run, rho_list, trials=10, p=1.01, seed=0, zero_weight=False):
-    """Amplification of the solver T over random right-hand sides, per rho."""
+    """Amplification of the solver T over random right-hand sides, per rho.
+
+    T is run.linear_operator(rho), the fixed point's own operator; the
+    zero_weight control (W = 0) builds a fresh one.
+    """
+    return merge_operator_bounds([
+        _operator_bound_at(run, rho, trials, p, seed, zero_weight) for rho in rho_list])
+
+
+def _operator_bound_at(run, rho, trials, p, seed, zero_weight):
     cfg = run.cfg
-    amps = []
-    kernel_amps = []
-    near_singular = []
-    for rho in rho_list:
-        st = run.stage(rho)
-        scales, mesh = st.scales, st.mesh
-        ops = get_ops(mesh)
-        W = weight_W(st.U, cfg, scales)
-        if zero_weight:
-            W = Field(mesh, np.zeros(mesh.n_nodes))
-        L = LinearOperator(mesh, W)
-        flagged = None
-        try:
-            lam = L.smallest_eigenvalue()
-            if abs(lam) < EIG_FLOOR:
-                flagged = lam
-        except NearSingular as exc:
-            flagged = exc.eigenvalue
-        near_singular.append(flagged)
-        rng = np.random.default_rng(seed)
-        worst = 0.0
-        for _ in range(trials):
-            h = np.zeros(mesh.n_nodes)
-            h[ops.interior] = rng.standard_normal(len(ops.interior))
-            hn = ops.norm_h01(h)
-            h /= hn
-            hf = Field(mesh, h)
-            phi = L.solve(hf)
-            worst = max(worst, ops.norm_h01(phi) / ops.norm_lp(hf, p))
-        amps.append(worst)
-        # right-hand side concentrated on the rescaled kernel direction of the
-        # first bubble: recorded, not asserted
-        d0 = mesh.center_distance(0)
-        y = d0 / scales.delta[0]
-        hk = lalpha_weight(cfg.alphas[0], np.maximum(y, 1e-300)) \
-            * (1 - y ** cfg.alphas[0]) / (1 + y ** cfg.alphas[0]) / scales.delta[0] ** 2
-        hk[mesh.is_boundary] = 0.0
-        hkf = Field(mesh, hk)
-        kernel_amps.append(ops.norm_h01(L.solve(hkf)) / ops.norm_lp(hkf, p))
-    ratios = [a / abs(math.log(r)) for a, r in zip(amps, rho_list)]
-    return {"rho": list(rho_list), "amplification": amps,
-            "per_log_rho": ratios, "near_singular": near_singular,
-            "kernel_amplification": kernel_amps,
+    st = run.stage(rho)
+    scales, mesh = st.scales, st.mesh
+    ops = get_ops(mesh)
+    if zero_weight:
+        L = LinearOperator(mesh, Field(mesh, np.zeros(mesh.n_nodes)))
+    else:
+        L = run.linear_operator(rho)
+    flagged = None
+    try:
+        lam = L.smallest_eigenvalue()
+        if abs(lam) < EIG_FLOOR:
+            flagged = lam
+    except NearSingular as exc:
+        flagged = exc.eigenvalue
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for _ in range(trials):
+        h = np.zeros(mesh.n_nodes)
+        h[ops.interior] = rng.standard_normal(len(ops.interior))
+        hn = ops.norm_h01(h)
+        h /= hn
+        hf = Field(mesh, h)
+        phi = L.solve(hf)
+        worst = max(worst, ops.norm_h01(phi) / ops.norm_lp(hf, p))
+    # right-hand side concentrated on the rescaled kernel direction of the
+    # first bubble: recorded, not asserted
+    d0 = mesh.center_distance(0)
+    y = d0 / scales.delta[0]
+    hk = lalpha_weight(cfg.alphas[0], np.maximum(y, 1e-300)) \
+        * (1 - y ** cfg.alphas[0]) / (1 + y ** cfg.alphas[0]) / scales.delta[0] ** 2
+    hk[mesh.is_boundary] = 0.0
+    hkf = Field(mesh, hk)
+    return {"rho": [rho], "amplification": [worst], "near_singular": [flagged],
+            "kernel_amplification": [ops.norm_h01(L.solve(hkf)) / ops.norm_lp(hkf, p)]}
+
+
+def merge_operator_bounds(parts):
+    """Join check_operator_bound results over consecutive rho lists into one,
+    with the spread of amplification / |log rho| over all of them."""
+    rho = [r for part in parts for r in part["rho"]]
+    amps = [a for part in parts for a in part["amplification"]]
+    ratios = [a / abs(math.log(r)) for a, r in zip(amps, rho)]
+    return {"rho": rho, "amplification": amps, "per_log_rho": ratios,
+            "near_singular": [f for part in parts for f in part["near_singular"]],
+            "kernel_amplification": [k for part in parts for k in part["kernel_amplification"]],
             "spread": max(ratios) / min(ratios)}
 
 

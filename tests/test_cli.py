@@ -159,8 +159,10 @@ def test_sweep_smoke_and_byte_identical(tmp_path):
 def test_one_mesh_per_rho_per_command(tmp_path, monkeypatch):
     # the checks, the warm start and the solver all share one prepared stage per
     # rho: one mesh, and one projection per bubble on it; the rho-independent
-    # background (one hex lattice each) is built once per command; K_II of each
-    # mesh is factored once, although prepare releases the factor
+    # background (one hex lattice each) is built once per command; each mesh
+    # has exactly two matrices factored, once each: K_II, although prepare
+    # releases its factor, and Lap + W, shared by the fixed point and verify's
+    # solver-bound check
     import sys
 
     import scipy.sparse.linalg as spla
@@ -225,7 +227,32 @@ def test_one_mesh_per_rho_per_command(tmp_path, monkeypatch):
         assert len(projections) == meshes * bubbles, command
         assert len(lattices) == 1, command
         assert sum(poisson for _, poisson in factored) == meshes, command
+        assert len(factored) == 2 * meshes, command
         assert len({id(A) for A, _ in factored}) == len(factored), command
+
+
+def test_verify_bound_check_failure_aborts(tmp_path, monkeypatch):
+    # the solver-bound check runs inside the sweep, after each correction; its
+    # failure ends verify with the solver exit code, not as a failed sweep entry
+    import sinhpierce.verify as verify_mod
+    from sinhpierce.errors import SolverFailure
+
+    real = verify_mod.check_operator_bound
+    checked = []
+
+    def failing_at_1e_3(run, rho_list, **kw):
+        checked.extend(rho_list)
+        if 1e-3 in rho_list:
+            raise SolverFailure("synthetic bound-check failure", residual=1.0)
+        return real(run, rho_list, **kw)
+
+    monkeypatch.setattr(verify_mod, "check_operator_bound", failing_at_1e_3)
+    out = tmp_path / "verify"
+    cfg = _write(tmp_path, BASE.format(out=out).replace("rho = 1e-2", "rho = 1e-2 1e-3 1e-4"))
+    assert main(["verify", "--config", cfg, "--out", str(out)]) == 2
+    assert checked == [1e-2, 1e-3]
+    assert not (out / "verify_sweep.csv").exists()
+    assert "synthetic bound-check failure" in (out / "manifest.txt").read_text()
 
 
 def test_short_boundary_curve_schema_error(tmp_path):

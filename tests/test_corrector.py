@@ -1,4 +1,6 @@
+import csv
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -7,6 +9,8 @@ import sinhpierce.corrector as corrector_mod
 from sinhpierce.coeffs import BlowupConfig, constant_potential
 from sinhpierce.corrector import (
     Run,
+    SolveReport,
+    SweepResult,
     construct_solution,
     continuation_sweep,
     farfield_sample_points,
@@ -14,7 +18,7 @@ from sinhpierce.corrector import (
     fixed_point_correct,
 )
 from sinhpierce.errors import CoincidentPoints, Diverged, PointOutsideDomain, SinhPierceError
-from sinhpierce.geometry import DomainSpec, PierceSpec, build_pierced_domain
+from sinhpierce.geometry import DomainSpec, MeshPolicy, PierceSpec, build_pierced_domain
 from sinhpierce.greens import GreenProvider
 from sinhpierce.operators import DIRICHLET_ZERO, DiscreteOperators, Field, get_ops
 
@@ -245,3 +249,105 @@ def test_report_serialization(tmp_path, coarse_solution):
     lines = open(f"{prefix}_iterations.csv").read().strip().splitlines()
     assert lines[0] == "step,update_h01,contraction_factor"
     assert len(lines) == 1 + coarse_solution.report.iterations
+
+
+def test_run_keeps_one_linear_operator(single_cfg, gp, coarse_policy):
+    # one Lap + W factor at a time: a new stage or another rho's operator
+    # drops the one in the slot before it builds anything
+    run = Run(single_cfg, coarse_policy, gp)
+    L = run.linear_operator(1e-2)
+    L.smallest_eigenvalue()
+    assert L._lu is not None
+    first = weakref.ref(L)
+    del L
+    # the same rho, or its already prepared stage, keeps the operator
+    run.stage(1e-2)
+    assert run.linear_operator(1e-2) is first()
+    run.stage(1e-3)
+    assert first() is None
+    L = run.linear_operator(1e-3)
+    L.smallest_eigenvalue()
+    second = weakref.ref(L)
+    del L
+    run.linear_operator(1e-2)
+    assert second() is None
+
+
+def test_fixed_point_uses_the_runs_operator(single_cfg, gp, coarse_policy):
+    # the correction factors run.linear_operator(rho) and estimates its
+    # eigenvalue once; the estimate stays cached on the operator
+    run = Run(single_cfg, coarse_policy, gp)
+    sol = construct_solution(run, 1e-2, kernel_coeffs=False)
+    L = run.linear_operator(1e-2)
+    assert L._lu is not None
+    assert L._eig_estimate == sol.report.smallest_eigenvalue
+    # and gives the bits of an operator of its own
+    own = fixed_point_correct(sol.U, single_cfg, sol.scales)[0]
+    assert own.values.tobytes() == sol.phi.values.tobytes()
+
+
+def test_near_singular_entries_keep_their_report(single_cfg, gp, coarse_policy,
+                                                 monkeypatch):
+    # every operator reads as resonant: each entry is reported near-singular
+    # with the eigenvalue that tripped the floor, not as a diverged stub
+    monkeypatch.setattr(corrector_mod, "EIG_FLOOR", 1e9)
+    sw = continuation_sweep(Run(single_cfg, coarse_policy, gp), [1e-2, 1e-3, 1e-4],
+                            kernel_coeffs=False)
+    for rep in sw.reports:
+        assert rep.status == "near-singular"
+        assert math.isfinite(rep.smallest_eigenvalue)
+        assert "resonance" in rep.error
+        assert rep.iterations == 0
+    assert sw.solutions == [None, None, None]
+
+
+def test_negative_bubble_tau_two(disk, gp):
+    # the negative-group scale carries tau: a single negative bubble at tau = 2
+    # converges, and its far field approaches -(2 pi (alpha + 2) / tau) G about
+    # tenfold per decade of rho
+    cfg = BlowupConfig(domain=disk, centers=[[0.0, 0.0]], alphas=[3.0], m1=0, tau=2.0,
+                       V1=constant_potential(1.0), V2=constant_potential(1.0))
+    sw = continuation_sweep(Run(cfg, MeshPolicy(h=0.05), gp), [1e-2, 1e-3, 1e-4],
+                            kernel_coeffs=False)
+    assert [r.status for r in sw.reports] == ["converged"] * 3
+    assert all(r.max_contraction_factor < 1 for r in sw.reports)
+    assert all(r.inner_sign_ok for r in sw.reports)
+    ff = [r.farfield_error for r in sw.reports]
+    assert ff[-1] < 1e-3
+    for a, b in zip(ff, ff[1:]):
+        assert 5 < a / b < 20
+
+
+def _sweep_rows_dictwriter(sw, path):
+    """The sweep CSV as csv.DictWriter wrote it before SweepResult.write_csv."""
+    rows = []
+    for rep in sw.reports:
+        rows.append({
+            "rho": rep.rho, "status": rep.status, "iterations": rep.iterations,
+            "max_contraction_factor": rep.max_contraction_factor,
+            "phi_sup": rep.phi_sup, "phi_h01": rep.phi_h01,
+            "relative_residual": rep.relative_residual,
+            "farfield_error": rep.farfield_error,
+            "peaks": " ".join(f"{p:.6g}" for p in rep.peaks),
+            "kernel_coefficients": " ".join(f"{a:.6g}" for a in rep.kernel_coefficients),
+            "r_norms": " ".join(f"{p}:{v:.6g}" for p, v in sorted(rep.r_norms.items())),
+            "error": rep.error,
+        })
+    with open(path, "w", newline="") as f:
+        wr = csv.DictWriter(f, fieldnames=list(rows[0].keys()))
+        wr.writeheader()
+        wr.writerows(rows)
+
+
+def test_sweep_csv_bytes(tmp_path):
+    ok = SolveReport(rho=1e-2, iterations=4, contraction_factors=[0.1, 0.03],
+                     phi_sup=1 / 3, phi_h01=2e-7, relative_residual=5e-324,
+                     farfield_error=0.1, peaks=[12.5, -3.25e-9],
+                     kernel_coefficients=[1 / 7], r_norms={1.01: 0.4, 1.3: 1e300})
+    failed = SolveReport(rho=1e-3, status="near-singular", smallest_eigenvalue=-2.0,
+                         error='resonance, "quoted"\nsecond line')
+    sw = SweepResult(rho_list=[1e-2, 1e-3], solutions=[None, None],
+                     reports=[ok, failed], sigma_fits={})
+    sw.write_csv(tmp_path / "new.csv")
+    _sweep_rows_dictwriter(sw, tmp_path / "old.csv")
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 import sinhpierce.verify as verify_mod
-from sinhpierce.corrector import Run
+from sinhpierce.corrector import Run, continuation_sweep
 from sinhpierce.errors import InsufficientSamples
+from sinhpierce.operators import LinearOperator, weight_W
 from sinhpierce.verify import (
     CheckResult,
     ScalingStudy,
@@ -17,6 +18,7 @@ from sinhpierce.verify import (
     check_residual_scaling,
     decreasing,
     kernel_coefficient,
+    merge_operator_bounds,
     norm_halpha_sq,
     norm_lalpha_sq,
     rescale_correction,
@@ -190,6 +192,31 @@ def test_operator_bound_zero_weight_control(coarse_run):
     # the kernel-concentrated right-hand side is recorded alongside
     assert len(ob["kernel_amplification"]) == 3
     assert all(v > 0 for v in ob["kernel_amplification"])
+
+
+def test_operator_bound_shared_equals_fresh(single_cfg, gp, coarse_policy, monkeypatch):
+    # verify's shape: the bound trials at each rho run right after the sweep's
+    # correction, on the fixed point's own factor and cached eigenvalue
+    rhos = [1e-2, 1e-3, 1e-4]
+    shared_run = Run(single_cfg, coarse_policy, gp)
+    parts = []
+
+    def bound_at(rho):
+        assert shared_run.linear_operator(rho)._eig_estimate is not None
+        parts.append(check_operator_bound(shared_run, [rho], trials=3, seed=1))
+
+    continuation_sweep(shared_run, rhos, kernel_coeffs=False, after_rho=bound_at)
+    shared = merge_operator_bounds(parts)
+    # the same check with a fresh operator for every request
+    def fresh_operator(run, rho):
+        st = run.stage(rho)
+        return LinearOperator(st.mesh, weight_W(st.U, run.cfg, st.scales))
+
+    monkeypatch.setattr(Run, "linear_operator", fresh_operator)
+    fresh = check_operator_bound(Run(single_cfg, coarse_policy, gp), rhos, trials=3, seed=1)
+    assert list(shared) == list(fresh)
+    assert shared == fresh
+    assert shared["near_singular"] == [None] * 3
 
 
 def test_expansion_positive_slope(coarse_run):
