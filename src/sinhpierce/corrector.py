@@ -18,7 +18,14 @@ import numpy as np
 from .bubbles import build_ansatz
 from .coeffs import choose_scales, coefficient_set
 from .errors import Diverged, NearSingular, SinhPierceError
-from .geometry import FieldEvaluator, MeshPolicy, PierceSpec, build_mesh, build_pierced_domain
+from .geometry import (
+    FieldEvaluator,
+    MeshPolicy,
+    PierceSpec,
+    build_mesh,
+    build_pierced_domain,
+    prefetch_background,
+)
 from .greens import GreenProvider
 from .operators import (
     DIRICHLET_ZERO,
@@ -266,11 +273,16 @@ class Run:
     by the fixed point and the solver-bound check. Only one is kept: asking for
     another rho, or preparing a new stage, drops it first, so no two Lap + W
     factors (nor one and a new Poisson factor) are alive at once.
+
+    The rho-independent background mesh starts building on the helper thread
+    here, so the Green function, the scales and any analytic check run while
+    it does; the first build_mesh waits for it.
     """
 
     def __init__(self, cfg, policy: MeshPolicy | None = None, gp: GreenProvider | None = None):
         self.cfg = cfg
         self.policy = policy or MeshPolicy()
+        prefetch_background(cfg.domain, cfg.centers, self.policy)
         self.gp = gp or GreenProvider(cfg.domain)
         self._stages = {}
         self._linear = None   # (rho, LinearOperator) or None

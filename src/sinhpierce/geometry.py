@@ -13,8 +13,10 @@ resolution.
 
 from __future__ import annotations
 
+import ctypes
 import itertools
 import math
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -258,22 +260,32 @@ def build_pierced_domain(domain: DomainSpec, pierce: PierceSpec) -> PiercedDomai
             if sep <= r[i] + r[j]:
                 raise OverlappingHoles(
                     f"holes {i + 1} and {j + 1}: separation {sep:.3g} <= {r[i] + r[j]:.3g}")
-    bounds = []
     for i in range(m):
         d = distance_to_boundary(domain, c[i])
         if d <= r[i]:
             raise HoleTouchesBoundary(
                 f"hole {i + 1}: ball of radius {r[i]:.3g} at {tuple(c[i])} "
                 f"not contained in the domain (clearance {d:.3g})")
-        bounds.append(d)
-    for i in range(m):
-        for j in range(i + 1, m):
-            bounds.append(math.hypot(c[i, 0] - c[j, 0], c[i, 1] - c[j, 1]))
-    eta = 0.45 * min(bounds)
+    eta = annulus_radius(domain, c)
     if np.any(r >= eta):
         raise HoleTouchesBoundary(
             f"some hole radius {r.max():.3g} is not below the annulus radius eta={eta:.3g}")
     return PiercedDomain(domain=domain, pierce=pierce, eta=eta)
+
+
+def annulus_radius(domain: DomainSpec, centers: np.ndarray) -> float:
+    """eta = 0.45 min{dist(xi_i, bdry), |xi_i - xi_j|} over the (m, 2) centers.
+
+    It does not depend on the hole radii, so build_pierced_domain and
+    prefetch_background get the same float, and so the same memo key.
+    """
+    m = centers.shape[0]
+    bounds = [distance_to_boundary(domain, centers[i]) for i in range(m)]
+    for i in range(m):
+        for j in range(i + 1, m):
+            bounds.append(math.hypot(centers[i, 0] - centers[j, 0],
+                                     centers[i, 1] - centers[j, 1]))
+    return 0.45 * min(bounds)
 
 
 def annulus(pd: PiercedDomain, i: int) -> AnnulusRegion:
@@ -469,9 +481,55 @@ def build_domain_mesh(domain: DomainSpec, h: float, smooth_iters: int = 2) -> Me
     return _assemble(_background(domain, np.zeros((0, 2)), 0.0, policy), None, policy)
 
 
-# One-entry memo of the last background build_mesh made, keyed by everything
-# _background reads: a sweep meshes the same domain, centers and eta at every rho.
+# One-entry memo of the last background, keyed by everything _background
+# reads: a sweep meshes the same domain, centers and eta at every rho. The
+# value is a _Background, or the Future of a prefetch still pending. Only
+# the main thread reads or writes the slot; the worker only runs _background.
 _last_background = None
+
+# The one helper thread: at most one background build is ever in flight.
+# It runs _background and its private callees only, none of them traced.
+_builder = ThreadPoolExecutor(max_workers=1, thread_name_prefix="sinhpierce-background")
+
+
+def _background_key(domain, centers, eta, policy):
+    return (domain.kind, None if domain.boundary is None else domain.boundary.tobytes(),
+            centers.tobytes(), eta, policy)
+
+
+def prefetch_background(domain: DomainSpec, centers, policy: MeshPolicy):
+    """Start building the rho-independent background on the helper thread.
+
+    build_mesh takes the result when it first needs it. A layout that would
+    not validate (coincident centers, a center outside the domain) starts
+    nothing, so build_pierced_domain raises its named error as it would.
+    """
+    global _last_background
+    centers = np.atleast_2d(np.asarray(centers, dtype=float)).copy()
+    if centers.shape[0] == 0:
+        return
+    eta = annulus_radius(domain, centers)
+    if not eta > 0:
+        return
+    key = _background_key(domain, centers, eta, policy)
+    if _last_background is None or _last_background[0] != key:
+        _last_background = (key, _builder.submit(_background, domain, centers, eta, policy))
+
+
+def _release_free_heap():
+    """Hand the heap the helper thread freed back to the system.
+
+    glibc gives each thread its own malloc arena, and Qhull's freed memory
+    stays resident in the helper's; without this, `construct` at h = 0.005
+    peaks about 20% higher. A no-op where libc has no malloc_trim.
+    """
+    try:
+        trim = ctypes.CDLL(None).malloc_trim
+    except (AttributeError, OSError, TypeError):
+        return
+    trim.argtypes = [ctypes.c_size_t]
+    trim.restype = ctypes.c_int
+    trim(0)
 
 
 def build_mesh(pd: PiercedDomain, policy: MeshPolicy) -> Mesh:
@@ -482,11 +540,14 @@ def build_mesh(pd: PiercedDomain, policy: MeshPolicy) -> Mesh:
             raise UnresolvableHole(
                 f"hole {i + 1} radius {eps:.3g} below the resolvable scale "
                 f"{MIN_HOLE_RADIUS:g}")
-    domain = pd.domain
-    key = (domain.kind, None if domain.boundary is None else domain.boundary.tobytes(),
-           pd.pierce.centers.tobytes(), pd.eta, policy)
+    key = _background_key(pd.domain, pd.pierce.centers, pd.eta, policy)
     if _last_background is None or _last_background[0] != key:
-        _last_background = (key, _background(domain, pd.pierce.centers, pd.eta, policy))
+        _last_background = (key, _background(pd.domain, pd.pierce.centers, pd.eta, policy))
+    elif isinstance(_last_background[1], Future):
+        pending, _last_background = _last_background[1], None
+        # a worker's exception surfaces here, as a serial build's would
+        _last_background = (key, pending.result())
+        _release_free_heap()
     return _assemble(_last_background[1], pd, policy)
 
 

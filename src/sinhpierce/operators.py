@@ -100,7 +100,8 @@ class DiscreteOperators:
         rhs_vals = rhs.values if isinstance(rhs, Field) else np.asarray(rhs, dtype=float)
         if self._poisson_lu is None:
             self._poisson_lu = spla.splu(self._K_II)
-        b = -(self.w * rhs_vals)[self.interior]
+        w_rhs = self.w * rhs_vals
+        b = -w_rhs[self.interior]
         g = None
         if boundary_values is not None:
             g = np.asarray(boundary_values, dtype=float)
@@ -109,9 +110,10 @@ class DiscreteOperators:
         u[self.interior] = self._poisson_lu.solve(b)
         if g is not None:
             u[self.boundary] = g
-        res = self.K @ u + self.w * rhs_vals
+        Ku = self.K @ u
+        res = Ku + w_rhs
         res[self.boundary] = 0.0
-        scale = max(np.linalg.norm(self.w * rhs_vals), np.linalg.norm(self.K @ u), 1e-300)
+        scale = max(np.linalg.norm(w_rhs), np.linalg.norm(Ku), 1e-300)
         rel = np.linalg.norm(res) / scale
         if not np.isfinite(rel) or rel > 1e-10:
             raise SolverFailure(f"Poisson solve residual {rel:.3e}", residual=rel)
@@ -275,8 +277,9 @@ class LinearOperator:
         if not np.all(np.isfinite(phi_I)):
             raise NearSingular("Lap+W solve produced non-finite values",
                                eigenvalue=self._eig_estimate)
-        res = self.matrix @ phi_I - b
-        scale = max(np.linalg.norm(b), np.linalg.norm(self.matrix @ phi_I), 1e-300)
+        A_phi = self.matrix @ phi_I
+        res = A_phi - b
+        scale = max(np.linalg.norm(b), np.linalg.norm(A_phi), 1e-300)
         rel = np.linalg.norm(res) / scale
         if rel > 1e-10:
             raise SolverFailure(f"Lap+W solve residual {rel:.3e}", residual=rel)

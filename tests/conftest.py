@@ -1,8 +1,17 @@
 import pytest
 
+import sinhpierce.geometry as geometry
 from sinhpierce.coeffs import BlowupConfig, constant_potential
 from sinhpierce.geometry import DomainSpec, MeshPolicy, PierceSpec, build_mesh, build_pierced_domain
 from sinhpierce.greens import GreenProvider
+
+
+@pytest.fixture(autouse=True)
+def drain_background_prefetch():
+    """Wait, after each test, for any background build the test left on the
+    helper thread, so it does not run on into the next test's time."""
+    yield
+    geometry._builder.submit(int).result()
 
 
 @pytest.fixture(scope="session")

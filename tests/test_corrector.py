@@ -351,3 +351,43 @@ def test_sweep_csv_bytes(tmp_path):
     sw.write_csv(tmp_path / "new.csv")
     _sweep_rows_dictwriter(sw, tmp_path / "old.csv")
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+# --- regime matrix (unit disk, h = 0.05) -------------------------------------
+
+_SINGLE = [[0.0, 0.0]]
+_PAIR = [[-0.4, 0.0], [0.4, 0.0]]
+
+
+def _regime_sweep(disk, gp, centers, m1, tau):
+    cfg = BlowupConfig(domain=disk, centers=centers, alphas=[3.0] * len(centers), m1=m1,
+                       tau=tau, V1=constant_potential(1.0), V2=constant_potential(1.0))
+    return continuation_sweep(Run(cfg, MeshPolicy(h=0.05), gp), [1e-3, 1e-4],
+                              kernel_coeffs=False)
+
+
+def _assert_paper_structure(sw):
+    """Convergence with a contraction, a defect and a far-field error that
+    fall with rho (the latter more than fivefold per decade), and the signs
+    of the bubbles in the inner regions."""
+    assert [r.status for r in sw.reports] == ["converged"] * len(sw.reports), \
+        [r.error for r in sw.reports]
+    assert all(r.max_contraction_factor < 1 for r in sw.reports)
+    assert all(r.inner_sign_ok for r in sw.reports)
+    for a, b in zip(sw.reports, sw.reports[1:]):
+        assert b.r_norms[1.01] < a.r_norms[1.01]
+        assert a.farfield_error > 5 * b.farfield_error
+
+
+@pytest.mark.parametrize("tau", [0.5, 1.0, 2.0])
+@pytest.mark.parametrize("centers, m1", [(_SINGLE, 1), (_SINGLE, 0), (_PAIR, 1)],
+                         ids=["positive", "negative", "mixed-pair"])
+def test_regime_matrix(disk, gp, centers, m1, tau):
+    _assert_paper_structure(_regime_sweep(disk, gp, centers, m1, tau))
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="same-sign pairs diverge at these rho (ROADMAP item 2)")
+@pytest.mark.parametrize("m1", [2, 0], ids=["positive-pair", "negative-pair"])
+def test_regime_matrix_same_sign_pair(disk, gp, m1):
+    _assert_paper_structure(_regime_sweep(disk, gp, _PAIR, m1, 1.0))

@@ -1,0 +1,164 @@
+"""The background mesh built ahead on the helper thread: the same arrays as
+a serial build, the same artifact bytes from the CLI, the worker's errors
+surfacing from build_mesh, no worker for a layout that cannot validate, and
+the traced Green-function setup kept on the main thread."""
+
+import dataclasses
+import filecmp
+import os
+import threading
+
+import numpy as np
+import pytest
+
+import sinhpierce.corrector as corrector_mod
+import sinhpierce.geometry as geometry
+import sinhpierce.greens as greens_mod
+from sinhpierce.cli import main
+from sinhpierce.coeffs import BlowupConfig, constant_potential
+from sinhpierce.corrector import Run, prepare
+from sinhpierce.errors import DuplicateCenters, StitchFailure
+from sinhpierce.geometry import (
+    DomainSpec,
+    MeshPolicy,
+    PierceSpec,
+    annulus_radius,
+    build_mesh,
+    build_pierced_domain,
+    prefetch_background,
+)
+
+SQUARE = DomainSpec("boundary-curve", [[-0.9, -0.9], [0.9, -0.9], [0.9, 0.9], [-0.9, 0.9]])
+PAIR = [[-0.4, 0.0], [0.4, 0.0]]
+
+# the benchmark's three workloads at their coarse h
+_DISK_SINGLE = "domain = unit-disk\ncenters = 0.0 0.0\nalphas = 3.0\n"
+_DISK_PAIR = "domain = unit-disk\ncenters = -0.4 0.0; 0.4 0.0\nalphas = 3.0 3.0\n"
+_SQUARE_PAIR = ("domain = boundary-curve\nboundary = -0.9 -0.9; 0.9 -0.9; 0.9 0.9; -0.9 0.9\n"
+                "centers = -0.4 0.0; 0.4 0.0\nalphas = 3.0 3.0\n")
+WORKLOADS = {
+    "verify-disk": (_DISK_SINGLE, "verify", "1e-2 1e-3 1e-4", 0.1),
+    "construct-fine": (_DISK_PAIR, "construct", "1e-3", 0.05),
+    "sweep-square": (_SQUARE_PAIR, "sweep", "1e-2 1e-3 1e-4", 0.1),
+}
+
+
+def _config(workload, out):
+    problem, command, rho, h = WORKLOADS[workload]
+    return (f"[problem]\n{problem}m1 = 1\ntau = 1.0\nv1 = 1\nv2 = 1\n\n"
+            f"[mesh]\nh = {h}\nq = 1.3\n\n"
+            f"[run]\ncommand = {command}\nrho = {rho}\np = 1.01 1.1 1.3\n"
+            f"tol = 1e-10\nmaxiter = 50\nseed = 1\nout = {out}\n")
+
+
+def _pending(monkeypatch, domain, centers, policy):
+    """Prefetch into an empty slot and return the Future it holds."""
+    monkeypatch.setattr(geometry, "_last_background", None)
+    prefetch_background(domain, centers, policy)
+    return geometry._last_background[1]
+
+
+@pytest.mark.parametrize("domain", [DomainSpec(), SQUARE], ids=["disk-pair", "square-pair"])
+def test_prefetched_background_equals_serial(domain, monkeypatch):
+    policy = MeshPolicy(h=0.04)
+    pending = _pending(monkeypatch, domain, PAIR, policy)
+    pd = build_pierced_domain(domain, PierceSpec(PAIR, [1e-3, 1e-3]))
+    assert pd.eta == annulus_radius(domain, np.asarray(PAIR))
+    mesh = build_mesh(pd, policy)
+    prefetched = pending.result()
+    # build_mesh took the prefetched background instead of building its own
+    assert geometry._last_background[1] is prefetched
+    serial = geometry._background(domain, pd.pierce.centers, pd.eta, policy)
+    for f in dataclasses.fields(serial):
+        a, b = getattr(prefetched, f.name), getattr(serial, f.name)
+        if isinstance(a, np.ndarray):
+            assert a.dtype == b.dtype and a.shape == b.shape, f.name
+            assert a.tobytes() == b.tobytes(), f.name
+        else:
+            assert a == b, f.name
+    monkeypatch.setattr(geometry, "_last_background", None)
+    cold = build_mesh(pd, policy)
+    assert mesh.nodes.tobytes() == cold.nodes.tobytes()
+    assert mesh.triangles.tobytes() == cold.triangles.tobytes()
+
+
+@pytest.mark.parametrize("workload", sorted(WORKLOADS))
+def test_artifacts_equal_without_prefetch(workload, tmp_path, monkeypatch):
+    outs = []
+    for label in ("prefetch", "serial"):
+        if label == "serial":
+            monkeypatch.setattr(corrector_mod, "prefetch_background", lambda *args: None)
+        monkeypatch.setattr(geometry, "_last_background", None)
+        out = tmp_path / label
+        cfg = tmp_path / f"{label}.cfg"
+        cfg.write_text(_config(workload, out))
+        assert main([WORKLOADS[workload][1], "--config", str(cfg)]) == 0
+        outs.append(out)
+    names = sorted(os.listdir(outs[0]))
+    assert names == sorted(os.listdir(outs[1]))
+    for name in names:
+        assert filecmp.cmp(outs[0] / name, outs[1] / name, shallow=False), name
+
+
+def test_worker_failure_surfaces_from_build_mesh(monkeypatch):
+    def broken(*args):
+        raise StitchFailure("non-conforming stitch (injected)")
+
+    monkeypatch.setattr(geometry, "_background", broken)
+    policy = MeshPolicy(h=0.1)
+    pending = _pending(monkeypatch, DomainSpec(), PAIR, policy)
+    pd = build_pierced_domain(DomainSpec(), PierceSpec(PAIR, [1e-3, 1e-3]))
+    with pytest.raises(StitchFailure, match="injected"):
+        build_mesh(pd, policy)
+    assert pending.done()
+    # the failed build is not kept: the next call builds again, serially
+    assert geometry._last_background is None
+    monkeypatch.undo()
+    monkeypatch.setattr(geometry, "_last_background", None)
+    assert build_mesh(pd, policy).n_nodes > 0
+
+
+def test_coincident_centers_start_no_worker(monkeypatch):
+    submitted = []
+    monkeypatch.setattr(geometry._builder, "submit",
+                        lambda *args: submitted.append(args), raising=False)
+    monkeypatch.setattr(geometry, "_last_background", None)
+    cfg = BlowupConfig(domain=DomainSpec(), centers=[[0.3, 0.0], [0.3, 0.0]],
+                       alphas=[3.0, 3.0], m1=1, V1=constant_potential(1.0),
+                       V2=constant_potential(1.0))
+    run = Run(cfg, MeshPolicy(h=0.1))
+    # nor for a center outside the domain (eta < 0)
+    prefetch_background(DomainSpec(), [[1.5, 0.0]], MeshPolicy(h=0.1))
+    assert submitted == [] and geometry._last_background is None
+    with pytest.raises(DuplicateCenters), np.errstate(all="ignore"):
+        prepare(cfg, 1e-2, run.policy, run.gp)
+
+
+def test_traced_setup_stays_on_the_main_thread(tmp_path, monkeypatch):
+    # the tracer keeps one span stack, so no traced function may run on the
+    # helper thread: only _background does
+    threads = {}
+
+    def recording(name, real):
+        def wrapper(*args, **kwargs):
+            threads.setdefault(name, set()).add(threading.current_thread())
+            return real(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(greens_mod.GreenProvider, "__init__",
+                        recording("provider_init", greens_mod.GreenProvider.__init__))
+    monkeypatch.setattr(greens_mod, "build_domain_mesh",
+                        recording("build_domain_mesh", greens_mod.build_domain_mesh))
+    monkeypatch.setattr(geometry, "_background",
+                        recording("background", geometry._background))
+    monkeypatch.setattr(geometry, "_last_background", None)
+    cfg = tmp_path / "square.cfg"
+    cfg.write_text(_config("sweep-square", tmp_path / "out"))
+    assert main(["sweep", "--config", str(cfg)]) == 0
+    main_thread = threading.main_thread()
+    assert threads["provider_init"] == {main_thread}
+    assert threads["build_domain_mesh"] == {main_thread}
+    # the domain mesh's background on the main thread, the pierced one on the helper
+    helpers = threads["background"] - {main_thread}
+    assert main_thread in threads["background"] and len(helpers) == 1
+    assert next(iter(helpers)).name.startswith("sinhpierce-background")
