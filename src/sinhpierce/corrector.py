@@ -17,7 +17,7 @@ import numpy as np
 
 from .bubbles import build_ansatz
 from .coeffs import choose_scales, coefficient_set
-from .errors import Diverged, NearSingular, SinhPierceError
+from .errors import Diverged, NearSingular, OverflowGuard, SinhPierceError
 from .geometry import (
     FieldEvaluator,
     MeshPolicy,
@@ -36,6 +36,7 @@ from .operators import (
     _potential_values,
     get_ops,
     nonlinear_N,
+    release_ops,
     residual_R,
     semianalytic_laplacian_U,
     weight_W,
@@ -169,8 +170,14 @@ def fixed_point_correct(U: Field, cfg, scales, tol=1e-10, maxiter=50,
                                                      DIRICHLET_ZERO)
     prev_update = None
     for it in range(maxiter):
-        rhs = Field(mesh, -(R.values + nonlinear_N(phi, U, cfg, scales).values))
-        new = L.solve(rhs)
+        try:
+            N = nonlinear_N(phi, U, cfg, scales)
+        except OverflowGuard as exc:
+            report.status = "diverged"
+            report.error = str(exc)
+            exc.report = report
+            raise
+        new = L.solve(Field(mesh, -(R.values + N.values)))
         upd = ops.norm_h01(Field(mesh, new.values - phi.values))
         report.updates_h01.append(upd)
         if it == 0 and phi0 is None:
@@ -269,10 +276,14 @@ class Run:
 
     stage(rho) prepares each rho once; every later call, from the solver or
     from a check, gets the same Stage and so the same mesh and operators.
+    Once a stage is prepared, the Green function holds H(., xi_k) for every
+    center, so its own domain operators are dropped.
     linear_operator(rho) is the solver T = (Lap + W)^-1 at rho's ansatz, shared
     by the fixed point and the solver-bound check. Only one is kept: asking for
-    another rho, or preparing a new stage, drops it first, so no two Lap + W
-    factors (nor one and a new Poisson factor) are alive at once.
+    another rho, or preparing a new stage, drops it first, together with its
+    stage's operators, so no two Lap + W factors (nor one and a new Poisson
+    factor) are alive at once. A later call for a dropped rho rebuilds them,
+    bit for bit.
 
     The rho-independent background mesh starts building on the helper thread
     here, so the Green function, the scales and any analytic check run while
@@ -289,16 +300,23 @@ class Run:
 
     def stage(self, rho) -> Stage:
         if rho not in self._stages:
-            self._linear = None
+            self._release_linear()
             self._stages[rho] = prepare(self.cfg, rho, self.policy, self.gp)
+            self.gp.release_operators()
         return self._stages[rho]
 
     def linear_operator(self, rho) -> LinearOperator:
         if self._linear is None or self._linear[0] != rho:
-            self._linear = None
+            self._release_linear()
             st = self.stage(rho)
             self._linear = (rho, LinearOperator(st.mesh, weight_W(st.U, self.cfg, st.scales)))
         return self._linear[1]
+
+    def _release_linear(self):
+        """Drop the current Lap + W and the operators of its stage."""
+        if self._linear is not None:
+            release_ops(self._stages[self._linear[0]].mesh)
+            self._linear = None
 
 
 @dataclass
@@ -326,12 +344,28 @@ def farfield_target(cfg, gp, points):
     return out
 
 
+_NEAREST_BLOCK = 1 << 16   # point-node pairs per block of _nearest_nodes
+
+
 def _nearest_nodes(mesh, points):
+    """Index of the node nearest to each point, the first one on a tie.
+
+    Nearest means least np.hypot; only the nodes whose squared distance
+    comes within rounding of the least one are measured that way.
+    """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
+    x, y = mesh.nodes[:, 0], mesh.nodes[:, 1]
+    step = max(1, _NEAREST_BLOCK // mesh.n_nodes)
     out = np.empty(pts.shape[0], dtype=int)
-    for k, p in enumerate(pts):
-        out[k] = int(np.argmin(np.hypot(mesh.nodes[:, 0] - p[0],
-                                        mesh.nodes[:, 1] - p[1])))
+    for k in range(0, pts.shape[0], step):
+        p = pts[k:k + step]
+        dx = x - p[:, :1]
+        dy = y - p[:, 1:]
+        d2 = dx * dx + dy * dy
+        rows, cols = np.nonzero(d2 <= d2.min(axis=1, keepdims=True) * (1 + 1e-12) + 1e-300)
+        d = np.hypot(dx[rows, cols], dy[rows, cols])
+        order = np.lexsort((cols, d, rows))
+        out[k:k + step] = cols[order][np.diff(rows[order], prepend=-1) != 0]
     return out
 
 

@@ -75,7 +75,9 @@ class InvalidExponent(SinhPierceError):
 
 
 class OverflowGuard(SinhPierceError):
-    pass
+    def __init__(self, message, report=None):
+        super().__init__(message)
+        self.report = report
 
 
 class NearSingular(SinhPierceError):

@@ -8,6 +8,8 @@ function H(x,x) is the extension evaluated at x, never a limit of G.
 
 from __future__ import annotations
 
+import weakref
+
 import numpy as np
 
 from .errors import CoincidentPoints, PointOutsideDomain
@@ -18,7 +20,7 @@ from .geometry import (
     build_domain_mesh,
     distance_to_boundary,
 )
-from .operators import get_ops
+from .operators import get_ops, release_ops
 
 _TWO_PI = 2.0 * np.pi
 
@@ -40,6 +42,10 @@ class _Green:
         if close.size:
             raise CoincidentPoints(f"green undefined on the diagonal, |x-y|={d[close[0]]:.3g}")
         return -np.log(d) / _TWO_PI + self.robin_H_many(pts, y)
+
+    def release_operators(self):
+        """Drop whatever the backend keeps only to make new H(., y); a
+        closed formula keeps nothing."""
 
 
 class AnalyticDiskGreen(_Green):
@@ -74,7 +80,12 @@ class AnalyticDiskGreen(_Green):
 
 
 class NumericGreen(_Green):
-    """Finite element backend on a mesh of the (unpierced) outer domain."""
+    """Finite element backend on a mesh of the (unpierced) outer domain.
+
+    Each H(., y) is one Dirichlet solve on the domain mesh, cached per y.
+    Once every y the caller needs is cached, release_operators() drops the
+    mesh's operators and Poisson factor; a later new y rebuilds them.
+    """
 
     backend = "numeric"
 
@@ -95,10 +106,18 @@ class NumericGreen(_Green):
             raise PointOutsideDomain(
                 f"point {tuple(pts[out[0]].tolist())} lies outside the domain")
 
+    def release_operators(self):
+        """Drop the domain mesh's operators; the mesh, evaluator and cached
+        fields stay."""
+        self.ops = None
+        release_ops(self.mesh)
+
     def _harmonic_part(self, y):
         key = (float(y[0]), float(y[1]))
         fld = self._h_fields.get(key)
         if fld is None:
+            if self.ops is None:
+                self.ops = get_ops(self.mesh)
             bidx = self.ops.boundary
             bpts = self.mesh.nodes[bidx]
             g = np.log(np.hypot(bpts[:, 0] - y[0], bpts[:, 1] - y[1])) / _TWO_PI
@@ -146,6 +165,9 @@ class GreenProvider(_Green):
         """Robin function H(x, x)."""
         return self._impl.robin_H(x, x)
 
+    def release_operators(self):
+        self._impl.release_operators()
+
     def green_gradient_profile(self, y, ray, t_min=1e-3, t_max=None, n=50):
         """G(y + t ray, y) on a log-spaced grid of t along the given direction."""
         y = np.asarray(y, dtype=float)
@@ -179,13 +201,21 @@ def _ray_exit_distance(domain, y, ray, tol=1e-12):
     return lo
 
 
+_pair_tables: "weakref.WeakKeyDictionary[_Green, dict]" = weakref.WeakKeyDictionary()
+
+
 def green_pair_table(gp: GreenProvider, centers):
     """Symmetrized tables H(xi_i, xi_j) and G(xi_i, xi_j) over the hole centers.
 
     Each unordered pair is evaluated once, so the coefficient systems see an
-    exactly symmetric Green matrix regardless of backend tolerance.
+    exactly symmetric Green matrix regardless of backend tolerance. The pair
+    is built on first use and kept, read-only, per provider and centers.
     """
     c = np.atleast_2d(np.asarray(centers, dtype=float))
+    tables = _pair_tables.setdefault(gp, {})
+    key = (c.shape, c.tobytes())
+    if key in tables:
+        return tables[key]
     m = c.shape[0]
     H = np.zeros((m, m))
     G = np.zeros((m, m))
@@ -194,4 +224,7 @@ def green_pair_table(gp: GreenProvider, centers):
         for j in range(i + 1, m):
             H[i, j] = H[j, i] = gp.robin_H(c[i], c[j])
             G[i, j] = G[j, i] = -np.log(np.hypot(*(c[i] - c[j]))) / _TWO_PI + H[i, j]
+    H.setflags(write=False)
+    G.setflags(write=False)
+    tables[key] = (H, G)
     return H, G

@@ -151,6 +151,12 @@ def get_ops(mesh: Mesh) -> DiscreteOperators:
     return ops
 
 
+def release_ops(mesh: Mesh):
+    """Drop the mesh's cached operators; the next get_ops assembles them anew
+    (same bits). Holders of the old object keep it alive until they let go."""
+    _ops_cache.pop(mesh, None)
+
+
 # ---------------------------------------------------------------------------
 # problem-specific fields
 

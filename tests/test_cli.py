@@ -195,10 +195,13 @@ def test_one_mesh_per_rho_per_command(tmp_path, monkeypatch):
 
     real_splu = spla.splu
     factored = []   # (matrix, is some mesh's K_II), matrices kept alive
+    owners = []     # the mesh whose K_II each factored matrix is, or None
 
     def counting_splu(A, *args, **kwargs):
-        poisson = any(A is ops._K_II for ops in list(operators_mod._ops_cache.values()))
-        factored.append((A, poisson))
+        owner = next((ops.mesh for ops in list(operators_mod._ops_cache.values())
+                      if A is ops._K_II), None)
+        factored.append((A, owner is not None))
+        owners.append(owner)
         return real_splu(A, *args, **kwargs)
 
     monkeypatch.setattr(corrector_mod, "build_mesh", counting)
@@ -213,14 +216,16 @@ def test_one_mesh_per_rho_per_command(tmp_path, monkeypatch):
     text = BASE.format(out=tmp_path).replace("rho = 1e-2", "rho = 1e-2 1e-3 1e-4")
     cfg = _write(tmp_path, text)
     # two bubbles: two projections, so two Poisson solves, per mesh
-    pair = _write(tmp_path, text.replace("centers = 0.0 0.0", "centers = -0.4 0.0; 0.4 0.0")
-                  .replace("alphas = 3.0", "alphas = 3.0 3.0"), "pair.cfg")
+    pair_text = text.replace("centers = 0.0 0.0", "centers = -0.4 0.0; 0.4 0.0") \
+        .replace("alphas = 3.0", "alphas = 3.0 3.0")
+    pair = _write(tmp_path, pair_text, "pair.cfg")
     for command, path, meshes, bubbles in (("construct", cfg, 1, 1), ("sweep", cfg, 3, 1),
                                            ("verify", cfg, 3, 1), ("sweep", pair, 3, 2)):
         calls.clear()
         projections.clear()
         lattices.clear()
         factored.clear()
+        owners.clear()
         monkeypatch.setattr(geometry_mod, "_last_background", None, raising=False)
         assert main([command, "--config", path, "--out", str(tmp_path / command)]) == 0
         assert len(calls) == meshes, command
@@ -228,6 +233,32 @@ def test_one_mesh_per_rho_per_command(tmp_path, monkeypatch):
         assert len(lattices) == 1, command
         assert sum(poisson for _, poisson in factored) == meshes, command
         assert len(factored) == 2 * meshes, command
+        assert len({id(A) for A, _ in factored}) == len(factored), command
+
+    # on a boundary curve the numeric Green function factors its own domain
+    # mesh, once per command: every H(., xi_k) it serves is solved before the
+    # first stage is done, and nothing after that asks for a new one
+    square = _write(tmp_path, pair_text.replace(
+        "domain = unit-disk",
+        "domain = boundary-curve\nboundary = -0.9 -0.9; 0.9 -0.9; 0.9 0.9; -0.9 0.9"),
+        "square.cfg")
+    for command in ("sweep", "verify"):
+        calls.clear()
+        factored.clear()
+        owners.clear()
+        monkeypatch.setattr(geometry_mod, "_last_background", None, raising=False)
+        out = tmp_path / f"square-{command}"
+        # exit 3 allowed: at this h, verify's kernel-coefficient check fails on
+        # the square (ROADMAP item 1); this test counts factorizations only
+        assert main([command, "--config", square, "--out", str(out)]) in (0, 3), command
+        assert len(calls) == 3, command
+        # one K_II per mesh: the domain mesh's (no holes) and each pierced one
+        domain = [mesh for mesh in owners if mesh is not None and mesh.pd is None]
+        pierced = [mesh for mesh in owners if mesh is not None and mesh.pd is not None]
+        assert len(domain) == 1, command
+        assert len(pierced) == 3 and len({id(mesh) for mesh in pierced}) == 3, command
+        # and one Lap + W per pierced mesh
+        assert owners.count(None) == 3, command
         assert len({id(A) for A, _ in factored}) == len(factored), command
 
 

@@ -260,3 +260,29 @@ def test_coefficient_set_and_csv(tmp_path, two_cfg, gp):
     lines = open(paths[0]).read().strip().splitlines()
     assert lines[0] == "row,col,value"
     assert len(lines) == 1 + 4  # 2x2 matrix
+
+
+def test_pair_table_built_once_per_provider_and_centers(two_cfg, monkeypatch):
+    # every choose_scales and coefficient_set of a sweep reads one table:
+    # three H evaluations for two centers, however many rho; it is read-only
+    from sinhpierce.greens import GreenProvider, green_pair_table
+
+    gp = GreenProvider(two_cfg.domain)
+    calls = []
+    real = gp.robin_H
+
+    def counting(x, y):
+        calls.append((tuple(x), tuple(y)))
+        return real(x, y)
+
+    monkeypatch.setattr(gp, "robin_H", counting)
+    for rho in (1e-2, 1e-3, 1e-4):
+        coefficient_set(two_cfg, choose_scales(two_cfg, rho, gp), gp)
+    assert len(calls) == 3
+    H, G = green_pair_table(gp, two_cfg.centers)
+    assert green_pair_table(gp, two_cfg.centers.copy())[0] is H
+    assert not H.flags.writeable and not G.flags.writeable
+    # another provider or another layout gets its own
+    assert green_pair_table(GreenProvider(two_cfg.domain), two_cfg.centers)[0] is not H
+    green_pair_table(gp, two_cfg.centers[::-1])
+    assert len(calls) == 6

@@ -1,5 +1,6 @@
 import csv
 import math
+import types
 import weakref
 
 import numpy as np
@@ -17,10 +18,23 @@ from sinhpierce.corrector import (
     farfield_target,
     fixed_point_correct,
 )
-from sinhpierce.errors import CoincidentPoints, Diverged, PointOutsideDomain, SinhPierceError
+from sinhpierce.errors import (
+    CoincidentPoints,
+    Diverged,
+    OverflowGuard,
+    PointOutsideDomain,
+    SinhPierceError,
+)
 from sinhpierce.geometry import DomainSpec, MeshPolicy, PierceSpec, build_pierced_domain
 from sinhpierce.greens import GreenProvider
-from sinhpierce.operators import DIRICHLET_ZERO, DiscreteOperators, Field, get_ops
+from sinhpierce.operators import (
+    DIRICHLET_ZERO,
+    SUP_GUARD,
+    DiscreteOperators,
+    Field,
+    _ops_cache,
+    get_ops,
+)
 
 
 def test_construct_solution_report(coarse_solution):
@@ -273,6 +287,114 @@ def test_run_keeps_one_linear_operator(single_cfg, gp, coarse_policy):
     assert second() is None
 
 
+_SQUARE = DomainSpec("boundary-curve", [[-0.9, -0.9], [0.9, -0.9], [0.9, 0.9], [-0.9, 0.9]])
+
+
+def _square_pair_run(gp):
+    cfg = BlowupConfig(domain=_SQUARE, centers=[[-0.4, 0.0], [0.4, 0.0]], alphas=[3.0, 3.0],
+                       m1=1, tau=1.0, V1=constant_potential(1.0), V2=constant_potential(1.0))
+    return Run(cfg, MeshPolicy(h=0.05), gp)
+
+
+def _nearest_nodes_per_point(mesh, points):
+    """Reference: one full hypot and argmin pass per point."""
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    return np.array([np.argmin(np.hypot(mesh.nodes[:, 0] - p[0], mesh.nodes[:, 1] - p[1]))
+                     for p in pts], dtype=int)
+
+
+@pytest.mark.parametrize("block", [1, 7 * 81, 1 << 16])
+def test_nearest_nodes_match_the_per_point_pass(coarse_solution, block, monkeypatch):
+    monkeypatch.setattr(corrector_mod, "_NEAREST_BLOCK", block)
+    # a dyadic grid: cell midpoints tie exactly between two or four nodes,
+    # and some points sit on a node
+    g = np.arange(-4, 5) * 0.125
+    grid = types.SimpleNamespace(nodes=np.column_stack([np.repeat(g, 9), np.tile(g, 9)]),
+                                 n_nodes=81)
+    ties = np.array([[0.0625, 0.0625], [0.0, 0.0], [0.125, 0.0625], [-0.5, 0.5],
+                     [0.0625, 0.0], [0.3, -0.0625], [2.0, 2.0], [-0.4375, -0.4375]])
+    got = corrector_mod._nearest_nodes(grid, ties)
+    assert got.tolist() == _nearest_nodes_per_point(grid, ties).tolist()
+    assert got[0] == 40 and got[1] == 40   # the first of four, and the node itself
+    mesh = coarse_solution.mesh
+    pts = np.vstack([np.random.default_rng(5).uniform(-0.8, 0.8, (40, 2)), mesh.nodes[::97]])
+    assert corrector_mod._nearest_nodes(mesh, pts).tolist() \
+        == _nearest_nodes_per_point(mesh, pts).tolist()
+    assert corrector_mod._nearest_nodes(mesh, mesh.nodes[5]).tolist() == [5]
+
+
+def test_first_stage_drops_the_green_domain_operators():
+    # the first stage caches H(., xi_k) for every center; the numeric Green
+    # function's domain operators and Poisson factor then go, and the
+    # later stages, which ask for no new H, do not bring them back
+    gp = GreenProvider(_SQUARE, h=0.1)
+    ng = gp._impl
+    domain_ops = weakref.ref(ng.ops)
+    run = _square_pair_run(gp)
+    run.stage(1e-2)
+    assert ng.ops is None and ng.mesh not in _ops_cache
+    assert domain_ops() is None
+    assert sorted(ng._h_fields) == [(-0.4, 0.0), (0.4, 0.0)]
+    run.stage(1e-3)
+    construct_solution(run, 1e-3, kernel_coeffs=False)
+    assert ng.ops is None and ng.mesh not in _ops_cache
+
+
+def test_sweep_keeps_only_the_current_stage_operators():
+    # moving to the next rho drops the finished stage's operators (K, K_II,
+    # K_IB) along with its Lap + W; asking for that stage again rebuilds them
+    # with the same bits
+    run = _square_pair_run(GreenProvider(_SQUARE, h=0.1))
+    cached, refs = [], {}
+
+    def after(rho):
+        # the stages' meshes, and the Green function's domain mesh, with operators
+        cached.append(([r for r, st in run._stages.items() if st.mesh in _ops_cache],
+                       run.gp._impl.mesh in _ops_cache))
+        refs[rho] = weakref.ref(get_ops(run.stage(rho).mesh))
+
+    sw = continuation_sweep(run, [1e-2, 1e-3, 1e-4], kernel_coeffs=False, after_rho=after)
+    assert [r.status for r in sw.reports] == ["converged"] * 3
+    assert cached == [([1e-2], False), ([1e-3], False), ([1e-4], False)]
+    assert refs[1e-2]() is None and refs[1e-3]() is None and refs[1e-4]() is not None
+    # the first entry started from phi = 0, as a fresh construction does
+    again = construct_solution(run, 1e-2, kernel_coeffs=False)
+    assert refs[1e-4]() is None
+    first = sw.solutions[0]
+    assert again.u.values.tobytes() == first.u.values.tobytes()
+    again.report.sigma_fits = first.report.sigma_fits   # a sweep-level fit
+    assert again.report.records() == first.report.records()
+
+
+def test_overflow_guard_keeps_the_partial_report(coarse_run, monkeypatch):
+    # a correction past the sup guard stops in nonlinear_N; the report it
+    # carries says so and keeps what was measured before the loop
+    st = coarse_run.stage(1e-3)
+    big = np.where(st.mesh.is_boundary, 0.0, 2 * SUP_GUARD)
+    with pytest.raises(OverflowGuard) as info:
+        fixed_point_correct(st.U, coarse_run.cfg, st.scales,
+                            phi0=Field(st.mesh, big, DIRICHLET_ZERO))
+    rep = info.value.report
+    assert rep.status == "diverged" and "sup norm" in rep.error
+    assert np.isfinite(rep.smallest_eigenvalue)
+    assert sorted(rep.r_norms) == [1.01, 1.1, 1.3]
+    assert all(np.isfinite(v) for v in rep.r_norms.values())
+
+    # and a sweep entry keeps that report, not an empty stub
+    real = corrector_mod.nonlinear_N
+
+    def past_the_guard(phi, U, cfg, scales):
+        return real(Field(phi.mesh, phi.values + big), U, cfg, scales)
+
+    monkeypatch.setattr(corrector_mod, "nonlinear_N", past_the_guard)
+    sw = continuation_sweep(coarse_run, [1e-3], kernel_coeffs=False)
+    entry = sw.reports[0]
+    assert sw.solutions == [None]
+    assert entry.status == "diverged" and "sup norm" in entry.error
+    assert entry.smallest_eigenvalue == rep.smallest_eigenvalue
+    assert entry.r_norms == rep.r_norms
+
+
 def test_fixed_point_uses_the_runs_operator(single_cfg, gp, coarse_policy):
     # the correction factors run.linear_operator(rho) and estimates its
     # eigenvalue once; the estimate stays cached on the operator
@@ -391,3 +513,30 @@ def test_regime_matrix(disk, gp, centers, m1, tau):
 @pytest.mark.parametrize("m1", [2, 0], ids=["positive-pair", "negative-pair"])
 def test_regime_matrix_same_sign_pair(disk, gp, m1):
     _assert_paper_structure(_regime_sweep(disk, gp, _PAIR, m1, 1.0))
+
+
+# --- regime matrix, square slice (h = 0.05, numeric Green function) ----------
+
+@pytest.fixture(scope="module")
+def square_gp():
+    # one provider, as the CLI builds it, for every cell: each new layout
+    # solves its centers' H on the domain mesh after the last run dropped
+    # the domain operators
+    return GreenProvider(_SQUARE)
+
+
+_NON_NESTED_FLOOR = pytest.mark.xfail(
+    strict=True, raises=AssertionError,
+    reason="H(., xi) interpolated from the h = 0.02 Green mesh misses the Dirichlet data "
+           "on the h = 0.05 mesh's boundary, a defect floor that does not fall with rho "
+           "(ROADMAP item 1)")
+
+
+@pytest.mark.parametrize("centers, m1, tau", [
+    pytest.param(centers, m1, tau, id=f"{name}-{tau}",
+                 marks=() if (name, tau) == ("negative", 2.0) else _NON_NESTED_FLOOR)
+    for name, centers, m1 in (("positive", _SINGLE, 1), ("negative", _SINGLE, 0),
+                              ("mixed-pair", _PAIR, 1))
+    for tau in (0.5, 1.0, 2.0)])
+def test_regime_matrix_square(square_gp, centers, m1, tau):
+    _assert_paper_structure(_regime_sweep(_SQUARE, square_gp, centers, m1, tau))

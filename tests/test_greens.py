@@ -1,4 +1,5 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from sinhpierce.errors import CoincidentPoints, PointOutsideDomain
 from sinhpierce.geometry import DomainSpec
 from sinhpierce.greens import AnalyticDiskGreen, GreenProvider, NumericGreen
-from sinhpierce.operators import get_ops
+from sinhpierce.operators import _ops_cache, get_ops
 
 
 def test_green_at_disk_center(gp):
@@ -158,3 +159,25 @@ def test_numeric_green_factors_its_mesh_once(monkeypatch):
     assert len(ng._h_fields) == 3
     assert len(factored) == 1 and factored[0] is ng.ops._K_II
     assert ng.ops._poisson_lu is not None
+
+
+def test_released_operators_rebuild_bit_for_bit():
+    # release_operators drops the domain operators and their factor but
+    # keeps the fields; an H(., y) at a new y rebuilds them, and every value
+    # has the bits of a backend that never dropped them
+    square = DomainSpec("boundary-curve",
+                        [[-0.9, -0.9], [0.9, -0.9], [0.9, 0.9], [-0.9, 0.9]])
+    kept = NumericGreen(square, h=0.1)
+    released = NumericGreen(square, h=0.1)
+    pts = np.array([[0.1, 0.2], [-0.3, 0.4], [0.5, -0.5], [0.0, 0.85]])
+    old_y, new_y = pts[0], pts[2]
+    before = released.robin_H_many(pts, old_y)
+    ops = weakref.ref(released.ops)
+    released.release_operators()
+    assert released.ops is None and released.mesh not in _ops_cache
+    assert ops() is None
+    assert released.robin_H_many(pts, old_y).tobytes() == before.tobytes()
+    assert released.ops is None
+    assert released.robin_H_many(pts, new_y).tobytes() == kept.robin_H_many(pts, new_y).tobytes()
+    assert released.ops is not None and released.ops._poisson_lu is not None
+    assert released.robin_H_many(pts, old_y).tobytes() == kept.robin_H_many(pts, old_y).tobytes()
