@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import MeshMismatch, RegimeViolation, UndefinedAngleAtOrigin
-from .geometry import Mesh
+from .geometry import OUTER, Mesh
 from .operators import DIRICHLET_ZERO, Field, get_ops
 
 _TWO_PI = 2.0 * math.pi
@@ -152,8 +152,19 @@ def build_test_functions(cfg, scales, gamma_star, j) -> TestFunctionSet:
 
 def regular_parts(gp, mesh: Mesh, centers) -> tuple:
     """H(., xi_k) at the mesh nodes, one array per center: what every bubble's
-    explicit harmonic part needs, so one evaluation serves all of them."""
-    return tuple(gp.robin_H_many(mesh.nodes, c) for c in centers)
+    explicit harmonic part needs, so one evaluation serves all of them.
+
+    The numeric backend interpolates H from its own domain mesh, whose
+    boundary nodes need not be this mesh's; on the outer boundary H is its
+    Dirichlet data (1/2pi) log|x - xi_k|, so those nodes take the data itself.
+    """
+    H = tuple(gp.robin_H_many(mesh.nodes, c) for c in centers)
+    if gp.backend == "numeric":
+        outer = np.flatnonzero(mesh.node_marker == OUTER)
+        x, y = mesh.nodes[outer, 0], mesh.nodes[outer, 1]
+        for Hk, c in zip(H, centers):
+            Hk[outer] = np.log(np.hypot(x - c[0], y - c[1])) / _TWO_PI
+    return H
 
 
 def explicit_harmonic_part(b: Bubble, coeffs, H, mesh: Mesh) -> np.ndarray:

@@ -151,11 +151,11 @@ def _cmd_green_check(rc: RunConfig, man: Manifest, trials=60):
 
 def _cmd_verify(rc: RunConfig, man: Manifest):
     cfg = rc.problem
-    run = Run(cfg, rc.policy)
     out = man.out_dir
-    results = []
-
-    results += verify.check_integral_identities(alphas=sorted(set(cfg.alphas.tolist())))
+    # the quadrature loads scipy.integrate: do it before Run starts the
+    # background mesh on the helper thread, not while that thread works
+    results = verify.check_integral_identities(alphas=sorted(set(cfg.alphas.tolist())))
+    run = Run(cfg, rc.policy)
     for a in sorted(set(cfg.alphas.tolist())):
         results.append(verify.check_kernel_annihilation(a))
 

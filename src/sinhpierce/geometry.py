@@ -186,21 +186,22 @@ def _point_in_polygon(points, poly):
     return np.bincount(pt[hits], minlength=len(points)) % 2 == 1
 
 
-def _dist_to_polygon(points, poly):
+def _dist_to_polygon(points, poly, vertex_dist=None):
     """Unsigned distance from each point to the closed polygon boundary.
 
     The nearest edge comes within the nearest-vertex distance of the point,
     so its midpoint lies within that distance plus half the longest edge;
     only edges whose midpoints are that close (with a rounding margin) are
-    evaluated.
+    evaluated. vertex_dist, if given, is each point's nearest-vertex
+    distance as cKDTree(poly).query gives it.
     """
     a = poly
     b = np.roll(poly, -1, axis=0)
     ab = b - a
     denom = np.einsum("ij,ij->i", ab, ab)
-    vertex_dist, _ = cKDTree(a).query(points)
-    reach = (vertex_dist + 0.5 * math.sqrt(denom.max())) * (1 + 1e-9) \
-        + 1e-12 * (1.0 + np.abs(a).max())
+    if vertex_dist is None:
+        vertex_dist, _ = cKDTree(a).query(points)
+    reach = (vertex_dist + _half_longest_edge(poly)) * (1 + 1e-9) + _rounding_slack(poly)
     near = cKDTree(0.5 * (a + b)).query_ball_point(points, reach)
     counts = np.fromiter(map(len, near), dtype=np.int64, count=len(near))
     pt = np.repeat(np.arange(len(near)), counts)
@@ -211,6 +212,34 @@ def _dist_to_polygon(points, poly):
     d = np.hypot(points[pt, 0] - proj[:, 0], points[pt, 1] - proj[:, 1])
     # every point has a candidate: the edges at its nearest vertex
     return np.minimum.reduceat(d, np.cumsum(counts) - counts)
+
+
+def _half_longest_edge(poly):
+    ab = np.roll(poly, -1, axis=0) - poly
+    return 0.5 * math.sqrt(np.einsum("ij,ij->i", ab, ab).max())
+
+
+def _rounding_slack(poly):
+    return 1e-12 * (1.0 + np.abs(poly).max())
+
+
+def _inside_farther_than(points, domain: DomainSpec, poly, dist):
+    """_signed_inside_distance(points, domain, poly) > dist, for dist >= 0.
+
+    No edge comes nearer a point than its nearest vertex less half the
+    longest edge, so only the points where that bound (with the rounding
+    margin of _dist_to_polygon) leaves the answer open take the edge search;
+    the others need the inside test alone.
+    """
+    pts = np.asarray(points, dtype=float)
+    if domain.kind == "unit-disk":
+        return 1.0 - np.hypot(pts[:, 0], pts[:, 1]) > dist
+    keep = _point_in_polygon(pts, poly)
+    vertex_dist, _ = cKDTree(poly).query(pts)
+    settled = vertex_dist - _half_longest_edge(poly) > dist * (1 + 1e-9) + _rounding_slack(poly)
+    band = np.flatnonzero(keep & ~settled)
+    keep[band] = _dist_to_polygon(pts[band], poly, vertex_dist[band]) > dist
+    return keep
 
 
 def _ranges(start, stop):
@@ -617,25 +646,16 @@ def _background(domain, centers, eta, policy) -> _Background:
     if circle_pts:
         cpts = np.vstack(circle_pts)
         csp = np.concatenate(circle_spacing)
-        keep = _signed_inside_distance(cpts, domain, bpoly) > 0.55 * h
+        keep = _inside_farther_than(cpts, domain, bpoly, 0.55 * h)
         base = np.vstack(pot_pts)
         tree = cKDTree(base)
         d, _ = tree.query(cpts)
         keep &= d > 0.45 * csp
         # dedup among the transition nodes themselves, preserving order
-        order_kept = np.flatnonzero(keep)
-        accepted = []
-        acc_tree_pts = []
-        for idx in order_kept:
-            if acc_tree_pts:
-                t2 = cKDTree(np.asarray(acc_tree_pts))
-                if t2.query(cpts[idx])[0] <= 0.45 * csp[idx]:
-                    continue
-            accepted.append(idx)
-            acc_tree_pts.append(cpts[idx])
-        if accepted:
-            sel = np.asarray(accepted)
-            pot_pts.append(cpts[sel])
+        cand = cpts[keep]
+        sel = _first_apart(cand, 0.45 * csp[keep])
+        if sel.size:
+            pot_pts.append(cand[sel])
             pot_origin.append(np.full(len(sel), 1))
 
     # hex lattice clipped to the domain minus the patch exclusion zones
@@ -644,7 +664,7 @@ def _background(domain, centers, eta, policy) -> _Background:
     else:
         bbox = (bpoly[:, 0].min(), bpoly[:, 0].max(), bpoly[:, 1].min(), bpoly[:, 1].max())
     hex_pts = _hex_lattice(bbox, h)
-    keep = _signed_inside_distance(hex_pts, domain, bpoly) > 0.55 * h
+    keep = _inside_farther_than(hex_pts, domain, bpoly, 0.55 * h)
     for xi, rad in exclusion:
         keep &= np.hypot(hex_pts[:, 0] - xi[0], hex_pts[:, 1] - xi[1]) > rad
     hex_pts = hex_pts[keep]
@@ -681,6 +701,29 @@ def _background(domain, centers, eta, policy) -> _Background:
         arr.flags.writeable = False
     return _Background(bpoly=bpoly, pot=pot, origin=origin, rim_slices=tuple(rim_slices),
                        n_theta=n_theta, tris=tris)
+
+
+def _first_apart(pts, radius):
+    """Indices, in order, of the points kept when each point is dropped if
+    one already kept lies within its radius (distance <= radius).
+
+    One k-d tree of all points finds each point's earlier neighbours (a
+    slightly wider ball, so none is missed); the test itself uses the
+    distance cKDTree.query returns, sqrt(dx^2 + dy^2).
+    """
+    if not len(pts):
+        return np.zeros(0, dtype=np.int64)
+    near = cKDTree(pts).query_ball_point(pts, radius * (1 + 1e-9) + _rounding_slack(pts))
+    kept = np.zeros(len(pts), dtype=bool)
+    for i, js in enumerate(near):
+        js = [j for j in js if j < i and kept[j]]
+        if js:
+            dx = pts[js, 0] - pts[i, 0]
+            dy = pts[js, 1] - pts[i, 1]
+            if np.sqrt(dx * dx + dy * dy).min() <= radius[i]:
+                continue
+        kept[i] = True
+    return np.flatnonzero(kept)
 
 
 def _neighbour_sums(pot, tris):

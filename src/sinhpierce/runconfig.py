@@ -16,7 +16,7 @@ import numpy as np
 
 from .coeffs import BlowupConfig
 from .errors import ConstraintViolation, SchemaError
-from .geometry import DomainSpec, MeshPolicy, _signed_inside_distance
+from .geometry import DomainSpec, MeshPolicy, _inside_farther_than
 from .potentials import PotentialExpr, check_positive, parse_potential
 
 COMMANDS = ("construct", "sweep", "verify", "green-check")
@@ -69,7 +69,7 @@ def domain_sample_points(domain: DomainSpec, n=2000, seed=0):
     pts = np.empty((0, 2))
     while len(pts) < n:
         cand = rng.uniform(lo, hi, size=(4 * n, 2))
-        pts = np.vstack([pts, cand[_signed_inside_distance(cand, domain, domain.boundary) > 0]])
+        pts = np.vstack([pts, cand[_inside_farther_than(cand, domain, domain.boundary, 0.0)]])
     return pts[:n]
 
 

@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .bubbles import far_expansion, make_bubbles
 from .errors import InsufficientSamples, NearSingular, QuadratureNonConvergence
@@ -86,6 +85,8 @@ def lalpha_weight(alpha, y):
 
 def norm_lalpha_sq(fn_radial, alpha, rtol=1e-10):
     """Squared weighted norm of a radial function over the whole plane."""
+    from scipy.integrate import quad
+
     def integrand(s):
         return lalpha_weight(alpha, s) * fn_radial(s) ** 2 * _TWO_PI * s
 
@@ -100,6 +101,8 @@ def norm_lalpha_sq(fn_radial, alpha, rtol=1e-10):
 
 def norm_halpha_sq(fn_radial, dfn_radial, alpha, rtol=1e-10):
     """Squared norm with the gradient part added (radial profiles)."""
+    from scipy.integrate import quad
+
     def grad2(s):
         return dfn_radial(s) ** 2 * _TWO_PI * s
 
@@ -171,7 +174,14 @@ def kernel_coefficient(phi: Field, cfg, scales, pd, j, y_max=50.0) -> float:
 # individual checks
 
 def check_integral_identities(alphas=(2.5, 3.0, 3.7), rtol=1e-8):
-    """Adaptive radial quadrature of the two kernel integrals per exponent."""
+    """Adaptive radial quadrature of the two kernel integrals per exponent.
+
+    Only this and the two weighted norms above integrate adaptively, so they
+    import scipy.integrate (and scipy.optimize beneath it) themselves, and
+    nothing else in the package loads it.
+    """
+    from scipy.integrate import quad
+
     results = []
     for alpha in alphas:
         def f1(s, a=alpha):

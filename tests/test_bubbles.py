@@ -321,3 +321,33 @@ def test_mirrored_near_field_form_negative_bubble(two_cfg, gp):
         errs.append(abs(got - want))
     assert errs[1] < errs[0]
     assert errs[1] <= 0.1
+
+
+def test_numeric_regular_parts_take_the_dirichlet_data(gp, single_mesh):
+    # the numeric H comes from the Green function's own h = 0.02 domain mesh;
+    # on the outer boundary of a mesh whose nodes are not that mesh's, the
+    # interpolant misses the Dirichlet data (1/2pi) log|x - xi|, so those
+    # nodes take the data itself and every other node keeps the interpolant
+    from sinhpierce.geometry import OUTER, DomainSpec
+    from sinhpierce.greens import GreenProvider
+
+    square = DomainSpec("boundary-curve", [[-0.9, -0.9], [0.9, -0.9], [0.9, 0.9], [-0.9, 0.9]])
+    centers = np.array([[-0.4, 0.0], [0.4, 0.0]])
+    numeric = GreenProvider(square)
+    pd = build_pierced_domain(square, PierceSpec(centers, [1e-3, 1e-3]))
+    for h, nested in ((0.05, False), (0.02, True)):
+        mesh = build_mesh(pd, MeshPolicy(h=h, q=1.3))
+        outer = mesh.node_marker == OUTER
+        x, y = mesh.nodes[outer, 0], mesh.nodes[outer, 1]
+        for c, H in zip(centers, regular_parts(numeric, mesh, centers)):
+            interpolant = numeric.robin_H_many(mesh.nodes, c)
+            data = np.log(np.hypot(x - c[0], y - c[1])) / (2 * math.pi)
+            assert H[outer].tobytes() == data.tobytes()
+            assert H[~outer].tobytes() == interpolant[~outer].tobytes()
+            miss = np.abs(interpolant[outer] - data).max()
+            # nested meshes share the boundary nodes: nothing changes there
+            assert miss == 0.0 if nested else miss > 1e-7, h
+    # the image formula is exact on the boundary already and stays as it is
+    centers = np.array([[0.0, 0.0]])
+    for c, H in zip(centers, regular_parts(gp, single_mesh, centers)):
+        assert H.tobytes() == gp.robin_H_many(single_mesh.nodes, c).tobytes()

@@ -248,9 +248,7 @@ def test_one_mesh_per_rho_per_command(tmp_path, monkeypatch):
         owners.clear()
         monkeypatch.setattr(geometry_mod, "_last_background", None, raising=False)
         out = tmp_path / f"square-{command}"
-        # exit 3 allowed: at this h, verify's kernel-coefficient check fails on
-        # the square (ROADMAP item 1); this test counts factorizations only
-        assert main([command, "--config", square, "--out", str(out)]) in (0, 3), command
+        assert main([command, "--config", square, "--out", str(out)]) == 0, command
         assert len(calls) == 3, command
         # one K_II per mesh: the domain mesh's (no holes) and each pierced one
         domain = [mesh for mesh in owners if mesh is not None and mesh.pd is None]
@@ -284,6 +282,74 @@ def test_verify_bound_check_failure_aborts(tmp_path, monkeypatch):
     assert checked == [1e-2, 1e-3]
     assert not (out / "verify_sweep.csv").exists()
     assert "synthetic bound-check failure" in (out / "manifest.txt").read_text()
+
+
+_QUADRATURE_PROBE = """
+import json, sys
+import sinhpierce.cli as cli
+
+QUAD = ("scipy.integrate", "scipy.optimize")
+loaded = {"import": [m for m in QUAD if m in sys.modules]}
+for command, cfg in json.loads(sys.argv[1]):
+    code = cli.main([command, "--config", cfg, "--out", cfg + "-" + command])
+    loaded[f"{command} {cfg}"] = [code] + [m for m in QUAD if m in sys.modules]
+print(json.dumps(loaded))
+"""
+
+
+def test_only_verify_loads_quadrature(tmp_path):
+    # scipy.integrate (and scipy.optimize beneath it) serve verify's radial
+    # integrals alone: importing the CLI, construct, sweep and green-check on
+    # the disk and on a boundary curve load neither, verify loads both
+    import json
+    import subprocess
+    import sys
+
+    import sinhpierce
+
+    text = BASE.format(out=tmp_path).replace("h = 0.05", "h = 0.1") \
+        .replace("rho = 1e-2", "rho = 1e-2 1e-3 1e-4")
+    disk = _write(tmp_path, text, "disk.cfg")
+    square = _write(tmp_path, text.replace(
+        "domain = unit-disk",
+        "domain = boundary-curve\nboundary = -0.9 -0.9; 0.9 -0.9; 0.9 0.9; -0.9 0.9"),
+        "square.cfg")
+    runs = [(command, cfg) for cfg in (disk, square)
+            for command in ("construct", "sweep", "green-check")] + [("verify", disk)]
+    src = os.path.dirname(os.path.dirname(os.path.abspath(sinhpierce.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", _QUADRATURE_PROBE, json.dumps(runs)],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    loaded = json.loads(proc.stdout)
+    assert loaded.pop("import") == []
+    verify_run = loaded.pop(f"verify {disk}")
+    for run, (code, *modules) in loaded.items():
+        assert code == 0, run
+        assert modules == [], run
+    assert verify_run[1:] == ["scipy.integrate", "scipy.optimize"]
+
+
+def test_quadrature_failure_ends_verify_before_any_mesh(tmp_path, monkeypatch):
+    # the integral identities run before Run starts the background mesh
+    import scipy.integrate
+
+    import sinhpierce.corrector as corrector_mod
+
+    started = []
+
+    def failing_quad(*args, **kwargs):
+        raise ValueError("synthetic quadrature failure")
+
+    monkeypatch.setattr(scipy.integrate, "quad", failing_quad)
+    monkeypatch.setattr(corrector_mod, "prefetch_background", lambda *a: started.append(a))
+    monkeypatch.setattr(corrector_mod, "build_mesh", lambda *a: started.append(a))
+    out = tmp_path / "verify"
+    cfg = _write(tmp_path, BASE.format(out=out).replace("rho = 1e-2", "rho = 1e-2 1e-3 1e-4"))
+    assert main(["verify", "--config", cfg, "--out", str(out)]) == 2
+    assert started == []
+    assert not (out / "checks.csv").exists()
+    assert "synthetic quadrature failure" in (out / "manifest.txt").read_text()
 
 
 def test_short_boundary_curve_schema_error(tmp_path):

@@ -525,16 +525,10 @@ def square_gp():
     return GreenProvider(_SQUARE)
 
 
-_NON_NESTED_FLOOR = pytest.mark.xfail(
-    strict=True, raises=AssertionError,
-    reason="H(., xi) interpolated from the h = 0.02 Green mesh misses the Dirichlet data "
-           "on the h = 0.05 mesh's boundary, a defect floor that does not fall with rho "
-           "(ROADMAP item 1)")
-
-
+# the h = 0.05 mesh is not nested in the h = 0.02 Green mesh: its boundary
+# nodes take H's Dirichlet data, not the interpolant (bubbles.regular_parts)
 @pytest.mark.parametrize("centers, m1, tau", [
-    pytest.param(centers, m1, tau, id=f"{name}-{tau}",
-                 marks=() if (name, tau) == ("negative", 2.0) else _NON_NESTED_FLOOR)
+    pytest.param(centers, m1, tau, id=f"{name}-{tau}")
     for name, centers, m1 in (("positive", _SINGLE, 1), ("negative", _SINGLE, 0),
                               ("mixed-pair", _PAIR, 1))
     for tau in (0.5, 1.0, 2.0)])

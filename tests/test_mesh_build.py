@@ -87,6 +87,96 @@ def test_polygon_tests_equal_all_pairs(poly):
     assert 0 < geometry._point_in_polygon(point_sets["random"], poly).sum() < 3000
 
 
+@pytest.mark.parametrize("poly, h", [(domain_boundary_polygon(SQUARE, 0.02), 0.02),
+                                     (domain_boundary_polygon(SQUARE, 0.005), 0.005),
+                                     (_star40(), 0.02)],
+                         ids=["square-h0.02", "square-h0.005", "nonconvex-40gon"])
+def test_inside_farther_than_equals_signed_distance(poly, h):
+    # the hex-lattice filter of _background skips the edge search where the
+    # nearest-vertex bound settles it: the mask must be the full test's
+    domain = DomainSpec("boundary-curve", poly)
+    lo, hi = poly.min(axis=0), poly.max(axis=0)
+    lattice = geometry._hex_lattice((lo[0], hi[0], lo[1], hi[1]), h)
+    rng = np.random.default_rng(5)
+    point_sets = {
+        "hex": lattice,
+        "random": rng.uniform(lo - 0.1, hi + 0.1, size=(5000, 2)),
+        "edge-midpoints": 0.5 * (poly + np.roll(poly, -1, axis=0)),
+    }
+    signed = {name: geometry._signed_inside_distance(pts, domain, poly)
+              for name, pts in point_sets.items()}
+    for name, pts in point_sets.items():
+        # the lattice at the filter's own threshold, the smaller sets at others
+        for dist in (0.55 * h,) if name == "hex" else (0.0, 0.55 * h, 0.3):
+            keep = geometry._inside_farther_than(pts, domain, poly, dist)
+            assert np.array_equal(keep, signed[name] > dist), (name, dist)
+    # at the filter's threshold both branches occur: the band near the
+    # boundary takes the edge search, the points beyond it do not
+    vertex_dist = geometry.cKDTree(poly).query(lattice)[0]
+    band = vertex_dist - geometry._half_longest_edge(poly) <= 0.55 * h * (1 + 1e-9) \
+        + geometry._rounding_slack(poly)
+    assert band.any() and (~band & (signed["hex"] > 0)).any()
+    disk = DomainSpec()
+    assert np.array_equal(geometry._inside_farther_than(lattice, disk, poly, 0.55 * h),
+                          geometry._signed_inside_distance(lattice, disk, poly) > 0.55 * h)
+
+
+def first_apart_per_candidate_tree(pts, radius):
+    """Reference: the dedup loop that builds a k-d tree of the accepted
+    points for every candidate."""
+    accepted = []
+    acc_pts = []
+    for idx in range(len(pts)):
+        if acc_pts:
+            if geometry.cKDTree(np.asarray(acc_pts)).query(pts[idx])[0] <= radius[idx]:
+                continue
+        accepted.append(idx)
+        acc_pts.append(pts[idx])
+    return np.asarray(accepted, dtype=np.int64)
+
+
+class _Stop(Exception):
+    pass
+
+
+@pytest.mark.parametrize("domain, centers, h, rejected", [
+    (DomainSpec(), [[0.0, 0.0]], 0.02, False),
+    (DomainSpec(), [[-0.4, 0.0], [0.4, 0.0]], 0.005, False),
+    (SQUARE, [[-0.4, 0.0], [0.4, 0.0]], 0.02, False),
+    # holes close enough that their transition shells overlap
+    (DomainSpec(), [[-0.15, 0.0], [0.15, 0.0], [0.0, 0.25]], 0.005, True),
+    (SQUARE, [[-0.2, 0.0], [0.2, 0.0]], 0.01, True),
+], ids=["verify-disk", "construct-fine", "sweep-square", "overlap-disk", "overlap-square"])
+def test_transition_dedup_equals_per_candidate_trees(domain, centers, h, rejected, monkeypatch):
+    seen = []
+
+    def recording(pts, radius):
+        seen.append((pts.copy(), radius.copy()))
+        raise _Stop   # the candidates are all this test needs of the build
+
+    monkeypatch.setattr(geometry, "_first_apart", recording)
+    centers = np.asarray(centers, dtype=float)
+    with pytest.raises(_Stop):
+        geometry._background(domain, centers, geometry.annulus_radius(domain, centers),
+                             MeshPolicy(h=h, q=1.3))
+    monkeypatch.undo()
+    (pts, radius), = seen
+    got = geometry._first_apart(pts, radius)
+    want = first_apart_per_candidate_tree(pts, radius)
+    assert np.array_equal(got, want)
+    assert (len(want) < len(pts)) == rejected
+    assert geometry._first_apart(pts[:0], radius[:0]).size == 0
+
+
+def test_transition_dedup_tests_only_kept_points():
+    # a chain 0.8 apart with radius 1: each point lies within reach of the one
+    # before it, which is dropped when its own predecessor is kept
+    pts = np.column_stack([0.8 * np.arange(7), np.zeros(7)])
+    radius = np.ones(7)
+    assert geometry._first_apart(pts, radius).tolist() == [0, 2, 4, 6]
+    assert first_apart_per_candidate_tree(pts, radius).tolist() == [0, 2, 4, 6]
+
+
 # --- the memoized background ---------------------------------------------
 
 def _pierced_domains(domain, centers):
