@@ -30,7 +30,6 @@ from .geometry import (
     MeshPolicy,
     PierceSpec,
     PiercedDomain,
-    annulus,
     build_mesh,
     build_pierced_domain,
 )
@@ -47,7 +46,6 @@ from .bubbles import (
     assemble_U,
     bubble_value,
     build_ansatz,
-    build_test_functions,
     far_expansion,
     kernel_Y,
     make_bubbles,

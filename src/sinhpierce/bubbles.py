@@ -1,5 +1,5 @@
-"""Explicit functions of the construction: bubbles, kernel elements, the
-slow-decay correction functions, their Dirichlet projections, and the ansatz.
+"""Explicit functions of the construction: bubbles, kernel elements, their
+Dirichlet projections, and the ansatz.
 
 All radial formulas are driven by delta_i^alpha_i stored exactly (as d_i rho),
 and on a pierced mesh the distance to the own hole center comes from the
@@ -44,19 +44,12 @@ def make_bubbles(cfg, scales):
             for i in range(cfg.m)]
 
 
-def _center_distances(b: Bubble, mesh: Mesh | None, x):
-    if mesh is not None:
-        return mesh.center_distance(b.index)
-    pts = np.atleast_2d(np.asarray(x, dtype=float))
-    return np.hypot(pts[:, 0] - b.center[0], pts[:, 1] - b.center[1])
-
-
 def bubble_value(b: Bubble, x) -> np.ndarray | float:
     """w(x) = log( 2 a^2 d^a / (d^a + |x-xi|^a)^2 ), defined on all of the plane."""
     pts = np.asarray(x, dtype=float)
     scalar = pts.ndim == 1
-    r = _center_distances(b, None, pts)
-    out = _bubble_from_r(b, r)
+    pts = np.atleast_2d(pts)
+    out = _bubble_from_r(b, np.hypot(pts[:, 0] - b.center[0], pts[:, 1] - b.center[1]))
     return float(out[0]) if scalar else out
 
 
@@ -109,45 +102,6 @@ def kernel_Y(k: int, alpha: float, y) -> float | np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# slow-decay correction functions
-
-@dataclass(frozen=True)
-class TestFunctionSet:
-    """Radial functions attached to hole j: eta0, eta, Z0 and Z = eta + g* eta0."""
-
-    index: int
-    center: np.ndarray
-    alpha: float
-    delta_pow: float
-    gamma_star: float
-
-    def eta0(self, r):
-        ra = np.asarray(r, dtype=float) ** self.alpha
-        return -2.0 * self.delta_pow / (self.delta_pow + ra)
-
-    def eta(self, r):
-        ra = np.asarray(r, dtype=float) ** self.alpha
-        da = self.delta_pow
-        return (4.0 / 3.0) * np.log(da + ra) * (da - ra) / (da + ra) \
-            + (8.0 / 3.0) * da / (da + ra)
-
-    def Z0(self, r):
-        ra = np.asarray(r, dtype=float) ** self.alpha
-        return (self.delta_pow - ra) / (self.delta_pow + ra)
-
-    def Z(self, r):
-        return self.eta(r) + self.gamma_star * self.eta0(r)
-
-
-def build_test_functions(cfg, scales, gamma_star, j) -> TestFunctionSet:
-    """Test functions for hole j (0-based); gamma_star from the coefficient set."""
-    return TestFunctionSet(index=j, center=cfg.centers[j].copy(),
-                           alpha=float(cfg.alphas[j]),
-                           delta_pow=float(scales.delta_pow[j]),
-                           gamma_star=float(np.asarray(gamma_star).reshape(-1)[j]))
-
-
-# ---------------------------------------------------------------------------
 # projections onto the pierced domain
 
 def regular_parts(gp, mesh: Mesh, centers) -> tuple:
@@ -186,21 +140,16 @@ def explicit_harmonic_part(b: Bubble, coeffs, H, mesh: Mesh) -> np.ndarray:
     return vals
 
 
-def project_numeric(b: Bubble, mesh: Mesh, coeffs=None, H=None) -> Field:
+def project_numeric(b: Bubble, mesh: Mesh, coeffs, H) -> Field:
     """Dirichlet projection: w plus a harmonic lift of -w.
 
-    With coefficient data and the regular parts H (see regular_parts) the
+    With the coefficient data and the regular parts H (see regular_parts) the
     lift splits into the explicit Green-function combination plus a discrete
-    harmonic remainder whose boundary data are already small; without them
-    the whole lift is discrete (coarser, used as a cross-check).
+    harmonic remainder whose boundary data are already small.
     """
     ops = get_ops(mesh)
-    w = _bubble_from_r(b, mesh.center_distance(b.index))
-    if coeffs is not None and H is not None:
-        lead = explicit_harmonic_part(b, coeffs, H, mesh)
-        base = w + lead
-    else:
-        base = w
+    base = _bubble_from_r(b, mesh.center_distance(b.index)) \
+        + explicit_harmonic_part(b, coeffs, H, mesh)
     g = -base[ops.boundary]
     psi = ops.solve_dirichlet(np.zeros(mesh.n_nodes), boundary_values=g)
     vals = base + psi.values
@@ -259,10 +208,10 @@ def assemble_U(projections, tau: float, m1: int) -> Field:
     return Field(mesh, vals, DIRICHLET_ZERO)
 
 
-def build_ansatz(cfg, scales, mesh, coeffs=None, gp=None) -> tuple[Field, tuple]:
+def build_ansatz(cfg, scales, mesh, coeffs, gp) -> tuple[Field, tuple]:
     """The ansatz U on the given mesh and the bubble projections it sums,
     in the order of make_bubbles."""
     bubbles = make_bubbles(cfg, scales)
-    H = regular_parts(gp, mesh, coeffs.centers) if coeffs is not None and gp is not None else None
+    H = regular_parts(gp, mesh, coeffs.centers)
     projections = tuple(project_numeric(b, mesh, coeffs=coeffs, H=H) for b in bubbles)
     return assemble_U(projections, cfg.tau, cfg.m1), projections

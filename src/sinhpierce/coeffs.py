@@ -60,8 +60,8 @@ class BlowupConfig:
         if self.tau <= 0:
             raise ConstraintViolation(
                 f"coupling assumption violated: tau must be positive (tau = {self.tau})")
-        v1 = self.V1 if self.V1 is not None else _const(0.0)
-        v2 = self.V2 if self.V2 is not None else _const(0.0)
+        v1 = self.V1 if self.V1 is not None else constant_potential(0.0)
+        v2 = self.V2 if self.V2 is not None else constant_potential(0.0)
         object.__setattr__(self, "V1", v1)
         object.__setattr__(self, "V2", v2)
 
@@ -73,15 +73,11 @@ class BlowupConfig:
         return 1.0 if i < self.m1 else -1.0
 
 
-def _const(v):
+def constant_potential(v):
+    """Smooth constant potential, the common test case."""
     def f(x, y):
         return np.full(np.broadcast_shapes(np.shape(x), np.shape(y)), float(v))
     return f
-
-
-def constant_potential(v):
-    """Smooth constant potential, the common test case."""
-    return _const(v)
 
 
 @dataclass(frozen=True)
@@ -186,12 +182,6 @@ def _check_solve(A, B, name):
     return X
 
 
-def row_diagonally_dominant(A) -> bool:
-    d = np.abs(np.diag(A))
-    off = np.sum(np.abs(A), axis=1) - d
-    return bool(np.all(d > off))
-
-
 def solve_beta(cfg: BlowupConfig, scales: ScaleParams, gp: GreenProvider) -> np.ndarray:
     """Matching coefficients beta_ij; row i solves the shared m x m system."""
     H, G = green_pair_table(gp, cfg.centers)
@@ -210,15 +200,6 @@ def solve_beta(cfg: BlowupConfig, scales: ScaleParams, gp: GreenProvider) -> np.
                 R[i, j] += 2 * a[i] * math.log(sep)
     beta = _check_solve(A, R.T, "beta").T
     return beta
-
-
-def beta_leading_term(cfg, scales) -> np.ndarray:
-    """Kronecker-diagonal leading behaviour 4 pi alpha_i log(delta_i)/log(eps_j)."""
-    m = cfg.m
-    lead = np.zeros((m, m))
-    for i in range(m):
-        lead[i, i] = 4 * math.pi * cfg.alphas[i] * scales.log_delta[i] / scales.log_eps[i]
-    return lead
 
 
 def constraint_combination(cfg, beta) -> np.ndarray:
@@ -246,7 +227,6 @@ class CoefficientSet:
     gamma_star: np.ndarray
     centers: np.ndarray = None
     alphas: np.ndarray = None
-    diagonally_dominant: bool = True
 
 
 def _gamma_matrix(H, G, log_eps):
@@ -294,14 +274,20 @@ def solve_gamma(cfg: BlowupConfig, scales: ScaleParams, gp: GreenProvider):
 
 def coefficient_set(cfg: BlowupConfig, scales: ScaleParams, gp: GreenProvider) -> CoefficientSet:
     """Solve all matching systems for one rho and bundle the results."""
-    H, G = green_pair_table(gp, cfg.centers)
     beta = solve_beta(cfg, scales, gp)
     gamma, gamma_tilde, gamma_star = solve_gamma(cfg, scales, gp)
-    dom = row_diagonally_dominant(_beta_matrix(H, G, scales.log_eps)) \
-        and row_diagonally_dominant(_gamma_matrix(H, G, scales.log_eps))
     return CoefficientSet(beta=beta, gamma=gamma, gamma_tilde=gamma_tilde,
                           gamma_star=gamma_star, centers=cfg.centers.copy(),
-                          alphas=cfg.alphas.copy(), diagonally_dominant=dom)
+                          alphas=cfg.alphas.copy())
+
+
+def _dominant(H, G, log_eps) -> bool:
+    """Whether the beta and gamma matrices are both row diagonally dominant."""
+    for A in (_beta_matrix(H, G, log_eps), _gamma_matrix(H, G, log_eps)):
+        d = np.abs(np.diag(A))
+        if not np.all(d > np.sum(np.abs(A), axis=1) - d):
+            return False
+    return True
 
 
 def dominance_threshold(cfg: BlowupConfig, gp: GreenProvider,
@@ -310,9 +296,7 @@ def dominance_threshold(cfg: BlowupConfig, gp: GreenProvider,
     H, G = green_pair_table(gp, cfg.centers)
 
     def dominant(rho):
-        s = choose_scales(cfg, rho, gp)
-        return row_diagonally_dominant(_beta_matrix(H, G, s.log_eps)) \
-            and row_diagonally_dominant(_gamma_matrix(H, G, s.log_eps))
+        return _dominant(H, G, choose_scales(cfg, rho, gp).log_eps)
 
     if dominant(hi):
         return hi

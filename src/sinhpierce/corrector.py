@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import math
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -369,12 +370,6 @@ def _nearest_nodes(mesh, points):
     return out
 
 
-def solution_value_at(sol, point) -> float:
-    """Nearest-node sample of the solution (avoids interpolation error)."""
-    node = _nearest_nodes(sol.mesh, np.asarray(point, dtype=float))[0]
-    return float(sol.u.values[node])
-
-
 def farfield_error_at(sol, gp, point) -> float:
     """|u - Green combination| at the mesh node nearest to the given point."""
     node = _nearest_nodes(sol.mesh, np.asarray(point, dtype=float))[0]
@@ -395,10 +390,15 @@ def farfield_sample_points(cfg, pd, n_per_ring=16, radii=(0.5, 0.7, 0.85)):
     return np.asarray(pts)
 
 
+METHODS = ("fixed-point", "newton")
+
+
 def construct_solution(run: Run, rho, method="fixed-point", tol=1e-10, maxiter=50,
-                       phi0=None, p_norms=(1.01, 1.1, 1.3),
-                       kernel_coeffs=True) -> Solution:
-    """Correct the prepared ansatz at rho, from phi0 (a Field on its mesh) or 0."""
+                       phi0=None, p_norms=(1.01, 1.1, 1.3)) -> Solution:
+    """Correct the prepared ansatz at rho, from phi0 (a Field on its mesh) or 0,
+    with one of METHODS."""
+    if method not in METHODS:
+        raise ValueError(f"unknown method {method!r}; use one of {', '.join(METHODS)}")
     cfg, gp = run.cfg, run.gp
     st = run.stage(rho)
     scales, pd, mesh, U = st.scales, st.pd, st.mesh, st.U
@@ -433,12 +433,11 @@ def construct_solution(run: Run, rho, method="fixed-point", tol=1e-10, maxiter=5
         report.farfield_error = float(
             np.abs(uh - farfield_target(cfg, gp, mesh.nodes[nodes])).max())
 
-    if kernel_coeffs:
-        from .verify import kernel_coefficient
+    from .verify import kernel_coefficient   # verify imports this module
 
-        report.kernel_coefficients = [
-            kernel_coefficient(phi, cfg, scales, pd, j) for j in range(cfg.m)
-        ]
+    report.kernel_coefficients = [
+        kernel_coefficient(phi, cfg, scales, pd, j) for j in range(cfg.m)
+    ]
     return Solution(u=u, phi=phi, U=U, cfg=cfg, scales=scales, coeffs=st.coeffs,
                     pd=pd, mesh=mesh, report=report)
 
@@ -470,9 +469,11 @@ class SweepResult:
 
 def continuation_sweep(run: Run, rho_list, method="fixed-point",
                        tol=1e-10, maxiter=50, p_norms=(1.01, 1.1, 1.3),
-                       kernel_coeffs=True, warm_start=True, after_rho=None) -> SweepResult:
+                       after_rho=None) -> SweepResult:
     """Run the construction at each rho (descending), warm-starting phi.
 
+    A SinhPierceError fails only its entry. The entry keeps the report the
+    error carries, or else gets a stub whose status names the error class.
     after_rho(rho), if given, is called once each entry is recorded, while
     rho's operator is still run's current one; what it raises is not a failed
     entry but ends the sweep.
@@ -484,7 +485,7 @@ def continuation_sweep(run: Run, rho_list, method="fixed-point",
     prev = None
     for rho in rho_list:
         phi0 = None
-        if warm_start and prev is not None:
+        if prev is not None:
             try:
                 mesh = run.stage(rho).mesh
                 vals = np.asarray(FieldEvaluator(prev.mesh)(prev.phi.values, mesh.nodes),
@@ -495,14 +496,14 @@ def continuation_sweep(run: Run, rho_list, method="fixed-point",
                 phi0 = None
         try:
             sol = construct_solution(run, rho, method=method, tol=tol, maxiter=maxiter,
-                                     phi0=phi0, p_norms=p_norms,
-                                     kernel_coeffs=kernel_coeffs)
+                                     phi0=phi0, p_norms=p_norms)
             solutions.append(sol)
             reports.append(sol.report)
             prev = sol
         except SinhPierceError as exc:
-            stub = getattr(exc, "report", None) or SolveReport(rho=rho, method=method)
-            stub.status = stub.status if stub.status != "converged" else "diverged"
+            stub = getattr(exc, "report", None) or SolveReport(
+                rho=rho, method=method,
+                status=re.sub(r"(?<!^)(?=[A-Z])", "-", type(exc).__name__).lower())
             stub.error = stub.error or str(exc)
             solutions.append(None)
             reports.append(stub)

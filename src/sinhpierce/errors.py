@@ -18,10 +18,6 @@ class HoleTouchesBoundary(SinhPierceError):
     pass
 
 
-class IndexOutOfRange(SinhPierceError):
-    pass
-
-
 class UnresolvableHole(SinhPierceError):
     pass
 

@@ -25,7 +25,6 @@ from scipy.spatial import Delaunay, cKDTree
 from .errors import (
     DuplicateCenters,
     HoleTouchesBoundary,
-    IndexOutOfRange,
     OverlappingHoles,
     StitchFailure,
     UnresolvableHole,
@@ -94,21 +93,6 @@ class PiercedDomain:
     domain: DomainSpec
     pierce: PierceSpec
     eta: float
-
-    def annulus(self, i):
-        """Annular region descriptor for hole i (1-based)."""
-        if not 1 <= i <= self.pierce.m:
-            raise IndexOutOfRange(f"hole index {i} outside 1..{self.pierce.m}")
-        return AnnulusRegion(center=tuple(self.pierce.centers[i - 1]),
-                             inner_radius=float(self.pierce.radii[i - 1]),
-                             outer_radius=float(self.eta))
-
-
-@dataclass(frozen=True)
-class AnnulusRegion:
-    center: tuple
-    inner_radius: float
-    outer_radius: float
 
 
 @dataclass(frozen=True)
@@ -274,11 +258,18 @@ def build_pierced_domain(domain: DomainSpec, pierce: PierceSpec) -> PiercedDomai
     """Validate the hole layout and fix the annulus radius eta.
 
     eta is 0.45 of the admissible bound min{|xi_i - xi_j|, dist(xi_i, bdry)}.
+    A radius in [0, MIN_HOLE_RADIUS), such as one that underflowed to 0, is
+    an UnresolvableHole; a negative one is a ValueError.
     """
     m = pierce.m
     if m == 0:
         raise ValueError("at least one hole is required")
     c, r = pierce.centers, pierce.radii
+    for i, eps in enumerate(r):
+        if 0 <= eps < MIN_HOLE_RADIUS:
+            raise UnresolvableHole(
+                f"hole {i + 1} radius {eps:.3g} below the resolvable scale "
+                f"{MIN_HOLE_RADIUS:g}")
     if np.any(r <= 0):
         raise ValueError("hole radii must be positive")
     for i in range(m):
@@ -315,10 +306,6 @@ def annulus_radius(domain: DomainSpec, centers: np.ndarray) -> float:
             bounds.append(math.hypot(centers[i, 0] - centers[j, 0],
                                      centers[i, 1] - centers[j, 1]))
     return 0.45 * min(bounds)
-
-
-def annulus(pd: PiercedDomain, i: int) -> AnnulusRegion:
-    return pd.annulus(i)
 
 
 # ---------------------------------------------------------------------------
@@ -564,11 +551,6 @@ def _release_free_heap():
 def build_mesh(pd: PiercedDomain, policy: MeshPolicy) -> Mesh:
     """Composite mesh of the pierced domain: polar patches + hex background."""
     global _last_background
-    for i, eps in enumerate(pd.pierce.radii):
-        if eps < MIN_HOLE_RADIUS:
-            raise UnresolvableHole(
-                f"hole {i + 1} radius {eps:.3g} below the resolvable scale "
-                f"{MIN_HOLE_RADIUS:g}")
     key = _background_key(pd.domain, pd.pierce.centers, pd.eta, policy)
     if _last_background is None or _last_background[0] != key:
         _last_background = (key, _background(pd.domain, pd.pierce.centers, pd.eta, policy))

@@ -13,13 +13,7 @@ import weakref
 import numpy as np
 
 from .errors import CoincidentPoints, PointOutsideDomain
-from .geometry import (
-    DomainSpec,
-    FieldEvaluator,
-    _signed_inside_distance,
-    build_domain_mesh,
-    distance_to_boundary,
-)
+from .geometry import DomainSpec, FieldEvaluator, _signed_inside_distance, build_domain_mesh
 from .operators import get_ops, release_ops
 
 _TWO_PI = 2.0 * np.pi
@@ -137,19 +131,14 @@ class NumericGreen(_Green):
 
 
 class GreenProvider(_Green):
-    """Facade choosing the analytic disk formula or the numeric backend."""
+    """Facade choosing the analytic formula on the unit disk and the numeric
+    backend on any other domain."""
 
-    def __init__(self, domain: DomainSpec, backend: str = "auto", h: float = 0.02):
-        if backend == "auto":
-            backend = "analytic-disk" if domain.kind == "unit-disk" else "numeric"
-        if backend == "analytic-disk":
-            self._impl = AnalyticDiskGreen(domain)
-        elif backend == "numeric":
-            self._impl = NumericGreen(domain, h=h)
-        else:
-            raise ValueError(f"unknown Green backend {backend!r}")
+    def __init__(self, domain: DomainSpec):
+        self._impl = AnalyticDiskGreen(domain) if domain.kind == "unit-disk" \
+            else NumericGreen(domain)
         self.domain = domain
-        self.backend = backend
+        self.backend = self._impl.backend
 
     def check_inside(self, points):
         self._impl.check_inside(points)
@@ -161,44 +150,8 @@ class GreenProvider(_Green):
         """Regular part H(., y) at many points (vectorized where the backend allows)."""
         return self._impl.robin_H_many(points, y)
 
-    def robin(self, x) -> float:
-        """Robin function H(x, x)."""
-        return self._impl.robin_H(x, x)
-
     def release_operators(self):
         self._impl.release_operators()
-
-    def green_gradient_profile(self, y, ray, t_min=1e-3, t_max=None, n=50):
-        """G(y + t ray, y) on a log-spaced grid of t along the given direction."""
-        y = np.asarray(y, dtype=float)
-        ray = np.asarray(ray, dtype=float)
-        ray = ray / np.hypot(ray[0], ray[1])
-        if distance_to_boundary(self.domain, y) <= 0:
-            raise PointOutsideDomain(f"profile center {tuple(y)} outside the domain")
-        if t_max is None:
-            t_max = _ray_exit_distance(self.domain, y, ray)
-        ts = np.geomspace(t_min, t_max, n)
-        vals = np.array([self._impl.green(y + t * ray, y) for t in ts])
-        return ts, vals
-
-
-def _ray_exit_distance(domain, y, ray, tol=1e-12):
-    """Distance from y to the boundary along the ray (bisection on the inside test)."""
-    lo, hi = 0.0, 1.0
-    while distance_to_boundary(domain, y + hi * ray) > 0:
-        lo = hi
-        hi *= 2
-        if hi > 1e6:
-            raise PointOutsideDomain("ray never exits the domain")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if distance_to_boundary(domain, y + mid * ray) > 0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < tol:
-            break
-    return lo
 
 
 _pair_tables: "weakref.WeakKeyDictionary[_Green, dict]" = weakref.WeakKeyDictionary()

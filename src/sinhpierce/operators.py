@@ -182,18 +182,14 @@ def semianalytic_laplacian_U(cfg, scales, mesh) -> np.ndarray:
     return total
 
 
-def residual_R(U: Field, cfg, scales, path="semianalytic") -> Field:
-    """Defect R = Lap U + rho (V1 e^U - V2 e^{-tau U}) of the ansatz."""
+def residual_R(U: Field, cfg, scales) -> Field:
+    """Defect R = Lap U + rho (V1 e^U - V2 e^{-tau U}) of the ansatz, with
+    Lap U taken from the bubble sources."""
     mesh = U.mesh
     v1, v2 = _potential_values(cfg, mesh)
     rho = scales.rho
     nonlin = rho * (v1 * np.exp(U.values) - v2 * np.exp(-cfg.tau * U.values))
-    if path == "semianalytic":
-        lap = semianalytic_laplacian_U(cfg, scales, mesh)
-    elif path == "discrete":
-        lap = get_ops(mesh).laplacian(U).values
-    else:
-        raise ValueError(f"unknown path {path!r}")
+    lap = semianalytic_laplacian_U(cfg, scales, mesh)
     return Field(mesh, lap + nonlin, FREE)
 
 
@@ -266,13 +262,6 @@ class LinearOperator:
             lam = float(x @ (self.matrix @ x)) / float(np.sum(wI * x * x))
         self._eig_estimate = lam
         return lam
-
-    def apply(self, phi: Field) -> Field:
-        """(Lap + W) phi in nodal form for zero-boundary phi."""
-        ops = self._ops
-        out = np.zeros(self.mesh.n_nodes)
-        out[ops.interior] = (self.matrix @ phi.values[ops.interior]) / ops.w[ops.interior]
-        return Field(self.mesh, out, FREE)
 
     def solve(self, h: Field) -> Field:
         """phi with (Lap + W) phi = h, phi = 0 on the boundary."""

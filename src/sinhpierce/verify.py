@@ -4,7 +4,8 @@ rescaled kernel coefficients.
 
 Each check reports a CheckResult with the measured value, the threshold it
 was held to, and whether that threshold is a derived constant or an artifact
-tolerance, so every emitted number is traceable.
+tolerance, so every emitted number is traceable. suite() and green_suite()
+assemble the checks of the `verify` and `green-check` commands.
 """
 
 from __future__ import annotations
@@ -16,8 +17,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bubbles import far_expansion, make_bubbles
+from .coeffs import choose_scales, constraint_deviation, dominance_threshold, solve_beta
+from .corrector import Run, continuation_sweep
 from .errors import InsufficientSamples, NearSingular, QuadratureNonConvergence
-from .operators import EIG_FLOOR, Field, LinearOperator, get_ops, residual_R
+from .greens import AnalyticDiskGreen, NumericGreen
+from .operators import EIG_FLOOR, Field, get_ops, residual_R
+from .runconfig import domain_sample_points
 
 _TWO_PI = 2.0 * math.pi
 _STENCIL_ROWS = 64   # grid rows per block of the kernel-annihilation stencil
@@ -99,18 +104,6 @@ def norm_lalpha_sq(fn_radial, alpha, rtol=1e-10):
     return val
 
 
-def norm_halpha_sq(fn_radial, dfn_radial, alpha, rtol=1e-10):
-    """Squared norm with the gradient part added (radial profiles)."""
-    from scipy.integrate import quad
-
-    def grad2(s):
-        return dfn_radial(s) ** 2 * _TWO_PI * s
-
-    g1, _ = quad(grad2, 0.0, 1.0, epsabs=0.0, epsrel=rtol, limit=200)
-    g2, _ = quad(grad2, 1.0, np.inf, epsabs=1e-14, epsrel=rtol, limit=200)
-    return g1 + g2 + norm_lalpha_sq(fn_radial, alpha, rtol=rtol)
-
-
 # ---------------------------------------------------------------------------
 # rescaled correction and kernel coefficients
 
@@ -176,7 +169,7 @@ def kernel_coefficient(phi: Field, cfg, scales, pd, j, y_max=50.0) -> float:
 def check_integral_identities(alphas=(2.5, 3.0, 3.7), rtol=1e-8):
     """Adaptive radial quadrature of the two kernel integrals per exponent.
 
-    Only this and the two weighted norms above integrate adaptively, so they
+    Only this and the weighted norm above integrate adaptively, so they
     import scipy.integrate (and scipy.optimize beneath it) themselves, and
     nothing else in the package loads it.
     """
@@ -301,25 +294,21 @@ def check_residual_scaling(run, rho_list, p_list=(1.01, 1.1, 1.3)):
             for p, vals in norms_per_p.items()}
 
 
-def check_operator_bound(run, rho_list, trials=10, p=1.01, seed=0, zero_weight=False):
+def check_operator_bound(run, rho_list, trials=10, p=1.01, seed=0):
     """Amplification of the solver T over random right-hand sides, per rho.
 
-    T is run.linear_operator(rho), the fixed point's own operator; the
-    zero_weight control (W = 0) builds a fresh one.
+    T is run.linear_operator(rho), the fixed point's own operator.
     """
     return merge_operator_bounds([
-        _operator_bound_at(run, rho, trials, p, seed, zero_weight) for rho in rho_list])
+        _operator_bound_at(run, rho, trials, p, seed) for rho in rho_list])
 
 
-def _operator_bound_at(run, rho, trials, p, seed, zero_weight):
+def _operator_bound_at(run, rho, trials, p, seed):
     cfg = run.cfg
     st = run.stage(rho)
     scales, mesh = st.scales, st.mesh
     ops = get_ops(mesh)
-    if zero_weight:
-        L = LinearOperator(mesh, Field(mesh, np.zeros(mesh.n_nodes)))
-    else:
-        L = run.linear_operator(rho)
+    L = run.linear_operator(rho)
     flagged = None
     try:
         lam = L.smallest_eigenvalue()
@@ -364,3 +353,158 @@ def merge_operator_bounds(parts):
 def decreasing(values, floor=0.0):
     """Non-increasing within a noise floor."""
     return all(b <= max(a, floor) for a, b in zip(values, values[1:]))
+
+
+# ---------------------------------------------------------------------------
+# check suites of the commands
+
+def suite(rc):
+    """The `verify` command's checks, in checks.csv order, and the sweep behind them.
+
+    The scaling studies fit slopes over at least three rho values: a run
+    configuration with fewer is checked at rho = 1e-2, 1e-3, 1e-4 instead.
+    """
+    cfg = rc.problem
+    # the quadrature loads scipy.integrate: do it before Run starts the
+    # background mesh on the helper thread, not while that thread works
+    results = check_integral_identities(alphas=sorted(set(cfg.alphas.tolist())))
+    run = Run(cfg, rc.policy)
+    for a in sorted(set(cfg.alphas.tolist())):
+        results.append(check_kernel_annihilation(a))
+
+    rho_list = rc.rho_list if len(rc.rho_list) >= 3 else [1e-2, 1e-3, 1e-4]
+
+    # diagonal dominance of the matching systems: log the threshold
+    thr = dominance_threshold(cfg, run.gp)
+    results.append(CheckResult(
+        check_id="diagonal-dominance-threshold",
+        claim="matching systems are row diagonally dominant below this rho",
+        measured=thr, threshold=min(rho_list), passed=thr >= min(rho_list),
+        detail="runs above the threshold are outside the asymptotic regime"))
+
+    # matching-constraint decay
+    devs = []
+    for rho in rho_list + [rho_list[-1] / 10]:
+        beta = solve_beta(cfg, choose_scales(cfg, rho, run.gp), run.gp)
+        devs.append(float(constraint_deviation(cfg, beta).max()))
+    results.append(CheckResult(
+        check_id="matching-constraint-decay",
+        claim="weighted column sums of the matching system approach 2 pi (alpha-2)",
+        measured=devs[-1], threshold=1e-2, passed=devs[-1] <= 1e-2
+        and decreasing(devs, floor=1e-12),
+        detail=" ".join(f"{d:.3e}" for d in devs)))
+
+    st = check_expansion(run, rho_list)
+    results.append(CheckResult(
+        check_id="projection-expansion-agreement",
+        claim="numeric projection approaches its Green-function expansion",
+        measured=st.slope, threshold=0.0, passed=st.slope > 0,
+        detail=f"errors {['%.3e' % v for v in st.values]}"))
+
+    studies = check_residual_scaling(run, rho_list, p_list=rc.p_list)
+    sigma_floor = 0.5 * min(1.0 / a for a in cfg.alphas)
+    for p, study in sorted(studies.items()):
+        results.append(CheckResult(
+            check_id=f"residual-lp-scaling-p{p}",
+            claim="ansatz defect decays with a positive power of rho",
+            measured=study.slope, threshold=sigma_floor,
+            passed=study.slope >= sigma_floor, p=p,
+            threshold_origin="half the derived exponent min(1/alpha)"))
+
+    # the solver-bound trials at each rho run right after its correction, on
+    # the fixed point's own Lap + W factor
+    bounds = []
+
+    def bound_at(rho):
+        bounds.append(check_operator_bound(run, [rho], trials=10, p=min(rc.p_list),
+                                           seed=rc.seed))
+
+    sw = continuation_sweep(run, rho_list, tol=rc.tol, maxiter=rc.maxiter,
+                            p_norms=tuple(rc.p_list), after_rho=bound_at)
+    ob = merge_operator_bounds(bounds)
+    results.append(CheckResult(
+        check_id="linear-solver-log-bound",
+        claim="solver amplification grows no faster than |log rho|",
+        measured=ob["spread"], threshold=10.0, passed=ob["spread"] <= 10.0,
+        detail=" ".join(f"{a:.4g}" for a in ob["per_log_rho"])))
+
+    conv = [r for r in sw.reports if r.status == "converged"]
+    results.append(CheckResult(
+        check_id="contraction-convergence",
+        claim="fixed-point correction converges with contraction factor below one",
+        measured=max((r.max_contraction_factor for r in conv), default=float("inf")),
+        threshold=1.0,
+        passed=len(conv) == len(sw.reports)
+        and all(r.max_contraction_factor < 1 for r in conv)))
+    if conv:
+        ff = [r.farfield_error for r in conv]
+        results.append(CheckResult(
+            check_id="far-field-green-profile",
+            claim="solution approaches the signed Green combination away from the holes",
+            measured=ff[-1], threshold=0.2,
+            passed=decreasing(ff, floor=1e-6) and ff[-1] <= 0.2))
+        peaks = [max(r.peaks) for r in conv]
+        results.append(CheckResult(
+            check_id="peak-growth",
+            claim="annulus peak heights grow as rho decreases",
+            measured=peaks[-1], threshold=peaks[0],
+            passed=all(b > a for a, b in zip(peaks, peaks[1:]))))
+        for j in range(cfg.m):
+            aj = [abs(r.kernel_coefficients[j]) for r in conv]
+            results.append(CheckResult(
+                check_id=f"kernel-coefficient-vanishing-{j + 1}",
+                claim="rescaled kernel coefficient of the correction vanishes",
+                measured=aj[-1], threshold=aj[0],
+                passed=decreasing(aj, floor=1e-9),
+                detail=" ".join(f"{v:.3e}" for v in aj)))
+        signs = all(r.inner_sign_ok for r in conv)
+        results.append(CheckResult(
+            check_id="blow-up-sign-structure",
+            claim="solution is positive near positive-group holes and negative near the rest",
+            measured=float(signs), threshold=1.0, passed=signs))
+    return results, sw
+
+
+def green_suite(rc, trials=60):
+    """The `green-check` command's checks of the Dirichlet Green function.
+
+    On the unit disk the numeric backend is held to the image formula; on a
+    boundary curve only its symmetry can be measured.
+    """
+    domain = rc.problem.domain
+    results = []
+    num = NumericGreen(domain, h=rc.policy.h)
+    if domain.kind == "unit-disk":
+        an = AnalyticDiskGreen(domain)
+        rng = np.random.default_rng(rc.seed)
+        pairs = []
+        while len(pairs) < trials:
+            x = rng.uniform(-0.8, 0.8, 2)
+            y = rng.uniform(-0.8, 0.8, 2)
+            if np.hypot(*x) < 0.8 and np.hypot(*y) < 0.8 and np.hypot(*(x - y)) > 0.05:
+                pairs.append((x, y))
+        errs = [abs(num.green(x, y) - an.green(x, y)) for x, y in pairs]
+        results.append(CheckResult(
+            check_id="green-numeric-vs-analytic", measured=float(max(errs)),
+            threshold=1e-3, passed=max(errs) <= 1e-3,
+            claim="numeric backend reproduces the disk image formula"))
+        sym = [abs(an.green(x, y) - an.green(y, x)) for x, y in pairs]
+        results.append(CheckResult(
+            check_id="green-symmetry", measured=float(max(sym)), threshold=1e-8,
+            passed=max(sym) <= 1e-8, claim="Green function symmetry"))
+        bvals = [abs(an.green((math.cos(t), math.sin(t)), (0.3, 0.1)))
+                 for t in np.linspace(0, _TWO_PI, 37)]
+        results.append(CheckResult(
+            check_id="green-boundary-vanishing", measured=float(max(bvals)),
+            threshold=1e-8, passed=max(bvals) <= 1e-8,
+            claim="Green function vanishes on the outer boundary"))
+    else:
+        cloud = domain_sample_points(domain, n=200, seed=rc.seed)
+        pairs = [(cloud[2 * i], cloud[2 * i + 1]) for i in range(trials // 2)]
+        sym = [abs(num.green(x, y) - num.green(y, x)) for x, y in pairs
+               if np.hypot(*(x - y)) > 0.05]
+        tol = 50 * rc.policy.h ** 2
+        results.append(CheckResult(
+            check_id="green-symmetry", measured=float(max(sym)), threshold=tol,
+            passed=max(sym) <= tol, claim="Green function symmetry within mesh tolerance"))
+    return results

@@ -177,7 +177,7 @@ def test_criterion_7_contraction_and_solution(sweep_single, single_run):
 
     agree = 0.0
     for rho, sol in zip(RHO_SWEEP, sweep_single.solutions):
-        sol_n = construct_solution(single_run, rho, method="newton", kernel_coeffs=False)
+        sol_n = construct_solution(single_run, rho, method="newton")
         agree = max(agree, float(np.abs(sol_n.u.values - sol.u.values).max()))
     ok = conv and factors and residuals and sup_dec and agree <= 1e-8
     assert _report(7, ok, f"contraction: converged at all rho, factor < 1, "

@@ -1,4 +1,5 @@
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -10,7 +11,6 @@ from sinhpierce.bubbles import (
     bubble_source_from_r,
     bubble_value,
     build_ansatz,
-    build_test_functions,
     far_expansion,
     kernel_Y,
     make_bubbles,
@@ -94,6 +94,42 @@ def test_kernel_Y_bounds(alpha, x, y):
 
 
 # --- slow-decay correction functions ---------------------------------------
+
+@dataclass(frozen=True)
+class _TestFunctionSet:
+    """Radial functions attached to hole j: eta0, eta, Z0 and Z = eta + g* eta0."""
+
+    index: int
+    center: np.ndarray
+    alpha: float
+    delta_pow: float
+    gamma_star: float
+
+    def eta0(self, r):
+        ra = np.asarray(r, dtype=float) ** self.alpha
+        return -2.0 * self.delta_pow / (self.delta_pow + ra)
+
+    def eta(self, r):
+        ra = np.asarray(r, dtype=float) ** self.alpha
+        da = self.delta_pow
+        return (4.0 / 3.0) * np.log(da + ra) * (da - ra) / (da + ra) \
+            + (8.0 / 3.0) * da / (da + ra)
+
+    def Z0(self, r):
+        ra = np.asarray(r, dtype=float) ** self.alpha
+        return (self.delta_pow - ra) / (self.delta_pow + ra)
+
+    def Z(self, r):
+        return self.eta(r) + self.gamma_star * self.eta0(r)
+
+
+def build_test_functions(cfg, scales, gamma_star, j) -> _TestFunctionSet:
+    """Test functions for hole j (0-based); gamma_star from the coefficient set."""
+    return _TestFunctionSet(index=j, center=cfg.centers[j].copy(),
+                            alpha=float(cfg.alphas[j]),
+                            delta_pow=float(scales.delta_pow[j]),
+                            gamma_star=float(np.asarray(gamma_star).reshape(-1)[j]))
+
 
 @pytest.fixture(scope="module")
 def tfs(single_cfg, gp):

@@ -284,6 +284,26 @@ def test_verify_bound_check_failure_aborts(tmp_path, monkeypatch):
     assert "synthetic bound-check failure" in (out / "manifest.txt").read_text()
 
 
+def test_underflowing_hole_radius_is_a_named_failure(tmp_path):
+    # alpha = 2.01 passes validation, but at these rho the hole radius
+    # exp(log_eps) underflows to 0: construct ends with the solver exit code
+    # and the named error in its manifest, and sweep, whose every entry
+    # fails so, names the error in each entry's status
+    text = BASE.format(out=tmp_path).replace("alphas = 3.0", "alphas = 2.01") \
+        .replace("rho = 1e-2", "rho = 1e-2 1e-3")
+    cfg = _write(tmp_path, text)
+    out = tmp_path / "construct"
+    assert main(["construct", "--config", cfg, "--out", str(out)]) == 2
+    assert "error" in (out / "manifest.txt").read_text()
+    assert "below the resolvable scale" in (out / "manifest.txt").read_text()
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--config", cfg, "--out", str(out)]) == 2
+    with open(out / "sweep.csv", newline="") as f:
+        rows = list(csv.DictReader(f))
+    assert [row["status"] for row in rows] == ["unresolvable-hole"] * 2
+    assert all("below the resolvable scale" in row["error"] for row in rows)
+
+
 _QUADRATURE_PROBE = """
 import json, sys
 import sinhpierce.cli as cli

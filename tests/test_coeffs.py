@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from sinhpierce.coeffs import (
     BlowupConfig,
-    beta_leading_term,
+    _dominant,
     choose_scales,
     coefficient_set,
     compute_rho_i,
@@ -123,20 +123,25 @@ def test_beta_one_by_one_formula(single_cfg, gp):
     assert beta[0, 0] == pytest.approx(TWO_PI, rel=1e-13)
 
 
+def _beta_leading_term(cfg, s):
+    """Kronecker-diagonal leading behaviour 4 pi alpha_i log(delta_i)/log(eps_i)."""
+    return np.diag(4 * math.pi * cfg.alphas * s.log_delta / s.log_eps)
+
+
 def test_beta_leading_term_remainder_decay(two_cfg, gp):
     # beta - leading Kronecker part shrinks like 1/|log eps|
     products = []
     for rho in (1e-2, 1e-4, 1e-6):
         s = choose_scales(two_cfg, rho, gp)
         beta = solve_beta(two_cfg, s, gp)
-        dev = np.abs(beta - beta_leading_term(two_cfg, s)).max()
+        dev = np.abs(beta - _beta_leading_term(two_cfg, s)).max()
         products.append(dev * abs(math.log(s.eps.max())))
     assert max(products) / min(products) <= 1.2
     devs = []
     for rho in (1e-2, 1e-4, 1e-6):
         s = choose_scales(two_cfg, rho, gp)
         beta = solve_beta(two_cfg, s, gp)
-        devs.append(np.abs(beta - beta_leading_term(two_cfg, s)).max())
+        devs.append(np.abs(beta - _beta_leading_term(two_cfg, s)).max())
     slope = np.polyfit(np.log([abs(math.log(choose_scales(two_cfg, r, gp).eps.max()))
                                for r in (1e-2, 1e-4, 1e-6)]), np.log(devs), 1)[0]
     assert slope == pytest.approx(-1.0, abs=0.15)
@@ -245,11 +250,13 @@ def test_gamma_star_slope_two_bubble(two_cfg, gp):
 
 
 def test_diagonal_dominance_threshold(two_cfg, gp):
+    from sinhpierce.greens import green_pair_table
+
     thr = dominance_threshold(two_cfg, gp)
     assert thr > 0
     s = choose_scales(two_cfg, thr * 0.5, gp)
-    cs = coefficient_set(two_cfg, s, gp)
-    assert cs.diagonally_dominant
+    H, G = green_pair_table(gp, two_cfg.centers)
+    assert _dominant(H, G, s.log_eps)
 
 
 def test_coefficient_set_and_csv(tmp_path, two_cfg, gp):

@@ -23,10 +23,10 @@ from sinhpierce.errors import (
     Diverged,
     OverflowGuard,
     PointOutsideDomain,
-    SinhPierceError,
+    UnresolvableHole,
 )
 from sinhpierce.geometry import DomainSpec, MeshPolicy, PierceSpec, build_pierced_domain
-from sinhpierce.greens import GreenProvider
+from sinhpierce.greens import GreenProvider, NumericGreen
 from sinhpierce.operators import (
     DIRICHLET_ZERO,
     SUP_GUARD,
@@ -130,13 +130,13 @@ def test_zero_defect_gives_zero_correction(coarse_run, monkeypatch):
 
     real = op_mod.residual_R
 
-    def zero_R(U, cfg, scales, path="semianalytic"):
-        out = real(U, cfg, scales, path)
+    def zero_R(U, cfg, scales):
+        out = real(U, cfg, scales)
         out.values[:] = 0.0
         return out
 
     monkeypatch.setattr(corrector_mod, "residual_R", zero_R)
-    sol = construct_solution(coarse_run, 1e-3, kernel_coeffs=False)
+    sol = construct_solution(coarse_run, 1e-3)
     assert sol.report.iterations == 1
     assert np.abs(sol.phi.values).max() == 0.0
 
@@ -150,7 +150,7 @@ def test_divergence_guard(single_cfg, coarse_run):
 
 
 def test_sweep_full_run(coarse_run):
-    sw = continuation_sweep(coarse_run, [1e-2, 1e-3, 1e-4], kernel_coeffs=False)
+    sw = continuation_sweep(coarse_run, [1e-2, 1e-3, 1e-4])
     assert all(r.status == "converged" for r in sw.reports)
     assert not sw.insufficient_data
     assert sw.sigma_fits[1.01] > 0.5
@@ -159,7 +159,7 @@ def test_sweep_full_run(coarse_run):
 
 
 def test_sweep_single_entry_flagged(coarse_run):
-    sw = continuation_sweep(coarse_run, [1e-3], kernel_coeffs=False)
+    sw = continuation_sweep(coarse_run, [1e-3])
     assert sw.insufficient_data
     assert sw.sigma_fits == {}
     assert len(sw.reports) == 1
@@ -172,18 +172,24 @@ def test_sweep_isolates_failures(coarse_run, monkeypatch):
     def flaky(run, rho, **kw):
         calls.append(rho)
         if rho == 1e-3:
-            raise SinhPierceError("synthetic failure at the middle step")
+            raise UnresolvableHole("synthetic failure at the middle step")
         return real(run, rho, **kw)
 
     monkeypatch.setattr(corrector_mod, "construct_solution", flaky)
-    sw = corrector_mod.continuation_sweep(coarse_run, [1e-2, 1e-3, 1e-4],
-                                          kernel_coeffs=False)
+    sw = corrector_mod.continuation_sweep(coarse_run, [1e-2, 1e-3, 1e-4])
     statuses = [r.status for r in sw.reports]
-    assert statuses[0] == "converged"
-    assert statuses[1] != "converged"
-    assert statuses[2] == "converged"
+    # an entry whose error carries no report is named after the error
+    assert statuses == ["converged", "unresolvable-hole", "converged"]
     assert sw.reports[1].error != ""
     assert calls == [1e-2, 1e-3, 1e-4]
+
+
+def test_unknown_method_is_rejected(coarse_run):
+    # only the two named solvers run; a misspelt one is not taken for Newton
+    with pytest.raises(ValueError, match="fixed-point, newton"):
+        construct_solution(coarse_run, 1e-3, method="newtn")
+    with pytest.raises(ValueError, match="fixed-point, newton"):
+        continuation_sweep(coarse_run, [1e-2, 1e-3], method="newtn")
 
 
 def test_failed_report_is_not_a_measurement(single_cfg, gp, coarse_policy, tmp_path,
@@ -198,9 +204,9 @@ def test_failed_report_is_not_a_measurement(single_cfg, gp, coarse_policy, tmp_p
         return real(U, cfg, scales, **kw)
 
     rhos = [1e-2, 1e-3, 1e-4]
-    plain = continuation_sweep(Run(single_cfg, coarse_policy, gp), rhos, kernel_coeffs=False)
+    plain = continuation_sweep(Run(single_cfg, coarse_policy, gp), rhos)
     monkeypatch.setattr(corrector_mod, "fixed_point_correct", one_step_at_1e_3)
-    sw = continuation_sweep(Run(single_cfg, coarse_policy, gp), rhos, kernel_coeffs=False)
+    sw = continuation_sweep(Run(single_cfg, coarse_policy, gp), rhos)
     failed = sw.reports[1]
     assert failed.status == "diverged" and failed.iterations == 1
     for name in ("phi_sup", "phi_h01", "residual_l1", "data_scale_l1", "relative_residual"):
@@ -246,7 +252,7 @@ def test_negative_liouville_case(disk, gp, coarse_policy):
     # m1 = 0 with V1 absent: all bubbles blow down
     cfg = BlowupConfig(domain=disk, centers=[[0.0, 0.0]], alphas=[3.0], m1=0,
                        tau=1.0, V1=None, V2=constant_potential(1.0))
-    sol = construct_solution(Run(cfg, coarse_policy, gp), 1e-2, kernel_coeffs=False)
+    sol = construct_solution(Run(cfg, coarse_policy, gp), 1e-2)
     assert sol.report.status == "converged"
     d = sol.mesh.center_distance(0)
     inner = d <= math.sqrt(sol.scales.eps[0] * sol.pd.eta)
@@ -327,16 +333,15 @@ def test_first_stage_drops_the_green_domain_operators():
     # the first stage caches H(., xi_k) for every center; the numeric Green
     # function's domain operators and Poisson factor then go, and the
     # later stages, which ask for no new H, do not bring them back
-    gp = GreenProvider(_SQUARE, h=0.1)
-    ng = gp._impl
+    ng = NumericGreen(_SQUARE, h=0.1)
     domain_ops = weakref.ref(ng.ops)
-    run = _square_pair_run(gp)
+    run = _square_pair_run(ng)
     run.stage(1e-2)
     assert ng.ops is None and ng.mesh not in _ops_cache
     assert domain_ops() is None
     assert sorted(ng._h_fields) == [(-0.4, 0.0), (0.4, 0.0)]
     run.stage(1e-3)
-    construct_solution(run, 1e-3, kernel_coeffs=False)
+    construct_solution(run, 1e-3)
     assert ng.ops is None and ng.mesh not in _ops_cache
 
 
@@ -344,21 +349,21 @@ def test_sweep_keeps_only_the_current_stage_operators():
     # moving to the next rho drops the finished stage's operators (K, K_II,
     # K_IB) along with its Lap + W; asking for that stage again rebuilds them
     # with the same bits
-    run = _square_pair_run(GreenProvider(_SQUARE, h=0.1))
+    run = _square_pair_run(NumericGreen(_SQUARE, h=0.1))
     cached, refs = [], {}
 
     def after(rho):
         # the stages' meshes, and the Green function's domain mesh, with operators
         cached.append(([r for r, st in run._stages.items() if st.mesh in _ops_cache],
-                       run.gp._impl.mesh in _ops_cache))
+                       run.gp.mesh in _ops_cache))
         refs[rho] = weakref.ref(get_ops(run.stage(rho).mesh))
 
-    sw = continuation_sweep(run, [1e-2, 1e-3, 1e-4], kernel_coeffs=False, after_rho=after)
+    sw = continuation_sweep(run, [1e-2, 1e-3, 1e-4], after_rho=after)
     assert [r.status for r in sw.reports] == ["converged"] * 3
     assert cached == [([1e-2], False), ([1e-3], False), ([1e-4], False)]
     assert refs[1e-2]() is None and refs[1e-3]() is None and refs[1e-4]() is not None
     # the first entry started from phi = 0, as a fresh construction does
-    again = construct_solution(run, 1e-2, kernel_coeffs=False)
+    again = construct_solution(run, 1e-2)
     assert refs[1e-4]() is None
     first = sw.solutions[0]
     assert again.u.values.tobytes() == first.u.values.tobytes()
@@ -387,7 +392,7 @@ def test_overflow_guard_keeps_the_partial_report(coarse_run, monkeypatch):
         return real(Field(phi.mesh, phi.values + big), U, cfg, scales)
 
     monkeypatch.setattr(corrector_mod, "nonlinear_N", past_the_guard)
-    sw = continuation_sweep(coarse_run, [1e-3], kernel_coeffs=False)
+    sw = continuation_sweep(coarse_run, [1e-3])
     entry = sw.reports[0]
     assert sw.solutions == [None]
     assert entry.status == "diverged" and "sup norm" in entry.error
@@ -399,7 +404,7 @@ def test_fixed_point_uses_the_runs_operator(single_cfg, gp, coarse_policy):
     # the correction factors run.linear_operator(rho) and estimates its
     # eigenvalue once; the estimate stays cached on the operator
     run = Run(single_cfg, coarse_policy, gp)
-    sol = construct_solution(run, 1e-2, kernel_coeffs=False)
+    sol = construct_solution(run, 1e-2)
     L = run.linear_operator(1e-2)
     assert L._lu is not None
     assert L._eig_estimate == sol.report.smallest_eigenvalue
@@ -413,8 +418,7 @@ def test_near_singular_entries_keep_their_report(single_cfg, gp, coarse_policy,
     # every operator reads as resonant: each entry is reported near-singular
     # with the eigenvalue that tripped the floor, not as a diverged stub
     monkeypatch.setattr(corrector_mod, "EIG_FLOOR", 1e9)
-    sw = continuation_sweep(Run(single_cfg, coarse_policy, gp), [1e-2, 1e-3, 1e-4],
-                            kernel_coeffs=False)
+    sw = continuation_sweep(Run(single_cfg, coarse_policy, gp), [1e-2, 1e-3, 1e-4])
     for rep in sw.reports:
         assert rep.status == "near-singular"
         assert math.isfinite(rep.smallest_eigenvalue)
@@ -429,8 +433,7 @@ def test_negative_bubble_tau_two(disk, gp):
     # tenfold per decade of rho
     cfg = BlowupConfig(domain=disk, centers=[[0.0, 0.0]], alphas=[3.0], m1=0, tau=2.0,
                        V1=constant_potential(1.0), V2=constant_potential(1.0))
-    sw = continuation_sweep(Run(cfg, MeshPolicy(h=0.05), gp), [1e-2, 1e-3, 1e-4],
-                            kernel_coeffs=False)
+    sw = continuation_sweep(Run(cfg, MeshPolicy(h=0.05), gp), [1e-2, 1e-3, 1e-4])
     assert [r.status for r in sw.reports] == ["converged"] * 3
     assert all(r.max_contraction_factor < 1 for r in sw.reports)
     assert all(r.inner_sign_ok for r in sw.reports)
@@ -484,8 +487,7 @@ _PAIR = [[-0.4, 0.0], [0.4, 0.0]]
 def _regime_sweep(disk, gp, centers, m1, tau):
     cfg = BlowupConfig(domain=disk, centers=centers, alphas=[3.0] * len(centers), m1=m1,
                        tau=tau, V1=constant_potential(1.0), V2=constant_potential(1.0))
-    return continuation_sweep(Run(cfg, MeshPolicy(h=0.05), gp), [1e-3, 1e-4],
-                              kernel_coeffs=False)
+    return continuation_sweep(Run(cfg, MeshPolicy(h=0.05), gp), [1e-3, 1e-4])
 
 
 def _assert_paper_structure(sw):

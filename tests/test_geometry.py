@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 from sinhpierce.errors import (
     DuplicateCenters,
     HoleTouchesBoundary,
-    IndexOutOfRange,
     OverlappingHoles,
     UnresolvableHole,
 )
@@ -17,7 +16,6 @@ from sinhpierce.geometry import (
     FieldEvaluator,
     MeshPolicy,
     PierceSpec,
-    annulus,
     build_domain_mesh,
     build_mesh,
     build_pierced_domain,
@@ -59,22 +57,6 @@ def test_no_holes_rejected():
                              PierceSpec(centers=np.zeros((0, 2)), radii=np.zeros(0)))
 
 
-def test_annulus_descriptor():
-    pd = build_pierced_domain(DomainSpec(),
-                              PierceSpec(centers=[[-0.4, 0.0], [0.4, 0.0]],
-                                         radii=[0.01, 0.02]))
-    a1 = annulus(pd, 1)
-    assert a1.center == (-0.4, 0.0)
-    assert a1.inner_radius == 0.01
-    assert a1.outer_radius == pd.eta
-    a2 = annulus(pd, 2)
-    assert a2.center == (0.4, 0.0)
-    with pytest.raises(IndexOutOfRange):
-        annulus(pd, 0)
-    with pytest.raises(IndexOutOfRange):
-        annulus(pd, 3)
-
-
 @given(x=st.floats(-0.5, 0.5), y=st.floats(-0.5, 0.5))
 @settings(max_examples=25, deadline=None)
 def test_eta_formula_single_hole(x, y):
@@ -93,9 +75,13 @@ def test_graded_patch_layer_count():
 
 
 def test_unresolvable_hole():
-    pd = build_pierced_domain(DomainSpec(), PierceSpec(centers=[[0.0, 0.0]], radii=[1e-15]))
-    with pytest.raises(UnresolvableHole):
-        build_mesh(pd, MeshPolicy())
+    # a radius below the resolvable scale, or one that underflowed to zero,
+    # is named before any mesh is built; a negative one stays a ValueError
+    for eps in (1e-15, 0.0):
+        with pytest.raises(UnresolvableHole):
+            build_pierced_domain(DomainSpec(), PierceSpec(centers=[[0.0, 0.0]], radii=[eps]))
+    with pytest.raises(ValueError):
+        build_pierced_domain(DomainSpec(), PierceSpec(centers=[[0.0, 0.0]], radii=[-1e-3]))
 
 
 def test_mesh_invariants_single_hole(single_mesh):

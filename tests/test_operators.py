@@ -191,9 +191,11 @@ def test_nonlinearity_overflow_guard(ansatz_setup, single_cfg):
 
 def test_residual_paths_agree(ansatz_setup, single_cfg):
     mesh, scales, coeffs, U = ansatz_setup
-    semi = residual_R(U, single_cfg, scales, path="semianalytic")
-    disc = residual_R(U, single_cfg, scales, path="discrete")
-    d = np.abs(semi.values - disc.values)
+    semi = residual_R(U, single_cfg, scales)
+    # the same defect with the discrete Laplacian of U (V1 = V2 = tau = 1)
+    disc = get_ops(mesh).laplacian(U).values \
+        + scales.rho * (np.exp(U.values) - np.exp(-U.values))
+    d = np.abs(semi.values - disc)
     # on the regular lattice region the two Laplacian routes agree sharply
     r = mesh.center_distance(0)
     sel = (~mesh.is_boundary) & (r > 0.66) & (np.hypot(*mesh.nodes.T) < 0.8)
@@ -215,9 +217,11 @@ def test_linear_operator_roundtrip(ansatz_setup, single_cfg):
     rng = np.random.default_rng(2)
     psi = np.zeros(mesh.n_nodes)
     psi[~mesh.is_boundary] = rng.standard_normal((~mesh.is_boundary).sum())
-    psi_f = Field(mesh, psi)
-    h = L.apply(psi_f)
-    back = L.solve(h)
+    # (Lap + W) psi in nodal form
+    ops = get_ops(mesh)
+    h = np.zeros(mesh.n_nodes)
+    h[ops.interior] = (L.matrix @ psi[ops.interior]) / ops.w[ops.interior]
+    back = L.solve(Field(mesh, h))
     assert np.abs(back.values - psi).max() <= 1e-8 * np.abs(psi).max()
 
 
