@@ -153,15 +153,19 @@ def main(argv=None) -> int:
                     "domains: construction, continuation, and verification. "
                     "Meshed experiments need hole radii above 1e-13, which for "
                     "the default configurations means rho of roughly 2e-5 or "
-                    "larger; the coefficient-level routines go further down.")
+                    "larger; the coefficient-level routines go further down.",
+        epilog="Exit codes: 0 success; 1 validation failure (the config or a flag "
+               "value is rejected before any solve: unparseable or missing keys, "
+               "rho not positive or not descending, p < 1, tol <= 0, maxiter < 1, "
+               "...); 2 solver failure; 3 check failure.")
     parser.add_argument("command", choices=COMMANDS)
     parser.add_argument("--config", required=True, help="path to the INI config")
     parser.add_argument("--out", default=None, help="output directory override")
-    parser.add_argument("--seed", type=int, default=None)
+    parser.add_argument("--seed", default=None)
     parser.add_argument("--rho", default=None,
-                        help="space/comma separated list; verify checks at 1e-2 1e-3 "
-                             "1e-4 when given fewer than three values")
-    parser.add_argument("--p", default=None, help="space/comma separated list")
+                        help="space/comma separated list, descending and positive; verify "
+                             "checks at 1e-2 1e-3 1e-4 when given fewer than three values")
+    parser.add_argument("--p", default=None, help="space/comma separated list, each >= 1")
     args = parser.parse_args(argv)
 
     try:
@@ -171,17 +175,13 @@ def main(argv=None) -> int:
         print(f"cannot read config: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 
+    # the overrides take the place of the file's [run] values before any check
+    overrides = {key: value for key, value in (("out", args.out), ("seed", args.seed),
+                                               ("rho", args.rho), ("p", args.p))
+                 if value is not None}
     try:
-        rc = parse_config(text)
+        rc = parse_config(text, overrides)
         rc.command = args.command
-        if args.out is not None:
-            rc.out_dir = args.out
-        if args.seed is not None:
-            rc.seed = args.seed
-        if args.rho is not None:
-            rc.rho_list = [float(t) for t in args.rho.replace(",", " ").split()]
-        if args.p is not None:
-            rc.p_list = [float(t) for t in args.p.replace(",", " ").split()]
     except (SchemaError, ConstraintViolation, NonpositiveSampled) as exc:
         print(f"validation failure: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

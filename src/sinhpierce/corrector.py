@@ -2,9 +2,10 @@
 
 The primary route iterates the contraction map phi -> T(-(R + N(phi))) from
 phi = 0, where T inverts the linearized operator with zero boundary data.
-A plain Newton iteration on the same discrete system provides an independent
-second solver; both converge to the same discrete root, which is what the
-agreement checks exploit.
+A plain Newton iteration on the same discrete system provides a second
+solver; both converge to the same discrete root, which is what the agreement
+checks exploit. Each solver supplies only its step: one loop, _correct,
+keeps the report, the sup-norm guard and the stopping rule for both.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import numpy as np
 
 from .bubbles import build_ansatz
 from .coeffs import choose_scales, coefficient_set
-from .errors import Diverged, NearSingular, OverflowGuard, SinhPierceError
+from .errors import Diverged, NearSingular, SinhPierceError
 from .geometry import (
     FieldEvaluator,
     MeshPolicy,
@@ -120,50 +121,54 @@ def _check_resonance(report, L):
         raise NearSingular(report.error, eigenvalue=lam, report=report)
 
 
-def _guard_sup(report, ops, phi):
-    """Stop with the partial report once phi leaves the sup-norm guard."""
-    if ops.norm_sup(phi) > SUP_GUARD:
-        report.status = "diverged"
-        report.error = f"sup norm {ops.norm_sup(phi):.3g} exceeded the guard"
-        raise Diverged(report.error, report=report)
+def _defect(phi, U, cfg, scales):
+    """Discrete defect Lap u + rho (V1 e^u - V2 e^{-tau u}) of u = U + phi,
+    zero on the boundary, with Lap U taken from the bubble sources."""
+    ops = get_ops(U.mesh)
+    v1, v2 = _potential_values(cfg, U.mesh)
+    u = U.values + phi.values
+    lap = semianalytic_laplacian_U(cfg, scales, U.mesh) + ops.laplacian(phi).values
+    res = lap + scales.rho * (v1 * np.exp(u) - v2 * np.exp(-cfg.tau * u))
+    res[ops.boundary] = 0.0
+    return res
+
+
+def _diverged(report, message):
+    report.status = "diverged"
+    report.error = message
+    raise Diverged(message, report=report)
 
 
 def _finish(report, phi, U, cfg, scales):
     """Mark the run converged and fill in the norms of phi and the discrete
     defect of u = U + phi relative to the data scale, both in L1."""
-    mesh = U.mesh
-    ops = get_ops(mesh)
+    ops = get_ops(U.mesh)
+    v1, v2 = _potential_values(cfg, U.mesh)
     u = U.values + phi.values
-    v1, v2 = _potential_values(cfg, mesh)
-    rho, tau = scales.rho, cfg.tau
-    lap = semianalytic_laplacian_U(cfg, scales, mesh) + ops.laplacian(phi).values
-    res = lap + rho * (v1 * np.exp(u) - v2 * np.exp(-tau * u))
-    res[ops.boundary] = 0.0
-    data = rho * (v1 * np.exp(u) + v2 * np.exp(-tau * u))
+    data = scales.rho * (v1 * np.exp(u) + v2 * np.exp(-cfg.tau * u))
     report.status = "converged"
     report.phi_sup = ops.norm_sup(phi)
     report.phi_h01 = ops.norm_h01(phi)
-    report.residual_l1 = ops.norm_lp(res, 1)
+    report.residual_l1 = ops.norm_lp(_defect(phi, U, cfg, scales), 1)
     report.data_scale_l1 = ops.norm_lp(data, 1)
     report.relative_residual = report.residual_l1 / max(report.data_scale_l1, 1e-300)
     return phi, report
 
 
-def fixed_point_correct(U: Field, cfg, scales, tol=1e-10, maxiter=50,
-                        phi0=None, p_norms=(1.01, 1.1, 1.3),
-                        L: LinearOperator | None = None) -> tuple[Field, SolveReport]:
-    """Iterate phi -> T(-(R + N(phi))) from phi = 0 until the update stalls.
+def _correct(method, step, L, R, U, cfg, scales, tol, maxiter, phi0, p_norms):
+    """The correction loop both solvers share.
 
-    L, if given, is Lap + W(U) already built (Run.linear_operator); its
-    factor and eigenvalue estimate are reused.
+    L is Lap + W at the ansatz, whose smallest eigenvalue the report keeps;
+    R is the ansatz defect, whose Lp norms it keeps. From phi0 (or 0), each
+    iterate phi must stay within SUP_GUARD in sup norm before step(phi) takes
+    exponentials of it. The loop stops once an update falls below tol
+    relative to the H1_0 norm of the iterate, and raises Diverged, with the
+    partial report, if the guard trips or maxiter steps do not get there.
     """
     mesh = U.mesh
     ops = get_ops(mesh)
-    report = SolveReport(rho=scales.rho, method="fixed-point")
-    if L is None:
-        L = LinearOperator(mesh, weight_W(U, cfg, scales))
+    report = SolveReport(rho=scales.rho, method=method)
     _check_resonance(report, L)
-    R = residual_R(U, cfg, scales)
     for p in p_norms:
         report.r_norms[p] = ops.norm_lp(R, p)
 
@@ -171,14 +176,10 @@ def fixed_point_correct(U: Field, cfg, scales, tol=1e-10, maxiter=50,
                                                      DIRICHLET_ZERO)
     prev_update = None
     for it in range(maxiter):
-        try:
-            N = nonlinear_N(phi, U, cfg, scales)
-        except OverflowGuard as exc:
-            report.status = "diverged"
-            report.error = str(exc)
-            exc.report = report
-            raise
-        new = L.solve(Field(mesh, -(R.values + N.values)))
+        sup = ops.norm_sup(phi)
+        if sup > SUP_GUARD:
+            _diverged(report, f"sup norm {sup:.3g} exceeded the guard")
+        new = step(phi)
         upd = ops.norm_h01(Field(mesh, new.values - phi.values))
         report.updates_h01.append(upd)
         if it == 0 and phi0 is None:
@@ -189,60 +190,49 @@ def fixed_point_correct(U: Field, cfg, scales, tol=1e-10, maxiter=50,
         prev_update = upd
         phi = new
         report.iterations = it + 1
-        _guard_sup(report, ops, phi)
         if upd < tol * max(1.0, ops.norm_h01(phi)):
-            break
-    else:
-        report.status = "diverged"
-        report.error = f"no convergence in {maxiter} iterations " \
-                       f"(last update {prev_update:.3e})"
-        raise Diverged(report.error, report=report)
+            return _finish(report, phi, U, cfg, scales)
+    _diverged(report, f"no convergence in {maxiter} iterations "
+                      f"(last update {prev_update:.3e})")
 
-    return _finish(report, phi, U, cfg, scales)
+
+def fixed_point_correct(U: Field, cfg, scales, tol=1e-10, maxiter=50,
+                        phi0=None, p_norms=(1.01, 1.1, 1.3),
+                        L: LinearOperator | None = None) -> tuple[Field, SolveReport]:
+    """Iterate phi -> T(-(R + N(phi))) from phi = 0 until the update stalls.
+
+    L, if given, is Lap + W(U) already built (Run.linear_operator); its
+    factor and eigenvalue estimate are reused.
+    """
+    if L is None:
+        L = LinearOperator(U.mesh, weight_W(U, cfg, scales))
+    R = residual_R(U, cfg, scales)
+
+    def step(phi):
+        return L.solve(Field(U.mesh, -(R.values + nonlinear_N(phi, U, cfg, scales).values)))
+
+    return _correct("fixed-point", step, L, R, U, cfg, scales, tol, maxiter, phi0, p_norms)
 
 
 def newton_correct(U: Field, cfg, scales, tol=1e-10, maxiter=50,
                    phi0=None, p_norms=(1.01, 1.1, 1.3)) -> tuple[Field, SolveReport]:
-    """Newton iteration on the same discrete system the fixed point solves."""
+    """Newton iteration on the same discrete system the fixed point solves.
+
+    Each step solves with the Jacobian Lap + W(U + phi); at phi = 0 that is
+    the fixed point's operator, so a cold start's first step is the fixed
+    point's first iterate.
+    """
     mesh = U.mesh
-    ops = get_ops(mesh)
-    report = SolveReport(rho=scales.rho, method="newton")
-    v1, v2 = _potential_values(cfg, mesh)
-    rho, tau = scales.rho, cfg.tau
-    lapU = semianalytic_laplacian_U(cfg, scales, mesh)
-    R = residual_R(U, cfg, scales)
-    for p in p_norms:
-        report.r_norms[p] = ops.norm_lp(R, p)
+    L = LinearOperator(mesh, weight_W(U, cfg, scales))
 
-    phi = phi0.copy() if phi0 is not None else Field(mesh, np.zeros(mesh.n_nodes),
-                                                     DIRICHLET_ZERO)
-    prev_update = None
-    for it in range(maxiter):
-        _guard_sup(report, ops, phi)
-        u = U.values + phi.values
-        res = lapU + ops.laplacian(phi).values \
-            + rho * (v1 * np.exp(u) - v2 * np.exp(-tau * u))
-        res[ops.boundary] = 0.0
-        Wu = rho * v1 * np.exp(u) + rho * tau * v2 * np.exp(-tau * u)
-        J = LinearOperator(mesh, Field(mesh, Wu))
-        if it == 0:
-            _check_resonance(report, J)
-        delta = J.solve(Field(mesh, -res))
-        upd = ops.norm_h01(delta)
-        report.updates_h01.append(upd)
-        if prev_update is not None and prev_update > 0:
-            report.contraction_factors.append(upd / prev_update)
-        prev_update = upd
-        phi = Field(mesh, phi.values + delta.values, DIRICHLET_ZERO)
-        report.iterations = it + 1
-        if upd < tol * max(1.0, ops.norm_h01(phi)):
-            break
-    else:
-        report.status = "diverged"
-        report.error = f"no convergence in {maxiter} iterations"
-        raise Diverged(report.error, report=report)
+    def step(phi):
+        J = L if not phi.values.any() else LinearOperator(
+            mesh, weight_W(Field(mesh, U.values + phi.values), cfg, scales))
+        delta = J.solve(Field(mesh, -_defect(phi, U, cfg, scales)))
+        return Field(mesh, phi.values + delta.values, DIRICHLET_ZERO)
 
-    return _finish(report, phi, U, cfg, scales)
+    return _correct("newton", step, L, residual_R(U, cfg, scales), U, cfg, scales,
+                    tol, maxiter, phi0, p_norms)
 
 
 # ---------------------------------------------------------------------------
@@ -436,7 +426,7 @@ def construct_solution(run: Run, rho, method="fixed-point", tol=1e-10, maxiter=5
     from .verify import kernel_coefficient   # verify imports this module
 
     report.kernel_coefficients = [
-        kernel_coefficient(phi, cfg, scales, pd, j) for j in range(cfg.m)
+        kernel_coefficient(phi, cfg, scales, j) for j in range(cfg.m)
     ]
     return Solution(u=u, phi=phi, U=U, cfg=cfg, scales=scales, coeffs=st.coeffs,
                     pd=pd, mesh=mesh, report=report)
@@ -444,7 +434,6 @@ def construct_solution(run: Run, rho, method="fixed-point", tol=1e-10, maxiter=5
 
 @dataclass
 class SweepResult:
-    rho_list: list
     solutions: list           # Solution or None per entry
     reports: list             # SolveReport per entry (failures get a stub)
     sigma_fits: dict          # p -> fitted residual slope, from converged entries
@@ -520,5 +509,5 @@ def continuation_sweep(run: Run, rho_list, method="fixed-point",
             sigma_fits[p] = float(np.polyfit(logr, vals, 1)[0])
         for r in reports:
             r.sigma_fits = dict(sigma_fits)
-    return SweepResult(rho_list=rho_list, solutions=solutions, reports=reports,
+    return SweepResult(solutions=solutions, reports=reports,
                        sigma_fits=sigma_fits, insufficient_data=insufficient)

@@ -70,12 +70,6 @@ class InvalidExponent(SinhPierceError):
     pass
 
 
-class OverflowGuard(SinhPierceError):
-    def __init__(self, message, report=None):
-        super().__init__(message)
-        self.report = report
-
-
 class NearSingular(SinhPierceError):
     def __init__(self, message, eigenvalue=None, report=None):
         super().__init__(message)

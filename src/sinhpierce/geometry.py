@@ -16,7 +16,9 @@ from __future__ import annotations
 import ctypes
 import itertools
 import math
-from concurrent.futures import Future, ThreadPoolExecutor
+import queue
+import threading
+from concurrent.futures import Future
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -503,9 +505,38 @@ def build_domain_mesh(domain: DomainSpec, h: float, smooth_iters: int = 2) -> Me
 # the main thread reads or writes the slot; the worker only runs _background.
 _last_background = None
 
+
+class _Helper:
+    """One daemon thread that runs submitted calls in order, each behind a
+    Future. A daemon does not hold the interpreter open, so a command that
+    fails before it needs the background exits without waiting for it."""
+
+    def __init__(self):
+        self._jobs = queue.SimpleQueue()
+        self._thread = None
+
+    def submit(self, fn, *args) -> Future:
+        future = Future()
+        self._jobs.put((future, fn, args))
+        if self._thread is None:
+            self._thread = threading.Thread(target=self._work, daemon=True,
+                                            name="sinhpierce-background")
+            self._thread.start()
+        return future
+
+    def _work(self):
+        while True:
+            future, fn, args = self._jobs.get()
+            try:
+                future.set_result(fn(*args))
+            except BaseException as exc:   # raised again where the result is read
+                future.set_exception(exc)
+            del future, fn, args   # hold no finished job while waiting for the next
+
+
 # The one helper thread: at most one background build is ever in flight.
 # It runs _background and its private callees only, none of them traced.
-_builder = ThreadPoolExecutor(max_workers=1, thread_name_prefix="sinhpierce-background")
+_builder = _Helper()
 
 
 def _background_key(domain, centers, eta, policy):

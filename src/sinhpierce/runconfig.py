@@ -10,14 +10,14 @@ from __future__ import annotations
 
 import configparser
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .coeffs import BlowupConfig
 from .errors import ConstraintViolation, SchemaError
 from .geometry import DomainSpec, MeshPolicy, _inside_farther_than
-from .potentials import PotentialExpr, check_positive, parse_potential
+from .potentials import check_positive, parse_potential
 
 COMMANDS = ("construct", "sweep", "verify", "green-check")
 
@@ -33,10 +33,6 @@ class RunConfig:
     maxiter: int
     seed: int
     out_dir: str
-    v1_expr: PotentialExpr | None = None
-    v2_expr: PotentialExpr | None = None
-    nu: float = 1.0
-    raw: dict = field(default_factory=dict)
 
 
 def _parse_floats(text):
@@ -73,8 +69,13 @@ def domain_sample_points(domain: DomainSpec, n=2000, seed=0):
     return pts[:n]
 
 
-def parse_config(text: str) -> RunConfig:
-    """Parse and validate a full run configuration document."""
+def parse_config(text: str, run_overrides=None) -> RunConfig:
+    """Parse and validate a full run configuration document.
+
+    run_overrides maps [run] keys to text that takes the place of the
+    document's value (the command line's --rho, --p, --seed, --out), so an
+    override passes the same checks as the file.
+    """
     cp = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
     try:
         cp.read_file(io.StringIO(text))
@@ -82,8 +83,11 @@ def parse_config(text: str) -> RunConfig:
         raise SchemaError([f"unparseable config: {exc}"])
 
     problems = []
+    run_overrides = run_overrides or {}
 
     def get(section, key, default=None, required=False):
+        if section == "run" and key in run_overrides:
+            return run_overrides[key]
         if cp.has_option(section, key):
             return cp.get(section, key)
         if required:
@@ -153,7 +157,6 @@ def parse_config(text: str) -> RunConfig:
     except Exception as exc:
         problems.append(f"v2: {exc}")
 
-    policy_kwargs = {}
     h = get_number("mesh", "h", 0.02) if cp.has_section("mesh") else 0.02
     q = get_number("mesh", "q", 1.3) if cp.has_section("mesh") else 1.3
     nmin = get_number("mesh", "min_hole_nodes", 32, int) if cp.has_section("mesh") else 32
@@ -163,22 +166,30 @@ def parse_config(text: str) -> RunConfig:
     except ValueError as exc:
         problems.append(f"mesh policy: {exc}")
         policy = MeshPolicy()
-    policy_kwargs["policy"] = policy
 
-    rho_txt = get("run", "rho", default="1e-3")
-    try:
-        rho_list = _parse_floats(rho_txt)
-    except ValueError:
-        problems.append(f"rho: not numbers: {rho_txt!r}")
-        rho_list = [1e-3]
-    p_txt = get("run", "p", default="1.01 1.1 1.3")
-    try:
-        p_list = _parse_floats(p_txt)
-    except ValueError:
-        problems.append(f"p: not numbers: {p_txt!r}")
-        p_list = [1.01, 1.1, 1.3]
+    def get_list(key, default):
+        txt = get("run", key, default=default)
+        try:
+            vals = _parse_floats(txt)
+        except ValueError:
+            problems.append(f"{key}: not numbers: {txt!r}")
+            return _parse_floats(default)
+        if not vals:
+            problems.append(f"{key}: no values")
+        return vals
+
+    rho_list = get_list("rho", "1e-3")
+    if rho_list != sorted(rho_list, reverse=True):
+        problems.append("rho values must be sorted descending")
+    p_list = get_list("p", "1.01 1.1 1.3")
+    if not all(1 <= p < np.inf for p in p_list):
+        problems.append(f"p: Lp norms need finite p >= 1, got {p_list}")
     tol = get_number("run", "tol", 1e-10)
+    if not 0 < tol < np.inf:
+        problems.append(f"[run] tol: needs a positive tolerance, got {tol}")
     maxiter = get_number("run", "maxiter", 50, int)
+    if maxiter < 1:
+        problems.append(f"[run] maxiter: needs at least one iteration, got {maxiter}")
     seed = get_number("run", "seed", 0, int)
     out_dir = get("run", "out", default="out")
 
@@ -197,10 +208,8 @@ def parse_config(text: str) -> RunConfig:
 
     problem = BlowupConfig(domain=domain, centers=centers, alphas=alphas, m1=int(m1),
                            tau=float(tau), V1=v1_expr, V2=v2_scaled)
-    if rho_list != sorted(rho_list, reverse=True):
-        raise SchemaError(["rho values must be sorted descending"])
-    if any(r <= 0 for r in rho_list):
-        raise ConstraintViolation("rho values must be positive")
+    if not all(0 < r < np.inf for r in rho_list):
+        raise ConstraintViolation(f"rho values must be positive and finite, got {rho_list}")
 
     sample = domain_sample_points(domain)
     if m1 > 0:
@@ -210,6 +219,4 @@ def parse_config(text: str) -> RunConfig:
 
     return RunConfig(command=command, problem=problem, policy=policy,
                      rho_list=rho_list, p_list=p_list, tol=float(tol),
-                     maxiter=int(maxiter), seed=int(seed), out_dir=out_dir,
-                     v1_expr=v1_expr, v2_expr=v2_expr, nu=float(nu),
-                     raw={s: dict(cp[s]) for s in cp.sections()})
+                     maxiter=int(maxiter), seed=int(seed), out_dir=out_dir)

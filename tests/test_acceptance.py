@@ -20,6 +20,7 @@ from sinhpierce.coeffs import (
 from sinhpierce.corrector import Run, construct_solution, continuation_sweep, farfield_error_at
 from sinhpierce.geometry import DomainSpec, MeshPolicy
 from sinhpierce.greens import AnalyticDiskGreen, GreenProvider, NumericGreen
+from sinhpierce.operators import EIG_FLOOR
 from sinhpierce.verify import (
     check_integral_identities,
     check_kernel_annihilation,
@@ -157,14 +158,21 @@ def test_criterion_5_residual_scaling(sweep_single):
     assert sigma >= floor
 
 
-def test_criterion_6_operator_bound(single_run):
+def test_criterion_6_operator_bound(single_run, sweep_single):
     t0 = time.time()
-    ob = check_operator_bound(single_run, RHO_SWEEP, trials=10, p=1.01, seed=7)
+    per_log_rho = [check_operator_bound(single_run, rho, trials=10, p=1.01, seed=7)
+                   / abs(math.log(rho)) for rho in RHO_SWEEP]
     elapsed = time.time() - t0
-    ok = ob["spread"] <= 10.0 and not any(ob["near_singular"])
+    spread = max(per_log_rho) / min(per_log_rho)
+    # no operator of the sweep sits at resonance
+    resonant = [r.rho for r in sweep_single.reports
+                if not abs(r.smallest_eigenvalue) >= EIG_FLOOR]
+    ok = spread <= 10.0 and not resonant
     assert _report(6, ok, f"solver bound: amplification/|log rho| spread "
-                          f"{ob['spread']:.2f} <= 10 over the decade, {elapsed:.1f}s")
-    assert ob["spread"] <= 10.0
+                          f"{spread:.2f} <= 10 over the decade, {elapsed:.1f}s; "
+                          f"|smallest eigenvalue| >= {EIG_FLOOR:g} at every rho")
+    assert spread <= 10.0
+    assert resonant == []
 
 
 def test_criterion_7_contraction_and_solution(sweep_single, single_run):

@@ -269,11 +269,11 @@ def test_verify_bound_check_failure_aborts(tmp_path, monkeypatch):
     real = verify_mod.check_operator_bound
     checked = []
 
-    def failing_at_1e_3(run, rho_list, **kw):
-        checked.extend(rho_list)
-        if 1e-3 in rho_list:
+    def failing_at_1e_3(run, rho, **kw):
+        checked.append(rho)
+        if rho == 1e-3:
             raise SolverFailure("synthetic bound-check failure", residual=1.0)
-        return real(run, rho_list, **kw)
+        return real(run, rho, **kw)
 
     monkeypatch.setattr(verify_mod, "check_operator_bound", failing_at_1e_3)
     out = tmp_path / "verify"
@@ -467,6 +467,31 @@ def test_rho_and_p_overrides(tmp_path):
     # here check the parser's list handling
     rc2 = parse_config(open(cfg).read().replace("rho = 1e-2", "rho = 1e-2, 5e-3"))
     assert rc2.rho_list == [1e-2, 5e-3]
+
+
+@pytest.mark.parametrize("command, flags, edit", [
+    ("sweep", ["--rho", "1e-3,1e-2"], None),
+    ("construct", ["--rho=-1e-3"], None),
+    ("construct", ["--rho", "abc"], None),
+    ("construct", ["--rho", ""], None),
+    ("construct", [], ("rho = 1e-2", "rho =")),
+    ("construct", [], ("p = 1.01", "p = 0.5")),
+    ("construct", ["--p", "0.5"], None),
+    ("construct", [], ("maxiter = 50", "maxiter = 0")),
+    ("construct", [], ("tol = 1e-10", "tol = 0")),
+], ids=["ascending-flag", "negative-flag", "text-flag", "empty-flag", "empty-key",
+        "p-below-one-key", "p-below-one-flag", "no-iterations-key", "zero-tol-key"])
+def test_bad_run_values_are_validation_failures(tmp_path, capsys, command, flags, edit):
+    # the file's [run] values and the flags that override them pass the same
+    # checks, before anything is solved
+    text = BASE.format(out=tmp_path / "out").replace("h = 0.05", "h = 0.1")
+    if edit is not None:
+        assert edit[0] in text
+        text = text.replace(*edit)
+    cfg = _write(tmp_path, text)
+    assert main([command, "--config", cfg, *flags]) == 1
+    assert capsys.readouterr().err.startswith("validation failure: ")
+    assert not (tmp_path / "out").exists()
 
 
 def test_descending_rho_required(tmp_path):

@@ -17,11 +17,11 @@ from sinhpierce.corrector import (
     farfield_sample_points,
     farfield_target,
     fixed_point_correct,
+    newton_correct,
 )
 from sinhpierce.errors import (
     CoincidentPoints,
     Diverged,
-    OverflowGuard,
     PointOutsideDomain,
     UnresolvableHole,
 )
@@ -371,33 +371,47 @@ def test_sweep_keeps_only_the_current_stage_operators():
     assert again.report.records() == first.report.records()
 
 
-def test_overflow_guard_keeps_the_partial_report(coarse_run, monkeypatch):
-    # a correction past the sup guard stops in nonlinear_N; the report it
-    # carries says so and keeps what was measured before the loop
+@pytest.mark.parametrize("solver", [fixed_point_correct, newton_correct],
+                         ids=["fixed-point", "newton"])
+def test_sup_guard_keeps_the_partial_report(coarse_run, solver, monkeypatch):
+    # an iterate past the sup guard, phi0 included, stops either solver before
+    # a step takes exponentials of it; the Diverged it raises carries the
+    # report with what was measured before the loop
     st = coarse_run.stage(1e-3)
-    big = np.where(st.mesh.is_boundary, 0.0, 2 * SUP_GUARD)
-    with pytest.raises(OverflowGuard) as info:
-        fixed_point_correct(st.U, coarse_run.cfg, st.scales,
-                            phi0=Field(st.mesh, big, DIRICHLET_ZERO))
+    big = Field(st.mesh, np.where(st.mesh.is_boundary, 0.0, 2 * SUP_GUARD), DIRICHLET_ZERO)
+    with pytest.raises(Diverged) as info:
+        solver(st.U, coarse_run.cfg, st.scales, phi0=big)
     rep = info.value.report
     assert rep.status == "diverged" and "sup norm" in rep.error
+    assert rep.iterations == 0 and rep.updates_h01 == []
     assert np.isfinite(rep.smallest_eigenvalue)
     assert sorted(rep.r_norms) == [1.01, 1.1, 1.3]
     assert all(np.isfinite(v) for v in rep.r_norms.values())
 
     # and a sweep entry keeps that report, not an empty stub
-    real = corrector_mod.nonlinear_N
+    def from_big(U, cfg, scales, **kw):
+        return solver(U, cfg, scales, **{**kw, "phi0": big})
 
-    def past_the_guard(phi, U, cfg, scales):
-        return real(Field(phi.mesh, phi.values + big), U, cfg, scales)
-
-    monkeypatch.setattr(corrector_mod, "nonlinear_N", past_the_guard)
-    sw = continuation_sweep(coarse_run, [1e-3])
+    monkeypatch.setattr(corrector_mod, solver.__name__, from_big)
+    sw = continuation_sweep(coarse_run, [1e-3], method=rep.method)
     entry = sw.reports[0]
     assert sw.solutions == [None]
     assert entry.status == "diverged" and "sup norm" in entry.error
+    assert entry.method == rep.method
     assert entry.smallest_eigenvalue == rep.smallest_eigenvalue
     assert entry.r_norms == rep.r_norms
+
+
+def test_cold_newton_takes_the_fixed_points_first_step(coarse_run):
+    # at phi = 0 the Newton step is T(-R) with the fixed point's own operator:
+    # both solvers take the same first step, bit for bit
+    st = coarse_run.stage(1e-3)
+    fp = fixed_point_correct(st.U, coarse_run.cfg, st.scales)[1]
+    nt = newton_correct(st.U, coarse_run.cfg, st.scales)[1]
+    assert nt.method == "newton" and fp.method == "fixed-point"
+    assert nt.updates_h01[0] == fp.updates_h01[0]
+    assert nt.amplification_T == fp.amplification_T > 0
+    assert nt.smallest_eigenvalue == fp.smallest_eigenvalue
 
 
 def test_fixed_point_uses_the_runs_operator(single_cfg, gp, coarse_policy):
@@ -471,8 +485,7 @@ def test_sweep_csv_bytes(tmp_path):
                      kernel_coefficients=[1 / 7], r_norms={1.01: 0.4, 1.3: 1e300})
     failed = SolveReport(rho=1e-3, status="near-singular", smallest_eigenvalue=-2.0,
                          error='resonance, "quoted"\nsecond line')
-    sw = SweepResult(rho_list=[1e-2, 1e-3], solutions=[None, None],
-                     reports=[ok, failed], sigma_fits={})
+    sw = SweepResult(solutions=[None, None], reports=[ok, failed], sigma_fits={})
     sw.write_csv(tmp_path / "new.csv")
     _sweep_rows_dictwriter(sw, tmp_path / "old.csv")
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()

@@ -10,7 +10,7 @@ from sinhpierce.coeffs import (
     coefficient_set,
     constant_potential,
 )
-from sinhpierce.errors import InvalidExponent, MeshMismatch, OverflowGuard
+from sinhpierce.errors import InvalidExponent, MeshMismatch
 from sinhpierce.geometry import PierceSpec, build_domain_mesh, build_mesh, build_pierced_domain
 from sinhpierce.operators import (
     Field,
@@ -180,13 +180,6 @@ def test_nonlinearity_quadratic_smallness(ansatz_setup, single_cfg):
         N = nonlinear_N(phi, U, single_cfg, scales)
         ratios.append(ops.norm_lp(N, 1) / t ** 2)
     assert max(ratios) / min(ratios) <= 1.05
-
-
-def test_nonlinearity_overflow_guard(ansatz_setup, single_cfg):
-    mesh, scales, coeffs, U = ansatz_setup
-    phi = Field(mesh, np.full(mesh.n_nodes, 60.0))
-    with pytest.raises(OverflowGuard):
-        nonlinear_N(phi, U, single_cfg, scales)
 
 
 def test_residual_paths_agree(ansatz_setup, single_cfg):

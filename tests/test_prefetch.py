@@ -1,12 +1,16 @@
 """The background mesh built ahead on the helper thread: the same arrays as
 a serial build, the same artifact bytes from the CLI, the worker's errors
-surfacing from build_mesh, no worker for a layout that cannot validate, and
-the traced Green-function setup kept on the main thread."""
+surfacing from build_mesh, no worker for a layout that cannot validate, the
+traced Green-function setup kept on the main thread, and no wait for the
+worker once a command has failed."""
 
 import dataclasses
 import filecmp
 import os
+import subprocess
+import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -162,3 +166,29 @@ def test_traced_setup_stays_on_the_main_thread(tmp_path, monkeypatch):
     helpers = threads["background"] - {main_thread}
     assert main_thread in threads["background"] and len(helpers) == 1
     assert next(iter(helpers)).name.startswith("sinhpierce-background")
+
+
+_EXIT_PROBE = """
+import sys, time
+from sinhpierce.cli import main
+code = main(sys.argv[1:])
+print(time.monotonic(), flush=True)
+sys.exit(code)
+"""
+
+
+def test_failed_command_does_not_wait_for_the_helper(tmp_path):
+    # alpha = 2.01 at rho = 1e-3 fails as the pierced domain is built, before
+    # the first build_mesh takes the fine background the helper has begun
+    cfg = tmp_path / "underflow.cfg"
+    cfg.write_text(_config("construct-fine", tmp_path / "out")
+                   .replace("alphas = 3.0 3.0", "alphas = 2.01 2.01")
+                   .replace("h = 0.05", "h = 0.005"))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(geometry.__file__)))
+    proc = subprocess.run([sys.executable, "-c", _EXIT_PROBE, "construct", "--config", str(cfg)],
+                          env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+                          timeout=120)
+    ended = time.monotonic()
+    assert proc.returncode == 2, proc.stderr
+    assert "below the resolvable scale" in (tmp_path / "out" / "manifest.txt").read_text()
+    assert ended - float(proc.stdout) < 2.0
