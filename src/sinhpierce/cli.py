@@ -20,7 +20,7 @@ from .coeffs import dump_csv
 from .corrector import Run, construct_solution, continuation_sweep
 from .errors import ConstraintViolation, NonpositiveSampled, SchemaError, SinhPierceError
 from .geometry import format_17g
-from .runconfig import COMMANDS, RunConfig, parse_config
+from .runconfig import COMMANDS, SWEEP_REPORT, RunConfig, parse_config
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -94,7 +94,7 @@ def _cmd_sweep(rc: RunConfig, man: Manifest):
     man.add(os.path.join(out, "sweep_slopes.txt"), "residual-lp-scaling",
             "fitted decay exponents of the ansatz defect")
     for rep in sw.reports:
-        prefix = os.path.join(out, f"report_rho{rep.rho:.3e}")
+        prefix = os.path.join(out, SWEEP_REPORT.format(rep.rho))
         rep.write(prefix)
         man.add(prefix + ".txt", "sweep", "per-rho correction report")
     failures = [r for r in sw.reports if r.status != "converged"]

@@ -250,11 +250,12 @@ class Stage:
     projections: tuple   # projected bubbles in make_bubbles order; U is their signed sum
 
 
-def prepare(cfg, rho, policy: MeshPolicy, gp: GreenProvider) -> Stage:
-    """The per-rho chain: scales -> pierced domain -> mesh -> coefficients -> ansatz."""
+def prepare(cfg, rho, policy: MeshPolicy, gp: GreenProvider, background=None) -> Stage:
+    """The per-rho chain: scales -> pierced domain -> mesh -> coefficients -> ansatz.
+    background: the Future of cfg's background mesh, or None to build it here."""
     scales = choose_scales(cfg, rho, gp)
     pd = build_pierced_domain(cfg.domain, PierceSpec(centers=cfg.centers, radii=scales.eps))
-    mesh = build_mesh(pd, policy)
+    mesh = build_mesh(pd, policy, background)
     coeffs = coefficient_set(cfg, scales, gp)
     U, projections = build_ansatz(cfg, scales, mesh, coeffs=coeffs, gp=gp)
     # the projections were the last Poisson solves on this mesh
@@ -276,15 +277,15 @@ class Run:
     factor) are alive at once. A later call for a dropped rho rebuilds them,
     bit for bit.
 
-    The rho-independent background mesh starts building on the helper thread
-    here, so the Green function, the scales and any analytic check run while
-    it does; the first build_mesh waits for it.
+    Every stage shares one background mesh, which the Run starts on its own
+    thread here and holds as a Future: the Green function, the scales and any
+    analytic check run while it builds; the first build_mesh waits for it.
     """
 
     def __init__(self, cfg, policy: MeshPolicy | None = None, gp: GreenProvider | None = None):
         self.cfg = cfg
         self.policy = policy or MeshPolicy()
-        prefetch_background(cfg.domain, cfg.centers, self.policy)
+        self._background = prefetch_background(cfg.domain, cfg.centers, self.policy)
         self.gp = gp or GreenProvider(cfg.domain)
         self._stages = {}
         self._linear = None   # (rho, LinearOperator) or None
@@ -292,7 +293,7 @@ class Run:
     def stage(self, rho) -> Stage:
         if rho not in self._stages:
             self._release_linear()
-            self._stages[rho] = prepare(self.cfg, rho, self.policy, self.gp)
+            self._stages[rho] = prepare(self.cfg, rho, self.policy, self.gp, self._background)
             self.gp.release_operators()
         return self._stages[rho]
 

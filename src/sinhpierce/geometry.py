@@ -16,7 +16,6 @@ from __future__ import annotations
 import ctypes
 import itertools
 import math
-import queue
 import threading
 from concurrent.futures import Future
 from dataclasses import dataclass, field
@@ -299,7 +298,7 @@ def annulus_radius(domain: DomainSpec, centers: np.ndarray) -> float:
     """eta = 0.45 min{dist(xi_i, bdry), |xi_i - xi_j|} over the (m, 2) centers.
 
     It does not depend on the hole radii, so build_pierced_domain and
-    prefetch_background get the same float, and so the same memo key.
+    prefetch_background get the same float, and one background serves every rho.
     """
     m = centers.shape[0]
     bounds = [distance_to_boundary(domain, centers[i]) for i in range(m)]
@@ -496,78 +495,43 @@ def _inside_rim_polygon(centroids, center, rim_r, n_theta):
 def build_domain_mesh(domain: DomainSpec, h: float, smooth_iters: int = 2) -> Mesh:
     """Mesh the outer domain alone (no holes); used by the numeric Green backend."""
     policy = MeshPolicy(h=h, smooth_iters=smooth_iters)
-    return _assemble(_background(domain, np.zeros((0, 2)), 0.0, policy), None, policy)
+    return _assemble(_background(domain, np.zeros((0, 2)), 0.0, policy), None)
 
 
-# One-entry memo of the last background, keyed by everything _background
-# reads: a sweep meshes the same domain, centers and eta at every rho. The
-# value is a _Background, or the Future of a prefetch still pending. Only
-# the main thread reads or writes the slot; the worker only runs _background.
-_last_background = None
+def prefetch_background(domain: DomainSpec, centers, policy: MeshPolicy) -> Future | None:
+    """Start building the rho-independent background on a daemon thread and
+    return its Future, which build_mesh takes at every rho.
 
-
-class _Helper:
-    """One daemon thread that runs submitted calls in order, each behind a
-    Future. A daemon does not hold the interpreter open, so a command that
-    fails before it needs the background exits without waiting for it."""
-
-    def __init__(self):
-        self._jobs = queue.SimpleQueue()
-        self._thread = None
-
-    def submit(self, fn, *args) -> Future:
-        future = Future()
-        self._jobs.put((future, fn, args))
-        if self._thread is None:
-            self._thread = threading.Thread(target=self._work, daemon=True,
-                                            name="sinhpierce-background")
-            self._thread.start()
-        return future
-
-    def _work(self):
-        while True:
-            future, fn, args = self._jobs.get()
-            try:
-                future.set_result(fn(*args))
-            except BaseException as exc:   # raised again where the result is read
-                future.set_exception(exc)
-            del future, fn, args   # hold no finished job while waiting for the next
-
-
-# The one helper thread: at most one background build is ever in flight.
-# It runs _background and its private callees only, none of them traced.
-_builder = _Helper()
-
-
-def _background_key(domain, centers, eta, policy):
-    return (domain.kind, None if domain.boundary is None else domain.boundary.tobytes(),
-            centers.tobytes(), eta, policy)
-
-
-def prefetch_background(domain: DomainSpec, centers, policy: MeshPolicy):
-    """Start building the rho-independent background on the helper thread.
-
-    build_mesh takes the result when it first needs it. A layout that would
-    not validate (coincident centers, a center outside the domain) starts
-    nothing, so build_pierced_domain raises its named error as it would.
+    A daemon does not hold the interpreter open, so a command that fails
+    before it needs the background exits without waiting for it. A layout
+    that would not validate (coincident centers, a center outside the
+    domain) starts nothing and returns None, so build_pierced_domain raises
+    its named error as it would.
     """
-    global _last_background
     centers = np.atleast_2d(np.asarray(centers, dtype=float)).copy()
-    if centers.shape[0] == 0:
-        return
-    eta = annulus_radius(domain, centers)
+    eta = annulus_radius(domain, centers) if centers.shape[0] else 0.0
     if not eta > 0:
-        return
-    key = _background_key(domain, centers, eta, policy)
-    if _last_background is None or _last_background[0] != key:
-        _last_background = (key, _builder.submit(_background, domain, centers, eta, policy))
+        return None
+    future = Future()
+
+    def build():
+        try:
+            bg = _background(domain, centers, eta, policy)
+            _release_free_heap()
+        except BaseException as exc:   # raised again where build_mesh reads it
+            future.set_exception(exc)
+        else:
+            future.set_result(bg)
+
+    threading.Thread(target=build, daemon=True, name="sinhpierce-background").start()
+    return future
 
 
 def _release_free_heap():
-    """Hand the heap the helper thread freed back to the system.
+    """Hand the heap the build thread freed back to the system.
 
     glibc gives each thread its own malloc arena, and Qhull's freed memory
-    stays resident in the helper's; without this, `construct` at h = 0.005
+    stays resident in the thread's; without this, `construct` at h = 0.005
     peaks about 20% higher. A no-op where libc has no malloc_trim.
     """
     try:
@@ -579,25 +543,26 @@ def _release_free_heap():
     trim(0)
 
 
-def build_mesh(pd: PiercedDomain, policy: MeshPolicy) -> Mesh:
-    """Composite mesh of the pierced domain: polar patches + hex background."""
-    global _last_background
-    key = _background_key(pd.domain, pd.pierce.centers, pd.eta, policy)
-    if _last_background is None or _last_background[0] != key:
-        _last_background = (key, _background(pd.domain, pd.pierce.centers, pd.eta, policy))
-    elif isinstance(_last_background[1], Future):
-        pending, _last_background = _last_background[1], None
-        # a worker's exception surfaces here, as a serial build's would
-        _last_background = (key, pending.result())
-        _release_free_heap()
-    return _assemble(_last_background[1], pd, policy)
+def build_mesh(pd: PiercedDomain, policy: MeshPolicy, background: Future | None = None) -> Mesh:
+    """Composite mesh of the pierced domain: polar patches + hex background,
+    taken from prefetch_background's Future if given, else built here."""
+    if background is None:
+        return _assemble(_background(pd.domain, pd.pierce.centers, pd.eta, policy), pd)
+    bg = background.result()   # a worker's exception surfaces here, as a serial build's would
+    if (bg.centers.tobytes() != pd.pierce.centers.tobytes() or bg.eta != pd.eta
+            or bg.policy != policy):
+        raise ValueError("the background was built for other centers, eta or mesh policy")
+    return _assemble(bg, pd)
 
 
 @dataclass(frozen=True)
 class _Background:
-    """The part of a mesh that does not depend on the hole radii; every array
-    is read-only, so memoized backgrounds can be shared."""
+    """The part of a mesh that does not depend on the hole radii, and what it
+    was built for; the arrays meshes take are read-only, so a Run's stages share it."""
 
+    centers: np.ndarray
+    eta: float
+    policy: MeshPolicy
     bpoly: np.ndarray        # boundary polygon, the first pot nodes
     pot: np.ndarray          # stitch nodes: boundary, patch rims, transition circles, hex lattice
     origin: np.ndarray       # 0 boundary, 1 circle or rim, 2 hex
@@ -712,8 +677,8 @@ def _background(domain, centers, eta, policy) -> _Background:
 
     for arr in (bpoly, pot, origin, tris):
         arr.flags.writeable = False
-    return _Background(bpoly=bpoly, pot=pot, origin=origin, rim_slices=tuple(rim_slices),
-                       n_theta=n_theta, tris=tris)
+    return _Background(centers=centers, eta=eta, policy=policy, bpoly=bpoly, pot=pot,
+                       origin=origin, rim_slices=tuple(rim_slices), n_theta=n_theta, tris=tris)
 
 
 def _first_apart(pts, radius):
@@ -756,12 +721,10 @@ def _neighbour_sums(pot, tris):
     return nbr_sum, np.bincount(dst, minlength=n).astype(float)
 
 
-def _assemble(bg: _Background, pd, policy) -> Mesh:
+def _assemble(bg: _Background, pd) -> Mesh:
     """Add the polar patches of pd's holes to the background and check the whole mesh."""
-    pot, tris, n_theta = bg.pot, bg.tris, bg.n_theta
+    pot, tris, n_theta, eta = bg.pot, bg.tris, bg.n_theta, bg.eta
     n_pot = pot.shape[0]
-    centers = pd.pierce.centers if pd is not None else np.zeros((0, 2))
-    eta = pd.eta if pd is not None else 0.0
 
     # --- assemble global node arrays: pot nodes first, then patch interiors
     nodes = [pot]
@@ -775,9 +738,9 @@ def _assemble(bg: _Background, pd, policy) -> Mesh:
     tri_patch = [np.full(tris.shape[0], -1)]
 
     next_id = n_pot
-    for i in range(centers.shape[0]):
-        xi = centers[i]
-        radii = _build_patch_rings(pd.pierce.radii[i], eta, policy.q, n_theta)
+    for i in range(bg.centers.shape[0]):
+        xi = bg.centers[i]
+        radii = _build_patch_rings(pd.pierce.radii[i], eta, bg.policy.q, n_theta)
         k1 = len(radii)
         th = 2 * np.pi * np.arange(n_theta) / n_theta
         ct, st = np.cos(th), np.sin(th)
@@ -822,7 +785,7 @@ def _assemble(bg: _Background, pd, policy) -> Mesh:
     mesh = Mesh(nodes=nodes, triangles=triangles, node_marker=node_marker,
                 node_patch=node_patch, node_dx=node_dx, node_dy=node_dy,
                 tri_patch=tri_patch, weights=np.zeros(nodes.shape[0]),
-                patches=patches, pd=pd, h=policy.h, boundary_polygon=bg.bpoly)
+                patches=patches, pd=pd, h=bg.policy.h, boundary_polygon=bg.bpoly)
 
     _orient_and_weigh(mesh)
     _check_conformity(mesh, bg.bpoly)

@@ -248,14 +248,16 @@ class LinearOperator:
         wI = ops.w[ops.interior]
         rng = np.random.default_rng(seed)
         x = rng.standard_normal(len(ops.interior))
-        lam = np.inf
+        steps = 0
         for _ in range(iters):
             y = lu.solve(wI * x)
             ny = np.sqrt(np.sum(wI * y * y))
             if not np.isfinite(ny) or ny == 0:
                 break
             x = y / ny
-            lam = float(x @ (self.matrix @ x)) / float(np.sum(wI * x * x))
+            steps += 1
+        # the Rayleigh quotient of the last accepted step
+        lam = float(x @ (self.matrix @ x)) / float(np.sum(wI * x * x)) if steps else np.inf
         self._eig_estimate = lam
         return lam
 

@@ -20,6 +20,7 @@ from .geometry import DomainSpec, MeshPolicy, _inside_farther_than
 from .potentials import check_positive, parse_potential
 
 COMMANDS = ("construct", "sweep", "verify", "green-check")
+SWEEP_REPORT = "report_rho{:.3e}"   # the prefix of each rho's report in a sweep
 
 
 @dataclass
@@ -181,6 +182,11 @@ def parse_config(text: str, run_overrides=None) -> RunConfig:
     rho_list = get_list("rho", "1e-3")
     if rho_list != sorted(rho_list, reverse=True):
         problems.append("rho values must be sorted descending")
+    names = [SWEEP_REPORT.format(r) for r in rho_list]
+    clashing = [r for r, name in zip(rho_list, names) if names.count(name) > 1]
+    if clashing:
+        problems.append(f"rho values {clashing} agree to 4 significant digits, "
+                        "so their sweep reports would share a name")
     p_list = get_list("p", "1.01 1.1 1.3")
     if not all(1 <= p < np.inf for p in p_list):
         problems.append(f"p: Lp norms need finite p >= 1, got {p_list}")

@@ -323,7 +323,7 @@ def suite(rc):
     """
     cfg = rc.problem
     # the quadrature loads scipy.integrate: do it before Run starts the
-    # background mesh on the helper thread, not while that thread works
+    # background mesh on its own thread, not while that thread works
     results = check_integral_identities(alphas=sorted(set(cfg.alphas.tolist())))
     run = Run(cfg, rc.policy)
     for a in sorted(set(cfg.alphas.tolist())):

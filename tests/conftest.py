@@ -1,6 +1,7 @@
+import threading
+
 import pytest
 
-import sinhpierce.geometry as geometry
 from sinhpierce.coeffs import BlowupConfig, constant_potential
 from sinhpierce.geometry import DomainSpec, MeshPolicy, PierceSpec, build_mesh, build_pierced_domain
 from sinhpierce.greens import GreenProvider
@@ -8,10 +9,13 @@ from sinhpierce.greens import GreenProvider
 
 @pytest.fixture(autouse=True)
 def drain_background_prefetch():
-    """Wait, after each test, for any background build the test left on the
-    helper thread, so it does not run on into the next test's time."""
+    """Wait, after each test, for any background build the test left
+    running, so it does not run on into the next test's time."""
     yield
-    geometry._builder.submit(int).result()
+    for thread in threading.enumerate():
+        if thread.name == "sinhpierce-background":
+            thread.join(timeout=120)
+            assert not thread.is_alive()
 
 
 @pytest.fixture(scope="session")

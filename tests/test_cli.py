@@ -183,9 +183,9 @@ def test_one_mesh_per_rho_per_command(tmp_path, monkeypatch):
 
     monkeypatch.setattr(geometry_mod, "_hex_lattice", counting_lattice)
 
-    def counting(pd, policy):
+    def counting(pd, *args):
         calls.append(pd)
-        return real(pd, policy)
+        return real(pd, *args)
 
     real_project = bubbles_mod.project_numeric
 
@@ -226,7 +226,6 @@ def test_one_mesh_per_rho_per_command(tmp_path, monkeypatch):
         lattices.clear()
         factored.clear()
         owners.clear()
-        monkeypatch.setattr(geometry_mod, "_last_background", None, raising=False)
         assert main([command, "--config", path, "--out", str(tmp_path / command)]) == 0
         assert len(calls) == meshes, command
         assert len(projections) == meshes * bubbles, command
@@ -246,7 +245,6 @@ def test_one_mesh_per_rho_per_command(tmp_path, monkeypatch):
         calls.clear()
         factored.clear()
         owners.clear()
-        monkeypatch.setattr(geometry_mod, "_last_background", None, raising=False)
         out = tmp_path / f"square-{command}"
         assert main([command, "--config", square, "--out", str(out)]) == 0, command
         assert len(calls) == 3, command
@@ -399,7 +397,7 @@ def test_closed_boundary_curve_constructs_like_open(tmp_path):
         assert filecmp.cmp(outs[0] / name, outs[1] / name, shallow=False), name
 
 
-def test_repeated_vertex_is_dropped(tmp_path, monkeypatch):
+def test_repeated_vertex_is_dropped(tmp_path):
     # a zero-length edge inside the curve gave NaN distances and a Delaunay crash
     corners = [[-0.9, -0.9], [0.9, -0.9], [0.9, 0.9], [-0.9, 0.9]]
     square = DomainSpec("boundary-curve", corners)
@@ -410,7 +408,6 @@ def test_repeated_vertex_is_dropped(tmp_path, monkeypatch):
     assert distance_to_boundary(domain, (0.0, -0.5)) == pytest.approx(0.4, abs=1e-12)
     meshes = []
     for dom in (square, domain):
-        monkeypatch.setattr(geometry_mod, "_last_background", None)
         pd = build_pierced_domain(dom, PierceSpec(centers=[[0.1, 0.0]], radii=[1e-3]))
         meshes.append(build_mesh(pd, MeshPolicy(h=0.1, q=1.3)))
     for f in dataclasses.fields(meshes[0]):
@@ -498,6 +495,22 @@ def test_descending_rho_required(tmp_path):
     with pytest.raises(SchemaError):
         parse_config(BASE.format(out=tmp_path).replace("rho = 1e-2",
                                                        "rho = 1e-3 1e-2"))
+
+
+@pytest.mark.parametrize("rho, clashing", [
+    ("1.0002e-2 1.0001e-2 1e-3", "[0.010002, 0.010001]"),
+    ("1e-2 1e-2 1e-3", "[0.01, 0.01]"),
+], ids=["four-digits", "equal"])
+def test_rho_values_sharing_a_report_name_rejected(tmp_path, capsys, rho, clashing):
+    # sweep writes report_rho{rho:.3e} per rho: two such values wrote one file
+    # twice and listed it twice in the manifest
+    text = BASE.format(out=tmp_path / "out").replace("h = 0.05", "h = 0.1")
+    with pytest.raises(SchemaError, match="agree to 4 significant digits") as exc:
+        parse_config(text.replace("rho = 1e-2", f"rho = {rho}"))
+    assert clashing in str(exc.value)
+    assert main(["sweep", "--config", _write(tmp_path, text), "--rho", rho]) == 1
+    assert clashing in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_field_csv_export(tmp_path, coarse_solution):

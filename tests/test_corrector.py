@@ -302,6 +302,52 @@ def _square_pair_run(gp):
     return Run(cfg, MeshPolicy(h=0.05), gp)
 
 
+def smallest_eigenvalue_per_step(L, iters=8, seed=1234):
+    """Reference: the inverse-power loop with a Rayleigh quotient after every step."""
+    lu = L._factor()
+    wI = L._ops.w[L._ops.interior]
+    x = np.random.default_rng(seed).standard_normal(len(L._ops.interior))
+    lam = np.inf
+    for _ in range(iters):
+        y = lu.solve(wI * x)
+        ny = np.sqrt(np.sum(wI * y * y))
+        if not np.isfinite(ny) or ny == 0:
+            break
+        x = y / ny
+        lam = float(x @ (L.matrix @ x)) / float(np.sum(wI * x * x))
+    return lam
+
+
+class _ZeroSolveAt:
+    """A factor whose solve returns zeros at one step, which ends the loop there."""
+
+    def __init__(self, lu, step):
+        self.lu, self.step, self.calls = lu, step, 0
+
+    def solve(self, b):
+        self.calls += 1
+        return np.zeros_like(b) if self.calls == self.step else self.lu.solve(b)
+
+
+@pytest.mark.parametrize("domain", ["disk", "square"])
+def test_one_rayleigh_quotient_per_estimate(domain, single_cfg, gp, coarse_policy):
+    run = (Run(single_cfg, coarse_policy, gp) if domain == "disk"
+           else _square_pair_run(NumericGreen(_SQUARE, h=0.1)))
+    for rho in (1e-2, 1e-3):
+        L = run.linear_operator(rho)
+        lu = L._factor()
+        # no break; a break at step 3 (the quotient of step 2); a break at
+        # the first step (no quotient: inf)
+        for step, finite in ((None, True), (3, True), (1, False)):
+            if step is not None:
+                L._factor = lambda step=step: _ZeroSolveAt(lu, step)
+            L._eig_estimate = None
+            want = smallest_eigenvalue_per_step(L)
+            got = L.smallest_eigenvalue()
+            assert np.float64(got).tobytes() == np.float64(want).tobytes(), step
+            assert math.isfinite(got) == finite, step
+
+
 def _nearest_nodes_per_point(mesh, points):
     """Reference: one full hypot and argmin pass per point."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))

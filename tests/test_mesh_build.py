@@ -1,17 +1,19 @@
 """Exactness of the mesh construction's fast paths: the pruned polygon tests
 against the all-pairs broadcasts they replace, the bincount sums against the
-np.add.at accumulation, the memoized background against a cold build, a
+np.add.at accumulation, the background a Run shares against a cold build, a
 closed boundary curve against the open one, and the conformity check on
 broken meshes."""
 
 import dataclasses
 import math
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
 
 import sinhpierce.geometry as geometry
-from sinhpierce.coeffs import BlowupConfig, choose_scales, constant_potential
+from sinhpierce.coeffs import BlowupConfig, constant_potential
+from sinhpierce.corrector import Run
 from sinhpierce.errors import StitchFailure
 from sinhpierce.geometry import (
     DomainSpec,
@@ -177,16 +179,15 @@ def test_transition_dedup_tests_only_kept_points():
     assert first_apart_per_candidate_tree(pts, radius).tolist() == [0, 2, 4, 6]
 
 
-# --- the memoized background ---------------------------------------------
+# --- the background a Run shares ------------------------------------------
 
-def _pierced_domains(domain, centers):
-    """The pierced domains of a three-rho sweep (rho 1e-2, 1e-3, 1e-4)."""
+RHOS = (1e-2, 1e-3, 1e-4)
+
+
+def _config(domain, centers):
     m = len(centers)
-    cfg = BlowupConfig(domain=domain, centers=centers, alphas=[3.0] * m, m1=1, tau=1.0,
-                       V1=constant_potential(1.0), V2=constant_potential(1.0))
-    gp = GreenProvider(domain)
-    return [build_pierced_domain(domain, PierceSpec(cfg.centers, choose_scales(cfg, rho, gp).eps))
-            for rho in (1e-2, 1e-3, 1e-4)]
+    return BlowupConfig(domain=domain, centers=centers, alphas=[3.0] * m, m1=1, tau=1.0,
+                        V1=constant_potential(1.0), V2=constant_potential(1.0))
 
 
 def _assert_same_mesh(a, b):
@@ -209,49 +210,41 @@ def _assert_same_mesh(a, b):
                          ids=["verify-disk", "sweep-square"])
 def test_memoized_mesh_equals_cold_build(domain, centers, monkeypatch):
     policy = MeshPolicy(h=0.02)
-    pds = _pierced_domains(domain, centers)
+    gp = GreenProvider(domain)
     real = geometry._background
-    builds = []
+    pierced_builds = []
 
-    def counting(*args):
-        builds.append(args)
-        return real(*args)
+    def counting(domain, centers, eta, policy):
+        if eta > 0:   # not the numeric Green function's domain mesh
+            pierced_builds.append(centers)
+        return real(domain, centers, eta, policy)
 
     monkeypatch.setattr(geometry, "_background", counting)
-    cold = []
-    for pd in pds:
-        monkeypatch.setattr(geometry, "_last_background", None)
-        cold.append(build_mesh(pd, policy))
-    assert len(builds) == 3
+    # one background for the Run's three stages; writing to a returned mesh
+    # leaves it, and so the next stage's mesh, alone
+    run = Run(_config(domain, centers), policy, gp)
+    for cold_builds, rho in enumerate(RHOS):
+        st = run.stage(rho)
+        assert len(pierced_builds) == 1 + cold_builds
+        _assert_same_mesh(st.mesh, build_mesh(st.pd, policy))
+        assert not st.mesh.boundary_polygon.flags.writeable
+        st.mesh.nodes[:] = 0.0
+        st.mesh.triangles[:] = 0
+        st.mesh.node_dx[:] = 0.0
 
-    # one background for the whole sweep; writing to a returned mesh leaves it alone
-    monkeypatch.setattr(geometry, "_last_background", None)
-    builds.clear()
-    for pd, ref in zip(pds, cold):
-        mesh = build_mesh(pd, policy)
-        _assert_same_mesh(mesh, ref)
-        assert not mesh.boundary_polygon.flags.writeable
-        mesh.nodes[:] = 0.0
-        mesh.triangles[:] = 0
-        mesh.node_dx[:] = 0.0
-    assert len(builds) == 1
 
-    # a mesh of another domain, centers, eta or policy in between: both it and
-    # the next sweep mesh equal their cold builds
-    moved = dataclasses.replace(pds[0], pierce=PierceSpec(pds[0].pierce.centers + [0.01, 0.0],
-                                                          pds[0].pierce.radii))
-    shrunk = dataclasses.replace(pds[1], eta=0.9 * pds[1].eta)
-    other_pd = build_pierced_domain(DomainSpec(), PierceSpec([[0.3, 0.1]], [1e-3]))
-    between = [lambda: build_mesh(other_pd, policy),
-               lambda: build_mesh(moved, policy),
-               lambda: build_mesh(shrunk, policy),
-               lambda: build_mesh(pds[2], MeshPolicy(h=0.03)),
-               lambda: build_domain_mesh(domain, 0.02)]
-    for pd, ref, other in zip(pds + pds[:2], cold + cold[:2], between):
-        monkeypatch.setattr(geometry, "_last_background", None)
-        other_cold = other()
-        _assert_same_mesh(build_mesh(pd, policy), ref)
-        _assert_same_mesh(other(), other_cold)
+def test_foreign_background_is_rejected():
+    policy = MeshPolicy(h=0.1)
+    centers = np.array([[-0.4, 0.0], [0.4, 0.0]])
+    pd = build_pierced_domain(DomainSpec(), PierceSpec(centers, [1e-3, 1e-3]))
+    built = Future()
+    built.set_result(geometry._background(pd.domain, pd.pierce.centers, pd.eta, policy))
+    moved = dataclasses.replace(pd, pierce=PierceSpec(centers + [0.01, 0.0], pd.pierce.radii))
+    shrunk = dataclasses.replace(pd, eta=0.9 * pd.eta)
+    for other, other_policy in ((moved, policy), (shrunk, policy), (pd, MeshPolicy(h=0.12))):
+        with pytest.raises(ValueError, match="other centers, eta or mesh policy"):
+            build_mesh(other, other_policy, built)
+    _assert_same_mesh(build_mesh(pd, policy, built), build_mesh(pd, policy))
 
 
 # --- bincount sums ----------------------------------------------------------
@@ -306,12 +299,10 @@ def test_bincount_sums_equal_add_at(build, monkeypatch):
         return nbr_sum, nbr_cnt
 
     monkeypatch.setattr(geometry, "_neighbour_sums", checked)
-    monkeypatch.setattr(geometry, "_last_background", None)
     mesh = build()
     assert len(passes) == MeshPolicy().smooth_iters
     monkeypatch.setattr(geometry, "_neighbour_sums", neighbour_sums_add_at)
     monkeypatch.setattr(geometry, "_orient_and_weigh", orient_and_weigh_add_at)
-    monkeypatch.setattr(geometry, "_last_background", None)
     ref = build()
     # the smoothed stitch nodes come first, the weights cover every node
     assert np.array_equal(_bits(mesh.nodes), _bits(ref.nodes))
@@ -321,7 +312,7 @@ def test_bincount_sums_equal_add_at(build, monkeypatch):
 
 # --- closed boundary curves ----------------------------------------------
 
-def test_closed_boundary_curve_equals_open(monkeypatch):
+def test_closed_boundary_curve_equals_open():
     closed = DomainSpec("boundary-curve", np.vstack([SQUARE.boundary, SQUARE.boundary[:1]]))
     assert np.array_equal(closed.boundary, SQUARE.boundary)
     # the zero-length closing edge gave NaN here
@@ -335,7 +326,6 @@ def test_closed_boundary_curve_equals_open(monkeypatch):
     assert pd_closed.eta == pd_open.eta
     meshes = []
     for pd in (pd_open, pd_closed):
-        monkeypatch.setattr(geometry, "_last_background", None)
         meshes.append(build_mesh(pd, MeshPolicy(h=0.04)))
     _assert_same_mesh(dataclasses.replace(meshes[1], pd=pd_open), meshes[0])
 

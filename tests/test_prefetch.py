@@ -1,5 +1,5 @@
-"""The background mesh built ahead on the helper thread: the same arrays as
-a serial build, the same artifact bytes from the CLI, the worker's errors
+"""The background mesh built ahead on its own thread: the same arrays as a
+serial build, the same artifact bytes from the CLI, the worker's errors
 surfacing from build_mesh, no worker for a layout that cannot validate, the
 traced Green-function setup kept on the main thread, and no wait for the
 worker once a command has failed."""
@@ -55,23 +55,17 @@ def _config(workload, out):
             f"tol = 1e-10\nmaxiter = 50\nseed = 1\nout = {out}\n")
 
 
-def _pending(monkeypatch, domain, centers, policy):
-    """Prefetch into an empty slot and return the Future it holds."""
-    monkeypatch.setattr(geometry, "_last_background", None)
-    prefetch_background(domain, centers, policy)
-    return geometry._last_background[1]
-
-
 @pytest.mark.parametrize("domain", [DomainSpec(), SQUARE], ids=["disk-pair", "square-pair"])
 def test_prefetched_background_equals_serial(domain, monkeypatch):
     policy = MeshPolicy(h=0.04)
-    pending = _pending(monkeypatch, domain, PAIR, policy)
+    pending = prefetch_background(domain, PAIR, policy)
     pd = build_pierced_domain(domain, PierceSpec(PAIR, [1e-3, 1e-3]))
     assert pd.eta == annulus_radius(domain, np.asarray(PAIR))
-    mesh = build_mesh(pd, policy)
     prefetched = pending.result()
-    # build_mesh took the prefetched background instead of building its own
-    assert geometry._last_background[1] is prefetched
+    # build_mesh takes the prefetched background instead of building its own
+    monkeypatch.setattr(geometry, "_background", None)
+    mesh = build_mesh(pd, policy, pending)
+    monkeypatch.undo()
     serial = geometry._background(domain, pd.pierce.centers, pd.eta, policy)
     for f in dataclasses.fields(serial):
         a, b = getattr(prefetched, f.name), getattr(serial, f.name)
@@ -80,7 +74,6 @@ def test_prefetched_background_equals_serial(domain, monkeypatch):
             assert a.tobytes() == b.tobytes(), f.name
         else:
             assert a == b, f.name
-    monkeypatch.setattr(geometry, "_last_background", None)
     cold = build_mesh(pd, policy)
     assert mesh.nodes.tobytes() == cold.nodes.tobytes()
     assert mesh.triangles.tobytes() == cold.triangles.tobytes()
@@ -92,7 +85,6 @@ def test_artifacts_equal_without_prefetch(workload, tmp_path, monkeypatch):
     for label in ("prefetch", "serial"):
         if label == "serial":
             monkeypatch.setattr(corrector_mod, "prefetch_background", lambda *args: None)
-        monkeypatch.setattr(geometry, "_last_background", None)
         out = tmp_path / label
         cfg = tmp_path / f"{label}.cfg"
         cfg.write_text(_config(workload, out))
@@ -110,37 +102,32 @@ def test_worker_failure_surfaces_from_build_mesh(monkeypatch):
 
     monkeypatch.setattr(geometry, "_background", broken)
     policy = MeshPolicy(h=0.1)
-    pending = _pending(monkeypatch, DomainSpec(), PAIR, policy)
+    pending = prefetch_background(DomainSpec(), PAIR, policy)
     pd = build_pierced_domain(DomainSpec(), PierceSpec(PAIR, [1e-3, 1e-3]))
     with pytest.raises(StitchFailure, match="injected"):
-        build_mesh(pd, policy)
+        build_mesh(pd, policy, pending)
     assert pending.done()
-    # the failed build is not kept: the next call builds again, serially
-    assert geometry._last_background is None
+    # nothing keeps the failed build: without its Future, build_mesh builds serially
     monkeypatch.undo()
-    monkeypatch.setattr(geometry, "_last_background", None)
     assert build_mesh(pd, policy).n_nodes > 0
 
 
-def test_coincident_centers_start_no_worker(monkeypatch):
-    submitted = []
-    monkeypatch.setattr(geometry._builder, "submit",
-                        lambda *args: submitted.append(args), raising=False)
-    monkeypatch.setattr(geometry, "_last_background", None)
+def test_coincident_centers_start_no_worker():
     cfg = BlowupConfig(domain=DomainSpec(), centers=[[0.3, 0.0], [0.3, 0.0]],
                        alphas=[3.0, 3.0], m1=1, V1=constant_potential(1.0),
                        V2=constant_potential(1.0))
+    assert prefetch_background(cfg.domain, cfg.centers, MeshPolicy(h=0.1)) is None
     run = Run(cfg, MeshPolicy(h=0.1))
     # nor for a center outside the domain (eta < 0)
-    prefetch_background(DomainSpec(), [[1.5, 0.0]], MeshPolicy(h=0.1))
-    assert submitted == [] and geometry._last_background is None
+    assert prefetch_background(DomainSpec(), [[1.5, 0.0]], MeshPolicy(h=0.1)) is None
+    assert not any(t.name == "sinhpierce-background" for t in threading.enumerate())
     with pytest.raises(DuplicateCenters), np.errstate(all="ignore"):
         prepare(cfg, 1e-2, run.policy, run.gp)
 
 
 def test_traced_setup_stays_on_the_main_thread(tmp_path, monkeypatch):
     # the tracer keeps one span stack, so no traced function may run on the
-    # helper thread: only _background does
+    # background thread: only _background does
     threads = {}
 
     def recording(name, real):
@@ -155,14 +142,13 @@ def test_traced_setup_stays_on_the_main_thread(tmp_path, monkeypatch):
                         recording("build_domain_mesh", greens_mod.build_domain_mesh))
     monkeypatch.setattr(geometry, "_background",
                         recording("background", geometry._background))
-    monkeypatch.setattr(geometry, "_last_background", None)
     cfg = tmp_path / "square.cfg"
     cfg.write_text(_config("sweep-square", tmp_path / "out"))
     assert main(["sweep", "--config", str(cfg)]) == 0
     main_thread = threading.main_thread()
     assert threads["provider_init"] == {main_thread}
     assert threads["build_domain_mesh"] == {main_thread}
-    # the domain mesh's background on the main thread, the pierced one on the helper
+    # the domain mesh's background on the main thread, the pierced one on its own
     helpers = threads["background"] - {main_thread}
     assert main_thread in threads["background"] and len(helpers) == 1
     assert next(iter(helpers)).name.startswith("sinhpierce-background")
