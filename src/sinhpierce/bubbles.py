@@ -30,7 +30,6 @@ class Bubble:
     alpha: float
     delta: float
     delta_pow: float      # delta**alpha, exact
-    positive: bool        # sign of the bubble in the ansatz
 
     @property
     def peak(self):
@@ -39,8 +38,7 @@ class Bubble:
 
 def make_bubbles(cfg, scales):
     return [Bubble(index=i, center=cfg.centers[i].copy(), alpha=float(cfg.alphas[i]),
-                   delta=float(scales.delta[i]), delta_pow=float(scales.delta_pow[i]),
-                   positive=i < cfg.m1)
+                   delta=float(scales.delta[i]), delta_pow=float(scales.delta_pow[i]))
             for i in range(cfg.m)]
 
 
@@ -177,7 +175,7 @@ def project_asymptotic(b: Bubble, coeffs, gp, x, regime: str, eta=None) -> float
     if regime == "near":
         val = float(bubble_value(b, pt)) \
             - (math.log(2 * b.alpha ** 2) + math.log(b.delta_pow)) \
-            + 4 * math.pi * b.alpha * gp.robin_H(pt, centers[i])
+            + 4 * math.pi * b.alpha * gp.robin_H_many(pt[None, :], centers[i])[0]
     else:
         raise ValueError(f"unknown regime {regime!r}")
     for k in range(centers.shape[0]):

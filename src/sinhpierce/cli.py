@@ -154,17 +154,22 @@ def main(argv=None) -> int:
                     "Meshed experiments need hole radii above 1e-13, which for "
                     "the default configurations means rho of roughly 2e-5 or "
                     "larger; the coefficient-level routines go further down.",
-        epilog="Exit codes: 0 success; 1 validation failure (the config or a flag "
-               "value is rejected before any solve: unparseable or missing keys, "
-               "rho not positive or not descending, p < 1, tol <= 0, maxiter < 1, "
-               "...); 2 solver failure; 3 check failure.")
+        epilog="Config sections and keys: [problem] domain, boundary, centers, alphas, "
+               "m1, tau, nu, v1, v2; [mesh] h, q; [run] command, rho, p, tol, maxiter, "
+               "seed, out. The positional command replaces [run] command. "
+               "Exit codes: 0 success; 1 validation failure (the config or a flag "
+               "value is rejected before any solve: unparseable, missing or unknown "
+               "sections and keys, rho not positive or not descending, construct "
+               "with more than one rho, p < 1, tol <= 0, maxiter < 1, ...); "
+               "2 solver failure; 3 check failure.")
     parser.add_argument("command", choices=COMMANDS)
     parser.add_argument("--config", required=True, help="path to the INI config")
     parser.add_argument("--out", default=None, help="output directory override")
     parser.add_argument("--seed", default=None)
     parser.add_argument("--rho", default=None,
-                        help="space/comma separated list, descending and positive; verify "
-                             "checks at 1e-2 1e-3 1e-4 when given fewer than three values")
+                        help="space/comma separated list, descending and positive; construct "
+                             "takes exactly one value; verify checks at 1e-2 1e-3 1e-4 "
+                             "when given fewer than three values")
     parser.add_argument("--p", default=None, help="space/comma separated list, each >= 1")
     args = parser.parse_args(argv)
 
@@ -176,12 +181,12 @@ def main(argv=None) -> int:
         return EXIT_VALIDATION
 
     # the overrides take the place of the file's [run] values before any check
-    overrides = {key: value for key, value in (("out", args.out), ("seed", args.seed),
-                                               ("rho", args.rho), ("p", args.p))
+    overrides = {key: value for key, value in (("command", args.command), ("out", args.out),
+                                               ("seed", args.seed), ("rho", args.rho),
+                                               ("p", args.p))
                  if value is not None}
     try:
         rc = parse_config(text, overrides)
-        rc.command = args.command
     except (SchemaError, ConstraintViolation, NonpositiveSampled) as exc:
         print(f"validation failure: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

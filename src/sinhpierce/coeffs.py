@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import ConstraintViolation, NonpositivePotentialAtCenter, SingularSystem
 from .geometry import DomainSpec
-from .greens import GreenProvider, green_pair_table
+from .greens import GreenProvider
 
 _TWO_PI = 2.0 * math.pi
 
@@ -84,8 +84,8 @@ def constant_potential(v):
 class ScaleParams:
     """Derived scale quantities tied to one rho.
 
-    delta_pow holds d_i * rho, the exact value of delta_i^alpha_i; eps_pow
-    holds r_i * rho = eps_i^((alpha_i - 2)/2).  delta and eps are the roots.
+    delta_pow holds d_i * rho, the exact value of delta_i^alpha_i; r_i * rho
+    is eps_i^((alpha_i - 2)/2).  delta and eps are the roots.
     """
 
     rho: float
@@ -95,14 +95,13 @@ class ScaleParams:
     delta: np.ndarray
     eps: np.ndarray
     delta_pow: np.ndarray
-    eps_pow: np.ndarray
     log_delta: np.ndarray    # log(delta_i), exact in log space
     log_eps: np.ndarray      # log(eps_i); eps itself may underflow for alpha near 2
 
 
 def compute_rho_i(cfg: BlowupConfig, gp: GreenProvider) -> np.ndarray:
     """Interaction exponents rho_i built from Green values at the centers."""
-    H, G = green_pair_table(gp, cfg.centers)
+    H, G = gp.pair_table(cfg.centers)
     a = cfg.alphas
     m, m1, tau = cfg.m, cfg.m1, cfg.tau
     out = np.zeros(m)
@@ -145,15 +144,13 @@ def choose_scales(cfg: BlowupConfig, rho: float, gp: GreenProvider) -> ScalePara
             d[i] = v * math.exp(2 * math.pi * rho_i[i]) * tau / (2 * a[i] ** 2)
     r = d * np.exp(-math.pi * rho_i)
     delta_pow = d * rho
-    eps_pow = r * rho
     log_delta = (np.log(d) + math.log(rho)) / a
     log_eps = 2.0 * (np.log(r) + math.log(rho)) / (a - 2.0)
     delta = np.exp(log_delta)
     with np.errstate(under="ignore"):
         eps = np.exp(log_eps)
     return ScaleParams(rho=float(rho), rho_i=rho_i, d=d, r=r, delta=delta, eps=eps,
-                       delta_pow=delta_pow, eps_pow=eps_pow,
-                       log_delta=log_delta, log_eps=log_eps)
+                       delta_pow=delta_pow, log_delta=log_delta, log_eps=log_eps)
 
 
 # ---------------------------------------------------------------------------
@@ -184,7 +181,7 @@ def _check_solve(A, B, name):
 
 def solve_beta(cfg: BlowupConfig, scales: ScaleParams, gp: GreenProvider) -> np.ndarray:
     """Matching coefficients beta_ij; row i solves the shared m x m system."""
-    H, G = green_pair_table(gp, cfg.centers)
+    H, G = gp.pair_table(cfg.centers)
     a = cfg.alphas
     m = cfg.m
     A = _beta_matrix(H, G, scales.log_eps)
@@ -226,7 +223,6 @@ class CoefficientSet:
     gamma_tilde: np.ndarray
     gamma_star: np.ndarray
     centers: np.ndarray = None
-    alphas: np.ndarray = None
 
 
 def _gamma_matrix(H, G, log_eps):
@@ -242,7 +238,7 @@ def _gamma_matrix(H, G, log_eps):
 
 def solve_gamma(cfg: BlowupConfig, scales: ScaleParams, gp: GreenProvider):
     """Kernel-side coefficients (gamma_ij, gamma~_ij, gamma_j*)."""
-    H, G = green_pair_table(gp, cfg.centers)
+    H, G = gp.pair_table(cfg.centers)
     a = cfg.alphas
     m = cfg.m
     A = _gamma_matrix(H, G, scales.log_eps)
@@ -277,8 +273,7 @@ def coefficient_set(cfg: BlowupConfig, scales: ScaleParams, gp: GreenProvider) -
     beta = solve_beta(cfg, scales, gp)
     gamma, gamma_tilde, gamma_star = solve_gamma(cfg, scales, gp)
     return CoefficientSet(beta=beta, gamma=gamma, gamma_tilde=gamma_tilde,
-                          gamma_star=gamma_star, centers=cfg.centers.copy(),
-                          alphas=cfg.alphas.copy())
+                          gamma_star=gamma_star, centers=cfg.centers.copy())
 
 
 def _dominant(H, G, log_eps) -> bool:
@@ -290,19 +285,20 @@ def _dominant(H, G, log_eps) -> bool:
     return True
 
 
-def dominance_threshold(cfg: BlowupConfig, gp: GreenProvider,
-                        lo=1e-12, hi=1.0, iters=60) -> float:
-    """Largest rho (up to bisection tolerance) with row-dominant systems."""
-    H, G = green_pair_table(gp, cfg.centers)
+def dominance_threshold(cfg: BlowupConfig, gp: GreenProvider) -> float:
+    """Largest rho in [1e-12, 1] (up to 60 bisection steps) with row-dominant
+    systems."""
+    H, G = gp.pair_table(cfg.centers)
 
     def dominant(rho):
         return _dominant(H, G, choose_scales(cfg, rho, gp).log_eps)
 
+    lo, hi = 1e-12, 1.0
     if dominant(hi):
         return hi
     if not dominant(lo):
         return 0.0
-    for _ in range(iters):
+    for _ in range(60):
         mid = math.sqrt(lo * hi)
         if dominant(mid):
             lo = mid

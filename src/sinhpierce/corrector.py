@@ -268,8 +268,6 @@ class Run:
 
     stage(rho) prepares each rho once; every later call, from the solver or
     from a check, gets the same Stage and so the same mesh and operators.
-    Once a stage is prepared, the Green function holds H(., xi_k) for every
-    center, so its own domain operators are dropped.
     linear_operator(rho) is the solver T = (Lap + W)^-1 at rho's ansatz, shared
     by the fixed point and the solver-bound check. Only one is kept: asking for
     another rho, or preparing a new stage, drops it first, together with its
@@ -294,7 +292,6 @@ class Run:
         if rho not in self._stages:
             self._release_linear()
             self._stages[rho] = prepare(self.cfg, rho, self.policy, self.gp, self._background)
-            self.gp.release_operators()
         return self._stages[rho]
 
     def linear_operator(self, rho) -> LinearOperator:
@@ -368,12 +365,13 @@ def farfield_error_at(sol, gp, point) -> float:
     return float(abs(sol.u.values[node] - target))
 
 
-def farfield_sample_points(cfg, pd, n_per_ring=16, radii=(0.5, 0.7, 0.85)):
-    """Deterministic sample points at distance > eta from every center."""
+def farfield_sample_points(cfg, pd):
+    """Deterministic sample points, 16 per ring of radius 0.5, 0.7 and 0.85, at
+    distance > eta from every center."""
     pts = []
-    for rad in radii:
-        for k in range(n_per_ring):
-            th = 2 * math.pi * (k + 0.5) / n_per_ring
+    for rad in (0.5, 0.7, 0.85):
+        for k in range(16):
+            th = 2 * math.pi * (k + 0.5) / 16
             p = np.array([rad * math.cos(th), rad * math.sin(th)])
             d = np.hypot(p[0] - cfg.centers[:, 0], p[1] - cfg.centers[:, 1])
             if np.all(d > pd.eta * 1.05):

@@ -35,6 +35,7 @@ from .errors import (
 # geometry itself stays exact far below this, but derived quantities
 # (areas ~ eps^2) start flirting with underflow-driven noise.
 MIN_HOLE_RADIUS = 1e-13
+MIN_HOLE_NODES = 32   # fewest nodes on a hole circle, whatever the grading ratio q
 
 # node markers
 INTERIOR = -1
@@ -102,7 +103,6 @@ class MeshPolicy:
 
     h: float = 0.02
     q: float = 1.3
-    min_hole_nodes: int = 32
     smooth_iters: int = 2
 
     def __post_init__(self):
@@ -110,8 +110,6 @@ class MeshPolicy:
             raise ValueError("h must be positive")
         if not (1.0 < self.q <= 2.0):
             raise ValueError("grading ratio q must lie in (1, 2]")
-        if self.min_hole_nodes < 8:
-            raise ValueError("need at least 8 nodes per hole circle")
 
 
 # ---------------------------------------------------------------------------
@@ -441,7 +439,7 @@ def _hex_lattice(bbox, h):
 
 def _patch_angular_count(policy: MeshPolicy):
     # enough angles to keep radial/angular aspect near one at grading ratio q
-    n = max(policy.min_hole_nodes, int(math.ceil(math.pi / (policy.q - 1.0))))
+    n = max(MIN_HOLE_NODES, int(math.ceil(math.pi / (policy.q - 1.0))))
     return n + (n % 2)
 
 

@@ -4,11 +4,12 @@ Two backends: the exact image formula on the unit disk, and a finite element
 backend for general domains that obtains the regular part H(.,y) as the
 harmonic extension of the smooth boundary data (1/2pi) log|x-y|.  The Robin
 function H(x,x) is the extension evaluated at x, never a limit of G.
+
+The construction reads the domain only through H and G at the hole centers:
+each Green function keeps that table per center layout (pair_table).
 """
 
 from __future__ import annotations
-
-import weakref
 
 import numpy as np
 
@@ -37,9 +38,29 @@ class _Green:
             raise CoincidentPoints(f"green undefined on the diagonal, |x-y|={d[close[0]]:.3g}")
         return -np.log(d) / _TWO_PI + self.robin_H_many(pts, y)
 
-    def release_operators(self):
-        """Drop whatever the backend keeps only to make new H(., y); a
-        closed formula keeps nothing."""
+    def pair_table(self, centers):
+        """Symmetric tables H(xi_i, xi_j) and G(xi_i, xi_j) over the hole centers.
+
+        Each unordered pair is evaluated once, so the coefficient systems see an
+        exactly symmetric Green matrix regardless of backend tolerance. The pair
+        is built on first use and kept, read-only, per center layout.
+        """
+        c = np.atleast_2d(np.asarray(centers, dtype=float))
+        key = (c.shape, c.tobytes())
+        if key in self._pair_tables:
+            return self._pair_tables[key]
+        self.check_inside(c)
+        m = c.shape[0]
+        H = np.zeros((m, m))
+        G = np.zeros((m, m))
+        for j in range(m):
+            H[:j + 1, j] = H[j, :j + 1] = self.robin_H_many(c[:j + 1], c[j])
+            for i in range(j):
+                G[i, j] = G[j, i] = -np.log(np.hypot(*(c[i] - c[j]))) / _TWO_PI + H[i, j]
+        H.setflags(write=False)
+        G.setflags(write=False)
+        self._pair_tables[key] = (H, G)
+        return self._pair_tables[key]
 
 
 class AnalyticDiskGreen(_Green):
@@ -51,6 +72,7 @@ class AnalyticDiskGreen(_Green):
         if domain.kind != "unit-disk":
             raise ValueError("analytic backend only pairs with the unit disk")
         self.domain = domain
+        self._pair_tables = {}
 
     def check_inside(self, points):
         """Raise on the first of the points, an (n, 2) array, outside the disk."""
@@ -59,12 +81,6 @@ class AnalyticDiskGreen(_Green):
         if out.size:
             raise PointOutsideDomain(
                 f"point {tuple(pts[out[0]].tolist())} lies outside the unit disk")
-
-    def robin_H(self, x, y) -> float:
-        self.check_inside((x, y))
-        zx = complex(x[0], x[1])
-        zy = complex(y[0], y[1])
-        return float(np.log(abs(1.0 - zx * zy.conjugate())) / _TWO_PI)
 
     def robin_H_many(self, points, y) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
@@ -77,8 +93,8 @@ class NumericGreen(_Green):
     """Finite element backend on a mesh of the (unpierced) outer domain.
 
     Each H(., y) is one Dirichlet solve on the domain mesh, cached per y.
-    Once every y the caller needs is cached, release_operators() drops the
-    mesh's operators and Poisson factor; a later new y rebuilds them.
+    Once pair_table has solved H(., xi_k) for every center, the mesh's
+    operators and Poisson factor are dropped; a later new y rebuilds them.
     """
 
     backend = "numeric"
@@ -87,9 +103,9 @@ class NumericGreen(_Green):
         self.domain = domain
         self.h = h
         self.mesh = build_domain_mesh(domain, h)
-        self.ops = get_ops(self.mesh)
         self.evaluator = FieldEvaluator(self.mesh)
         self._h_fields = {}
+        self._pair_tables = {}
 
     def check_inside(self, points):
         """Raise on the first of the points, an (n, 2) array, outside the domain."""
@@ -100,29 +116,23 @@ class NumericGreen(_Green):
             raise PointOutsideDomain(
                 f"point {tuple(pts[out[0]].tolist())} lies outside the domain")
 
-    def release_operators(self):
-        """Drop the domain mesh's operators; the mesh, evaluator and cached
-        fields stay."""
-        self.ops = None
+    def pair_table(self, centers):
+        """As _Green.pair_table; the table holds H(., xi_k) for every center,
+        so the domain mesh's operators go (the mesh, evaluator and fields stay)."""
+        tables = super().pair_table(centers)
         release_ops(self.mesh)
+        return tables
 
     def _harmonic_part(self, y):
         key = (float(y[0]), float(y[1]))
         fld = self._h_fields.get(key)
         if fld is None:
-            if self.ops is None:
-                self.ops = get_ops(self.mesh)
-            bidx = self.ops.boundary
-            bpts = self.mesh.nodes[bidx]
+            ops = get_ops(self.mesh)
+            bpts = self.mesh.nodes[ops.boundary]
             g = np.log(np.hypot(bpts[:, 0] - y[0], bpts[:, 1] - y[1])) / _TWO_PI
-            fld = self.ops.solve_dirichlet(np.zeros(self.mesh.n_nodes), boundary_values=g)
+            fld = ops.solve_dirichlet(np.zeros(self.mesh.n_nodes), boundary_values=g)
             self._h_fields[key] = fld
         return fld
-
-    def robin_H(self, x, y) -> float:
-        self.check_inside((x, y))
-        fld = self._harmonic_part(y)
-        return float(self.evaluator(fld.values, np.asarray(x, dtype=float)))
 
     def robin_H_many(self, points, y) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
@@ -143,41 +153,9 @@ class GreenProvider(_Green):
     def check_inside(self, points):
         self._impl.check_inside(points)
 
-    def robin_H(self, x, y) -> float:
-        return self._impl.robin_H(x, y)
-
     def robin_H_many(self, points, y) -> np.ndarray:
         """Regular part H(., y) at many points (vectorized where the backend allows)."""
         return self._impl.robin_H_many(points, y)
 
-    def release_operators(self):
-        self._impl.release_operators()
-
-
-_pair_tables: "weakref.WeakKeyDictionary[_Green, dict]" = weakref.WeakKeyDictionary()
-
-
-def green_pair_table(gp: GreenProvider, centers):
-    """Symmetrized tables H(xi_i, xi_j) and G(xi_i, xi_j) over the hole centers.
-
-    Each unordered pair is evaluated once, so the coefficient systems see an
-    exactly symmetric Green matrix regardless of backend tolerance. The pair
-    is built on first use and kept, read-only, per provider and centers.
-    """
-    c = np.atleast_2d(np.asarray(centers, dtype=float))
-    tables = _pair_tables.setdefault(gp, {})
-    key = (c.shape, c.tobytes())
-    if key in tables:
-        return tables[key]
-    m = c.shape[0]
-    H = np.zeros((m, m))
-    G = np.zeros((m, m))
-    for i in range(m):
-        H[i, i] = gp.robin_H(c[i], c[i])
-        for j in range(i + 1, m):
-            H[i, j] = H[j, i] = gp.robin_H(c[i], c[j])
-            G[i, j] = G[j, i] = -np.log(np.hypot(*(c[i] - c[j]))) / _TWO_PI + H[i, j]
-    H.setflags(write=False)
-    G.setflags(write=False)
-    tables[key] = (H, G)
-    return H, G
+    def pair_table(self, centers):
+        return self._impl.pair_table(centers)

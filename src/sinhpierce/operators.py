@@ -238,18 +238,19 @@ class LinearOperator:
                 raise NearSingular(f"factorization of Lap+W failed: {exc}") from exc
         return self._lu
 
-    def smallest_eigenvalue(self, iters=8, seed=1234) -> float:
-        """Inverse-power estimate of the smallest-magnitude eigenvalue of
-        the generalized problem (Lap + W) x = lambda M x."""
+    def smallest_eigenvalue(self) -> float:
+        """Inverse-power estimate (8 steps from a fixed random start) of the
+        smallest-magnitude eigenvalue of the generalized problem
+        (Lap + W) x = lambda M x."""
         if self._eig_estimate is not None:
             return self._eig_estimate
         lu = self._factor()
         ops = self._ops
         wI = ops.w[ops.interior]
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(1234)
         x = rng.standard_normal(len(ops.interior))
         steps = 0
-        for _ in range(iters):
+        for _ in range(8):
             y = lu.solve(wI * x)
             ny = np.sqrt(np.sum(wI * y * y))
             if not np.isfinite(ny) or ny == 0:

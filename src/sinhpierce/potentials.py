@@ -177,14 +177,14 @@ def _parse_atom(tk):
     raise ParseError(f"unexpected character {c!r} at position {tk.pos}", position=tk.pos)
 
 
-def check_positive(expr, points, name="potential", min_points=1000):
+def check_positive(expr, points, name="potential"):
     """Sample expr on the given points and raise NonpositiveSampled on any value <= 0.
 
-    points: (n, 2) array with n >= min_points.
+    points: (n, 2) array with n >= 1000.
     """
     pts = np.asarray(points, dtype=float)
-    if pts.shape[0] < min_points:
-        raise ValueError(f"need at least {min_points} sample points, got {pts.shape[0]}")
+    if pts.shape[0] < 1000:
+        raise ValueError(f"need at least 1000 sample points, got {pts.shape[0]}")
     vals = np.asarray(expr(pts[:, 0], pts[:, 1]), dtype=float)
     vals = np.broadcast_to(vals, (pts.shape[0],))
     bad = ~(vals > 0.0)

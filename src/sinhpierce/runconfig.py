@@ -11,6 +11,7 @@ from __future__ import annotations
 import configparser
 import io
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
@@ -20,6 +21,11 @@ from .geometry import DomainSpec, MeshPolicy, _inside_farther_than
 from .potentials import check_positive, parse_potential
 
 COMMANDS = ("construct", "sweep", "verify", "green-check")
+# every section and key a config may hold; anything else is a SchemaError
+KEYS = MappingProxyType({
+    "problem": ("domain", "boundary", "centers", "alphas", "m1", "tau", "nu", "v1", "v2"),
+    "mesh": ("h", "q"),
+    "run": ("command", "rho", "p", "tol", "maxiter", "seed", "out")})
 SWEEP_REPORT = "report_rho{:.3e}"   # the prefix of each rho's report in a sweep
 
 
@@ -74,8 +80,8 @@ def parse_config(text: str, run_overrides=None) -> RunConfig:
     """Parse and validate a full run configuration document.
 
     run_overrides maps [run] keys to text that takes the place of the
-    document's value (the command line's --rho, --p, --seed, --out), so an
-    override passes the same checks as the file.
+    document's value (the command line's command, --rho, --p, --seed, --out),
+    so an override passes the same checks as the file.
     """
     cp = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
     try:
@@ -84,6 +90,15 @@ def parse_config(text: str, run_overrides=None) -> RunConfig:
         raise SchemaError([f"unparseable config: {exc}"])
 
     problems = []
+    for section in cp.sections():
+        if section not in KEYS:
+            problems.append(f"unknown section [{section}]; expected one of "
+                            + ", ".join(f"[{s}]" for s in KEYS))
+            continue
+        for key in cp.options(section):
+            if key not in KEYS[section]:
+                problems.append(f"unknown key [{section}] {key}; [{section}] takes "
+                                + ", ".join(KEYS[section]))
     run_overrides = run_overrides or {}
 
     def get(section, key, default=None, required=False):
@@ -95,12 +110,9 @@ def parse_config(text: str, run_overrides=None) -> RunConfig:
             problems.append(f"missing [{section}] {key}")
         return default
 
-    if not cp.has_section("problem"):
-        problems.append("missing [problem] section")
-    if not cp.has_section("run"):
-        problems.append("missing [run] section")
-    if problems:
-        raise SchemaError(problems)
+    missing = [f"missing [{s}] section" for s in ("problem", "run") if not cp.has_section(s)]
+    if missing:
+        raise SchemaError(problems + missing)
 
     command = get("run", "command", required=True)
     if command is not None and command not in COMMANDS:
@@ -160,10 +172,8 @@ def parse_config(text: str, run_overrides=None) -> RunConfig:
 
     h = get_number("mesh", "h", 0.02) if cp.has_section("mesh") else 0.02
     q = get_number("mesh", "q", 1.3) if cp.has_section("mesh") else 1.3
-    nmin = get_number("mesh", "min_hole_nodes", 32, int) if cp.has_section("mesh") else 32
-    smooth = get_number("mesh", "smooth_iters", 2, int) if cp.has_section("mesh") else 2
     try:
-        policy = MeshPolicy(h=h, q=q, min_hole_nodes=nmin, smooth_iters=smooth)
+        policy = MeshPolicy(h=h, q=q)
     except ValueError as exc:
         problems.append(f"mesh policy: {exc}")
         policy = MeshPolicy()
@@ -180,6 +190,8 @@ def parse_config(text: str, run_overrides=None) -> RunConfig:
         return vals
 
     rho_list = get_list("rho", "1e-3")
+    if command == "construct" and len(rho_list) > 1:
+        problems.append(f"construct solves one rho, got {rho_list}; pick one with --rho")
     if rho_list != sorted(rho_list, reverse=True):
         problems.append("rho values must be sorted descending")
     names = [SWEEP_REPORT.format(r) for r in rho_list]

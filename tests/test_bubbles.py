@@ -33,7 +33,7 @@ from sinhpierce.verify import norm_lalpha_sq
 
 def _bubble(alpha=3.0, delta=0.05, center=(0.0, 0.0)):
     return Bubble(index=0, center=np.asarray(center, dtype=float), alpha=alpha,
-                  delta=delta, delta_pow=delta ** alpha, positive=True)
+                  delta=delta, delta_pow=delta ** alpha)
 
 
 def test_bubble_peak_values():
@@ -172,7 +172,7 @@ def test_eta_ode_identities(tfs, single_cfg):
     alpha = 3.0
     delta = scales.delta[0]
     b = Bubble(index=0, center=np.zeros(2), alpha=alpha, delta=delta,
-               delta_pow=scales.delta_pow[0], positive=True)
+               delta_pow=scales.delta_pow[0])
     t = np.linspace(math.log(delta) - 6, math.log(delta) + 6, 16001)
     r = np.exp(t)
     src = bubble_source_from_r(b, r)

@@ -226,7 +226,8 @@ def test_one_mesh_per_rho_per_command(tmp_path, monkeypatch):
         lattices.clear()
         factored.clear()
         owners.clear()
-        assert main([command, "--config", path, "--out", str(tmp_path / command)]) == 0
+        rho = ["--rho", "1e-2"] if command == "construct" else []   # construct takes one
+        assert main([command, "--config", path, "--out", str(tmp_path / command), *rho]) == 0
         assert len(calls) == meshes, command
         assert len(projections) == meshes * bubbles, command
         assert len(lattices) == 1, command
@@ -291,7 +292,7 @@ def test_underflowing_hole_radius_is_a_named_failure(tmp_path):
         .replace("rho = 1e-2", "rho = 1e-2 1e-3")
     cfg = _write(tmp_path, text)
     out = tmp_path / "construct"
-    assert main(["construct", "--config", cfg, "--out", str(out)]) == 2
+    assert main(["construct", "--config", cfg, "--out", str(out), "--rho", "1e-2"]) == 2
     assert "error" in (out / "manifest.txt").read_text()
     assert "below the resolvable scale" in (out / "manifest.txt").read_text()
     out = tmp_path / "sweep"
@@ -308,8 +309,8 @@ import sinhpierce.cli as cli
 
 QUAD = ("scipy.integrate", "scipy.optimize")
 loaded = {"import": [m for m in QUAD if m in sys.modules]}
-for command, cfg in json.loads(sys.argv[1]):
-    code = cli.main([command, "--config", cfg, "--out", cfg + "-" + command])
+for command, cfg, *flags in json.loads(sys.argv[1]):
+    code = cli.main([command, "--config", cfg, "--out", cfg + "-" + command, *flags])
     loaded[f"{command} {cfg}"] = [code] + [m for m in QUAD if m in sys.modules]
 print(json.dumps(loaded))
 """
@@ -332,7 +333,9 @@ def test_only_verify_loads_quadrature(tmp_path):
         "domain = unit-disk",
         "domain = boundary-curve\nboundary = -0.9 -0.9; 0.9 -0.9; 0.9 0.9; -0.9 0.9"),
         "square.cfg")
-    runs = [(command, cfg) for cfg in (disk, square)
+    # construct takes one rho: the first, the one it solved when it dropped the rest
+    runs = [(command, cfg, *(["--rho", "1e-2"] if command == "construct" else []))
+            for cfg in (disk, square)
             for command in ("construct", "sweep", "green-check")] + [("verify", disk)]
     src = os.path.dirname(os.path.dirname(os.path.abspath(sinhpierce.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
@@ -461,8 +464,9 @@ def test_rho_and_p_overrides(tmp_path):
     rc = parse_config(open(cfg).read())
     assert rc.rho_list == [1e-2]
     # the CLI override path is exercised through main in the sweep test;
-    # here check the parser's list handling
-    rc2 = parse_config(open(cfg).read().replace("rho = 1e-2", "rho = 1e-2, 5e-3"))
+    # here check the parser's list handling (construct takes one rho)
+    rc2 = parse_config(open(cfg).read().replace("rho = 1e-2", "rho = 1e-2, 5e-3")
+                       .replace("command = construct", "command = sweep"))
     assert rc2.rho_list == [1e-2, 5e-3]
 
 
@@ -476,8 +480,15 @@ def test_rho_and_p_overrides(tmp_path):
     ("construct", ["--p", "0.5"], None),
     ("construct", [], ("maxiter = 50", "maxiter = 0")),
     ("construct", [], ("tol = 1e-10", "tol = 0")),
+    ("construct", [], ("tau = 1.0", "tua = 2.0")),
+    ("construct", [], ("q = 1.3", "qq = 1.3")),
+    ("construct", [], ("maxiter = 50", "maxiters = 50")),
+    ("construct", [], ("[run]", "[runn]\nrho = 1e-3\n\n[run]")),
+    ("construct", [], ("command = construct\nrho = 1e-2", "command = sweep\nrho = 1e-2 1e-3")),
 ], ids=["ascending-flag", "negative-flag", "text-flag", "empty-flag", "empty-key",
-        "p-below-one-key", "p-below-one-flag", "no-iterations-key", "zero-tol-key"])
+        "p-below-one-key", "p-below-one-flag", "no-iterations-key", "zero-tol-key",
+        "problem-key-typo", "mesh-key-typo", "run-key-typo", "unknown-section",
+        "construct-two-rho"])
 def test_bad_run_values_are_validation_failures(tmp_path, capsys, command, flags, edit):
     # the file's [run] values and the flags that override them pass the same
     # checks, before anything is solved
@@ -489,6 +500,20 @@ def test_bad_run_values_are_validation_failures(tmp_path, capsys, command, flags
     assert main([command, "--config", cfg, *flags]) == 1
     assert capsys.readouterr().err.startswith("validation failure: ")
     assert not (tmp_path / "out").exists()
+
+
+def test_schema_errors_name_what_is_allowed(tmp_path):
+    text = BASE.format(out=tmp_path).replace("tau = 1.0", "tua = 2.0") \
+        .replace("q = 1.3", "q = 1.3\nhh = 0.5").replace("rho = 1e-2", "rho = 1e-2 1e-3") \
+        + "\n[runn]\nseed = 1\n"
+    with pytest.raises(SchemaError) as exc:
+        parse_config(text)
+    msg = str(exc.value)
+    assert "unknown key [problem] tua; [problem] takes domain, boundary, centers, " \
+        "alphas, m1, tau, nu, v1, v2" in msg
+    assert "unknown key [mesh] hh; [mesh] takes h, q" in msg
+    assert "unknown section [runn]; expected one of [problem], [mesh], [run]" in msg
+    assert "construct solves one rho, got [0.01, 0.001]; pick one with --rho" in msg
 
 
 def test_descending_rho_required(tmp_path):

@@ -55,7 +55,8 @@ def test_rho_i_centered_single(single_cfg, gp):
 
 def test_rho_i_two_bubble_formula(two_cfg, gp):
     # i = 1 (positive group): (a+2) H(xi1,xi1) - (a+2)/tau G(xi1,xi2)
-    want = 5 * gp.robin_H((-0.4, 0), (-0.4, 0)) - 5 * gp.green((-0.4, 0), (0.4, 0))
+    want = 5 * gp.robin_H_many(np.atleast_2d((-0.4, 0)), (-0.4, 0))[0] \
+        - 5 * gp.green((-0.4, 0), (0.4, 0))
     got = compute_rho_i(two_cfg, gp)
     assert got[0] == pytest.approx(want, rel=1e-13)
     # symmetric configuration: both exponents coincide
@@ -179,11 +180,10 @@ def test_beta_off_diagonal_vanishes(two_cfg, gp):
 
 def test_beta_system_residual(two_cfg, gp):
     from sinhpierce.coeffs import _beta_matrix
-    from sinhpierce.greens import green_pair_table
 
     s = choose_scales(two_cfg, 1e-3, gp)
     beta = solve_beta(two_cfg, s, gp)
-    H, G = green_pair_table(gp, two_cfg.centers)
+    H, G = gp.pair_table(two_cfg.centers)
     A = _beta_matrix(H, G, s.log_eps)
     # row i solves A beta_i = rhs_i; rebuild the rhs and compare
     for i in range(2):
@@ -206,11 +206,9 @@ def test_gamma_one_by_one(single_cfg, gp):
 
 def test_gamma_star_identity(two_cfg, gp):
     # the quotient satisfies its rearranged fixed-point identity
-    from sinhpierce.greens import green_pair_table
-
     s = choose_scales(two_cfg, 1e-3, gp)
     gamma, gamma_tilde, gamma_star = solve_gamma(two_cfg, s, gp)
-    H, G = green_pair_table(gp, two_cfg.centers)
+    H, G = gp.pair_table(two_cfg.centers)
     for j in range(2):
         g = gamma_star[j]
         rhs = ((8 * math.pi / 3) * 3 - gamma_tilde[j, j] + gamma[j, j] * g) * H[j, j] \
@@ -250,12 +248,10 @@ def test_gamma_star_slope_two_bubble(two_cfg, gp):
 
 
 def test_diagonal_dominance_threshold(two_cfg, gp):
-    from sinhpierce.greens import green_pair_table
-
     thr = dominance_threshold(two_cfg, gp)
     assert thr > 0
     s = choose_scales(two_cfg, thr * 0.5, gp)
-    H, G = green_pair_table(gp, two_cfg.centers)
+    H, G = gp.pair_table(two_cfg.centers)
     assert _dominant(H, G, s.log_eps)
 
 
@@ -271,25 +267,25 @@ def test_coefficient_set_and_csv(tmp_path, two_cfg, gp):
 
 def test_pair_table_built_once_per_provider_and_centers(two_cfg, monkeypatch):
     # every choose_scales and coefficient_set of a sweep reads one table:
-    # three H evaluations for two centers, however many rho; it is read-only
-    from sinhpierce.greens import GreenProvider, green_pair_table
+    # one backend H evaluation per center, however many rho; it is read-only
+    from sinhpierce.greens import GreenProvider
 
     gp = GreenProvider(two_cfg.domain)
     calls = []
-    real = gp.robin_H
+    real = gp._impl.robin_H_many
 
-    def counting(x, y):
-        calls.append((tuple(x), tuple(y)))
-        return real(x, y)
+    def counting(points, y):
+        calls.append((np.asarray(points).tolist(), tuple(y)))
+        return real(points, y)
 
-    monkeypatch.setattr(gp, "robin_H", counting)
+    monkeypatch.setattr(gp._impl, "robin_H_many", counting)
     for rho in (1e-2, 1e-3, 1e-4):
         coefficient_set(two_cfg, choose_scales(two_cfg, rho, gp), gp)
-    assert len(calls) == 3
-    H, G = green_pair_table(gp, two_cfg.centers)
-    assert green_pair_table(gp, two_cfg.centers.copy())[0] is H
+    assert len(calls) == 2
+    H, G = gp.pair_table(two_cfg.centers)
+    assert gp.pair_table(two_cfg.centers.copy())[0] is H
     assert not H.flags.writeable and not G.flags.writeable
     # another provider or another layout gets its own
-    assert green_pair_table(GreenProvider(two_cfg.domain), two_cfg.centers)[0] is not H
-    green_pair_table(gp, two_cfg.centers[::-1])
-    assert len(calls) == 6
+    assert GreenProvider(two_cfg.domain).pair_table(two_cfg.centers)[0] is not H
+    gp.pair_table(two_cfg.centers[::-1])
+    assert len(calls) == 4

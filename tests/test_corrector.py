@@ -376,19 +376,19 @@ def test_nearest_nodes_match_the_per_point_pass(coarse_solution, block, monkeypa
 
 
 def test_first_stage_drops_the_green_domain_operators():
-    # the first stage caches H(., xi_k) for every center; the numeric Green
-    # function's domain operators and Poisson factor then go, and the
-    # later stages, which ask for no new H, do not bring them back
+    # the first stage's pair table caches H(., xi_k) for every center; the
+    # numeric Green function's domain operators and Poisson factor then go,
+    # and the later stages, which ask for no new H, do not bring them back
     ng = NumericGreen(_SQUARE, h=0.1)
-    domain_ops = weakref.ref(ng.ops)
+    domain_ops = weakref.ref(get_ops(ng.mesh))
     run = _square_pair_run(ng)
     run.stage(1e-2)
-    assert ng.ops is None and ng.mesh not in _ops_cache
+    assert ng.mesh not in _ops_cache
     assert domain_ops() is None
     assert sorted(ng._h_fields) == [(-0.4, 0.0), (0.4, 0.0)]
     run.stage(1e-3)
     construct_solution(run, 1e-3)
-    assert ng.ops is None and ng.mesh not in _ops_cache
+    assert ng.mesh not in _ops_cache
 
 
 def test_sweep_keeps_only_the_current_stage_operators():

@@ -200,4 +200,4 @@ def test_robin_H_many_matches_pointwise(square_green):
     y = np.array([0.3, -0.2])
     pts = np.random.default_rng(7).uniform(-0.85, 0.85, (300, 2))
     many = square_green.robin_H_many(pts, y)
-    assert_same_bits(many, [square_green.robin_H(p, y) for p in pts])
+    assert_same_bits(many, [square_green.robin_H_many(p[None, :], y)[0] for p in pts])

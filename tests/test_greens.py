@@ -17,17 +17,22 @@ def test_green_at_disk_center(gp):
                                                              rel=1e-12)
 
 
+def _robin_H(gp, x, y):
+    """H(x, y) at one point."""
+    return float(gp.robin_H_many(np.atleast_2d(x), y)[0])
+
+
 def test_robin_function_at_center(gp):
-    assert gp.robin_H((0.0, 0.0), (0.0, 0.0)) == 0.0
+    assert _robin_H(gp, (0.0, 0.0), (0.0, 0.0)) == 0.0
     # H(x,x) = log(1-|x|^2)/2pi on the unit disk
-    assert gp.robin_H((0.3, 0.4), (0.3, 0.4)) == pytest.approx(
+    assert _robin_H(gp, (0.3, 0.4), (0.3, 0.4)) == pytest.approx(
         math.log(1 - 0.25) / (2 * math.pi), rel=1e-12)
 
 
 def _green_scalar(gp, x, y):
     """Reference: the one-point formula on Python scalars."""
     return float(-np.log(np.hypot(x[0] - y[0], x[1] - y[1])) / (2 * math.pi)) \
-        + gp.robin_H(x, y)
+        + _robin_H(gp, x, y)
 
 
 @pytest.mark.parametrize("domain", [DomainSpec(), DomainSpec(
@@ -55,6 +60,8 @@ def test_coincident_points_rejected(gp):
 def test_outside_domain_rejected(gp):
     with pytest.raises(PointOutsideDomain):
         gp.green((1.5, 0.0), (0.0, 0.0))
+    with pytest.raises(PointOutsideDomain, match=r"\(1\.2, 0\.0\)"):
+        gp.pair_table([[0.1, 0.0], [1.2, 0.0]])
 
 
 def test_boundary_vanishing(gp):
@@ -69,7 +76,7 @@ def test_regular_part_matches_log_on_boundary(gp):
     for t in np.linspace(0, 2 * math.pi, 13):
         x = (math.cos(t), math.sin(t))
         want = math.log(math.hypot(x[0] - y[0], x[1] - y[1])) / (2 * math.pi)
-        assert gp.robin_H(x, y) == pytest.approx(want, abs=1e-10)
+        assert _robin_H(gp, x, y) == pytest.approx(want, abs=1e-10)
 
 
 @given(x1=st.floats(-0.6, 0.6), y1=st.floats(-0.6, 0.6),
@@ -156,29 +163,70 @@ def test_numeric_green_factors_its_mesh_once(monkeypatch):
     pts = np.array([[0.1, 0.2], [-0.3, 0.4], [0.5, -0.5]])
     for y in pts:
         ng.robin_H_many(pts, y)
-    ng.robin_H(pts[0], pts[0])
+    ng.robin_H_many(pts[:1], pts[0])
     assert len(ng._h_fields) == 3
-    assert len(factored) == 1 and factored[0] is ng.ops._K_II
-    assert ng.ops._poisson_lu is not None
+    ops = get_ops(ng.mesh)
+    assert len(factored) == 1 and factored[0] is ops._K_II
+    assert ops._poisson_lu is not None
 
 
-def test_released_operators_rebuild_bit_for_bit():
-    # release_operators drops the domain operators and their factor but
-    # keeps the fields; an H(., y) at a new y rebuilds them, and every value
-    # has the bits of a backend that never dropped them
-    square = DomainSpec("boundary-curve",
-                        [[-0.9, -0.9], [0.9, -0.9], [0.9, 0.9], [-0.9, 0.9]])
-    kept = NumericGreen(square, h=0.1)
-    released = NumericGreen(square, h=0.1)
+_SQUARE = DomainSpec("boundary-curve", [[-0.9, -0.9], [0.9, -0.9], [0.9, 0.9], [-0.9, 0.9]])
+
+
+def test_pair_table_drops_the_domain_operators_and_rebuilds_bit_for_bit():
+    # once the table holds H(., xi_k) for every center, the domain operators
+    # and their factor go but the fields stay; an H(., y) at a new y rebuilds
+    # them, and every value has the bits of a backend that never dropped them
+    kept = NumericGreen(_SQUARE, h=0.1)
+    released = NumericGreen(_SQUARE, h=0.1)
     pts = np.array([[0.1, 0.2], [-0.3, 0.4], [0.5, -0.5], [0.0, 0.85]])
     old_y, new_y = pts[0], pts[2]
     before = released.robin_H_many(pts, old_y)
-    ops = weakref.ref(released.ops)
-    released.release_operators()
-    assert released.ops is None and released.mesh not in _ops_cache
-    assert ops() is None
+    ops = weakref.ref(get_ops(released.mesh))
+    H, G = released.pair_table(pts[:2])
+    assert released.mesh not in _ops_cache and ops() is None
+    assert H[0, 0] == before[0]
     assert released.robin_H_many(pts, old_y).tobytes() == before.tobytes()
-    assert released.ops is None
+    assert released.mesh not in _ops_cache
     assert released.robin_H_many(pts, new_y).tobytes() == kept.robin_H_many(pts, new_y).tobytes()
-    assert released.ops is not None and released.ops._poisson_lu is not None
+    assert get_ops(released.mesh)._poisson_lu is not None
     assert released.robin_H_many(pts, old_y).tobytes() == kept.robin_H_many(pts, old_y).tobytes()
+
+
+def _one_point_H(impl, x, y):
+    """The one-point H(x, y) the per-pair table was built from: complex
+    arithmetic on the disk, a one-point field evaluation elsewhere."""
+    impl.check_inside(np.array([x, y]))
+    if isinstance(impl, AnalyticDiskGreen):
+        zx = complex(x[0], x[1])
+        zy = complex(y[0], y[1])
+        return float(np.log(abs(1.0 - zx * zy.conjugate())) / (2 * math.pi))
+    return float(impl.evaluator(impl._harmonic_part(y).values, np.asarray(x, dtype=float)))
+
+
+def _per_pair_table(impl, c):
+    """Reference: H and G pair by pair, each unordered pair once."""
+    m = c.shape[0]
+    H = np.zeros((m, m))
+    G = np.zeros((m, m))
+    for i in range(m):
+        H[i, i] = _one_point_H(impl, c[i], c[i])
+        for j in range(i + 1, m):
+            H[i, j] = H[j, i] = _one_point_H(impl, c[i], c[j])
+            G[i, j] = G[j, i] = -np.log(np.hypot(*(c[i] - c[j]))) / (2 * math.pi) + H[i, j]
+    return H, G
+
+
+@pytest.mark.parametrize("domain", [DomainSpec(), _SQUARE], ids=["disk", "square"])
+def test_pair_table_matches_the_per_pair_loop(domain):
+    gp = GreenProvider(domain)
+    rng = np.random.default_rng(21)
+    for m in (1, 2, 3, 4):
+        for _ in range(3):
+            c = rng.uniform(-0.7, 0.7, size=(m, 2))
+            want = _per_pair_table(gp._impl, c)
+            got = gp.pair_table(c)
+            assert gp.pair_table(c.copy()) is got
+            for a, b in zip(got, want):
+                assert not a.flags.writeable
+                assert a.tobytes() == b.tobytes(), (m, c)
