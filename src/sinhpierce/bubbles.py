@@ -15,10 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import MeshMismatch, RegimeViolation, UndefinedAngleAtOrigin
-from .geometry import OUTER, Mesh
+from .geometry import OUTER, TWO_PI, Mesh
 from .operators import DIRICHLET_ZERO, Field, get_ops
-
-_TWO_PI = 2.0 * math.pi
 
 
 @dataclass(frozen=True)
@@ -99,6 +97,60 @@ def kernel_Y(k: int, alpha: float, y) -> float | np.ndarray:
     return float(out[0]) if scalar else out
 
 
+def lalpha_weight(alpha, y):
+    """|y|^(alpha-2) / (1 + |y|^alpha)^2, the concentration weight."""
+    y = np.asarray(y, dtype=float)
+    return y ** (alpha - 2) / (1.0 + y ** alpha) ** 2
+
+
+@dataclass
+class RescaledField:
+    """phi(xi_j + delta_j y) sampled on a log-radial x angular grid."""
+
+    y: np.ndarray          # (n_r,) radii of the rescaled variable
+    values: np.ndarray     # (n_r, n_t), the patch's n_t angles in order
+
+
+def rescale_correction(phi: Field, scales, j, y_max=50.0) -> RescaledField:
+    """Sample the correction around hole j in bubble coordinates.
+
+    The sampling grid is the polar patch itself (ring radii over patch
+    angles), restricted to eps_j/delta_j <= |y| <= min(eta/delta_j, y_max):
+    nodal values are read off directly, with no interpolation, so projecting
+    a grid function onto itself is exact.
+    """
+    patch = phi.mesh.patches[j]
+    delta = scales.delta[j]
+    sel = patch.radii <= y_max * delta * (1 + 1e-12)
+    if sel.sum() < 3:
+        raise ValueError("rescaling range covers fewer than three rings")
+    return RescaledField(y=patch.radii[sel] / delta, values=phi.values[patch.node_grid[sel]])
+
+
+def _log_radial_quadrature(y, f):
+    """integral f(y) y dy over the grid via trapezoid in log y."""
+    t = np.log(y)
+    g = f * y * y          # f y dy = f y^2 dt
+    return float(np.sum(0.5 * (g[1:] + g[:-1]) * np.diff(t)))
+
+
+def kernel_coefficient(phi: Field, cfg, scales, j) -> float:
+    """Projection a_j = <Phi_j, Y0>_w / ||Y0||^2_w on the annulus truncated at
+    |y| = 50.
+
+    Numerator and denominator use the same grid and truncation, so feeding
+    the kernel element itself back in returns exactly one.
+    """
+    rf = rescale_correction(phi, scales, j)
+    alpha = float(cfg.alphas[j])
+    w = lalpha_weight(alpha, rf.y)
+    y0 = (1.0 - rf.y ** alpha) / (1.0 + rf.y ** alpha)
+    phibar = rf.values.mean(axis=1)
+    num = _log_radial_quadrature(rf.y, w * phibar * y0)
+    den = _log_radial_quadrature(rf.y, w * y0 * y0)
+    return num / den
+
+
 # ---------------------------------------------------------------------------
 # projections onto the pierced domain
 
@@ -115,7 +167,7 @@ def regular_parts(gp, mesh: Mesh, centers) -> tuple:
         outer = np.flatnonzero(mesh.node_marker == OUTER)
         x, y = mesh.nodes[outer, 0], mesh.nodes[outer, 1]
         for Hk, c in zip(H, centers):
-            Hk[outer] = np.log(np.hypot(x - c[0], y - c[1])) / _TWO_PI
+            Hk[outer] = np.log(np.hypot(x - c[0], y - c[1])) / TWO_PI
     return H
 
 
@@ -133,7 +185,7 @@ def explicit_harmonic_part(b: Bubble, coeffs, H, mesh: Mesh) -> np.ndarray:
     vals += 4 * math.pi * b.alpha * H[i]
     for k in range(coeffs.centers.shape[0]):
         r_k = mesh.center_distance(k)
-        g_k = -np.log(r_k) / _TWO_PI + H[k]
+        g_k = -np.log(r_k) / TWO_PI + H[k]
         vals -= coeffs.beta[i, k] * g_k
     return vals
 
@@ -193,8 +245,9 @@ def far_expansion(b: Bubble, coeffs, gp, points) -> np.ndarray:
     return val
 
 
-def assemble_U(projections, tau: float, m1: int) -> Field:
-    """Signed sum of projected bubbles; vanishes on the whole boundary."""
+def assemble_U(projections, cfg) -> Field:
+    """Signed sum of projected bubbles, each weighed by cfg.weigh; vanishes
+    on the whole boundary."""
     if not projections:
         raise ValueError("no projections given")
     mesh = projections[0].mesh
@@ -202,7 +255,7 @@ def assemble_U(projections, tau: float, m1: int) -> Field:
     for k, p in enumerate(projections):
         if p.mesh is not mesh:
             raise MeshMismatch("projections live on different meshes")
-        vals += p.values if k < m1 else -p.values / tau
+        vals += cfg.weigh(k, p.values)
     return Field(mesh, vals, DIRICHLET_ZERO)
 
 
@@ -212,4 +265,4 @@ def build_ansatz(cfg, scales, mesh, coeffs, gp) -> tuple[Field, tuple]:
     bubbles = make_bubbles(cfg, scales)
     H = regular_parts(gp, mesh, coeffs.centers)
     projections = tuple(project_numeric(b, mesh, coeffs=coeffs, H=H) for b in bubbles)
-    return assemble_U(projections, cfg.tau, cfg.m1), projections
+    return assemble_U(projections, cfg), projections

@@ -20,7 +20,7 @@ from .coeffs import dump_csv
 from .corrector import Run, construct_solution, continuation_sweep
 from .errors import ConstraintViolation, NonpositiveSampled, SchemaError, SinhPierceError
 from .geometry import format_17g
-from .runconfig import COMMANDS, SWEEP_REPORT, RunConfig, parse_config
+from .runconfig import COMMANDS, KEYS, SWEEP_REPORT, RunConfig, parse_config
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -154,9 +154,9 @@ def main(argv=None) -> int:
                     "Meshed experiments need hole radii above 1e-13, which for "
                     "the default configurations means rho of roughly 2e-5 or "
                     "larger; the coefficient-level routines go further down.",
-        epilog="Config sections and keys: [problem] domain, boundary, centers, alphas, "
-               "m1, tau, nu, v1, v2; [mesh] h, q; [run] command, rho, p, tol, maxiter, "
-               "seed, out. The positional command replaces [run] command. "
+        epilog="Config sections and keys: "
+               + "; ".join(f"[{s}] " + ", ".join(keys) for s, keys in KEYS.items())
+               + ". The positional command replaces [run] command. "
                "Exit codes: 0 success; 1 validation failure (the config or a flag "
                "value is rejected before any solve: unparseable, missing or unknown "
                "sections and keys, rho not positive or not descending, construct "

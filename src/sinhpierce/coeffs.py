@@ -14,10 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConstraintViolation, NonpositivePotentialAtCenter, SingularSystem
-from .geometry import DomainSpec
+from .geometry import TWO_PI, DomainSpec
 from .greens import GreenProvider
-
-_TWO_PI = 2.0 * math.pi
 
 
 @dataclass(frozen=True)
@@ -71,6 +69,12 @@ class BlowupConfig:
 
     def sign(self, i):
         return 1.0 if i < self.m1 else -1.0
+
+    def weigh(self, i, v):
+        """Bubble i's term v as it enters a signed sum such as U: v for the
+        first m1 bubbles, -v/tau for the rest. Near a negative hole the
+        -V2 e^{-tau u} term makes -tau u, not u, the Liouville bubble."""
+        return v if i < self.m1 else -v / self.tau
 
 
 def constant_potential(v):
@@ -133,7 +137,7 @@ def choose_scales(cfg: BlowupConfig, rho: float, gp: GreenProvider) -> ScalePara
             if v <= 0:
                 raise NonpositivePotentialAtCenter(
                     f"V1({tuple(cfg.centers[i])}) = {v:.3g} <= 0")
-            d[i] = v * math.exp(2 * math.pi * rho_i[i]) / (2 * a[i] ** 2)
+            d[i] = v * math.exp(TWO_PI * rho_i[i]) / (2 * a[i] ** 2)
         else:
             v = float(cfg.V2(cfg.centers[i, 0], cfg.centers[i, 1]))
             if v <= 0:
@@ -141,7 +145,7 @@ def choose_scales(cfg: BlowupConfig, rho: float, gp: GreenProvider) -> ScalePara
                     f"V2({tuple(cfg.centers[i])}) = {v:.3g} <= 0")
             # near a negative hole w = -tau u solves a Liouville equation with
             # potential tau V2, so the bubble scale carries tau
-            d[i] = v * math.exp(2 * math.pi * rho_i[i]) * tau / (2 * a[i] ** 2)
+            d[i] = v * math.exp(TWO_PI * rho_i[i]) * tau / (2 * a[i] ** 2)
     r = d * np.exp(-math.pi * rho_i)
     delta_pow = d * rho
     log_delta = (np.log(d) + math.log(rho)) / a
@@ -160,7 +164,7 @@ def _beta_matrix(H, G, log_eps):
     m = len(log_eps)
     A = np.zeros((m, m))
     for j in range(m):
-        A[j, j] = log_eps[j] / _TWO_PI - H[j, j]
+        A[j, j] = log_eps[j] / TWO_PI - H[j, j]
         for k in range(m):
             if k != j:
                 A[j, k] = -G[j, k]
@@ -212,7 +216,7 @@ def constraint_combination(cfg, beta) -> np.ndarray:
 
 def constraint_deviation(cfg, beta) -> np.ndarray:
     """Relative deviation of the combination from its target per hole."""
-    target = _TWO_PI * (cfg.alphas - 2.0)
+    target = TWO_PI * (cfg.alphas - 2.0)
     return np.abs(constraint_combination(cfg, beta) - target) / target
 
 
@@ -229,7 +233,7 @@ def _gamma_matrix(H, G, log_eps):
     m = len(log_eps)
     A = np.zeros((m, m))
     for i in range(m):
-        A[i, i] = -log_eps[i] / _TWO_PI + H[i, i]
+        A[i, i] = -log_eps[i] / TWO_PI + H[i, i]
         for k in range(m):
             if k != i:
                 A[i, k] = G[k, i]
@@ -258,12 +262,12 @@ def solve_gamma(cfg: BlowupConfig, scales: ScaleParams, gp: GreenProvider):
 
     gamma_star = np.zeros(m)
     for j in range(m):
-        num = gamma_tilde[j, j] * scales.log_delta[j] / _TWO_PI \
+        num = gamma_tilde[j, j] * scales.log_delta[j] / TWO_PI \
             + ((8 * math.pi / 3.0) * a[j] - gamma_tilde[j, j]) * H[j, j] \
             - sum(gamma_tilde[i, j] * G[i, j] for i in range(m) if i != j)
         den = 1.0 - gamma[j, j] * H[j, j] \
             - sum(gamma[i, j] * G[i, j] for i in range(m) if i != j) \
-            + gamma[j, j] * scales.log_delta[j] / _TWO_PI
+            + gamma[j, j] * scales.log_delta[j] / TWO_PI
         gamma_star[j] = num / den
     return gamma, gamma_tilde, gamma_star
 

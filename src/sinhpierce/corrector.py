@@ -17,10 +17,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bubbles import build_ansatz
+from .bubbles import build_ansatz, kernel_coefficient
 from .coeffs import choose_scales, coefficient_set
 from .errors import Diverged, NearSingular, SinhPierceError
 from .geometry import (
+    TWO_PI,
     FieldEvaluator,
     MeshPolicy,
     PierceSpec,
@@ -328,8 +329,7 @@ def farfield_target(cfg, gp, points):
     out = np.zeros(np.atleast_2d(points).shape[0])
     for i in range(cfg.m):
         g = gp.green_many(points, cfg.centers[i])
-        coef = 2 * math.pi * (cfg.alphas[i] + 2)
-        out += coef * g if i < cfg.m1 else -coef * g / cfg.tau
+        out += cfg.weigh(i, TWO_PI * (cfg.alphas[i] + 2) * g)
     return out
 
 
@@ -371,7 +371,7 @@ def farfield_sample_points(cfg, pd):
     pts = []
     for rad in (0.5, 0.7, 0.85):
         for k in range(16):
-            th = 2 * math.pi * (k + 0.5) / 16
+            th = TWO_PI * (k + 0.5) / 16
             p = np.array([rad * math.cos(th), rad * math.sin(th)])
             d = np.hypot(p[0] - cfg.centers[:, 0], p[1] - cfg.centers[:, 1])
             if np.all(d > pd.eta * 1.05):
@@ -421,8 +421,6 @@ def construct_solution(run: Run, rho, method="fixed-point", tol=1e-10, maxiter=5
         uh = u.values[nodes]
         report.farfield_error = float(
             np.abs(uh - farfield_target(cfg, gp, mesh.nodes[nodes])).max())
-
-    from .verify import kernel_coefficient   # verify imports this module
 
     report.kernel_coefficients = [
         kernel_coefficient(phi, cfg, scales, j) for j in range(cfg.m)

@@ -36,6 +36,7 @@ from .errors import (
 # (areas ~ eps^2) start flirting with underflow-driven noise.
 MIN_HOLE_RADIUS = 1e-13
 MIN_HOLE_NODES = 32   # fewest nodes on a hole circle, whatever the grading ratio q
+TWO_PI = 2.0 * math.pi   # the package's one copy of 2 pi
 
 # node markers
 INTERIOR = -1
@@ -118,8 +119,8 @@ class MeshPolicy:
 def domain_boundary_polygon(domain: DomainSpec, h: float) -> np.ndarray:
     """Closed polygon approximating the outer boundary at arclength spacing ~h."""
     if domain.kind == "unit-disk":
-        n = max(16, int(round(2 * np.pi / h)))
-        th = 2 * np.pi * np.arange(n) / n
+        n = max(16, int(round(TWO_PI / h)))
+        th = TWO_PI * np.arange(n) / n
         return np.column_stack([np.cos(th), np.sin(th)])
     return _resample_closed_curve(domain.boundary, h)
 
@@ -341,6 +342,9 @@ class Mesh:
     h: float = 0.0
     min_quality: float = 0.0
     boundary_polygon: np.ndarray | None = None
+    # operators.get_ops fills this with the mesh's DiscreteOperators and
+    # release_ops empties it; they go with the mesh
+    ops: object = field(default=None, init=False, repr=False)
 
     @property
     def n_nodes(self):
@@ -446,7 +450,7 @@ def _patch_angular_count(policy: MeshPolicy):
 def _build_patch_rings(eps, eta, q, n_theta):
     # cap the effective ratio so radial cells stay within twice the angular
     # spacing; the policy ratio is an upper bound on the grading
-    q_eff = min(q, 1.0 + 2.0 * (2 * math.pi / n_theta))
+    q_eff = min(q, 1.0 + 2.0 * (TWO_PI / n_theta))
     n_layers = max(1, int(math.ceil(math.log(eta / eps) / math.log(q_eff))))
     k = np.arange(n_layers + 1)
     radii = eps * (eta / eps) ** (k / n_layers)
@@ -477,8 +481,8 @@ def _inside_rim_polygon(centroids, center, rim_r, n_theta):
     inner = r <= rim_r * math.cos(math.pi / n_theta)
     ambiguous = (~inner) & (r < rim_r)
     if np.any(ambiguous):
-        th = np.arctan2(dy[ambiguous], dx[ambiguous]) % (2 * math.pi)
-        dtheta = 2 * math.pi / n_theta
+        th = np.arctan2(dy[ambiguous], dx[ambiguous]) % TWO_PI
+        dtheta = TWO_PI / n_theta
         j = np.floor(th / dtheta).astype(int) % n_theta
         th0 = j * dtheta
         th1 = th0 + dtheta
@@ -586,7 +590,7 @@ def _background(domain, centers, eta, policy) -> _Background:
     circle_spacing = []
     for i in range(m):
         xi = centers[i]
-        th = 2 * np.pi * np.arange(n_theta) / n_theta
+        th = TWO_PI * np.arange(n_theta) / n_theta
         rim = np.column_stack([xi[0] + eta * np.cos(th), xi[1] + eta * np.sin(th)])
         start = sum(p.shape[0] for p in pot_pts)
         pot_pts.append(rim)
@@ -596,14 +600,14 @@ def _background(domain, centers, eta, policy) -> _Background:
         # transition circles bridge the rim spacing to the background spacing:
         # angular doubling when the rim is coarser than the lattice, angular
         # halving (aligned subsets) when it is finer
-        s = 2 * np.pi * eta / n_theta
+        s = TWO_PI * eta / n_theta
         n = n_theta
         rr = eta
         while s > 1.6 * h:
             s = max(s / 2, h)
             n *= 2
             rr = rr + 0.85 * s
-            tth = 2 * np.pi * np.arange(n) / n
+            tth = TWO_PI * np.arange(n) / n
             cpts = np.column_stack([xi[0] + rr * np.cos(tth), xi[1] + rr * np.sin(tth)])
             circle_pts.append(cpts)
             circle_spacing.append(np.full(n, s))
@@ -611,7 +615,7 @@ def _background(domain, centers, eta, policy) -> _Background:
             s = min(2 * s, h)
             n //= 2
             rr = rr + 0.85 * s
-            tth = 2 * np.pi * np.arange(n) / n
+            tth = TWO_PI * np.arange(n) / n
             cpts = np.column_stack([xi[0] + rr * np.cos(tth), xi[1] + rr * np.sin(tth)])
             circle_pts.append(cpts)
             circle_spacing.append(np.full(n, s))
@@ -740,7 +744,7 @@ def _assemble(bg: _Background, pd) -> Mesh:
         xi = bg.centers[i]
         radii = _build_patch_rings(pd.pierce.radii[i], eta, bg.policy.q, n_theta)
         k1 = len(radii)
-        th = 2 * np.pi * np.arange(n_theta) / n_theta
+        th = TWO_PI * np.arange(n_theta) / n_theta
         ct, st = np.cos(th), np.sin(th)
 
         grid = np.empty((k1, n_theta), dtype=np.int64)
@@ -837,7 +841,7 @@ def _check_conformity(mesh, bpoly):
     # area bookkeeping: covered area must match the polygonal domain area
     target = _polygon_area(bpoly)
     for p in mesh.patches:
-        th = 2 * np.pi * np.arange(p.n_theta) / p.n_theta
+        th = TWO_PI * np.arange(p.n_theta) / p.n_theta
         hole_poly = p.radii[0] * np.column_stack([np.cos(th), np.sin(th)])
         target -= abs(_polygon_area(hole_poly))
     covered = float(np.sum(mesh.weights))
@@ -848,8 +852,6 @@ def _check_conformity(mesh, bpoly):
 
 # ---------------------------------------------------------------------------
 # field evaluation helpers
-
-_TWO_PI = 2 * math.pi
 
 
 class FieldEvaluator:
@@ -889,8 +891,8 @@ class FieldEvaluator:
         r = np.minimum(np.maximum(_each(math.hypot, dx, dy), p.radii[0]), p.radii[-1])
         k = np.clip(np.searchsorted(p.radii, r, side="right") - 1, 0, len(p.radii) - 2)
         # numpy's % and // on floats follow the same fmod-based rule as Python's
-        th = _each(math.atan2, dy, dx) % _TWO_PI
-        j = (th // (_TWO_PI / p.n_theta)).astype(np.int64) % p.n_theta
+        th = _each(math.atan2, dy, dx) % TWO_PI
+        j = (th // (TWO_PI / p.n_theta)).astype(np.int64) % p.n_theta
         g = p.node_grid
         j2 = (j + 1) % p.n_theta
         quad = np.column_stack([g[k, j], g[k + 1, j], g[k + 1, j2], g[k, j2]])

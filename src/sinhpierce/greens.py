@@ -14,10 +14,8 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import CoincidentPoints, PointOutsideDomain
-from .geometry import DomainSpec, FieldEvaluator, _signed_inside_distance, build_domain_mesh
+from .geometry import TWO_PI, DomainSpec, FieldEvaluator, _signed_inside_distance, build_domain_mesh
 from .operators import get_ops, release_ops
-
-_TWO_PI = 2.0 * np.pi
 
 
 class _Green:
@@ -36,7 +34,7 @@ class _Green:
         close = np.flatnonzero(d < 1e-14)
         if close.size:
             raise CoincidentPoints(f"green undefined on the diagonal, |x-y|={d[close[0]]:.3g}")
-        return -np.log(d) / _TWO_PI + self.robin_H_many(pts, y)
+        return -np.log(d) / TWO_PI + self.robin_H_many(pts, y)
 
     def pair_table(self, centers):
         """Symmetric tables H(xi_i, xi_j) and G(xi_i, xi_j) over the hole centers.
@@ -56,7 +54,7 @@ class _Green:
         for j in range(m):
             H[:j + 1, j] = H[j, :j + 1] = self.robin_H_many(c[:j + 1], c[j])
             for i in range(j):
-                G[i, j] = G[j, i] = -np.log(np.hypot(*(c[i] - c[j]))) / _TWO_PI + H[i, j]
+                G[i, j] = G[j, i] = -np.log(np.hypot(*(c[i] - c[j]))) / TWO_PI + H[i, j]
         H.setflags(write=False)
         G.setflags(write=False)
         self._pair_tables[key] = (H, G)
@@ -86,7 +84,7 @@ class AnalyticDiskGreen(_Green):
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         u = 1.0 - (pts[:, 0] * y[0] + pts[:, 1] * y[1])
         v = -(pts[:, 1] * y[0] - pts[:, 0] * y[1])
-        return np.log(np.hypot(u, v)) / _TWO_PI
+        return np.log(np.hypot(u, v)) / TWO_PI
 
 
 class NumericGreen(_Green):
@@ -129,7 +127,7 @@ class NumericGreen(_Green):
         if fld is None:
             ops = get_ops(self.mesh)
             bpts = self.mesh.nodes[ops.boundary]
-            g = np.log(np.hypot(bpts[:, 0] - y[0], bpts[:, 1] - y[1])) / _TWO_PI
+            g = np.log(np.hypot(bpts[:, 0] - y[0], bpts[:, 1] - y[1])) / TWO_PI
             fld = ops.solve_dirichlet(np.zeros(self.mesh.n_nodes), boundary_values=g)
             self._h_fields[key] = fld
         return fld

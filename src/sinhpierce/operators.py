@@ -10,7 +10,6 @@ scale.
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -140,21 +139,17 @@ class DiscreteOperators:
         return float(np.abs(vals).max())
 
 
-_ops_cache: "weakref.WeakKeyDictionary[Mesh, DiscreteOperators]" = weakref.WeakKeyDictionary()
-
-
 def get_ops(mesh: Mesh) -> DiscreteOperators:
-    ops = _ops_cache.get(mesh)
-    if ops is None:
-        ops = DiscreteOperators(mesh)
-        _ops_cache[mesh] = ops
-    return ops
+    """The mesh's operators, assembled on first use and kept on the mesh."""
+    if mesh.ops is None:
+        mesh.ops = DiscreteOperators(mesh)
+    return mesh.ops
 
 
 def release_ops(mesh: Mesh):
-    """Drop the mesh's cached operators; the next get_ops assembles them anew
-    (same bits). Holders of the old object keep it alive until they let go."""
-    _ops_cache.pop(mesh, None)
+    """Drop the mesh's operators; the next get_ops assembles them anew (same
+    bits). Holders of the old object keep it alive until they let go."""
+    mesh.ops = None
 
 
 # ---------------------------------------------------------------------------
@@ -169,16 +164,13 @@ def _potential_values(cfg, mesh):
 
 
 def semianalytic_laplacian_U(cfg, scales, mesh) -> np.ndarray:
-    """Lap U evaluated from the bubble sources: projection leaves Lap w intact."""
-    from .bubbles import bubble_source, make_bubbles
+    """Lap U evaluated from the bubble sources: projection leaves Lap w intact,
+    and each source is -Lap of its bubble."""
+    from .bubbles import bubble_source, make_bubbles   # bubbles imports this module
 
     total = np.zeros(mesh.n_nodes)
     for b in make_bubbles(cfg, scales):
-        src = bubble_source(b, mesh)
-        if b.index < cfg.m1:
-            total -= src
-        else:
-            total += src / cfg.tau
+        total -= cfg.weigh(b.index, bubble_source(b, mesh))
     return total
 
 

@@ -15,12 +15,13 @@ Evaluation is pure and vectorized over numpy arrays.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
 from .errors import NonpositiveSampled, ParseError
 
-_FUNCS = {"exp": np.exp, "log": np.log, "sin": np.sin, "cos": np.cos}
+_FUNCS = MappingProxyType({"exp": np.exp, "log": np.log, "sin": np.sin, "cos": np.cos})
 
 
 @dataclass(frozen=True)

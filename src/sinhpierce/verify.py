@@ -16,15 +16,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bubbles import far_expansion, make_bubbles
+from .bubbles import far_expansion, lalpha_weight, make_bubbles
 from .coeffs import choose_scales, constraint_deviation, dominance_threshold, solve_beta
 from .corrector import Run, continuation_sweep
 from .errors import InsufficientSamples, QuadratureNonConvergence
 from .greens import AnalyticDiskGreen, NumericGreen
+from .geometry import TWO_PI
 from .operators import Field, get_ops, residual_R
 from .runconfig import domain_sample_points
 
-_TWO_PI = 2.0 * math.pi
 _STENCIL_ROWS = 64   # grid rows per block of the kernel-annihilation stencil
 
 
@@ -82,19 +82,13 @@ class ScalingStudy:
 # ---------------------------------------------------------------------------
 # weighted spaces on the rescaled plane
 
-def lalpha_weight(alpha, y):
-    """|y|^(alpha-2) / (1 + |y|^alpha)^2, the concentration weight."""
-    y = np.asarray(y, dtype=float)
-    return y ** (alpha - 2) / (1.0 + y ** alpha) ** 2
-
-
 def norm_lalpha_sq(fn_radial, alpha):
     """Squared weighted norm of a radial function over the whole plane, to a
     relative tolerance of 1e-10."""
     from scipy.integrate import quad
 
     def integrand(s):
-        return lalpha_weight(alpha, s) * fn_radial(s) ** 2 * _TWO_PI * s
+        return lalpha_weight(alpha, s) * fn_radial(s) ** 2 * TWO_PI * s
 
     v1, e1 = quad(integrand, 0.0, 1.0, epsabs=0.0, epsrel=1e-10, limit=200)
     v2, e2 = quad(integrand, 1.0, np.inf, epsabs=1e-14, epsrel=1e-10, limit=200)
@@ -103,57 +97,6 @@ def norm_lalpha_sq(fn_radial, alpha):
         raise QuadratureNonConvergence(
             f"weighted norm quadrature error {e1 + e2:.3e} for value {val:.6e}")
     return val
-
-
-# ---------------------------------------------------------------------------
-# rescaled correction and kernel coefficients
-
-@dataclass
-class RescaledField:
-    """phi(xi_j + delta_j y) sampled on a log-radial x angular grid."""
-
-    y: np.ndarray          # (n_r,) radii of the rescaled variable
-    values: np.ndarray     # (n_r, n_t), the patch's n_t angles in order
-
-
-def rescale_correction(phi: Field, scales, j, y_max=50.0) -> RescaledField:
-    """Sample the correction around hole j in bubble coordinates.
-
-    The sampling grid is the polar patch itself (ring radii over patch
-    angles), restricted to eps_j/delta_j <= |y| <= min(eta/delta_j, y_max):
-    nodal values are read off directly, with no interpolation, so projecting
-    a grid function onto itself is exact.
-    """
-    patch = phi.mesh.patches[j]
-    delta = scales.delta[j]
-    sel = patch.radii <= y_max * delta * (1 + 1e-12)
-    if sel.sum() < 3:
-        raise ValueError("rescaling range covers fewer than three rings")
-    return RescaledField(y=patch.radii[sel] / delta, values=phi.values[patch.node_grid[sel]])
-
-
-def _log_radial_quadrature(y, f):
-    """integral f(y) y dy over the grid via trapezoid in log y."""
-    t = np.log(y)
-    g = f * y * y          # f y dy = f y^2 dt
-    return float(np.sum(0.5 * (g[1:] + g[:-1]) * np.diff(t)))
-
-
-def kernel_coefficient(phi: Field, cfg, scales, j) -> float:
-    """Projection a_j = <Phi_j, Y0>_w / ||Y0||^2_w on the annulus truncated at
-    |y| = 50.
-
-    Numerator and denominator use the same grid and truncation, so feeding
-    the kernel element itself back in returns exactly one.
-    """
-    rf = rescale_correction(phi, scales, j)
-    alpha = float(cfg.alphas[j])
-    w = lalpha_weight(alpha, rf.y)
-    y0 = (1.0 - rf.y ** alpha) / (1.0 + rf.y ** alpha)
-    phibar = rf.values.mean(axis=1)
-    num = _log_radial_quadrature(rf.y, w * phibar * y0)
-    den = _log_radial_quadrature(rf.y, w * y0 * y0)
-    return num / den
 
 
 # ---------------------------------------------------------------------------
@@ -172,11 +115,11 @@ def check_integral_identities(alphas=(2.5, 3.0, 3.7), rtol=1e-8):
     for alpha in alphas:
         def f1(s, a=alpha):
             return 2 * a ** 2 * lalpha_weight(a, s) \
-                * ((1 - s ** a) / (1 + s ** a)) ** 2 * _TWO_PI * s
+                * ((1 - s ** a) / (1 + s ** a)) ** 2 * TWO_PI * s
 
         def f2(s, a=alpha):
             return 2 * a ** 2 * lalpha_weight(a, s) \
-                * (1 - s ** a) / (1 + s ** a) * np.log(s) * _TWO_PI * s
+                * (1 - s ** a) / (1 + s ** a) * np.log(s) * TWO_PI * s
 
         try:
             i1 = quad(f1, 0, 1, epsabs=0.0, epsrel=1e-12, limit=200)[0] \
@@ -453,7 +396,7 @@ def green_suite(rc):
             check_id="green-symmetry", measured=float(max(sym)), threshold=1e-8,
             passed=max(sym) <= 1e-8, claim="Green function symmetry"))
         bvals = [abs(an.green((math.cos(t), math.sin(t)), (0.3, 0.1)))
-                 for t in np.linspace(0, _TWO_PI, 37)]
+                 for t in np.linspace(0, TWO_PI, 37)]
         results.append(CheckResult(
             check_id="green-boundary-vanishing", measured=float(max(bvals)),
             threshold=1e-8, passed=max(bvals) <= 1e-8,

@@ -273,7 +273,7 @@ def test_assemble_single_is_projection(proj_setup, single_cfg, gp):
     pd, mesh, scales, coeffs = proj_setup
     b = make_bubbles(single_cfg, scales)[0]
     P = project_numeric(b, mesh, coeffs=coeffs, H=regular_parts(gp, mesh, coeffs.centers))
-    U = assemble_U([P], tau=1.0, m1=1)
+    U = assemble_U([P], single_cfg)
     assert np.abs(U.values - P.values).max() == 0.0
 
 
@@ -285,7 +285,7 @@ def test_assemble_mixed_signs(two_cfg, gp, coarse_policy):
     bs = make_bubbles(two_cfg, scales)
     H = regular_parts(gp, mesh, coeffs.centers)
     P = [project_numeric(b, mesh, coeffs=coeffs, H=H) for b in bs]
-    U = assemble_U(P, tau=1.0, m1=1)
+    U = assemble_U(P, two_cfg)
     assert np.abs(U.values - (P[0].values - P[1].values)).max() <= 1e-14 * np.abs(U.values).max()
 
 
@@ -298,7 +298,7 @@ def test_assemble_mesh_mismatch(proj_setup, single_cfg, gp, disk):
 
     q = Field(other, np.zeros(other.n_nodes))
     with pytest.raises(MeshMismatch):
-        assemble_U([P, q], tau=1.0, m1=1)
+        assemble_U([P, q], single_cfg)
 
 
 def test_ansatz_near_field_form(proj_setup, single_cfg, gp):

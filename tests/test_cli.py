@@ -169,10 +169,12 @@ def test_one_mesh_per_rho_per_command(tmp_path, monkeypatch):
 
     import sinhpierce.bubbles as bubbles_mod
     import sinhpierce.corrector as corrector_mod
-    import sinhpierce.operators as operators_mod
+    import sinhpierce.greens as greens_mod
 
     real = corrector_mod.build_mesh
+    real_domain_mesh = greens_mod.build_domain_mesh
     calls = []
+    built = []      # every mesh the command builds, pierced or the Green function's
     projections = []
     lattices = []
     real_lattice = geometry_mod._hex_lattice
@@ -185,7 +187,12 @@ def test_one_mesh_per_rho_per_command(tmp_path, monkeypatch):
 
     def counting(pd, *args):
         calls.append(pd)
-        return real(pd, *args)
+        built.append(real(pd, *args))
+        return built[-1]
+
+    def recording_domain_mesh(*args):
+        built.append(real_domain_mesh(*args))
+        return built[-1]
 
     real_project = bubbles_mod.project_numeric
 
@@ -198,13 +205,14 @@ def test_one_mesh_per_rho_per_command(tmp_path, monkeypatch):
     owners = []     # the mesh whose K_II each factored matrix is, or None
 
     def counting_splu(A, *args, **kwargs):
-        owner = next((ops.mesh for ops in list(operators_mod._ops_cache.values())
-                      if A is ops._K_II), None)
+        owner = next((mesh for mesh in built
+                      if mesh.ops is not None and A is mesh.ops._K_II), None)
         factored.append((A, owner is not None))
         owners.append(owner)
         return real_splu(A, *args, **kwargs)
 
     monkeypatch.setattr(corrector_mod, "build_mesh", counting)
+    monkeypatch.setattr(greens_mod, "build_domain_mesh", recording_domain_mesh)
     monkeypatch.setattr(spla, "splu", counting_splu)
     for name, mod in list(sys.modules.items()):
         if not name.startswith("sinhpierce"):
@@ -226,6 +234,7 @@ def test_one_mesh_per_rho_per_command(tmp_path, monkeypatch):
         lattices.clear()
         factored.clear()
         owners.clear()
+        built.clear()
         rho = ["--rho", "1e-2"] if command == "construct" else []   # construct takes one
         assert main([command, "--config", path, "--out", str(tmp_path / command), *rho]) == 0
         assert len(calls) == meshes, command
@@ -246,6 +255,7 @@ def test_one_mesh_per_rho_per_command(tmp_path, monkeypatch):
         calls.clear()
         factored.clear()
         owners.clear()
+        built.clear()
         out = tmp_path / f"square-{command}"
         assert main([command, "--config", square, "--out", str(out)]) == 0, command
         assert len(calls) == 3, command

@@ -32,7 +32,6 @@ from sinhpierce.operators import (
     SUP_GUARD,
     DiscreteOperators,
     Field,
-    _ops_cache,
     get_ops,
 )
 
@@ -383,12 +382,12 @@ def test_first_stage_drops_the_green_domain_operators():
     domain_ops = weakref.ref(get_ops(ng.mesh))
     run = _square_pair_run(ng)
     run.stage(1e-2)
-    assert ng.mesh not in _ops_cache
+    assert ng.mesh.ops is None
     assert domain_ops() is None
     assert sorted(ng._h_fields) == [(-0.4, 0.0), (0.4, 0.0)]
     run.stage(1e-3)
     construct_solution(run, 1e-3)
-    assert ng.mesh not in _ops_cache
+    assert ng.mesh.ops is None
 
 
 def test_sweep_keeps_only_the_current_stage_operators():
@@ -400,8 +399,8 @@ def test_sweep_keeps_only_the_current_stage_operators():
 
     def after(rho):
         # the stages' meshes, and the Green function's domain mesh, with operators
-        cached.append(([r for r, st in run._stages.items() if st.mesh in _ops_cache],
-                       run.gp.mesh in _ops_cache))
+        cached.append(([r for r, st in run._stages.items() if st.mesh.ops is not None],
+                       run.gp.mesh.ops is not None))
         refs[rho] = weakref.ref(get_ops(run.stage(rho).mesh))
 
     sw = continuation_sweep(run, [1e-2, 1e-3, 1e-4], after_rho=after)

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from sinhpierce.errors import CoincidentPoints, PointOutsideDomain
 from sinhpierce.geometry import DomainSpec
 from sinhpierce.greens import AnalyticDiskGreen, GreenProvider, NumericGreen
-from sinhpierce.operators import _ops_cache, get_ops
+from sinhpierce.operators import get_ops
 
 
 def test_green_at_disk_center(gp):
@@ -184,10 +184,10 @@ def test_pair_table_drops_the_domain_operators_and_rebuilds_bit_for_bit():
     before = released.robin_H_many(pts, old_y)
     ops = weakref.ref(get_ops(released.mesh))
     H, G = released.pair_table(pts[:2])
-    assert released.mesh not in _ops_cache and ops() is None
+    assert released.mesh.ops is None and ops() is None
     assert H[0, 0] == before[0]
     assert released.robin_H_many(pts, old_y).tobytes() == before.tobytes()
-    assert released.mesh not in _ops_cache
+    assert released.mesh.ops is None
     assert released.robin_H_many(pts, new_y).tobytes() == kept.robin_H_many(pts, new_y).tobytes()
     assert get_ops(released.mesh)._poisson_lu is not None
     assert released.robin_H_many(pts, old_y).tobytes() == kept.robin_H_many(pts, old_y).tobytes()

@@ -1,6 +1,7 @@
 """No sinhpierce module keeps mutable state in its globals: a cache or table
 belongs to the object whose data it holds, so two runs in one process cannot
-see each other's entries. The two exceptions are named."""
+see each other's entries. A constant table is a read-only mapping. ALLOWED
+names any exception; there is none."""
 
 import collections.abc as abc
 import importlib
@@ -10,10 +11,7 @@ import numpy as np
 
 import sinhpierce
 
-ALLOWED = {
-    ("sinhpierce.operators", "_ops_cache"),   # operators per mesh, dropped with the mesh
-    ("sinhpierce.potentials", "_FUNCS"),      # the constant table of potential functions
-}
+ALLOWED = set()
 
 
 def _mutable(value):

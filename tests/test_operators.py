@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from sinhpierce.operators import (
     LinearOperator,
     get_ops,
     nonlinear_N,
+    release_ops,
     residual_R,
     weight_W,
 )
@@ -31,6 +34,25 @@ def plain(disk):
 def _hex_interior(mesh, radius=0.75):
     r = np.hypot(mesh.nodes[:, 0], mesh.nodes[:, 1])
     return (~mesh.is_boundary) & (r < radius)
+
+
+def test_a_dropped_mesh_frees_its_operators(disk):
+    mesh = build_domain_mesh(disk, 0.2, smooth_iters=0)
+    ops = weakref.ref(get_ops(mesh))
+    del mesh
+    gc.collect()
+    assert ops() is None
+
+
+def test_operators_are_kept_on_the_mesh_until_released(disk):
+    # get_ops assembles once and keeps the operators in the mesh's slot;
+    # release_ops empties it, and the next get_ops assembles anew
+    mesh = build_domain_mesh(disk, 0.2, smooth_iters=0)
+    first = weakref.ref(get_ops(mesh))
+    assert get_ops(mesh) is first() and mesh.ops is first()
+    release_ops(mesh)
+    assert mesh.ops is None and first() is None
+    assert get_ops(mesh) is mesh.ops is not None
 
 
 def test_laplacian_quadratic(plain):

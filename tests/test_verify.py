@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import sinhpierce.verify as verify_mod
+from sinhpierce.bubbles import kernel_coefficient, rescale_correction
 from sinhpierce.corrector import Run, continuation_sweep
 from sinhpierce.errors import InsufficientSamples
 from sinhpierce.operators import Field, LinearOperator, weight_W
@@ -17,9 +18,7 @@ from sinhpierce.verify import (
     check_operator_bound,
     check_residual_scaling,
     decreasing,
-    kernel_coefficient,
     norm_lalpha_sq,
-    rescale_correction,
     write_check_csv,
 )
 
