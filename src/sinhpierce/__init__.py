@@ -21,7 +21,6 @@ from .corrector import (
     construct_solution,
     continuation_sweep,
     fixed_point_correct,
-    newton_correct,
     prepare,
 )
 from .geometry import (
@@ -44,12 +43,9 @@ from .operators import (
 from .bubbles import (
     Bubble,
     assemble_U,
-    bubble_value,
     build_ansatz,
     far_expansion,
-    kernel_Y,
     make_bubbles,
-    project_asymptotic,
     project_numeric,
     regular_parts,
 )

@@ -1,5 +1,5 @@
-"""Explicit functions of the construction: bubbles, kernel elements, their
-Dirichlet projections, and the ansatz.
+"""Explicit functions of the construction: bubbles, the kernel coefficient,
+the bubbles' Dirichlet projections, and the ansatz.
 
 All radial formulas are driven by delta_i^alpha_i stored exactly (as d_i rho),
 and on a pierced mesh the distance to the own hole center comes from the
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MeshMismatch, RegimeViolation, UndefinedAngleAtOrigin
+from .errors import MeshMismatch
 from .geometry import OUTER, TWO_PI, Mesh
 from .operators import DIRICHLET_ZERO, Field, get_ops
 
@@ -29,10 +29,6 @@ class Bubble:
     delta: float
     delta_pow: float      # delta**alpha, exact
 
-    @property
-    def peak(self):
-        return math.log(2 * self.alpha ** 2) - math.log(self.delta_pow)
-
 
 def make_bubbles(cfg, scales):
     return [Bubble(index=i, center=cfg.centers[i].copy(), alpha=float(cfg.alphas[i]),
@@ -40,16 +36,8 @@ def make_bubbles(cfg, scales):
             for i in range(cfg.m)]
 
 
-def bubble_value(b: Bubble, x) -> np.ndarray | float:
-    """w(x) = log( 2 a^2 d^a / (d^a + |x-xi|^a)^2 ), defined on all of the plane."""
-    pts = np.asarray(x, dtype=float)
-    scalar = pts.ndim == 1
-    pts = np.atleast_2d(pts)
-    out = _bubble_from_r(b, np.hypot(pts[:, 0] - b.center[0], pts[:, 1] - b.center[1]))
-    return float(out[0]) if scalar else out
-
-
 def _bubble_from_r(b: Bubble, r):
+    """w = log( 2 a^2 d^a / (d^a + r^a)^2 ) at the distances r from the center."""
     ra = r ** b.alpha
     return math.log(2 * b.alpha ** 2) + math.log(b.delta_pow) - 2 * np.log(b.delta_pow + ra)
 
@@ -71,31 +59,6 @@ def bubble_source(b: Bubble, mesh: Mesh) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # kernel of the rescaled linearized operator
-
-def kernel_Y(k: int, alpha: float, y) -> float | np.ndarray:
-    """Bounded kernel elements of Lap + 2 a^2 |y|^(a-2)/(1+|y|^a)^2 in the plane.
-
-    Y0 = (1-|y|^a)/(1+|y|^a); Y1, Y2 = |y|^(a/2) cos/sin(a theta/2)/(1+|y|^a),
-    with theta in (-pi, pi]; the angular pair is branch-dependent for
-    non-even alpha and is only meant for patches away from the cut.
-    """
-    pts = np.asarray(y, dtype=float)
-    scalar = pts.ndim == 1
-    pts = np.atleast_2d(pts)
-    r = np.hypot(pts[:, 0], pts[:, 1])
-    ra = r ** alpha
-    if k == 0:
-        out = (1.0 - ra) / (1.0 + ra)
-    elif k in (1, 2):
-        if np.any(r == 0):
-            raise UndefinedAngleAtOrigin("Y1/Y2 need a well-defined angle; |y| > 0 required")
-        th = np.arctan2(pts[:, 1], pts[:, 0])
-        trig = np.cos if k == 1 else np.sin
-        out = r ** (alpha / 2) * trig(alpha * th / 2) / (1.0 + ra)
-    else:
-        raise ValueError("kernel index must be 0, 1 or 2")
-    return float(out[0]) if scalar else out
-
 
 def lalpha_weight(alpha, y):
     """|y|^(alpha-2) / (1 + |y|^alpha)^2, the concentration weight."""
@@ -136,7 +99,8 @@ def _log_radial_quadrature(y, f):
 
 def kernel_coefficient(phi: Field, cfg, scales, j) -> float:
     """Projection a_j = <Phi_j, Y0>_w / ||Y0||^2_w on the annulus truncated at
-    |y| = 50.
+    |y| = 50, with Y0 = (1 - |y|^a)/(1 + |y|^a) the radial kernel element of
+    Lap + 2 a^2 |y|^(a-2)/(1 + |y|^a)^2.
 
     Numerator and denominator use the same grid and truncation, so feeding
     the kernel element itself back in returns exactly one.
@@ -207,36 +171,9 @@ def project_numeric(b: Bubble, mesh: Mesh, coeffs, H) -> Field:
     return Field(mesh, vals, DIRICHLET_ZERO)
 
 
-def project_asymptotic(b: Bubble, coeffs, gp, x, regime: str, eta=None) -> float:
-    """Explicit expansion of the projection, near or far form.
-
-    near: w - log(2 a^2 d^a) + 4 pi a H(x, xi_i) - sum_k beta_ik G(x, xi_k)
-    far:  4 pi a G(x, xi_i) - sum_k beta_ik G(x, xi_k)
-    """
-    pt = np.asarray(x, dtype=float)
-    centers = coeffs.centers
-    i = b.index
-    if regime == "far":
-        if eta is not None:
-            d = np.hypot(pt[0] - centers[:, 0], pt[1] - centers[:, 1])
-            if np.any(d < eta):
-                raise RegimeViolation(
-                    f"far form needs dist(x, every center) >= eta={eta:.3g}; "
-                    f"closest is {d.min():.3g}")
-        return float(far_expansion(b, coeffs, gp, pt[None, :])[0])
-    if regime == "near":
-        val = float(bubble_value(b, pt)) \
-            - (math.log(2 * b.alpha ** 2) + math.log(b.delta_pow)) \
-            + 4 * math.pi * b.alpha * gp.robin_H_many(pt[None, :], centers[i])[0]
-    else:
-        raise ValueError(f"unknown regime {regime!r}")
-    for k in range(centers.shape[0]):
-        val -= coeffs.beta[i, k] * gp.green(pt, centers[k])
-    return float(val)
-
-
 def far_expansion(b: Bubble, coeffs, gp, points) -> np.ndarray:
-    """The far form of project_asymptotic at each of the points, an (n, 2) array."""
+    """Far form of the projection, 4 pi a G(x, xi_i) - sum_k beta_ik G(x, xi_k),
+    at each of the points, an (n, 2) array."""
     i = b.index
     g = [gp.green_many(points, c) for c in coeffs.centers]
     val = 4 * math.pi * b.alpha * g[i]

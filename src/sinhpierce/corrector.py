@@ -1,11 +1,9 @@
 """Correction of the ansatz to a discrete solution u = U + phi.
 
-The primary route iterates the contraction map phi -> T(-(R + N(phi))) from
-phi = 0, where T inverts the linearized operator with zero boundary data.
-A plain Newton iteration on the same discrete system provides a second
-solver; both converge to the same discrete root, which is what the agreement
-checks exploit. Each solver supplies only its step: one loop, _correct,
-keeps the report, the sup-norm guard and the stopping rule for both.
+The correction iterates the contraction map phi -> T(-(R + N(phi))) from
+phi = 0 (or a warm start), where T inverts the linearized operator with zero
+boundary data. One loop, fixed_point_correct, keeps the report, the sup-norm
+guard and the stopping rule.
 """
 
 from __future__ import annotations
@@ -51,7 +49,6 @@ class SolveReport:
     """Everything measured during one correction run (plus sweep-level fits)."""
 
     rho: float = 0.0
-    method: str = "fixed-point"
     status: str = "converged"
     iterations: int = 0
     contraction_factors: list = field(default_factory=list)
@@ -78,7 +75,7 @@ class SolveReport:
 
     def records(self):
         ordered = [
-            ("rho", self.rho), ("method", self.method), ("status", self.status),
+            ("rho", self.rho), ("method", "fixed-point"), ("status", self.status),
             ("iterations", self.iterations),
             ("max_contraction_factor", self.max_contraction_factor),
             ("phi_sup", self.phi_sup), ("phi_h01", self.phi_h01),
@@ -156,19 +153,22 @@ def _finish(report, phi, U, cfg, scales):
     return phi, report
 
 
-def _correct(method, step, L, R, U, cfg, scales, tol, maxiter, phi0, p_norms):
-    """The correction loop both solvers share.
+def fixed_point_correct(U: Field, cfg, scales, L: LinearOperator, tol=1e-10, maxiter=50,
+                        phi0=None, p_norms=(1.01, 1.1, 1.3)) -> tuple[Field, SolveReport]:
+    """Iterate phi -> T(-(R + N(phi))) from phi0 (or 0) until the update stalls.
 
-    L is Lap + W at the ansatz, whose smallest eigenvalue the report keeps;
-    R is the ansatz defect, whose Lp norms it keeps. From phi0 (or 0), each
-    iterate phi must stay within SUP_GUARD in sup norm before step(phi) takes
+    L is Lap + W at the ansatz, already built (Run.linear_operator); its
+    factor and eigenvalue estimate are reused, and the report keeps the
+    eigenvalue. R is the ansatz defect, whose Lp norms the report keeps. Each
+    iterate phi must stay within SUP_GUARD in sup norm before the step takes
     exponentials of it. The loop stops once an update falls below tol
     relative to the H1_0 norm of the iterate, and raises Diverged, with the
     partial report, if the guard trips or maxiter steps do not get there.
     """
+    R = residual_R(U, cfg, scales)
     mesh = U.mesh
     ops = get_ops(mesh)
-    report = SolveReport(rho=scales.rho, method=method)
+    report = SolveReport(rho=scales.rho)
     _check_resonance(report, L)
     for p in p_norms:
         report.r_norms[p] = ops.norm_lp(R, p)
@@ -180,7 +180,7 @@ def _correct(method, step, L, R, U, cfg, scales, tol, maxiter, phi0, p_norms):
         sup = ops.norm_sup(phi)
         if sup > SUP_GUARD:
             _diverged(report, f"sup norm {sup:.3g} exceeded the guard")
-        new = step(phi)
+        new = L.solve(Field(mesh, -(R.values + nonlinear_N(phi, U, cfg, scales).values)))
         upd = ops.norm_h01(Field(mesh, new.values - phi.values))
         report.updates_h01.append(upd)
         if it == 0 and phi0 is None:
@@ -195,45 +195,6 @@ def _correct(method, step, L, R, U, cfg, scales, tol, maxiter, phi0, p_norms):
             return _finish(report, phi, U, cfg, scales)
     _diverged(report, f"no convergence in {maxiter} iterations "
                       f"(last update {prev_update:.3e})")
-
-
-def fixed_point_correct(U: Field, cfg, scales, tol=1e-10, maxiter=50,
-                        phi0=None, p_norms=(1.01, 1.1, 1.3),
-                        L: LinearOperator | None = None) -> tuple[Field, SolveReport]:
-    """Iterate phi -> T(-(R + N(phi))) from phi = 0 until the update stalls.
-
-    L, if given, is Lap + W(U) already built (Run.linear_operator); its
-    factor and eigenvalue estimate are reused.
-    """
-    if L is None:
-        L = LinearOperator(U.mesh, weight_W(U, cfg, scales))
-    R = residual_R(U, cfg, scales)
-
-    def step(phi):
-        return L.solve(Field(U.mesh, -(R.values + nonlinear_N(phi, U, cfg, scales).values)))
-
-    return _correct("fixed-point", step, L, R, U, cfg, scales, tol, maxiter, phi0, p_norms)
-
-
-def newton_correct(U: Field, cfg, scales, tol=1e-10, maxiter=50,
-                   phi0=None, p_norms=(1.01, 1.1, 1.3)) -> tuple[Field, SolveReport]:
-    """Newton iteration on the same discrete system the fixed point solves.
-
-    Each step solves with the Jacobian Lap + W(U + phi); at phi = 0 that is
-    the fixed point's operator, so a cold start's first step is the fixed
-    point's first iterate.
-    """
-    mesh = U.mesh
-    L = LinearOperator(mesh, weight_W(U, cfg, scales))
-
-    def step(phi):
-        J = L if not phi.values.any() else LinearOperator(
-            mesh, weight_W(Field(mesh, U.values + phi.values), cfg, scales))
-        delta = J.solve(Field(mesh, -_defect(phi, U, cfg, scales)))
-        return Field(mesh, phi.values + delta.values, DIRICHLET_ZERO)
-
-    return _correct("newton", step, L, residual_R(U, cfg, scales), U, cfg, scales,
-                    tol, maxiter, phi0, p_norms)
 
 
 # ---------------------------------------------------------------------------
@@ -379,25 +340,15 @@ def farfield_sample_points(cfg, pd):
     return np.asarray(pts)
 
 
-METHODS = ("fixed-point", "newton")
-
-
-def construct_solution(run: Run, rho, method="fixed-point", tol=1e-10, maxiter=50,
+def construct_solution(run: Run, rho, tol=1e-10, maxiter=50,
                        phi0=None, p_norms=(1.01, 1.1, 1.3)) -> Solution:
-    """Correct the prepared ansatz at rho, from phi0 (a Field on its mesh) or 0,
-    with one of METHODS."""
-    if method not in METHODS:
-        raise ValueError(f"unknown method {method!r}; use one of {', '.join(METHODS)}")
+    """Correct the prepared ansatz at rho, from phi0 (a Field on its mesh) or 0."""
     cfg, gp = run.cfg, run.gp
     st = run.stage(rho)
     scales, pd, mesh, U = st.scales, st.pd, st.mesh, st.U
-    if method == "fixed-point":
-        phi, report = fixed_point_correct(U, cfg, scales, tol=tol, maxiter=maxiter,
-                                          phi0=phi0, p_norms=p_norms,
-                                          L=run.linear_operator(rho))
-    else:
-        phi, report = newton_correct(U, cfg, scales, tol=tol, maxiter=maxiter, phi0=phi0,
-                                     p_norms=p_norms)
+    phi, report = fixed_point_correct(U, cfg, scales, tol=tol, maxiter=maxiter,
+                                      phi0=phi0, p_norms=p_norms,
+                                      L=run.linear_operator(rho))
     u = Field(mesh, U.values + phi.values, DIRICHLET_ZERO)
 
     # annulus peaks and inner-region signs
@@ -453,8 +404,7 @@ class SweepResult:
                     rep.error])
 
 
-def continuation_sweep(run: Run, rho_list, method="fixed-point",
-                       tol=1e-10, maxiter=50, p_norms=(1.01, 1.1, 1.3),
+def continuation_sweep(run: Run, rho_list, tol=1e-10, maxiter=50, p_norms=(1.01, 1.1, 1.3),
                        after_rho=None) -> SweepResult:
     """Run the construction at each rho (descending), warm-starting phi.
 
@@ -481,14 +431,14 @@ def continuation_sweep(run: Run, rho_list, method="fixed-point",
             except SinhPierceError:
                 phi0 = None
         try:
-            sol = construct_solution(run, rho, method=method, tol=tol, maxiter=maxiter,
+            sol = construct_solution(run, rho, tol=tol, maxiter=maxiter,
                                      phi0=phi0, p_norms=p_norms)
             solutions.append(sol)
             reports.append(sol.report)
             prev = sol
         except SinhPierceError as exc:
             stub = getattr(exc, "report", None) or SolveReport(
-                rho=rho, method=method,
+                rho=rho,
                 status=re.sub(r"(?<!^)(?=[A-Z])", "-", type(exc).__name__).lower())
             stub.error = stub.error or str(exc)
             solutions.append(None)

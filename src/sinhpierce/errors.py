@@ -47,14 +47,6 @@ class SingularSystem(SinhPierceError):
 
 
 # --- bubbles ---
-class UndefinedAngleAtOrigin(SinhPierceError):
-    pass
-
-
-class RegimeViolation(SinhPierceError):
-    pass
-
-
 class MeshMismatch(SinhPierceError):
     pass
 

@@ -880,11 +880,6 @@ class FieldEvaluator:
         counts = np.bincount(cell, minlength=self._shape[0] * self._shape[1])
         self._start = np.concatenate([[0], np.cumsum(counts)])
 
-    def patch_value(self, patch_index, dx, dy, values):
-        """Evaluate at center offsets (dx, dy) inside patch patch_index."""
-        return self._patch_values(patch_index, np.array([dx], dtype=float),
-                                  np.array([dy], dtype=float), np.asarray(values))[0]
-
     def _patch_values(self, patch_index, dx, dy, values):
         """Evaluate at the center offset arrays (dx, dy) inside one patch."""
         p = self.mesh.patches[patch_index]

@@ -80,34 +80,14 @@ class ScalingStudy:
 
 
 # ---------------------------------------------------------------------------
-# weighted spaces on the rescaled plane
-
-def norm_lalpha_sq(fn_radial, alpha):
-    """Squared weighted norm of a radial function over the whole plane, to a
-    relative tolerance of 1e-10."""
-    from scipy.integrate import quad
-
-    def integrand(s):
-        return lalpha_weight(alpha, s) * fn_radial(s) ** 2 * TWO_PI * s
-
-    v1, e1 = quad(integrand, 0.0, 1.0, epsabs=0.0, epsrel=1e-10, limit=200)
-    v2, e2 = quad(integrand, 1.0, np.inf, epsabs=1e-14, epsrel=1e-10, limit=200)
-    val = v1 + v2
-    if val != 0 and (e1 + e2) > 1e-8 * abs(val) + 1e-12:
-        raise QuadratureNonConvergence(
-            f"weighted norm quadrature error {e1 + e2:.3e} for value {val:.6e}")
-    return val
-
-
-# ---------------------------------------------------------------------------
 # individual checks
 
 def check_integral_identities(alphas=(2.5, 3.0, 3.7), rtol=1e-8):
     """Adaptive radial quadrature of the two kernel integrals per exponent.
 
-    Only this and the weighted norm above integrate adaptively, so they
-    import scipy.integrate (and scipy.optimize beneath it) themselves, and
-    nothing else in the package loads it.
+    Only this check integrates adaptively, so it imports scipy.integrate
+    (and scipy.optimize beneath it) itself, and nothing else in the package
+    loads it.
     """
     from scipy.integrate import quad
 

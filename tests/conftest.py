@@ -1,10 +1,14 @@
 import threading
+import types
 
+import numpy as np
 import pytest
 
+import sinhpierce.corrector as corrector_mod
 from sinhpierce.coeffs import BlowupConfig, constant_potential
 from sinhpierce.geometry import DomainSpec, MeshPolicy, PierceSpec, build_mesh, build_pierced_domain
 from sinhpierce.greens import GreenProvider
+from sinhpierce.operators import DIRICHLET_ZERO, Field, LinearOperator, get_ops, weight_W
 
 
 @pytest.fixture(autouse=True)
@@ -64,3 +68,32 @@ def coarse_solution(coarse_run):
     from sinhpierce.corrector import construct_solution
 
     return construct_solution(coarse_run, 1e-3)
+
+
+@pytest.fixture(scope="session")
+def newton():
+    """Oracle: Newton's method on the discrete system the fixed point solves.
+
+    newton(run, rho) starts from phi = 0 on rho's stage. Each step solves
+    with the Jacobian Lap + W(U + phi) against the defect of U + phi; the
+    iteration stops once an update falls below tol relative to the H1_0
+    norm of the iterate, the fixed point's own rule. It returns the
+    converged flag, u = U + phi and the update norms.
+    """
+    def solve(run, rho, tol=1e-10, maxiter=50):
+        st = run.stage(rho)
+        mesh, U, cfg, scales = st.mesh, st.U, run.cfg, st.scales
+        ops = get_ops(mesh)
+        phi = Field(mesh, np.zeros(mesh.n_nodes), DIRICHLET_ZERO)
+        updates = []
+        for _ in range(maxiter):
+            J = LinearOperator(mesh, weight_W(Field(mesh, U.values + phi.values), cfg, scales))
+            delta = J.solve(Field(mesh, -corrector_mod._defect(phi, U, cfg, scales)))
+            phi = Field(mesh, phi.values + delta.values, DIRICHLET_ZERO)
+            updates.append(ops.norm_h01(delta))
+            if updates[-1] < tol * max(1.0, ops.norm_h01(phi)):
+                return types.SimpleNamespace(converged=True, u=U.values + phi.values,
+                                             updates_h01=updates)
+        return types.SimpleNamespace(converged=False, u=None, updates_h01=updates)
+
+    return solve

@@ -17,7 +17,7 @@ from sinhpierce.coeffs import (
     constraint_deviation,
     solve_beta,
 )
-from sinhpierce.corrector import Run, construct_solution, continuation_sweep, farfield_error_at
+from sinhpierce.corrector import Run, continuation_sweep, farfield_error_at
 from sinhpierce.geometry import DomainSpec, MeshPolicy
 from sinhpierce.greens import AnalyticDiskGreen, GreenProvider, NumericGreen
 from sinhpierce.operators import EIG_FLOOR
@@ -175,7 +175,7 @@ def test_criterion_6_operator_bound(single_run, sweep_single):
     assert resonant == []
 
 
-def test_criterion_7_contraction_and_solution(sweep_single, single_run):
+def test_criterion_7_contraction_and_solution(sweep_single, single_run, newton):
     reports = sweep_single.reports
     conv = all(r.status == "converged" and r.iterations <= 50 for r in reports)
     factors = all(r.max_contraction_factor < 1.0 for r in reports)
@@ -185,8 +185,9 @@ def test_criterion_7_contraction_and_solution(sweep_single, single_run):
 
     agree = 0.0
     for rho, sol in zip(RHO_SWEEP, sweep_single.solutions):
-        sol_n = construct_solution(single_run, rho, method="newton")
-        agree = max(agree, float(np.abs(sol_n.u.values - sol.u.values).max()))
+        sol_n = newton(single_run, rho)
+        assert sol_n.converged
+        agree = max(agree, float(np.abs(sol_n.u - sol.u.values).max()))
     ok = conv and factors and residuals and sup_dec and agree <= 1e-8
     assert _report(7, ok, f"contraction: converged at all rho, factor < 1, "
                           f"residual <= 1e-6, phi_sup {['%.1e' % s for s in sups]} "

@@ -8,18 +8,16 @@ from hypothesis import given, settings, strategies as st
 from sinhpierce.bubbles import (
     Bubble,
     assemble_U,
+    _bubble_from_r,
     bubble_source_from_r,
-    bubble_value,
     build_ansatz,
     far_expansion,
-    kernel_Y,
     make_bubbles,
-    project_asymptotic,
     project_numeric,
     regular_parts,
 )
 from sinhpierce.coeffs import choose_scales, coefficient_set
-from sinhpierce.errors import MeshMismatch, RegimeViolation, UndefinedAngleAtOrigin
+from sinhpierce.errors import MeshMismatch
 from sinhpierce.geometry import (
     MeshPolicy,
     PierceSpec,
@@ -28,7 +26,6 @@ from sinhpierce.geometry import (
     build_pierced_domain,
 )
 from sinhpierce.operators import get_ops
-from sinhpierce.verify import norm_lalpha_sq
 
 
 def _bubble(alpha=3.0, delta=0.05, center=(0.0, 0.0)):
@@ -39,10 +36,10 @@ def _bubble(alpha=3.0, delta=0.05, center=(0.0, 0.0)):
 def test_bubble_peak_values():
     b = _bubble(alpha=3.0, delta=0.05)
     peak = math.log(2 * 9 / 0.05 ** 3)
-    assert bubble_value(b, (0.0, 0.0)) == pytest.approx(peak, rel=1e-13)
+    assert _bubble_from_r(b, np.hypot(0.0, 0.0)) == pytest.approx(peak, rel=1e-13)
     # at |x - xi| = delta the profile is peak - 2 log 2
-    assert bubble_value(b, (0.05, 0.0)) == pytest.approx(peak - 2 * math.log(2),
-                                                         rel=1e-13)
+    assert _bubble_from_r(b, np.hypot(0.05, 0.0)) == pytest.approx(peak - 2 * math.log(2),
+                                                                   rel=1e-13)
 
 
 @given(alpha=st.floats(2.1, 5.9).filter(lambda a: abs(a - round(a / 2) * 2) > 1e-3),
@@ -50,9 +47,9 @@ def test_bubble_peak_values():
 @settings(max_examples=50, deadline=None)
 def test_bubble_radial_monotone(alpha, delta, rr):
     b = _bubble(alpha=alpha, delta=delta)
-    assert bubble_value(b, (rr, 0.0)) <= bubble_value(b, (0.0, 0.0)) + 1e-12
-    v1 = bubble_value(b, (rr, 0.0))
-    v2 = bubble_value(b, (rr * 1.5, 0.0))
+    assert _bubble_from_r(b, np.hypot(rr, 0.0)) <= _bubble_from_r(b, np.hypot(0.0, 0.0)) + 1e-12
+    v1 = _bubble_from_r(b, np.hypot(rr, 0.0))
+    v2 = _bubble_from_r(b, np.hypot(rr * 1.5, 0.0))
     assert v2 <= v1 + 1e-12
 
 
@@ -62,35 +59,13 @@ def test_bubble_solves_singular_liouville():
     b = _bubble(alpha=alpha, delta=delta)
     t = np.linspace(math.log(delta) - 6, math.log(delta) + 6, 16001)
     r = np.exp(t)
-    pts = np.column_stack([r, np.zeros_like(r)])
-    w = bubble_value(b, pts)
+    w = _bubble_from_r(b, np.hypot(r, 0.0))
     src = bubble_source_from_r(b, r)
     dt = t[1] - t[0]
     lap = (w[2:] - 2 * w[1:-1] + w[:-2]) / dt ** 2 / r[1:-1] ** 2
     res = lap + src[1:-1]
     win = np.abs(t[1:-1] - math.log(delta)) <= 3
     assert np.abs(res[win]).max() / src.max() <= 1e-6
-
-
-def test_kernel_Y_values():
-    assert kernel_Y(0, 3.0, (0.0, 0.0)) == 1.0
-    assert kernel_Y(0, 3.0, (1.0, 0.0)) == 0.0
-    assert kernel_Y(0, 3.0, (100.0, 0.0)) == pytest.approx(-1.0, abs=1e-5)
-    assert kernel_Y(1, 3.0, (1.0, 0.0)) == pytest.approx(0.5, rel=1e-13)
-    with pytest.raises(UndefinedAngleAtOrigin):
-        kernel_Y(1, 3.0, (0.0, 0.0))
-    with pytest.raises(ValueError):
-        kernel_Y(3, 3.0, (1.0, 0.0))
-
-
-@given(alpha=st.floats(2.1, 5.9), x=st.floats(-3, 3), y=st.floats(-3, 3))
-@settings(max_examples=50, deadline=None)
-def test_kernel_Y_bounds(alpha, x, y):
-    v = kernel_Y(0, alpha, (x, y))
-    assert -1.0 <= v <= 1.0
-    if (x, y) != (0.0, 0.0):
-        assert abs(kernel_Y(1, alpha, (x, y))) <= 0.51
-        assert abs(kernel_Y(2, alpha, (x, y))) <= 0.51
 
 
 # --- slow-decay correction functions ---------------------------------------
@@ -213,8 +188,8 @@ def test_projection_interior_harmonicity(proj_setup, single_cfg, gp):
     ops = get_ops(mesh)
     b = make_bubbles(single_cfg, scales)[0]
     P = project_numeric(b, mesh, coeffs=coeffs, H=regular_parts(gp, mesh, coeffs.centers))
-    w_vals = bubble_value(b, mesh.nodes)
-    w_vals = np.asarray(w_vals)
+    w_vals = _bubble_from_r(b, np.hypot(mesh.nodes[:, 0] - b.center[0],
+                                        mesh.nodes[:, 1] - b.center[1]))
     # difference P - w is discrete harmonic plus the exactly harmonic lead;
     # check it on the regular lattice region
     from sinhpierce.operators import Field
@@ -244,29 +219,9 @@ def test_projection_matches_far_expansion(proj_setup, single_cfg, gp):
     far = far_expansion(b, coeffs, gp, mesh.nodes[idx])
     # the batched far form carries the bits of the one-point Green calls
     ref = np.array([_far_form_pointwise(b, coeffs, gp, mesh.nodes[n]) for n in idx])
-    one = np.array([project_asymptotic(b, coeffs, gp, mesh.nodes[n], "far") for n in idx])
     assert np.array_equal(far.view(np.int64), ref.view(np.int64))
-    assert np.array_equal(one.view(np.int64), ref.view(np.int64))
     worst = np.abs(P.values[idx] - far).max()
     assert worst <= 5e-3  # the remainder is O(delta^alpha + ...) ~ 1e-4 + lift error
-
-
-def test_projection_near_far_consistency_on_eta_circle(proj_setup, single_cfg, gp):
-    pd, mesh, scales, coeffs = proj_setup
-    b = make_bubbles(single_cfg, scales)[0]
-    for th in np.linspace(0, 2 * math.pi, 7):
-        x = pd.eta * np.array([math.cos(th), math.sin(th)])
-        near = project_asymptotic(b, coeffs, gp, x, "near")
-        far = project_asymptotic(b, coeffs, gp, x, "far", eta=pd.eta)
-        # both expansions are valid there; mismatch is the bubble-tail error
-        assert abs(near - far) <= 5e-3
-
-
-def test_far_regime_violation(proj_setup, single_cfg, gp):
-    pd, mesh, scales, coeffs = proj_setup
-    b = make_bubbles(single_cfg, scales)[0]
-    with pytest.raises(RegimeViolation):
-        project_asymptotic(b, coeffs, gp, (scales.delta[0], 0.0), "far", eta=pd.eta)
 
 
 def test_assemble_single_is_projection(proj_setup, single_cfg, gp):
@@ -318,18 +273,12 @@ def test_ansatz_near_field_form(proj_setup, single_cfg, gp):
                                  - 0.5 * math.log(scales.eps[0] * pd.eta))))
         rr = patch.radii[k]
         got = U.values[patch.node_grid[k, 0]]   # nodal value at the ring radius
-        want = bubble_value(b, (rr, 0.0)) \
+        want = _bubble_from_r(b, np.hypot(rr, 0.0)) \
             - (math.log(2 * 9) + math.log(scales.delta_pow[0])) \
             + (3 - 2) * math.log(rr) + 2 * math.pi * scales.rho_i[0]
         errs.append(abs(got - want))
     assert errs[1] < errs[0]
     assert errs[1] <= 0.05
-
-
-def test_weighted_norm_of_kernel_element():
-    for alpha in (2.5, 3.0, 3.7):
-        val = norm_lalpha_sq(lambda s, a=alpha: (1 - s ** a) / (1 + s ** a), alpha)
-        assert val == pytest.approx(2 * math.pi / (3 * alpha), rel=1e-8)
 
 
 def test_mirrored_near_field_form_negative_bubble(two_cfg, gp):
@@ -349,8 +298,6 @@ def test_mirrored_near_field_form_negative_bubble(two_cfg, gp):
                                  - 0.5 * math.log(scales.eps[1] * pd.eta))))
         rr = patch.radii[k]
         got = -two_cfg.tau * U.values[patch.node_grid[k, 0]]
-        from sinhpierce.bubbles import bubble_source_from_r, _bubble_from_r
-
         w_at = float(_bubble_from_r(b2, np.array([rr]))[0])
         want = w_at - (math.log(2 * 9) + math.log(scales.delta_pow[1])) \
             + math.log(rr) + 2 * math.pi * scales.rho_i[1]

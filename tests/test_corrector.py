@@ -17,7 +17,6 @@ from sinhpierce.corrector import (
     farfield_sample_points,
     farfield_target,
     fixed_point_correct,
-    newton_correct,
 )
 from sinhpierce.errors import (
     CoincidentPoints,
@@ -32,7 +31,9 @@ from sinhpierce.operators import (
     SUP_GUARD,
     DiscreteOperators,
     Field,
+    LinearOperator,
     get_ops,
+    weight_W,
 )
 
 
@@ -113,12 +114,12 @@ def test_farfield_target_matches_pointwise_green(domain):
         farfield_target(cfg, gp, np.vstack([pts[:3], cfg.centers[1] + [5e-15, 0.0]]))
 
 
-def test_newton_agrees_with_fixed_point(coarse_run, coarse_solution):
-    sol_n = construct_solution(coarse_run, 1e-3, method="newton")
-    assert sol_n.report.status == "converged"
-    assert np.abs(sol_n.u.values - coarse_solution.u.values).max() <= 1e-8
+def test_newton_agrees_with_fixed_point(coarse_run, coarse_solution, newton):
+    sol_n = newton(coarse_run, 1e-3)
+    assert sol_n.converged
+    assert np.abs(sol_n.u - coarse_solution.u.values).max() <= 1e-8
     # quadratic tail: the last Newton step shrinks much faster than linearly
-    upd = sol_n.report.updates_h01
+    upd = sol_n.updates_h01
     if len(upd) >= 2 and upd[-2] > 1e-13:
         assert upd[-1] <= max(10 * upd[-2] ** 2 / max(upd[0], 1e-300), 1e-12)
 
@@ -145,7 +146,9 @@ def test_divergence_guard(single_cfg, coarse_run):
     st = coarse_run.stage(1e-2)
     bad = Field(st.mesh, 3.0 * st.U.values, DIRICHLET_ZERO)
     with pytest.raises(Diverged):
-        fixed_point_correct(bad, single_cfg, st.scales, maxiter=30)
+        fixed_point_correct(bad, single_cfg, st.scales,
+                            LinearOperator(st.mesh, weight_W(bad, single_cfg, st.scales)),
+                            maxiter=30)
 
 
 def test_sweep_full_run(coarse_run):
@@ -181,14 +184,6 @@ def test_sweep_isolates_failures(coarse_run, monkeypatch):
     assert statuses == ["converged", "unresolvable-hole", "converged"]
     assert sw.reports[1].error != ""
     assert calls == [1e-2, 1e-3, 1e-4]
-
-
-def test_unknown_method_is_rejected(coarse_run):
-    # only the two named solvers run; a misspelt one is not taken for Newton
-    with pytest.raises(ValueError, match="fixed-point, newton"):
-        construct_solution(coarse_run, 1e-3, method="newtn")
-    with pytest.raises(ValueError, match="fixed-point, newton"):
-        continuation_sweep(coarse_run, [1e-2, 1e-3], method="newtn")
 
 
 def test_failed_report_is_not_a_measurement(single_cfg, gp, coarse_policy, tmp_path,
@@ -416,16 +411,16 @@ def test_sweep_keeps_only_the_current_stage_operators():
     assert again.report.records() == first.report.records()
 
 
-@pytest.mark.parametrize("solver", [fixed_point_correct, newton_correct],
-                         ids=["fixed-point", "newton"])
+@pytest.mark.parametrize("solver", [fixed_point_correct], ids=["fixed-point"])
 def test_sup_guard_keeps_the_partial_report(coarse_run, solver, monkeypatch):
-    # an iterate past the sup guard, phi0 included, stops either solver before
+    # an iterate past the sup guard, phi0 included, stops the solver before
     # a step takes exponentials of it; the Diverged it raises carries the
     # report with what was measured before the loop
     st = coarse_run.stage(1e-3)
     big = Field(st.mesh, np.where(st.mesh.is_boundary, 0.0, 2 * SUP_GUARD), DIRICHLET_ZERO)
+    L = LinearOperator(st.mesh, weight_W(st.U, coarse_run.cfg, st.scales))
     with pytest.raises(Diverged) as info:
-        solver(st.U, coarse_run.cfg, st.scales, phi0=big)
+        solver(st.U, coarse_run.cfg, st.scales, L, phi0=big)
     rep = info.value.report
     assert rep.status == "diverged" and "sup norm" in rep.error
     assert rep.iterations == 0 and rep.updates_h01 == []
@@ -438,25 +433,13 @@ def test_sup_guard_keeps_the_partial_report(coarse_run, solver, monkeypatch):
         return solver(U, cfg, scales, **{**kw, "phi0": big})
 
     monkeypatch.setattr(corrector_mod, solver.__name__, from_big)
-    sw = continuation_sweep(coarse_run, [1e-3], method=rep.method)
+    sw = continuation_sweep(coarse_run, [1e-3])
     entry = sw.reports[0]
     assert sw.solutions == [None]
     assert entry.status == "diverged" and "sup norm" in entry.error
-    assert entry.method == rep.method
+    assert ("method", "fixed-point") in entry.records()
     assert entry.smallest_eigenvalue == rep.smallest_eigenvalue
     assert entry.r_norms == rep.r_norms
-
-
-def test_cold_newton_takes_the_fixed_points_first_step(coarse_run):
-    # at phi = 0 the Newton step is T(-R) with the fixed point's own operator:
-    # both solvers take the same first step, bit for bit
-    st = coarse_run.stage(1e-3)
-    fp = fixed_point_correct(st.U, coarse_run.cfg, st.scales)[1]
-    nt = newton_correct(st.U, coarse_run.cfg, st.scales)[1]
-    assert nt.method == "newton" and fp.method == "fixed-point"
-    assert nt.updates_h01[0] == fp.updates_h01[0]
-    assert nt.amplification_T == fp.amplification_T > 0
-    assert nt.smallest_eigenvalue == fp.smallest_eigenvalue
 
 
 def test_fixed_point_uses_the_runs_operator(single_cfg, gp, coarse_policy):
@@ -468,7 +451,8 @@ def test_fixed_point_uses_the_runs_operator(single_cfg, gp, coarse_policy):
     assert L._lu is not None
     assert L._eig_estimate == sol.report.smallest_eigenvalue
     # and gives the bits of an operator of its own
-    own = fixed_point_correct(sol.U, single_cfg, sol.scales)[0]
+    own = fixed_point_correct(sol.U, single_cfg, sol.scales,
+                              LinearOperator(sol.mesh, weight_W(sol.U, single_cfg, sol.scales)))[0]
     assert own.values.tobytes() == sol.phi.values.tobytes()
 
 

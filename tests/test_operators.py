@@ -165,7 +165,7 @@ def test_weight_positive_and_rescaled_limit(ansatz_setup, single_cfg):
 
     ev = FieldEvaluator(mesh)
     d = scales.delta[0]
-    val = ev.patch_value(0, d, 0.0, W.values) * d ** 2
+    val = ev(W.values, mesh.patches[0].center + (d, 0.0)) * d ** 2
     assert val == pytest.approx(4.5, rel=0.05)
 
 

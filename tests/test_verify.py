@@ -18,7 +18,6 @@ from sinhpierce.verify import (
     check_operator_bound,
     check_residual_scaling,
     decreasing,
-    norm_lalpha_sq,
     write_check_csv,
 )
 
@@ -123,16 +122,6 @@ def test_kernel_annihilation_memory():
     finally:
         tracemalloc.stop()
     assert peak < 32 * 2 ** 20
-
-
-def test_weighted_norms():
-    alpha = 3.0
-    assert norm_lalpha_sq(lambda s: (1 - s ** alpha) / (1 + s ** alpha), alpha) \
-        == pytest.approx(2 * math.pi / (3 * alpha), rel=1e-8)
-    # constant function: integral of the bare weight is pi/alpha * 2 ... just
-    # require finiteness and positivity
-    base = norm_lalpha_sq(lambda s: np.ones_like(s), alpha)
-    assert base > 0
 
 
 def test_kernel_coefficient_of_kernel_is_one(coarse_solution):
