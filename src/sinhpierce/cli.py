@@ -72,9 +72,9 @@ def _cmd_construct(rc: RunConfig, man: Manifest):
     man.add(os.path.join(out, "solution.csv"), "construct", "solution field u = U + phi")
     write_field_csv(sol.phi, os.path.join(out, "correction.csv"), coords)
     man.add(os.path.join(out, "correction.csv"), "construct", "correction field phi")
-    for p in dump_csv(sol.coeffs, os.path.join(out, "coeffs")):
+    for p in dump_csv(sol.stage.coeffs, os.path.join(out, "coeffs")):
         man.add(p, "construct", "matching-system coefficients")
-    sol.mesh.export(os.path.join(out, "mesh.txt"), coords)
+    sol.stage.mesh.export(os.path.join(out, "mesh.txt"), coords)
     man.add(os.path.join(out, "mesh.txt"), "construct", "pierced-domain mesh")
     return EXIT_OK
 

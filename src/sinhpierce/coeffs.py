@@ -89,13 +89,11 @@ class ScaleParams:
     """Derived scale quantities tied to one rho.
 
     delta_pow holds d_i * rho, the exact value of delta_i^alpha_i; r_i * rho
-    is eps_i^((alpha_i - 2)/2).  delta and eps are the roots.
+    is eps_i^((alpha_i - 2)/2).  delta and eps are the roots; d_i and r_i
+    themselves live only in choose_scales.
     """
 
     rho: float
-    rho_i: np.ndarray
-    d: np.ndarray
-    r: np.ndarray
     delta: np.ndarray
     eps: np.ndarray
     delta_pow: np.ndarray
@@ -153,8 +151,8 @@ def choose_scales(cfg: BlowupConfig, rho: float, gp: GreenProvider) -> ScalePara
     delta = np.exp(log_delta)
     with np.errstate(under="ignore"):
         eps = np.exp(log_eps)
-    return ScaleParams(rho=float(rho), rho_i=rho_i, d=d, r=r, delta=delta, eps=eps,
-                       delta_pow=delta_pow, log_delta=log_delta, log_eps=log_eps)
+    return ScaleParams(rho=float(rho), delta=delta, eps=eps, delta_pow=delta_pow,
+                       log_delta=log_delta, log_eps=log_eps)
 
 
 # ---------------------------------------------------------------------------
@@ -229,23 +227,14 @@ class CoefficientSet:
     centers: np.ndarray = None
 
 
-def _gamma_matrix(H, G, log_eps):
-    m = len(log_eps)
-    A = np.zeros((m, m))
-    for i in range(m):
-        A[i, i] = -log_eps[i] / TWO_PI + H[i, i]
-        for k in range(m):
-            if k != i:
-                A[i, k] = G[k, i]
-    return A
-
-
 def solve_gamma(cfg: BlowupConfig, scales: ScaleParams, gp: GreenProvider):
     """Kernel-side coefficients (gamma_ij, gamma~_ij, gamma_j*)."""
     H, G = gp.pair_table(cfg.centers)
     a = cfg.alphas
     m = cfg.m
-    A = _gamma_matrix(H, G, scales.log_eps)
+    # the gamma system's matrix is the beta system's, negated: G is exactly
+    # symmetric (pair_table) and negation commutes with rounding
+    A = -_beta_matrix(H, G, scales.log_eps)
 
     rhs_g = 2.0 * np.eye(m)
     gamma = _check_solve(A, rhs_g, "gamma")
@@ -281,12 +270,10 @@ def coefficient_set(cfg: BlowupConfig, scales: ScaleParams, gp: GreenProvider) -
 
 
 def _dominant(H, G, log_eps) -> bool:
-    """Whether the beta and gamma matrices are both row diagonally dominant."""
-    for A in (_beta_matrix(H, G, log_eps), _gamma_matrix(H, G, log_eps)):
-        d = np.abs(np.diag(A))
-        if not np.all(d > np.sum(np.abs(A), axis=1) - d):
-            return False
-    return True
+    """Whether the beta (and so the gamma) matrix is row diagonally dominant."""
+    A = _beta_matrix(H, G, log_eps)
+    d = np.abs(np.diag(A))
+    return bool(np.all(d > np.sum(np.abs(A), axis=1) - d))
 
 
 def dominance_threshold(cfg: BlowupConfig, gp: GreenProvider) -> float:

@@ -17,12 +17,13 @@ import numpy as np
 
 from .bubbles import build_ansatz, kernel_coefficient
 from .coeffs import choose_scales, coefficient_set
-from .errors import Diverged, NearSingular, SinhPierceError
+from .errors import Diverged, InsufficientSamples, NearSingular, SinhPierceError
 from .geometry import (
     TWO_PI,
     FieldEvaluator,
     MeshPolicy,
     PierceSpec,
+    _nearest_nodes,
     build_mesh,
     build_pierced_domain,
     prefetch_background,
@@ -272,16 +273,12 @@ class Run:
 
 @dataclass
 class Solution:
-    """Converged run: solution field plus every intermediate worth keeping."""
+    """Converged run at one rho: u = U + phi, its report, and the Stage that
+    holds U, the scales, the pierced domain, the mesh and the coefficients."""
 
+    stage: Stage
     u: Field
     phi: Field
-    U: Field
-    cfg: object
-    scales: object
-    coeffs: object
-    pd: object
-    mesh: object
     report: SolveReport
 
 
@@ -294,35 +291,11 @@ def farfield_target(cfg, gp, points):
     return out
 
 
-_NEAREST_BLOCK = 1 << 16   # point-node pairs per block of _nearest_nodes
-
-
-def _nearest_nodes(mesh, points):
-    """Index of the node nearest to each point, the first one on a tie.
-
-    Nearest means least np.hypot; only the nodes whose squared distance
-    comes within rounding of the least one are measured that way.
-    """
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    x, y = mesh.nodes[:, 0], mesh.nodes[:, 1]
-    step = max(1, _NEAREST_BLOCK // mesh.n_nodes)
-    out = np.empty(pts.shape[0], dtype=int)
-    for k in range(0, pts.shape[0], step):
-        p = pts[k:k + step]
-        dx = x - p[:, :1]
-        dy = y - p[:, 1:]
-        d2 = dx * dx + dy * dy
-        rows, cols = np.nonzero(d2 <= d2.min(axis=1, keepdims=True) * (1 + 1e-12) + 1e-300)
-        d = np.hypot(dx[rows, cols], dy[rows, cols])
-        order = np.lexsort((cols, d, rows))
-        out[k:k + step] = cols[order][np.diff(rows[order], prepend=-1) != 0]
-    return out
-
-
-def farfield_error_at(sol, gp, point) -> float:
+def farfield_error_at(run: Run, sol: Solution, point) -> float:
     """|u - Green combination| at the mesh node nearest to the given point."""
-    node = _nearest_nodes(sol.mesh, np.asarray(point, dtype=float))[0]
-    target = farfield_target(sol.cfg, gp, sol.mesh.nodes[node])[0]
+    mesh = sol.stage.mesh
+    node = _nearest_nodes(mesh, np.asarray(point, dtype=float))[0]
+    target = farfield_target(run.cfg, run.gp, mesh.nodes[node])[0]
     return float(abs(sol.u.values[node] - target))
 
 
@@ -376,8 +349,20 @@ def construct_solution(run: Run, rho, tol=1e-10, maxiter=50,
     report.kernel_coefficients = [
         kernel_coefficient(phi, cfg, scales, j) for j in range(cfg.m)
     ]
-    return Solution(u=u, phi=phi, U=U, cfg=cfg, scales=scales, coeffs=st.coeffs,
-                    pd=pd, mesh=mesh, report=report)
+    return Solution(stage=st, u=u, phi=phi, report=report)
+
+
+SLOPE_SAMPLES = 3   # fewest samples log_slope fits a line through
+
+
+def log_slope(rhos, values) -> float:
+    """Slope of the least-squares line through (log rho, log value), from at
+    least SLOPE_SAMPLES samples."""
+    if len(rhos) < SLOPE_SAMPLES:
+        raise InsufficientSamples(
+            f"need >= {SLOPE_SAMPLES} samples for a slope fit, got {len(rhos)}")
+    x = np.log(np.asarray(rhos, dtype=float))
+    return float(np.polyfit(x, np.log(np.asarray(values, dtype=float)), 1)[0])
 
 
 @dataclass
@@ -424,7 +409,7 @@ def continuation_sweep(run: Run, rho_list, tol=1e-10, maxiter=50, p_norms=(1.01,
         if prev is not None:
             try:
                 mesh = run.stage(rho).mesh
-                vals = np.asarray(FieldEvaluator(prev.mesh)(prev.phi.values, mesh.nodes),
+                vals = np.asarray(FieldEvaluator(prev.stage.mesh)(prev.phi.values, mesh.nodes),
                                   dtype=float)
                 vals[mesh.is_boundary] = 0.0
                 phi0 = Field(mesh, vals, DIRICHLET_ZERO)
@@ -448,12 +433,10 @@ def continuation_sweep(run: Run, rho_list, tol=1e-10, maxiter=50, p_norms=(1.01,
 
     sigma_fits = {}
     good = [r for r in reports if r.status == "converged"]
-    insufficient = len(good) < 3
+    insufficient = len(good) < SLOPE_SAMPLES
     if not insufficient:
-        logr = np.log([r.rho for r in good])
-        for p in p_norms:
-            vals = np.log([r.r_norms[p] for r in good])
-            sigma_fits[p] = float(np.polyfit(logr, vals, 1)[0])
+        rhos = [r.rho for r in good]
+        sigma_fits = {p: log_slope(rhos, [r.r_norms[p] for r in good]) for p in p_norms}
         for r in reports:
             r.sigma_fits = dict(sigma_fits)
     return SweepResult(solutions=solutions, reports=reports,

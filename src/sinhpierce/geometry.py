@@ -320,10 +320,6 @@ class PolarPatch:
     n_theta: int
     node_grid: np.ndarray    # (K+1, n_theta) global node indices
 
-    @property
-    def n_layers(self):
-        return len(self.radii) - 1
-
 
 @dataclass(eq=False)
 class Mesh:
@@ -338,10 +334,8 @@ class Mesh:
     tri_patch: np.ndarray      # (T,) patch index if all three vertices share one, else -1
     weights: np.ndarray        # (N,) lumped quadrature weights (areas)
     patches: list = field(default_factory=list)
-    pd: PiercedDomain | None = None
     h: float = 0.0
     min_quality: float = 0.0
-    boundary_polygon: np.ndarray | None = None
     # operators.get_ops fills this with the mesh's DiscreteOperators and
     # release_ops empties it; they go with the mesh
     ops: object = field(default=None, init=False, repr=False)
@@ -565,7 +559,6 @@ class _Background:
     centers: np.ndarray
     eta: float
     policy: MeshPolicy
-    bpoly: np.ndarray        # boundary polygon, the first pot nodes
     pot: np.ndarray          # stitch nodes: boundary, patch rims, transition circles, hex lattice
     origin: np.ndarray       # 0 boundary, 1 circle or rim, 2 hex
     rim_slices: tuple        # (start, n_theta) of each rim in pot
@@ -603,17 +596,12 @@ def _background(domain, centers, eta, policy) -> _Background:
         s = TWO_PI * eta / n_theta
         n = n_theta
         rr = eta
-        while s > 1.6 * h:
-            s = max(s / 2, h)
-            n *= 2
-            rr = rr + 0.85 * s
-            tth = TWO_PI * np.arange(n) / n
-            cpts = np.column_stack([xi[0] + rr * np.cos(tth), xi[1] + rr * np.sin(tth)])
-            circle_pts.append(cpts)
-            circle_spacing.append(np.full(n, s))
-        while s < 0.62 * h and n >= 16:
-            s = min(2 * s, h)
-            n //= 2
+        while s > 1.6 * h or (s < 0.62 * h and n >= 16):
+            # a doubling ends at s >= h and a halving at s <= h, so the steps
+            # never change direction
+            finer = s > 1.6 * h
+            s = max(s / 2, h) if finer else min(2 * s, h)
+            n = 2 * n if finer else n // 2
             rr = rr + 0.85 * s
             tth = TWO_PI * np.arange(n) / n
             cpts = np.column_stack([xi[0] + rr * np.cos(tth), xi[1] + rr * np.sin(tth)])
@@ -677,9 +665,9 @@ def _background(domain, centers, eta, policy) -> _Background:
         pot[ok] = nbr_sum[ok] / nbr_cnt[ok, None]
         tris = triangulate(pot)
 
-    for arr in (bpoly, pot, origin, tris):
+    for arr in (pot, origin, tris):
         arr.flags.writeable = False
-    return _Background(centers=centers, eta=eta, policy=policy, bpoly=bpoly, pot=pot,
+    return _Background(centers=centers, eta=eta, policy=policy, pot=pot,
                        origin=origin, rim_slices=tuple(rim_slices), n_theta=n_theta, tris=tris)
 
 
@@ -787,10 +775,10 @@ def _assemble(bg: _Background, pd) -> Mesh:
     mesh = Mesh(nodes=nodes, triangles=triangles, node_marker=node_marker,
                 node_patch=node_patch, node_dx=node_dx, node_dy=node_dy,
                 tri_patch=tri_patch, weights=np.zeros(nodes.shape[0]),
-                patches=patches, pd=pd, h=bg.policy.h, boundary_polygon=bg.bpoly)
+                patches=patches, h=bg.policy.h)
 
     _orient_and_weigh(mesh)
-    _check_conformity(mesh, bg.bpoly)
+    _check_conformity(mesh)
     coords = mesh.all_tri_coords()
     mesh.min_quality = float(_tri_quality(coords).min())
     return mesh
@@ -808,8 +796,12 @@ def _orient_and_weigh(mesh):
                                minlength=mesh.n_nodes)
 
 
-def _check_conformity(mesh, bpoly):
-    """Every edge in exactly two triangles, or one if on a boundary cycle."""
+def _check_conformity(mesh):
+    """Every edge in exactly two triangles, or one if on a boundary cycle.
+
+    The outer boundary polygon is the mesh's OUTER nodes, which come first
+    and in order around the curve.
+    """
     t = mesh.triangles.astype(np.int64, copy=False)
     edges = np.vstack([t[:, [0, 1]], t[:, [1, 2]], t[:, [2, 0]]])
     edges.sort(axis=1)
@@ -821,6 +813,7 @@ def _check_conformity(mesh, bpoly):
         raise StitchFailure("an edge is shared by more than two triangles")
     lone = {tuple(e) for e in uniq[counts == 1]}
 
+    bpoly = mesh.nodes[mesh.node_marker == OUTER]
     expected = set()
     nb = bpoly.shape[0]
     for i in range(nb):
@@ -921,12 +914,10 @@ class FieldEvaluator:
             back = back[~inside]
         vals, found = self._background_values(values, pts[back])
         out[back] = vals
-        for n in back[~found]:
-            # thin sliver between a patch rim polygon and its circle, or
-            # a hair outside the boundary polygon: fall back to nearest node
-            p = pts[n]
-            d = np.hypot(mesh.nodes[:, 0] - p[0], mesh.nodes[:, 1] - p[1])
-            out[n] = values[int(np.argmin(d))]
+        # thin sliver between a patch rim polygon and its circle, or a hair
+        # outside the boundary polygon: fall back to the nearest node
+        lost = back[~found]
+        out[lost] = values[_nearest_nodes(mesh, pts[lost])]
         return out if np.asarray(points).ndim > 1 else float(out[0])
 
     def _background_values(self, values, pts):
@@ -955,6 +946,31 @@ class FieldEvaluator:
             slot[todo] += 1
             todo = todo[slot[todo] < stop[todo]]
         return out, found
+
+
+_NEAREST_BLOCK = 1 << 16   # point-node pairs per block of _nearest_nodes
+
+
+def _nearest_nodes(mesh, points):
+    """Index of the node nearest to each point, the first one on a tie.
+
+    Nearest means least np.hypot; only the nodes whose squared distance
+    comes within rounding of the least one are measured that way.
+    """
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    x, y = mesh.nodes[:, 0], mesh.nodes[:, 1]
+    step = max(1, _NEAREST_BLOCK // mesh.n_nodes)
+    out = np.empty(pts.shape[0], dtype=int)
+    for k in range(0, pts.shape[0], step):
+        p = pts[k:k + step]
+        dx = x - p[:, :1]
+        dy = y - p[:, 1:]
+        d2 = dx * dx + dy * dy
+        rows, cols = np.nonzero(d2 <= d2.min(axis=1, keepdims=True) * (1 + 1e-12) + 1e-300)
+        d = np.hypot(dx[rows, cols], dy[rows, cols])
+        order = np.lexsort((cols, d, rows))
+        out[k:k + step] = cols[order][np.diff(rows[order], prepend=-1) != 0]
+    return out
 
 
 def _each(f, x, y):

@@ -69,7 +69,6 @@ class AnalyticDiskGreen(_Green):
     def __init__(self, domain: DomainSpec):
         if domain.kind != "unit-disk":
             raise ValueError("analytic backend only pairs with the unit disk")
-        self.domain = domain
         self._pair_tables = {}
 
     def check_inside(self, points):
@@ -99,7 +98,6 @@ class NumericGreen(_Green):
 
     def __init__(self, domain: DomainSpec, h: float = 0.02):
         self.domain = domain
-        self.h = h
         self.mesh = build_domain_mesh(domain, h)
         self.evaluator = FieldEvaluator(self.mesh)
         self._h_fields = {}
@@ -145,7 +143,6 @@ class GreenProvider(_Green):
     def __init__(self, domain: DomainSpec):
         self._impl = AnalyticDiskGreen(domain) if domain.kind == "unit-disk" \
             else NumericGreen(domain)
-        self.domain = domain
         self.backend = self._impl.backend
 
     def check_inside(self, points):

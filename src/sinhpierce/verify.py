@@ -18,8 +18,8 @@ import numpy as np
 
 from .bubbles import far_expansion, lalpha_weight, make_bubbles
 from .coeffs import choose_scales, constraint_deviation, dominance_threshold, solve_beta
-from .corrector import Run, continuation_sweep
-from .errors import InsufficientSamples, QuadratureNonConvergence
+from .corrector import SLOPE_SAMPLES, Run, continuation_sweep, log_slope
+from .errors import QuadratureNonConvergence
 from .greens import AnalyticDiskGreen, NumericGreen
 from .geometry import TWO_PI
 from .operators import Field, get_ops, residual_R
@@ -51,32 +51,6 @@ def write_check_csv(results, path):
         wr.writerow(["check_id", "rho", "p", "measured", "threshold", "pass"])
         for r in results:
             wr.writerow(r.row())
-
-
-@dataclass
-class ScalingStudy:
-    rho_samples: list
-    values: list
-    slope: float
-    intercept: float
-    fit_r2: float
-    label: str = ""
-
-    @classmethod
-    def fit(cls, rho_samples, values, label=""):
-        rho_samples = list(rho_samples)
-        values = list(values)
-        if len(rho_samples) < 3:
-            raise InsufficientSamples(
-                f"need >= 3 samples for a slope fit, got {len(rho_samples)}")
-        x = np.log(np.asarray(rho_samples, dtype=float))
-        y = np.log(np.asarray(values, dtype=float))
-        slope, intercept = np.polyfit(x, y, 1)
-        resid = y - (slope * x + intercept)
-        ss_tot = np.sum((y - y.mean()) ** 2)
-        r2 = 1.0 - float(np.sum(resid ** 2) / ss_tot) if ss_tot > 0 else 1.0
-        return cls(rho_samples=rho_samples, values=values, slope=float(slope),
-                   intercept=float(intercept), fit_r2=r2, label=label)
 
 
 # ---------------------------------------------------------------------------
@@ -176,8 +150,8 @@ def check_kernel_annihilation(alpha, resolution=1e-3, r_range=(0.6, 1.6), tol=1e
 
 
 def check_expansion(run, rho_list):
-    """Agreement of the numeric projection with its far expansion, per rho
-    (on the disk, inside radius 0.95)."""
+    """Worst disagreement of the numeric projection with its far expansion
+    per rho (on the disk, inside radius 0.95), and its log-log slope."""
     cfg, gp = run.cfg, run.gp
     errs = []
     for rho in rho_list:
@@ -194,11 +168,11 @@ def check_expansion(run, rho_list):
             a = far_expansion(b, coeffs, gp, mesh.nodes[idx])
             worst = float(np.max(np.abs(P.values[idx] - a), initial=worst))
         errs.append(worst)
-    return ScalingStudy.fit(rho_list, errs, label="projection-expansion-agreement")
+    return log_slope(rho_list, errs), errs
 
 
 def check_residual_scaling(run, rho_list, p_list=(1.01, 1.1, 1.3)):
-    """||R||_p across rho and the fitted decay slope per p."""
+    """Per p, the log-log decay slope of ||R||_p across rho and the norms."""
     norms_per_p = {p: [] for p in p_list}
     for rho in rho_list:
         st = run.stage(rho)
@@ -206,8 +180,7 @@ def check_residual_scaling(run, rho_list, p_list=(1.01, 1.1, 1.3)):
         ops = get_ops(st.mesh)
         for p in p_list:
             norms_per_p[p].append(ops.norm_lp(R, p))
-    return {p: ScalingStudy.fit(rho_list, vals, label=f"residual-lp-scaling-p{p}")
-            for p, vals in norms_per_p.items()}
+    return {p: (log_slope(rho_list, vals), vals) for p, vals in norms_per_p.items()}
 
 
 def check_operator_bound(run, rho, trials=10, p=1.01, seed=0) -> float:
@@ -254,7 +227,7 @@ def suite(rc):
     for a in sorted(set(cfg.alphas.tolist())):
         results.append(check_kernel_annihilation(a))
 
-    rho_list = rc.rho_list if len(rc.rho_list) >= 3 else [1e-2, 1e-3, 1e-4]
+    rho_list = rc.rho_list if len(rc.rho_list) >= SLOPE_SAMPLES else [1e-2, 1e-3, 1e-4]
 
     # diagonal dominance of the matching systems: log the threshold
     thr = dominance_threshold(cfg, run.gp)
@@ -276,21 +249,21 @@ def suite(rc):
         and decreasing(devs, floor=1e-12),
         detail=" ".join(f"{d:.3e}" for d in devs)))
 
-    st = check_expansion(run, rho_list)
+    slope, errs = check_expansion(run, rho_list)
     results.append(CheckResult(
         check_id="projection-expansion-agreement",
         claim="numeric projection approaches its Green-function expansion",
-        measured=st.slope, threshold=0.0, passed=st.slope > 0,
-        detail=f"errors {['%.3e' % v for v in st.values]}"))
+        measured=slope, threshold=0.0, passed=slope > 0,
+        detail=f"errors {['%.3e' % v for v in errs]}"))
 
-    studies = check_residual_scaling(run, rho_list, p_list=rc.p_list)
+    scaling = check_residual_scaling(run, rho_list, p_list=rc.p_list)
     sigma_floor = 0.5 * min(1.0 / a for a in cfg.alphas)
-    for p, study in sorted(studies.items()):
+    for p, (slope, _) in sorted(scaling.items()):
         results.append(CheckResult(
             check_id=f"residual-lp-scaling-p{p}",
             claim="ansatz defect decays with a positive power of rho",
-            measured=study.slope, threshold=sigma_floor,
-            passed=study.slope >= sigma_floor, p=p,
+            measured=slope, threshold=sigma_floor,
+            passed=slope >= sigma_floor, p=p,
             threshold_origin="half the derived exponent min(1/alpha)"))
 
     # the solver-bound trials at each rho run right after its correction, on

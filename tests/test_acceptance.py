@@ -196,8 +196,8 @@ def test_criterion_7_contraction_and_solution(sweep_single, single_run, newton):
     assert agree <= 1e-8
 
 
-def test_criterion_8_farfield_profile(sweep_single, gp):
-    errs = [farfield_error_at(sol, gp, (0.5, 0.0)) for sol in sweep_single.solutions]
+def test_criterion_8_farfield_profile(single_run, sweep_single, gp):
+    errs = [farfield_error_at(single_run, sol, (0.5, 0.0)) for sol in sweep_single.solutions]
     target = 10 * math.pi * gp.green((0.5, 0.0), (0.0, 0.0))
     dec = all(b < a for a, b in zip(errs, errs[1:]))
     final_ok = errs[-1] <= 0.2

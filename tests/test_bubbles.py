@@ -16,7 +16,7 @@ from sinhpierce.bubbles import (
     project_numeric,
     regular_parts,
 )
-from sinhpierce.coeffs import choose_scales, coefficient_set
+from sinhpierce.coeffs import choose_scales, coefficient_set, compute_rho_i
 from sinhpierce.errors import MeshMismatch
 from sinhpierce.geometry import (
     MeshPolicy,
@@ -275,7 +275,7 @@ def test_ansatz_near_field_form(proj_setup, single_cfg, gp):
         got = U.values[patch.node_grid[k, 0]]   # nodal value at the ring radius
         want = _bubble_from_r(b, np.hypot(rr, 0.0)) \
             - (math.log(2 * 9) + math.log(scales.delta_pow[0])) \
-            + (3 - 2) * math.log(rr) + 2 * math.pi * scales.rho_i[0]
+            + (3 - 2) * math.log(rr) + 2 * math.pi * compute_rho_i(single_cfg, gp)[0]
         errs.append(abs(got - want))
     assert errs[1] < errs[0]
     assert errs[1] <= 0.05
@@ -300,7 +300,7 @@ def test_mirrored_near_field_form_negative_bubble(two_cfg, gp):
         got = -two_cfg.tau * U.values[patch.node_grid[k, 0]]
         w_at = float(_bubble_from_r(b2, np.array([rr]))[0])
         want = w_at - (math.log(2 * 9) + math.log(scales.delta_pow[1])) \
-            + math.log(rr) + 2 * math.pi * scales.rho_i[1]
+            + math.log(rr) + 2 * math.pi * compute_rho_i(two_cfg, gp)[1]
         errs.append(abs(got - want))
     assert errs[1] < errs[0]
     assert errs[1] <= 0.1

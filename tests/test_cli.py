@@ -260,8 +260,8 @@ def test_one_mesh_per_rho_per_command(tmp_path, monkeypatch):
         assert main([command, "--config", square, "--out", str(out)]) == 0, command
         assert len(calls) == 3, command
         # one K_II per mesh: the domain mesh's (no holes) and each pierced one
-        domain = [mesh for mesh in owners if mesh is not None and mesh.pd is None]
-        pierced = [mesh for mesh in owners if mesh is not None and mesh.pd is not None]
+        domain = [mesh for mesh in owners if mesh is not None and not mesh.patches]
+        pierced = [mesh for mesh in owners if mesh is not None and mesh.patches]
         assert len(domain) == 1, command
         assert len(pierced) == 3 and len({id(mesh) for mesh in pierced}) == 3, command
         # and one Lap + W per pierced mesh
@@ -553,7 +553,7 @@ def test_field_csv_export(tmp_path, coarse_solution):
     write_field_csv(coarse_solution.u, path)
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "node_id,x,y,value"
-    assert len(lines) == 1 + coarse_solution.mesh.n_nodes
+    assert len(lines) == 1 + coarse_solution.stage.mesh.n_nodes
 
 
 def write_field_csv_rows(field, path):
@@ -568,7 +568,7 @@ def write_field_csv_rows(field, path):
 
 
 def test_field_csv_bytes_match_row_writer(tmp_path, coarse_solution):
-    mesh = coarse_solution.mesh
+    mesh = coarse_solution.stage.mesh
     odd_mesh = dataclasses.replace(
         mesh, nodes=np.column_stack([np.resize(AWKWARD, mesh.n_nodes),
                                      np.resize(AWKWARD[::-1], mesh.n_nodes)]))

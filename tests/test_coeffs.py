@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from sinhpierce.coeffs import (
     BlowupConfig,
+    _beta_matrix,
     _dominant,
     choose_scales,
     coefficient_set,
@@ -19,6 +20,8 @@ from sinhpierce.coeffs import (
     solve_gamma,
 )
 from sinhpierce.errors import ConstraintViolation, NonpositivePotentialAtCenter
+from sinhpierce.geometry import DomainSpec
+from sinhpierce.greens import GreenProvider
 
 TWO_PI = 2 * math.pi
 
@@ -77,7 +80,8 @@ def test_rho_i_group_swap_symmetry(disk, gp):
 
 def test_scales_centered_example(single_cfg, gp):
     s = choose_scales(single_cfg, 1e-3, gp)
-    assert s.d[0] == pytest.approx(1 / 18, rel=1e-14)
+    # d_1 = 1 / 18 at the center, where rho_1 = 0
+    assert s.delta_pow[0] == pytest.approx(1e-3 / 18, rel=1e-14)
     assert s.delta[0] == pytest.approx((1e-3 / 18) ** (1 / 3), rel=1e-14)
     assert s.eps[0] == pytest.approx((1e-3 / 18) ** 2, rel=1e-13)
 
@@ -98,21 +102,24 @@ def test_scale_identities_exact(gp, disk, alpha, log_rho, v, tau, x):
     cfg = BlowupConfig(domain=disk, centers=[[x, 0.1]], alphas=[alpha], m1=1, tau=tau,
                        V1=constant_potential(v), V2=constant_potential(v))
     s = choose_scales(cfg, rho, gp)
+    rho_i = compute_rho_i(cfg, gp)[0]
+    # the paper's d_1 = V(xi) e^{2 pi rho_1} / (2 a^2) and r_1 = d_1 e^{-pi rho_1}
+    d = v * math.exp(2 * math.pi * rho_i) / (2 * alpha ** 2)
+    r = d * math.exp(-math.pi * rho_i)
     # defining identities hold to relative rounding
-    assert s.delta[0] ** alpha == pytest.approx(s.d[0] * rho, rel=1e-12)
+    assert s.delta_pow[0] == pytest.approx(d * rho, rel=1e-12)
+    assert s.delta[0] ** alpha == pytest.approx(d * rho, rel=1e-12)
     # the hole-radius rule is kept exactly in log space (eps itself can
     # underflow for alpha near 2)
-    assert (alpha - 2) / 2 * s.log_eps[0] == pytest.approx(
-        math.log(s.r[0] * rho), rel=1e-12)
+    assert (alpha - 2) / 2 * s.log_eps[0] == pytest.approx(math.log(r * rho), rel=1e-12)
     if s.eps[0] > 1e-280:
-        assert s.eps[0] ** ((alpha - 2) / 2) == pytest.approx(s.r[0] * rho, rel=1e-12)
-    assert s.r[0] == pytest.approx(s.d[0] * math.exp(-math.pi * s.rho_i[0]), rel=1e-12)
+        assert s.eps[0] ** ((alpha - 2) / 2) == pytest.approx(r * rho, rel=1e-12)
     # matching identity: 2 a^2 delta^a = rho V e^{2 pi rho_i}
     assert 2 * alpha ** 2 * s.delta_pow[0] == pytest.approx(
-        rho * v * math.exp(2 * math.pi * s.rho_i[0]), rel=1e-12)
+        rho * v * math.exp(2 * math.pi * rho_i), rel=1e-12)
     # equivalent numerator form of the radius rule
-    assert s.r[0] == pytest.approx(v * math.exp(math.pi * s.rho_i[0]) / (2 * alpha ** 2),
-                                   rel=1e-12)
+    assert (alpha - 2) / 2 * s.log_eps[0] == pytest.approx(
+        math.log(v * math.exp(math.pi * rho_i) / (2 * alpha ** 2) * rho), rel=1e-12)
 
 
 def test_beta_one_by_one_formula(single_cfg, gp):
@@ -253,6 +260,34 @@ def test_diagonal_dominance_threshold(two_cfg, gp):
     s = choose_scales(two_cfg, thr * 0.5, gp)
     H, G = gp.pair_table(two_cfg.centers)
     assert _dominant(H, G, s.log_eps)
+
+
+def _gamma_matrix_reference(H, G, log_eps):
+    """The gamma system's matrix, built entry by entry as the paper writes it."""
+    m = len(log_eps)
+    A = np.zeros((m, m))
+    for i in range(m):
+        A[i, i] = -log_eps[i] / TWO_PI + H[i, i]
+        for k in range(m):
+            if k != i:
+                A[i, k] = G[k, i]
+    return A
+
+
+def test_gamma_matrix_is_the_negated_beta_matrix():
+    # three holes in a square (numeric Green function), mixed signs, tau != 1
+    square = DomainSpec("boundary-curve", [[-0.9, -0.9], [0.9, -0.9], [0.9, 0.9], [-0.9, 0.9]])
+    cfg = BlowupConfig(domain=square, centers=[[-0.4, 0.0], [0.4, 0.1], [0.0, -0.45]],
+                       alphas=[3.0, 2.5, 3.0], m1=2, tau=0.7,
+                       V1=constant_potential(1.0), V2=constant_potential(1.0))
+    gp = GreenProvider(square)
+    H, G = gp.pair_table(cfg.centers)
+    for rho in (1e-2, 1e-3, 1e-4):
+        s = choose_scales(cfg, rho, gp)
+        ref = _gamma_matrix_reference(H, G, s.log_eps)
+        assert np.array_equal(-_beta_matrix(H, G, s.log_eps), ref), rho
+        gamma = solve_gamma(cfg, s, gp)[0]
+        assert gamma.tobytes() == np.linalg.solve(ref, 2.0 * np.eye(3)).tobytes(), rho
 
 
 def test_coefficient_set_and_csv(tmp_path, two_cfg, gp):

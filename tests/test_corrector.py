@@ -1,13 +1,12 @@
 import csv
 import math
-import types
 import weakref
 
 import numpy as np
 import pytest
 
 import sinhpierce.corrector as corrector_mod
-from sinhpierce.coeffs import BlowupConfig, constant_potential
+from sinhpierce.coeffs import BlowupConfig, compute_rho_i, constant_potential
 from sinhpierce.corrector import (
     Run,
     SolveReport,
@@ -54,28 +53,29 @@ def test_construct_solution_report(coarse_solution):
                                              rel=1e-12)
 
 
-def test_peak_height_matches_scale_arithmetic(coarse_solution):
+def test_peak_height_matches_scale_arithmetic(coarse_run, coarse_solution):
     # annulus maximum of the near-field form, maximized over the radius:
     # -2 log(d^a (2a/(a+2))) + ((a-2)/a) log(d^a (a-2)/(a+2)) + 2 pi rho_i
-    s = coarse_solution.scales
+    s = coarse_solution.stage.scales
+    rho_i = compute_rho_i(coarse_run.cfg, coarse_run.gp)
     alpha = 3.0
     da = s.delta_pow[0]
     want = -2 * math.log(da * 2 * alpha / (alpha + 2)) \
         + ((alpha - 2) / alpha) * math.log(da * (alpha - 2) / (alpha + 2)) \
-        + 2 * math.pi * s.rho_i[0]
+        + 2 * math.pi * rho_i[0]
     assert coarse_solution.report.peaks[0] == pytest.approx(want, abs=0.1)
     # and agrees with the bubble-height scale log(2 a^2/delta^alpha) within ~25%
     bubble_peak = math.log(2 * alpha ** 2 / da)
     assert coarse_solution.report.peaks[0] == pytest.approx(bubble_peak, rel=0.25)
 
 
-def test_farfield_value_single_bubble(coarse_solution, gp):
+def test_farfield_value_single_bubble(coarse_run, coarse_solution, gp):
     from sinhpierce.corrector import farfield_error_at
 
     # u(0.5, 0) ~ 10 pi G((0.5,0), 0) = 5 log 2
-    err = farfield_error_at(coarse_solution, gp, (0.5, 0.0))
+    err = farfield_error_at(coarse_run, coarse_solution, (0.5, 0.0))
     assert err <= 0.05
-    target = farfield_target(coarse_solution.cfg, gp, np.array([[0.5, 0.0]]))[0]
+    target = farfield_target(coarse_run.cfg, gp, np.array([[0.5, 0.0]]))[0]
     assert target == pytest.approx(5 * math.log(2), rel=1e-12)
 
 
@@ -248,8 +248,9 @@ def test_negative_liouville_case(disk, gp, coarse_policy):
                        tau=1.0, V1=None, V2=constant_potential(1.0))
     sol = construct_solution(Run(cfg, coarse_policy, gp), 1e-2)
     assert sol.report.status == "converged"
-    d = sol.mesh.center_distance(0)
-    inner = d <= math.sqrt(sol.scales.eps[0] * sol.pd.eta)
+    st = sol.stage
+    d = st.mesh.center_distance(0)
+    inner = d <= math.sqrt(st.scales.eps[0] * st.pd.eta)
     assert sol.u.values[inner].min() < -5
     assert sol.report.peaks[0] > 5  # peak records the signed magnitude
 
@@ -342,33 +343,6 @@ def test_one_rayleigh_quotient_per_estimate(domain, single_cfg, gp, coarse_polic
             assert math.isfinite(got) == finite, step
 
 
-def _nearest_nodes_per_point(mesh, points):
-    """Reference: one full hypot and argmin pass per point."""
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    return np.array([np.argmin(np.hypot(mesh.nodes[:, 0] - p[0], mesh.nodes[:, 1] - p[1]))
-                     for p in pts], dtype=int)
-
-
-@pytest.mark.parametrize("block", [1, 7 * 81, 1 << 16])
-def test_nearest_nodes_match_the_per_point_pass(coarse_solution, block, monkeypatch):
-    monkeypatch.setattr(corrector_mod, "_NEAREST_BLOCK", block)
-    # a dyadic grid: cell midpoints tie exactly between two or four nodes,
-    # and some points sit on a node
-    g = np.arange(-4, 5) * 0.125
-    grid = types.SimpleNamespace(nodes=np.column_stack([np.repeat(g, 9), np.tile(g, 9)]),
-                                 n_nodes=81)
-    ties = np.array([[0.0625, 0.0625], [0.0, 0.0], [0.125, 0.0625], [-0.5, 0.5],
-                     [0.0625, 0.0], [0.3, -0.0625], [2.0, 2.0], [-0.4375, -0.4375]])
-    got = corrector_mod._nearest_nodes(grid, ties)
-    assert got.tolist() == _nearest_nodes_per_point(grid, ties).tolist()
-    assert got[0] == 40 and got[1] == 40   # the first of four, and the node itself
-    mesh = coarse_solution.mesh
-    pts = np.vstack([np.random.default_rng(5).uniform(-0.8, 0.8, (40, 2)), mesh.nodes[::97]])
-    assert corrector_mod._nearest_nodes(mesh, pts).tolist() \
-        == _nearest_nodes_per_point(mesh, pts).tolist()
-    assert corrector_mod._nearest_nodes(mesh, mesh.nodes[5]).tolist() == [5]
-
-
 def test_first_stage_drops_the_green_domain_operators():
     # the first stage's pair table caches H(., xi_k) for every center; the
     # numeric Green function's domain operators and Poisson factor then go,
@@ -451,8 +425,9 @@ def test_fixed_point_uses_the_runs_operator(single_cfg, gp, coarse_policy):
     assert L._lu is not None
     assert L._eig_estimate == sol.report.smallest_eigenvalue
     # and gives the bits of an operator of its own
-    own = fixed_point_correct(sol.U, single_cfg, sol.scales,
-                              LinearOperator(sol.mesh, weight_W(sol.U, single_cfg, sol.scales)))[0]
+    st = sol.stage
+    own = fixed_point_correct(st.U, single_cfg, st.scales,
+                              LinearOperator(st.mesh, weight_W(st.U, single_cfg, st.scales)))[0]
     assert own.values.tobytes() == sol.phi.values.tobytes()
 
 

@@ -1,10 +1,12 @@
 import dataclasses
 import math
+import types
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import sinhpierce.geometry as geometry
 from sinhpierce.errors import (
     DuplicateCenters,
     HoleTouchesBoundary,
@@ -71,7 +73,7 @@ def test_graded_patch_layer_count():
     mesh = build_mesh(pd, MeshPolicy(h=0.02, q=1.3))
     expected = math.ceil(math.log(pd.eta / 1e-3) / math.log(1.3))
     assert expected == 24
-    assert mesh.patches[0].n_layers == expected
+    assert len(mesh.patches[0].radii) - 1 == expected
 
 
 def test_unresolvable_hole():
@@ -223,3 +225,30 @@ def test_quality_floor_across_policies():
         pd = build_pierced_domain(disk, PierceSpec(centers=centers, radii=eps))
         mesh = build_mesh(pd, MeshPolicy(h=h, q=q))
         assert mesh.min_quality >= 0.2, (m, h, q, mesh.min_quality)
+
+
+def _nearest_nodes_per_point(mesh, points):
+    """Reference: one full hypot and argmin pass per point."""
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    return np.array([np.argmin(np.hypot(mesh.nodes[:, 0] - p[0], mesh.nodes[:, 1] - p[1]))
+                     for p in pts], dtype=int)
+
+
+@pytest.mark.parametrize("block", [1, 7 * 81, 1 << 16])
+def test_nearest_nodes_match_the_per_point_pass(coarse_solution, block, monkeypatch):
+    monkeypatch.setattr(geometry, "_NEAREST_BLOCK", block)
+    # a dyadic grid: cell midpoints tie exactly between two or four nodes,
+    # and some points sit on a node
+    g = np.arange(-4, 5) * 0.125
+    grid = types.SimpleNamespace(nodes=np.column_stack([np.repeat(g, 9), np.tile(g, 9)]),
+                                 n_nodes=81)
+    ties = np.array([[0.0625, 0.0625], [0.0, 0.0], [0.125, 0.0625], [-0.5, 0.5],
+                     [0.0625, 0.0], [0.3, -0.0625], [2.0, 2.0], [-0.4375, -0.4375]])
+    got = geometry._nearest_nodes(grid, ties)
+    assert got.tolist() == _nearest_nodes_per_point(grid, ties).tolist()
+    assert got[0] == 40 and got[1] == 40   # the first of four, and the node itself
+    mesh = coarse_solution.stage.mesh
+    pts = np.vstack([np.random.default_rng(5).uniform(-0.8, 0.8, (40, 2)), mesh.nodes[::97]])
+    assert geometry._nearest_nodes(mesh, pts).tolist() \
+        == _nearest_nodes_per_point(mesh, pts).tolist()
+    assert geometry._nearest_nodes(mesh, mesh.nodes[5]).tolist() == [5]

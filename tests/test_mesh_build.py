@@ -192,12 +192,12 @@ def _config(domain, centers):
 
 def _assert_same_mesh(a, b):
     for name in ("nodes", "triangles", "node_marker", "node_patch", "node_dx", "node_dy",
-                 "tri_patch", "weights", "boundary_polygon"):
+                 "tri_patch", "weights"):
         x, y = getattr(a, name), getattr(b, name)
         assert x.dtype == y.dtype and x.shape == y.shape, name
         assert x.tobytes() == y.tobytes(), name
     assert np.float64(a.min_quality).tobytes() == np.float64(b.min_quality).tobytes()
-    assert a.h == b.h and a.pd is b.pd
+    assert a.h == b.h
     assert len(a.patches) == len(b.patches)
     for p, q in zip(a.patches, b.patches):
         assert p.n_theta == q.n_theta
@@ -227,7 +227,6 @@ def test_memoized_mesh_equals_cold_build(domain, centers, monkeypatch):
         st = run.stage(rho)
         assert len(pierced_builds) == 1 + cold_builds
         _assert_same_mesh(st.mesh, build_mesh(st.pd, policy))
-        assert not st.mesh.boundary_polygon.flags.writeable
         st.mesh.nodes[:] = 0.0
         st.mesh.triangles[:] = 0
         st.mesh.node_dx[:] = 0.0
@@ -327,7 +326,7 @@ def test_closed_boundary_curve_equals_open():
     meshes = []
     for pd in (pd_open, pd_closed):
         meshes.append(build_mesh(pd, MeshPolicy(h=0.04)))
-    _assert_same_mesh(dataclasses.replace(meshes[1], pd=pd_open), meshes[0])
+    _assert_same_mesh(meshes[1], meshes[0])
 
 
 # --- conformity check ----------------------------------------------------
@@ -338,16 +337,16 @@ def _assert_rejects_broken(mesh, k):
     removed = dataclasses.replace(mesh, triangles=np.delete(t, k, axis=0),
                                   tri_patch=np.delete(mesh.tri_patch, k))
     with pytest.raises(StitchFailure, match="non-conforming stitch"):
-        geometry._check_conformity(removed, mesh.boundary_polygon)
+        geometry._check_conformity(removed)
     doubled = dataclasses.replace(mesh, triangles=np.vstack([t, t[k:k + 1]]),
                                   tri_patch=np.append(mesh.tri_patch, mesh.tri_patch[k]))
     with pytest.raises(StitchFailure, match="shared by more than two triangles"):
-        geometry._check_conformity(doubled, mesh.boundary_polygon)
+        geometry._check_conformity(doubled)
 
 
 @pytest.mark.parametrize("where", ["background", "patch"])
 def test_conformity_rejects_broken_meshes(single_mesh, where):
-    geometry._check_conformity(single_mesh, single_mesh.boundary_polygon)
+    geometry._check_conformity(single_mesh)
     k = int(np.flatnonzero(single_mesh.tri_patch < 0 if where == "background"
                            else single_mesh.tri_patch >= 0)[0])
     _assert_rejects_broken(single_mesh, k)
@@ -368,7 +367,7 @@ def _strip_mesh(n):
                          node_marker=np.full(2 * n, geometry.OUTER),
                          node_patch=np.full(2 * n, -1), node_dx=np.zeros(2 * n),
                          node_dy=np.zeros(2 * n), tri_patch=np.full(tris.shape[0], -1),
-                         weights=np.zeros(2 * n), boundary_polygon=nodes)
+                         weights=np.zeros(2 * n))
     geometry._orient_and_weigh(mesh)
     return mesh
 
@@ -378,5 +377,5 @@ def test_conformity_keys_do_not_wrap_on_int32_triangles():
     # and here the open (boundary) edges run up to the last node
     mesh = _strip_mesh(25_000)
     assert mesh.triangles.dtype == np.int32 and mesh.n_nodes ** 2 > np.iinfo(np.int32).max
-    geometry._check_conformity(mesh, mesh.boundary_polygon)
+    geometry._check_conformity(mesh)
     _assert_rejects_broken(mesh, mesh.n_triangles // 2)  # nodes 0, 2n - 2, 2n - 1

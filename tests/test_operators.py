@@ -10,6 +10,7 @@ from sinhpierce.coeffs import (
     BlowupConfig,
     choose_scales,
     coefficient_set,
+    compute_rho_i,
     constant_potential,
 )
 from sinhpierce.errors import InvalidExponent, MeshMismatch
@@ -321,7 +322,8 @@ def test_local_expansion_of_weight_term(single_cfg, gp, coarse_policy):
         U, _ = build_ansatz(single_cfg, scales, mesh, coeffs=coeffs, gp=gp)
         b = make_bubbles(single_cfg, scales)[0]
         src = bubble_source(b, mesh)
-        lead = math.exp(2 * math.pi * scales.rho_i[0]) / (2 * 9 * scales.delta_pow[0])
+        lead = math.exp(2 * math.pi * compute_rho_i(single_cfg, gp)[0]) \
+            / (2 * 9 * scales.delta_pow[0])
         num = scales.rho * np.exp(U.values)
         den = lead * scales.rho * src
         sel = np.abs(mesh.center_distance(0) - scales.delta[0]) < 0.2 * scales.delta[0]

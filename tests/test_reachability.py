@@ -5,8 +5,10 @@ that nothing needs.
 
 References are counted by name: AST names, attribute names, import aliases,
 and the parts of dotted string constants (the benchmark tracer names its
-targets as strings, such as "GreenProvider.robin_H_many"). Dunder names are
-exempt, since the language calls them.
+targets as strings, such as "GreenProvider.robin_H_many"). A method or
+property is reached only through an attribute or a dotted string: a bare name
+of the same spelling is some local variable or function, not the method.
+Dunder names are exempt, since the language calls them.
 """
 
 import ast
@@ -26,13 +28,14 @@ _DOTTED = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)*")
 _DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
-def _referenced_names(node):
-    """The names node refers to, one entry per occurrence."""
-    if isinstance(node, ast.Name):
+def _referenced_names(node, bare=True):
+    """The names node refers to, one entry per occurrence; bare=False leaves
+    out AST names and import aliases, which cannot reach a method."""
+    if isinstance(node, ast.Name) and bare:
         return [node.id]
     if isinstance(node, ast.Attribute):
         return [node.attr]
-    if isinstance(node, ast.alias):
+    if isinstance(node, ast.alias) and bare:
         return [node.name.rsplit(".", 1)[-1]]
     if isinstance(node, ast.Constant) and isinstance(node.value, str) \
             and _DOTTED.fullmatch(node.value):
@@ -40,9 +43,16 @@ def _referenced_names(node):
     return []
 
 
-def _references(tree):
+def _references(tree, bare=True):
     """How often each name is referred to anywhere in tree."""
-    return Counter(name for node in ast.walk(tree) for name in _referenced_names(node))
+    return Counter(name for node in ast.walk(tree)
+                   for name in _referenced_names(node, bare))
+
+
+def _methods(tree):
+    """The function definitions directly in a class body of tree."""
+    return {id(item) for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+            for item in node.body if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))}
 
 
 def _sources():
@@ -55,18 +65,22 @@ def _sources():
 def test_every_definition_is_reached():
     trees = _sources()
     total = sum((_references(t) for t in trees.values()), Counter())
+    qualified = sum((_references(t, bare=False) for t in trees.values()), Counter())
     unreached = []
     for path, tree in trees.items():
         if path.parent != PACKAGE:
             continue
+        methods = _methods(tree)
         for node in ast.walk(tree):
             if not isinstance(node, _DEFS):
                 continue
             name = node.name
             if name.startswith("__") and name.endswith("__"):
                 continue
+            bare = id(node) not in methods
+            seen = total if bare else qualified
             # a reference inside the definition itself (recursion) does not count
-            if total[name] - _references(node)[name] == 0:
+            if seen[name] - _references(node, bare)[name] == 0:
                 unreached.append(f"{path.stem}.{name}")
     unreached = sorted(set(unreached) - ALLOWED)
     assert len(trees) > 10

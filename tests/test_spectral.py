@@ -226,11 +226,11 @@ def test_fem_pipeline_agrees_with_radial_backend(single_cfg, gp):
         phi = new
     u_radial = U + phi
 
+    nodes = sol.stage.mesh.nodes
     for rr in (0.01, 0.1, 0.5, 0.9):
         # evaluate the radial reference at the very node the FEM value sits on
-        node = np.argmin(np.abs(np.hypot(*sol.mesh.nodes.T) - rr)
-                         + (np.abs(sol.mesh.nodes[:, 1]) > 0.2) * 10)
-        rr_node = math.hypot(*sol.mesh.nodes[node])
+        node = np.argmin(np.abs(np.hypot(*nodes.T) - rr) + (np.abs(nodes[:, 1]) > 0.2) * 10)
+        rr_node = math.hypot(*nodes[node])
         ref = s.value_at(u_radial, rr_node)
         assert sol.u.values[node] == pytest.approx(ref, abs=5e-3)
     assert sol.report.phi_sup == pytest.approx(np.abs(phi).max(), abs=2e-3)

@@ -6,12 +6,11 @@ import pytest
 
 import sinhpierce.verify as verify_mod
 from sinhpierce.bubbles import kernel_coefficient, rescale_correction
-from sinhpierce.corrector import Run, continuation_sweep
+from sinhpierce.corrector import Run, continuation_sweep, log_slope
 from sinhpierce.errors import InsufficientSamples
 from sinhpierce.operators import Field, LinearOperator, weight_W
 from sinhpierce.verify import (
     CheckResult,
-    ScalingStudy,
     check_expansion,
     check_integral_identities,
     check_kernel_annihilation,
@@ -22,18 +21,15 @@ from sinhpierce.verify import (
 )
 
 
-def test_scaling_study_recovers_power_law():
+def test_log_slope_recovers_power_law():
     rhos = [1e-2, 1e-3, 1e-4, 1e-5]
     vals = [3.0 * r ** 0.7 for r in rhos]
-    st = ScalingStudy.fit(rhos, vals)
-    assert st.slope == pytest.approx(0.7, abs=1e-12)
-    assert st.intercept == pytest.approx(math.log(3.0), abs=1e-10)
-    assert st.fit_r2 == pytest.approx(1.0, abs=1e-12)
+    assert log_slope(rhos, vals) == pytest.approx(0.7, abs=1e-12)
 
 
-def test_scaling_study_needs_three_samples():
+def test_log_slope_needs_three_samples():
     with pytest.raises(InsufficientSamples):
-        ScalingStudy.fit([1e-2, 1e-3], [1.0, 0.5])
+        log_slope([1e-2, 1e-3], [1.0, 0.5])
 
 
 def test_decreasing_with_floor():
@@ -124,29 +120,30 @@ def test_kernel_annihilation_memory():
     assert peak < 32 * 2 ** 20
 
 
-def test_kernel_coefficient_of_kernel_is_one(coarse_solution):
+def test_kernel_coefficient_of_kernel_is_one(coarse_run, coarse_solution):
     # feed the kernel element itself through the projection: exactly one
     sol = coarse_solution
-    mesh = sol.mesh
+    mesh = sol.stage.mesh
     alpha = 3.0
-    delta = sol.scales.delta[0]
+    delta = sol.stage.scales.delta[0]
     y = mesh.center_distance(0) / delta
     vals = (1 - y ** alpha) / (1 + y ** alpha)
     vals = np.where(mesh.is_boundary, 0.0, vals)
     from sinhpierce.operators import Field
 
     synthetic = Field(mesh, vals)
-    a = kernel_coefficient(synthetic, sol.cfg, sol.scales, 0)
+    a = kernel_coefficient(synthetic, coarse_run.cfg, sol.stage.scales, 0)
     assert a == pytest.approx(1.0, abs=1e-6)
 
 
 def test_rescaled_field_grid_range(coarse_solution):
     sol = coarse_solution
-    rf = rescale_correction(sol.phi, sol.scales, 0, y_max=40.0)
-    y_lo = sol.scales.eps[0] / sol.scales.delta[0]
+    scales = sol.stage.scales
+    rf = rescale_correction(sol.phi, scales, 0, y_max=40.0)
+    y_lo = scales.eps[0] / scales.delta[0]
     assert rf.y[0] == pytest.approx(y_lo, rel=1e-12)
     assert rf.y[-1] <= 40.0 * (1 + 1e-12)
-    assert rf.values.shape == (len(rf.y), sol.mesh.patches[0].n_theta)
+    assert rf.values.shape == (len(rf.y), sol.stage.mesh.patches[0].n_theta)
 
 
 def test_check_csv_format(tmp_path):
@@ -202,22 +199,22 @@ def test_operator_bound_shared_equals_fresh(single_cfg, gp, coarse_policy, monke
 
 
 def test_expansion_positive_slope(coarse_run):
-    st = check_expansion(coarse_run, [1e-2, 1e-3, 1e-4])
-    assert st.slope > 0.5
+    slope, errs = check_expansion(coarse_run, [1e-2, 1e-3, 1e-4])
+    assert slope > 0.5
     # self-consistency: errors strictly decrease
-    assert st.values[0] > st.values[1] > st.values[2]
+    assert errs[0] > errs[1] > errs[2]
 
 
 def test_scaling_study_bit_reproducible(single_cfg, gp, coarse_policy):
     # two separate runs, so every mesh and ansatz is built twice
-    a = check_residual_scaling(Run(single_cfg, coarse_policy, gp), [1e-2, 1e-3, 1e-4],
-                               p_list=(1.01,))[1.01]
-    b = check_residual_scaling(Run(single_cfg, coarse_policy, gp), [1e-2, 1e-3, 1e-4],
-                               p_list=(1.01,))[1.01]
-    assert a.slope == b.slope
-    assert a.values == b.values
+    slope_a, norms_a = check_residual_scaling(Run(single_cfg, coarse_policy, gp),
+                                              [1e-2, 1e-3, 1e-4], p_list=(1.01,))[1.01]
+    slope_b, norms_b = check_residual_scaling(Run(single_cfg, coarse_policy, gp),
+                                              [1e-2, 1e-3, 1e-4], p_list=(1.01,))[1.01]
+    assert slope_a == slope_b
+    assert norms_a == norms_b
 
 
 def test_expansion_two_bubble_positive_slope(two_cfg, gp, coarse_policy):
-    st = check_expansion(Run(two_cfg, coarse_policy, gp), [1e-2, 1e-3, 1e-4])
-    assert st.slope > 0.3
+    slope, _ = check_expansion(Run(two_cfg, coarse_policy, gp), [1e-2, 1e-3, 1e-4])
+    assert slope > 0.3
