@@ -57,6 +57,15 @@ def bubble_source(b: Bubble, mesh: Mesh) -> np.ndarray:
     return bubble_source_from_r(b, mesh.center_distance(b.index))
 
 
+def semianalytic_laplacian_U(cfg, scales, mesh) -> np.ndarray:
+    """Lap U evaluated from the bubble sources: projection leaves Lap w intact,
+    and each source is -Lap of its bubble."""
+    total = np.zeros(mesh.n_nodes)
+    for b in make_bubbles(cfg, scales):
+        total -= cfg.weigh(b.index, bubble_source(b, mesh))
+    return total
+
+
 # ---------------------------------------------------------------------------
 # kernel of the rescaled linearized operator
 
@@ -165,7 +174,7 @@ def project_numeric(b: Bubble, mesh: Mesh, coeffs, H) -> Field:
     base = _bubble_from_r(b, mesh.center_distance(b.index)) \
         + explicit_harmonic_part(b, coeffs, H, mesh)
     g = -base[ops.boundary]
-    psi = ops.solve_dirichlet(np.zeros(mesh.n_nodes), boundary_values=g)
+    psi = ops.solve_dirichlet(g)
     vals = base + psi.values
     vals[ops.boundary] = 0.0
     return Field(mesh, vals, DIRICHLET_ZERO)

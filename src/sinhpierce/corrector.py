@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bubbles import build_ansatz, kernel_coefficient
+from .bubbles import build_ansatz, kernel_coefficient, semianalytic_laplacian_U
 from .coeffs import choose_scales, coefficient_set
 from .errors import Diverged, InsufficientSamples, NearSingular, SinhPierceError
 from .geometry import (
@@ -40,9 +40,11 @@ from .operators import (
     nonlinear_N,
     release_ops,
     residual_R,
-    semianalytic_laplacian_U,
     weight_W,
 )
+
+# correction defaults, parse_config's too: stopping tolerance, iteration cap, Lp exponents
+TOL, MAXITER, P_NORMS = 1e-10, 50, (1.01, 1.1, 1.3)
 
 
 @dataclass
@@ -120,14 +122,14 @@ def _check_resonance(report, L):
         raise NearSingular(report.error, eigenvalue=lam, report=report)
 
 
-def _defect(phi, U, cfg, scales):
+def _defect(phi, st, cfg):
     """Discrete defect Lap u + rho (V1 e^u - V2 e^{-tau u}) of u = U + phi,
-    zero on the boundary, with Lap U taken from the bubble sources."""
-    ops = get_ops(U.mesh)
-    v1, v2 = _potential_values(cfg, U.mesh)
-    u = U.values + phi.values
-    lap = semianalytic_laplacian_U(cfg, scales, U.mesh) + ops.laplacian(phi).values
-    res = lap + scales.rho * (v1 * np.exp(u) - v2 * np.exp(-cfg.tau * u))
+    zero on the boundary, with Lap U the stage's lap_U."""
+    ops = get_ops(st.mesh)
+    v1, v2 = _potential_values(cfg, st.mesh)
+    u = st.U.values + phi.values
+    lap = st.lap_U + ops.laplacian(phi).values
+    res = lap + st.scales.rho * (v1 * np.exp(u) - v2 * np.exp(-cfg.tau * u))
     res[ops.boundary] = 0.0
     return res
 
@@ -138,36 +140,37 @@ def _diverged(report, message):
     raise Diverged(message, report=report)
 
 
-def _finish(report, phi, U, cfg, scales):
+def _finish(report, phi, st, cfg):
     """Mark the run converged and fill in the norms of phi and the discrete
     defect of u = U + phi relative to the data scale, both in L1."""
-    ops = get_ops(U.mesh)
-    v1, v2 = _potential_values(cfg, U.mesh)
-    u = U.values + phi.values
-    data = scales.rho * (v1 * np.exp(u) + v2 * np.exp(-cfg.tau * u))
+    ops = get_ops(st.mesh)
+    v1, v2 = _potential_values(cfg, st.mesh)
+    u = st.U.values + phi.values
+    data = st.scales.rho * (v1 * np.exp(u) + v2 * np.exp(-cfg.tau * u))
     report.status = "converged"
     report.phi_sup = ops.norm_sup(phi)
     report.phi_h01 = ops.norm_h01(phi)
-    report.residual_l1 = ops.norm_lp(_defect(phi, U, cfg, scales), 1)
+    report.residual_l1 = ops.norm_lp(_defect(phi, st, cfg), 1)
     report.data_scale_l1 = ops.norm_lp(data, 1)
     report.relative_residual = report.residual_l1 / max(report.data_scale_l1, 1e-300)
     return phi, report
 
 
-def fixed_point_correct(U: Field, cfg, scales, L: LinearOperator, tol=1e-10, maxiter=50,
-                        phi0=None, p_norms=(1.01, 1.1, 1.3)) -> tuple[Field, SolveReport]:
+def fixed_point_correct(st: Stage, cfg, L: LinearOperator, tol=TOL, maxiter=MAXITER,
+                        phi0=None, p_norms=P_NORMS) -> tuple[Field, SolveReport]:
     """Iterate phi -> T(-(R + N(phi))) from phi0 (or 0) until the update stalls.
 
-    L is Lap + W at the ansatz, already built (Run.linear_operator); its
-    factor and eigenvalue estimate are reused, and the report keeps the
-    eigenvalue. R is the ansatz defect, whose Lp norms the report keeps. Each
-    iterate phi must stay within SUP_GUARD in sup norm before the step takes
-    exponentials of it. The loop stops once an update falls below tol
-    relative to the H1_0 norm of the iterate, and raises Diverged, with the
-    partial report, if the guard trips or maxiter steps do not get there.
+    st is the stage of the ansatz U. L is Lap + W at U, already built
+    (Run.linear_operator); its factor and eigenvalue estimate are reused, and
+    the report keeps the eigenvalue. R is the ansatz defect, whose Lp norms
+    the report keeps. Each iterate phi must stay within SUP_GUARD in sup norm
+    before the step takes exponentials of it. The loop stops once an update
+    falls below tol relative to the H1_0 norm of the iterate, and raises
+    Diverged, with the partial report, if the guard trips or maxiter steps do
+    not get there.
     """
-    R = residual_R(U, cfg, scales)
-    mesh = U.mesh
+    mesh, U, scales = st.mesh, st.U, st.scales
+    R = residual_R(U, st.lap_U, cfg, scales)
     ops = get_ops(mesh)
     report = SolveReport(rho=scales.rho)
     _check_resonance(report, L)
@@ -193,7 +196,7 @@ def fixed_point_correct(U: Field, cfg, scales, L: LinearOperator, tol=1e-10, max
         phi = new
         report.iterations = it + 1
         if upd < tol * max(1.0, ops.norm_h01(phi)):
-            return _finish(report, phi, U, cfg, scales)
+            return _finish(report, phi, st, cfg)
     _diverged(report, f"no convergence in {maxiter} iterations "
                       f"(last update {prev_update:.3e})")
 
@@ -211,6 +214,7 @@ class Stage:
     coeffs: object
     U: Field
     projections: tuple   # projected bubbles in make_bubbles order; U is their signed sum
+    lap_U: np.ndarray    # Lap U at the nodes, from the bubble sources; read-only
 
 
 def prepare(cfg, rho, policy: MeshPolicy, gp: GreenProvider, background=None) -> Stage:
@@ -223,7 +227,10 @@ def prepare(cfg, rho, policy: MeshPolicy, gp: GreenProvider, background=None) ->
     U, projections = build_ansatz(cfg, scales, mesh, coeffs=coeffs, gp=gp)
     # the projections were the last Poisson solves on this mesh
     get_ops(mesh).release_poisson_factor()
-    return Stage(scales=scales, pd=pd, mesh=mesh, coeffs=coeffs, U=U, projections=projections)
+    lap_U = semianalytic_laplacian_U(cfg, scales, mesh)
+    lap_U.setflags(write=False)
+    return Stage(scales=scales, pd=pd, mesh=mesh, coeffs=coeffs, U=U, projections=projections,
+                 lap_U=lap_U)
 
 
 class Run:
@@ -313,13 +320,13 @@ def farfield_sample_points(cfg, pd):
     return np.asarray(pts)
 
 
-def construct_solution(run: Run, rho, tol=1e-10, maxiter=50,
-                       phi0=None, p_norms=(1.01, 1.1, 1.3)) -> Solution:
+def construct_solution(run: Run, rho, tol=TOL, maxiter=MAXITER,
+                       phi0=None, p_norms=P_NORMS) -> Solution:
     """Correct the prepared ansatz at rho, from phi0 (a Field on its mesh) or 0."""
     cfg, gp = run.cfg, run.gp
     st = run.stage(rho)
     scales, pd, mesh, U = st.scales, st.pd, st.mesh, st.U
-    phi, report = fixed_point_correct(U, cfg, scales, tol=tol, maxiter=maxiter,
+    phi, report = fixed_point_correct(st, cfg, tol=tol, maxiter=maxiter,
                                       phi0=phi0, p_norms=p_norms,
                                       L=run.linear_operator(rho))
     u = Field(mesh, U.values + phi.values, DIRICHLET_ZERO)
@@ -389,7 +396,7 @@ class SweepResult:
                     rep.error])
 
 
-def continuation_sweep(run: Run, rho_list, tol=1e-10, maxiter=50, p_norms=(1.01, 1.1, 1.3),
+def continuation_sweep(run: Run, rho_list, tol=TOL, maxiter=MAXITER, p_norms=P_NORMS,
                        after_rho=None) -> SweepResult:
     """Run the construction at each rho (descending), warm-starting phi.
 

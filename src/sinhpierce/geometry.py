@@ -36,6 +36,7 @@ from .errors import (
 # (areas ~ eps^2) start flirting with underflow-driven noise.
 MIN_HOLE_RADIUS = 1e-13
 MIN_HOLE_NODES = 32   # fewest nodes on a hole circle, whatever the grading ratio q
+SMOOTH_ITERS = 2      # Laplacian smoothing passes over the background's lattice nodes
 TWO_PI = 2.0 * math.pi   # the package's one copy of 2 pi
 
 # node markers
@@ -104,7 +105,6 @@ class MeshPolicy:
 
     h: float = 0.02
     q: float = 1.3
-    smooth_iters: int = 2
 
     def __post_init__(self):
         if not (self.h > 0):
@@ -488,10 +488,9 @@ def _inside_rim_polygon(centroids, center, rim_r, n_theta):
     return inner
 
 
-def build_domain_mesh(domain: DomainSpec, h: float, smooth_iters: int = 2) -> Mesh:
+def build_domain_mesh(domain: DomainSpec, h: float) -> Mesh:
     """Mesh the outer domain alone (no holes); used by the numeric Green backend."""
-    policy = MeshPolicy(h=h, smooth_iters=smooth_iters)
-    return _assemble(_background(domain, np.zeros((0, 2)), 0.0, policy), None)
+    return _assemble(_background(domain, np.zeros((0, 2)), 0.0, MeshPolicy(h=h)), None)
 
 
 def prefetch_background(domain: DomainSpec, centers, policy: MeshPolicy) -> Future | None:
@@ -658,7 +657,7 @@ def _background(domain, centers, eta, policy) -> _Background:
         return tris[keep]
 
     tris = triangulate(pot)
-    for _ in range(policy.smooth_iters):
+    for _ in range(SMOOTH_ITERS):
         # Laplacian smoothing of the lattice nodes only
         nbr_sum, nbr_cnt = _neighbour_sums(pot, tris)
         ok = movable & (nbr_cnt > 0)

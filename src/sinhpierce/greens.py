@@ -126,7 +126,7 @@ class NumericGreen(_Green):
             ops = get_ops(self.mesh)
             bpts = self.mesh.nodes[ops.boundary]
             g = np.log(np.hypot(bpts[:, 0] - y[0], bpts[:, 1] - y[1])) / TWO_PI
-            fld = ops.solve_dirichlet(np.zeros(self.mesh.n_nodes), boundary_values=g)
+            fld = ops.solve_dirichlet(g)
             self._h_fields[key] = fld
         return fld
 

@@ -2,7 +2,7 @@
 
 Piecewise-linear elements on the triangulation: stiffness matrix for the
 Laplacian, lumped mass for quadrature, direct sparse factorizations for the
-Dirichlet Poisson problem and for the linearized operator L = Lap + W.
+discrete harmonic extension and for the linearized operator L = Lap + W.
 Patch triangles are assembled in hole-local offset coordinates, which keeps
 the element geometry exact on holes ten orders of magnitude below the domain
 scale.
@@ -53,7 +53,11 @@ class Field:
 
 
 def _assemble_stiffness(mesh: Mesh) -> sp.csr_matrix:
-    coords = mesh.all_tri_coords()
+    coords = mesh.all_tri_coords()   # a fresh array, scaled in place
+    # P1 entries are scale-free and power-of-two scaling is exact: bring each
+    # triangle to unit size, so an eps^2-sized area cannot underflow
+    big = np.abs(coords.transpose(1, 2, 0), order="C").max(axis=(0, 1))   # reduced along T
+    np.ldexp(coords, -np.frexp(big)[1][:, None, None], out=coords)
     x = coords[:, :, 0]
     y = coords[:, :, 1]
     b = np.stack([y[:, 1] - y[:, 2], y[:, 2] - y[:, 0], y[:, 0] - y[:, 1]], axis=1)
@@ -94,29 +98,21 @@ class DiscreteOperators:
         vals[self.boundary] = 0.0
         return Field(self.mesh, vals, FREE)
 
-    def solve_dirichlet(self, rhs, boundary_values=None) -> Field:
-        """Solve Lap u = rhs with u = g on the whole boundary (g = 0 default)."""
-        rhs_vals = rhs.values if isinstance(rhs, Field) else np.asarray(rhs, dtype=float)
+    def solve_dirichlet(self, boundary_values) -> Field:
+        """Discrete harmonic extension: Lap u = 0 inside, u = g on the boundary."""
         if self._poisson_lu is None:
             self._poisson_lu = spla.splu(self._K_II)
-        w_rhs = self.w * rhs_vals
-        b = -w_rhs[self.interior]
-        g = None
-        if boundary_values is not None:
-            g = np.asarray(boundary_values, dtype=float)
-            b = b - self._K_IB @ g
+        g = np.asarray(boundary_values, dtype=float)
         u = np.zeros(self.mesh.n_nodes)
-        u[self.interior] = self._poisson_lu.solve(b)
-        if g is not None:
-            u[self.boundary] = g
-        Ku = self.K @ u
-        res = Ku + w_rhs
+        u[self.interior] = self._poisson_lu.solve(-(self._K_IB @ g))
+        u[self.boundary] = g
+        res = self.K @ u
+        scale = max(np.linalg.norm(res), 1e-300)
         res[self.boundary] = 0.0
-        scale = max(np.linalg.norm(w_rhs), np.linalg.norm(Ku), 1e-300)
         rel = np.linalg.norm(res) / scale
         if not np.isfinite(rel) or rel > 1e-10:
             raise SolverFailure(f"Poisson solve residual {rel:.3e}", residual=rel)
-        return Field(self.mesh, u, DIRICHLET_ZERO if g is None else FREE)
+        return Field(self.mesh, u, FREE)
 
     def release_poisson_factor(self):
         """Drop the cached factor of K_II; a later solve_dirichlet refactors."""
@@ -163,26 +159,14 @@ def _potential_values(cfg, mesh):
     return v1, v2
 
 
-def semianalytic_laplacian_U(cfg, scales, mesh) -> np.ndarray:
-    """Lap U evaluated from the bubble sources: projection leaves Lap w intact,
-    and each source is -Lap of its bubble."""
-    from .bubbles import bubble_source, make_bubbles   # bubbles imports this module
-
-    total = np.zeros(mesh.n_nodes)
-    for b in make_bubbles(cfg, scales):
-        total -= cfg.weigh(b.index, bubble_source(b, mesh))
-    return total
-
-
-def residual_R(U: Field, cfg, scales) -> Field:
+def residual_R(U: Field, lap_U, cfg, scales) -> Field:
     """Defect R = Lap U + rho (V1 e^U - V2 e^{-tau U}) of the ansatz, with
-    Lap U taken from the bubble sources."""
+    Lap U given at the nodes (the stage's lap_U)."""
     mesh = U.mesh
     v1, v2 = _potential_values(cfg, mesh)
     rho = scales.rho
     nonlin = rho * (v1 * np.exp(U.values) - v2 * np.exp(-cfg.tau * U.values))
-    lap = semianalytic_laplacian_U(cfg, scales, mesh)
-    return Field(mesh, lap + nonlin, FREE)
+    return Field(mesh, lap_U + nonlin, FREE)
 
 
 def weight_W(U: Field, cfg, scales) -> Field:

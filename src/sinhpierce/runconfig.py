@@ -16,6 +16,7 @@ from types import MappingProxyType
 import numpy as np
 
 from .coeffs import BlowupConfig
+from .corrector import MAXITER, P_NORMS, TOL
 from .errors import ConstraintViolation, SchemaError
 from .geometry import DomainSpec, MeshPolicy, _inside_farther_than
 from .potentials import check_positive, parse_potential
@@ -170,8 +171,8 @@ def parse_config(text: str, run_overrides=None) -> RunConfig:
     except Exception as exc:
         problems.append(f"v2: {exc}")
 
-    h = get_number("mesh", "h", 0.02) if cp.has_section("mesh") else 0.02
-    q = get_number("mesh", "q", 1.3) if cp.has_section("mesh") else 1.3
+    h = get_number("mesh", "h", MeshPolicy.h)
+    q = get_number("mesh", "q", MeshPolicy.q)
     try:
         policy = MeshPolicy(h=h, q=q)
     except ValueError as exc:
@@ -179,17 +180,17 @@ def parse_config(text: str, run_overrides=None) -> RunConfig:
         policy = MeshPolicy()
 
     def get_list(key, default):
-        txt = get("run", key, default=default)
+        txt = get("run", key)
         try:
-            vals = _parse_floats(txt)
+            vals = list(default) if txt is None else _parse_floats(txt)
         except ValueError:
             problems.append(f"{key}: not numbers: {txt!r}")
-            return _parse_floats(default)
+            return list(default)
         if not vals:
             problems.append(f"{key}: no values")
         return vals
 
-    rho_list = get_list("rho", "1e-3")
+    rho_list = get_list("rho", [1e-3])
     if command == "construct" and len(rho_list) > 1:
         problems.append(f"construct solves one rho, got {rho_list}; pick one with --rho")
     if rho_list != sorted(rho_list, reverse=True):
@@ -199,13 +200,13 @@ def parse_config(text: str, run_overrides=None) -> RunConfig:
     if clashing:
         problems.append(f"rho values {clashing} agree to 4 significant digits, "
                         "so their sweep reports would share a name")
-    p_list = get_list("p", "1.01 1.1 1.3")
+    p_list = get_list("p", P_NORMS)
     if not all(1 <= p < np.inf for p in p_list):
         problems.append(f"p: Lp norms need finite p >= 1, got {p_list}")
-    tol = get_number("run", "tol", 1e-10)
+    tol = get_number("run", "tol", TOL)
     if not 0 < tol < np.inf:
         problems.append(f"[run] tol: needs a positive tolerance, got {tol}")
-    maxiter = get_number("run", "maxiter", 50, int)
+    maxiter = get_number("run", "maxiter", MAXITER, int)
     if maxiter < 1:
         problems.append(f"[run] maxiter: needs at least one iteration, got {maxiter}")
     seed = get_number("run", "seed", 0, int)

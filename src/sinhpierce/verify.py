@@ -18,7 +18,7 @@ import numpy as np
 
 from .bubbles import far_expansion, lalpha_weight, make_bubbles
 from .coeffs import choose_scales, constraint_deviation, dominance_threshold, solve_beta
-from .corrector import SLOPE_SAMPLES, Run, continuation_sweep, log_slope
+from .corrector import P_NORMS, SLOPE_SAMPLES, Run, continuation_sweep, log_slope
 from .errors import QuadratureNonConvergence
 from .greens import AnalyticDiskGreen, NumericGreen
 from .geometry import TWO_PI
@@ -171,12 +171,12 @@ def check_expansion(run, rho_list):
     return log_slope(rho_list, errs), errs
 
 
-def check_residual_scaling(run, rho_list, p_list=(1.01, 1.1, 1.3)):
+def check_residual_scaling(run, rho_list, p_list=P_NORMS):
     """Per p, the log-log decay slope of ||R||_p across rho and the norms."""
     norms_per_p = {p: [] for p in p_list}
     for rho in rho_list:
         st = run.stage(rho)
-        R = residual_R(st.U, run.cfg, st.scales)
+        R = residual_R(st.U, st.lap_U, run.cfg, st.scales)
         ops = get_ops(st.mesh)
         for p in p_list:
             norms_per_p[p].append(ops.norm_lp(R, p))

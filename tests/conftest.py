@@ -3,6 +3,7 @@ import types
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 import sinhpierce.corrector as corrector_mod
 from sinhpierce.coeffs import BlowupConfig, constant_potential
@@ -88,12 +89,30 @@ def newton():
         updates = []
         for _ in range(maxiter):
             J = LinearOperator(mesh, weight_W(Field(mesh, U.values + phi.values), cfg, scales))
-            delta = J.solve(Field(mesh, -corrector_mod._defect(phi, U, cfg, scales)))
+            delta = J.solve(Field(mesh, -corrector_mod._defect(phi, st, cfg)))
             phi = Field(mesh, phi.values + delta.values, DIRICHLET_ZERO)
             updates.append(ops.norm_h01(delta))
             if updates[-1] < tol * max(1.0, ops.norm_h01(phi)):
                 return types.SimpleNamespace(converged=True, u=U.values + phi.values,
                                              updates_h01=updates)
         return types.SimpleNamespace(converged=False, u=None, updates_h01=updates)
+
+    return solve
+
+
+@pytest.fixture(scope="session")
+def poisson():
+    """Oracle: the Dirichlet Poisson problem with a source term.
+
+    poisson(mesh, rhs) solves the lumped-mass system Lap u = rhs with u = 0
+    on the boundary, from the mesh's stiffness matrix and weights, and
+    returns u at the nodes.
+    """
+    def solve(mesh, rhs):
+        ops = get_ops(mesh)
+        b = -(ops.w * np.asarray(rhs, dtype=float))[ops.interior]
+        u = np.zeros(mesh.n_nodes)
+        u[ops.interior] = spla.spsolve(ops.K[np.ix_(ops.interior, ops.interior)].tocsc(), b)
+        return u
 
     return solve

@@ -162,7 +162,8 @@ def test_one_mesh_per_rho_per_command(tmp_path, monkeypatch):
     # background (one hex lattice each) is built once per command; each mesh
     # has exactly two matrices factored, once each: K_II, although prepare
     # releases its factor, and Lap + W, shared by the fixed point and verify's
-    # solver-bound check
+    # solver-bound check; the bubble sources are summed into Lap U once per
+    # stage, for the defect, the residual check and the converged residual
     import sys
 
     import scipy.sparse.linalg as spla
@@ -184,6 +185,14 @@ def test_one_mesh_per_rho_per_command(tmp_path, monkeypatch):
         return real_lattice(*args)
 
     monkeypatch.setattr(geometry_mod, "_hex_lattice", counting_lattice)
+    sources = []
+    real_source = bubbles_mod.bubble_source
+
+    def counting_source(b, mesh):
+        sources.append(b.index)
+        return real_source(b, mesh)
+
+    monkeypatch.setattr(bubbles_mod, "bubble_source", counting_source)
 
     def counting(pd, *args):
         calls.append(pd)
@@ -232,6 +241,7 @@ def test_one_mesh_per_rho_per_command(tmp_path, monkeypatch):
         calls.clear()
         projections.clear()
         lattices.clear()
+        sources.clear()
         factored.clear()
         owners.clear()
         built.clear()
@@ -239,6 +249,7 @@ def test_one_mesh_per_rho_per_command(tmp_path, monkeypatch):
         assert main([command, "--config", path, "--out", str(tmp_path / command), *rho]) == 0
         assert len(calls) == meshes, command
         assert len(projections) == meshes * bubbles, command
+        assert sources == list(range(bubbles)) * meshes, command
         assert len(lattices) == 1, command
         assert sum(poisson for _, poisson in factored) == meshes, command
         assert len(factored) == 2 * meshes, command
@@ -478,6 +489,34 @@ def test_rho_and_p_overrides(tmp_path):
     rc2 = parse_config(open(cfg).read().replace("rho = 1e-2", "rho = 1e-2, 5e-3")
                        .replace("command = construct", "command = sweep"))
     assert rc2.rho_list == [1e-2, 5e-3]
+
+
+def test_run_defaults_have_one_owner(tmp_path):
+    # a config without [mesh] and without rho, p, tol or maxiter gets the
+    # defaults the mesh policy, the solver and the checks declare
+    import inspect
+
+    import sinhpierce.corrector as corrector_mod
+    import sinhpierce.verify as verify_mod
+
+    text = BASE.format(out=tmp_path)
+    for line in ("[mesh]\nh = 0.05\nq = 1.3\n", "rho = 1e-2\n", "p = 1.01\n",
+                 "tol = 1e-10\n", "maxiter = 50\n"):
+        assert line in text
+        text = text.replace(line, "")
+    rc = parse_config(text)
+    assert rc.policy == MeshPolicy()
+    assert rc.rho_list == [1e-3]
+    assert (rc.tol, rc.maxiter) == (corrector_mod.TOL, corrector_mod.MAXITER)
+    assert rc.p_list == list(corrector_mod.P_NORMS)
+    for fn in (corrector_mod.fixed_point_correct, corrector_mod.construct_solution,
+               corrector_mod.continuation_sweep, verify_mod.check_residual_scaling):
+        params = inspect.signature(fn).parameters
+        for name, value in (("tol", rc.tol), ("maxiter", rc.maxiter),
+                            ("p_norms", corrector_mod.P_NORMS),
+                            ("p_list", corrector_mod.P_NORMS)):
+            if name in params:
+                assert params[name].default == value, name
 
 
 @pytest.mark.parametrize("command, flags, edit", [

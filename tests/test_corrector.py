@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import math
 import weakref
 
@@ -130,8 +131,8 @@ def test_zero_defect_gives_zero_correction(coarse_run, monkeypatch):
 
     real = op_mod.residual_R
 
-    def zero_R(U, cfg, scales):
-        out = real(U, cfg, scales)
+    def zero_R(U, lap_U, cfg, scales):
+        out = real(U, lap_U, cfg, scales)
         out.values[:] = 0.0
         return out
 
@@ -146,7 +147,7 @@ def test_divergence_guard(single_cfg, coarse_run):
     st = coarse_run.stage(1e-2)
     bad = Field(st.mesh, 3.0 * st.U.values, DIRICHLET_ZERO)
     with pytest.raises(Diverged):
-        fixed_point_correct(bad, single_cfg, st.scales,
+        fixed_point_correct(dataclasses.replace(st, U=bad), single_cfg,
                             LinearOperator(st.mesh, weight_W(bad, single_cfg, st.scales)),
                             maxiter=30)
 
@@ -192,10 +193,10 @@ def test_failed_report_is_not_a_measurement(single_cfg, gp, coarse_policy, tmp_p
     # report, whose unmeasured norms and signs must not read as values
     real = corrector_mod.fixed_point_correct
 
-    def one_step_at_1e_3(U, cfg, scales, **kw):
-        if scales.rho == 1e-3:
+    def one_step_at_1e_3(st, cfg, **kw):
+        if st.scales.rho == 1e-3:
             kw["maxiter"] = 1
-        return real(U, cfg, scales, **kw)
+        return real(st, cfg, **kw)
 
     rhos = [1e-2, 1e-3, 1e-4]
     plain = continuation_sweep(Run(single_cfg, coarse_policy, gp), rhos)
@@ -227,14 +228,10 @@ def test_stage_releases_poisson_factor(single_cfg, gp, coarse_policy):
     ops = get_ops(mesh)
     assert ops._poisson_lu is None
     # a later solve refactors, with the bits of an operator never released
-    rng = np.random.default_rng(5)
-    rhs = rng.standard_normal(mesh.n_nodes)
-    g = rng.standard_normal(len(ops.boundary))
-    fresh = DiscreteOperators(mesh)
-    for boundary_values in (None, g):
-        want = fresh.solve_dirichlet(rhs, boundary_values)
-        got = ops.solve_dirichlet(rhs, boundary_values)
-        assert got.values.tobytes() == want.values.tobytes()
+    g = np.random.default_rng(5).standard_normal(len(ops.boundary))
+    want = DiscreteOperators(mesh).solve_dirichlet(g)
+    got = ops.solve_dirichlet(g)
+    assert got.values.tobytes() == want.values.tobytes()
 
 
 def test_sweep_rejects_unsorted(coarse_run):
@@ -394,7 +391,7 @@ def test_sup_guard_keeps_the_partial_report(coarse_run, solver, monkeypatch):
     big = Field(st.mesh, np.where(st.mesh.is_boundary, 0.0, 2 * SUP_GUARD), DIRICHLET_ZERO)
     L = LinearOperator(st.mesh, weight_W(st.U, coarse_run.cfg, st.scales))
     with pytest.raises(Diverged) as info:
-        solver(st.U, coarse_run.cfg, st.scales, L, phi0=big)
+        solver(st, coarse_run.cfg, L, phi0=big)
     rep = info.value.report
     assert rep.status == "diverged" and "sup norm" in rep.error
     assert rep.iterations == 0 and rep.updates_h01 == []
@@ -403,8 +400,8 @@ def test_sup_guard_keeps_the_partial_report(coarse_run, solver, monkeypatch):
     assert all(np.isfinite(v) for v in rep.r_norms.values())
 
     # and a sweep entry keeps that report, not an empty stub
-    def from_big(U, cfg, scales, **kw):
-        return solver(U, cfg, scales, **{**kw, "phi0": big})
+    def from_big(st, cfg, **kw):
+        return solver(st, cfg, **{**kw, "phi0": big})
 
     monkeypatch.setattr(corrector_mod, solver.__name__, from_big)
     sw = continuation_sweep(coarse_run, [1e-3])
@@ -426,7 +423,7 @@ def test_fixed_point_uses_the_runs_operator(single_cfg, gp, coarse_policy):
     assert L._eig_estimate == sol.report.smallest_eigenvalue
     # and gives the bits of an operator of its own
     st = sol.stage
-    own = fixed_point_correct(st.U, single_cfg, st.scales,
+    own = fixed_point_correct(st, single_cfg,
                               LinearOperator(st.mesh, weight_W(st.U, single_cfg, st.scales)))[0]
     assert own.values.tobytes() == sol.phi.values.tobytes()
 

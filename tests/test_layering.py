@@ -1,15 +1,34 @@
-"""Every import between sinhpierce modules sits at module level, so the import
-graph is what the module headers say. One edge is named: operators'
-semianalytic_laplacian_U imports bubbles in its body, since bubbles imports
-operators and the defect R, which needs the bubble sources, stays in
-operators, where the benchmark tracer wraps it."""
+"""The package's import graph is layered: every import between sinhpierce
+modules sits at module level and points down ORDER, so the module headers
+say which module may use which. No import is named as an exception."""
 
 import ast
 import pathlib
 
 import sinhpierce
 
-ALLOWED = {("operators", "semianalytic_laplacian_U", "bubbles")}
+# each module may import only the modules before it
+ORDER = ("errors", "geometry", "operators", "bubbles", "greens", "coeffs", "corrector",
+         "potentials", "runconfig", "verify", "cli")
+
+ALLOWED = set()   # (module, function, imported module) imported inside a function body
+
+SOURCES = sorted(pathlib.Path(sinhpierce.__file__).parent.glob("*.py"))
+
+
+def _package_imports(node):
+    """The sinhpierce modules an import statement names, by short name."""
+    if isinstance(node, ast.ImportFrom) and node.level > 0:
+        if node.module:
+            return [node.module.split(".")[0]]
+        return [a.name for a in node.names]          # from . import verify
+    if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("sinhpierce"):
+        rest = node.module.split(".")[1:]
+        return rest[:1] or [a.name for a in node.names]
+    if isinstance(node, ast.Import):
+        return [a.name.split(".")[1] for a in node.names
+                if a.name.startswith("sinhpierce.")]
+    return []
 
 
 def _function_imports(tree):
@@ -20,22 +39,30 @@ def _function_imports(tree):
         if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
             continue
         for node in ast.walk(fn):
-            if isinstance(node, ast.ImportFrom) and node.level > 0:
-                found.append((fn.name, node.module or "."))
-            elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("sinhpierce"):
-                found.append((fn.name, node.module))
-            elif isinstance(node, ast.Import):
-                found += [(fn.name, a.name) for a in node.names
-                          if a.name.startswith("sinhpierce")]
+            found += [(fn.name, module) for module in _package_imports(node)]
     return found
 
 
 def test_no_package_import_inside_a_function():
-    sources = sorted(pathlib.Path(sinhpierce.__file__).parent.glob("*.py"))
     found = set()
-    for path in sources:
+    for path in SOURCES:
         for fn, module in _function_imports(ast.parse(path.read_text())):
             found.add((path.stem, fn, module))
-    assert len(sources) > 10
+    assert len(SOURCES) > 10
     assert found - ALLOWED == set()
-    assert ALLOWED <= found   # the named edge is still there; drop it once it is gone
+    assert ALLOWED <= found   # a named edge must still be there; drop it once it is gone
+
+
+def test_module_level_imports_follow_the_order():
+    stems = {path.stem for path in SOURCES} - {"__init__"}
+    assert stems == set(ORDER)
+    upward = []
+    for path in SOURCES:
+        if path.stem == "__init__":
+            continue
+        rank = ORDER.index(path.stem)
+        for node in ast.parse(path.read_text()).body:
+            for module in _package_imports(node):
+                if ORDER.index(module) >= rank:
+                    upward.append((path.stem, module))
+    assert upward == []

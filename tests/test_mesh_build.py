@@ -299,7 +299,7 @@ def test_bincount_sums_equal_add_at(build, monkeypatch):
 
     monkeypatch.setattr(geometry, "_neighbour_sums", checked)
     mesh = build()
-    assert len(passes) == MeshPolicy().smooth_iters
+    assert len(passes) == geometry.SMOOTH_ITERS
     monkeypatch.setattr(geometry, "_neighbour_sums", neighbour_sums_add_at)
     monkeypatch.setattr(geometry, "_orient_and_weigh", orient_and_weigh_add_at)
     ref = build()
