@@ -21,16 +21,12 @@ from .corrector import (
     construct_solution,
     continuation_sweep,
     fixed_point_correct,
-    prepare,
 )
 from .geometry import (
     DomainSpec,
     Mesh,
     MeshPolicy,
-    PierceSpec,
-    PiercedDomain,
     build_mesh,
-    build_pierced_domain,
 )
 from .greens import GreenProvider
 from .operators import (

@@ -19,7 +19,7 @@ from . import verify
 from .coeffs import dump_csv
 from .corrector import Run, construct_solution, continuation_sweep
 from .errors import ConstraintViolation, NonpositiveSampled, SchemaError, SinhPierceError
-from .geometry import format_17g
+from .geometry import MIN_HOLE_RADIUS, format_17g
 from .runconfig import COMMANDS, KEYS, SWEEP_REPORT, RunConfig, parse_config
 
 EXIT_OK = 0
@@ -151,9 +151,9 @@ def main(argv=None) -> int:
         prog="sinhpierce",
         description="Blow-up solutions of sinh-Poisson type equations on pierced "
                     "domains: construction, continuation, and verification. "
-                    "Meshed experiments need hole radii above 1e-13, which for "
-                    "the default configurations means rho of roughly 2e-5 or "
-                    "larger; the coefficient-level routines go further down.",
+                    f"Meshed experiments need hole radii above {MIN_HOLE_RADIUS:g}, "
+                    "which for the default configurations means rho of roughly "
+                    "2e-5 or larger; the coefficient-level routines go further down.",
         epilog="Config sections and keys: "
                + "; ".join(f"[{s}] " + ", ".join(keys) for s, keys in KEYS.items())
                + ". The positional command replaces [run] command. "

@@ -22,10 +22,10 @@ from .geometry import (
     TWO_PI,
     FieldEvaluator,
     MeshPolicy,
-    PierceSpec,
     _nearest_nodes,
+    annulus_radius,
     build_mesh,
-    build_pierced_domain,
+    check_radii,
     prefetch_background,
 )
 from .greens import GreenProvider
@@ -209,7 +209,6 @@ class Stage:
     """What the construction fixes at one rho before any correction."""
 
     scales: object
-    pd: object
     mesh: object
     coeffs: object
     U: Field
@@ -217,27 +216,16 @@ class Stage:
     lap_U: np.ndarray    # Lap U at the nodes, from the bubble sources; read-only
 
 
-def prepare(cfg, rho, policy: MeshPolicy, gp: GreenProvider, background=None) -> Stage:
-    """The per-rho chain: scales -> pierced domain -> mesh -> coefficients -> ansatz.
-    background: the Future of cfg's background mesh, or None to build it here."""
-    scales = choose_scales(cfg, rho, gp)
-    pd = build_pierced_domain(cfg.domain, PierceSpec(centers=cfg.centers, radii=scales.eps))
-    mesh = build_mesh(pd, policy, background)
-    coeffs = coefficient_set(cfg, scales, gp)
-    U, projections = build_ansatz(cfg, scales, mesh, coeffs=coeffs, gp=gp)
-    # the projections were the last Poisson solves on this mesh
-    get_ops(mesh).release_poisson_factor()
-    lap_U = semianalytic_laplacian_U(cfg, scales, mesh)
-    lap_U.setflags(write=False)
-    return Stage(scales=scales, pd=pd, mesh=mesh, coeffs=coeffs, U=U, projections=projections,
-                 lap_U=lap_U)
-
-
 class Run:
     """One command's problem, mesh policy and Green function.
 
-    stage(rho) prepares each rho once; every later call, from the solver or
-    from a check, gets the same Stage and so the same mesh and operators.
+    The hole centers are fixed for the whole run: the constructor checks
+    their layout and fixes the annulus radius eta (annulus_radius), so an
+    invalid layout raises here, before anything is built.
+
+    stage(rho) prepares each rho once (scales, hole radii, mesh,
+    coefficients, ansatz); every later call, from the solver or from a
+    check, gets the same Stage and so the same mesh and operators.
     linear_operator(rho) is the solver T = (Lap + W)^-1 at rho's ansatz, shared
     by the fixed point and the solver-bound check. Only one is kept: asking for
     another rho, or preparing a new stage, drops it first, together with its
@@ -253,7 +241,8 @@ class Run:
     def __init__(self, cfg, policy: MeshPolicy | None = None, gp: GreenProvider | None = None):
         self.cfg = cfg
         self.policy = policy or MeshPolicy()
-        self._background = prefetch_background(cfg.domain, cfg.centers, self.policy)
+        self.eta = annulus_radius(cfg.domain, cfg.centers)
+        self._background = prefetch_background(cfg.domain, cfg.centers, self.eta, self.policy)
         self.gp = gp or GreenProvider(cfg.domain)
         self._stages = {}
         self._linear = None   # (rho, LinearOperator) or None
@@ -261,7 +250,18 @@ class Run:
     def stage(self, rho) -> Stage:
         if rho not in self._stages:
             self._release_linear()
-            self._stages[rho] = prepare(self.cfg, rho, self.policy, self.gp, self._background)
+            cfg, gp = self.cfg, self.gp
+            scales = choose_scales(cfg, rho, gp)
+            check_radii(cfg.centers, scales.eps, self.eta)
+            mesh = build_mesh(self._background, scales.eps)
+            coeffs = coefficient_set(cfg, scales, gp)
+            U, projections = build_ansatz(cfg, scales, mesh, coeffs=coeffs, gp=gp)
+            # the projections were the last Poisson solves on this mesh
+            get_ops(mesh).release_poisson_factor()
+            lap_U = semianalytic_laplacian_U(cfg, scales, mesh)
+            lap_U.setflags(write=False)
+            self._stages[rho] = Stage(scales=scales, mesh=mesh, coeffs=coeffs, U=U,
+                                      projections=projections, lap_U=lap_U)
         return self._stages[rho]
 
     def linear_operator(self, rho) -> LinearOperator:
@@ -281,7 +281,7 @@ class Run:
 @dataclass
 class Solution:
     """Converged run at one rho: u = U + phi, its report, and the Stage that
-    holds U, the scales, the pierced domain, the mesh and the coefficients."""
+    holds U, the scales, the mesh and the coefficients."""
 
     stage: Stage
     u: Field
@@ -306,16 +306,16 @@ def farfield_error_at(run: Run, sol: Solution, point) -> float:
     return float(abs(sol.u.values[node] - target))
 
 
-def farfield_sample_points(cfg, pd):
+def farfield_sample_points(cfg, eta):
     """Deterministic sample points, 16 per ring of radius 0.5, 0.7 and 0.85, at
-    distance > eta from every center."""
+    distance > 1.05 eta from every center."""
     pts = []
     for rad in (0.5, 0.7, 0.85):
         for k in range(16):
             th = TWO_PI * (k + 0.5) / 16
             p = np.array([rad * math.cos(th), rad * math.sin(th)])
             d = np.hypot(p[0] - cfg.centers[:, 0], p[1] - cfg.centers[:, 1])
-            if np.all(d > pd.eta * 1.05):
+            if np.all(d > eta * 1.05):
                 pts.append(p)
     return np.asarray(pts)
 
@@ -323,9 +323,9 @@ def farfield_sample_points(cfg, pd):
 def construct_solution(run: Run, rho, tol=TOL, maxiter=MAXITER,
                        phi0=None, p_norms=P_NORMS) -> Solution:
     """Correct the prepared ansatz at rho, from phi0 (a Field on its mesh) or 0."""
-    cfg, gp = run.cfg, run.gp
+    cfg, gp, eta = run.cfg, run.gp, run.eta
     st = run.stage(rho)
-    scales, pd, mesh, U = st.scales, st.pd, st.mesh, st.U
+    scales, mesh, U = st.scales, st.mesh, st.U
     phi, report = fixed_point_correct(st, cfg, tol=tol, maxiter=maxiter,
                                       phi0=phi0, p_norms=p_norms,
                                       L=run.linear_operator(rho))
@@ -336,15 +336,15 @@ def construct_solution(run: Run, rho, tol=TOL, maxiter=MAXITER,
     report.inner_sign_ok = True
     for i in range(cfg.m):
         d = mesh.center_distance(i)
-        ann = (d <= pd.eta) & (d >= scales.eps[i] * 0.999999)
+        ann = (d <= eta) & (d >= scales.eps[i] * 0.999999)
         sign = cfg.sign(i)
         vals = sign * u.values[ann]
         report.peaks.append(float(vals.max()))
-        inner = ann & (d <= math.sqrt(scales.eps[i] * pd.eta))
+        inner = ann & (d <= math.sqrt(scales.eps[i] * eta))
         if np.any(inner) and not (sign * u.values[inner]).max() > 0:
             report.inner_sign_ok = False
 
-    pts = farfield_sample_points(cfg, pd)
+    pts = farfield_sample_points(cfg, eta)
     if len(pts):
         # compare field and target at the nearest nodes: same physical points,
         # so no interpolation error enters the measurement

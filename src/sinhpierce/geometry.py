@@ -73,33 +73,6 @@ class DomainSpec:
 
 
 @dataclass(frozen=True)
-class PierceSpec:
-    """Hole centers and radii."""
-
-    centers: np.ndarray  # (m, 2)
-    radii: np.ndarray    # (m,)
-
-    def __post_init__(self):
-        c = np.atleast_2d(np.asarray(self.centers, dtype=float))
-        r = np.atleast_1d(np.asarray(self.radii, dtype=float))
-        if c.shape[0] != r.shape[0]:
-            raise ValueError("centers and radii length mismatch")
-        object.__setattr__(self, "centers", c)
-        object.__setattr__(self, "radii", r)
-
-    @property
-    def m(self):
-        return self.centers.shape[0]
-
-
-@dataclass(frozen=True)
-class PiercedDomain:
-    domain: DomainSpec
-    pierce: PierceSpec
-    eta: float
-
-
-@dataclass(frozen=True)
 class MeshPolicy:
     """Background spacing h and geometric grading ratio q for the hole patches."""
 
@@ -243,28 +216,48 @@ def _signed_inside_distance(points, domain: DomainSpec, poly):
     return np.where(inside, d, -d)
 
 
-def distance_to_boundary(domain: DomainSpec, point) -> float:
-    p = np.asarray(point, dtype=float)
-    if domain.kind == "unit-disk":
-        return 1.0 - float(np.hypot(p[0], p[1]))
-    poly = domain.boundary
-    return float(_signed_inside_distance(p[None, :], domain, poly)[0])
-
-
 # ---------------------------------------------------------------------------
-# pierced domain construction
+# hole layout
 
-def build_pierced_domain(domain: DomainSpec, pierce: PierceSpec) -> PiercedDomain:
-    """Validate the hole layout and fix the annulus radius eta.
+def annulus_radius(domain: DomainSpec, centers) -> float:
+    """Check the hole layout and fix eta = 0.45 min{dist(xi_i, bdry), |xi_i - xi_j|}.
 
-    eta is 0.45 of the admissible bound min{|xi_i - xi_j|, dist(xi_i, bdry)}.
-    A radius in [0, MIN_HOLE_RADIUS), such as one that underflowed to 0, is
-    an UnresolvableHole; a negative one is a ValueError.
+    The layout needs at least one hole (ValueError), distinct centers
+    (DuplicateCenters) and every center inside the domain
+    (HoleTouchesBoundary). eta does not depend on the hole radii, so a Run
+    fixes it once and one background serves every rho; check_radii holds
+    each rho's radii below it.
     """
-    m = pierce.m
+    c = np.asarray(centers, dtype=float).reshape(-1, 2)
+    m = c.shape[0]
     if m == 0:
         raise ValueError("at least one hole is required")
-    c, r = pierce.centers, pierce.radii
+    separations = []
+    for i in range(m):
+        for j in range(i + 1, m):
+            if c[i, 0] == c[j, 0] and c[i, 1] == c[j, 1]:
+                raise DuplicateCenters(
+                    f"holes {i + 1} and {j + 1} share center {tuple(c[i].tolist())}")
+            separations.append(math.hypot(c[i, 0] - c[j, 0], c[i, 1] - c[j, 1]))
+    clearance = _signed_inside_distance(c, domain, domain.boundary).tolist()
+    for i, d in enumerate(clearance):
+        if d <= 0:
+            raise HoleTouchesBoundary(
+                f"hole {i + 1}: center {tuple(c[i].tolist())} not inside the domain "
+                f"(clearance {d:.3g})")
+    return 0.45 * min(clearance + separations)
+
+
+def check_radii(centers, radii, eta):
+    """Check one rho's hole radii against the layout annulus_radius accepted.
+
+    A radius in [0, MIN_HOLE_RADIUS), such as one that underflowed to 0, is
+    an UnresolvableHole; a negative one is a ValueError. Holes that meet are
+    OverlappingHoles, and a radius not below eta is HoleTouchesBoundary:
+    since eta < dist(xi_i, bdry), a hole below it keeps clear of the boundary.
+    """
+    c = np.asarray(centers, dtype=float)
+    r = np.asarray(radii, dtype=float)
     for i, eps in enumerate(r):
         if 0 <= eps < MIN_HOLE_RADIUS:
             raise UnresolvableHole(
@@ -272,40 +265,15 @@ def build_pierced_domain(domain: DomainSpec, pierce: PierceSpec) -> PiercedDomai
                 f"{MIN_HOLE_RADIUS:g}")
     if np.any(r <= 0):
         raise ValueError("hole radii must be positive")
-    for i in range(m):
-        for j in range(i + 1, m):
-            if c[i, 0] == c[j, 0] and c[i, 1] == c[j, 1]:
-                raise DuplicateCenters(f"holes {i + 1} and {j + 1} share center {tuple(c[i])}")
+    for i in range(len(r)):
+        for j in range(i + 1, len(r)):
             sep = math.hypot(c[i, 0] - c[j, 0], c[i, 1] - c[j, 1])
             if sep <= r[i] + r[j]:
                 raise OverlappingHoles(
                     f"holes {i + 1} and {j + 1}: separation {sep:.3g} <= {r[i] + r[j]:.3g}")
-    for i in range(m):
-        d = distance_to_boundary(domain, c[i])
-        if d <= r[i]:
-            raise HoleTouchesBoundary(
-                f"hole {i + 1}: ball of radius {r[i]:.3g} at {tuple(c[i])} "
-                f"not contained in the domain (clearance {d:.3g})")
-    eta = annulus_radius(domain, c)
     if np.any(r >= eta):
         raise HoleTouchesBoundary(
             f"some hole radius {r.max():.3g} is not below the annulus radius eta={eta:.3g}")
-    return PiercedDomain(domain=domain, pierce=pierce, eta=eta)
-
-
-def annulus_radius(domain: DomainSpec, centers: np.ndarray) -> float:
-    """eta = 0.45 min{dist(xi_i, bdry), |xi_i - xi_j|} over the (m, 2) centers.
-
-    It does not depend on the hole radii, so build_pierced_domain and
-    prefetch_background get the same float, and one background serves every rho.
-    """
-    m = centers.shape[0]
-    bounds = [distance_to_boundary(domain, centers[i]) for i in range(m)]
-    for i in range(m):
-        for j in range(i + 1, m):
-            bounds.append(math.hypot(centers[i, 0] - centers[j, 0],
-                                     centers[i, 1] - centers[j, 1]))
-    return 0.45 * min(bounds)
 
 
 # ---------------------------------------------------------------------------
@@ -490,23 +458,18 @@ def _inside_rim_polygon(centroids, center, rim_r, n_theta):
 
 def build_domain_mesh(domain: DomainSpec, h: float) -> Mesh:
     """Mesh the outer domain alone (no holes); used by the numeric Green backend."""
-    return _assemble(_background(domain, np.zeros((0, 2)), 0.0, MeshPolicy(h=h)), None)
+    return _assemble(_background(domain, np.zeros((0, 2)), 0.0, MeshPolicy(h=h)), ())
 
 
-def prefetch_background(domain: DomainSpec, centers, policy: MeshPolicy) -> Future | None:
-    """Start building the rho-independent background on a daemon thread and
-    return its Future, which build_mesh takes at every rho.
+def prefetch_background(domain: DomainSpec, centers, eta, policy: MeshPolicy) -> Future:
+    """Start building the rho-independent background of the hole layout
+    (centers and eta, which annulus_radius has accepted) on a daemon thread
+    and return its Future, which build_mesh takes at every rho.
 
     A daemon does not hold the interpreter open, so a command that fails
-    before it needs the background exits without waiting for it. A layout
-    that would not validate (coincident centers, a center outside the
-    domain) starts nothing and returns None, so build_pierced_domain raises
-    its named error as it would.
+    before it needs the background exits without waiting for it.
     """
-    centers = np.atleast_2d(np.asarray(centers, dtype=float)).copy()
-    eta = annulus_radius(domain, centers) if centers.shape[0] else 0.0
-    if not eta > 0:
-        return None
+    centers = np.array(centers, dtype=float)
     future = Future()
 
     def build():
@@ -538,22 +501,18 @@ def _release_free_heap():
     trim(0)
 
 
-def build_mesh(pd: PiercedDomain, policy: MeshPolicy, background: Future | None = None) -> Mesh:
-    """Composite mesh of the pierced domain: polar patches + hex background,
-    taken from prefetch_background's Future if given, else built here."""
-    if background is None:
-        return _assemble(_background(pd.domain, pd.pierce.centers, pd.eta, policy), pd)
-    bg = background.result()   # a worker's exception surfaces here, as a serial build's would
-    if (bg.centers.tobytes() != pd.pierce.centers.tobytes() or bg.eta != pd.eta
-            or bg.policy != policy):
-        raise ValueError("the background was built for other centers, eta or mesh policy")
-    return _assemble(bg, pd)
+def build_mesh(background: Future, radii) -> Mesh:
+    """Composite mesh of the pierced domain: the polar patches of holes with
+    the given radii, which check_radii accepted, on prefetch_background's
+    background. A worker's exception surfaces here."""
+    return _assemble(background.result(), radii)
 
 
 @dataclass(frozen=True)
 class _Background:
-    """The part of a mesh that does not depend on the hole radii, and what it
-    was built for; the arrays meshes take are read-only, so a Run's stages share it."""
+    """The part of a mesh that does not depend on the hole radii, and the
+    layout and policy it was built for; the arrays meshes take are read-only,
+    so a Run's stages share it."""
 
     centers: np.ndarray
     eta: float
@@ -710,8 +669,9 @@ def _neighbour_sums(pot, tris):
     return nbr_sum, np.bincount(dst, minlength=n).astype(float)
 
 
-def _assemble(bg: _Background, pd) -> Mesh:
-    """Add the polar patches of pd's holes to the background and check the whole mesh."""
+def _assemble(bg: _Background, hole_radii) -> Mesh:
+    """Add the polar patches of holes with these radii to the background and
+    check the whole mesh."""
     pot, tris, n_theta, eta = bg.pot, bg.tris, bg.n_theta, bg.eta
     n_pot = pot.shape[0]
 
@@ -729,7 +689,7 @@ def _assemble(bg: _Background, pd) -> Mesh:
     next_id = n_pot
     for i in range(bg.centers.shape[0]):
         xi = bg.centers[i]
-        radii = _build_patch_rings(pd.pierce.radii[i], eta, bg.policy.q, n_theta)
+        radii = _build_patch_rings(hole_radii[i], eta, bg.policy.q, n_theta)
         k1 = len(radii)
         th = TWO_PI * np.arange(n_theta) / n_theta
         ct, st = np.cos(th), np.sin(th)

@@ -138,6 +138,9 @@ def parse_config(text: str, run_overrides=None) -> RunConfig:
         centers = _parse_points(get("problem", "centers", required=True) or "")
     except ValueError as exc:
         problems.append(f"centers: {exc}")
+    else:
+        if not len(centers) and cp.has_option("problem", "centers"):
+            problems.append("centers: no points")
     try:
         alphas = np.asarray(_parse_floats(get("problem", "alphas", required=True) or ""))
     except ValueError as exc:

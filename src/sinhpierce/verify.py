@@ -157,14 +157,14 @@ def check_expansion(run, rho_list):
     for rho in rho_list:
         st = run.stage(rho)
         mesh, coeffs = st.mesh, st.coeffs
+        far = np.ones(mesh.n_nodes, dtype=bool)
+        for k in range(cfg.m):
+            far &= mesh.center_distance(k) > run.eta
+        if cfg.domain.kind == "unit-disk":
+            far &= np.hypot(mesh.nodes[:, 0], mesh.nodes[:, 1]) < 0.95
+        idx = np.flatnonzero(far)[::7]
         worst = 0.0
         for b, P in zip(make_bubbles(cfg, st.scales), st.projections):
-            far = np.ones(mesh.n_nodes, dtype=bool)
-            for k in range(cfg.m):
-                far &= mesh.center_distance(k) > st.pd.eta
-            if cfg.domain.kind == "unit-disk":
-                far &= np.hypot(mesh.nodes[:, 0], mesh.nodes[:, 1]) < 0.95
-            idx = np.flatnonzero(far)[::7]
             a = far_expansion(b, coeffs, gp, mesh.nodes[idx])
             worst = float(np.max(np.abs(P.values[idx] - a), initial=worst))
         errs.append(worst)

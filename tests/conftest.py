@@ -6,10 +6,33 @@ import pytest
 import scipy.sparse.linalg as spla
 
 import sinhpierce.corrector as corrector_mod
+import sinhpierce.geometry as geometry
 from sinhpierce.coeffs import BlowupConfig, constant_potential
-from sinhpierce.geometry import DomainSpec, MeshPolicy, PierceSpec, build_mesh, build_pierced_domain
+from sinhpierce.geometry import (
+    DomainSpec,
+    MeshPolicy,
+    annulus_radius,
+    build_mesh,
+    check_radii,
+    prefetch_background,
+)
 from sinhpierce.greens import GreenProvider
 from sinhpierce.operators import DIRICHLET_ZERO, Field, LinearOperator, get_ops, weight_W
+
+
+def pierced_mesh(domain, centers, radii, policy):
+    """The mesh of the domain pierced by holes of these radii at these
+    centers, built as a Run builds it: the layout and radii checks, the
+    background on its own thread, then build_mesh."""
+    eta = annulus_radius(domain, centers)
+    check_radii(centers, radii, eta)
+    return build_mesh(prefetch_background(domain, centers, eta, policy), radii)
+
+
+def distance_to_boundary(domain, point):
+    """Distance of one point to the domain boundary, negative outside."""
+    p = np.asarray(point, dtype=float)[None, :]
+    return float(geometry._signed_inside_distance(p, domain, domain.boundary)[0])
 
 
 @pytest.fixture(autouse=True)
@@ -53,8 +76,7 @@ def coarse_policy():
 
 @pytest.fixture(scope="session")
 def single_mesh(disk, coarse_policy):
-    pd = build_pierced_domain(disk, PierceSpec(centers=[[0.0, 0.0]], radii=[1e-3]))
-    return build_mesh(pd, coarse_policy)
+    return pierced_mesh(disk, [[0.0, 0.0]], [1e-3], coarse_policy)
 
 
 @pytest.fixture(scope="session")

@@ -18,14 +18,10 @@ from sinhpierce.bubbles import (
 )
 from sinhpierce.coeffs import choose_scales, coefficient_set, compute_rho_i
 from sinhpierce.errors import MeshMismatch
-from sinhpierce.geometry import (
-    MeshPolicy,
-    PierceSpec,
-    build_domain_mesh,
-    build_mesh,
-    build_pierced_domain,
-)
+from sinhpierce.geometry import MeshPolicy, annulus_radius, build_domain_mesh
 from sinhpierce.operators import get_ops
+
+from conftest import pierced_mesh
 
 
 def _bubble(alpha=3.0, delta=0.05, center=(0.0, 0.0)):
@@ -169,22 +165,20 @@ def test_eta_ode_identities(tfs, single_cfg):
 @pytest.fixture(scope="module")
 def proj_setup(single_cfg, gp, coarse_policy):
     scales = choose_scales(single_cfg, 1e-3, gp)
-    pd = build_pierced_domain(single_cfg.domain,
-                              PierceSpec(single_cfg.centers, scales.eps))
-    mesh = build_mesh(pd, coarse_policy)
+    mesh = pierced_mesh(single_cfg.domain, single_cfg.centers, scales.eps, coarse_policy)
     coeffs = coefficient_set(single_cfg, scales, gp)
-    return pd, mesh, scales, coeffs
+    return annulus_radius(single_cfg.domain, single_cfg.centers), mesh, scales, coeffs
 
 
 def test_projection_boundary_values(proj_setup, single_cfg, gp):
-    pd, mesh, scales, coeffs = proj_setup
+    eta, mesh, scales, coeffs = proj_setup
     b = make_bubbles(single_cfg, scales)[0]
     P = project_numeric(b, mesh, coeffs=coeffs, H=regular_parts(gp, mesh, coeffs.centers))
     assert np.abs(P.values[mesh.is_boundary]).max() <= 1e-8
 
 
 def test_projection_interior_harmonicity(proj_setup, single_cfg, gp):
-    pd, mesh, scales, coeffs = proj_setup
+    eta, mesh, scales, coeffs = proj_setup
     ops = get_ops(mesh)
     b = make_bubbles(single_cfg, scales)[0]
     P = project_numeric(b, mesh, coeffs=coeffs, H=regular_parts(gp, mesh, coeffs.centers))
@@ -210,11 +204,11 @@ def _far_form_pointwise(b, coeffs, gp, x):
 
 
 def test_projection_matches_far_expansion(proj_setup, single_cfg, gp):
-    pd, mesh, scales, coeffs = proj_setup
+    eta, mesh, scales, coeffs = proj_setup
     b = make_bubbles(single_cfg, scales)[0]
     P = project_numeric(b, mesh, coeffs=coeffs, H=regular_parts(gp, mesh, coeffs.centers))
     r = mesh.center_distance(0)
-    sel = (~mesh.is_boundary) & (r > pd.eta) & (np.hypot(*mesh.nodes.T) < 0.9)
+    sel = (~mesh.is_boundary) & (r > eta) & (np.hypot(*mesh.nodes.T) < 0.9)
     idx = np.flatnonzero(sel)[::11]
     far = far_expansion(b, coeffs, gp, mesh.nodes[idx])
     # the batched far form carries the bits of the one-point Green calls
@@ -225,7 +219,7 @@ def test_projection_matches_far_expansion(proj_setup, single_cfg, gp):
 
 
 def test_assemble_single_is_projection(proj_setup, single_cfg, gp):
-    pd, mesh, scales, coeffs = proj_setup
+    eta, mesh, scales, coeffs = proj_setup
     b = make_bubbles(single_cfg, scales)[0]
     P = project_numeric(b, mesh, coeffs=coeffs, H=regular_parts(gp, mesh, coeffs.centers))
     U = assemble_U([P], single_cfg)
@@ -234,8 +228,7 @@ def test_assemble_single_is_projection(proj_setup, single_cfg, gp):
 
 def test_assemble_mixed_signs(two_cfg, gp, coarse_policy):
     scales = choose_scales(two_cfg, 1e-3, gp)
-    pd = build_pierced_domain(two_cfg.domain, PierceSpec(two_cfg.centers, scales.eps))
-    mesh = build_mesh(pd, coarse_policy)
+    mesh = pierced_mesh(two_cfg.domain, two_cfg.centers, scales.eps, coarse_policy)
     coeffs = coefficient_set(two_cfg, scales, gp)
     bs = make_bubbles(two_cfg, scales)
     H = regular_parts(gp, mesh, coeffs.centers)
@@ -245,7 +238,7 @@ def test_assemble_mixed_signs(two_cfg, gp, coarse_policy):
 
 
 def test_assemble_mesh_mismatch(proj_setup, single_cfg, gp, disk):
-    pd, mesh, scales, coeffs = proj_setup
+    eta, mesh, scales, coeffs = proj_setup
     b = make_bubbles(single_cfg, scales)[0]
     P = project_numeric(b, mesh, coeffs=coeffs, H=regular_parts(gp, mesh, coeffs.centers))
     other = build_domain_mesh(disk, 0.2)
@@ -259,18 +252,18 @@ def test_assemble_mesh_mismatch(proj_setup, single_cfg, gp, disk):
 def test_ansatz_near_field_form(proj_setup, single_cfg, gp):
     # on each annulus: U ~ w - log(2a^2 d^a) + (a-2) log r + 2 pi rho_i,
     # measured at the geometric-mean radius, improving as rho decreases
+    eta = annulus_radius(single_cfg.domain, single_cfg.centers)
     errs = []
     for rho in (1e-2, 1e-3):
         scales = choose_scales(single_cfg, rho, gp)
-        pd = build_pierced_domain(single_cfg.domain,
-                                  PierceSpec(single_cfg.centers, scales.eps))
-        mesh = build_mesh(pd, MeshPolicy(h=0.045))
+        mesh = pierced_mesh(single_cfg.domain, single_cfg.centers, scales.eps,
+                            MeshPolicy(h=0.045))
         coeffs = coefficient_set(single_cfg, scales, gp)
         U, _ = build_ansatz(single_cfg, scales, mesh, coeffs=coeffs, gp=gp)
         b = make_bubbles(single_cfg, scales)[0]
         patch = mesh.patches[0]
         k = int(np.argmin(np.abs(np.log(patch.radii)
-                                 - 0.5 * math.log(scales.eps[0] * pd.eta))))
+                                 - 0.5 * math.log(scales.eps[0] * eta))))
         rr = patch.radii[k]
         got = U.values[patch.node_grid[k, 0]]   # nodal value at the ring radius
         want = _bubble_from_r(b, np.hypot(rr, 0.0)) \
@@ -284,18 +277,18 @@ def test_ansatz_near_field_form(proj_setup, single_cfg, gp):
 def test_mirrored_near_field_form_negative_bubble(two_cfg, gp):
     # on the negative annulus: -tau U ~ w_2 - log(2 a^2 d^a) + (a-2) log r
     # + 2 pi rho_2, improving as rho decreases
+    eta = annulus_radius(two_cfg.domain, two_cfg.centers)
     errs = []
     for rho in (1e-2, 1e-3):
         scales = choose_scales(two_cfg, rho, gp)
-        pd = build_pierced_domain(two_cfg.domain,
-                                  PierceSpec(two_cfg.centers, scales.eps))
-        mesh = build_mesh(pd, MeshPolicy(h=0.045))
+        mesh = pierced_mesh(two_cfg.domain, two_cfg.centers, scales.eps,
+                            MeshPolicy(h=0.045))
         coeffs = coefficient_set(two_cfg, scales, gp)
         U, _ = build_ansatz(two_cfg, scales, mesh, coeffs=coeffs, gp=gp)
         b2 = make_bubbles(two_cfg, scales)[1]
         patch = mesh.patches[1]
         k = int(np.argmin(np.abs(np.log(patch.radii)
-                                 - 0.5 * math.log(scales.eps[1] * pd.eta))))
+                                 - 0.5 * math.log(scales.eps[1] * eta))))
         rr = patch.radii[k]
         got = -two_cfg.tau * U.values[patch.node_grid[k, 0]]
         w_at = float(_bubble_from_r(b2, np.array([rr]))[0])
@@ -317,9 +310,8 @@ def test_numeric_regular_parts_take_the_dirichlet_data(gp, single_mesh):
     square = DomainSpec("boundary-curve", [[-0.9, -0.9], [0.9, -0.9], [0.9, 0.9], [-0.9, 0.9]])
     centers = np.array([[-0.4, 0.0], [0.4, 0.0]])
     numeric = GreenProvider(square)
-    pd = build_pierced_domain(square, PierceSpec(centers, [1e-3, 1e-3]))
     for h, nested in ((0.05, False), (0.02, True)):
-        mesh = build_mesh(pd, MeshPolicy(h=h, q=1.3))
+        mesh = pierced_mesh(square, centers, [1e-3, 1e-3], MeshPolicy(h=h, q=1.3))
         outer = mesh.node_marker == OUTER
         x, y = mesh.nodes[outer, 0], mesh.nodes[outer, 1]
         for c, H in zip(centers, regular_parts(numeric, mesh, centers)):

@@ -3,23 +3,28 @@ import dataclasses
 import filecmp
 import math
 import os
+import re
+import threading
+import warnings
 
 import numpy as np
 import pytest
 
 import sinhpierce.geometry as geometry_mod
 from sinhpierce.cli import main, write_field_csv
-from sinhpierce.errors import ConstraintViolation, NonpositiveSampled, SchemaError
-from sinhpierce.geometry import (
-    DomainSpec,
-    MeshPolicy,
-    PierceSpec,
-    build_mesh,
-    build_pierced_domain,
-    distance_to_boundary,
+from sinhpierce.corrector import Run
+from sinhpierce.errors import (
+    ConstraintViolation,
+    DuplicateCenters,
+    HoleTouchesBoundary,
+    NonpositiveSampled,
+    SchemaError,
 )
+from sinhpierce.geometry import MIN_HOLE_RADIUS, DomainSpec, MeshPolicy
 from sinhpierce.operators import Field
 from sinhpierce.runconfig import domain_sample_points, parse_config
+
+from conftest import distance_to_boundary, pierced_mesh
 
 # values whose '%.17g' text is easy to get wrong, then a spread of magnitudes
 AWKWARD = np.concatenate([[0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, 1e-320,
@@ -133,6 +138,52 @@ def test_construct_and_artifacts(tmp_path):
     assert "solution.csv" in manifest and "claim" in manifest
 
 
+def test_empty_centers_are_a_schema_error(tmp_path, capsys):
+    # an empty list once escaped validation as a bare ValueError
+    text = BASE.format(out=tmp_path / "out").replace("centers = 0.0 0.0", "centers =") \
+        .replace("alphas = 3.0", "alphas =")
+    with pytest.raises(SchemaError, match="centers: no points"):
+        parse_config(text)
+    assert main(["construct", "--config", _write(tmp_path, text)]) == 1
+    assert "centers: no points" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("centers, error, message", [
+    ("0.3 0.0; 0.3 0.0", DuplicateCenters, "holes 1 and 2 share center (0.3, 0.0)"),
+    ("1.5 0.0", HoleTouchesBoundary, "hole 1: center (1.5, 0.0) not inside the domain"),
+], ids=["duplicate", "outside"])
+def test_invalid_layout_fails_before_any_build(tmp_path, capsys, monkeypatch, centers, error,
+                                               message):
+    # the Run checks the layout before it starts the background thread or
+    # evaluates any Green function
+    started = []
+
+    class Recording(threading.Thread):
+        def start(self):
+            started.append(self.name)
+            super().start()
+
+    monkeypatch.setattr(threading, "Thread", Recording)
+    m = centers.count(";") + 1
+    text = BASE.format(out=tmp_path / "out").replace("centers = 0.0 0.0", f"centers = {centers}") \
+        .replace("alphas = 3.0", "alphas =" + " 3.0" * m)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["construct", "--config", _write(tmp_path, text)]) == 2
+        with pytest.raises(error, match=re.escape(message)):
+            Run(parse_config(text).problem)
+    assert [w.message for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    assert "RuntimeWarning" not in capsys.readouterr().err
+    assert started == []
+    assert message in (tmp_path / "out" / "manifest.txt").read_text()
+
+
+def test_help_names_the_hole_radius_floor(capsys):
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    assert f"hole radii above {MIN_HOLE_RADIUS:g}" in " ".join(capsys.readouterr().out.split())
+
+
 def test_exit_code_validation(tmp_path):
     cfg = _write(tmp_path, BASE.format(out=tmp_path).replace("alphas = 3.0",
                                                              "alphas = 4.0"))
@@ -160,7 +211,7 @@ def test_one_mesh_per_rho_per_command(tmp_path, monkeypatch):
     # the checks, the warm start and the solver all share one prepared stage per
     # rho: one mesh, and one projection per bubble on it; the rho-independent
     # background (one hex lattice each) is built once per command; each mesh
-    # has exactly two matrices factored, once each: K_II, although prepare
+    # has exactly two matrices factored, once each: K_II, although the stage
     # releases its factor, and Lap + W, shared by the fixed point and verify's
     # solver-bound check; the bubble sources are summed into Lap U once per
     # stage, for the defect, the residual check and the converged residual
@@ -194,9 +245,9 @@ def test_one_mesh_per_rho_per_command(tmp_path, monkeypatch):
 
     monkeypatch.setattr(bubbles_mod, "bubble_source", counting_source)
 
-    def counting(pd, *args):
-        calls.append(pd)
-        built.append(real(pd, *args))
+    def counting(*args):
+        calls.append(args)
+        built.append(real(*args))
         return built[-1]
 
     def recording_domain_mesh(*args):
@@ -432,8 +483,7 @@ def test_repeated_vertex_is_dropped(tmp_path):
     assert distance_to_boundary(domain, (0.0, -0.5)) == pytest.approx(0.4, abs=1e-12)
     meshes = []
     for dom in (square, domain):
-        pd = build_pierced_domain(dom, PierceSpec(centers=[[0.1, 0.0]], radii=[1e-3]))
-        meshes.append(build_mesh(pd, MeshPolicy(h=0.1, q=1.3)))
+        meshes.append(pierced_mesh(dom, [[0.1, 0.0]], [1e-3], MeshPolicy(h=0.1, q=1.3)))
     for f in dataclasses.fields(meshes[0]):
         a, b = getattr(meshes[0], f.name), getattr(meshes[1], f.name)
         if isinstance(a, np.ndarray):

@@ -24,7 +24,7 @@ from sinhpierce.errors import (
     PointOutsideDomain,
     UnresolvableHole,
 )
-from sinhpierce.geometry import DomainSpec, MeshPolicy, PierceSpec, build_pierced_domain
+from sinhpierce.geometry import DomainSpec, MeshPolicy, annulus_radius
 from sinhpierce.greens import GreenProvider, NumericGreen
 from sinhpierce.operators import (
     DIRICHLET_ZERO,
@@ -102,9 +102,9 @@ def test_farfield_target_matches_pointwise_green(domain):
     cfg = BlowupConfig(domain=domain, centers=[[-0.4, 0.0], [0.4, 0.1], [0.0, -0.45]],
                        alphas=[3.0, 2.5, 3.0], m1=1, tau=0.7,
                        V1=constant_potential(1.0), V2=constant_potential(1.0))
-    pd = build_pierced_domain(domain, PierceSpec(cfg.centers, [1e-3] * 3))
+    eta = annulus_radius(domain, cfg.centers)
     rng = np.random.default_rng(5)
-    pts = np.vstack([farfield_sample_points(cfg, pd), rng.uniform(-0.6, 0.6, size=(400, 2))])
+    pts = np.vstack([farfield_sample_points(cfg, eta), rng.uniform(-0.6, 0.6, size=(400, 2))])
     got = farfield_target(cfg, gp, pts)
     ref = _farfield_target_pointwise(cfg, gp, pts)
     assert np.array_equal(got.view(np.int64), ref.view(np.int64))
@@ -243,11 +243,12 @@ def test_negative_liouville_case(disk, gp, coarse_policy):
     # m1 = 0 with V1 absent: all bubbles blow down
     cfg = BlowupConfig(domain=disk, centers=[[0.0, 0.0]], alphas=[3.0], m1=0,
                        tau=1.0, V1=None, V2=constant_potential(1.0))
-    sol = construct_solution(Run(cfg, coarse_policy, gp), 1e-2)
+    run = Run(cfg, coarse_policy, gp)
+    sol = construct_solution(run, 1e-2)
     assert sol.report.status == "converged"
     st = sol.stage
     d = st.mesh.center_distance(0)
-    inner = d <= math.sqrt(st.scales.eps[0] * st.pd.eta)
+    inner = d <= math.sqrt(st.scales.eps[0] * run.eta)
     assert sol.u.values[inner].min() < -5
     assert sol.report.peaks[0] > 5  # peak records the signed magnitude
 

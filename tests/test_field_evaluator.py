@@ -12,15 +12,10 @@ import math
 import numpy as np
 import pytest
 
-from sinhpierce.geometry import (
-    DomainSpec,
-    FieldEvaluator,
-    MeshPolicy,
-    PierceSpec,
-    build_mesh,
-    build_pierced_domain,
-)
+from sinhpierce.geometry import DomainSpec, FieldEvaluator, MeshPolicy
 from sinhpierce.greens import NumericGreen
+
+from conftest import pierced_mesh
 
 SQUARE = DomainSpec(kind="boundary-curve",
                     boundary=[[-0.9, -0.9], [0.9, -0.9], [0.9, 0.9], [-0.9, 0.9]])
@@ -144,8 +139,7 @@ def pierced_pair():
     centers = [[-0.4, 0.0], [0.4, 0.1]]
     meshes = []
     for radii in ([2e-3, 1e-3], [2e-4, 5e-5]):
-        pd = build_pierced_domain(SQUARE, PierceSpec(centers=centers, radii=radii))
-        meshes.append(build_mesh(pd, policy))
+        meshes.append(pierced_mesh(SQUARE, centers, radii, policy))
     return meshes
 
 

@@ -17,61 +17,89 @@ from sinhpierce.geometry import (
     DomainSpec,
     FieldEvaluator,
     MeshPolicy,
-    PierceSpec,
+    annulus_radius,
     build_domain_mesh,
-    build_mesh,
-    build_pierced_domain,
+    check_radii,
 )
+
+from conftest import pierced_mesh
 
 
 def test_single_center_hole_eta():
-    pd = build_pierced_domain(DomainSpec(), PierceSpec(centers=[[0.0, 0.0]], radii=[0.01]))
-    assert pd.eta == pytest.approx(0.45)
+    assert annulus_radius(DomainSpec(), [[0.0, 0.0]]) == pytest.approx(0.45)
 
 
 def test_two_hole_eta_uses_minimum_before_scaling():
     # min(|xi_1 - xi_2|, dist to boundary) = min(0.8, 0.6) = 0.6
-    pd = build_pierced_domain(DomainSpec(),
-                              PierceSpec(centers=[[-0.4, 0.0], [0.4, 0.0]],
-                                         radii=[0.01, 0.01]))
-    assert pd.eta == pytest.approx(0.45 * 0.6)
+    assert annulus_radius(DomainSpec(), [[-0.4, 0.0], [0.4, 0.0]]) == pytest.approx(0.45 * 0.6)
 
 
 def test_hole_touching_boundary_rejected():
+    eta = annulus_radius(DomainSpec(), [[0.0, 0.0]])
     with pytest.raises(HoleTouchesBoundary):
-        build_pierced_domain(DomainSpec(), PierceSpec(centers=[[0.0, 0.0]], radii=[1.5]))
+        check_radii([[0.0, 0.0]], [1.5], eta)
+    # a radius at eta is rejected too, one just below it is not
+    with pytest.raises(HoleTouchesBoundary):
+        check_radii([[0.0, 0.0]], [eta], eta)
+    check_radii([[0.0, 0.0]], [np.nextafter(eta, 0.0)], eta)
+    # a center on or outside the boundary fails the layout itself
+    for center in ([1.0, 0.0], [1.5, 0.0]):
+        with pytest.raises(HoleTouchesBoundary, match=r"center \(1\.\d, 0\.0\)"):
+            annulus_radius(DomainSpec(), [center])
 
 
 def test_overlapping_and_duplicate_holes_rejected():
+    centers = [[0.0, 0.0], [0.05, 0.0]]
     with pytest.raises(OverlappingHoles):
-        build_pierced_domain(DomainSpec(),
-                             PierceSpec(centers=[[0.0, 0.0], [0.05, 0.0]],
-                                        radii=[0.04, 0.04]))
-    with pytest.raises(DuplicateCenters):
-        build_pierced_domain(DomainSpec(),
-                             PierceSpec(centers=[[0.1, 0.0], [0.1, 0.0]],
-                                        radii=[0.01, 0.01]))
+        check_radii(centers, [0.04, 0.04], annulus_radius(DomainSpec(), centers))
+    # the message shows plain floats, not numpy reprs
+    with pytest.raises(DuplicateCenters, match=r"share center \(0\.1, 0\.0\)$"):
+        annulus_radius(DomainSpec(), np.array([[0.1, 0.0], [0.1, 0.0]]))
 
 
 def test_no_holes_rejected():
     with pytest.raises(ValueError):
-        build_pierced_domain(DomainSpec(),
-                             PierceSpec(centers=np.zeros((0, 2)), radii=np.zeros(0)))
+        annulus_radius(DomainSpec(), np.zeros((0, 2)))
 
 
 @given(x=st.floats(-0.5, 0.5), y=st.floats(-0.5, 0.5))
 @settings(max_examples=25, deadline=None)
 def test_eta_formula_single_hole(x, y):
-    pd = build_pierced_domain(DomainSpec(), PierceSpec(centers=[[x, y]], radii=[1e-4]))
-    assert pd.eta == pytest.approx(0.45 * (1 - math.hypot(x, y)))
+    assert annulus_radius(DomainSpec(), [[x, y]]) == pytest.approx(0.45 * (1 - math.hypot(x, y)))
+
+
+def _clearance_per_point(domain, p):
+    """Reference: one center's clearance as the per-center loop measured it."""
+    if domain.kind == "unit-disk":
+        return 1.0 - float(np.hypot(p[0], p[1]))
+    return float(geometry._signed_inside_distance(p[None, :], domain, domain.boundary)[0])
+
+
+def test_batched_clearance_equals_per_point():
+    t = 2 * math.pi * np.arange(40) / 40
+    rad = 0.6 + 0.3 * np.cos(5 * t)
+    domains = [DomainSpec(),
+               DomainSpec("boundary-curve", [[-0.9, -0.9], [0.9, -0.9], [0.9, 0.9], [-0.9, 0.9]]),
+               DomainSpec("boundary-curve", np.column_stack([rad * np.cos(t), rad * np.sin(t)]))]
+    pts = np.random.default_rng(11).uniform(-1.1, 1.1, size=(500, 2))
+    for domain in domains:
+        batched = geometry._signed_inside_distance(pts, domain, domain.boundary)
+        want = np.array([_clearance_per_point(domain, p) for p in pts])
+        assert batched.tobytes() == want.tobytes(), domain.kind
+        # eta from the batched clearances, bit for bit the per-center formula
+        inside = pts[want > 0.05][:3]
+        seps = [math.hypot(*(inside[i] - inside[j]))
+                for i in range(len(inside)) for j in range(i + 1, len(inside))]
+        expected = 0.45 * min([_clearance_per_point(domain, p) for p in inside] + seps)
+        assert annulus_radius(domain, inside) == expected
 
 
 # --- meshes ---------------------------------------------------------------
 
 def test_graded_patch_layer_count():
-    pd = build_pierced_domain(DomainSpec(), PierceSpec(centers=[[0.0, 0.0]], radii=[1e-3]))
-    mesh = build_mesh(pd, MeshPolicy(h=0.02, q=1.3))
-    expected = math.ceil(math.log(pd.eta / 1e-3) / math.log(1.3))
+    mesh = pierced_mesh(DomainSpec(), [[0.0, 0.0]], [1e-3], MeshPolicy(h=0.02, q=1.3))
+    expected = math.ceil(math.log(annulus_radius(DomainSpec(), [[0.0, 0.0]]) / 1e-3)
+                         / math.log(1.3))
     assert expected == 24
     assert len(mesh.patches[0].radii) - 1 == expected
 
@@ -81,9 +109,9 @@ def test_unresolvable_hole():
     # is named before any mesh is built; a negative one stays a ValueError
     for eps in (1e-15, 0.0):
         with pytest.raises(UnresolvableHole):
-            build_pierced_domain(DomainSpec(), PierceSpec(centers=[[0.0, 0.0]], radii=[eps]))
+            check_radii([[0.0, 0.0]], [eps], 0.45)
     with pytest.raises(ValueError):
-        build_pierced_domain(DomainSpec(), PierceSpec(centers=[[0.0, 0.0]], radii=[-1e-3]))
+        check_radii([[0.0, 0.0]], [-1e-3], 0.45)
 
 
 def test_mesh_invariants_single_hole(single_mesh):
@@ -98,24 +126,21 @@ def test_mesh_invariants_single_hole(single_mesh):
 
 
 def test_disk_area_reproduced_at_default_spacing():
-    pd = build_pierced_domain(DomainSpec(), PierceSpec(centers=[[0.0, 0.0]], radii=[1e-3]))
-    mesh = build_mesh(pd, MeshPolicy(h=0.02))
+    mesh = pierced_mesh(DomainSpec(), [[0.0, 0.0]], [1e-3], MeshPolicy(h=0.02))
     area = math.pi - math.pi * 1e-6
     assert abs(mesh.weights.sum() - area) / area <= 1e-4
 
 
 def test_hole_node_count_independent_of_radius():
     for eps in (1e-3, 1e-9):
-        pd = build_pierced_domain(DomainSpec(), PierceSpec(centers=[[0.3, 0.1]], radii=[eps]))
-        mesh = build_mesh(pd, MeshPolicy(h=0.045))
+        mesh = pierced_mesh(DomainSpec(), [[0.3, 0.1]], [eps], MeshPolicy(h=0.045))
         assert (mesh.node_marker == 1).sum() == mesh.patches[0].n_theta
         assert mesh.patches[0].n_theta >= 32
 
 
 def test_tiny_offcenter_hole_geometry():
     eps = 2e-12
-    pd = build_pierced_domain(DomainSpec(), PierceSpec(centers=[[0.4, 0.0]], radii=[eps]))
-    mesh = build_mesh(pd, MeshPolicy(h=0.045))
+    mesh = pierced_mesh(DomainSpec(), [[0.4, 0.0]], [eps], MeshPolicy(h=0.045))
     hole = mesh.node_marker == 1
     r = mesh.center_distance(0)[hole]
     assert np.abs(r / eps - 1).max() <= 1e-12
@@ -134,8 +159,7 @@ def test_boundary_curve_domain_mesh():
     # smooth egg-shaped curve
     pts = np.column_stack([1.1 * np.cos(t), 0.8 * np.sin(t) + 0.1 * np.sin(2 * t)])
     dom = DomainSpec(kind="boundary-curve", boundary=pts)
-    pd = build_pierced_domain(dom, PierceSpec(centers=[[0.2, 0.0]], radii=[1e-4]))
-    mesh = build_mesh(pd, MeshPolicy(h=0.06))
+    mesh = pierced_mesh(dom, [[0.2, 0.0]], [1e-4], MeshPolicy(h=0.06))
     assert mesh.min_quality >= 0.15
     assert (mesh.node_marker == 1).sum() >= 32
 
@@ -222,8 +246,7 @@ def test_quality_floor_across_policies():
         eps = 10.0 ** rng.uniform(-9, -3, m)
         h = float(rng.choice([0.03, 0.045, 0.06]))
         q = float(rng.choice([1.15, 1.3, 1.6, 2.0]))
-        pd = build_pierced_domain(disk, PierceSpec(centers=centers, radii=eps))
-        mesh = build_mesh(pd, MeshPolicy(h=h, q=q))
+        mesh = pierced_mesh(disk, centers, eps, MeshPolicy(h=h, q=q))
         assert mesh.min_quality >= 0.2, (m, h, q, mesh.min_quality)
 
 

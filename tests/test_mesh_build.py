@@ -6,7 +6,6 @@ broken meshes."""
 
 import dataclasses
 import math
-from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -18,14 +17,13 @@ from sinhpierce.errors import StitchFailure
 from sinhpierce.geometry import (
     DomainSpec,
     MeshPolicy,
-    PierceSpec,
+    annulus_radius,
     build_domain_mesh,
-    build_mesh,
-    build_pierced_domain,
-    distance_to_boundary,
     domain_boundary_polygon,
 )
 from sinhpierce.greens import GreenProvider
+
+from conftest import distance_to_boundary, pierced_mesh
 
 SQUARE = DomainSpec("boundary-curve", [[-0.9, -0.9], [0.9, -0.9], [0.9, 0.9], [-0.9, 0.9]])
 
@@ -226,24 +224,10 @@ def test_memoized_mesh_equals_cold_build(domain, centers, monkeypatch):
     for cold_builds, rho in enumerate(RHOS):
         st = run.stage(rho)
         assert len(pierced_builds) == 1 + cold_builds
-        _assert_same_mesh(st.mesh, build_mesh(st.pd, policy))
+        _assert_same_mesh(st.mesh, pierced_mesh(domain, centers, st.scales.eps, policy))
         st.mesh.nodes[:] = 0.0
         st.mesh.triangles[:] = 0
         st.mesh.node_dx[:] = 0.0
-
-
-def test_foreign_background_is_rejected():
-    policy = MeshPolicy(h=0.1)
-    centers = np.array([[-0.4, 0.0], [0.4, 0.0]])
-    pd = build_pierced_domain(DomainSpec(), PierceSpec(centers, [1e-3, 1e-3]))
-    built = Future()
-    built.set_result(geometry._background(pd.domain, pd.pierce.centers, pd.eta, policy))
-    moved = dataclasses.replace(pd, pierce=PierceSpec(centers + [0.01, 0.0], pd.pierce.radii))
-    shrunk = dataclasses.replace(pd, eta=0.9 * pd.eta)
-    for other, other_policy in ((moved, policy), (shrunk, policy), (pd, MeshPolicy(h=0.12))):
-        with pytest.raises(ValueError, match="other centers, eta or mesh policy"):
-            build_mesh(other, other_policy, built)
-    _assert_same_mesh(build_mesh(pd, policy, built), build_mesh(pd, policy))
 
 
 # --- bincount sums ----------------------------------------------------------
@@ -277,12 +261,10 @@ def _bits(a):
     return np.ascontiguousarray(a, dtype=np.float64).view(np.int64)
 
 
-_DISK_PD = build_pierced_domain(DomainSpec(), PierceSpec([[0.0, 0.0]], [1e-3]))
-_SQUARE_PD = build_pierced_domain(SQUARE, PierceSpec([[-0.4, 0.0], [0.4, 0.0]], [1e-3, 1e-3]))
-
-
-@pytest.mark.parametrize("build", [lambda: build_mesh(_DISK_PD, MeshPolicy(h=0.02)),
-                                   lambda: build_mesh(_SQUARE_PD, MeshPolicy(h=0.03)),
+@pytest.mark.parametrize("build", [lambda: pierced_mesh(DomainSpec(), [[0.0, 0.0]], [1e-3],
+                                                       MeshPolicy(h=0.02)),
+                                   lambda: pierced_mesh(SQUARE, [[-0.4, 0.0], [0.4, 0.0]],
+                                                        [1e-3, 1e-3], MeshPolicy(h=0.03)),
                                    lambda: build_domain_mesh(SQUARE, 0.03)],
                          ids=["disk-h0.02", "square-h0.03", "domain-square-h0.03"])
 def test_bincount_sums_equal_add_at(build, monkeypatch):
@@ -319,13 +301,11 @@ def test_closed_boundary_curve_equals_open():
     pts = np.random.default_rng(5).uniform(-1.2, 1.2, size=(200, 2))
     for p in pts:
         assert distance_to_boundary(closed, p) == distance_to_boundary(SQUARE, p)
-    holes = PierceSpec([[-0.4, 0.0], [0.4, 0.0]], [1e-3, 1e-3])
-    pd_open = build_pierced_domain(SQUARE, holes)
-    pd_closed = build_pierced_domain(closed, holes)
-    assert pd_closed.eta == pd_open.eta
+    centers = [[-0.4, 0.0], [0.4, 0.0]]
+    assert annulus_radius(closed, centers) == annulus_radius(SQUARE, centers)
     meshes = []
-    for pd in (pd_open, pd_closed):
-        meshes.append(build_mesh(pd, MeshPolicy(h=0.04)))
+    for domain in (SQUARE, closed):
+        meshes.append(pierced_mesh(domain, centers, [1e-3, 1e-3], MeshPolicy(h=0.04)))
     _assert_same_mesh(meshes[1], meshes[0])
 
 

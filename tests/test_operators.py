@@ -21,7 +21,7 @@ from sinhpierce.coeffs import (
     constant_potential,
 )
 from sinhpierce.errors import InvalidExponent, MeshMismatch
-from sinhpierce.geometry import PierceSpec, build_domain_mesh, build_mesh, build_pierced_domain
+from sinhpierce.geometry import annulus_radius, build_domain_mesh
 from sinhpierce.operators import (
     Field,
     LinearOperator,
@@ -32,6 +32,8 @@ from sinhpierce.operators import (
     residual_R,
     weight_W,
 )
+
+from conftest import pierced_mesh
 
 
 def _raw_lattice_mesh(disk, h):
@@ -182,9 +184,7 @@ def test_h01_norm_of_linear_field(plain):
 @pytest.fixture(scope="module")
 def ansatz_setup(single_cfg, gp, coarse_policy):
     scales = choose_scales(single_cfg, 1e-3, gp)
-    pd = build_pierced_domain(single_cfg.domain,
-                              PierceSpec(single_cfg.centers, scales.eps))
-    mesh = build_mesh(pd, coarse_policy)
+    mesh = pierced_mesh(single_cfg.domain, single_cfg.centers, scales.eps, coarse_policy)
     coeffs = coefficient_set(single_cfg, scales, gp)
     U, _ = build_ansatz(single_cfg, scales, mesh, coeffs=coeffs, gp=gp)
     return mesh, scales, coeffs, U
@@ -207,8 +207,7 @@ def test_weight_liouville_case(disk, gp, coarse_policy):
     cfg = BlowupConfig(domain=disk, centers=[[0.0, 0.0]], alphas=[3.0], m1=1,
                        V1=constant_potential(1.0), V2=None)  # V2 drops: one-signed case
     scales = choose_scales(cfg, 1e-3, gp)
-    pd = build_pierced_domain(disk, PierceSpec(cfg.centers, scales.eps))
-    mesh = build_mesh(pd, coarse_policy)
+    mesh = pierced_mesh(disk, cfg.centers, scales.eps, coarse_policy)
     coeffs = coefficient_set(cfg, scales, gp)
     U, _ = build_ansatz(cfg, scales, mesh, coeffs=coeffs, gp=gp)
     W = weight_W(U, cfg, scales)
@@ -313,9 +312,7 @@ def test_nonlinearity_lipschitz_constant_decays(single_cfg, gp, coarse_policy):
     Ks = []
     for rho in (1e-2, 1e-4):
         scales = choose_scales(single_cfg, rho, gp)
-        pd = build_pierced_domain(single_cfg.domain,
-                                  PierceSpec(single_cfg.centers, scales.eps))
-        mesh = build_mesh(pd, coarse_policy)
+        mesh = pierced_mesh(single_cfg.domain, single_cfg.centers, scales.eps, coarse_policy)
         coeffs = coefficient_set(single_cfg, scales, gp)
         U, _ = build_ansatz(single_cfg, scales, mesh, coeffs=coeffs, gp=gp)
         ops = get_ops(mesh)
@@ -345,9 +342,7 @@ def test_local_expansion_of_weight_term(single_cfg, gp, coarse_policy):
     devs = []
     for rho in (1e-2, 1e-3):
         scales = choose_scales(single_cfg, rho, gp)
-        pd = build_pierced_domain(single_cfg.domain,
-                                  PierceSpec(single_cfg.centers, scales.eps))
-        mesh = build_mesh(pd, coarse_policy)
+        mesh = pierced_mesh(single_cfg.domain, single_cfg.centers, scales.eps, coarse_policy)
         coeffs = coefficient_set(single_cfg, scales, gp)
         U, _ = build_ansatz(single_cfg, scales, mesh, coeffs=coeffs, gp=gp)
         b = make_bubbles(single_cfg, scales)[0]
@@ -370,9 +365,7 @@ def test_cross_sign_suppression(two_cfg, gp, coarse_policy):
     ratios = []
     for rho in (1e-2, 1e-3):
         scales = choose_scales(two_cfg, rho, gp)
-        pd = build_pierced_domain(two_cfg.domain,
-                                  PierceSpec(two_cfg.centers, scales.eps))
-        mesh = build_mesh(pd, coarse_policy)
+        mesh = pierced_mesh(two_cfg.domain, two_cfg.centers, scales.eps, coarse_policy)
         coeffs = coefficient_set(two_cfg, scales, gp)
         U, _ = build_ansatz(two_cfg, scales, mesh, coeffs=coeffs, gp=gp)
         d2 = mesh.center_distance(1)
@@ -388,17 +381,16 @@ def test_residual_small_outside_annuli(single_cfg, gp, coarse_policy):
     # |R| = O(rho) away from every annulus, with a stable constant
     from sinhpierce.coeffs import coefficient_set
 
+    eta = annulus_radius(single_cfg.domain, single_cfg.centers)
     consts = []
     for rho in (1e-2, 1e-3, 1e-4):
         scales = choose_scales(single_cfg, rho, gp)
-        pd = build_pierced_domain(single_cfg.domain,
-                                  PierceSpec(single_cfg.centers, scales.eps))
-        mesh = build_mesh(pd, coarse_policy)
+        mesh = pierced_mesh(single_cfg.domain, single_cfg.centers, scales.eps, coarse_policy)
         coeffs = coefficient_set(single_cfg, scales, gp)
         U, _ = build_ansatz(single_cfg, scales, mesh, coeffs=coeffs, gp=gp)
         R = residual_R(U, semianalytic_laplacian_U(single_cfg, scales, mesh),
                        single_cfg, scales)
-        outside = (~mesh.is_boundary) & (mesh.center_distance(0) > pd.eta)
+        outside = (~mesh.is_boundary) & (mesh.center_distance(0) > eta)
         consts.append(np.abs(R.values[outside]).max() / rho)
     assert max(consts) / min(consts) <= 3.0
 

@@ -1,8 +1,8 @@
 """The background mesh built ahead on its own thread: the same arrays as a
 serial build, the same artifact bytes from the CLI, the worker's errors
-surfacing from build_mesh, no worker for a layout that cannot validate, the
-traced Green-function setup kept on the main thread, and no wait for the
-worker once a command has failed."""
+surfacing from build_mesh, no worker for a layout that cannot validate, no
+wait for it on radii that cannot, the traced Green-function setup kept on the
+main thread, and no wait for the worker once a command has failed."""
 
 import dataclasses
 import filecmp
@@ -11,6 +11,7 @@ import subprocess
 import sys
 import threading
 import time
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -20,15 +21,18 @@ import sinhpierce.geometry as geometry
 import sinhpierce.greens as greens_mod
 from sinhpierce.cli import main
 from sinhpierce.coeffs import BlowupConfig, constant_potential
-from sinhpierce.corrector import Run, prepare
-from sinhpierce.errors import DuplicateCenters, StitchFailure
+from sinhpierce.corrector import Run
+from sinhpierce.errors import (
+    DuplicateCenters,
+    HoleTouchesBoundary,
+    StitchFailure,
+    UnresolvableHole,
+)
 from sinhpierce.geometry import (
     DomainSpec,
     MeshPolicy,
-    PierceSpec,
     annulus_radius,
     build_mesh,
-    build_pierced_domain,
     prefetch_background,
 )
 
@@ -55,26 +59,32 @@ def _config(workload, out):
             f"tol = 1e-10\nmaxiter = 50\nseed = 1\nout = {out}\n")
 
 
+def _built(domain, centers, eta, policy):
+    """A done Future of the background, built on the calling thread."""
+    done = Future()
+    done.set_result(geometry._background(domain, np.array(centers, dtype=float), eta, policy))
+    return done
+
+
 @pytest.mark.parametrize("domain", [DomainSpec(), SQUARE], ids=["disk-pair", "square-pair"])
 def test_prefetched_background_equals_serial(domain, monkeypatch):
     policy = MeshPolicy(h=0.04)
-    pending = prefetch_background(domain, PAIR, policy)
-    pd = build_pierced_domain(domain, PierceSpec(PAIR, [1e-3, 1e-3]))
-    assert pd.eta == annulus_radius(domain, np.asarray(PAIR))
+    eta = annulus_radius(domain, PAIR)
+    pending = prefetch_background(domain, PAIR, eta, policy)
     prefetched = pending.result()
     # build_mesh takes the prefetched background instead of building its own
     monkeypatch.setattr(geometry, "_background", None)
-    mesh = build_mesh(pd, policy, pending)
+    mesh = build_mesh(pending, [1e-3, 1e-3])
     monkeypatch.undo()
-    serial = geometry._background(domain, pd.pierce.centers, pd.eta, policy)
-    for f in dataclasses.fields(serial):
-        a, b = getattr(prefetched, f.name), getattr(serial, f.name)
+    serial = _built(domain, PAIR, eta, policy)
+    for f in dataclasses.fields(prefetched):
+        a, b = getattr(prefetched, f.name), getattr(serial.result(), f.name)
         if isinstance(a, np.ndarray):
             assert a.dtype == b.dtype and a.shape == b.shape, f.name
             assert a.tobytes() == b.tobytes(), f.name
         else:
             assert a == b, f.name
-    cold = build_mesh(pd, policy)
+    cold = build_mesh(serial, [1e-3, 1e-3])
     assert mesh.nodes.tobytes() == cold.nodes.tobytes()
     assert mesh.triangles.tobytes() == cold.triangles.tobytes()
 
@@ -84,7 +94,7 @@ def test_artifacts_equal_without_prefetch(workload, tmp_path, monkeypatch):
     outs = []
     for label in ("prefetch", "serial"):
         if label == "serial":
-            monkeypatch.setattr(corrector_mod, "prefetch_background", lambda *args: None)
+            monkeypatch.setattr(corrector_mod, "prefetch_background", _built)
         out = tmp_path / label
         cfg = tmp_path / f"{label}.cfg"
         cfg.write_text(_config(workload, out))
@@ -102,27 +112,45 @@ def test_worker_failure_surfaces_from_build_mesh(monkeypatch):
 
     monkeypatch.setattr(geometry, "_background", broken)
     policy = MeshPolicy(h=0.1)
-    pending = prefetch_background(DomainSpec(), PAIR, policy)
-    pd = build_pierced_domain(DomainSpec(), PierceSpec(PAIR, [1e-3, 1e-3]))
+    eta = annulus_radius(DomainSpec(), PAIR)
+    pending = prefetch_background(DomainSpec(), PAIR, eta, policy)
     with pytest.raises(StitchFailure, match="injected"):
-        build_mesh(pd, policy, pending)
+        build_mesh(pending, [1e-3, 1e-3])
     assert pending.done()
-    # nothing keeps the failed build: without its Future, build_mesh builds serially
+    # nothing keeps the failed build: a new background builds
     monkeypatch.undo()
-    assert build_mesh(pd, policy).n_nodes > 0
+    assert build_mesh(prefetch_background(DomainSpec(), PAIR, eta, policy),
+                      [1e-3, 1e-3]).n_nodes > 0
 
 
-def test_coincident_centers_start_no_worker():
-    cfg = BlowupConfig(domain=DomainSpec(), centers=[[0.3, 0.0], [0.3, 0.0]],
-                       alphas=[3.0, 3.0], m1=1, V1=constant_potential(1.0),
-                       V2=constant_potential(1.0))
-    assert prefetch_background(cfg.domain, cfg.centers, MeshPolicy(h=0.1)) is None
-    run = Run(cfg, MeshPolicy(h=0.1))
-    # nor for a center outside the domain (eta < 0)
-    assert prefetch_background(DomainSpec(), [[1.5, 0.0]], MeshPolicy(h=0.1)) is None
-    assert not any(t.name == "sinhpierce-background" for t in threading.enumerate())
-    with pytest.raises(DuplicateCenters), np.errstate(all="ignore"):
-        prepare(cfg, 1e-2, run.policy, run.gp)
+def _config_of(centers, alphas):
+    return BlowupConfig(domain=DomainSpec(), centers=centers, alphas=alphas, m1=1,
+                        V1=constant_potential(1.0), V2=constant_potential(1.0))
+
+
+def test_coincident_centers_start_no_worker(monkeypatch):
+    started = []
+    monkeypatch.setattr(corrector_mod, "prefetch_background", lambda *a: started.append(a))
+    with pytest.raises(DuplicateCenters):
+        Run(_config_of([[0.3, 0.0], [0.3, 0.0]], [3.0, 3.0]), MeshPolicy(h=0.1))
+    # nor for a center outside the domain
+    with pytest.raises(HoleTouchesBoundary):
+        Run(_config_of([[1.5, 0.0]], [3.0]), MeshPolicy(h=0.1))
+    assert started == []
+
+
+class _Unawaitable(Future):
+    def result(self, timeout=None):
+        raise AssertionError("the background was waited for")
+
+
+def test_radius_failure_does_not_wait_for_the_background(monkeypatch):
+    # alpha = 2.01 at rho = 1e-3: the hole radii underflow, which the radii
+    # check names before build_mesh waits for the background
+    monkeypatch.setattr(corrector_mod, "prefetch_background", lambda *a: _Unawaitable())
+    run = Run(_config_of([[-0.4, 0.0], [0.4, 0.0]], [2.01, 2.01]), MeshPolicy(h=0.1))
+    with pytest.raises(UnresolvableHole, match="below the resolvable scale"):
+        run.stage(1e-3)
 
 
 def test_traced_setup_stays_on_the_main_thread(tmp_path, monkeypatch):
