@@ -10,7 +10,7 @@ import pathlib
 import sys
 
 from sinhpierce.coeffs import BlowupConfig, constant_potential
-from sinhpierce.corrector import Run, continuation_sweep, farfield_error_at
+from sinhpierce.corrector import Run, continuation_sweep, farfield_error
 from sinhpierce.geometry import DomainSpec, MeshPolicy
 
 
@@ -26,7 +26,7 @@ def main():
     target = 10 * math.pi * gp.green((0.5, 0.0), (0.0, 0.0))
     print(f"far-field target at (0.5, 0): {target:.6f}")
     for rep, sol in zip(sweep.reports, sweep.solutions):
-        ff = farfield_error_at(run, sol, (0.5, 0.0)) if sol else float("nan")
+        ff = farfield_error(run, sol.u, [(0.5, 0.0)]) if sol else float("nan")
         print(f"rho={rep.rho:8.1e}  iters={rep.iterations:2d} "
               f"factor={rep.max_contraction_factor:.4f}  phi_sup={rep.phi_sup:.3e}  "
               f"peak={rep.peaks[0]:7.3f}  |u-target|={ff:.3e}  "

@@ -298,12 +298,22 @@ def farfield_target(cfg, gp, points):
     return out
 
 
-def farfield_error_at(run: Run, sol: Solution, point) -> float:
-    """|u - Green combination| at the mesh node nearest to the given point."""
-    mesh = sol.stage.mesh
-    node = _nearest_nodes(mesh, np.asarray(point, dtype=float))[0]
-    target = farfield_target(run.cfg, run.gp, mesh.nodes[node])[0]
-    return float(abs(sol.u.values[node] - target))
+def farfield_error(run: Run, u: Field, points) -> float:
+    """Largest |u - Green combination| at the mesh nodes nearest to the points.
+
+    A point whose nearest node lies on the boundary is not measured: there u
+    and the Green combination both vanish, whatever the far field does. With
+    no point left the error is nan.
+    """
+    mesh = u.mesh
+    nodes = _nearest_nodes(mesh, np.asarray(points, dtype=float).reshape(-1, 2))
+    nodes = nodes[~mesh.is_boundary[nodes]]
+    if not len(nodes):
+        return float("nan")
+    # compare field and target at the nearest nodes: same physical points,
+    # so no interpolation error enters the measurement
+    target = farfield_target(run.cfg, run.gp, mesh.nodes[nodes])
+    return float(np.abs(u.values[nodes] - target).max())
 
 
 def farfield_sample_points(cfg, eta):
@@ -323,7 +333,7 @@ def farfield_sample_points(cfg, eta):
 def construct_solution(run: Run, rho, tol=TOL, maxiter=MAXITER,
                        phi0=None, p_norms=P_NORMS) -> Solution:
     """Correct the prepared ansatz at rho, from phi0 (a Field on its mesh) or 0."""
-    cfg, gp, eta = run.cfg, run.gp, run.eta
+    cfg, eta = run.cfg, run.eta
     st = run.stage(rho)
     scales, mesh, U = st.scales, st.mesh, st.U
     phi, report = fixed_point_correct(st, cfg, tol=tol, maxiter=maxiter,
@@ -344,15 +354,7 @@ def construct_solution(run: Run, rho, tol=TOL, maxiter=MAXITER,
         if np.any(inner) and not (sign * u.values[inner]).max() > 0:
             report.inner_sign_ok = False
 
-    pts = farfield_sample_points(cfg, eta)
-    if len(pts):
-        # compare field and target at the nearest nodes: same physical points,
-        # so no interpolation error enters the measurement
-        nodes = _nearest_nodes(mesh, pts)
-        uh = u.values[nodes]
-        report.farfield_error = float(
-            np.abs(uh - farfield_target(cfg, gp, mesh.nodes[nodes])).max())
-
+    report.farfield_error = farfield_error(run, u, farfield_sample_points(cfg, eta))
     report.kernel_coefficients = [
         kernel_coefficient(phi, cfg, scales, j) for j in range(cfg.m)
     ]
@@ -400,8 +402,9 @@ def continuation_sweep(run: Run, rho_list, tol=TOL, maxiter=MAXITER, p_norms=P_N
                        after_rho=None) -> SweepResult:
     """Run the construction at each rho (descending), warm-starting phi.
 
-    A SinhPierceError fails only its entry. The entry keeps the report the
-    error carries, or else gets a stub whose status names the error class.
+    A SinhPierceError, from the warm start or the construction, fails only
+    its entry, whose stage is then prepared once. The entry keeps the report
+    the error carries, or else gets a stub whose status names the error class.
     after_rho(rho), if given, is called once each entry is recorded, while
     rho's operator is still run's current one; what it raises is not a failed
     entry but ends the sweep.
@@ -412,17 +415,14 @@ def continuation_sweep(run: Run, rho_list, tol=TOL, maxiter=MAXITER, p_norms=P_N
     solutions, reports = [], []
     prev = None
     for rho in rho_list:
-        phi0 = None
-        if prev is not None:
-            try:
+        try:
+            phi0 = None
+            if prev is not None:
                 mesh = run.stage(rho).mesh
                 vals = np.asarray(FieldEvaluator(prev.stage.mesh)(prev.phi.values, mesh.nodes),
                                   dtype=float)
                 vals[mesh.is_boundary] = 0.0
                 phi0 = Field(mesh, vals, DIRICHLET_ZERO)
-            except SinhPierceError:
-                phi0 = None
-        try:
             sol = construct_solution(run, rho, tol=tol, maxiter=maxiter,
                                      phi0=phi0, p_norms=p_norms)
             solutions.append(sol)

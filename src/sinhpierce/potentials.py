@@ -1,4 +1,4 @@
-"""Small arithmetic expression language for the potential fields.
+r"""Small arithmetic expression language for the potential fields.
 
 Grammar (standard precedence, ^ binds tightest and is right-associative):
 
@@ -8,13 +8,21 @@ Grammar (standard precedence, ^ binds tightest and is right-associative):
     power  := atom ('^' factor)?
     atom   := number | 'x' | 'y' | func '(' expr ')' | '(' expr ')'
     func   := 'exp' | 'log' | 'sin' | 'cos'
+    number := (\d+\.?\d* | \.\d+) ([eE][+-]?\d+)?
 
-Evaluation is pure and vectorized over numpy arrays.
+Once ^ is spelled **, this is a subset of Python's expression grammar with
+the same precedence, so Python's parser reads the text (ast.parse) and one
+pass keeps only the node kinds above. The text is never compiled or
+evaluated. Evaluation is pure and vectorized over numpy arrays.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import ast
+import operator
+import re
+import warnings
+from dataclasses import dataclass, field
 from types import MappingProxyType
 
 import numpy as np
@@ -22,13 +30,21 @@ import numpy as np
 from .errors import NonpositiveSampled, ParseError
 
 _FUNCS = MappingProxyType({"exp": np.exp, "log": np.log, "sin": np.sin, "cos": np.cos})
+_BINOPS = MappingProxyType({ast.Add: operator.add, ast.Sub: operator.sub,
+                            ast.Mult: operator.mul, ast.Div: operator.truediv,
+                            ast.Pow: operator.pow})
+_NUMBER = re.compile(r"(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?", re.ASCII)
+# what Python reads but the grammar has not, and which no node shows: a
+# comment, a call's trailing comma, ** itself, and non-ASCII text, which
+# Python folds (NFKC) so that a fullwidth x reads as x
+_FOREIGN = re.compile(r"\*\*|[#,\0]|[^\0-\x7f]")
 
 
 @dataclass(frozen=True)
 class PotentialExpr:
     """Parsed expression tree, callable at points of the plane."""
 
-    root: tuple
+    root: ast.expr = field(compare=False)
     text: str
 
     def __call__(self, x, y):
@@ -39,149 +55,75 @@ class PotentialExpr:
 
 
 def _eval(node, x, y):
-    kind = node[0]
-    if kind == "num":
-        return np.broadcast_to(np.float64(node[1]), np.broadcast_shapes(x.shape, y.shape)).copy() \
-            if x.shape or y.shape else np.float64(node[1])
-    if kind == "x":
-        return x + 0.0
-    if kind == "y":
-        return y + 0.0
-    if kind == "neg":
-        return -_eval(node[1], x, y)
-    if kind == "call":
-        return _FUNCS[node[1]](_eval(node[2], x, y))
-    a = _eval(node[1], x, y)
-    b = _eval(node[2], x, y)
-    if kind == "+":
-        return a + b
-    if kind == "-":
-        return a - b
-    if kind == "*":
-        return a * b
-    if kind == "/":
-        return a / b
-    if kind == "^":
-        return a ** b
-    raise AssertionError(f"unknown node {kind}")
+    if isinstance(node, ast.BinOp):
+        return _BINOPS[type(node.op)](_eval(node.left, x, y), _eval(node.right, x, y))
+    if isinstance(node, ast.UnaryOp):
+        v = _eval(node.operand, x, y)
+        return -v if isinstance(node.op, ast.USub) else v
+    if isinstance(node, ast.Call):
+        return _FUNCS[node.func.id](_eval(node.args[0], x, y))
+    if isinstance(node, ast.Name):
+        return (x if node.id == "x" else y) + 0.0
+    c = np.float64(node.value)
+    return np.broadcast_to(c, np.broadcast_shapes(x.shape, y.shape)).copy() \
+        if x.shape or y.shape else c
 
 
-class _Tokens:
-    def __init__(self, text):
-        self.text = text
-        self.pos = 0
-
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self):
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def take(self, ch):
-        if self.peek() != ch:
-            raise ParseError(f"expected {ch!r} at position {self.pos} in {self.text!r}",
-                             position=self.pos)
-        self.pos += 1
+def _error(text, what, pos):
+    return ParseError(f"{what} at position {pos} in {text!r}", position=pos)
 
 
 def parse_potential(text) -> PotentialExpr:
-    """Parse an expression into a PotentialExpr. Raises ParseError with position."""
+    """Parse an expression into a PotentialExpr. Raises ParseError with the
+    position in text of the first character it cannot read."""
     if not isinstance(text, str) or not text.strip():
         raise ParseError("empty expression", position=0)
-    tk = _Tokens(text)
-    root = _parse_expr(tk)
-    tk.skip_ws()
-    if tk.pos != len(text):
-        raise ParseError(f"trailing input at position {tk.pos} in {text!r}", position=tk.pos)
+    lead = len(text) - len(text.lstrip())
+    body = "".join(" " if c.isspace() else c for c in text.strip())
+    if m := _FOREIGN.search(body):
+        raise _error(text, f"unexpected {m.group()!r}", lead + m.start())
+    src = body.replace("^", "**")
+    at = []   # at[k]: the index in text of src[k]; each ^ spans two columns
+    for i, c in enumerate(body, start=lead):
+        at += [i, i] if c == "^" else [i]
+    at.append(lead + len(body))
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")   # what the parser warns of is rejected anyway
+            root = ast.parse(src, mode="eval").body
+    except SyntaxError as exc:
+        raise _error(text, exc.msg, at[min((exc.offset or 1) - 1, len(at) - 1)]) from None
+    except (RecursionError, MemoryError):   # the parser's limits on nesting
+        raise _error(text, "expression nested too deeply", lead) from None
+
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, ast.BinOp) and type(node.op) in _BINOPS:
+            stack += (node.right, node.left)
+        elif isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.UAdd, ast.USub)):
+            stack.append(node.operand)
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id in _FUNCS and len(node.args) == 1 and not node.keywords
+              and node.func.col_offset == node.col_offset):   # not (exp)(x)
+            stack.append(node.args[0])
+        elif isinstance(node, ast.Name) and node.id in ("x", "y"):
+            pass
+        elif isinstance(node, ast.Constant) and _NUMBER.fullmatch(
+                src, node.col_offset, node.end_col_offset):
+            # float() of the digits: past the float range an integer reads as inf
+            node.value = float(src[node.col_offset:node.end_col_offset])
+        else:
+            start, end = at[node.col_offset], at[node.end_col_offset]
+            raise _error(text, f"unexpected {text[start:end]!r}", start)
     return PotentialExpr(root=root, text=text)
-
-
-def _parse_expr(tk):
-    node = _parse_term(tk)
-    while tk.peek() in ("+", "-"):
-        op = tk.peek()
-        tk.pos += 1
-        node = (op, node, _parse_term(tk))
-    return node
-
-
-def _parse_term(tk):
-    node = _parse_factor(tk)
-    while tk.peek() in ("*", "/"):
-        op = tk.peek()
-        tk.pos += 1
-        node = (op, node, _parse_factor(tk))
-    return node
-
-
-def _parse_factor(tk):
-    c = tk.peek()
-    if c == "-":
-        tk.pos += 1
-        return ("neg", _parse_factor(tk))
-    if c == "+":
-        tk.pos += 1
-        return _parse_factor(tk)
-    return _parse_power(tk)
-
-
-def _parse_power(tk):
-    base = _parse_atom(tk)
-    if tk.peek() == "^":
-        tk.pos += 1
-        return ("^", base, _parse_factor(tk))
-    return base
-
-
-def _parse_atom(tk):
-    c = tk.peek()
-    if c == "(":
-        tk.take("(")
-        node = _parse_expr(tk)
-        tk.take(")")
-        return node
-    if c.isdigit() or c == ".":
-        start = tk.pos
-        while tk.pos < len(tk.text) and (tk.text[tk.pos].isdigit() or tk.text[tk.pos] == "."):
-            tk.pos += 1
-        # scientific notation
-        if tk.pos < len(tk.text) and tk.text[tk.pos] in "eE":
-            probe = tk.pos + 1
-            if probe < len(tk.text) and tk.text[probe] in "+-":
-                probe += 1
-            if probe < len(tk.text) and tk.text[probe].isdigit():
-                tk.pos = probe
-                while tk.pos < len(tk.text) and tk.text[tk.pos].isdigit():
-                    tk.pos += 1
-        try:
-            val = float(tk.text[start:tk.pos])
-        except ValueError:
-            raise ParseError(f"bad number at position {start} in {tk.text!r}", position=start)
-        return ("num", val)
-    if c.isalpha():
-        start = tk.pos
-        while tk.pos < len(tk.text) and tk.text[tk.pos].isalpha():
-            tk.pos += 1
-        name = tk.text[start:tk.pos]
-        if name == "x":
-            return ("x",)
-        if name == "y":
-            return ("y",)
-        if name in _FUNCS:
-            tk.take("(")
-            arg = _parse_expr(tk)
-            tk.take(")")
-            return ("call", name, arg)
-        raise ParseError(f"unknown name {name!r} at position {start}", position=start)
-    raise ParseError(f"unexpected character {c!r} at position {tk.pos}", position=tk.pos)
 
 
 def check_positive(expr, points, name="potential"):
     """Sample expr on the given points and raise NonpositiveSampled on any value <= 0.
 
-    points: (n, 2) array with n >= 1000.
+    points: (n, 2) array with n >= 1000. Only those points are checked: a
+    potential that is negative only between them passes.
     """
     pts = np.asarray(points, dtype=float)
     if pts.shape[0] < 1000:
@@ -193,5 +135,7 @@ def check_positive(expr, points, name="potential"):
         i = int(np.argmax(bad))
         raise NonpositiveSampled(
             f"{name} is not positive: value {vals[i]:.6g} at "
-            f"({pts[i, 0]:.6g}, {pts[i, 1]:.6g})")
+            f"({pts[i, 0]:.6g}, {pts[i, 1]:.6g}); positivity is checked at "
+            f"{len(pts):,} sampled points, and a potential that is negative "
+            "only between them passes")
     return True

@@ -17,7 +17,7 @@ import numpy as np
 
 from .coeffs import BlowupConfig
 from .corrector import MAXITER, P_NORMS, TOL
-from .errors import ConstraintViolation, SchemaError
+from .errors import ConstraintViolation, ParseError, SchemaError
 from .geometry import DomainSpec, MeshPolicy, _inside_farther_than
 from .potentials import check_positive, parse_potential
 
@@ -167,11 +167,11 @@ def parse_config(text: str, run_overrides=None) -> RunConfig:
     v2_txt = get("problem", "v2", default="1")
     try:
         v1_expr = parse_potential(v1_txt)
-    except Exception as exc:
+    except ParseError as exc:
         problems.append(f"v1: {exc}")
     try:
         v2_expr = parse_potential(v2_txt)
-    except Exception as exc:
+    except ParseError as exc:
         problems.append(f"v2: {exc}")
 
     h = get_number("mesh", "h", MeshPolicy.h)

@@ -17,7 +17,7 @@ from sinhpierce.coeffs import (
     constraint_deviation,
     solve_beta,
 )
-from sinhpierce.corrector import Run, continuation_sweep, farfield_error_at
+from sinhpierce.corrector import Run, continuation_sweep, farfield_error
 from sinhpierce.geometry import DomainSpec, MeshPolicy
 from sinhpierce.greens import AnalyticDiskGreen, GreenProvider, NumericGreen
 from sinhpierce.operators import EIG_FLOOR
@@ -197,7 +197,7 @@ def test_criterion_7_contraction_and_solution(sweep_single, single_run, newton):
 
 
 def test_criterion_8_farfield_profile(single_run, sweep_single, gp):
-    errs = [farfield_error_at(single_run, sol, (0.5, 0.0)) for sol in sweep_single.solutions]
+    errs = [farfield_error(single_run, sol.u, [(0.5, 0.0)]) for sol in sweep_single.solutions]
     target = 10 * math.pi * gp.green((0.5, 0.0), (0.0, 0.0))
     dec = all(b < a for a, b in zip(errs, errs[1:]))
     final_ok = errs[-1] <= 0.2

@@ -530,6 +530,45 @@ def test_green_check_command(tmp_path):
     assert all(line.endswith(",1") for line in lines[1:])
 
 
+def test_green_check_on_a_boundary_curve(tmp_path):
+    # on a curve only the symmetry of the numeric backend is measured
+    text = BASE.format(out=tmp_path).replace(
+        "domain = unit-disk",
+        "domain = boundary-curve\nboundary = -0.9 -0.9; 0.9 -0.9; 0.9 0.9; -0.9 0.9")
+    out = tmp_path / "g"
+    assert main(["green-check", "--config", _write(tmp_path, text), "--out", str(out)]) == 0
+    with open(out / "green_checks.csv", newline="") as f:
+        header, *rows = list(csv.reader(f))
+    assert [r[0] for r in rows] == ["green-symmetry"]
+    measured, threshold = float(rows[0][3]), float(rows[0][4])
+    assert threshold == 50 * 0.05 ** 2
+    assert measured <= threshold and rows[0][5] == "1"
+
+
+def test_verify_fails_with_no_far_field_sample(tmp_path):
+    # [2, 3] x [0, 1]: every far-field sample point snaps to a boundary node,
+    # so the far-field error is nan and far-field-green-profile fails
+    text = BASE.format(out=tmp_path).replace(
+        "domain = unit-disk",
+        "domain = boundary-curve\nboundary = 2 0; 3 0; 3 1; 2 1").replace(
+        "centers = 0.0 0.0", "centers = 2.5 0.5")
+    out = tmp_path / "v"
+    assert main(["verify", "--config", _write(tmp_path, text), "--out", str(out)]) == 3
+    with open(out / "checks.csv", newline="") as f:
+        rows = {r[0]: r for r in csv.reader(f)}
+    assert rows["far-field-green-profile"][3] == "nan"
+    assert rows["far-field-green-profile"][5] == "0"
+
+
+def test_unparseable_potentials_are_one_schema_error(tmp_path):
+    text = BASE.format(out=tmp_path).replace("v1 = 1", "v1 = x**2").replace(
+        "v2 = 1", "v2 = 2(x)")
+    with pytest.raises(SchemaError) as exc:
+        parse_config(text)
+    assert [p.split(":")[0] for p in exc.value.problems] == ["v1", "v2"]
+    assert main(["construct", "--config", _write(tmp_path, text)]) == 1
+
+
 def test_rho_and_p_overrides(tmp_path):
     cfg = _write(tmp_path, BASE.format(out=tmp_path))
     rc = parse_config(open(cfg).read())

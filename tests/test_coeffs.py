@@ -262,6 +262,18 @@ def test_diagonal_dominance_threshold(two_cfg, gp):
     assert _dominant(H, G, s.log_eps)
 
 
+def test_dominance_threshold_bisects_to_the_switch(disk, gp):
+    # a close positive pair: the matching systems stop being row dominant
+    # above rho ~ 0.476, so the bisection, not its end points, answers
+    cfg = BlowupConfig(domain=disk, centers=[[-0.15, 0.0], [0.15, 0.0]], alphas=[3.0, 3.0],
+                       m1=2, tau=1.0, V1=constant_potential(1.0), V2=constant_potential(1.0))
+    thr = dominance_threshold(cfg, gp)
+    assert thr == pytest.approx(0.476, abs=1e-3)
+    H, G = gp.pair_table(cfg.centers)
+    assert _dominant(H, G, choose_scales(cfg, thr * (1 - 1e-6), gp).log_eps)
+    assert not _dominant(H, G, choose_scales(cfg, thr * (1 + 1e-6), gp).log_eps)
+
+
 def _gamma_matrix_reference(H, G, log_eps):
     """The gamma system's matrix, built entry by entry as the paper writes it."""
     m = len(log_eps)

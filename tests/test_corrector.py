@@ -14,6 +14,7 @@ from sinhpierce.corrector import (
     SweepResult,
     construct_solution,
     continuation_sweep,
+    farfield_error,
     farfield_sample_points,
     farfield_target,
     fixed_point_correct,
@@ -24,7 +25,7 @@ from sinhpierce.errors import (
     PointOutsideDomain,
     UnresolvableHole,
 )
-from sinhpierce.geometry import DomainSpec, MeshPolicy, annulus_radius
+from sinhpierce.geometry import DomainSpec, MeshPolicy, _nearest_nodes, annulus_radius
 from sinhpierce.greens import GreenProvider, NumericGreen
 from sinhpierce.operators import (
     DIRICHLET_ZERO,
@@ -71,10 +72,8 @@ def test_peak_height_matches_scale_arithmetic(coarse_run, coarse_solution):
 
 
 def test_farfield_value_single_bubble(coarse_run, coarse_solution, gp):
-    from sinhpierce.corrector import farfield_error_at
-
     # u(0.5, 0) ~ 10 pi G((0.5,0), 0) = 5 log 2
-    err = farfield_error_at(coarse_run, coarse_solution, (0.5, 0.0))
+    err = farfield_error(coarse_run, coarse_solution.u, [(0.5, 0.0)])
     assert err <= 0.05
     target = farfield_target(coarse_run.cfg, gp, np.array([[0.5, 0.0]]))[0]
     assert target == pytest.approx(5 * math.log(2), rel=1e-12)
@@ -113,6 +112,43 @@ def test_farfield_target_matches_pointwise_green(domain):
         farfield_target(cfg, gp, np.vstack([pts[:3], [[0.95, 0.95]]]))
     with pytest.raises(CoincidentPoints):
         farfield_target(cfg, gp, np.vstack([pts[:3], cfg.centers[1] + [5e-15, 0.0]]))
+
+
+def _centered_bubble(domain, center):
+    return BlowupConfig(domain=domain, centers=[center], alphas=[3.0], m1=1, tau=1.0,
+                        V1=constant_potential(1.0), V2=constant_potential(1.0))
+
+
+def _square(lo, hi):
+    (x0, y0), (x1, y1) = lo, hi
+    return DomainSpec("boundary-curve", [[x0, y0], [x1, y0], [x1, y1], [x0, y1]])
+
+
+def test_farfield_error_leaves_out_boundary_nodes():
+    # [-0.5, 0.5]^2: the rings of radius 0.7 and 0.85 lie outside and half of
+    # the 0.5 ring lies next to the boundary, so 40 of the 48 sample points
+    # snap to boundary nodes; the other 8 measure a far field that falls
+    # with rho
+    cfg = _centered_bubble(_square((-0.5, -0.5), (0.5, 0.5)), [0.0, 0.0])
+    run = Run(cfg, MeshPolicy(h=0.05))
+    sw = continuation_sweep(run, [1e-2, 1e-3, 1e-4])
+    errs = [r.farfield_error for r in sw.reports]
+    assert errs[0] > 5 * errs[1] > 25 * errs[2] > 0
+    sol = sw.solutions[-1]
+    pts = farfield_sample_points(cfg, run.eta)
+    measured = ~sol.stage.mesh.is_boundary[_nearest_nodes(sol.stage.mesh, pts)]
+    assert len(pts) == 48 and measured.sum() == 8
+    assert farfield_error(run, sol.u, pts[measured]) == errs[-1]
+    assert math.isnan(farfield_error(run, sol.u, pts[~measured]))
+    assert math.isnan(farfield_error(run, sol.u, np.empty((0, 2))))
+
+
+def test_farfield_error_is_nan_with_no_interior_sample():
+    # [2, 3] x [0, 1] holds none of the rings about the origin
+    run = Run(_centered_bubble(_square((2.0, 0.0), (3.0, 1.0)), [2.5, 0.5]), MeshPolicy(h=0.05))
+    rep = construct_solution(run, 1e-2).report
+    assert rep.status == "converged"
+    assert math.isnan(rep.farfield_error)
 
 
 def test_newton_agrees_with_fixed_point(coarse_run, coarse_solution, newton):
@@ -232,6 +268,25 @@ def test_stage_releases_poisson_factor(single_cfg, gp, coarse_policy):
     want = DiscreteOperators(mesh).solve_dirichlet(g)
     got = ops.solve_dirichlet(g)
     assert got.values.tobytes() == want.values.tobytes()
+
+
+def test_failing_stage_is_prepared_once(disk, gp, coarse_policy, monkeypatch):
+    # alpha = 2.5 at the origin: eps is 4.1e-13 at rho 1e-2, then 4.1e-17 at
+    # 1e-3, below the hole-radius floor; the warm start's stage fails the entry
+    cfg = BlowupConfig(domain=disk, centers=[[0.0, 0.0]], alphas=[2.5], m1=1, tau=1.0,
+                       V1=constant_potential(1.0), V2=constant_potential(1.0))
+    real = corrector_mod.choose_scales
+    chosen = []
+
+    def counted(cfg, rho, gp):
+        chosen.append(rho)
+        return real(cfg, rho, gp)
+
+    monkeypatch.setattr(corrector_mod, "choose_scales", counted)
+    sw = continuation_sweep(Run(cfg, coarse_policy, gp), [1e-2, 1e-3])
+    assert [r.status for r in sw.reports] == ["converged", "unresolvable-hole"]
+    assert sw.solutions[1] is None
+    assert chosen == [1e-2, 1e-3]
 
 
 def test_sweep_rejects_unsorted(coarse_run):
