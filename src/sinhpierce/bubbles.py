@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import MeshMismatch
 from .geometry import OUTER, TWO_PI, Mesh
-from .operators import DIRICHLET_ZERO, Field, get_ops
+from .operators import Field, get_ops
 
 
 @dataclass(frozen=True)
@@ -174,10 +174,9 @@ def project_numeric(b: Bubble, mesh: Mesh, coeffs, H) -> Field:
     base = _bubble_from_r(b, mesh.center_distance(b.index)) \
         + explicit_harmonic_part(b, coeffs, H, mesh)
     g = -base[ops.boundary]
-    psi = ops.solve_dirichlet(g)
-    vals = base + psi.values
+    vals = base + ops.solve_dirichlet(g)
     vals[ops.boundary] = 0.0
-    return Field(mesh, vals, DIRICHLET_ZERO)
+    return Field(mesh, vals)
 
 
 def far_expansion(b: Bubble, coeffs, gp, points) -> np.ndarray:
@@ -202,7 +201,7 @@ def assemble_U(projections, cfg) -> Field:
         if p.mesh is not mesh:
             raise MeshMismatch("projections live on different meshes")
         vals += cfg.weigh(k, p.values)
-    return Field(mesh, vals, DIRICHLET_ZERO)
+    return Field(mesh, vals)
 
 
 def build_ansatz(cfg, scales, mesh, coeffs, gp) -> tuple[Field, tuple]:

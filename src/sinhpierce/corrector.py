@@ -30,7 +30,6 @@ from .geometry import (
 )
 from .greens import GreenProvider
 from .operators import (
-    DIRICHLET_ZERO,
     EIG_FLOOR,
     SUP_GUARD,
     Field,
@@ -123,13 +122,11 @@ def _check_resonance(report, L):
 
 
 def _defect(phi, st, cfg):
-    """Discrete defect Lap u + rho (V1 e^u - V2 e^{-tau u}) of u = U + phi,
-    zero on the boundary, with Lap U the stage's lap_U."""
+    """Discrete defect residual_R of u = U + phi, zero on the boundary, with
+    Lap u = lap_U + Lap phi (lap_U the stage's)."""
     ops = get_ops(st.mesh)
-    v1, v2 = _potential_values(cfg, st.mesh)
-    u = st.U.values + phi.values
-    lap = st.lap_U + ops.laplacian(phi).values
-    res = lap + st.scales.rho * (v1 * np.exp(u) - v2 * np.exp(-cfg.tau * u))
+    u = Field(st.mesh, st.U.values + phi.values)
+    res = residual_R(u, st.lap_U + ops.laplacian(phi.values), cfg, st.scales)
     res[ops.boundary] = 0.0
     return res
 
@@ -148,8 +145,8 @@ def _finish(report, phi, st, cfg):
     u = st.U.values + phi.values
     data = st.scales.rho * (v1 * np.exp(u) + v2 * np.exp(-cfg.tau * u))
     report.status = "converged"
-    report.phi_sup = ops.norm_sup(phi)
-    report.phi_h01 = ops.norm_h01(phi)
+    report.phi_sup = ops.norm_sup(phi.values)
+    report.phi_h01 = ops.norm_h01(phi.values)
     report.residual_l1 = ops.norm_lp(_defect(phi, st, cfg), 1)
     report.data_scale_l1 = ops.norm_lp(data, 1)
     report.relative_residual = report.residual_l1 / max(report.data_scale_l1, 1e-300)
@@ -169,6 +166,8 @@ def fixed_point_correct(st: Stage, cfg, L: LinearOperator, tol=TOL, maxiter=MAXI
     Diverged, with the partial report, if the guard trips or maxiter steps do
     not get there.
     """
+    if maxiter < 1:
+        raise ValueError(f"maxiter must be at least 1, got {maxiter}")
     mesh, U, scales = st.mesh, st.U, st.scales
     R = residual_R(U, st.lap_U, cfg, scales)
     ops = get_ops(mesh)
@@ -177,25 +176,24 @@ def fixed_point_correct(st: Stage, cfg, L: LinearOperator, tol=TOL, maxiter=MAXI
     for p in p_norms:
         report.r_norms[p] = ops.norm_lp(R, p)
 
-    phi = phi0.copy() if phi0 is not None else Field(mesh, np.zeros(mesh.n_nodes),
-                                                     DIRICHLET_ZERO)
+    phi = phi0 if phi0 is not None else Field(mesh, np.zeros(mesh.n_nodes))
     prev_update = None
     for it in range(maxiter):
-        sup = ops.norm_sup(phi)
+        sup = ops.norm_sup(phi.values)
         if sup > SUP_GUARD:
             _diverged(report, f"sup norm {sup:.3g} exceeded the guard")
-        new = L.solve(Field(mesh, -(R.values + nonlinear_N(phi, U, cfg, scales).values)))
-        upd = ops.norm_h01(Field(mesh, new.values - phi.values))
+        new = L.solve(-(R + nonlinear_N(phi, U, cfg, scales)))
+        upd = ops.norm_h01(new.values - phi.values)
         report.updates_h01.append(upd)
         if it == 0 and phi0 is None:
             p_ref = min(report.r_norms)
-            report.amplification_T = ops.norm_h01(new) / max(report.r_norms[p_ref], 1e-300)
+            report.amplification_T = ops.norm_h01(new.values) / max(report.r_norms[p_ref], 1e-300)
         if prev_update is not None and prev_update > 0:
             report.contraction_factors.append(upd / prev_update)
         prev_update = upd
         phi = new
         report.iterations = it + 1
-        if upd < tol * max(1.0, ops.norm_h01(phi)):
+        if upd < tol * max(1.0, ops.norm_h01(phi.values)):
             return _finish(report, phi, st, cfg)
     _diverged(report, f"no convergence in {maxiter} iterations "
                       f"(last update {prev_update:.3e})")
@@ -339,7 +337,7 @@ def construct_solution(run: Run, rho, tol=TOL, maxiter=MAXITER,
     phi, report = fixed_point_correct(st, cfg, tol=tol, maxiter=maxiter,
                                       phi0=phi0, p_norms=p_norms,
                                       L=run.linear_operator(rho))
-    u = Field(mesh, U.values + phi.values, DIRICHLET_ZERO)
+    u = Field(mesh, U.values + phi.values)
 
     # annulus peaks and inner-region signs
     report.peaks = []
@@ -419,10 +417,9 @@ def continuation_sweep(run: Run, rho_list, tol=TOL, maxiter=MAXITER, p_norms=P_N
             phi0 = None
             if prev is not None:
                 mesh = run.stage(rho).mesh
-                vals = np.asarray(FieldEvaluator(prev.stage.mesh)(prev.phi.values, mesh.nodes),
-                                  dtype=float)
+                vals = FieldEvaluator(prev.stage.mesh)(prev.phi.values, mesh.nodes)
                 vals[mesh.is_boundary] = 0.0
-                phi0 = Field(mesh, vals, DIRICHLET_ZERO)
+                phi0 = Field(mesh, vals)
             sol = construct_solution(run, rho, tol=tol, maxiter=maxiter,
                                      phi0=phi0, p_norms=p_norms)
             solutions.append(sol)

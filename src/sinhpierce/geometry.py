@@ -859,7 +859,8 @@ class FieldEvaluator:
         out[rest] = values[quad[rest, np.argmin(d, axis=1)]]
         return out
 
-    def __call__(self, values, points):
+    def __call__(self, values, points) -> np.ndarray:
+        """Values at each of the points, an (n, 2) array or one point."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         values = np.asarray(values)
         out = np.empty(pts.shape[0])
@@ -877,7 +878,7 @@ class FieldEvaluator:
         # outside the boundary polygon: fall back to the nearest node
         lost = back[~found]
         out[lost] = values[_nearest_nodes(mesh, pts[lost])]
-        return out if np.asarray(points).ndim > 1 else float(out[0])
+        return out
 
     def _background_values(self, values, pts):
         """Values at points outside the patches, and where some candidate

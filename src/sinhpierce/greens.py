@@ -119,21 +119,18 @@ class NumericGreen(_Green):
         release_ops(self.mesh)
         return tables
 
-    def _harmonic_part(self, y):
+    def _harmonic_part(self, y) -> np.ndarray:
         key = (float(y[0]), float(y[1]))
-        fld = self._h_fields.get(key)
-        if fld is None:
+        vals = self._h_fields.get(key)
+        if vals is None:
             ops = get_ops(self.mesh)
             bpts = self.mesh.nodes[ops.boundary]
             g = np.log(np.hypot(bpts[:, 0] - y[0], bpts[:, 1] - y[1])) / TWO_PI
-            fld = ops.solve_dirichlet(g)
-            self._h_fields[key] = fld
-        return fld
+            vals = self._h_fields[key] = ops.solve_dirichlet(g)
+        return vals
 
     def robin_H_many(self, points, y) -> np.ndarray:
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        fld = self._harmonic_part(y)
-        return np.asarray(self.evaluator(fld.values, pts), dtype=float)
+        return self.evaluator(self._harmonic_part(y), points)
 
 
 class GreenProvider(_Green):

@@ -16,11 +16,8 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .errors import InvalidExponent, MeshMismatch, NearSingular, SolverFailure
+from .errors import InvalidExponent, MeshMismatch, NearSingular, NonpositiveSampled, SolverFailure
 from .geometry import Mesh
-
-DIRICHLET_ZERO = "dirichlet-zero"
-FREE = "free"
 
 SUP_GUARD = 50.0   # sup norm of a correction beyond which the iteration diverges
 EIG_FLOOR = 1e-8   # |smallest eigenvalue| of Lap + W below which it is resonant
@@ -28,28 +25,24 @@ EIG_FLOOR = 1e-8   # |smallest eigenvalue| of Lap + W below which it is resonant
 
 @dataclass(eq=False)
 class Field:
-    """Scalar function sampled at mesh nodes."""
+    """Nodal function on the mesh that vanishes on its boundary: a projected
+    bubble, the ansatz U, a correction phi or u = U + phi. Every other nodal
+    quantity (Lap f, R, W, N, a right-hand side) is a plain array."""
 
     mesh: Mesh
     values: np.ndarray
-    bc: str = FREE
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
         if self.values.shape != (self.mesh.n_nodes,):
             raise ValueError("field size does not match mesh")
-        if self.bc == DIRICHLET_ZERO:
-            b = self.mesh.is_boundary
-            scale = np.abs(self.values).max() if self.values.size else 0.0
-            if scale > 0 and np.abs(self.values[b]).max() > 1e-12 * scale:
-                raise ValueError("dirichlet-zero field does not vanish on the boundary")
+        scale = np.abs(self.values).max() if self.values.size else 0.0
+        if scale > 0 and np.abs(self.values[self.mesh.is_boundary]).max() > 1e-12 * scale:
+            raise ValueError("field does not vanish on the boundary")
 
     def same_mesh(self, other):
         if self.mesh is not other.mesh:
             raise MeshMismatch("fields live on different meshes")
-
-    def copy(self):
-        return Field(self.mesh, self.values.copy(), self.bc)
 
 
 def _assemble_stiffness(mesh: Mesh) -> sp.csr_matrix:
@@ -92,13 +85,13 @@ class DiscreteOperators:
 
     # -- basic calculus ----------------------------------------------------
 
-    def laplacian(self, f: Field) -> Field:
-        """Lumped-mass Laplacian; boundary entries are zeroed."""
-        vals = -(self.K @ f.values) / self.w
+    def laplacian(self, f: np.ndarray) -> np.ndarray:
+        """Lumped-mass Laplacian of nodal values; boundary entries are zeroed."""
+        vals = -(self.K @ f) / self.w
         vals[self.boundary] = 0.0
-        return Field(self.mesh, vals, FREE)
+        return vals
 
-    def solve_dirichlet(self, boundary_values) -> Field:
+    def solve_dirichlet(self, boundary_values) -> np.ndarray:
         """Discrete harmonic extension: Lap u = 0 inside, u = g on the boundary."""
         if self._poisson_lu is None:
             self._poisson_lu = spla.splu(self._K_II)
@@ -112,7 +105,7 @@ class DiscreteOperators:
         rel = np.linalg.norm(res) / scale
         if not np.isfinite(rel) or rel > 1e-10:
             raise SolverFailure(f"Poisson solve residual {rel:.3e}", residual=rel)
-        return Field(self.mesh, u, FREE)
+        return u
 
     def release_poisson_factor(self):
         """Drop the cached factor of K_II; a later solve_dirichlet refactors."""
@@ -120,19 +113,16 @@ class DiscreteOperators:
 
     # -- norms ---------------------------------------------------------------
 
-    def norm_lp(self, f, p) -> float:
+    def norm_lp(self, f: np.ndarray, p) -> float:
         if p < 1:
             raise InvalidExponent(f"Lp norm needs p >= 1, got {p}")
-        vals = f.values if isinstance(f, Field) else np.asarray(f, dtype=float)
-        return float(np.sum(self.w * np.abs(vals) ** p) ** (1.0 / p))
+        return float(np.sum(self.w * np.abs(f) ** p) ** (1.0 / p))
 
-    def norm_h01(self, f) -> float:
-        vals = f.values if isinstance(f, Field) else np.asarray(f, dtype=float)
-        return float(np.sqrt(max(vals @ (self.K @ vals), 0.0)))
+    def norm_h01(self, f: np.ndarray) -> float:
+        return float(np.sqrt(max(f @ (self.K @ f), 0.0)))
 
-    def norm_sup(self, f) -> float:
-        vals = f.values if isinstance(f, Field) else np.asarray(f, dtype=float)
-        return float(np.abs(vals).max())
+    def norm_sup(self, f: np.ndarray) -> float:
+        return float(np.abs(f).max())
 
 
 def get_ops(mesh: Mesh) -> DiscreteOperators:
@@ -159,25 +149,22 @@ def _potential_values(cfg, mesh):
     return v1, v2
 
 
-def residual_R(U: Field, lap_U, cfg, scales) -> Field:
-    """Defect R = Lap U + rho (V1 e^U - V2 e^{-tau U}) of the ansatz, with
-    Lap U given at the nodes (the stage's lap_U)."""
-    mesh = U.mesh
-    v1, v2 = _potential_values(cfg, mesh)
-    rho = scales.rho
-    nonlin = rho * (v1 * np.exp(U.values) - v2 * np.exp(-cfg.tau * U.values))
-    return Field(mesh, lap_U + nonlin, FREE)
-
-
-def weight_W(U: Field, cfg, scales) -> Field:
-    """W = rho V1 e^U + rho tau V2 e^{-tau U} >= 0."""
+def residual_R(U: Field, lap_U, cfg, scales) -> np.ndarray:
+    """Defect R = Lap U + rho (V1 e^U - V2 e^{-tau U}) of U, with Lap U given
+    at the nodes (for the ansatz, the stage's lap_U)."""
     v1, v2 = _potential_values(cfg, U.mesh)
     rho = scales.rho
-    vals = rho * v1 * np.exp(U.values) + rho * cfg.tau * v2 * np.exp(-cfg.tau * U.values)
-    return Field(U.mesh, vals, FREE)
+    return lap_U + rho * (v1 * np.exp(U.values) - v2 * np.exp(-cfg.tau * U.values))
 
 
-def nonlinear_N(phi: Field, U: Field, cfg, scales) -> Field:
+def weight_W(U: Field, cfg, scales) -> np.ndarray:
+    """W = rho V1 e^U + rho tau V2 e^{-tau U}, nonnegative where V1, V2 are."""
+    v1, v2 = _potential_values(cfg, U.mesh)
+    rho = scales.rho
+    return rho * v1 * np.exp(U.values) + rho * cfg.tau * v2 * np.exp(-cfg.tau * U.values)
+
+
+def nonlinear_N(phi: Field, U: Field, cfg, scales) -> np.ndarray:
     """Superlinear remainder N(phi); the correction loop keeps phi within
     SUP_GUARD before it gets here."""
     phi.same_mesh(U)
@@ -187,21 +174,24 @@ def nonlinear_N(phi: Field, U: Field, cfg, scales) -> Field:
     # expm1 keeps the quadratic smallness of e^t - t - 1 at tiny t
     e1 = np.expm1(phi.values) - phi.values
     e2 = np.expm1(-tau * phi.values) + tau * phi.values
-    vals = rho * v1 * np.exp(U.values) * e1 - rho * v2 * np.exp(-tau * U.values) * e2
-    return Field(U.mesh, vals, FREE)
+    return rho * v1 * np.exp(U.values) * e1 - rho * v2 * np.exp(-tau * U.values) * e2
 
 
 class LinearOperator:
     """Assembled Lap + W with Dirichlet elimination; realizes the solver T."""
 
-    def __init__(self, mesh: Mesh, W: Field):
-        if np.any(W.values < 0):
-            raise ValueError("weight W must be nonnegative")
+    def __init__(self, mesh: Mesh, W: np.ndarray):
+        if np.any(W < 0):
+            i = int(np.argmax(W < 0))
+            x, y = mesh.nodes[i]
+            raise NonpositiveSampled(
+                f"weight W = {W[i]:.6g} is negative at node {i} ({x:.6g}, {y:.6g}): "
+                "a potential is negative there")
         self.mesh = mesh
         ops = get_ops(mesh)
         self._ops = ops
         interior = ops.interior
-        A = (-ops._K_II + sp.diags((ops.w * W.values)[interior])).tocsc()
+        A = (-ops._K_II + sp.diags((ops.w * W)[interior])).tocsc()
         self.matrix = A
         self._lu = None
         self._eig_estimate = None
@@ -238,11 +228,11 @@ class LinearOperator:
         self._eig_estimate = lam
         return lam
 
-    def solve(self, h: Field) -> Field:
-        """phi with (Lap + W) phi = h, phi = 0 on the boundary."""
+    def solve(self, h: np.ndarray) -> Field:
+        """phi with (Lap + W) phi = h at the interior nodes, phi = 0 on the boundary."""
         lu = self._factor()
         ops = self._ops
-        b = (ops.w * h.values)[ops.interior]
+        b = (ops.w * h)[ops.interior]
         phi_I = lu.solve(b)
         if not np.all(np.isfinite(phi_I)):
             raise NearSingular("Lap+W solve produced non-finite values",
@@ -255,4 +245,4 @@ class LinearOperator:
             raise SolverFailure(f"Lap+W solve residual {rel:.3e}", residual=rel)
         phi = np.zeros(self.mesh.n_nodes)
         phi[ops.interior] = phi_I
-        return Field(self.mesh, phi, DIRICHLET_ZERO)
+        return Field(self.mesh, phi)

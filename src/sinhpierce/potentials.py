@@ -54,19 +54,31 @@ class PotentialExpr:
         return f"PotentialExpr({self.text!r})"
 
 
-def _eval(node, x, y):
-    if isinstance(node, ast.BinOp):
-        return _BINOPS[type(node.op)](_eval(node.left, x, y), _eval(node.right, x, y))
-    if isinstance(node, ast.UnaryOp):
-        v = _eval(node.operand, x, y)
-        return -v if isinstance(node.op, ast.USub) else v
-    if isinstance(node, ast.Call):
-        return _FUNCS[node.func.id](_eval(node.args[0], x, y))
-    if isinstance(node, ast.Name):
-        return (x if node.id == "x" else y) + 0.0
-    c = np.float64(node.value)
-    return np.broadcast_to(c, np.broadcast_shapes(x.shape, y.shape)).copy() \
-        if x.shape or y.shape else c
+def _eval(root, x, y):
+    """Value of the tree at (x, y), each node after its operands, left before
+    right. The walk keeps its own stack: a long sum nests past Python's
+    recursion limit."""
+    todo, vals = [(root, False)], []
+    while todo:
+        node, ready = todo.pop()
+        if isinstance(node, ast.Name):
+            vals.append((x if node.id == "x" else y) + 0.0)
+        elif isinstance(node, ast.Constant):
+            c = np.float64(node.value)
+            vals.append(np.broadcast_to(c, np.broadcast_shapes(x.shape, y.shape)).copy()
+                        if x.shape or y.shape else c)
+        elif not ready:   # back to the node once its operands are on vals
+            kids = ((node.left, node.right) if isinstance(node, ast.BinOp)
+                    else node.args if isinstance(node, ast.Call) else (node.operand,))
+            todo += [(node, True)] + [(k, False) for k in reversed(kids)]
+        elif isinstance(node, ast.BinOp):
+            right = vals.pop()
+            vals.append(_BINOPS[type(node.op)](vals.pop(), right))
+        elif isinstance(node, ast.Call):
+            vals.append(_FUNCS[node.func.id](vals.pop()))
+        elif isinstance(node.op, ast.USub):
+            vals.append(-vals.pop())
+    return vals.pop()
 
 
 def _error(text, what, pos):

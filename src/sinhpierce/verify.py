@@ -22,7 +22,7 @@ from .corrector import P_NORMS, SLOPE_SAMPLES, Run, continuation_sweep, log_slop
 from .errors import QuadratureNonConvergence
 from .greens import AnalyticDiskGreen, NumericGreen
 from .geometry import TWO_PI
-from .operators import Field, get_ops, residual_R
+from .operators import get_ops, residual_R
 from .runconfig import domain_sample_points
 
 _STENCIL_ROWS = 64   # grid rows per block of the kernel-annihilation stencil
@@ -199,9 +199,8 @@ def check_operator_bound(run, rho, trials=10, p=1.01, seed=0) -> float:
         h[ops.interior] = rng.standard_normal(len(ops.interior))
         hn = ops.norm_h01(h)
         h /= hn
-        hf = Field(mesh, h)
-        phi = L.solve(hf)
-        worst = max(worst, ops.norm_h01(phi) / ops.norm_lp(hf, p))
+        phi = L.solve(h)
+        worst = max(worst, ops.norm_h01(phi.values) / ops.norm_lp(h, p))
     return worst
 
 

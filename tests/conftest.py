@@ -17,7 +17,7 @@ from sinhpierce.geometry import (
     prefetch_background,
 )
 from sinhpierce.greens import GreenProvider
-from sinhpierce.operators import DIRICHLET_ZERO, Field, LinearOperator, get_ops, weight_W
+from sinhpierce.operators import Field, LinearOperator, get_ops, weight_W
 
 
 def pierced_mesh(domain, centers, radii, policy):
@@ -107,14 +107,14 @@ def newton():
         st = run.stage(rho)
         mesh, U, cfg, scales = st.mesh, st.U, run.cfg, st.scales
         ops = get_ops(mesh)
-        phi = Field(mesh, np.zeros(mesh.n_nodes), DIRICHLET_ZERO)
+        phi = Field(mesh, np.zeros(mesh.n_nodes))
         updates = []
         for _ in range(maxiter):
             J = LinearOperator(mesh, weight_W(Field(mesh, U.values + phi.values), cfg, scales))
-            delta = J.solve(Field(mesh, -corrector_mod._defect(phi, st, cfg)))
-            phi = Field(mesh, phi.values + delta.values, DIRICHLET_ZERO)
-            updates.append(ops.norm_h01(delta))
-            if updates[-1] < tol * max(1.0, ops.norm_h01(phi)):
+            delta = J.solve(-corrector_mod._defect(phi, st, cfg))
+            phi = Field(mesh, phi.values + delta.values)
+            updates.append(ops.norm_h01(delta.values))
+            if updates[-1] < tol * max(1.0, ops.norm_h01(phi.values)):
                 return types.SimpleNamespace(converged=True, u=U.values + phi.values,
                                              updates_h01=updates)
         return types.SimpleNamespace(converged=False, u=None, updates_h01=updates)

@@ -3,8 +3,10 @@ import dataclasses
 import filecmp
 import math
 import os
+import pathlib
 import re
 import threading
+import types
 import warnings
 
 import numpy as np
@@ -21,7 +23,6 @@ from sinhpierce.errors import (
     SchemaError,
 )
 from sinhpierce.geometry import MIN_HOLE_RADIUS, DomainSpec, MeshPolicy
-from sinhpierce.operators import Field
 from sinhpierce.runconfig import domain_sample_points, parse_config
 
 from conftest import distance_to_boundary, pierced_mesh
@@ -110,6 +111,53 @@ command = bogus
 def test_sign_changing_potential_rejected(tmp_path):
     with pytest.raises(NonpositiveSampled):
         parse_config(BASE.format(out=tmp_path).replace("v1 = 1", "v1 = x"))
+
+
+# V1 dips to -2 at (1, 0), a boundary node of every disk mesh, and is
+# positive at every point parse_config samples: there W = -rho
+_DIP = "1 - 3*exp(-10000*((x-1)^2 + y^2))"
+
+
+@pytest.mark.parametrize("command, rho, code", [("construct", "1e-3", 1),
+                                                ("verify", "1e-2 1e-3", 1),
+                                                ("sweep", "1e-2 1e-3", 2)])
+def test_potential_negative_at_a_node(tmp_path, capsys, command, rho, code):
+    cfg = _write(tmp_path, BASE.format(out=tmp_path).replace("v1 = 1", f"v1 = {_DIP}"))
+    out = tmp_path / command
+    assert main([command, "--config", cfg, "--out", str(out), "--rho", rho]) == code
+    err = capsys.readouterr().err
+    if command == "sweep":
+        with open(out / "sweep.csv", newline="") as f:
+            rows = list(csv.DictReader(f))
+        assert [row["status"] for row in rows] == ["nonpositive-sampled"] * 2
+        assert all("is negative at node" in row["error"] for row in rows)
+    else:
+        assert err.startswith("validation failure: weight W = -")
+        assert "(1, 0)" in err
+
+
+def test_long_potential_sum_is_accepted(tmp_path):
+    # 1,500 terms nest deeper than Python's recursion limit
+    v1 = "+".join(["0.001"] * 1500)
+    rc = parse_config(BASE.format(out=tmp_path).replace("v1 = 1", f"v1 = {v1}"))
+    assert rc.problem.V1(0.3, -0.2) == pytest.approx(1.5)
+
+
+_CONFIGS = pathlib.Path(__file__).resolve().parents[1] / "configs"
+
+
+@pytest.mark.parametrize("name, command, m", [("single_bubble.cfg", "construct", 1),
+                                               ("two_bubble.cfg", "sweep", 2)])
+def test_bundled_configs_parse(name, command, m):
+    rc = parse_config((_CONFIGS / name).read_text())
+    assert (rc.command, rc.problem.m) == (command, m)
+
+
+def test_bundled_single_bubble_constructs(tmp_path):
+    text = re.sub(r"(?m)^h = .*$", "h = 0.1", (_CONFIGS / "single_bubble.cfg").read_text())
+    out = tmp_path / "single"
+    assert main(["construct", "--config", _write(tmp_path, text), "--out", str(out)]) == 0
+    assert "status converged\n" in (out / "report.txt").read_text()
 
 
 def test_liouville_mode_accepted(tmp_path):
@@ -701,8 +749,8 @@ def test_field_csv_bytes_match_row_writer(tmp_path, coarse_solution):
         mesh, nodes=np.column_stack([np.resize(AWKWARD, mesh.n_nodes),
                                      np.resize(AWKWARD[::-1], mesh.n_nodes)]))
     fields = [coarse_solution.u, coarse_solution.phi,
-              Field(mesh, np.resize(AWKWARD, mesh.n_nodes)),
-              Field(odd_mesh, np.resize(AWKWARD[3:], mesh.n_nodes))]
+              types.SimpleNamespace(mesh=mesh, values=np.resize(AWKWARD, mesh.n_nodes)),
+              types.SimpleNamespace(mesh=odd_mesh, values=np.resize(AWKWARD[3:], mesh.n_nodes))]
     for k, field in enumerate(fields):
         want, alone, shared = (tmp_path / f"{k}-{name}.csv"
                                for name in ("rows", "alone", "shared"))

@@ -28,7 +28,6 @@ from sinhpierce.errors import (
 from sinhpierce.geometry import DomainSpec, MeshPolicy, _nearest_nodes, annulus_radius
 from sinhpierce.greens import GreenProvider, NumericGreen
 from sinhpierce.operators import (
-    DIRICHLET_ZERO,
     SUP_GUARD,
     DiscreteOperators,
     Field,
@@ -169,7 +168,7 @@ def test_zero_defect_gives_zero_correction(coarse_run, monkeypatch):
 
     def zero_R(U, lap_U, cfg, scales):
         out = real(U, lap_U, cfg, scales)
-        out.values[:] = 0.0
+        out[:] = 0.0
         return out
 
     monkeypatch.setattr(corrector_mod, "residual_R", zero_R)
@@ -178,10 +177,16 @@ def test_zero_defect_gives_zero_correction(coarse_run, monkeypatch):
     assert np.abs(sol.phi.values).max() == 0.0
 
 
+def test_fixed_point_rejects_maxiter_below_one(coarse_run):
+    # refused before anything is solved: no operator is needed
+    with pytest.raises(ValueError, match="maxiter must be at least 1, got 0"):
+        fixed_point_correct(coarse_run.stage(1e-2), coarse_run.cfg, None, maxiter=0)
+
+
 def test_divergence_guard(single_cfg, coarse_run):
     # a grossly wrong ansatz (scaled up threefold) breaks the contraction
     st = coarse_run.stage(1e-2)
-    bad = Field(st.mesh, 3.0 * st.U.values, DIRICHLET_ZERO)
+    bad = Field(st.mesh, 3.0 * st.U.values)
     with pytest.raises(Diverged):
         fixed_point_correct(dataclasses.replace(st, U=bad), single_cfg,
                             LinearOperator(st.mesh, weight_W(bad, single_cfg, st.scales)),
@@ -267,7 +272,7 @@ def test_stage_releases_poisson_factor(single_cfg, gp, coarse_policy):
     g = np.random.default_rng(5).standard_normal(len(ops.boundary))
     want = DiscreteOperators(mesh).solve_dirichlet(g)
     got = ops.solve_dirichlet(g)
-    assert got.values.tobytes() == want.values.tobytes()
+    assert got.tobytes() == want.tobytes()
 
 
 def test_failing_stage_is_prepared_once(disk, gp, coarse_policy, monkeypatch):
@@ -444,7 +449,7 @@ def test_sup_guard_keeps_the_partial_report(coarse_run, solver, monkeypatch):
     # a step takes exponentials of it; the Diverged it raises carries the
     # report with what was measured before the loop
     st = coarse_run.stage(1e-3)
-    big = Field(st.mesh, np.where(st.mesh.is_boundary, 0.0, 2 * SUP_GUARD), DIRICHLET_ZERO)
+    big = Field(st.mesh, np.where(st.mesh.is_boundary, 0.0, 2 * SUP_GUARD))
     L = LinearOperator(st.mesh, weight_W(st.U, coarse_run.cfg, st.scales))
     with pytest.raises(Diverged) as info:
         solver(st, coarse_run.cfg, L, phi0=big)

@@ -181,14 +181,15 @@ def test_outside_points_take_nearest_node(square_green, pierced_pair):
         assert_same_bits(got[:4], vals[nearest])
 
 
-def test_single_point_returns_float(pierced_pair):
+def test_single_point_returns_an_array(pierced_pair):
     mesh = pierced_pair[0]
     vals = np.random.default_rng(6).normal(size=mesh.n_nodes)
     ev, ref = FieldEvaluator(mesh), ScalarFieldEvaluator(mesh)
     for p in ([0.1, 0.2], [-0.4 + 1e-3, 1e-3]):
-        got = ev(vals, np.array(p))
-        assert type(got) is float
-        assert_same_bits(got, ref(vals, np.array(p)))
+        for pts in (np.array([p]), np.array(p)):
+            got = ev(vals, pts)
+            assert type(got) is np.ndarray and got.shape == (1,)
+            assert_same_bits(got[0], ref(vals, np.array(p)))
 
 
 def test_robin_H_many_matches_pointwise(square_green):

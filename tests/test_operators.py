@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import math
 import os
@@ -20,7 +21,7 @@ from sinhpierce.coeffs import (
     compute_rho_i,
     constant_potential,
 )
-from sinhpierce.errors import InvalidExponent, MeshMismatch
+from sinhpierce.errors import InvalidExponent, MeshMismatch, NonpositiveSampled
 from sinhpierce.geometry import annulus_radius, build_domain_mesh
 from sinhpierce.operators import (
     Field,
@@ -75,19 +76,19 @@ def test_operators_are_kept_on_the_mesh_until_released(disk):
 
 def test_laplacian_quadratic(plain):
     mesh, ops = plain
-    f = Field(mesh, mesh.nodes[:, 0] ** 2 + mesh.nodes[:, 1] ** 2)
+    f = mesh.nodes[:, 0] ** 2 + mesh.nodes[:, 1] ** 2
     lap = ops.laplacian(f)
     sel = _hex_interior(mesh)
-    assert np.abs(lap.values[sel] - 4.0).max() <= 2e-2
+    assert np.abs(lap[sel] - 4.0).max() <= 2e-2
 
 
 def test_laplacian_harmonic(plain):
     mesh, ops = plain
     x, y = mesh.nodes[:, 0], mesh.nodes[:, 1]
-    f = Field(mesh, x ** 3 - 3 * x * y ** 2)   # Re z^3
+    f = x ** 3 - 3 * x * y ** 2   # Re z^3
     lap = ops.laplacian(f)
     sel = _hex_interior(mesh)
-    assert np.abs(lap.values[sel]).max() <= 5e-2
+    assert np.abs(lap[sel]).max() <= 5e-2
 
 
 def test_laplacian_second_order_convergence(disk):
@@ -96,10 +97,10 @@ def test_laplacian_second_order_convergence(disk):
         mesh = _raw_lattice_mesh(disk, h)
         ops = get_ops(mesh)
         x, y = mesh.nodes[:, 0], mesh.nodes[:, 1]
-        f = Field(mesh, np.sin(x) * np.cos(y))
+        f = np.sin(x) * np.cos(y)
         lap = ops.laplacian(f)
         sel = _hex_interior(mesh)
-        errs.append(np.abs(lap.values[sel] + 2 * np.sin(x[sel]) * np.cos(y[sel])).max())
+        errs.append(np.abs(lap[sel] + 2 * np.sin(x[sel]) * np.cos(y[sel])).max())
     assert errs[0] / errs[1] == pytest.approx(4.0, abs=1.0)
 
 
@@ -107,7 +108,7 @@ def test_solve_dirichlet_zero_rhs(plain):
     # zero boundary data extend to the zero field
     mesh, ops = plain
     f = ops.solve_dirichlet(np.zeros(len(ops.boundary)))
-    assert np.abs(f.values).max() <= 1e-14
+    assert np.abs(f).max() <= 1e-14
 
 
 def test_solve_dirichlet_manufactured(plain):
@@ -116,7 +117,7 @@ def test_solve_dirichlet_manufactured(plain):
     g = np.exp(x) * np.cos(y)   # harmonic
     f = ops.solve_dirichlet(g[ops.boundary])
     scale = np.abs(g).max()
-    assert np.abs(f.values - g).max() / scale <= 5e-3  # O(h^2) at h=0.05
+    assert np.abs(f - g).max() / scale <= 5e-3  # O(h^2) at h=0.05
 
 
 def test_solve_dirichlet_linearity(plain):
@@ -125,7 +126,7 @@ def test_solve_dirichlet_linearity(plain):
     g = rng.standard_normal(len(ops.boundary))
     a = ops.solve_dirichlet(3.5 * g)
     b = ops.solve_dirichlet(g)
-    assert np.abs(a.values - 3.5 * b.values).max() <= 1e-12 * np.abs(a.values).max()
+    assert np.abs(a - 3.5 * b).max() <= 1e-12 * np.abs(a).max()
 
 
 def test_maximum_principle(plain):
@@ -134,7 +135,7 @@ def test_maximum_principle(plain):
     g = np.random.default_rng(6).standard_normal(len(ops.boundary))
     f = ops.solve_dirichlet(g)
     tol = 1e-10 * np.abs(g).max()
-    assert g.min() - tol <= f.values.min() and f.values.max() <= g.max() + tol
+    assert g.min() - tol <= f.min() and f.max() <= g.max() + tol
 
 
 def test_stiffness_of_a_scaled_patch_triangle(single_mesh):
@@ -163,7 +164,7 @@ def test_stiffness_symmetry(plain):
 
 def test_norms_constant_field(plain):
     mesh, ops = plain
-    c = Field(mesh, np.full(mesh.n_nodes, -2.5))
+    c = np.full(mesh.n_nodes, -2.5)
     area = mesh.weights.sum()
     for p in (1.0, 1.01, 2.0, 3.0):
         assert ops.norm_lp(c, p) == pytest.approx(2.5 * area ** (1 / p), rel=1e-12)
@@ -174,7 +175,7 @@ def test_norms_constant_field(plain):
 
 def test_h01_norm_of_linear_field(plain):
     mesh, ops = plain
-    f = Field(mesh, 2.0 * mesh.nodes[:, 0])
+    f = 2.0 * mesh.nodes[:, 0]
     # |grad f|^2 = 4 over the disk
     assert ops.norm_h01(f) ** 2 == pytest.approx(4 * mesh.weights.sum(), rel=1e-10)
 
@@ -193,13 +194,13 @@ def ansatz_setup(single_cfg, gp, coarse_policy):
 def test_weight_positive_and_rescaled_limit(ansatz_setup, single_cfg):
     mesh, scales, coeffs, U = ansatz_setup
     W = weight_W(U, single_cfg, scales)
-    assert W.values.min() > 0
+    assert W.min() > 0
     # delta^2 W at |y| = 1 approaches 2 a^2 / 4 = 4.5 for alpha = 3
     from sinhpierce.geometry import FieldEvaluator
 
     ev = FieldEvaluator(mesh)
     d = scales.delta[0]
-    val = ev(W.values, mesh.patches[0].center + (d, 0.0)) * d ** 2
+    val = ev(W, mesh.patches[0].center + (d, 0.0))[0] * d ** 2
     assert val == pytest.approx(4.5, rel=0.05)
 
 
@@ -213,14 +214,14 @@ def test_weight_liouville_case(disk, gp, coarse_policy):
     W = weight_W(U, cfg, scales)
     v1 = np.ones(mesh.n_nodes)
     want = scales.rho * v1 * np.exp(U.values)
-    assert np.abs(W.values - want).max() <= 1e-12 * np.abs(want).max()
+    assert np.abs(W - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def test_nonlinearity_zero_at_zero(ansatz_setup, single_cfg):
     mesh, scales, coeffs, U = ansatz_setup
     phi = Field(mesh, np.zeros(mesh.n_nodes))
     N = nonlinear_N(phi, U, single_cfg, scales)
-    assert np.abs(N.values).max() == 0.0
+    assert np.abs(N).max() == 0.0
 
 
 def test_nonlinearity_quadratic_smallness(ansatz_setup, single_cfg):
@@ -242,9 +243,9 @@ def test_residual_paths_agree(ansatz_setup, single_cfg):
     lap = semianalytic_laplacian_U(single_cfg, scales, mesh)
     semi = residual_R(U, lap, single_cfg, scales)
     # the same defect with the discrete Laplacian of U (V1 = V2 = tau = 1)
-    disc = get_ops(mesh).laplacian(U).values \
+    disc = get_ops(mesh).laplacian(U.values) \
         + scales.rho * (np.exp(U.values) - np.exp(-U.values))
-    d = np.abs(semi.values - disc)
+    d = np.abs(semi - disc)
     # on the regular lattice region the two Laplacian routes agree sharply
     r = mesh.center_distance(0)
     sel = (~mesh.is_boundary) & (r > 0.66) & (np.hypot(*mesh.nodes.T) < 0.8)
@@ -267,24 +268,39 @@ def test_linear_operator_roundtrip(ansatz_setup, single_cfg):
     ops = get_ops(mesh)
     h = np.zeros(mesh.n_nodes)
     h[ops.interior] = (L.matrix @ psi[ops.interior]) / ops.w[ops.interior]
-    back = L.solve(Field(mesh, h))
+    back = L.solve(h)
     assert np.abs(back.values - psi).max() <= 1e-8 * np.abs(psi).max()
 
 
 def test_linear_operator_zero_weight_reduces_to_poisson(ansatz_setup, poisson):
     mesh, scales, coeffs, U = ansatz_setup
-    L = LinearOperator(mesh, Field(mesh, np.zeros(mesh.n_nodes)))
+    L = LinearOperator(mesh, np.zeros(mesh.n_nodes))
     rng = np.random.default_rng(4)
     h = rng.standard_normal(mesh.n_nodes)
-    a = L.solve(Field(mesh, h))
+    a = L.solve(h)
     b = poisson(mesh, h)
     assert np.abs(a.values - b).max() <= 1e-10 * np.abs(b).max()
 
 
 def test_linear_operator_rejects_negative_weight(ansatz_setup):
     mesh = ansatz_setup[0]
-    with pytest.raises(ValueError):
-        LinearOperator(mesh, Field(mesh, -np.ones(mesh.n_nodes)))
+    with pytest.raises(NonpositiveSampled, match=r"W = -1 is negative at node 0 \("):
+        LinearOperator(mesh, -np.ones(mesh.n_nodes))
+
+
+def test_field_vanishes_on_the_boundary(ansatz_setup):
+    # a Field is a nodal function with zero boundary values, up to 1e-12 of
+    # its largest value; any other nodal data stay plain arrays
+    mesh = ansatz_setup[0]
+    vals = np.where(mesh.is_boundary, 0.0, 1.0)
+    assert Field(mesh, vals).values.tobytes() == vals.tobytes()
+    Field(mesh, np.zeros(mesh.n_nodes))
+    Field(mesh, np.where(mesh.is_boundary, 1e-12, 1.0))
+    with pytest.raises(ValueError, match="does not vanish"):
+        Field(mesh, np.where(mesh.is_boundary, 2e-12, 1.0))
+    with pytest.raises(ValueError, match="size"):
+        Field(mesh, np.zeros(mesh.n_nodes + 1))
+    assert [f.name for f in dataclasses.fields(Field)] == ["mesh", "values"]
 
 
 def test_field_mesh_mismatch(ansatz_setup, single_cfg, disk):
@@ -298,7 +314,7 @@ def test_field_mesh_mismatch(ansatz_setup, single_cfg, disk):
 def test_module_level_helpers(ansatz_setup):
     mesh = ansatz_setup[0]
     ops = get_ops(mesh)
-    f = Field(mesh, np.ones(mesh.n_nodes))
+    f = np.ones(mesh.n_nodes)
     assert ops.norm_lp(f, 2) == pytest.approx(math.sqrt(mesh.weights.sum()), rel=1e-12)
     assert ops.norm_sup(f) == 1.0
     assert ops.norm_h01(f) <= 1e-6
@@ -323,10 +339,9 @@ def test_nonlinearity_lipschitz_constant_decays(single_cfg, gp, coarse_policy):
             base[:, mesh.is_boundary] = 0.0
             p1 = Field(mesh, base[0])
             p2 = Field(mesh, base[1])
-            dN = nonlinear_N(p1, U, single_cfg, scales).values \
-                - nonlinear_N(p2, U, single_cfg, scales).values
-            num = ops.norm_lp(Field(mesh, dN), 1.01)
-            den = ops.norm_h01(Field(mesh, base[0] - base[1]))
+            dN = nonlinear_N(p1, U, single_cfg, scales) - nonlinear_N(p2, U, single_cfg, scales)
+            num = ops.norm_lp(dN, 1.01)
+            den = ops.norm_h01(base[0] - base[1])
             worst = max(worst, num / den)
         Ks.append(worst)
     assert Ks[1] < Ks[0]
@@ -391,7 +406,7 @@ def test_residual_small_outside_annuli(single_cfg, gp, coarse_policy):
         R = residual_R(U, semianalytic_laplacian_U(single_cfg, scales, mesh),
                        single_cfg, scales)
         outside = (~mesh.is_boundary) & (mesh.center_distance(0) > eta)
-        consts.append(np.abs(R.values[outside]).max() / rho)
+        consts.append(np.abs(R[outside]).max() / rho)
     assert max(consts) / min(consts) <= 3.0
 
 

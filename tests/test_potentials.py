@@ -3,6 +3,7 @@ import math
 import operator
 import re
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -196,6 +197,20 @@ def _same_bits(a, b):
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     return a.shape == b.shape and bool(np.all(
         (a.view(np.int64) == b.view(np.int64)) | (np.isnan(a) & np.isnan(b))))
+
+
+@pytest.mark.parametrize("n", [1500, 2900])
+def test_long_sums_evaluate(n):
+    # past Python's recursion limit, short of the parser's nesting limit. That
+    # limit counts the caller's stack depth too, so parse on a fresh thread,
+    # near the depth the command line parses at
+    with ThreadPoolExecutor(1) as pool:
+        e = pool.submit(parse_potential, "+".join(["0.001"] * n)).result()
+    want = 0.0
+    for _ in range(n):
+        want += 0.001
+    assert _same_bits(e(np.zeros(3), np.ones(3)), np.full(3, want))
+    assert _same_bits(e(0.5, -0.5), want)
 
 
 @settings(max_examples=300, deadline=None)

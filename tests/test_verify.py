@@ -129,8 +129,6 @@ def test_kernel_coefficient_of_kernel_is_one(coarse_run, coarse_solution):
     y = mesh.center_distance(0) / delta
     vals = (1 - y ** alpha) / (1 + y ** alpha)
     vals = np.where(mesh.is_boundary, 0.0, vals)
-    from sinhpierce.operators import Field
-
     synthetic = Field(mesh, vals)
     a = kernel_coefficient(synthetic, coarse_run.cfg, sol.stage.scales, 0)
     assert a == pytest.approx(1.0, abs=1e-6)
@@ -166,7 +164,7 @@ def test_operator_bound_zero_weight_control(coarse_run, monkeypatch):
     # rho-independent up to mesh differences
     def zero_weight_operator(run, rho):
         mesh = run.stage(rho).mesh
-        return LinearOperator(mesh, Field(mesh, np.zeros(mesh.n_nodes)))
+        return LinearOperator(mesh, np.zeros(mesh.n_nodes))
 
     monkeypatch.setattr(Run, "linear_operator", zero_weight_operator)
     amps = [check_operator_bound(coarse_run, rho, trials=3, seed=1)
