@@ -59,8 +59,9 @@ def write_field_csv(field, path, coords=None):
 
 
 def _cmd_construct(rc: RunConfig, man: Manifest):
-    sol = construct_solution(Run(rc.problem, rc.policy), rc.rho_list[0], tol=rc.tol,
-                             maxiter=rc.maxiter, p_norms=tuple(rc.p_list))
+    # the Run is not kept, so its Lap + W factor is freed before the files are written
+    sol = construct_solution(Run(rc.problem, rc.policy, tol=rc.tol, maxiter=rc.maxiter,
+                                 p_norms=rc.p_list), rc.rho_list[0])
     out = man.out_dir
     sol.report.write(os.path.join(out, "report"))
     man.add(os.path.join(out, "report.txt"), "construct",
@@ -80,8 +81,8 @@ def _cmd_construct(rc: RunConfig, man: Manifest):
 
 
 def _cmd_sweep(rc: RunConfig, man: Manifest):
-    sw = continuation_sweep(Run(rc.problem, rc.policy), rc.rho_list, tol=rc.tol,
-                            maxiter=rc.maxiter, p_norms=tuple(rc.p_list))
+    sw = continuation_sweep(Run(rc.problem, rc.policy, tol=rc.tol, maxiter=rc.maxiter,
+                                p_norms=rc.p_list), rc.rho_list)
     out = man.out_dir
     path = os.path.join(out, "sweep.csv")
     sw.write_csv(path)

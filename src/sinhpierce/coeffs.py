@@ -43,6 +43,9 @@ class BlowupConfig:
         if a.shape[0] != m:
             raise ValueError("alphas and centers length mismatch")
         for i, ai in enumerate(a):
+            if not math.isfinite(ai):
+                raise ConstraintViolation(
+                    f"exponent assumption violated: alpha must be finite (alpha_{i + 1} = {ai})")
             if ai <= 2:
                 raise ConstraintViolation(
                     "exponent assumption violated: alpha must exceed 2 "
@@ -55,6 +58,9 @@ class BlowupConfig:
         if not 0 <= self.m1 <= m:
             raise ConstraintViolation(
                 f"sign split assumption violated: m1 must lie in 0..{m} (m1 = {self.m1})")
+        if not math.isfinite(self.tau):
+            raise ConstraintViolation(
+                f"coupling assumption violated: tau must be finite (tau = {self.tau})")
         if self.tau <= 0:
             raise ConstraintViolation(
                 f"coupling assumption violated: tau must be positive (tau = {self.tau})")
@@ -172,12 +178,11 @@ def _beta_matrix(H, G, log_eps):
 def _check_solve(A, B, name):
     cond = np.linalg.cond(A)
     if not np.isfinite(cond) or cond > 1e12:
-        raise SingularSystem(f"{name} system ill conditioned (cond ~ {cond:.3g})",
-                             condition=cond)
+        raise SingularSystem(f"{name} system ill conditioned (cond ~ {cond:.3g})")
     X = np.linalg.solve(A, B)
     res = np.linalg.norm(A @ X - B) / max(np.linalg.norm(B), 1e-300)
     if res > 1e-10:
-        raise SingularSystem(f"{name} system residual {res:.3e}", condition=cond)
+        raise SingularSystem(f"{name} system residual {res:.3e}")
     return X
 
 

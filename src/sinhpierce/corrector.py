@@ -118,7 +118,7 @@ def _check_resonance(report, L):
     if abs(lam) < EIG_FLOOR:
         report.status = "near-singular"
         report.error = f"linearized operator near resonance, |lambda| ~ {abs(lam):.3e}"
-        raise NearSingular(report.error, eigenvalue=lam, report=report)
+        raise NearSingular(report.error, report=report)
 
 
 def _defect(phi, st, cfg):
@@ -153,32 +153,30 @@ def _finish(report, phi, st, cfg):
     return phi, report
 
 
-def fixed_point_correct(st: Stage, cfg, L: LinearOperator, tol=TOL, maxiter=MAXITER,
-                        phi0=None, p_norms=P_NORMS) -> tuple[Field, SolveReport]:
+def fixed_point_correct(run: Run, rho, phi0=None) -> tuple[Field, SolveReport]:
     """Iterate phi -> T(-(R + N(phi))) from phi0 (or 0) until the update stalls.
 
-    st is the stage of the ansatz U. L is Lap + W at U, already built
-    (Run.linear_operator); its factor and eigenvalue estimate are reused, and
-    the report keeps the eigenvalue. R is the ansatz defect, whose Lp norms
-    the report keeps. Each iterate phi must stay within SUP_GUARD in sup norm
-    before the step takes exponentials of it. The loop stops once an update
-    falls below tol relative to the H1_0 norm of the iterate, and raises
-    Diverged, with the partial report, if the guard trips or maxiter steps do
-    not get there.
+    The ansatz U is run.stage(rho)'s and L = Lap + W at U is
+    run.linear_operator(rho), whose factor and eigenvalue estimate are
+    reused; the report keeps the eigenvalue. R is the ansatz defect, whose
+    Lp norms at run.p_norms the report keeps. Each iterate phi must stay
+    within SUP_GUARD in sup norm before the step takes exponentials of it.
+    The loop stops once an update falls below run.tol relative to the H1_0
+    norm of the iterate, and raises Diverged, with the partial report, if the
+    guard trips or run.maxiter steps do not get there.
     """
-    if maxiter < 1:
-        raise ValueError(f"maxiter must be at least 1, got {maxiter}")
+    st, cfg, L = run.stage(rho), run.cfg, run.linear_operator(rho)
     mesh, U, scales = st.mesh, st.U, st.scales
     R = residual_R(U, st.lap_U, cfg, scales)
     ops = get_ops(mesh)
     report = SolveReport(rho=scales.rho)
     _check_resonance(report, L)
-    for p in p_norms:
+    for p in run.p_norms:
         report.r_norms[p] = ops.norm_lp(R, p)
 
     phi = phi0 if phi0 is not None else Field(mesh, np.zeros(mesh.n_nodes))
     prev_update = None
-    for it in range(maxiter):
+    for it in range(run.maxiter):
         sup = ops.norm_sup(phi.values)
         if sup > SUP_GUARD:
             _diverged(report, f"sup norm {sup:.3g} exceeded the guard")
@@ -193,9 +191,9 @@ def fixed_point_correct(st: Stage, cfg, L: LinearOperator, tol=TOL, maxiter=MAXI
         prev_update = upd
         phi = new
         report.iterations = it + 1
-        if upd < tol * max(1.0, ops.norm_h01(phi.values)):
+        if upd < run.tol * max(1.0, ops.norm_h01(phi.values)):
             return _finish(report, phi, st, cfg)
-    _diverged(report, f"no convergence in {maxiter} iterations "
+    _diverged(report, f"no convergence in {run.maxiter} iterations "
                       f"(last update {prev_update:.3e})")
 
 
@@ -215,7 +213,9 @@ class Stage:
 
 
 class Run:
-    """One command's problem, mesh policy and Green function.
+    """One command's problem, mesh policy, Green function and solver settings
+    (tol, maxiter, p_norms: see fixed_point_correct; maxiter < 1 is refused
+    before anything starts).
 
     The hole centers are fixed for the whole run: the constructor checks
     their layout and fixes the annulus radius eta (annulus_radius), so an
@@ -236,8 +236,12 @@ class Run:
     analytic check run while it builds; the first build_mesh waits for it.
     """
 
-    def __init__(self, cfg, policy: MeshPolicy | None = None, gp: GreenProvider | None = None):
+    def __init__(self, cfg, policy: MeshPolicy | None = None, gp: GreenProvider | None = None,
+                 tol=TOL, maxiter=MAXITER, p_norms=P_NORMS):
+        if maxiter < 1:
+            raise ValueError(f"maxiter must be at least 1, got {maxiter}")
         self.cfg = cfg
+        self.tol, self.maxiter, self.p_norms = tol, maxiter, tuple(p_norms)
         self.policy = policy or MeshPolicy()
         self.eta = annulus_radius(cfg.domain, cfg.centers)
         self._background = prefetch_background(cfg.domain, cfg.centers, self.eta, self.policy)
@@ -328,15 +332,12 @@ def farfield_sample_points(cfg, eta):
     return np.asarray(pts)
 
 
-def construct_solution(run: Run, rho, tol=TOL, maxiter=MAXITER,
-                       phi0=None, p_norms=P_NORMS) -> Solution:
+def construct_solution(run: Run, rho, phi0=None) -> Solution:
     """Correct the prepared ansatz at rho, from phi0 (a Field on its mesh) or 0."""
     cfg, eta = run.cfg, run.eta
     st = run.stage(rho)
     scales, mesh, U = st.scales, st.mesh, st.U
-    phi, report = fixed_point_correct(st, cfg, tol=tol, maxiter=maxiter,
-                                      phi0=phi0, p_norms=p_norms,
-                                      L=run.linear_operator(rho))
+    phi, report = fixed_point_correct(run, rho, phi0=phi0)
     u = Field(mesh, U.values + phi.values)
 
     # annulus peaks and inner-region signs
@@ -396,8 +397,7 @@ class SweepResult:
                     rep.error])
 
 
-def continuation_sweep(run: Run, rho_list, tol=TOL, maxiter=MAXITER, p_norms=P_NORMS,
-                       after_rho=None) -> SweepResult:
+def continuation_sweep(run: Run, rho_list, after_rho=None) -> SweepResult:
     """Run the construction at each rho (descending), warm-starting phi.
 
     A SinhPierceError, from the warm start or the construction, fails only
@@ -420,8 +420,7 @@ def continuation_sweep(run: Run, rho_list, tol=TOL, maxiter=MAXITER, p_norms=P_N
                 vals = FieldEvaluator(prev.stage.mesh)(prev.phi.values, mesh.nodes)
                 vals[mesh.is_boundary] = 0.0
                 phi0 = Field(mesh, vals)
-            sol = construct_solution(run, rho, tol=tol, maxiter=maxiter,
-                                     phi0=phi0, p_norms=p_norms)
+            sol = construct_solution(run, rho, phi0=phi0)
             solutions.append(sol)
             reports.append(sol.report)
             prev = sol
@@ -440,7 +439,7 @@ def continuation_sweep(run: Run, rho_list, tol=TOL, maxiter=MAXITER, p_norms=P_N
     insufficient = len(good) < SLOPE_SAMPLES
     if not insufficient:
         rhos = [r.rho for r in good]
-        sigma_fits = {p: log_slope(rhos, [r.r_norms[p] for r in good]) for p in p_norms}
+        sigma_fits = {p: log_slope(rhos, [r.r_norms[p] for r in good]) for p in run.p_norms}
         for r in reports:
             r.sigma_fits = dict(sigma_fits)
     return SweepResult(solutions=solutions, reports=reports,

@@ -41,9 +41,7 @@ class NonpositivePotentialAtCenter(SinhPierceError):
 
 
 class SingularSystem(SinhPierceError):
-    def __init__(self, message, condition=None):
-        super().__init__(message)
-        self.condition = condition
+    pass
 
 
 # --- bubbles ---
@@ -53,9 +51,7 @@ class MeshMismatch(SinhPierceError):
 
 # --- operators ---
 class SolverFailure(SinhPierceError):
-    def __init__(self, message, residual=None):
-        super().__init__(message)
-        self.residual = residual
+    pass
 
 
 class InvalidExponent(SinhPierceError):
@@ -63,9 +59,8 @@ class InvalidExponent(SinhPierceError):
 
 
 class NearSingular(SinhPierceError):
-    def __init__(self, message, eigenvalue=None, report=None):
+    def __init__(self, message, report=None):
         super().__init__(message)
-        self.eigenvalue = eigenvalue
         self.report = report
 
 
@@ -105,5 +100,5 @@ class SchemaError(SinhPierceError):
 
 
 class ConstraintViolation(SinhPierceError, ValueError):
-    """A standing assumption of the construction (exponents, sign split, tau)
-    does not hold."""
+    """A standing assumption of the construction (exponents, sign split, tau,
+    finite potentials) does not hold."""

@@ -59,6 +59,8 @@ class DomainSpec:
             raise ValueError("unit-disk domain carries no curve data")
         if self.kind == "boundary-curve":
             b = np.asarray(self.boundary, dtype=float)
+            if not np.all(np.isfinite(b)):
+                raise ValueError("boundary curve points must be finite")
             # drop every point that repeats its cyclic predecessor, so no
             # polygon test sees a zero-length edge; of the pair first/last (a
             # curve given closed) the last goes, so the curve keeps its start
@@ -80,8 +82,8 @@ class MeshPolicy:
     q: float = 1.3
 
     def __post_init__(self):
-        if not (self.h > 0):
-            raise ValueError("h must be positive")
+        if not 0 < self.h < math.inf:
+            raise ValueError("h must be positive and finite")
         if not (1.0 < self.q <= 2.0):
             raise ValueError("grading ratio q must lie in (1, 2]")
 
@@ -239,9 +241,13 @@ def annulus_radius(domain: DomainSpec, centers) -> float:
                 raise DuplicateCenters(
                     f"holes {i + 1} and {j + 1} share center {tuple(c[i].tolist())}")
             separations.append(math.hypot(c[i, 0] - c[j, 0], c[i, 1] - c[j, 1]))
-    clearance = _signed_inside_distance(c, domain, domain.boundary).tolist()
+    # a center that is not a finite point lies outside every domain
+    finite = np.isfinite(c).all(axis=1)
+    clearance = np.full(m, -np.inf)
+    clearance[finite] = _signed_inside_distance(c[finite], domain, domain.boundary)
+    clearance = clearance.tolist()
     for i, d in enumerate(clearance):
-        if d <= 0:
+        if not d > 0:
             raise HoleTouchesBoundary(
                 f"hole {i + 1}: center {tuple(c[i].tolist())} not inside the domain "
                 f"(clearance {d:.3g})")

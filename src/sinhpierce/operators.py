@@ -104,7 +104,7 @@ class DiscreteOperators:
         res[self.boundary] = 0.0
         rel = np.linalg.norm(res) / scale
         if not np.isfinite(rel) or rel > 1e-10:
-            raise SolverFailure(f"Poisson solve residual {rel:.3e}", residual=rel)
+            raise SolverFailure(f"Poisson solve residual {rel:.3e}")
         return u
 
     def release_poisson_factor(self):
@@ -235,14 +235,13 @@ class LinearOperator:
         b = (ops.w * h)[ops.interior]
         phi_I = lu.solve(b)
         if not np.all(np.isfinite(phi_I)):
-            raise NearSingular("Lap+W solve produced non-finite values",
-                               eigenvalue=self._eig_estimate)
+            raise NearSingular("Lap+W solve produced non-finite values")
         A_phi = self.matrix @ phi_I
         res = A_phi - b
         scale = max(np.linalg.norm(b), np.linalg.norm(A_phi), 1e-300)
         rel = np.linalg.norm(res) / scale
         if rel > 1e-10:
-            raise SolverFailure(f"Lap+W solve residual {rel:.3e}", residual=rel)
+            raise SolverFailure(f"Lap+W solve residual {rel:.3e}")
         phi = np.zeros(self.mesh.n_nodes)
         phi[ops.interior] = phi_I
         return Field(self.mesh, phi)

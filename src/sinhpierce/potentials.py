@@ -27,7 +27,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .errors import NonpositiveSampled, ParseError
+from .errors import ConstraintViolation, NonpositiveSampled, ParseError
 
 _FUNCS = MappingProxyType({"exp": np.exp, "log": np.log, "sin": np.sin, "cos": np.cos})
 _BINOPS = MappingProxyType({ast.Add: operator.add, ast.Sub: operator.sub,
@@ -38,6 +38,11 @@ _NUMBER = re.compile(r"(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?", re.ASCII)
 # comment, a call's trailing comma, ** itself, and non-ASCII text, which
 # Python folds (NFKC) so that a fullwidth x reads as x
 _FOREIGN = re.compile(r"\*\*|[#,\0]|[^\0-\x7f]")
+# the deepest tree, in nodes from the root, that parse_potential accepts.
+# Python's parser counts the caller's stack depth against its own nesting
+# limit; it reaches this depth from any caller less than about 300 frames
+# deep, so below that the answer does not depend on the caller.
+MAX_DEPTH = 2000
 
 
 @dataclass(frozen=True)
@@ -87,7 +92,8 @@ def _error(text, what, pos):
 
 def parse_potential(text) -> PotentialExpr:
     """Parse an expression into a PotentialExpr. Raises ParseError with the
-    position in text of the first character it cannot read."""
+    position in text of the first character it cannot read, or of the first
+    non-space character for a tree deeper than MAX_DEPTH."""
     if not isinstance(text, str) or not text.strip():
         raise ParseError("empty expression", position=0)
     lead = len(text) - len(text.lstrip())
@@ -108,17 +114,19 @@ def parse_potential(text) -> PotentialExpr:
     except (RecursionError, MemoryError):   # the parser's limits on nesting
         raise _error(text, "expression nested too deeply", lead) from None
 
-    stack = [root]
+    stack = [(root, 1)]
     while stack:
-        node = stack.pop()
+        node, depth = stack.pop()
+        if depth > MAX_DEPTH:
+            raise _error(text, "expression nested too deeply", lead)
         if isinstance(node, ast.BinOp) and type(node.op) in _BINOPS:
-            stack += (node.right, node.left)
+            stack += ((node.right, depth + 1), (node.left, depth + 1))
         elif isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.UAdd, ast.USub)):
-            stack.append(node.operand)
+            stack.append((node.operand, depth + 1))
         elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
               and node.func.id in _FUNCS and len(node.args) == 1 and not node.keywords
               and node.func.col_offset == node.col_offset):   # not (exp)(x)
-            stack.append(node.args[0])
+            stack.append((node.args[0], depth + 1))
         elif isinstance(node, ast.Name) and node.id in ("x", "y"):
             pass
         elif isinstance(node, ast.Constant) and _NUMBER.fullmatch(
@@ -131,8 +139,10 @@ def parse_potential(text) -> PotentialExpr:
     return PotentialExpr(root=root, text=text)
 
 
-def check_positive(expr, points, name="potential"):
-    """Sample expr on the given points and raise NonpositiveSampled on any value <= 0.
+def check_sampled(expr, points, name="potential", positive=True):
+    """Sample expr on the given points. If positive, raise NonpositiveSampled
+    on any value <= 0 (or nan); then raise ConstraintViolation on any value
+    that is not finite.
 
     points: (n, 2) array with n >= 1000. Only those points are checked: a
     potential that is negative only between them passes.
@@ -140,14 +150,21 @@ def check_positive(expr, points, name="potential"):
     pts = np.asarray(points, dtype=float)
     if pts.shape[0] < 1000:
         raise ValueError(f"need at least 1000 sample points, got {pts.shape[0]}")
-    vals = np.asarray(expr(pts[:, 0], pts[:, 1]), dtype=float)
+    with np.errstate(all="ignore"):   # what overflows or is invalid is reported below
+        vals = np.asarray(expr(pts[:, 0], pts[:, 1]), dtype=float)
     vals = np.broadcast_to(vals, (pts.shape[0],))
     bad = ~(vals > 0.0)
-    if np.any(bad):
+    if positive and np.any(bad):
         i = int(np.argmax(bad))
         raise NonpositiveSampled(
             f"{name} is not positive: value {vals[i]:.6g} at "
             f"({pts[i, 0]:.6g}, {pts[i, 1]:.6g}); positivity is checked at "
             f"{len(pts):,} sampled points, and a potential that is negative "
             "only between them passes")
+    bad = ~np.isfinite(vals)
+    if np.any(bad):
+        i = int(np.argmax(bad))
+        raise ConstraintViolation(
+            f"potential assumption violated: {name} must be finite "
+            f"(value {vals[i]:.6g} at ({pts[i, 0]:.6g}, {pts[i, 1]:.6g}))")
     return True

@@ -19,7 +19,7 @@ from .coeffs import BlowupConfig
 from .corrector import MAXITER, P_NORMS, TOL
 from .errors import ConstraintViolation, ParseError, SchemaError
 from .geometry import DomainSpec, MeshPolicy, _inside_farther_than
-from .potentials import check_positive, parse_potential
+from .potentials import check_sampled, parse_potential
 
 COMMANDS = ("construct", "sweep", "verify", "green-check")
 # every section and key a config may hold; anything else is a SchemaError
@@ -223,8 +223,8 @@ def parse_config(text: str, run_overrides=None) -> RunConfig:
         raise SchemaError([f"{m} centers but {alphas.shape[0]} alphas"])
 
     # fold nu into V2; BlowupConfig checks the assumptions (alpha, m1, tau),
-    # each by name. The potentials stay in the equation either way; only the
-    # positivity requirement depends on the sign split.
+    # each by name. The potentials stay in the equation either way, so both
+    # must be finite; only the positivity requirement depends on the sign split.
     def v2_scaled(x, y, _e=v2_expr, _nu=nu):
         return _nu * _e(x, y)
 
@@ -234,10 +234,8 @@ def parse_config(text: str, run_overrides=None) -> RunConfig:
         raise ConstraintViolation(f"rho values must be positive and finite, got {rho_list}")
 
     sample = domain_sample_points(domain)
-    if m1 > 0:
-        check_positive(v1_expr, sample, name="V1")
-    if m1 < m:
-        check_positive(v2_scaled, sample, name="nu*V2")
+    check_sampled(v1_expr, sample, name="V1", positive=m1 > 0)
+    check_sampled(v2_scaled, sample, name="nu*V2", positive=m1 < m)
 
     return RunConfig(command=command, problem=problem, policy=policy,
                      rho_list=rho_list, p_list=p_list, tol=float(tol),

@@ -2,10 +2,9 @@
 growth, kernel identities, far-field profile, and the vanishing of the
 rescaled kernel coefficients.
 
-Each check reports a CheckResult with the measured value, the threshold it
-was held to, and whether that threshold is a derived constant or an artifact
-tolerance, so every emitted number is traceable. suite() and green_suite()
-assemble the checks of the `verify` and `green-check` commands.
+Each check reports a CheckResult with the measured value and the threshold
+it was held to. suite() and green_suite() assemble the checks of the
+`verify` and `green-check` commands.
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ import numpy as np
 
 from .bubbles import far_expansion, lalpha_weight, make_bubbles
 from .coeffs import choose_scales, constraint_deviation, dominance_threshold, solve_beta
-from .corrector import P_NORMS, SLOPE_SAMPLES, Run, continuation_sweep, log_slope
+from .corrector import SLOPE_SAMPLES, Run, continuation_sweep, log_slope
 from .errors import QuadratureNonConvergence
 from .greens import AnalyticDiskGreen, NumericGreen
 from .geometry import TWO_PI
@@ -31,14 +30,11 @@ _STENCIL_ROWS = 64   # grid rows per block of the kernel-annihilation stencil
 @dataclass
 class CheckResult:
     check_id: str
-    claim: str
     measured: float
     threshold: float
     passed: bool
     rho: float = float("nan")
     p: float = float("nan")
-    threshold_origin: str = "artifact tolerance"
-    detail: str = ""
 
     def row(self):
         return [self.check_id, self.rho, self.p, self.measured, self.threshold,
@@ -88,14 +84,10 @@ def check_integral_identities(alphas=(2.5, 3.0, 3.7), rtol=1e-8):
         e2 = abs(i2 - t2) / abs(t2)
         results.append(CheckResult(
             check_id=f"kernel-integral-alpha-{alpha}",
-            claim="integral of weight*Y0^2 equals 4 pi alpha / 3",
-            measured=e1, threshold=rtol, passed=e1 <= rtol,
-            threshold_origin="derived identity", detail=f"value {i1:.12g}"))
+            measured=e1, threshold=rtol, passed=e1 <= rtol))
         results.append(CheckResult(
             check_id=f"kernel-log-integral-alpha-{alpha}",
-            claim="integral of weight*Y0*log|y| equals -4 pi",
-            measured=e2, threshold=rtol, passed=e2 <= rtol,
-            threshold_origin="derived identity", detail=f"value {i2:.12g}"))
+            measured=e2, threshold=rtol, passed=e2 <= rtol))
     return results
 
 
@@ -143,10 +135,7 @@ def check_kernel_annihilation(alpha, resolution=1e-3, r_range=(0.6, 1.6), tol=1e
         worst = max(worst, float(res_max / scale))
     return CheckResult(
         check_id=f"kernel-annihilation-alpha-{alpha}",
-        claim="Y0, Y1, Y2 annihilate the linearized bubble operator",
-        measured=worst, threshold=tol, passed=worst <= tol,
-        threshold_origin="artifact tolerance",
-        detail=f"patch r in {r_range}, theta in (-1.0, 1.0), h={resolution}")
+        measured=worst, threshold=tol, passed=worst <= tol)
 
 
 def check_expansion(run, rho_list):
@@ -171,27 +160,29 @@ def check_expansion(run, rho_list):
     return log_slope(rho_list, errs), errs
 
 
-def check_residual_scaling(run, rho_list, p_list=P_NORMS):
-    """Per p, the log-log decay slope of ||R||_p across rho and the norms."""
-    norms_per_p = {p: [] for p in p_list}
+def check_residual_scaling(run, rho_list):
+    """Per p in run.p_norms, the log-log decay slope of ||R||_p across rho
+    and the norms."""
+    norms_per_p = {p: [] for p in run.p_norms}
     for rho in rho_list:
         st = run.stage(rho)
         R = residual_R(st.U, st.lap_U, run.cfg, st.scales)
         ops = get_ops(st.mesh)
-        for p in p_list:
+        for p in run.p_norms:
             norms_per_p[p].append(ops.norm_lp(R, p))
     return {p: (log_slope(rho_list, vals), vals) for p, vals in norms_per_p.items()}
 
 
-def check_operator_bound(run, rho, trials=10, p=1.01, seed=0) -> float:
+def check_operator_bound(run, rho, trials=10, seed=0) -> float:
     """Amplification ||T h||_H1_0 / ||h||_p of the solver T at rho, the worst
-    over random right-hand sides.
+    over random right-hand sides, with p the smallest of run.p_norms.
 
     T is run.linear_operator(rho), the fixed point's own operator.
     """
     mesh = run.stage(rho).mesh
     ops = get_ops(mesh)
     L = run.linear_operator(rho)
+    p = min(run.p_norms)
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(trials):
@@ -222,7 +213,7 @@ def suite(rc):
     # the quadrature loads scipy.integrate: do it before Run starts the
     # background mesh on its own thread, not while that thread works
     results = check_integral_identities(alphas=sorted(set(cfg.alphas.tolist())))
-    run = Run(cfg, rc.policy)
+    run = Run(cfg, rc.policy, tol=rc.tol, maxiter=rc.maxiter, p_norms=rc.p_list)
     for a in sorted(set(cfg.alphas.tolist())):
         results.append(check_kernel_annihilation(a))
 
@@ -232,9 +223,7 @@ def suite(rc):
     thr = dominance_threshold(cfg, run.gp)
     results.append(CheckResult(
         check_id="diagonal-dominance-threshold",
-        claim="matching systems are row diagonally dominant below this rho",
-        measured=thr, threshold=min(rho_list), passed=thr >= min(rho_list),
-        detail="runs above the threshold are outside the asymptotic regime"))
+        measured=thr, threshold=min(rho_list), passed=thr >= min(rho_list)))
 
     # matching-constraint decay
     devs = []
@@ -243,49 +232,39 @@ def suite(rc):
         devs.append(float(constraint_deviation(cfg, beta).max()))
     results.append(CheckResult(
         check_id="matching-constraint-decay",
-        claim="weighted column sums of the matching system approach 2 pi (alpha-2)",
         measured=devs[-1], threshold=1e-2, passed=devs[-1] <= 1e-2
-        and decreasing(devs, floor=1e-12),
-        detail=" ".join(f"{d:.3e}" for d in devs)))
+        and decreasing(devs, floor=1e-12)))
 
-    slope, errs = check_expansion(run, rho_list)
+    slope, _ = check_expansion(run, rho_list)
     results.append(CheckResult(
         check_id="projection-expansion-agreement",
-        claim="numeric projection approaches its Green-function expansion",
-        measured=slope, threshold=0.0, passed=slope > 0,
-        detail=f"errors {['%.3e' % v for v in errs]}"))
+        measured=slope, threshold=0.0, passed=slope > 0))
 
-    scaling = check_residual_scaling(run, rho_list, p_list=rc.p_list)
+    scaling = check_residual_scaling(run, rho_list)
     sigma_floor = 0.5 * min(1.0 / a for a in cfg.alphas)
     for p, (slope, _) in sorted(scaling.items()):
         results.append(CheckResult(
             check_id=f"residual-lp-scaling-p{p}",
-            claim="ansatz defect decays with a positive power of rho",
             measured=slope, threshold=sigma_floor,
-            passed=slope >= sigma_floor, p=p,
-            threshold_origin="half the derived exponent min(1/alpha)"))
+            passed=slope >= sigma_floor, p=p))
 
     # the solver-bound trials at each rho run right after its correction, on
     # the fixed point's own Lap + W factor
     per_log_rho = []
 
     def bound_at(rho):
-        amp = check_operator_bound(run, rho, trials=10, p=min(rc.p_list), seed=rc.seed)
+        amp = check_operator_bound(run, rho, trials=10, seed=rc.seed)
         per_log_rho.append(amp / abs(math.log(rho)))
 
-    sw = continuation_sweep(run, rho_list, tol=rc.tol, maxiter=rc.maxiter,
-                            p_norms=tuple(rc.p_list), after_rho=bound_at)
+    sw = continuation_sweep(run, rho_list, after_rho=bound_at)
     spread = max(per_log_rho) / min(per_log_rho)
     results.append(CheckResult(
         check_id="linear-solver-log-bound",
-        claim="solver amplification grows no faster than |log rho|",
-        measured=spread, threshold=10.0, passed=spread <= 10.0,
-        detail=" ".join(f"{a:.4g}" for a in per_log_rho)))
+        measured=spread, threshold=10.0, passed=spread <= 10.0))
 
     conv = [r for r in sw.reports if r.status == "converged"]
     results.append(CheckResult(
         check_id="contraction-convergence",
-        claim="fixed-point correction converges with contraction factor below one",
         measured=max((r.max_contraction_factor for r in conv), default=float("inf")),
         threshold=1.0,
         passed=len(conv) == len(sw.reports)
@@ -294,27 +273,22 @@ def suite(rc):
         ff = [r.farfield_error for r in conv]
         results.append(CheckResult(
             check_id="far-field-green-profile",
-            claim="solution approaches the signed Green combination away from the holes",
             measured=ff[-1], threshold=0.2,
             passed=decreasing(ff, floor=1e-6) and ff[-1] <= 0.2))
         peaks = [max(r.peaks) for r in conv]
         results.append(CheckResult(
             check_id="peak-growth",
-            claim="annulus peak heights grow as rho decreases",
             measured=peaks[-1], threshold=peaks[0],
             passed=all(b > a for a, b in zip(peaks, peaks[1:]))))
         for j in range(cfg.m):
             aj = [abs(r.kernel_coefficients[j]) for r in conv]
             results.append(CheckResult(
                 check_id=f"kernel-coefficient-vanishing-{j + 1}",
-                claim="rescaled kernel coefficient of the correction vanishes",
                 measured=aj[-1], threshold=aj[0],
-                passed=decreasing(aj, floor=1e-9),
-                detail=" ".join(f"{v:.3e}" for v in aj)))
+                passed=decreasing(aj, floor=1e-9)))
         signs = all(r.inner_sign_ok for r in conv)
         results.append(CheckResult(
             check_id="blow-up-sign-structure",
-            claim="solution is positive near positive-group holes and negative near the rest",
             measured=float(signs), threshold=1.0, passed=signs))
     return results, sw
 
@@ -341,18 +315,16 @@ def green_suite(rc):
         errs = [abs(num.green(x, y) - an.green(x, y)) for x, y in pairs]
         results.append(CheckResult(
             check_id="green-numeric-vs-analytic", measured=float(max(errs)),
-            threshold=1e-3, passed=max(errs) <= 1e-3,
-            claim="numeric backend reproduces the disk image formula"))
+            threshold=1e-3, passed=max(errs) <= 1e-3))
         sym = [abs(an.green(x, y) - an.green(y, x)) for x, y in pairs]
         results.append(CheckResult(
             check_id="green-symmetry", measured=float(max(sym)), threshold=1e-8,
-            passed=max(sym) <= 1e-8, claim="Green function symmetry"))
+            passed=max(sym) <= 1e-8))
         bvals = [abs(an.green((math.cos(t), math.sin(t)), (0.3, 0.1)))
                  for t in np.linspace(0, TWO_PI, 37)]
         results.append(CheckResult(
             check_id="green-boundary-vanishing", measured=float(max(bvals)),
-            threshold=1e-8, passed=max(bvals) <= 1e-8,
-            claim="Green function vanishes on the outer boundary"))
+            threshold=1e-8, passed=max(bvals) <= 1e-8))
     else:
         cloud = domain_sample_points(domain, n=200, seed=rc.seed)
         pairs = [(cloud[2 * i], cloud[2 * i + 1]) for i in range(30)]
@@ -361,5 +333,5 @@ def green_suite(rc):
         tol = 50 * rc.policy.h ** 2
         results.append(CheckResult(
             check_id="green-symmetry", measured=float(max(sym)), threshold=tol,
-            passed=max(sym) <= tol, claim="Green function symmetry within mesh tolerance"))
+            passed=max(sym) <= tol))
     return results

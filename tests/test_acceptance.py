@@ -160,7 +160,7 @@ def test_criterion_5_residual_scaling(sweep_single):
 
 def test_criterion_6_operator_bound(single_run, sweep_single):
     t0 = time.time()
-    per_log_rho = [check_operator_bound(single_run, rho, trials=10, p=1.01, seed=7)
+    per_log_rho = [check_operator_bound(single_run, rho, trials=10, seed=7)
                    / abs(math.log(rho)) for rho in RHO_SWEEP]
     elapsed = time.time() - t0
     spread = max(per_log_rho) / min(per_log_rho)

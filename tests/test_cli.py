@@ -160,6 +160,79 @@ def test_bundled_single_bubble_constructs(tmp_path):
     assert "status converged\n" in (out / "report.txt").read_text()
 
 
+def _single_bubble(tmp_path, **run):
+    """single_bubble.cfg at h = 0.1, with the given [run] values, written to tmp_path."""
+    text = re.sub(r"(?m)^h = .*$", "h = 0.1", (_CONFIGS / "single_bubble.cfg").read_text())
+    for key, value in run.items():
+        text = re.sub(rf"(?m)^{key} = .*$", f"{key} = {value}", text)
+    return _write(tmp_path, text)
+
+
+def test_p_list_reaches_the_artifacts(tmp_path):
+    # the --p exponents name the defect norms and slope fits of every sweep
+    # report, and the residual-scaling checks of verify
+    cfg = _single_bubble(tmp_path)
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--config", cfg, "--out", str(out), "--rho", "1e-2 1e-3 1e-4",
+                 "--p", "1.5 1.01"]) == 0
+    reports = sorted(out.glob("report_rho*.txt"))
+    assert len(reports) == 3
+    for path in reports:
+        keys = [line.split()[0] for line in path.read_text().splitlines()]
+        assert [k for k in keys if k.startswith(("r_norm_p", "sigma_fit_p"))] == [
+            "r_norm_p1.01", "r_norm_p1.5", "sigma_fit_p1.01", "sigma_fit_p1.5"], path.name
+    out = tmp_path / "verify"
+    assert main(["verify", "--config", cfg, "--out", str(out), "--p", "1.5 1.01"]) == 0
+    with open(out / "checks.csv") as f:
+        ids = [row[0] for row in csv.reader(f)]
+    assert [i for i in ids if i.startswith("residual-lp-scaling")] == [
+        "residual-lp-scaling-p1.01", "residual-lp-scaling-p1.5"]
+
+
+def test_tol_and_maxiter_reach_the_solver(tmp_path):
+    def construct(name, **run):
+        out = tmp_path / name
+        return main(["construct", "--config", _single_bubble(tmp_path, **run),
+                     "--out", str(out)]), out
+
+    code, out = construct("one-step", maxiter=1)
+    assert code == 2
+    assert "no convergence in 1 iterations" in (out / "manifest.txt").read_text()
+    iterations = []
+    for tol in ("1e-3", "1e-10"):
+        code, out = construct(f"tol-{tol}", tol=tol)
+        assert code == 0
+        report = dict(line.split(" ", 1) for line in (out / "report.txt").read_text().splitlines())
+        iterations.append(int(report["iterations"]))
+    assert iterations[0] < iterations[1]
+
+
+def test_construct_frees_the_solver_before_writing(tmp_path, monkeypatch):
+    # the Lap + W factor is freed before the artifacts are written, which
+    # keeps it out of construct's peak memory
+    import weakref
+
+    import sinhpierce.cli as cli_mod
+    from sinhpierce.operators import LinearOperator
+
+    operators, alive = [], []
+    real_init, real_write = LinearOperator.__init__, cli_mod.write_field_csv
+
+    def tracked(self, *args, **kwargs):
+        operators.append(weakref.ref(self))
+        real_init(self, *args, **kwargs)
+
+    def counting(*args, **kwargs):
+        alive.append(sum(ref() is not None for ref in operators))
+        return real_write(*args, **kwargs)
+
+    monkeypatch.setattr(LinearOperator, "__init__", tracked)
+    monkeypatch.setattr(cli_mod, "write_field_csv", counting)
+    out = tmp_path / "out"
+    assert main(["construct", "--config", _write(tmp_path, BASE.format(out=out))]) == 0
+    assert len(operators) == 1 and alive == [0, 0]
+
+
 def test_liouville_mode_accepted(tmp_path):
     # m1 = 0 with nu = 0 kills the first nonlinearity: pure one-signed case
     text = BASE.format(out=tmp_path).replace("m1 = 1", "m1 = 0") \
@@ -199,7 +272,8 @@ def test_empty_centers_are_a_schema_error(tmp_path, capsys):
 @pytest.mark.parametrize("centers, error, message", [
     ("0.3 0.0; 0.3 0.0", DuplicateCenters, "holes 1 and 2 share center (0.3, 0.0)"),
     ("1.5 0.0", HoleTouchesBoundary, "hole 1: center (1.5, 0.0) not inside the domain"),
-], ids=["duplicate", "outside"])
+    ("nan 0.0", HoleTouchesBoundary, "hole 1: center (nan, 0.0) not inside the domain"),
+], ids=["duplicate", "outside", "nan"])
 def test_invalid_layout_fails_before_any_build(tmp_path, capsys, monkeypatch, centers, error,
                                                message):
     # the Run checks the layout before it starts the background thread or
@@ -391,7 +465,7 @@ def test_verify_bound_check_failure_aborts(tmp_path, monkeypatch):
     def failing_at_1e_3(run, rho, **kw):
         checked.append(rho)
         if rho == 1e-3:
-            raise SolverFailure("synthetic bound-check failure", residual=1.0)
+            raise SolverFailure("synthetic bound-check failure")
         return real(run, rho, **kw)
 
     monkeypatch.setattr(verify_mod, "check_operator_bound", failing_at_1e_3)
@@ -630,11 +704,14 @@ def test_rho_and_p_overrides(tmp_path):
 
 def test_run_defaults_have_one_owner(tmp_path):
     # a config without [mesh] and without rho, p, tol or maxiter gets the
-    # defaults the mesh policy, the solver and the checks declare
+    # defaults the mesh policy and the Run declare; no other function or
+    # method of the package declares the solver settings again, by name or
+    # as a copy of their values
+    import ast
     import inspect
 
+    import sinhpierce
     import sinhpierce.corrector as corrector_mod
-    import sinhpierce.verify as verify_mod
 
     text = BASE.format(out=tmp_path)
     for line in ("[mesh]\nh = 0.05\nq = 1.3\n", "rho = 1e-2\n", "p = 1.01\n",
@@ -644,16 +721,37 @@ def test_run_defaults_have_one_owner(tmp_path):
     rc = parse_config(text)
     assert rc.policy == MeshPolicy()
     assert rc.rho_list == [1e-3]
-    assert (rc.tol, rc.maxiter) == (corrector_mod.TOL, corrector_mod.MAXITER)
-    assert rc.p_list == list(corrector_mod.P_NORMS)
-    for fn in (corrector_mod.fixed_point_correct, corrector_mod.construct_solution,
-               corrector_mod.continuation_sweep, verify_mod.check_residual_scaling):
-        params = inspect.signature(fn).parameters
-        for name, value in (("tol", rc.tol), ("maxiter", rc.maxiter),
-                            ("p_norms", corrector_mod.P_NORMS),
-                            ("p_list", corrector_mod.P_NORMS)):
-            if name in params:
-                assert params[name].default == value, name
+    params = inspect.signature(Run.__init__).parameters
+    assert (params["tol"].default, params["maxiter"].default, params["p_norms"].default) \
+        == (rc.tol, rc.maxiter, tuple(rc.p_list))
+
+    settings = {"TOL": corrector_mod.TOL, "MAXITER": corrector_mod.MAXITER,
+                "P_NORMS": corrector_mod.P_NORMS}
+    owner, seen, copies = None, 0, []
+    for path in sorted(pathlib.Path(sinhpierce.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for cls in ast.walk(tree):
+            if isinstance(cls, ast.ClassDef) and cls.name == "Run" and path.stem == "corrector":
+                owner = next(f for f in cls.body if getattr(f, "name", "") == "__init__")
+        for fn in ast.walk(tree):
+            if fn is owner or not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                                  ast.Lambda)):
+                continue
+            seen += 1
+            args = fn.args
+            for default in args.defaults + [d for d in args.kw_defaults if d is not None]:
+                names = {n.id for n in ast.walk(default) if isinstance(n, ast.Name)} \
+                    | {n.attr for n in ast.walk(default) if isinstance(n, ast.Attribute)}
+                try:
+                    value = ast.literal_eval(default)
+                except ValueError:
+                    value = None
+                if names & settings.keys() or any(
+                        type(value) is type(v) and value == v for v in settings.values()):
+                    copies.append(f"{path.stem}.{getattr(fn, 'name', 'lambda')}: "
+                                  f"{ast.unparse(default)}")
+    assert owner is not None and seen > 100
+    assert not copies, copies
 
 
 @pytest.mark.parametrize("command, flags, edit", [
@@ -671,10 +769,20 @@ def test_run_defaults_have_one_owner(tmp_path):
     ("construct", [], ("maxiter = 50", "maxiters = 50")),
     ("construct", [], ("[run]", "[runn]\nrho = 1e-3\n\n[run]")),
     ("construct", [], ("command = construct\nrho = 1e-2", "command = sweep\nrho = 1e-2 1e-3")),
+    ("construct", [], ("alphas = 3.0", "alphas = nan")),
+    ("construct", [], ("alphas = 3.0", "alphas = inf")),
+    ("construct", [], ("h = 0.1", "h = inf")),
+    ("construct", [], ("domain = unit-disk",
+                       "domain = boundary-curve\nboundary = -1 -1; 1 -1; 1 1; nan 1")),
+    ("construct", [], ("tau = 1.0", "tau = nan")),
+    ("construct", [], ("tau = 1.0", "tau = inf")),
+    ("construct", [], ("tau = 1.0", "tau = 1.0\nnu = inf")),
+    ("construct", [], ("v1 = 1", "v1 = exp(1000)")),
 ], ids=["ascending-flag", "negative-flag", "text-flag", "empty-flag", "empty-key",
         "p-below-one-key", "p-below-one-flag", "no-iterations-key", "zero-tol-key",
         "problem-key-typo", "mesh-key-typo", "run-key-typo", "unknown-section",
-        "construct-two-rho"])
+        "construct-two-rho", "nan-alpha", "inf-alpha", "inf-h", "nan-boundary-point",
+        "nan-tau", "inf-tau", "inf-nu-unused-v2", "inf-v1"])
 def test_bad_run_values_are_validation_failures(tmp_path, capsys, command, flags, edit):
     # the file's [run] values and the flags that override them pass the same
     # checks, before anything is solved

@@ -31,9 +31,7 @@ from sinhpierce.operators import (
     SUP_GUARD,
     DiscreteOperators,
     Field,
-    LinearOperator,
     get_ops,
-    weight_W,
 )
 
 
@@ -177,20 +175,24 @@ def test_zero_defect_gives_zero_correction(coarse_run, monkeypatch):
     assert np.abs(sol.phi.values).max() == 0.0
 
 
-def test_fixed_point_rejects_maxiter_below_one(coarse_run):
-    # refused before anything is solved: no operator is needed
+def test_fixed_point_rejects_maxiter_below_one(single_cfg, gp, coarse_policy, monkeypatch):
+    # the Run refuses it before it checks the layout or starts the background mesh
+    def not_reached(*args, **kwargs):
+        raise AssertionError("reached past the maxiter check")
+
+    monkeypatch.setattr(corrector_mod, "annulus_radius", not_reached)
+    monkeypatch.setattr(corrector_mod, "prefetch_background", not_reached)
     with pytest.raises(ValueError, match="maxiter must be at least 1, got 0"):
-        fixed_point_correct(coarse_run.stage(1e-2), coarse_run.cfg, None, maxiter=0)
+        Run(single_cfg, coarse_policy, gp, maxiter=0)
 
 
-def test_divergence_guard(single_cfg, coarse_run):
+def test_divergence_guard(single_cfg, gp, coarse_policy):
     # a grossly wrong ansatz (scaled up threefold) breaks the contraction
-    st = coarse_run.stage(1e-2)
-    bad = Field(st.mesh, 3.0 * st.U.values)
+    run = Run(single_cfg, coarse_policy, gp, maxiter=30)
+    st = run.stage(1e-2)
+    run._stages[1e-2] = dataclasses.replace(st, U=Field(st.mesh, 3.0 * st.U.values))
     with pytest.raises(Diverged):
-        fixed_point_correct(dataclasses.replace(st, U=bad), single_cfg,
-                            LinearOperator(st.mesh, weight_W(bad, single_cfg, st.scales)),
-                            maxiter=30)
+        fixed_point_correct(run, 1e-2)
 
 
 def test_sweep_full_run(coarse_run):
@@ -234,10 +236,9 @@ def test_failed_report_is_not_a_measurement(single_cfg, gp, coarse_policy, tmp_p
     # report, whose unmeasured norms and signs must not read as values
     real = corrector_mod.fixed_point_correct
 
-    def one_step_at_1e_3(st, cfg, **kw):
-        if st.scales.rho == 1e-3:
-            kw["maxiter"] = 1
-        return real(st, cfg, **kw)
+    def one_step_at_1e_3(run, rho, **kw):
+        run.maxiter = 1 if rho == 1e-3 else corrector_mod.MAXITER
+        return real(run, rho, **kw)
 
     rhos = [1e-2, 1e-3, 1e-4]
     plain = continuation_sweep(Run(single_cfg, coarse_policy, gp), rhos)
@@ -448,11 +449,10 @@ def test_sup_guard_keeps_the_partial_report(coarse_run, solver, monkeypatch):
     # an iterate past the sup guard, phi0 included, stops the solver before
     # a step takes exponentials of it; the Diverged it raises carries the
     # report with what was measured before the loop
-    st = coarse_run.stage(1e-3)
-    big = Field(st.mesh, np.where(st.mesh.is_boundary, 0.0, 2 * SUP_GUARD))
-    L = LinearOperator(st.mesh, weight_W(st.U, coarse_run.cfg, st.scales))
+    mesh = coarse_run.stage(1e-3).mesh
+    big = Field(mesh, np.where(mesh.is_boundary, 0.0, 2 * SUP_GUARD))
     with pytest.raises(Diverged) as info:
-        solver(st, coarse_run.cfg, L, phi0=big)
+        solver(coarse_run, 1e-3, big)
     rep = info.value.report
     assert rep.status == "diverged" and "sup norm" in rep.error
     assert rep.iterations == 0 and rep.updates_h01 == []
@@ -461,8 +461,8 @@ def test_sup_guard_keeps_the_partial_report(coarse_run, solver, monkeypatch):
     assert all(np.isfinite(v) for v in rep.r_norms.values())
 
     # and a sweep entry keeps that report, not an empty stub
-    def from_big(st, cfg, **kw):
-        return solver(st, cfg, **{**kw, "phi0": big})
+    def from_big(run, rho, **kw):
+        return solver(run, rho, **{**kw, "phi0": big})
 
     monkeypatch.setattr(corrector_mod, solver.__name__, from_big)
     sw = continuation_sweep(coarse_run, [1e-3])
@@ -482,10 +482,8 @@ def test_fixed_point_uses_the_runs_operator(single_cfg, gp, coarse_policy):
     L = run.linear_operator(1e-2)
     assert L._lu is not None
     assert L._eig_estimate == sol.report.smallest_eigenvalue
-    # and gives the bits of an operator of its own
-    st = sol.stage
-    own = fixed_point_correct(st, single_cfg,
-                              LinearOperator(st.mesh, weight_W(st.U, single_cfg, st.scales)))[0]
+    # and gives the bits of a fresh run's operator
+    own = fixed_point_correct(Run(single_cfg, coarse_policy, gp), 1e-2)[0]
     assert own.values.tobytes() == sol.phi.values.tobytes()
 
 

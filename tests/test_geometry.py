@@ -46,6 +46,12 @@ def test_hole_touching_boundary_rejected():
     for center in ([1.0, 0.0], [1.5, 0.0]):
         with pytest.raises(HoleTouchesBoundary, match=r"center \(1\.\d, 0\.0\)"):
             annulus_radius(DomainSpec(), [center])
+    # and so does a center that is not a finite point, on a boundary curve too
+    square = DomainSpec(kind="boundary-curve", boundary=[[-1, -1], [1, -1], [1, 1], [-1, 1]])
+    for domain in (DomainSpec(), square):
+        for center in ([np.nan, 0.0], [np.inf, 0.0]):
+            with pytest.raises(HoleTouchesBoundary, match=r"hole 2: center \((nan|inf), 0\.0\)"):
+                annulus_radius(domain, [[0.2, 0.0], center])
 
 
 def test_overlapping_and_duplicate_holes_rejected():

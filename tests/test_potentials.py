@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 import sinhpierce.potentials as potentials
 from sinhpierce.errors import NonpositiveSampled, ParseError
-from sinhpierce.potentials import check_positive, parse_potential
+from sinhpierce.potentials import MAX_DEPTH, check_sampled, parse_potential
 
 
 def test_constant_one():
@@ -54,11 +54,11 @@ def test_parse_error_position():
 def test_positivity_sampling_on_disk():
     rng = np.random.default_rng(0)
     pts = rng.uniform(-0.9, 0.9, size=(2000, 2))
-    check_positive(parse_potential("1"), pts)
+    check_sampled(parse_potential("1"), pts)
     with pytest.raises(NonpositiveSampled):
-        check_positive(parse_potential("x"), pts)
+        check_sampled(parse_potential("x"), pts)
     with pytest.raises(ValueError):
-        check_positive(parse_potential("1"), pts[:10])
+        check_sampled(parse_potential("1"), pts[:10])
 
 
 @given(a=st.floats(-5, 5), b=st.floats(-5, 5),
@@ -199,11 +199,10 @@ def _same_bits(a, b):
         (a.view(np.int64) == b.view(np.int64)) | (np.isnan(a) & np.isnan(b))))
 
 
-@pytest.mark.parametrize("n", [1500, 2900])
+@pytest.mark.parametrize("n", [1500, 2000])
 def test_long_sums_evaluate(n):
-    # past Python's recursion limit, short of the parser's nesting limit. That
-    # limit counts the caller's stack depth too, so parse on a fresh thread,
-    # near the depth the command line parses at
+    # past Python's recursion limit, up to MAX_DEPTH; parse on a fresh
+    # thread, near the depth the command line parses at
     with ThreadPoolExecutor(1) as pool:
         e = pool.submit(parse_potential, "+".join(["0.001"] * n)).result()
     want = 0.0
@@ -211,6 +210,22 @@ def test_long_sums_evaluate(n):
         want += 0.001
     assert _same_bits(e(np.zeros(3), np.ones(3)), np.full(3, want))
     assert _same_bits(e(0.5, -0.5), want)
+
+
+def _from_depth(frames, fn, *args):
+    """fn(*args), called from that many extra Python frames."""
+    return fn(*args) if frames == 0 else _from_depth(frames - 1, fn, *args)
+
+
+@pytest.mark.parametrize("frames", [0, 200])
+def test_nesting_bound_does_not_depend_on_the_callers_depth(frames):
+    # the nesting Python's parser reads falls as the caller's stack grows;
+    # the bound gives the same answer from a shallow caller and a deep one
+    text = "+".join(["0.001"] * MAX_DEPTH)
+    assert _from_depth(frames, parse_potential, text).text == text
+    with pytest.raises(ParseError, match="^expression nested too deeply at position 1 ") as exc:
+        _from_depth(frames, parse_potential, f" {text}+0.001")
+    assert exc.value.position == 1
 
 
 @settings(max_examples=300, deadline=None)
