@@ -26,6 +26,8 @@ EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_SOLVER = 2
 EXIT_CHECK = 3
+# the errors that reject the config itself: exit 1, wherever they are raised
+VALIDATION_ERRORS = (SchemaError, ConstraintViolation, NonpositiveSampled)
 
 
 class Manifest:
@@ -136,7 +138,7 @@ def run(rc: RunConfig) -> int:
             code = _cmd_green_check(rc, man)
         else:
             raise SchemaError([f"unknown command {rc.command!r}"])
-    except (SchemaError, ConstraintViolation, NonpositiveSampled):
+    except VALIDATION_ERRORS:
         raise
     except SinhPierceError as exc:
         man.entries.append(("-", "error", str(exc)))
@@ -188,13 +190,13 @@ def main(argv=None) -> int:
                  if value is not None}
     try:
         rc = parse_config(text, overrides)
-    except (SchemaError, ConstraintViolation, NonpositiveSampled) as exc:
+    except VALIDATION_ERRORS as exc:
         print(f"validation failure: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 
     try:
         return run(rc)
-    except (SchemaError, ConstraintViolation, NonpositiveSampled) as exc:
+    except VALIDATION_ERRORS as exc:
         print(f"validation failure: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

@@ -136,20 +136,15 @@ def choose_scales(cfg: BlowupConfig, rho: float, gp: GreenProvider) -> ScalePara
     m, m1, tau = cfg.m, cfg.m1, cfg.tau
     d = np.zeros(m)
     for i in range(m):
-        if i < m1:
-            v = float(cfg.V1(cfg.centers[i, 0], cfg.centers[i, 1]))
-            if v <= 0:
-                raise NonpositivePotentialAtCenter(
-                    f"V1({tuple(cfg.centers[i])}) = {v:.3g} <= 0")
-            d[i] = v * math.exp(TWO_PI * rho_i[i]) / (2 * a[i] ** 2)
-        else:
-            v = float(cfg.V2(cfg.centers[i, 0], cfg.centers[i, 1]))
-            if v <= 0:
-                raise NonpositivePotentialAtCenter(
-                    f"V2({tuple(cfg.centers[i])}) = {v:.3g} <= 0")
-            # near a negative hole w = -tau u solves a Liouville equation with
-            # potential tau V2, so the bubble scale carries tau
-            d[i] = v * math.exp(TWO_PI * rho_i[i]) * tau / (2 * a[i] ** 2)
+        # near a negative hole w = -tau u solves a Liouville equation with
+        # potential tau V2, so the bubble scale carries tau (1.0 leaves the bits)
+        name, V, weight = ("V1", cfg.V1, 1.0) if i < m1 else ("V2", cfg.V2, tau)
+        with np.errstate(all="ignore"):
+            v = float(V(cfg.centers[i, 0], cfg.centers[i, 1]))
+        if not 0 < v < math.inf:
+            raise NonpositivePotentialAtCenter(
+                f"{name}{tuple(cfg.centers[i].tolist())} = {v:.3g} is not positive and finite")
+        d[i] = v * math.exp(TWO_PI * rho_i[i]) * weight / (2 * a[i] ** 2)
     r = d * np.exp(-math.pi * rho_i)
     delta_pow = d * rho
     log_delta = (np.log(d) + math.log(rho)) / a

@@ -101,4 +101,4 @@ class SchemaError(SinhPierceError):
 
 class ConstraintViolation(SinhPierceError, ValueError):
     """A standing assumption of the construction (exponents, sign split, tau,
-    finite potentials) does not hold."""
+    finite potentials, a domain with area) does not hold."""

@@ -14,7 +14,6 @@ resolution.
 from __future__ import annotations
 
 import ctypes
-import itertools
 import math
 import threading
 from concurrent.futures import Future
@@ -24,6 +23,7 @@ import numpy as np
 from scipy.spatial import Delaunay, cKDTree
 
 from .errors import (
+    ConstraintViolation,
     DuplicateCenters,
     HoleTouchesBoundary,
     OverlappingHoles,
@@ -38,6 +38,8 @@ MIN_HOLE_RADIUS = 1e-13
 MIN_HOLE_NODES = 32   # fewest nodes on a hole circle, whatever the grading ratio q
 SMOOTH_ITERS = 2      # Laplacian smoothing passes over the background's lattice nodes
 TWO_PI = 2.0 * math.pi   # the package's one copy of 2 pi
+_NEAREST_BLOCK = 1 << 16   # pairs per block of the all-pairs searches
+SAMPLE_ROUNDS = 64         # most draws of 4n candidates domain_sample_points makes
 
 # node markers
 INTERIOR = -1
@@ -73,6 +75,13 @@ class DomainSpec:
                                  "(n, 2) list without repeated consecutive points")
             object.__setattr__(self, "boundary", b)
 
+    @property
+    def box(self):
+        """(lo, hi), the corners of the domain's bounding box."""
+        if self.kind == "unit-disk":
+            return np.array([-1.0, -1.0]), np.array([1.0, 1.0])
+        return self.boundary.min(axis=0), self.boundary.max(axis=0)
+
 
 @dataclass(frozen=True)
 class MeshPolicy:
@@ -107,16 +116,10 @@ def _resample_closed_curve(p, h):
     total = s[-1]
     n = max(16, int(round(total / h)))
     targets = total * np.arange(n) / n
-    out = np.empty((n, 2))
-    j = 0
-    for i, t in enumerate(targets):
-        while s[j + 1] < t:
-            j += 1
-        w = (t - s[j]) / (s[j + 1] - s[j])
-        a = p[j]
-        b = p[(j + 1) % len(p)]
-        out[i] = (1 - w) * a + w * b
-    return out
+    # the edge j of each target t: the first with s[j + 1] >= t
+    j = np.searchsorted(s[1:], targets)
+    w = (targets - s[j]) / (s[j + 1] - s[j])
+    return (1 - w)[:, None] * p[j] + w[:, None] * p[(j + 1) % len(p)]
 
 
 def _polygon_area(poly):
@@ -145,32 +148,22 @@ def _point_in_polygon(points, poly):
     return np.bincount(pt[hits], minlength=len(points)) % 2 == 1
 
 
-def _dist_to_polygon(points, poly, vertex_dist=None):
-    """Unsigned distance from each point to the closed polygon boundary.
-
-    The nearest edge comes within the nearest-vertex distance of the point,
-    so its midpoint lies within that distance plus half the longest edge;
-    only edges whose midpoints are that close (with a rounding margin) are
-    evaluated. vertex_dist, if given, is each point's nearest-vertex
-    distance as cKDTree(poly).query gives it.
-    """
+def _dist_to_polygon(points, poly):
+    """Unsigned distance from each point to the closed polygon boundary: the
+    distance to every edge, then the least, _NEAREST_BLOCK point-edge pairs
+    at a time."""
     a = poly
-    b = np.roll(poly, -1, axis=0)
-    ab = b - a
+    ab = np.roll(poly, -1, axis=0) - a
     denom = np.einsum("ij,ij->i", ab, ab)
-    if vertex_dist is None:
-        vertex_dist, _ = cKDTree(a).query(points)
-    reach = (vertex_dist + _half_longest_edge(poly)) * (1 + 1e-9) + _rounding_slack(poly)
-    near = cKDTree(0.5 * (a + b)).query_ball_point(points, reach)
-    counts = np.fromiter(map(len, near), dtype=np.int64, count=len(near))
-    pt = np.repeat(np.arange(len(near)), counts)
-    edge = np.fromiter(itertools.chain.from_iterable(near), dtype=np.int64, count=pt.size)
-    p = points[pt] - a[edge]
-    t = np.clip(np.einsum("ij,ij->i", p, ab[edge]) / denom[edge], 0.0, 1.0)
-    proj = a[edge] + t[:, None] * ab[edge]
-    d = np.hypot(points[pt, 0] - proj[:, 0], points[pt, 1] - proj[:, 1])
-    # every point has a candidate: the edges at its nearest vertex
-    return np.minimum.reduceat(d, np.cumsum(counts) - counts)
+    step = max(1, _NEAREST_BLOCK // len(poly))
+    out = np.empty(len(points))
+    for k in range(0, len(points), step):
+        pts = points[k:k + step]
+        t = np.clip(np.einsum("ikj,kj->ik", pts[:, None, :] - a, ab) / denom, 0.0, 1.0)
+        proj = a + t[:, :, None] * ab
+        out[k:k + step] = np.hypot(pts[:, None, 0] - proj[:, :, 0],
+                                   pts[:, None, 1] - proj[:, :, 1]).min(axis=1)
+    return out
 
 
 def _half_longest_edge(poly):
@@ -186,9 +179,9 @@ def _inside_farther_than(points, domain: DomainSpec, poly, dist):
     """_signed_inside_distance(points, domain, poly) > dist, for dist >= 0.
 
     No edge comes nearer a point than its nearest vertex less half the
-    longest edge, so only the points where that bound (with the rounding
-    margin of _dist_to_polygon) leaves the answer open take the edge search;
-    the others need the inside test alone.
+    longest edge, so only the points where that bound (with a margin for
+    rounding) leaves the answer open take the edge search; the others need
+    the inside test alone.
     """
     pts = np.asarray(points, dtype=float)
     if domain.kind == "unit-disk":
@@ -197,7 +190,7 @@ def _inside_farther_than(points, domain: DomainSpec, poly, dist):
     vertex_dist, _ = cKDTree(poly).query(pts)
     settled = vertex_dist - _half_longest_edge(poly) > dist * (1 + 1e-9) + _rounding_slack(poly)
     band = np.flatnonzero(keep & ~settled)
-    keep[band] = _dist_to_polygon(pts[band], poly, vertex_dist[band]) > dist
+    keep[band] = _dist_to_polygon(pts[band], poly) > dist
     return keep
 
 
@@ -216,6 +209,26 @@ def _signed_inside_distance(points, domain: DomainSpec, poly):
     d = _dist_to_polygon(pts, poly)
     inside = _point_in_polygon(pts, poly)
     return np.where(inside, d, -d)
+
+
+def domain_sample_points(domain: DomainSpec, n=2000, seed=0):
+    """Deterministic cloud of n interior points for potential positivity checks.
+
+    Each round draws 4n candidates uniformly from the domain's box and keeps
+    those inside. A domain that has not given n points after SAMPLE_ROUNDS
+    rounds has (next to) no area, and is a ConstraintViolation.
+    """
+    rng = np.random.default_rng(seed)
+    lo, hi = domain.box
+    pts = np.empty((0, 2))
+    for _ in range(SAMPLE_ROUNDS):
+        cand = rng.uniform(lo, hi, size=(4 * n, 2))
+        pts = np.vstack([pts, cand[_inside_farther_than(cand, domain, domain.boundary, 0.0)]])
+        if len(pts) >= n:
+            return pts[:n]
+    raise ConstraintViolation(
+        f"the domain has next to no area: {len(pts)} of {SAMPLE_ROUNDS * 4 * n} points "
+        f"drawn from its bounding box fell inside, and sampling the potentials takes {n}")
 
 
 # ---------------------------------------------------------------------------
@@ -392,9 +405,10 @@ def _tri_quality(coords):
     return np.where(area > 0, q, 0.0)
 
 
-def _hex_lattice(bbox, h):
-    """Hexagonal lattice with spacing h anchored at the origin."""
-    xmin, xmax, ymin, ymax = bbox
+def _hex_lattice(lo, hi, h):
+    """Hexagonal lattice with spacing h anchored at the origin, covering the
+    box with corners lo and hi."""
+    (xmin, ymin), (xmax, ymax) = lo, hi
     dy = h * math.sqrt(3) / 2
     j0 = int(math.floor(ymin / dy)) - 1
     j1 = int(math.ceil(ymax / dy)) + 1
@@ -591,11 +605,7 @@ def _background(domain, centers, eta, policy) -> _Background:
             pot_origin.append(np.full(len(sel), 1))
 
     # hex lattice clipped to the domain minus the patch exclusion zones
-    if domain.kind == "unit-disk":
-        bbox = (-1.0, 1.0, -1.0, 1.0)
-    else:
-        bbox = (bpoly[:, 0].min(), bpoly[:, 0].max(), bpoly[:, 1].min(), bpoly[:, 1].max())
-    hex_pts = _hex_lattice(bbox, h)
+    hex_pts = _hex_lattice(*domain.box, h)
     keep = _inside_farther_than(hex_pts, domain, bpoly, 0.55 * h)
     for xi, rad in exclusion:
         keep &= np.hypot(hex_pts[:, 0] - xi[0], hex_pts[:, 1] - xi[1]) > rad
@@ -912,9 +922,6 @@ class FieldEvaluator:
             slot[todo] += 1
             todo = todo[slot[todo] < stop[todo]]
         return out, found
-
-
-_NEAREST_BLOCK = 1 << 16   # point-node pairs per block of _nearest_nodes
 
 
 def _nearest_nodes(mesh, points):

@@ -19,8 +19,18 @@ from .operators import get_ops, release_ops
 
 
 class _Green:
-    """G(x, y) = -(1/2pi) log|x - y| + H(x, y) from the domain check
-    `check_inside(points)` and the regular part `robin_H_many(points, y)`."""
+    """G(x, y) = -(1/2pi) log|x - y| + H(x, y) on `domain`, from the regular
+    part `robin_H_many(points, y)`."""
+
+    def check_inside(self, points):
+        """Raise on the first of the points, an (n, 2) array, farther than
+        1e-10 outside the domain."""
+        pts = np.asarray(points, dtype=float)
+        out = np.flatnonzero(
+            _signed_inside_distance(pts, self.domain, self.domain.boundary) < -1e-10)
+        if out.size:
+            raise PointOutsideDomain(
+                f"point {tuple(pts[out[0]].tolist())} lies outside the domain")
 
     def green(self, x, y) -> float:
         return float(self.green_many(x, y)[0])
@@ -69,15 +79,8 @@ class AnalyticDiskGreen(_Green):
     def __init__(self, domain: DomainSpec):
         if domain.kind != "unit-disk":
             raise ValueError("analytic backend only pairs with the unit disk")
+        self.domain = domain
         self._pair_tables = {}
-
-    def check_inside(self, points):
-        """Raise on the first of the points, an (n, 2) array, outside the disk."""
-        pts = np.asarray(points, dtype=float)
-        out = np.flatnonzero(np.hypot(pts[:, 0], pts[:, 1]) > 1.0 + 1e-12)
-        if out.size:
-            raise PointOutsideDomain(
-                f"point {tuple(pts[out[0]].tolist())} lies outside the unit disk")
 
     def robin_H_many(self, points, y) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
@@ -102,15 +105,6 @@ class NumericGreen(_Green):
         self.evaluator = FieldEvaluator(self.mesh)
         self._h_fields = {}
         self._pair_tables = {}
-
-    def check_inside(self, points):
-        """Raise on the first of the points, an (n, 2) array, outside the domain."""
-        pts = np.asarray(points, dtype=float)
-        out = np.flatnonzero(
-            _signed_inside_distance(pts, self.domain, self.domain.boundary) < -1e-10)
-        if out.size:
-            raise PointOutsideDomain(
-                f"point {tuple(pts[out[0]].tolist())} lies outside the domain")
 
     def pair_table(self, centers):
         """As _Green.pair_table; the table holds H(., xi_k) for every center,
@@ -138,12 +132,10 @@ class GreenProvider(_Green):
     backend on any other domain."""
 
     def __init__(self, domain: DomainSpec):
+        self.domain = domain
         self._impl = AnalyticDiskGreen(domain) if domain.kind == "unit-disk" \
             else NumericGreen(domain)
         self.backend = self._impl.backend
-
-    def check_inside(self, points):
-        self._impl.check_inside(points)
 
     def robin_H_many(self, points, y) -> np.ndarray:
         """Regular part H(., y) at many points (vectorized where the backend allows)."""

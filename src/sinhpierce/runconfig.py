@@ -18,7 +18,7 @@ import numpy as np
 from .coeffs import BlowupConfig
 from .corrector import MAXITER, P_NORMS, TOL
 from .errors import ConstraintViolation, ParseError, SchemaError
-from .geometry import DomainSpec, MeshPolicy, _inside_farther_than
+from .geometry import DomainSpec, MeshPolicy, domain_sample_points
 from .potentials import check_sampled, parse_potential
 
 COMMANDS = ("construct", "sweep", "verify", "green-check")
@@ -58,23 +58,6 @@ def _parse_points(text):
             raise ValueError(f"point needs two coordinates, got {chunk!r}")
         pts.append(vals)
     return np.asarray(pts, dtype=float)
-
-
-def domain_sample_points(domain: DomainSpec, n=2000, seed=0):
-    """Deterministic cloud of interior points for potential positivity checks."""
-    rng = np.random.default_rng(seed)
-    if domain.kind == "unit-disk":
-        lo = np.array([-1.0, -1.0])
-        hi = np.array([1.0, 1.0])
-    else:
-        b = domain.boundary
-        lo = b.min(axis=0)
-        hi = b.max(axis=0)
-    pts = np.empty((0, 2))
-    while len(pts) < n:
-        cand = rng.uniform(lo, hi, size=(4 * n, 2))
-        pts = np.vstack([pts, cand[_inside_farther_than(cand, domain, domain.boundary, 0.0)]])
-    return pts[:n]
 
 
 def parse_config(text: str, run_overrides=None) -> RunConfig:

@@ -20,9 +20,8 @@ from .coeffs import choose_scales, constraint_deviation, dominance_threshold, so
 from .corrector import SLOPE_SAMPLES, Run, continuation_sweep, log_slope
 from .errors import QuadratureNonConvergence
 from .greens import AnalyticDiskGreen, NumericGreen
-from .geometry import TWO_PI
+from .geometry import TWO_PI, domain_sample_points
 from .operators import get_ops, residual_R
-from .runconfig import domain_sample_points
 
 _STENCIL_ROWS = 64   # grid rows per block of the kernel-annihilation stencil
 

@@ -22,8 +22,9 @@ from sinhpierce.errors import (
     NonpositiveSampled,
     SchemaError,
 )
-from sinhpierce.geometry import MIN_HOLE_RADIUS, DomainSpec, MeshPolicy
-from sinhpierce.runconfig import domain_sample_points, parse_config
+from sinhpierce.geometry import MIN_HOLE_RADIUS, SAMPLE_ROUNDS, DomainSpec, MeshPolicy, \
+    domain_sample_points
+from sinhpierce.runconfig import parse_config
 
 from conftest import distance_to_boundary, pierced_mesh
 
@@ -614,6 +615,32 @@ def test_repeated_vertex_is_dropped(tmp_path):
     cfg = _write(tmp_path, BASE.format(out=out).replace(
         "domain = unit-disk", f"domain = boundary-curve\nboundary = {doubled}"))
     assert main(["construct", "--config", cfg]) == 0
+
+
+@pytest.mark.parametrize("boundary, center, code, message", [
+    # no area: the sampler gives up after its rounds, before any mesh
+    ("0 0; 1 0; 2 0", "0.5 0.0", 1, f"0 of {SAMPLE_ROUNDS * 8000} points"),
+    ("0 0; 2 0; 1 0", "0.5 0.0", 1, f"0 of {SAMPLE_ROUNDS * 8000} points"),
+    # area enough to sample, and a center that is not inside
+    ("0 0; 1 0; 2 1e-12", "0.5 0.0", 2, "not inside the domain"),
+    ("0 0; 1 1; 1 0; 0 1", "0.5 0.5", 2, "not inside the domain"),
+])
+def test_curves_without_area_end_with_a_named_failure(tmp_path, boundary, center, code, message):
+    import subprocess
+    import sys
+
+    import sinhpierce
+
+    cfg = _write(tmp_path, BASE.format(out=tmp_path / "out").replace(
+        "domain = unit-disk", f"domain = boundary-curve\nboundary = {boundary}")
+        .replace("centers = 0.0 0.0", f"centers = {center}"))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(sinhpierce.__file__)))
+    proc = subprocess.run([sys.executable, "-c", "import sys, sinhpierce.cli as c; "
+                           "sys.exit(c.main(sys.argv[1:]))", "construct", "--config", cfg],
+                          env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == code, proc.stderr
+    assert message in proc.stderr and "Traceback" not in proc.stderr
 
 
 def test_domain_sample_points_match_pointwise_draws():

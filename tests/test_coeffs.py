@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from sinhpierce.coeffs import (
 from sinhpierce.errors import ConstraintViolation, NonpositivePotentialAtCenter
 from sinhpierce.geometry import DomainSpec
 from sinhpierce.greens import GreenProvider
+from sinhpierce.potentials import parse_potential
 
 TWO_PI = 2 * math.pi
 
@@ -91,6 +93,20 @@ def test_scales_nonpositive_potential(disk, gp):
                        V1=constant_potential(0.0), V2=constant_potential(1.0))
     with pytest.raises(NonpositivePotentialAtCenter):
         choose_scales(cfg, 1e-3, gp)
+
+
+@pytest.mark.parametrize("m1, name", [(1, "V1"), (0, "V2")])
+@pytest.mark.parametrize("text", ["1 + 1/x^2", "log(x^2 + y^2)^2", "0/x"])
+def test_scales_reject_a_potential_not_finite_at_a_center(disk, gp, m1, name, text):
+    # inf (and nan) at the center is named like a value <= 0, and the
+    # division's floating warning does not escape
+    V = parse_potential(text)
+    cfg = BlowupConfig(domain=disk, centers=[[0, 0]], alphas=[3.0], m1=m1, V1=V, V2=V)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonpositivePotentialAtCenter,
+                           match=rf"^{name}\(0\.0, 0\.0\) = (inf|nan) is not positive and finite$"):
+            choose_scales(cfg, 1e-3, gp)
 
 
 @given(alpha=st.floats(2.05, 6.0).filter(lambda a: abs(a - round(a / 2) * 2) > 1e-3),

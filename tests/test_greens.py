@@ -64,6 +64,18 @@ def test_outside_domain_rejected(gp):
         gp.pair_table([[0.1, 0.0], [1.2, 0.0]])
 
 
+@pytest.mark.parametrize("backend", ["analytic", "numeric", "provider"])
+def test_one_inside_check_with_one_tolerance(backend, numeric_disk):
+    # every backend accepts a point 5e-11 outside the unit disk and names
+    # one 1e-9 outside in the same words
+    impl = numeric_disk if backend == "numeric" else \
+        (AnalyticDiskGreen if backend == "analytic" else GreenProvider)(DomainSpec())
+    impl.check_inside(np.array([[0.0, 0.5], [1 + 5e-11, 0.0], [0.0, -1 - 5e-11]]))
+    with pytest.raises(PointOutsideDomain,
+                       match=r"^point \(0\.0, 1\.000000001\) lies outside the domain$"):
+        impl.check_inside(np.array([[0.0, 0.5], [0.0, 1 + 1e-9], [1.5, 0.0]]))
+
+
 def test_boundary_vanishing(gp):
     for t in np.linspace(0, 2 * math.pi, 17):
         x = (math.cos(t), math.sin(t))

@@ -1,5 +1,6 @@
-"""Exactness of the mesh construction's fast paths: the pruned polygon tests
-against the all-pairs broadcasts they replace, the bincount sums against the
+"""Exactness of the mesh construction's fast paths: the pruned inside test and
+the blocked distance against one all-pairs broadcast, the vectorized curve
+resample against the walk it replaced, the bincount sums against the
 np.add.at accumulation, the background a Run shares against a cold build, a
 closed boundary curve against the open one, and the conformity check on
 broken meshes."""
@@ -26,6 +27,7 @@ from sinhpierce.greens import GreenProvider
 from conftest import distance_to_boundary, pierced_mesh
 
 SQUARE = DomainSpec("boundary-curve", [[-0.9, -0.9], [0.9, -0.9], [0.9, 0.9], [-0.9, 0.9]])
+L_SHAPE = DomainSpec("boundary-curve", [[0, 0], [2, 0], [2, 1], [1, 1], [1, 2], [0, 2]])
 
 
 def point_in_polygon_all_pairs(points, poly):
@@ -60,6 +62,32 @@ def _star40():
     return np.column_stack([rad * np.cos(t), rad * np.sin(t)])
 
 
+def resample_closed_curve_walk(p, h):
+    """Reference: the walk along the curve, target by target, edge by edge."""
+    seg = np.roll(p, -1, axis=0) - p
+    lens = np.hypot(seg[:, 0], seg[:, 1])
+    s = np.concatenate([[0.0], np.cumsum(lens)])
+    total = s[-1]
+    n = max(16, int(round(total / h)))
+    targets = total * np.arange(n) / n
+    out = np.empty((n, 2))
+    j = 0
+    for i, t in enumerate(targets):
+        while s[j + 1] < t:
+            j += 1
+        w = (t - s[j]) / (s[j + 1] - s[j])
+        out[i] = (1 - w) * p[j] + w * p[(j + 1) % len(p)]
+    return out
+
+
+@pytest.mark.parametrize("h", [0.1, 0.02, 0.005])
+@pytest.mark.parametrize("curve", [SQUARE.boundary, L_SHAPE.boundary, _star40()],
+                         ids=["square", "L-shape", "nonconvex-40gon"])
+def test_resample_equals_the_walk(curve, h):
+    got = geometry._resample_closed_curve(curve, h)
+    assert got.tobytes() == resample_closed_curve_walk(curve, h).tobytes()
+
+
 @pytest.mark.parametrize("poly", [domain_boundary_polygon(SQUARE, 0.02),
                                   domain_boundary_polygon(SQUARE, 0.005),
                                   _star40()],
@@ -69,7 +97,7 @@ def test_polygon_tests_equal_all_pairs(poly):
     lo, hi = poly.min(axis=0) - 0.2, poly.max(axis=0) + 0.2
     edge_mid = 0.5 * (poly + np.roll(poly, -1, axis=0))
     point_sets = {
-        "hex": geometry._hex_lattice((lo[0], hi[0], lo[1], hi[1]), 0.04),
+        "hex": geometry._hex_lattice(lo, hi, 0.04),
         "random": rng.uniform(lo, hi, size=(3000, 2)),
         "vertices": poly.copy(),
         "edge-midpoints": edge_mid,
@@ -96,7 +124,7 @@ def test_inside_farther_than_equals_signed_distance(poly, h):
     # nearest-vertex bound settles it: the mask must be the full test's
     domain = DomainSpec("boundary-curve", poly)
     lo, hi = poly.min(axis=0), poly.max(axis=0)
-    lattice = geometry._hex_lattice((lo[0], hi[0], lo[1], hi[1]), h)
+    lattice = geometry._hex_lattice(lo, hi, h)
     rng = np.random.default_rng(5)
     point_sets = {
         "hex": lattice,
