@@ -24,15 +24,12 @@ class Bubble:
     """One concentrating profile: peak height ~ log(2 alpha^2 / delta^alpha)."""
 
     index: int
-    center: np.ndarray
     alpha: float
-    delta: float
     delta_pow: float      # delta**alpha, exact
 
 
 def make_bubbles(cfg, scales):
-    return [Bubble(index=i, center=cfg.centers[i].copy(), alpha=float(cfg.alphas[i]),
-                   delta=float(scales.delta[i]), delta_pow=float(scales.delta_pow[i]))
+    return [Bubble(index=i, alpha=float(cfg.alphas[i]), delta_pow=float(scales.delta_pow[i]))
             for i in range(cfg.m)]
 
 

@@ -189,13 +189,7 @@ def main(argv=None) -> int:
                                                ("p", args.p))
                  if value is not None}
     try:
-        rc = parse_config(text, overrides)
-    except VALIDATION_ERRORS as exc:
-        print(f"validation failure: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-
-    try:
-        return run(rc)
+        return run(parse_config(text, overrides))
     except VALIDATION_ERRORS as exc:
         print(f"validation failure: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -73,6 +73,7 @@ class DomainSpec:
             if b.ndim != 2 or b.shape[0] < 3 or b.shape[1] != 2:
                 raise ValueError("boundary curve needs at least three points, as an "
                                  "(n, 2) list without repeated consecutive points")
+            _check_simple(b)
             object.__setattr__(self, "boundary", b)
 
     @property
@@ -125,6 +126,41 @@ def _resample_closed_curve(p, h):
 def _polygon_area(poly):
     x, y = poly[:, 0], poly[:, 1]
     return 0.5 * np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y)
+
+
+def _check_simple(poly):
+    """ValueError naming the first pair (i, j), i < j, of non-adjacent edges
+    of the closed polygon that meet or touch, in the order of i then j.
+    Edge k runs from vertex k to vertex k + 1.
+
+    Two segments meet when their bounding boxes overlap and neither has both
+    ends strictly on one side of the other's line. The boxes are compared
+    _NEAREST_BLOCK pairs at a time, the sides only for the pairs they keep.
+    """
+    n = len(poly)
+    a, b = poly, np.roll(poly, -1, axis=0)
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+
+    def side(e, q):
+        return np.sign((b[e, 0] - a[e, 0]) * (q[:, 1] - a[e, 1])
+                       - (b[e, 1] - a[e, 1]) * (q[:, 0] - a[e, 0]))
+
+    j = np.arange(n)
+    step = max(1, _NEAREST_BLOCK // n)
+    for k in range(0, n, step):
+        i = np.arange(k, min(k + step, n))[:, None]
+        # j >= i + 2 shares no vertex with i, except the last edge with the first
+        near = (j >= i + 2) & ((i > 0) | (j < n - 1))
+        for d in (0, 1):
+            near &= (lo[i, d] <= hi[j, d]) & (lo[j, d] <= hi[i, d])
+        ii, jj = np.nonzero(near)
+        ii += k
+        meet = (side(jj, a[ii]) * side(jj, b[ii]) <= 0) & (side(ii, a[jj]) * side(ii, b[jj]) <= 0)
+        if meet.any():
+            i, j = ii[np.argmax(meet)], jj[np.argmax(meet)]
+            raise ValueError(f"boundary curve is not simple: edge {i + 1} "
+                             f"{tuple(a[i].tolist())}-{tuple(b[i].tolist())} meets edge {j + 1} "
+                             f"{tuple(a[j].tolist())}-{tuple(b[j].tolist())}")
 
 
 def _point_in_polygon(points, poly):
@@ -455,27 +491,6 @@ def _structured_patch_triangles(grid):
     return np.vstack(tris)
 
 
-def _inside_rim_polygon(centroids, center, rim_r, n_theta):
-    """True where a point lies inside the polygon of the patch rim ring."""
-    dx = centroids[:, 0] - center[0]
-    dy = centroids[:, 1] - center[1]
-    r = np.hypot(dx, dy)
-    inner = r <= rim_r * math.cos(math.pi / n_theta)
-    ambiguous = (~inner) & (r < rim_r)
-    if np.any(ambiguous):
-        th = np.arctan2(dy[ambiguous], dx[ambiguous]) % TWO_PI
-        dtheta = TWO_PI / n_theta
-        j = np.floor(th / dtheta).astype(int) % n_theta
-        th0 = j * dtheta
-        th1 = th0 + dtheta
-        ax, ay = rim_r * np.cos(th0), rim_r * np.sin(th0)
-        bx, by = rim_r * np.cos(th1), rim_r * np.sin(th1)
-        # interior of the CCW polygon lies to the left of each chord
-        cross = (bx - ax) * (dy[ambiguous] - ay) - (by - ay) * (dx[ambiguous] - ax)
-        inner[np.flatnonzero(ambiguous)[cross > 0]] = True
-    return inner
-
-
 def build_domain_mesh(domain: DomainSpec, h: float) -> Mesh:
     """Mesh the outer domain alone (no holes); used by the numeric Green backend."""
     return _assemble(_background(domain, np.zeros((0, 2)), 0.0, MeshPolicy(h=h)), ())
@@ -588,20 +603,18 @@ def _background(domain, centers, eta, policy) -> _Background:
         exclusion.append((xi, rr + 0.75 * max(s, h)))
 
     # transition nodes: drop those outside the domain or colliding with
-    # earlier stitch nodes (overlapping transition shells of nearby holes)
+    # earlier stitch nodes (overlapping transition shells of nearby holes);
+    # the stitch nodes so far go first with radius 0, so all of them stay
     if circle_pts:
         cpts = np.vstack(circle_pts)
-        csp = np.concatenate(circle_spacing)
-        keep = _inside_farther_than(cpts, domain, bpoly, 0.55 * h)
+        inside = _inside_farther_than(cpts, domain, bpoly, 0.55 * h)
         base = np.vstack(pot_pts)
-        tree = cKDTree(base)
-        d, _ = tree.query(cpts)
-        keep &= d > 0.45 * csp
-        # dedup among the transition nodes themselves, preserving order
-        cand = cpts[keep]
-        sel = _first_apart(cand, 0.45 * csp[keep])
+        pts = np.vstack([base, cpts[inside]])
+        radius = np.concatenate([np.zeros(len(base)), 0.45 * np.concatenate(circle_spacing)[inside]])
+        sel = _first_apart(pts, radius)
+        sel = sel[sel >= len(base)]
         if sel.size:
-            pot_pts.append(cand[sel])
+            pot_pts.append(pts[sel])
             pot_origin.append(np.full(len(sel), 1))
 
     # hex lattice clipped to the domain minus the patch exclusion zones
@@ -627,8 +640,11 @@ def _background(domain, centers, eta, policy) -> _Background:
         keep = np.abs(_tri_areas(points[tris])) > 1e-14 * h * h
         if not convex:
             keep &= _point_in_polygon(cent, bpoly)
-        for i in range(m):
-            keep &= ~_inside_rim_polygon(cent, centers[i], eta, n_theta)
+        # the rim polygons are the rim nodes themselves, which smoothing never
+        # moves; only centroids within eta of a center can lie inside one
+        for xi, (start, n) in zip(centers, rim_slices):
+            near = np.flatnonzero(np.hypot(cent[:, 0] - xi[0], cent[:, 1] - xi[1]) < eta)
+            keep[near[_point_in_polygon(cent[near], points[start:start + n])]] = False
         return tris[keep]
 
     tris = triangulate(pot)
@@ -650,8 +666,8 @@ def _first_apart(pts, radius):
     one already kept lies within its radius (distance <= radius).
 
     One k-d tree of all points finds each point's earlier neighbours (a
-    slightly wider ball, so none is missed); the test itself uses the
-    distance cKDTree.query returns, sqrt(dx^2 + dy^2).
+    slightly wider ball, so none is missed); the test itself is
+    sqrt(dx^2 + dy^2) <= radius.
     """
     if not len(pts):
         return np.zeros(0, dtype=np.int64)
@@ -809,9 +825,8 @@ def _check_conformity(mesh):
     # area bookkeeping: covered area must match the polygonal domain area
     target = _polygon_area(bpoly)
     for p in mesh.patches:
-        th = TWO_PI * np.arange(p.n_theta) / p.n_theta
-        hole_poly = p.radii[0] * np.column_stack([np.cos(th), np.sin(th)])
-        target -= abs(_polygon_area(hole_poly))
+        ring = p.node_grid[0]
+        target -= abs(_polygon_area(np.column_stack([mesh.node_dx[ring], mesh.node_dy[ring]])))
     covered = float(np.sum(mesh.weights))
     if abs(covered - target) > 1e-9 * abs(target):
         raise StitchFailure(

@@ -24,9 +24,8 @@ from sinhpierce.operators import get_ops
 from conftest import pierced_mesh
 
 
-def _bubble(alpha=3.0, delta=0.05, center=(0.0, 0.0)):
-    return Bubble(index=0, center=np.asarray(center, dtype=float), alpha=alpha,
-                  delta=delta, delta_pow=delta ** alpha)
+def _bubble(alpha=3.0, delta=0.05):
+    return Bubble(index=0, alpha=alpha, delta_pow=delta ** alpha)
 
 
 def test_bubble_peak_values():
@@ -142,8 +141,7 @@ def test_eta_ode_identities(tfs, single_cfg):
     fn, scales = tfs
     alpha = 3.0
     delta = scales.delta[0]
-    b = Bubble(index=0, center=np.zeros(2), alpha=alpha, delta=delta,
-               delta_pow=scales.delta_pow[0])
+    b = Bubble(index=0, alpha=alpha, delta_pow=scales.delta_pow[0])
     t = np.linspace(math.log(delta) - 6, math.log(delta) + 6, 16001)
     r = np.exp(t)
     src = bubble_source_from_r(b, r)
@@ -182,8 +180,8 @@ def test_projection_interior_harmonicity(proj_setup, single_cfg, gp):
     ops = get_ops(mesh)
     b = make_bubbles(single_cfg, scales)[0]
     P = project_numeric(b, mesh, coeffs=coeffs, H=regular_parts(gp, mesh, coeffs.centers))
-    w_vals = _bubble_from_r(b, np.hypot(mesh.nodes[:, 0] - b.center[0],
-                                        mesh.nodes[:, 1] - b.center[1]))
+    xi = single_cfg.centers[0]
+    w_vals = _bubble_from_r(b, np.hypot(mesh.nodes[:, 0] - xi[0], mesh.nodes[:, 1] - xi[1]))
     # difference P - w is discrete harmonic plus the exactly harmonic lead;
     # check it on the regular lattice region
     lap = ops.laplacian(P.values - w_vals)

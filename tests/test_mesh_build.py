@@ -1,15 +1,17 @@
 """Exactness of the mesh construction's fast paths: the pruned inside test and
 the blocked distance against one all-pairs broadcast, the vectorized curve
-resample against the walk it replaced, the bincount sums against the
-np.add.at accumulation, the background a Run shares against a cold build, a
-closed boundary curve against the open one, and the conformity check on
-broken meshes."""
+resample against the walk it replaced, the rim filter against the sector
+test it replaced, the bincount sums against the np.add.at accumulation, the
+background a Run shares against a cold build, a closed boundary curve
+against the open one, curves that meet themselves, and the conformity check
+on broken meshes."""
 
 import dataclasses
 import math
 
 import numpy as np
 import pytest
+from scipy.spatial import Delaunay
 
 import sinhpierce.geometry as geometry
 from sinhpierce.coeffs import BlowupConfig, constant_potential
@@ -149,6 +151,28 @@ def test_inside_farther_than_equals_signed_distance(poly, h):
                           geometry._signed_inside_distance(lattice, disk, poly) > 0.55 * h)
 
 
+def inside_rim_polygon_sectors(centroids, center, rim_r, n_theta):
+    """Reference: the rim polygon rebuilt from the circle, a point inside the
+    inscribed radius or left of the chord of its arctan2 sector."""
+    dx = centroids[:, 0] - center[0]
+    dy = centroids[:, 1] - center[1]
+    r = np.hypot(dx, dy)
+    inner = r <= rim_r * math.cos(math.pi / n_theta)
+    ambiguous = (~inner) & (r < rim_r)
+    if np.any(ambiguous):
+        th = np.arctan2(dy[ambiguous], dx[ambiguous]) % geometry.TWO_PI
+        dtheta = geometry.TWO_PI / n_theta
+        j = np.floor(th / dtheta).astype(int) % n_theta
+        th0 = j * dtheta
+        th1 = th0 + dtheta
+        ax, ay = rim_r * np.cos(th0), rim_r * np.sin(th0)
+        bx, by = rim_r * np.cos(th1), rim_r * np.sin(th1)
+        # interior of the CCW polygon lies to the left of each chord
+        cross = (bx - ax) * (dy[ambiguous] - ay) - (by - ay) * (dx[ambiguous] - ax)
+        inner[np.flatnonzero(ambiguous)[cross > 0]] = True
+    return inner
+
+
 def first_apart_per_candidate_tree(pts, radius):
     """Reference: the dedup loop that builds a k-d tree of the accepted
     points for every candidate."""
@@ -167,7 +191,7 @@ class _Stop(Exception):
     pass
 
 
-@pytest.mark.parametrize("domain, centers, h, rejected", [
+LAYOUTS = pytest.mark.parametrize("domain, centers, h, rejected", [
     (DomainSpec(), [[0.0, 0.0]], 0.02, False),
     (DomainSpec(), [[-0.4, 0.0], [0.4, 0.0]], 0.005, False),
     (SQUARE, [[-0.4, 0.0], [0.4, 0.0]], 0.02, False),
@@ -175,6 +199,28 @@ class _Stop(Exception):
     (DomainSpec(), [[-0.15, 0.0], [0.15, 0.0], [0.0, 0.25]], 0.005, True),
     (SQUARE, [[-0.2, 0.0], [0.2, 0.0]], 0.01, True),
 ], ids=["verify-disk", "construct-fine", "sweep-square", "overlap-disk", "overlap-square"])
+
+
+@LAYOUTS
+def test_rim_filter_equals_the_sector_test(domain, centers, h, rejected):
+    # the background's last triangulation, filtered with the reference rim test
+    centers = np.asarray(centers, dtype=float)
+    eta = geometry.annulus_radius(domain, centers)
+    bg = geometry._background(domain, centers, eta, MeshPolicy(h=h, q=1.3))
+    tris = Delaunay(bg.pot).simplices
+    cent = bg.pot[tris].mean(axis=1)
+    keep = np.abs(geometry._tri_areas(bg.pot[tris])) > 1e-14 * h * h
+    if domain.kind != "unit-disk":
+        keep &= geometry._point_in_polygon(cent, domain_boundary_polygon(domain, h))
+    outside = keep.copy()
+    for xi in centers:
+        outside &= ~inside_rim_polygon_sectors(cent, xi, eta, bg.n_theta)
+    assert np.array_equal(bg.tris, tris[outside])
+    # every rim drops the triangles that fill it
+    assert (keep & ~outside).sum() >= len(centers) * (bg.n_theta - 2)
+
+
+@LAYOUTS
 def test_transition_dedup_equals_per_candidate_trees(domain, centers, h, rejected, monkeypatch):
     seen = []
 
@@ -192,6 +238,10 @@ def test_transition_dedup_equals_per_candidate_trees(domain, centers, h, rejecte
     got = geometry._first_apart(pts, radius)
     want = first_apart_per_candidate_tree(pts, radius)
     assert np.array_equal(got, want)
+    # the stitch nodes come first, with radius 0, and all of them stay
+    n_stitch = np.count_nonzero(radius == 0)
+    assert np.all(radius[n_stitch:] > 0)
+    assert np.array_equal(got[:n_stitch], np.arange(n_stitch))
     assert (len(want) < len(pts)) == rejected
     assert geometry._first_apart(pts[:0], radius[:0]).size == 0
 
@@ -335,6 +385,22 @@ def test_closed_boundary_curve_equals_open():
     for domain in (SQUARE, closed):
         meshes.append(pierced_mesh(domain, centers, [1e-3, 1e-3], MeshPolicy(h=0.04)))
     _assert_same_mesh(meshes[1], meshes[0])
+
+
+# --- curves that meet themselves -------------------------------------------
+
+# two loops that touch at the vertex (2, 0)
+FIGURE_EIGHT = [[0, 0], [1, 1], [2, 0], [3, 1], [3, -1], [2, 0], [1, -1]]
+
+
+@pytest.mark.parametrize("block", [geometry._NEAREST_BLOCK, 7], ids=["one-block", "row-blocks"])
+def test_curve_that_meets_itself_is_rejected(block, monkeypatch):
+    monkeypatch.setattr(geometry, "_NEAREST_BLOCK", block)
+    with pytest.raises(ValueError, match=r"not simple: edge 2 \(1.0, 1.0\)-\(2.0, 0.0\) "
+                                         r"meets edge 5 \(3.0, -1.0\)-\(2.0, 0.0\)"):
+        DomainSpec("boundary-curve", FIGURE_EIGHT)
+    for curve in (L_SHAPE.boundary, _star40()):
+        assert np.array_equal(DomainSpec("boundary-curve", curve).boundary, curve)
 
 
 # --- conformity check ----------------------------------------------------
