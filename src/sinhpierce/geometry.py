@@ -129,13 +129,14 @@ def _polygon_area(poly):
 
 
 def _check_simple(poly):
-    """ValueError naming the first pair (i, j), i < j, of non-adjacent edges
-    of the closed polygon that meet or touch, in the order of i then j.
-    Edge k runs from vertex k to vertex k + 1.
+    """ValueError naming, by their end points, the first pair (i, j), i < j,
+    of non-adjacent edges of the closed polygon that meet or touch, in the
+    order of i then j. Edge k runs from vertex k to vertex k + 1.
 
     Two segments meet when their bounding boxes overlap and neither has both
     ends strictly on one side of the other's line. The boxes are compared
-    _NEAREST_BLOCK pairs at a time, the sides only for the pairs they keep.
+    _NEAREST_BLOCK pairs at a time, the sides only for the pairs they keep;
+    every pair is compared, so the time grows with the square of len(poly).
     """
     n = len(poly)
     a, b = poly, np.roll(poly, -1, axis=0)
@@ -158,8 +159,8 @@ def _check_simple(poly):
         meet = (side(jj, a[ii]) * side(jj, b[ii]) <= 0) & (side(ii, a[jj]) * side(ii, b[jj]) <= 0)
         if meet.any():
             i, j = ii[np.argmax(meet)], jj[np.argmax(meet)]
-            raise ValueError(f"boundary curve is not simple: edge {i + 1} "
-                             f"{tuple(a[i].tolist())}-{tuple(b[i].tolist())} meets edge {j + 1} "
+            raise ValueError(f"boundary curve is not simple: edge "
+                             f"{tuple(a[i].tolist())}-{tuple(b[i].tolist())} meets edge "
                              f"{tuple(a[j].tolist())}-{tuple(b[j].tolist())}")
 
 

@@ -396,8 +396,8 @@ FIGURE_EIGHT = [[0, 0], [1, 1], [2, 0], [3, 1], [3, -1], [2, 0], [1, -1]]
 @pytest.mark.parametrize("block", [geometry._NEAREST_BLOCK, 7], ids=["one-block", "row-blocks"])
 def test_curve_that_meets_itself_is_rejected(block, monkeypatch):
     monkeypatch.setattr(geometry, "_NEAREST_BLOCK", block)
-    with pytest.raises(ValueError, match=r"not simple: edge 2 \(1.0, 1.0\)-\(2.0, 0.0\) "
-                                         r"meets edge 5 \(3.0, -1.0\)-\(2.0, 0.0\)"):
+    with pytest.raises(ValueError, match=r"not simple: edge \(1.0, 1.0\)-\(2.0, 0.0\) "
+                                         r"meets edge \(3.0, -1.0\)-\(2.0, 0.0\)"):
         DomainSpec("boundary-curve", FIGURE_EIGHT)
     for curve in (L_SHAPE.boundary, _star40()):
         assert np.array_equal(DomainSpec("boundary-curve", curve).boundary, curve)
@@ -424,6 +424,20 @@ def test_conformity_rejects_broken_meshes(single_mesh, where):
     k = int(np.flatnonzero(single_mesh.tri_patch < 0 if where == "background"
                            else single_mesh.tri_patch >= 0)[0])
     _assert_rejects_broken(single_mesh, k)
+
+
+def test_hole_rings_lie_on_their_circles(single_mesh):
+    """The area check takes each hole polygon from ring 0's offsets, and the
+    patch triangles' areas from the same offsets, so a wrong offset would
+    cancel out of it; here ring 0 is held to radii[0] times (cos, sin)."""
+    for p in single_mesh.patches:
+        ring = p.node_grid[0]
+        th = 2 * np.pi * np.arange(p.n_theta) / p.n_theta
+        assert np.array_equal(single_mesh.node_dx[ring], p.radii[0] * np.cos(th))
+        assert np.array_equal(single_mesh.node_dy[ring], p.radii[0] * np.sin(th))
+        assert np.allclose(single_mesh.nodes[ring] - p.center,
+                           p.radii[0] * np.column_stack([np.cos(th), np.sin(th)]),
+                           rtol=0, atol=1e-15)
 
 
 def _strip_mesh(n):
