@@ -18,7 +18,14 @@ import sys
 from . import verify
 from .coeffs import dump_csv
 from .corrector import Run, construct_solution, continuation_sweep
-from .errors import ConstraintViolation, NonpositiveSampled, SchemaError, SinhPierceError
+from .errors import (
+    ConstraintViolation,
+    Diverged,
+    NearSingular,
+    NonpositiveSampled,
+    SchemaError,
+    SinhPierceError,
+)
 from .geometry import MIN_HOLE_RADIUS, format_17g
 from .runconfig import COMMANDS, KEYS, SWEEP_REPORT, RunConfig, parse_config
 
@@ -60,16 +67,24 @@ def write_field_csv(field, path, coords=None):
     return xs, ys
 
 
-def _cmd_construct(rc: RunConfig, man: Manifest):
-    # the Run is not kept, so its Lap + W factor is freed before the files are written
-    sol = construct_solution(Run(rc.problem, rc.policy, tol=rc.tol, maxiter=rc.maxiter,
-                                 p_norms=rc.p_list), rc.rho_list[0])
+def _write_report(report, man: Manifest, claim):
     out = man.out_dir
-    sol.report.write(os.path.join(out, "report"))
-    man.add(os.path.join(out, "report.txt"), "construct",
-            "converged correction and blow-up profile data")
+    report.write(os.path.join(out, "report"))
+    man.add(os.path.join(out, "report.txt"), "construct", claim)
     man.add(os.path.join(out, "report_iterations.csv"), "construct",
             "per-iteration contraction history")
+
+
+def _cmd_construct(rc: RunConfig, man: Manifest):
+    # the Run is not kept, so its Lap + W factor is freed before the files are written
+    try:
+        sol = construct_solution(Run(rc.problem, rc.policy, tol=rc.tol, maxiter=rc.maxiter,
+                                     p_norms=rc.p_list), rc.rho_list[0])
+    except (Diverged, NearSingular) as exc:
+        _write_report(exc.report, man, "failed correction: status and history so far")
+        raise
+    out = man.out_dir
+    _write_report(sol.report, man, "converged correction and blow-up profile data")
     # u, phi and the mesh share one mesh: format its coordinates once
     coords = write_field_csv(sol.u, os.path.join(out, "solution.csv"))
     man.add(os.path.join(out, "solution.csv"), "construct", "solution field u = U + phi")

@@ -145,12 +145,14 @@ def choose_scales(cfg: BlowupConfig, rho: float, gp: GreenProvider) -> ScalePara
             raise NonpositivePotentialAtCenter(
                 f"{name}{tuple(cfg.centers[i].tolist())} = {v:.3g} is not positive and finite")
         d[i] = v * math.exp(TWO_PI * rho_i[i]) * weight / (2 * a[i] ** 2)
-    r = d * np.exp(-math.pi * rho_i)
-    delta_pow = d * rho
-    log_delta = (np.log(d) + math.log(rho)) / a
-    log_eps = 2.0 * (np.log(r) + math.log(rho)) / (a - 2.0)
-    delta = np.exp(log_delta)
-    with np.errstate(under="ignore"):
+    # d and r may leave the float range (d = 0 where exp(2 pi rho_i)
+    # underflows); the eps that gives, 0, inf or nan, is check_radii's to name
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore", under="ignore"):
+        r = d * np.exp(-math.pi * rho_i)
+        delta_pow = d * rho
+        log_delta = (np.log(d) + math.log(rho)) / a
+        log_eps = 2.0 * (np.log(r) + math.log(rho)) / (a - 2.0)
+        delta = np.exp(log_delta)
         eps = np.exp(log_eps)
     return ScaleParams(rho=float(rho), delta=delta, eps=eps, delta_pow=delta_pow,
                        log_delta=log_delta, log_eps=log_eps)

@@ -254,7 +254,7 @@ class Run:
             self._release_linear()
             cfg, gp = self.cfg, self.gp
             scales = choose_scales(cfg, rho, gp)
-            check_radii(cfg.centers, scales.eps, self.eta)
+            check_radii(scales.eps, self.eta)
             mesh = build_mesh(self._background, scales.eps)
             coeffs = coefficient_set(cfg, scales, gp)
             U, projections = build_ansatz(cfg, scales, mesh, coeffs=coeffs, gp=gp)

@@ -10,10 +10,6 @@ class DuplicateCenters(SinhPierceError):
     pass
 
 
-class OverlappingHoles(SinhPierceError):
-    pass
-
-
 class HoleTouchesBoundary(SinhPierceError):
     pass
 

@@ -26,7 +26,6 @@ from .errors import (
     ConstraintViolation,
     DuplicateCenters,
     HoleTouchesBoundary,
-    OverlappingHoles,
     StitchFailure,
     UnresolvableHole,
 )
@@ -304,32 +303,27 @@ def annulus_radius(domain: DomainSpec, centers) -> float:
     return 0.45 * min(clearance + separations)
 
 
-def check_radii(centers, radii, eta):
-    """Check one rho's hole radii against the layout annulus_radius accepted.
+def check_radii(radii, eta):
+    """Check one rho's hole radii against the annulus radius eta of the
+    layout: hole i is admitted if and only if MIN_HOLE_RADIUS <= eps_i < eta.
 
-    A radius in [0, MIN_HOLE_RADIUS), such as one that underflowed to 0, is
-    an UnresolvableHole; a negative one is a ValueError. Holes that meet are
-    OverlappingHoles, and a radius not below eta is HoleTouchesBoundary:
-    since eta < dist(xi_i, bdry), a hole below it keeps clear of the boundary.
+    The floor is tested first, over all holes: a radius below it, such as
+    one that underflowed to 0, or one that is negative or nan, is an
+    UnresolvableHole. Then a radius not below eta, inf included, is
+    HoleTouchesBoundary: eta < dist(xi_i, bdry). No pair needs a test of its
+    own: eta <= 0.45 |xi_i - xi_j|, which annulus_radius computes with the
+    same math.hypot, so holes with radii below eta cannot meet.
     """
-    c = np.asarray(centers, dtype=float)
-    r = np.asarray(radii, dtype=float)
+    r = np.asarray(radii, dtype=float).tolist()
     for i, eps in enumerate(r):
-        if 0 <= eps < MIN_HOLE_RADIUS:
+        if not eps >= MIN_HOLE_RADIUS:
             raise UnresolvableHole(
                 f"hole {i + 1} radius {eps:.3g} below the resolvable scale "
                 f"{MIN_HOLE_RADIUS:g}")
-    if np.any(r <= 0):
-        raise ValueError("hole radii must be positive")
-    for i in range(len(r)):
-        for j in range(i + 1, len(r)):
-            sep = math.hypot(c[i, 0] - c[j, 0], c[i, 1] - c[j, 1])
-            if sep <= r[i] + r[j]:
-                raise OverlappingHoles(
-                    f"holes {i + 1} and {j + 1}: separation {sep:.3g} <= {r[i] + r[j]:.3g}")
-    if np.any(r >= eta):
-        raise HoleTouchesBoundary(
-            f"some hole radius {r.max():.3g} is not below the annulus radius eta={eta:.3g}")
+    for i, eps in enumerate(r):
+        if not eps < eta:
+            raise HoleTouchesBoundary(
+                f"hole {i + 1} radius {eps:.3g} is not below the annulus radius eta={eta:.3g}")
 
 
 # ---------------------------------------------------------------------------
@@ -637,8 +631,13 @@ def _background(domain, centers, eta, policy) -> _Background:
     def triangulate(points):
         dela = Delaunay(points)
         tris = dela.simplices
-        cent = points[tris].mean(axis=1)
-        keep = np.abs(_tri_areas(points[tris])) > 1e-14 * h * h
+        coords = points[tris]
+        cent = coords.mean(axis=1)
+        # degenerate: area at most 1e-12 L^2, L the longest edge, such as the
+        # slivers (areas ~5e-18) on three resampled nodes of one straight side
+        edge_sq = np.max([np.sum((coords[:, k] - coords[:, k - 1]) ** 2, axis=1)
+                          for k in range(3)], axis=0)
+        keep = np.abs(_tri_areas(coords)) > np.maximum(1e-14 * h * h, 1e-12 * edge_sq)
         if not convex:
             keep &= _point_in_polygon(cent, bpoly)
         # the rim polygons are the rim nodes themselves, which smoothing never

@@ -50,8 +50,10 @@ class _Green:
         """Symmetric tables H(xi_i, xi_j) and G(xi_i, xi_j) over the hole centers.
 
         Each unordered pair is evaluated once, so the coefficient systems see an
-        exactly symmetric Green matrix regardless of backend tolerance. The pair
-        is built on first use and kept, read-only, per center layout.
+        exactly symmetric Green matrix regardless of backend tolerance. It is
+        evaluated at y = the lexicographically larger center, so listing the
+        holes in another order permutes the tables and changes no value. The
+        pair is built on first use and kept, read-only, per center layout.
         """
         c = np.atleast_2d(np.asarray(centers, dtype=float))
         key = (c.shape, c.tobytes())
@@ -61,9 +63,11 @@ class _Green:
         m = c.shape[0]
         H = np.zeros((m, m))
         G = np.zeros((m, m))
-        for j in range(m):
-            H[:j + 1, j] = H[j, :j + 1] = self.robin_H_many(c[:j + 1], c[j])
-            for i in range(j):
+        order = np.lexsort((c[:, 1], c[:, 0]))
+        for k, j in enumerate(order):
+            smaller = order[:k + 1]
+            H[smaller, j] = H[j, smaller] = self.robin_H_many(c[smaller], c[j])
+            for i in order[:k]:
                 G[i, j] = G[j, i] = -np.log(np.hypot(*(c[i] - c[j]))) / TWO_PI + H[i, j]
         H.setflags(write=False)
         G.setflags(write=False)

@@ -25,7 +25,7 @@ def pierced_mesh(domain, centers, radii, policy):
     centers, built as a Run builds it: the layout and radii checks, the
     background on its own thread, then build_mesh."""
     eta = annulus_radius(domain, centers)
-    check_radii(centers, radii, eta)
+    check_radii(radii, eta)
     return build_mesh(prefetch_background(domain, centers, eta, policy), radii)
 
 

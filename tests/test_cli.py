@@ -498,6 +498,70 @@ def test_underflowing_hole_radius_is_a_named_failure(tmp_path):
     assert all("below the resolvable scale" in row["error"] for row in rows)
 
 
+
+def _run_cli(tmp_path, text):
+    """Exit code and stderr of construct in a fresh process."""
+    import subprocess
+    import sys
+
+    import sinhpierce
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(sinhpierce.__file__)))
+    proc = subprocess.run([sys.executable, "-c", "import sys, sinhpierce.cli as c; "
+                           "sys.exit(c.main(sys.argv[1:]))", "construct", "--config",
+                           _write(tmp_path, text)],
+                          env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+                          text=True, timeout=60)
+    return proc.returncode, proc.stderr
+
+
+@pytest.mark.parametrize("tau, rho", [("1e-3", "1e-2"), ("1e-6", "1e-3")])
+def test_nan_hole_radius_is_named(tmp_path, tau, rho):
+    # with tau this small exp(2 pi rho_1) underflows, d_1 = 0 and eps_1 is
+    # nan; check_radii names hole 1 before any mesh is built
+    text = BASE.format(out=tmp_path / "out").replace("centers = 0.0 0.0",
+                                                     "centers = 0.3 0.2; -0.3 0.2") \
+        .replace("alphas = 3.0", "alphas = 3.0 3.0").replace("tau = 1.0", f"tau = {tau}") \
+        .replace("h = 0.05", "h = 0.1").replace("rho = 1e-2", f"rho = {rho}")
+    code, err = _run_cli(tmp_path, text)
+    assert code == 2, err
+    message = "hole 1 radius nan below the resolvable scale"
+    assert err == f"solver failure: {message} {MIN_HOLE_RADIUS:g}\n"
+    assert message in (tmp_path / "out" / "manifest.txt").read_text()
+
+
+def test_regular_polygon_constructs(tmp_path):
+    # the 64-gon's boundary nodes on a slanted side are collinear only up
+    # to rounding; the Green function's domain mesh (h = 0.02) once failed
+    th = 2 * math.pi * np.arange(64) / 64
+    curve = "; ".join(f"{math.cos(t)!r} {math.sin(t)!r}" for t in th.tolist())
+    text = BASE.format(out=tmp_path / "out").replace(
+        "domain = unit-disk", f"domain = boundary-curve\nboundary = {curve}") \
+        .replace("centers = 0.0 0.0", "centers = 0.3 0.2; -0.4 0.1") \
+        .replace("alphas = 3.0", "alphas = 3.0 3.0")
+    code, err = _run_cli(tmp_path, text)
+    assert code == 0, err
+    assert (tmp_path / "out" / "solution.csv").exists()
+
+
+def test_failed_construct_keeps_its_report(tmp_path):
+    # alpha = 3.9 at rho = 1e-2 trips the sup-norm guard; the partial report
+    # is written and listed before the error line
+    out = tmp_path / "out"
+    text = BASE.format(out=out).replace("centers = 0.0 0.0", "centers = 0.3 0.2") \
+        .replace("alphas = 3.0", "alphas = 3.9")
+    assert main(["construct", "--config", _write(tmp_path, text)]) == 2
+    manifest = (out / "manifest.txt").read_text().splitlines()
+    assert [line.split()[1] for line in manifest] == ["report.txt", "report_iterations.csv", "-"]
+    assert manifest[-1].endswith("exceeded the guard")
+    report = dict(line.split(" ", 1) for line in (out / "report.txt").read_text().splitlines())
+    assert report["status"] == "diverged"
+    with open(out / "report_iterations.csv", newline="") as f:
+        rows = list(csv.DictReader(f))
+    assert len(rows) == int(report["iterations"]) >= 2
+    assert float(rows[-1]["contraction_factor"]) > 1
+
+
 _QUADRATURE_PROBE = """
 import json, sys
 import sinhpierce.cli as cli
@@ -630,21 +694,11 @@ def test_repeated_vertex_is_dropped(tmp_path):
                  id="bowtie"),
 ])
 def test_curves_without_area_end_with_a_named_failure(tmp_path, boundary, center, code, message):
-    import subprocess
-    import sys
-
-    import sinhpierce
-
-    cfg = _write(tmp_path, BASE.format(out=tmp_path / "out").replace(
+    returncode, err = _run_cli(tmp_path, BASE.format(out=tmp_path / "out").replace(
         "domain = unit-disk", f"domain = boundary-curve\nboundary = {boundary}")
         .replace("centers = 0.0 0.0", f"centers = {center}"))
-    src = os.path.dirname(os.path.dirname(os.path.abspath(sinhpierce.__file__)))
-    proc = subprocess.run([sys.executable, "-c", "import sys, sinhpierce.cli as c; "
-                           "sys.exit(c.main(sys.argv[1:]))", "construct", "--config", cfg],
-                          env=dict(os.environ, PYTHONPATH=src), capture_output=True,
-                          text=True, timeout=60)
-    assert proc.returncode == code, proc.stderr
-    assert message in proc.stderr and "Traceback" not in proc.stderr
+    assert returncode == code, err
+    assert message in err and "Traceback" not in err
 
 
 def test_domain_sample_points_match_pointwise_draws():

@@ -88,6 +88,18 @@ def test_scales_centered_example(single_cfg, gp):
     assert s.eps[0] == pytest.approx((1e-3 / 18) ** 2, rel=1e-13)
 
 
+def test_scales_out_of_range_without_warnings(disk, gp):
+    # tau = 1e-3 scales the negative hole's Green term in rho_1 by 1/tau:
+    # exp(2 pi rho_1) underflows, so d_1 = 0, and eps_1 is nan; that is left
+    # to check_radii, with no RuntimeWarning on the way (pytest makes them errors)
+    cfg = BlowupConfig(domain=disk, centers=[[0.3, 0.2], [-0.3, 0.2]], alphas=[3.0, 3.0],
+                       m1=1, tau=1e-3, V1=constant_potential(1.0), V2=constant_potential(1.0))
+    s = choose_scales(cfg, 1e-2, gp)
+    assert s.delta[0] == 0 and s.log_delta[0] == -np.inf
+    assert math.isnan(s.eps[0]) and math.isnan(s.log_eps[0])
+    assert 0 < s.eps[1] < 1
+
+
 def test_scales_nonpositive_potential(disk, gp):
     cfg = BlowupConfig(domain=disk, centers=[[0, 0]], alphas=[3.0], m1=1,
                        V1=constant_potential(0.0), V2=constant_potential(1.0))

@@ -10,7 +10,6 @@ import sinhpierce.geometry as geometry
 from sinhpierce.errors import (
     DuplicateCenters,
     HoleTouchesBoundary,
-    OverlappingHoles,
     UnresolvableHole,
 )
 from sinhpierce.geometry import (
@@ -37,11 +36,11 @@ def test_two_hole_eta_uses_minimum_before_scaling():
 def test_hole_touching_boundary_rejected():
     eta = annulus_radius(DomainSpec(), [[0.0, 0.0]])
     with pytest.raises(HoleTouchesBoundary):
-        check_radii([[0.0, 0.0]], [1.5], eta)
+        check_radii([1.5], eta)
     # a radius at eta is rejected too, one just below it is not
     with pytest.raises(HoleTouchesBoundary):
-        check_radii([[0.0, 0.0]], [eta], eta)
-    check_radii([[0.0, 0.0]], [np.nextafter(eta, 0.0)], eta)
+        check_radii([eta], eta)
+    check_radii([np.nextafter(eta, 0.0)], eta)
     # a center on or outside the boundary fails the layout itself
     for center in ([1.0, 0.0], [1.5, 0.0]):
         with pytest.raises(HoleTouchesBoundary, match=r"center \(1\.\d, 0\.0\)"):
@@ -55,9 +54,10 @@ def test_hole_touching_boundary_rejected():
 
 
 def test_overlapping_and_duplicate_holes_rejected():
+    # holes that would meet have radii above eta <= 0.45 |xi_1 - xi_2|
     centers = [[0.0, 0.0], [0.05, 0.0]]
-    with pytest.raises(OverlappingHoles):
-        check_radii(centers, [0.04, 0.04], annulus_radius(DomainSpec(), centers))
+    with pytest.raises(HoleTouchesBoundary, match=r"^hole 1 radius 0\.04 is not below"):
+        check_radii([0.04, 0.04], annulus_radius(DomainSpec(), centers))
     # the message shows plain floats, not numpy reprs
     with pytest.raises(DuplicateCenters, match=r"share center \(0\.1, 0\.0\)$"):
         annulus_radius(DomainSpec(), np.array([[0.1, 0.0], [0.1, 0.0]]))
@@ -111,13 +111,24 @@ def test_graded_patch_layer_count():
 
 
 def test_unresolvable_hole():
-    # a radius below the resolvable scale, or one that underflowed to zero,
-    # is named before any mesh is built; a negative one stays a ValueError
-    for eps in (1e-15, 0.0):
-        with pytest.raises(UnresolvableHole):
-            check_radii([[0.0, 0.0]], [eps], 0.45)
-    with pytest.raises(ValueError):
-        check_radii([[0.0, 0.0]], [-1e-3], 0.45)
+    # a radius below the resolvable scale, one that underflowed to zero, a
+    # negative one and nan are named before any mesh is built
+    for eps in (1e-15, 0.0, -1e-3, np.nan):
+        with pytest.raises(UnresolvableHole, match=r"^hole 1 radius .* below the resolvable scale"):
+            check_radii([eps], 0.45)
+
+
+def test_radius_rule_names_the_hole():
+    # MIN_HOLE_RADIUS <= eps < eta per hole; the floor is tested over all
+    # holes before the annulus bound
+    eta = 0.1
+    check_radii([geometry.MIN_HOLE_RADIUS, np.nextafter(eta, 0.0)], eta)
+    with pytest.raises(UnresolvableHole, match=r"^hole 2 radius nan below"):
+        check_radii([1.0, np.nan], eta)
+    for eps in (eta, np.inf):
+        with pytest.raises(HoleTouchesBoundary, match=r"^hole 2 radius (0\.1|inf) is not below "
+                                                       r"the annulus radius eta=0\.1$"):
+            check_radii([1e-3, eps, 1e-3], eta)
 
 
 def test_mesh_invariants_single_hole(single_mesh):

@@ -217,14 +217,16 @@ def _one_point_H(impl, x, y):
 
 
 def _per_pair_table(impl, c):
-    """Reference: H and G pair by pair, each unordered pair once."""
+    """Reference: H and G pair by pair, each unordered pair once, with y the
+    lexicographically larger center."""
     m = c.shape[0]
     H = np.zeros((m, m))
     G = np.zeros((m, m))
     for i in range(m):
         H[i, i] = _one_point_H(impl, c[i], c[i])
         for j in range(i + 1, m):
-            H[i, j] = H[j, i] = _one_point_H(impl, c[i], c[j])
+            x, y = sorted([c[i], c[j]], key=tuple)
+            H[i, j] = H[j, i] = _one_point_H(impl, x, y)
             G[i, j] = G[j, i] = -np.log(np.hypot(*(c[i] - c[j]))) / (2 * math.pi) + H[i, j]
     return H, G
 

@@ -3,8 +3,8 @@ the blocked distance against one all-pairs broadcast, the vectorized curve
 resample against the walk it replaced, the rim filter against the sector
 test it replaced, the bincount sums against the np.add.at accumulation, the
 background a Run shares against a cold build, a closed boundary curve
-against the open one, curves that meet themselves, and the conformity check
-on broken meshes."""
+against the open one, curves that meet themselves, the conformity check
+on broken meshes, and regular polygons, which mesh and approach the disk."""
 
 import dataclasses
 import math
@@ -15,7 +15,7 @@ from scipy.spatial import Delaunay
 
 import sinhpierce.geometry as geometry
 from sinhpierce.coeffs import BlowupConfig, constant_potential
-from sinhpierce.corrector import Run
+from sinhpierce.corrector import Run, construct_solution
 from sinhpierce.errors import StitchFailure
 from sinhpierce.geometry import (
     DomainSpec,
@@ -467,3 +467,35 @@ def test_conformity_keys_do_not_wrap_on_int32_triangles():
     assert mesh.triangles.dtype == np.int32 and mesh.n_nodes ** 2 > np.iinfo(np.int32).max
     geometry._check_conformity(mesh)
     _assert_rejects_broken(mesh, mesh.n_triangles // 2)  # nodes 0, 2n - 2, 2n - 1
+
+
+# --- regular polygons -------------------------------------------------------
+
+def _ngon(n):
+    """The regular n-gon inscribed in the unit circle."""
+    th = 2 * math.pi * np.arange(n) / n
+    return DomainSpec("boundary-curve", np.column_stack([np.cos(th), np.sin(th)]))
+
+
+@pytest.mark.parametrize("h", [0.05, 0.02, 0.01])
+@pytest.mark.parametrize("n", [8, 12, 64, 200])
+def test_regular_polygons_mesh(n, h):
+    # three resampled nodes of one slanted side are collinear only up to
+    # rounding; the sliver Qhull makes of them must not cover two boundary
+    # edges a second time
+    assert build_domain_mesh(_ngon(n), h).min_quality > 0
+
+
+def test_polygons_approach_the_disk():
+    # the whole numeric Green path (domain mesh, Dirichlet solves,
+    # interpolation, polygon tests) against the disk's image formula
+    def peaks(domain):
+        cfg = BlowupConfig(domain=domain, centers=[[0.3, 0.2], [-0.4, 0.1]], alphas=[3.0, 3.5],
+                           m1=1, tau=2.0, V1=lambda x, y: 1 + 0.5 * np.asarray(y, dtype=float),
+                           V2=lambda x, y: np.exp(0.5 * np.asarray(x, dtype=float)))
+        return np.array(construct_solution(Run(cfg, MeshPolicy(h=0.05)), 1e-3).report.peaks)
+
+    disk = peaks(DomainSpec())
+    rel = [np.abs(peaks(_ngon(n)) - disk) / np.abs(disk) for n in (64, 256)]
+    assert np.all(rel[0] < 2e-4) and np.all(rel[1] < 2e-5)
+    assert np.all(rel[1] < rel[0] / 4)
