@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MeshMismatch
+from .errors import InsufficientSamples, MeshMismatch
 from .geometry import OUTER, TWO_PI, Mesh
 from .operators import Field, get_ops
 
@@ -86,13 +86,16 @@ def rescale_correction(phi: Field, scales, j, y_max=50.0) -> RescaledField:
     The sampling grid is the polar patch itself (ring radii over patch
     angles), restricted to eps_j/delta_j <= |y| <= min(eta/delta_j, y_max):
     nodal values are read off directly, with no interpolation, so projecting
-    a grid function onto itself is exact.
+    a grid function onto itself is exact. The log-radial trapezoid needs two
+    rings; a patch of one layer (eps_j near eta) has just two.
     """
     patch = phi.mesh.patches[j]
     delta = scales.delta[j]
     sel = patch.radii <= y_max * delta * (1 + 1e-12)
-    if sel.sum() < 3:
-        raise ValueError("rescaling range covers fewer than three rings")
+    if sel.sum() < 2:
+        raise InsufficientSamples(f"hole {j + 1}: the rescaling range |y| <= {y_max:g} "
+                                  f"holds {sel.sum()} ring(s) of its patch, not the two a "
+                                  "kernel coefficient needs")
     return RescaledField(y=patch.radii[sel] / delta, values=phi.values[patch.node_grid[sel]])
 
 

@@ -170,15 +170,18 @@ def main(argv=None) -> int:
         description="Blow-up solutions of sinh-Poisson type equations on pierced "
                     "domains: construction, continuation, and verification. "
                     f"Meshed experiments need hole radii above {MIN_HOLE_RADIUS:g}, "
-                    "which for the default configurations means rho of roughly "
-                    "2e-5 or larger; the coefficient-level routines go further down.",
+                    "which means rho >= 5.7e-6 for configs/single_bubble.cfg and "
+                    "rho >= 2.2e-5 for configs/two_bubble.cfg; the coefficient-level "
+                    "routines go further down.",
         epilog="Config sections and keys: "
                + "; ".join(f"[{s}] " + ", ".join(keys) for s, keys in KEYS.items())
                + ". The positional command replaces [run] command. "
                "Exit codes: 0 success; 1 validation failure (the config or a flag "
                "value is rejected before any solve: unparseable, missing or unknown "
                "sections and keys, rho not positive or not descending, construct "
-               "with more than one rho, p < 1, tol <= 0, maxiter < 1, ...); "
+               "with more than one rho, p < 1, tol <= 0, maxiter < 1, ...; or V1 or "
+               "V2 not positive where the sign split uses it, or not finite, at a "
+               "sampled point or, later, at a mesh node, which the message names); "
                "2 solver failure; 3 check failure.")
     parser.add_argument("command", choices=COMMANDS)
     parser.add_argument("--config", required=True, help="path to the INI config")

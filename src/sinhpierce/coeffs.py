@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConstraintViolation, NonpositivePotentialAtCenter, SingularSystem
+from .errors import (ConstraintViolation, NonpositivePotentialAtCenter, NonpositiveSampled,
+                     SingularSystem)
 from .geometry import TWO_PI, DomainSpec
 from .greens import GreenProvider
 
@@ -82,6 +83,37 @@ class BlowupConfig:
         -V2 e^{-tau u} term makes -tau u, not u, the Liouville bubble."""
         return v if i < self.m1 else -v / self.tau
 
+    def potentials_at(self, points, where):
+        """V1 and V2 at the (n, 2) points, each an (n,) array, once both pass
+        the one rule for the potentials: V1 then V2, each positive where the
+        sign split uses it (V1 if m1 > 0, V2 if m1 < m; nan fails) or else
+        NonpositiveSampled, then finite or else ConstraintViolation. where is
+        "sample" for parse_config's sample cloud (the message says that only
+        those points are checked) or "node" (it names the mesh node)."""
+        pts = np.asarray(points, dtype=float)
+        n = pts.shape[0]
+
+        def at(i):
+            xy = f"({pts[i, 0]:.6g}, {pts[i, 1]:.6g})"
+            return xy if where == "sample" else f"node {i} {xy}"
+
+        out = []
+        for name, V, positive in (("V1", self.V1, self.m1 > 0), ("V2", self.V2, self.m1 < self.m)):
+            with np.errstate(all="ignore"):   # what overflows or is invalid is named below
+                vals = np.broadcast_to(np.asarray(V(pts[:, 0], pts[:, 1]), dtype=float), (n,))
+            if positive and not np.all(vals > 0.0):
+                i = int(np.argmin(vals > 0.0))
+                only = (f"; positivity is checked at {n:,} sampled points, and a potential "
+                        "that is negative only between them passes") if where == "sample" else ""
+                raise NonpositiveSampled(
+                    f"{name} is not positive: value {vals[i]:.6g} at {at(i)}{only}")
+            if not np.all(np.isfinite(vals)):
+                i = int(np.argmin(np.isfinite(vals)))
+                raise ConstraintViolation(f"potential assumption violated: {name} must be "
+                                          f"finite (value {vals[i]:.6g} at {at(i)})")
+            out.append(vals)
+        return tuple(out)
+
 
 def constant_potential(v):
     """Smooth constant potential, the common test case."""
@@ -144,9 +176,14 @@ def choose_scales(cfg: BlowupConfig, rho: float, gp: GreenProvider) -> ScalePara
         if not 0 < v < math.inf:
             raise NonpositivePotentialAtCenter(
                 f"{name}{tuple(cfg.centers[i].tolist())} = {v:.3g} is not positive and finite")
-        d[i] = v * math.exp(TWO_PI * rho_i[i]) * weight / (2 * a[i] ** 2)
+        try:
+            grow = math.exp(TWO_PI * rho_i[i])   # its bits set every scale
+        except OverflowError:
+            grow = math.inf
+        d[i] = v * grow * weight / (2 * a[i] ** 2)
     # d and r may leave the float range (d = 0 where exp(2 pi rho_i)
-    # underflows); the eps that gives, 0, inf or nan, is check_radii's to name
+    # underflows, inf where it overflows); the eps that gives, 0, inf or nan,
+    # is check_radii's to name
     with np.errstate(over="ignore", invalid="ignore", divide="ignore", under="ignore"):
         r = d * np.exp(-math.pi * rho_i)
         delta_pow = d * rho

@@ -34,7 +34,6 @@ from .operators import (
     SUP_GUARD,
     Field,
     LinearOperator,
-    _potential_values,
     get_ops,
     nonlinear_N,
     release_ops,
@@ -141,7 +140,7 @@ def _finish(report, phi, st, cfg):
     """Mark the run converged and fill in the norms of phi and the discrete
     defect of u = U + phi relative to the data scale, both in L1."""
     ops = get_ops(st.mesh)
-    v1, v2 = _potential_values(cfg, st.mesh)
+    v1, v2 = cfg.potentials_at(st.mesh.nodes, "node")
     u = st.U.values + phi.values
     data = st.scales.rho * (v1 * np.exp(u) + v2 * np.exp(-cfg.tau * u))
     report.status = "converged"
@@ -163,7 +162,7 @@ def fixed_point_correct(run: Run, rho, phi0=None) -> tuple[Field, SolveReport]:
     within SUP_GUARD in sup norm before the step takes exponentials of it.
     The loop stops once an update falls below run.tol relative to the H1_0
     norm of the iterate, and raises Diverged, with the partial report, if the
-    guard trips or run.maxiter steps do not get there.
+    guard trips, N(phi) overflows or run.maxiter steps do not get there.
     """
     st, cfg, L = run.stage(rho), run.cfg, run.linear_operator(rho)
     mesh, U, scales = st.mesh, st.U, st.scales
@@ -180,7 +179,10 @@ def fixed_point_correct(run: Run, rho, phi0=None) -> tuple[Field, SolveReport]:
         sup = ops.norm_sup(phi.values)
         if sup > SUP_GUARD:
             _diverged(report, f"sup norm {sup:.3g} exceeded the guard")
-        new = L.solve(-(R + nonlinear_N(phi, U, cfg, scales)))
+        N = nonlinear_N(phi, U, cfg, scales)
+        if not np.all(np.isfinite(N)):
+            _diverged(report, f"N(phi) is not finite at sup norm {sup:.3g} (tau {cfg.tau:.6g})")
+        new = L.solve(-(R + N))
         upd = ops.norm_h01(new.values - phi.values)
         report.updates_h01.append(upd)
         if it == 0 and phi0 is None:

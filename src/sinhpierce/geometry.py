@@ -597,15 +597,19 @@ def _background(domain, centers, eta, policy) -> _Background:
             circle_spacing.append(np.full(n, s))
         exclusion.append((xi, rr + 0.75 * max(s, h)))
 
-    # transition nodes: drop those outside the domain or colliding with
-    # earlier stitch nodes (overlapping transition shells of nearby holes);
-    # the stitch nodes so far go first with radius 0, so all of them stay
+    # transition nodes: drop those outside the domain, within reach of a rim
+    # (a nearby hole's shell may cross it) or colliding with earlier stitch
+    # nodes (overlapping transition shells of nearby holes); the stitch nodes
+    # so far go first with radius 0, so all of them stay
     if circle_pts:
         cpts = np.vstack(circle_pts)
+        reach = 0.45 * np.concatenate(circle_spacing)
         inside = _inside_farther_than(cpts, domain, bpoly, 0.55 * h)
+        for xi in centers:
+            inside &= np.hypot(cpts[:, 0] - xi[0], cpts[:, 1] - xi[1]) > eta + reach
         base = np.vstack(pot_pts)
         pts = np.vstack([base, cpts[inside]])
-        radius = np.concatenate([np.zeros(len(base)), 0.45 * np.concatenate(circle_spacing)[inside]])
+        radius = np.concatenate([np.zeros(len(base)), reach[inside]])
         sel = _first_apart(pts, radius)
         sel = sel[sel >= len(base)]
         if sel.size:

@@ -141,40 +141,34 @@ def release_ops(mesh: Mesh):
 # ---------------------------------------------------------------------------
 # problem-specific fields
 
-def _potential_values(cfg, mesh):
-    v1 = np.asarray(cfg.V1(mesh.nodes[:, 0], mesh.nodes[:, 1]), dtype=float)
-    v2 = np.asarray(cfg.V2(mesh.nodes[:, 0], mesh.nodes[:, 1]), dtype=float)
-    v1 = np.broadcast_to(v1, (mesh.n_nodes,))
-    v2 = np.broadcast_to(v2, (mesh.n_nodes,))
-    return v1, v2
-
-
 def residual_R(U: Field, lap_U, cfg, scales) -> np.ndarray:
     """Defect R = Lap U + rho (V1 e^U - V2 e^{-tau U}) of U, with Lap U given
     at the nodes (for the ansatz, the stage's lap_U)."""
-    v1, v2 = _potential_values(cfg, U.mesh)
+    v1, v2 = cfg.potentials_at(U.mesh.nodes, "node")
     rho = scales.rho
     return lap_U + rho * (v1 * np.exp(U.values) - v2 * np.exp(-cfg.tau * U.values))
 
 
 def weight_W(U: Field, cfg, scales) -> np.ndarray:
     """W = rho V1 e^U + rho tau V2 e^{-tau U}, nonnegative where V1, V2 are."""
-    v1, v2 = _potential_values(cfg, U.mesh)
+    v1, v2 = cfg.potentials_at(U.mesh.nodes, "node")
     rho = scales.rho
     return rho * v1 * np.exp(U.values) + rho * cfg.tau * v2 * np.exp(-cfg.tau * U.values)
 
 
 def nonlinear_N(phi: Field, U: Field, cfg, scales) -> np.ndarray:
     """Superlinear remainder N(phi); the correction loop keeps phi within
-    SUP_GUARD before it gets here."""
+    SUP_GUARD before it gets here, but e^{-tau phi} may still overflow for a
+    large tau: then N is not finite, for the loop to name."""
     phi.same_mesh(U)
-    v1, v2 = _potential_values(cfg, U.mesh)
+    v1, v2 = cfg.potentials_at(U.mesh.nodes, "node")
     rho = scales.rho
     tau = cfg.tau
     # expm1 keeps the quadratic smallness of e^t - t - 1 at tiny t
-    e1 = np.expm1(phi.values) - phi.values
-    e2 = np.expm1(-tau * phi.values) + tau * phi.values
-    return rho * v1 * np.exp(U.values) * e1 - rho * v2 * np.exp(-tau * U.values) * e2
+    with np.errstate(over="ignore", invalid="ignore"):
+        e1 = np.expm1(phi.values) - phi.values
+        e2 = np.expm1(-tau * phi.values) + tau * phi.values
+        return rho * v1 * np.exp(U.values) * e1 - rho * v2 * np.exp(-tau * U.values) * e2
 
 
 class LinearOperator:

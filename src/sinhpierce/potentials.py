@@ -27,7 +27,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .errors import ConstraintViolation, NonpositiveSampled, ParseError
+from .errors import ParseError
 
 _FUNCS = MappingProxyType({"exp": np.exp, "log": np.log, "sin": np.sin, "cos": np.cos})
 _BINOPS = MappingProxyType({ast.Add: operator.add, ast.Sub: operator.sub,
@@ -138,33 +138,3 @@ def parse_potential(text) -> PotentialExpr:
             raise _error(text, f"unexpected {text[start:end]!r}", start)
     return PotentialExpr(root=root, text=text)
 
-
-def check_sampled(expr, points, name="potential", positive=True):
-    """Sample expr on the given points. If positive, raise NonpositiveSampled
-    on any value <= 0 (or nan); then raise ConstraintViolation on any value
-    that is not finite.
-
-    points: (n, 2) array with n >= 1000. Only those points are checked: a
-    potential that is negative only between them passes.
-    """
-    pts = np.asarray(points, dtype=float)
-    if pts.shape[0] < 1000:
-        raise ValueError(f"need at least 1000 sample points, got {pts.shape[0]}")
-    with np.errstate(all="ignore"):   # what overflows or is invalid is reported below
-        vals = np.asarray(expr(pts[:, 0], pts[:, 1]), dtype=float)
-    vals = np.broadcast_to(vals, (pts.shape[0],))
-    bad = ~(vals > 0.0)
-    if positive and np.any(bad):
-        i = int(np.argmax(bad))
-        raise NonpositiveSampled(
-            f"{name} is not positive: value {vals[i]:.6g} at "
-            f"({pts[i, 0]:.6g}, {pts[i, 1]:.6g}); positivity is checked at "
-            f"{len(pts):,} sampled points, and a potential that is negative "
-            "only between them passes")
-    bad = ~np.isfinite(vals)
-    if np.any(bad):
-        i = int(np.argmax(bad))
-        raise ConstraintViolation(
-            f"potential assumption violated: {name} must be finite "
-            f"(value {vals[i]:.6g} at ({pts[i, 0]:.6g}, {pts[i, 1]:.6g}))")
-    return True

@@ -19,7 +19,7 @@ from .coeffs import BlowupConfig
 from .corrector import MAXITER, P_NORMS, TOL
 from .errors import ConstraintViolation, ParseError, SchemaError
 from .geometry import DomainSpec, MeshPolicy, domain_sample_points
-from .potentials import check_sampled, parse_potential
+from .potentials import parse_potential
 
 COMMANDS = ("construct", "sweep", "verify", "green-check")
 # every section and key a config may hold; anything else is a SchemaError
@@ -205,9 +205,8 @@ def parse_config(text: str, run_overrides=None) -> RunConfig:
     if alphas.shape[0] != m:
         raise SchemaError([f"{m} centers but {alphas.shape[0]} alphas"])
 
-    # fold nu into V2; BlowupConfig checks the assumptions (alpha, m1, tau),
-    # each by name. The potentials stay in the equation either way, so both
-    # must be finite; only the positivity requirement depends on the sign split.
+    # fold nu into V2; BlowupConfig checks the assumptions (alpha, m1, tau)
+    # and potentials_at the potentials on the sample cloud, each by name
     def v2_scaled(x, y, _e=v2_expr, _nu=nu):
         return _nu * _e(x, y)
 
@@ -215,10 +214,7 @@ def parse_config(text: str, run_overrides=None) -> RunConfig:
                            tau=float(tau), V1=v1_expr, V2=v2_scaled)
     if not all(0 < r < np.inf for r in rho_list):
         raise ConstraintViolation(f"rho values must be positive and finite, got {rho_list}")
-
-    sample = domain_sample_points(domain)
-    check_sampled(v1_expr, sample, name="V1", positive=m1 > 0)
-    check_sampled(v2_scaled, sample, name="nu*V2", positive=m1 < m)
+    problem.potentials_at(domain_sample_points(domain), "sample")
 
     return RunConfig(command=command, problem=problem, policy=policy,
                      rho_list=rho_list, p_list=p_list, tol=float(tol),

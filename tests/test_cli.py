@@ -115,7 +115,7 @@ def test_sign_changing_potential_rejected(tmp_path):
 
 
 # V1 dips to -2 at (1, 0), a boundary node of every disk mesh, and is
-# positive at every point parse_config samples: there W = -rho
+# positive at every point parse_config samples: the node rule names it
 _DIP = "1 - 3*exp(-10000*((x-1)^2 + y^2))"
 
 
@@ -131,10 +131,29 @@ def test_potential_negative_at_a_node(tmp_path, capsys, command, rho, code):
         with open(out / "sweep.csv", newline="") as f:
             rows = list(csv.DictReader(f))
         assert [row["status"] for row in rows] == ["nonpositive-sampled"] * 2
-        assert all("is negative at node" in row["error"] for row in rows)
+        assert all(re.match(r"V1 is not positive: value -2 at node \d+ \(1, 0\)$", row["error"])
+                   for row in rows)
     else:
-        assert err.startswith("validation failure: weight W = -")
-        assert "(1, 0)" in err
+        assert re.match(r"validation failure: V1 is not positive: value -2 at node \d+ \(1, 0\)\n$",
+                        err)
+
+
+# each potential is finite and positive at every sampled point but not at the
+# boundary node (-1, 0): V1 is nan there (positive is needed, as m1 = 1), the
+# unused V2 inf (finite is needed whatever the sign split)
+@pytest.mark.parametrize("key, text, message, status", [
+    ("v1", "1 + 0*log(x + 0.9995)", "V1 is not positive: value nan at node", "nonpositive-sampled"),
+    ("v2", "1/(x + 1)", "potential assumption violated: V2 must be finite (value inf at node",
+     "constraint-violation")])
+def test_potential_fails_only_at_a_node(tmp_path, capsys, key, text, message, status):
+    cfg = _write(tmp_path, BASE.format(out=tmp_path).replace(f"{key} = 1", f"{key} = {text}"))
+    assert main(["construct", "--config", cfg, "--out", str(tmp_path / "c")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"validation failure: {message} ")
+    assert re.search(r" node \d+ \(-1, 1.22465e-16\)\)?\n$", err)
+    assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "s"), "--rho", "1e-2 1e-3"]) == 2
+    with open(tmp_path / "s" / "sweep.csv", newline="") as f:
+        assert [row["status"] for row in csv.DictReader(f)] == [status] * 2
 
 
 def test_long_potential_sum_is_accepted(tmp_path):

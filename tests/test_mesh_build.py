@@ -499,3 +499,13 @@ def test_polygons_approach_the_disk():
     rel = [np.abs(peaks(_ngon(n)) - disk) / np.abs(disk) for n in (64, 256)]
     assert np.all(rel[0] < 2e-4) and np.all(rel[1] < 2e-5)
     assert np.all(rel[1] < rel[0] / 4)
+
+
+@pytest.mark.parametrize("domain", [DomainSpec(), SQUARE], ids=["disk", "square"])
+@pytest.mark.parametrize("other", [(0.2, 0.0), (0.25, 0.0), (0.3, 0.0)])
+def test_transition_shell_stays_out_of_the_other_rim(domain, other):
+    # hole 2's transition circles cross hole 1's rim at h = 0.1; a transition
+    # node inside that rim would keep no triangle, and K_II would be singular
+    mesh = pierced_mesh(domain, np.array([[0.0, 0.0], other]), np.array([3e-4, 2e-4]),
+                        MeshPolicy(h=0.1))
+    assert np.array_equal(np.unique(mesh.triangles), np.arange(mesh.n_nodes))

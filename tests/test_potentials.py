@@ -10,8 +10,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import sinhpierce.potentials as potentials
+from sinhpierce.coeffs import BlowupConfig
 from sinhpierce.errors import NonpositiveSampled, ParseError
-from sinhpierce.potentials import MAX_DEPTH, check_sampled, parse_potential
+from sinhpierce.geometry import DomainSpec
+from sinhpierce.potentials import MAX_DEPTH, parse_potential
 
 
 def test_constant_one():
@@ -54,11 +56,15 @@ def test_parse_error_position():
 def test_positivity_sampling_on_disk():
     rng = np.random.default_rng(0)
     pts = rng.uniform(-0.9, 0.9, size=(2000, 2))
-    check_sampled(parse_potential("1"), pts)
-    with pytest.raises(NonpositiveSampled):
-        check_sampled(parse_potential("x"), pts)
-    with pytest.raises(ValueError):
-        check_sampled(parse_potential("1"), pts[:10])
+
+    def cfg(v1):
+        return BlowupConfig(domain=DomainSpec(), centers=[[0.0, 0.0]], alphas=[3.0], m1=1,
+                            V1=parse_potential(v1), V2=parse_potential("1"))
+
+    v1, v2 = cfg("1").potentials_at(pts, "sample")
+    assert v1.shape == v2.shape == (2000,) and np.all(v1 == 1.0)
+    with pytest.raises(NonpositiveSampled, match="2,000 sampled points"):
+        cfg("x").potentials_at(pts, "sample")
 
 
 @given(a=st.floats(-5, 5), b=st.floats(-5, 5),
