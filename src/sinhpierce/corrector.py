@@ -17,7 +17,7 @@ import numpy as np
 
 from .bubbles import build_ansatz, kernel_coefficient, semianalytic_laplacian_U
 from .coeffs import choose_scales, coefficient_set
-from .errors import Diverged, InsufficientSamples, NearSingular, SinhPierceError
+from .errors import Diverged, InsufficientSamples, MeshMismatch, NearSingular, SinhPierceError
 from .geometry import (
     TWO_PI,
     FieldEvaluator,
@@ -124,8 +124,8 @@ def _defect(phi, st, cfg):
     """Discrete defect residual_R of u = U + phi, zero on the boundary, with
     Lap u = lap_U + Lap phi (lap_U the stage's)."""
     ops = get_ops(st.mesh)
-    u = Field(st.mesh, st.U.values + phi.values)
-    res = residual_R(u, st.lap_U + ops.laplacian(phi.values), cfg, st.scales)
+    res = residual_R(st.U.values + phi.values, st.lap_U + ops.laplacian(phi.values),
+                     st.V, cfg.tau, st.scales.rho)
     res[ops.boundary] = 0.0
     return res
 
@@ -140,7 +140,7 @@ def _finish(report, phi, st, cfg):
     """Mark the run converged and fill in the norms of phi and the discrete
     defect of u = U + phi relative to the data scale, both in L1."""
     ops = get_ops(st.mesh)
-    v1, v2 = cfg.potentials_at(st.mesh.nodes, "node")
+    v1, v2 = st.V
     u = st.U.values + phi.values
     data = st.scales.rho * (v1 * np.exp(u) + v2 * np.exp(-cfg.tau * u))
     report.status = "converged"
@@ -155,18 +155,21 @@ def _finish(report, phi, st, cfg):
 def fixed_point_correct(run: Run, rho, phi0=None) -> tuple[Field, SolveReport]:
     """Iterate phi -> T(-(R + N(phi))) from phi0 (or 0) until the update stalls.
 
-    The ansatz U is run.stage(rho)'s and L = Lap + W at U is
+    The ansatz U and its defect R are run.stage(rho)'s, and phi0 must live
+    on that stage's mesh (else MeshMismatch). L = Lap + W at U is
     run.linear_operator(rho), whose factor and eigenvalue estimate are
-    reused; the report keeps the eigenvalue. R is the ansatz defect, whose
-    Lp norms at run.p_norms the report keeps. Each iterate phi must stay
-    within SUP_GUARD in sup norm before the step takes exponentials of it.
-    The loop stops once an update falls below run.tol relative to the H1_0
-    norm of the iterate, and raises Diverged, with the partial report, if the
-    guard trips, N(phi) overflows or run.maxiter steps do not get there.
+    reused; the report keeps the eigenvalue and the Lp norms of R at
+    run.p_norms. Each iterate phi must stay within SUP_GUARD in sup norm
+    before the step takes exponentials of it. The loop stops once an update
+    falls below run.tol relative to the H1_0 norm of the iterate, and raises
+    Diverged, with the partial report, if the guard trips, N(phi) overflows
+    or run.maxiter steps do not get there.
     """
-    st, cfg, L = run.stage(rho), run.cfg, run.linear_operator(rho)
-    mesh, U, scales = st.mesh, st.U, st.scales
-    R = residual_R(U, st.lap_U, cfg, scales)
+    st, cfg = run.stage(rho), run.cfg
+    mesh, U, R, scales = st.mesh, st.U, st.R, st.scales
+    if phi0 is not None and phi0.mesh is not mesh:
+        raise MeshMismatch("phi0 lives on another mesh than the stage's")
+    L = run.linear_operator(rho)
     ops = get_ops(mesh)
     report = SolveReport(rho=scales.rho)
     _check_resonance(report, L)
@@ -179,7 +182,7 @@ def fixed_point_correct(run: Run, rho, phi0=None) -> tuple[Field, SolveReport]:
         sup = ops.norm_sup(phi.values)
         if sup > SUP_GUARD:
             _diverged(report, f"sup norm {sup:.3g} exceeded the guard")
-        N = nonlinear_N(phi, U, cfg, scales)
+        N = nonlinear_N(phi.values, U.values, st.V, cfg.tau, scales.rho)
         if not np.all(np.isfinite(N)):
             _diverged(report, f"N(phi) is not finite at sup norm {sup:.3g} (tau {cfg.tau:.6g})")
         new = L.solve(-(R + N))
@@ -212,6 +215,8 @@ class Stage:
     U: Field
     projections: tuple   # projected bubbles in make_bubbles order; U is their signed sum
     lap_U: np.ndarray    # Lap U at the nodes, from the bubble sources; read-only
+    V: tuple             # (V1, V2) at the nodes, checked by the potentials' rule; read-only
+    R: np.ndarray        # the ansatz defect residual_R of U; read-only
 
 
 class Run:
@@ -223,8 +228,8 @@ class Run:
     their layout and fixes the annulus radius eta (annulus_radius), so an
     invalid layout raises here, before anything is built.
 
-    stage(rho) prepares each rho once (scales, hole radii, mesh,
-    coefficients, ansatz); every later call, from the solver or from a
+    stage(rho) prepares each rho once (scales, hole radii, mesh, V,
+    coefficients, U and R); every later call, from the solver or from a
     check, gets the same Stage and so the same mesh and operators.
     linear_operator(rho) is the solver T = (Lap + W)^-1 at rho's ansatz, shared
     by the fixed point and the solver-bound check. Only one is kept: asking for
@@ -258,21 +263,25 @@ class Run:
             scales = choose_scales(cfg, rho, gp)
             check_radii(scales.eps, self.eta)
             mesh = build_mesh(self._background, scales.eps)
+            V = cfg.potentials_at(mesh.nodes, "node")
             coeffs = coefficient_set(cfg, scales, gp)
             U, projections = build_ansatz(cfg, scales, mesh, coeffs=coeffs, gp=gp)
             # the projections were the last Poisson solves on this mesh
             get_ops(mesh).release_poisson_factor()
             lap_U = semianalytic_laplacian_U(cfg, scales, mesh)
             lap_U.setflags(write=False)
+            R = residual_R(U.values, lap_U, V, cfg.tau, scales.rho)
+            R.setflags(write=False)
             self._stages[rho] = Stage(scales=scales, mesh=mesh, coeffs=coeffs, U=U,
-                                      projections=projections, lap_U=lap_U)
+                                      projections=projections, lap_U=lap_U, V=V, R=R)
         return self._stages[rho]
 
     def linear_operator(self, rho) -> LinearOperator:
         if self._linear is None or self._linear[0] != rho:
             self._release_linear()
             st = self.stage(rho)
-            self._linear = (rho, LinearOperator(st.mesh, weight_W(st.U, self.cfg, st.scales)))
+            W = weight_W(st.U.values, st.V, self.cfg.tau, st.scales.rho)
+            self._linear = (rho, LinearOperator(st.mesh, W))
         return self._linear[1]
 
     def _release_linear(self):

@@ -16,7 +16,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .errors import InvalidExponent, MeshMismatch, NearSingular, NonpositiveSampled, SolverFailure
+from .errors import InvalidExponent, NearSingular, NonpositiveSampled, SolverFailure
 from .geometry import Mesh
 
 SUP_GUARD = 50.0   # sup norm of a correction beyond which the iteration diverges
@@ -39,10 +39,6 @@ class Field:
         scale = np.abs(self.values).max() if self.values.size else 0.0
         if scale > 0 and np.abs(self.values[self.mesh.is_boundary]).max() > 1e-12 * scale:
             raise ValueError("field does not vanish on the boundary")
-
-    def same_mesh(self, other):
-        if self.mesh is not other.mesh:
-            raise MeshMismatch("fields live on different meshes")
 
 
 def _assemble_stiffness(mesh: Mesh) -> sp.csr_matrix:
@@ -141,34 +137,29 @@ def release_ops(mesh: Mesh):
 # ---------------------------------------------------------------------------
 # problem-specific fields
 
-def residual_R(U: Field, lap_U, cfg, scales) -> np.ndarray:
-    """Defect R = Lap U + rho (V1 e^U - V2 e^{-tau U}) of U, with Lap U given
-    at the nodes (for the ansatz, the stage's lap_U)."""
-    v1, v2 = cfg.potentials_at(U.mesh.nodes, "node")
-    rho = scales.rho
-    return lap_U + rho * (v1 * np.exp(U.values) - v2 * np.exp(-cfg.tau * U.values))
+def residual_R(U, lap_U, V, tau, rho) -> np.ndarray:
+    """Defect R = Lap U + rho (V1 e^U - V2 e^{-tau U}) of U, all at the nodes:
+    V = (V1, V2), Lap U given (for the ansatz, the stage's lap_U)."""
+    v1, v2 = V
+    return lap_U + rho * (v1 * np.exp(U) - v2 * np.exp(-tau * U))
 
 
-def weight_W(U: Field, cfg, scales) -> np.ndarray:
+def weight_W(U, V, tau, rho) -> np.ndarray:
     """W = rho V1 e^U + rho tau V2 e^{-tau U}, nonnegative where V1, V2 are."""
-    v1, v2 = cfg.potentials_at(U.mesh.nodes, "node")
-    rho = scales.rho
-    return rho * v1 * np.exp(U.values) + rho * cfg.tau * v2 * np.exp(-cfg.tau * U.values)
+    v1, v2 = V
+    return rho * v1 * np.exp(U) + rho * tau * v2 * np.exp(-tau * U)
 
 
-def nonlinear_N(phi: Field, U: Field, cfg, scales) -> np.ndarray:
+def nonlinear_N(phi, U, V, tau, rho) -> np.ndarray:
     """Superlinear remainder N(phi); the correction loop keeps phi within
     SUP_GUARD before it gets here, but e^{-tau phi} may still overflow for a
     large tau: then N is not finite, for the loop to name."""
-    phi.same_mesh(U)
-    v1, v2 = cfg.potentials_at(U.mesh.nodes, "node")
-    rho = scales.rho
-    tau = cfg.tau
+    v1, v2 = V
     # expm1 keeps the quadratic smallness of e^t - t - 1 at tiny t
     with np.errstate(over="ignore", invalid="ignore"):
-        e1 = np.expm1(phi.values) - phi.values
-        e2 = np.expm1(-tau * phi.values) + tau * phi.values
-        return rho * v1 * np.exp(U.values) * e1 - rho * v2 * np.exp(-tau * U.values) * e2
+        e1 = np.expm1(phi) - phi
+        e2 = np.expm1(-tau * phi) + tau * phi
+        return rho * v1 * np.exp(U) * e1 - rho * v2 * np.exp(-tau * U) * e2
 
 
 class LinearOperator:

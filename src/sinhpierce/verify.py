@@ -21,7 +21,7 @@ from .corrector import SLOPE_SAMPLES, Run, continuation_sweep, log_slope
 from .errors import QuadratureNonConvergence
 from .greens import AnalyticDiskGreen, NumericGreen
 from .geometry import TWO_PI, domain_sample_points
-from .operators import get_ops, residual_R
+from .operators import get_ops
 
 _STENCIL_ROWS = 64   # grid rows per block of the kernel-annihilation stencil
 
@@ -161,14 +161,13 @@ def check_expansion(run, rho_list):
 
 def check_residual_scaling(run, rho_list):
     """Per p in run.p_norms, the log-log decay slope of ||R||_p across rho
-    and the norms."""
+    and the norms, R the stage's ansatz defect."""
     norms_per_p = {p: [] for p in run.p_norms}
     for rho in rho_list:
         st = run.stage(rho)
-        R = residual_R(st.U, st.lap_U, run.cfg, st.scales)
         ops = get_ops(st.mesh)
         for p in run.p_norms:
-            norms_per_p[p].append(ops.norm_lp(R, p))
+            norms_per_p[p].append(ops.norm_lp(st.R, p))
     return {p: (log_slope(rho_list, vals), vals) for p, vals in norms_per_p.items()}
 
 

@@ -110,7 +110,7 @@ def newton():
         phi = Field(mesh, np.zeros(mesh.n_nodes))
         updates = []
         for _ in range(maxiter):
-            J = LinearOperator(mesh, weight_W(Field(mesh, U.values + phi.values), cfg, scales))
+            J = LinearOperator(mesh, weight_W(U.values + phi.values, st.V, cfg.tau, scales.rho))
             delta = J.solve(-corrector_mod._defect(phi, st, cfg))
             phi = Field(mesh, phi.values + delta.values)
             updates.append(ops.norm_h01(delta.values))

@@ -14,6 +14,7 @@ import pytest
 
 import sinhpierce.geometry as geometry_mod
 from sinhpierce.cli import main, write_field_csv
+from sinhpierce.coeffs import BlowupConfig
 from sinhpierce.corrector import Run
 from sinhpierce.errors import (
     ConstraintViolation,
@@ -516,6 +517,45 @@ def test_underflowing_hole_radius_is_a_named_failure(tmp_path):
     assert [row["status"] for row in rows] == ["unresolvable-hole"] * 2
     assert all("below the resolvable scale" in row["error"] for row in rows)
 
+
+@pytest.mark.parametrize("command, rho, calls", [("construct", "1e-2", 1),
+                                                 ("sweep", "1e-2 1e-3 1e-4", 3),
+                                                 ("verify", "1e-2 1e-3 1e-4", 3)])
+def test_node_rule_runs_once_per_stage(tmp_path, monkeypatch, command, rho, calls):
+    # the potentials are checked and evaluated at the nodes once per stage,
+    # and every later reader takes the stage's values
+    real, where = BlowupConfig.potentials_at, []
+
+    def counted(self, points, at):
+        where.append(at)
+        return real(self, points, at)
+
+    monkeypatch.setattr(BlowupConfig, "potentials_at", counted)
+    text = BASE.format(out=tmp_path).replace("centers = 0.0 0.0", "centers = 0.3 0.2")
+    cfg = _write(tmp_path, text.replace("h = 0.05", "h = 0.1"))
+    assert main([command, "--config", cfg, "--out", str(tmp_path / command), "--rho", rho]) == 0
+    assert where.count("node") == calls
+
+
+def test_readme_quick_start(tmp_path):
+    # the README's four commands on the bundled configs, and its example
+    # script, each in a fresh process with every warning an error
+    import subprocess
+    import sys
+
+    root = _CONFIGS.parent
+    cli = [sys.executable, "-W", "error", "-m", "sinhpierce.cli"]
+    runs = [cli + [command, "--config", str(_CONFIGS / cfg), "--out", str(tmp_path / command)]
+            for command, cfg in (("construct", "single_bubble.cfg"), ("sweep", "two_bubble.cfg"),
+                                 ("verify", "single_bubble.cfg"),
+                                 ("green-check", "single_bubble.cfg"))]
+    runs.append([sys.executable, "-W", "error", str(root / "scripts" / "run_single_bubble.py")])
+    for argv in runs:
+        proc = subprocess.run(argv, cwd=tmp_path, env=dict(os.environ, PYTHONPATH=str(root / "src")),
+                              stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
+                              timeout=120)
+        assert proc.returncode == 0, (argv, proc.stderr)
+    assert (tmp_path / "out" / "single_sweep" / "sweep.csv").is_file()
 
 
 def _run_cli(tmp_path, text):

@@ -32,6 +32,7 @@ from sinhpierce.operators import (
     DiscreteOperators,
     Field,
     get_ops,
+    residual_R,
 )
 
 
@@ -160,16 +161,8 @@ def test_newton_agrees_with_fixed_point(coarse_run, coarse_solution, newton):
 
 def test_zero_defect_gives_zero_correction(coarse_run, monkeypatch):
     # force R = 0: the map phi -> T(-(R + N(phi))) fixes phi = 0 in one sweep
-    import sinhpierce.operators as op_mod
-
-    real = op_mod.residual_R
-
-    def zero_R(U, lap_U, cfg, scales):
-        out = real(U, lap_U, cfg, scales)
-        out[:] = 0.0
-        return out
-
-    monkeypatch.setattr(corrector_mod, "residual_R", zero_R)
+    st = coarse_run.stage(1e-3)
+    monkeypatch.setitem(coarse_run._stages, 1e-3, dataclasses.replace(st, R=np.zeros_like(st.R)))
     sol = construct_solution(coarse_run, 1e-3)
     assert sol.report.iterations == 1
     assert np.abs(sol.phi.values).max() == 0.0
@@ -187,10 +180,12 @@ def test_fixed_point_rejects_maxiter_below_one(single_cfg, gp, coarse_policy, mo
 
 
 def test_divergence_guard(single_cfg, gp, coarse_policy):
-    # a grossly wrong ansatz (scaled up threefold) breaks the contraction
+    # a grossly wrong ansatz (scaled up threefold, R its defect) breaks the contraction
     run = Run(single_cfg, coarse_policy, gp, maxiter=30)
     st = run.stage(1e-2)
-    run._stages[1e-2] = dataclasses.replace(st, U=Field(st.mesh, 3.0 * st.U.values))
+    U = 3.0 * st.U.values
+    run._stages[1e-2] = dataclasses.replace(st, U=Field(st.mesh, U), R=residual_R(
+        U, st.lap_U, st.V, single_cfg.tau, st.scales.rho))
     with pytest.raises(Diverged):
         fixed_point_correct(run, 1e-2)
 
@@ -498,6 +493,7 @@ def test_near_singular_entries_keep_their_report(single_cfg, gp, coarse_policy,
         assert math.isfinite(rep.smallest_eigenvalue)
         assert "resonance" in rep.error
         assert rep.iterations == 0
+        assert rep.r_norms == {}
     assert sw.solutions == [None, None, None]
 
 

@@ -266,7 +266,7 @@ def _config(domain, centers):
                         V1=constant_potential(1.0), V2=constant_potential(1.0))
 
 
-def _assert_same_mesh(a, b):
+def _assert_meshes_equal(a, b):
     for name in ("nodes", "triangles", "node_marker", "node_patch", "node_dx", "node_dy",
                  "tri_patch", "weights"):
         x, y = getattr(a, name), getattr(b, name)
@@ -302,7 +302,7 @@ def test_memoized_mesh_equals_cold_build(domain, centers, monkeypatch):
     for cold_builds, rho in enumerate(RHOS):
         st = run.stage(rho)
         assert len(pierced_builds) == 1 + cold_builds
-        _assert_same_mesh(st.mesh, pierced_mesh(domain, centers, st.scales.eps, policy))
+        _assert_meshes_equal(st.mesh, pierced_mesh(domain, centers, st.scales.eps, policy))
         st.mesh.nodes[:] = 0.0
         st.mesh.triangles[:] = 0
         st.mesh.node_dx[:] = 0.0
@@ -366,7 +366,7 @@ def test_bincount_sums_equal_add_at(build, monkeypatch):
     # the smoothed stitch nodes come first, the weights cover every node
     assert np.array_equal(_bits(mesh.nodes), _bits(ref.nodes))
     assert np.array_equal(_bits(mesh.weights), _bits(ref.weights))
-    _assert_same_mesh(mesh, ref)
+    _assert_meshes_equal(mesh, ref)
 
 
 # --- closed boundary curves ----------------------------------------------
@@ -384,7 +384,7 @@ def test_closed_boundary_curve_equals_open():
     meshes = []
     for domain in (SQUARE, closed):
         meshes.append(pierced_mesh(domain, centers, [1e-3, 1e-3], MeshPolicy(h=0.04)))
-    _assert_same_mesh(meshes[1], meshes[0])
+    _assert_meshes_equal(meshes[1], meshes[0])
 
 
 # --- curves that meet themselves -------------------------------------------

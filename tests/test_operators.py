@@ -21,6 +21,7 @@ from sinhpierce.coeffs import (
     compute_rho_i,
     constant_potential,
 )
+from sinhpierce.corrector import fixed_point_correct
 from sinhpierce.errors import InvalidExponent, MeshMismatch, NonpositiveSampled
 from sinhpierce.geometry import annulus_radius, build_domain_mesh
 from sinhpierce.operators import (
@@ -182,6 +183,12 @@ def test_h01_norm_of_linear_field(plain):
 
 # --- problem-specific fields ------------------------------------------------
 
+def _pointwise(cfg, mesh, scales):
+    """V at the nodes, tau and rho: what the pointwise terms take besides
+    node values."""
+    return cfg.potentials_at(mesh.nodes, "node"), cfg.tau, scales.rho
+
+
 @pytest.fixture(scope="module")
 def ansatz_setup(single_cfg, gp, coarse_policy):
     scales = choose_scales(single_cfg, 1e-3, gp)
@@ -193,7 +200,7 @@ def ansatz_setup(single_cfg, gp, coarse_policy):
 
 def test_weight_positive_and_rescaled_limit(ansatz_setup, single_cfg):
     mesh, scales, coeffs, U = ansatz_setup
-    W = weight_W(U, single_cfg, scales)
+    W = weight_W(U.values, *_pointwise(single_cfg, mesh, scales))
     assert W.min() > 0
     # delta^2 W at |y| = 1 approaches 2 a^2 / 4 = 4.5 for alpha = 3
     from sinhpierce.geometry import FieldEvaluator
@@ -211,7 +218,7 @@ def test_weight_liouville_case(disk, gp, coarse_policy):
     mesh = pierced_mesh(disk, cfg.centers, scales.eps, coarse_policy)
     coeffs = coefficient_set(cfg, scales, gp)
     U, _ = build_ansatz(cfg, scales, mesh, coeffs=coeffs, gp=gp)
-    W = weight_W(U, cfg, scales)
+    W = weight_W(U.values, *_pointwise(cfg, mesh, scales))
     v1 = np.ones(mesh.n_nodes)
     want = scales.rho * v1 * np.exp(U.values)
     assert np.abs(W - want).max() <= 1e-12 * np.abs(want).max()
@@ -219,8 +226,7 @@ def test_weight_liouville_case(disk, gp, coarse_policy):
 
 def test_nonlinearity_zero_at_zero(ansatz_setup, single_cfg):
     mesh, scales, coeffs, U = ansatz_setup
-    phi = Field(mesh, np.zeros(mesh.n_nodes))
-    N = nonlinear_N(phi, U, single_cfg, scales)
+    N = nonlinear_N(np.zeros(mesh.n_nodes), U.values, *_pointwise(single_cfg, mesh, scales))
     assert np.abs(N).max() == 0.0
 
 
@@ -232,8 +238,7 @@ def test_nonlinearity_quadratic_smallness(ansatz_setup, single_cfg):
     base[mesh.is_boundary] = 0.0
     ratios = []
     for t in (1e-2, 1e-3, 1e-4):
-        phi = Field(mesh, t * base)
-        N = nonlinear_N(phi, U, single_cfg, scales)
+        N = nonlinear_N(t * base, U.values, *_pointwise(single_cfg, mesh, scales))
         ratios.append(ops.norm_lp(N, 1) / t ** 2)
     assert max(ratios) / min(ratios) <= 1.05
 
@@ -241,7 +246,7 @@ def test_nonlinearity_quadratic_smallness(ansatz_setup, single_cfg):
 def test_residual_paths_agree(ansatz_setup, single_cfg):
     mesh, scales, coeffs, U = ansatz_setup
     lap = semianalytic_laplacian_U(single_cfg, scales, mesh)
-    semi = residual_R(U, lap, single_cfg, scales)
+    semi = residual_R(U.values, lap, *_pointwise(single_cfg, mesh, scales))
     # the same defect with the discrete Laplacian of U (V1 = V2 = tau = 1)
     disc = get_ops(mesh).laplacian(U.values) \
         + scales.rho * (np.exp(U.values) - np.exp(-U.values))
@@ -260,7 +265,7 @@ def test_residual_paths_agree(ansatz_setup, single_cfg):
 
 def test_linear_operator_roundtrip(ansatz_setup, single_cfg):
     mesh, scales, coeffs, U = ansatz_setup
-    L = LinearOperator(mesh, weight_W(U, single_cfg, scales))
+    L = LinearOperator(mesh, weight_W(U.values, *_pointwise(single_cfg, mesh, scales)))
     rng = np.random.default_rng(2)
     psi = np.zeros(mesh.n_nodes)
     psi[~mesh.is_boundary] = rng.standard_normal((~mesh.is_boundary).sum())
@@ -303,12 +308,12 @@ def test_field_vanishes_on_the_boundary(ansatz_setup):
     assert [f.name for f in dataclasses.fields(Field)] == ["mesh", "values"]
 
 
-def test_field_mesh_mismatch(ansatz_setup, single_cfg, disk):
-    mesh, scales, coeffs, U = ansatz_setup
+def test_field_mesh_mismatch(coarse_run, disk):
+    # a warm start is the one correction that comes from outside the stage
     other = build_domain_mesh(disk, 0.2)
-    phi = Field(other, np.zeros(other.n_nodes))
-    with pytest.raises(MeshMismatch):
-        nonlinear_N(phi, U, single_cfg, scales)
+    phi0 = Field(other, np.zeros(other.n_nodes))
+    with pytest.raises(MeshMismatch, match="another mesh"):
+        fixed_point_correct(coarse_run, 1e-3, phi0=phi0)
 
 
 def test_module_level_helpers(ansatz_setup):
@@ -332,14 +337,13 @@ def test_nonlinearity_lipschitz_constant_decays(single_cfg, gp, coarse_policy):
         coeffs = coefficient_set(single_cfg, scales, gp)
         U, _ = build_ansatz(single_cfg, scales, mesh, coeffs=coeffs, gp=gp)
         ops = get_ops(mesh)
+        args = _pointwise(single_cfg, mesh, scales)
         rng = np.random.default_rng(9)
         worst = 0.0
         for _ in range(5):
             base = rng.standard_normal((2, mesh.n_nodes)) * 1e-2
             base[:, mesh.is_boundary] = 0.0
-            p1 = Field(mesh, base[0])
-            p2 = Field(mesh, base[1])
-            dN = nonlinear_N(p1, U, single_cfg, scales) - nonlinear_N(p2, U, single_cfg, scales)
+            dN = nonlinear_N(base[0], U.values, *args) - nonlinear_N(base[1], U.values, *args)
             num = ops.norm_lp(dN, 1.01)
             den = ops.norm_h01(base[0] - base[1])
             worst = max(worst, num / den)
@@ -403,8 +407,8 @@ def test_residual_small_outside_annuli(single_cfg, gp, coarse_policy):
         mesh = pierced_mesh(single_cfg.domain, single_cfg.centers, scales.eps, coarse_policy)
         coeffs = coefficient_set(single_cfg, scales, gp)
         U, _ = build_ansatz(single_cfg, scales, mesh, coeffs=coeffs, gp=gp)
-        R = residual_R(U, semianalytic_laplacian_U(single_cfg, scales, mesh),
-                       single_cfg, scales)
+        R = residual_R(U.values, semianalytic_laplacian_U(single_cfg, scales, mesh),
+                       *_pointwise(single_cfg, mesh, scales))
         outside = (~mesh.is_boundary) & (mesh.center_distance(0) > eta)
         consts.append(np.abs(R[outside]).max() / rho)
     assert max(consts) / min(consts) <= 3.0

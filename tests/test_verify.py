@@ -184,7 +184,7 @@ def test_operator_bound_shared_equals_fresh(single_cfg, gp, coarse_policy, monke
     # the same check with a fresh operator for every request
     def fresh_operator(run, rho):
         st = run.stage(rho)
-        return LinearOperator(st.mesh, weight_W(st.U, run.cfg, st.scales))
+        return LinearOperator(st.mesh, weight_W(st.U.values, st.V, run.cfg.tau, st.scales.rho))
 
     monkeypatch.setattr(Run, "linear_operator", fresh_operator)
     fresh_run = Run(single_cfg, coarse_policy, gp)
