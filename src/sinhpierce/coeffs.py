@@ -24,7 +24,7 @@ class BlowupConfig:
     """Full problem description.
 
     The first m1 holes carry positive bubbles fed by V1, the rest negative
-    bubbles fed by V2 with exponent tau.  nu is folded into V2 up front.
+    bubbles fed by V2 with exponent tau.
     """
 
     domain: DomainSpec

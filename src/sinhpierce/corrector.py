@@ -45,6 +45,18 @@ from .operators import (
 TOL, MAXITER, P_NORMS = 1e-10, 50, (1.01, 1.1, 1.3)
 
 
+def setting_problems(tol, maxiter, p_norms):
+    """The rule on a Run's solver settings, one message per broken setting:
+    tol positive and finite, maxiter at least 1, and p_norms one or more
+    finite exponents p >= 1. Run refuses what it yields; parse_config reports it."""
+    if not 0 < tol < math.inf:
+        yield f"tol must be positive and finite, got {tol}"
+    if not maxiter >= 1:
+        yield f"maxiter must be at least 1, got {maxiter}"
+    if not p_norms or not all(1 <= p < math.inf for p in p_norms):
+        yield f"p must be one or more finite exponents >= 1, got {list(p_norms)}"
+
+
 @dataclass
 class SolveReport:
     """Everything measured during one correction run (plus sweep-level fits)."""
@@ -221,8 +233,8 @@ class Stage:
 
 class Run:
     """One command's problem, mesh policy, Green function and solver settings
-    (tol, maxiter, p_norms: see fixed_point_correct; maxiter < 1 is refused
-    before anything starts).
+    (tol, maxiter, p_norms: see fixed_point_correct; settings that break
+    setting_problems' rule are a ValueError before anything starts).
 
     The hole centers are fixed for the whole run: the constructor checks
     their layout and fixes the annulus radius eta (annulus_radius), so an
@@ -245,10 +257,11 @@ class Run:
 
     def __init__(self, cfg, policy: MeshPolicy | None = None, gp: GreenProvider | None = None,
                  tol=TOL, maxiter=MAXITER, p_norms=P_NORMS):
-        if maxiter < 1:
-            raise ValueError(f"maxiter must be at least 1, got {maxiter}")
-        self.cfg = cfg
         self.tol, self.maxiter, self.p_norms = tol, maxiter, tuple(p_norms)
+        problems = list(setting_problems(tol, maxiter, self.p_norms))
+        if problems:
+            raise ValueError("; ".join(problems))
+        self.cfg = cfg
         self.policy = policy or MeshPolicy()
         self.eta = annulus_radius(cfg.domain, cfg.centers)
         self._background = prefetch_background(cfg.domain, cfg.centers, self.eta, self.policy)

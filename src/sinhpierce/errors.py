@@ -50,10 +50,6 @@ class SolverFailure(SinhPierceError):
     pass
 
 
-class InvalidExponent(SinhPierceError):
-    pass
-
-
 class NearSingular(SinhPierceError):
     def __init__(self, message, report=None):
         super().__init__(message)

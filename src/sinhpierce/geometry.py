@@ -184,22 +184,52 @@ def _point_in_polygon(points, poly):
     return np.bincount(pt[hits], minlength=len(points)) % 2 == 1
 
 
-def _dist_to_polygon(points, poly):
-    """Unsigned distance from each point to the closed polygon boundary: the
-    distance to every edge, then the least, _NEAREST_BLOCK point-edge pairs
-    at a time."""
+def _edge_distances(points, poly):
+    """(k, d) per block of _NEAREST_BLOCK point-edge pairs: d[i, e] is the
+    distance from points[k + i] to edge e of the closed polygon, which runs
+    from vertex e to vertex e + 1."""
     a = poly
     ab = np.roll(poly, -1, axis=0) - a
     denom = np.einsum("ij,ij->i", ab, ab)
     step = max(1, _NEAREST_BLOCK // len(poly))
-    out = np.empty(len(points))
     for k in range(0, len(points), step):
         pts = points[k:k + step]
         t = np.clip(np.einsum("ikj,kj->ik", pts[:, None, :] - a, ab) / denom, 0.0, 1.0)
         proj = a + t[:, :, None] * ab
-        out[k:k + step] = np.hypot(pts[:, None, 0] - proj[:, :, 0],
-                                   pts[:, None, 1] - proj[:, :, 1]).min(axis=1)
+        yield k, np.hypot(pts[:, None, 0] - proj[:, :, 0], pts[:, None, 1] - proj[:, :, 1])
+
+
+def _dist_to_polygon(points, poly):
+    """Unsigned distance from each point to the closed polygon boundary: the
+    least of its _edge_distances."""
+    out = np.empty(len(points))
+    for k, d in _edge_distances(points, poly):
+        out[k:k + len(d)] = d.min(axis=1)
     return out
+
+
+def _check_width(bpoly, h):
+    """ConstraintViolation naming the first node of the resampled boundary
+    polygon that lies within 0.25 h of an edge that does not contain it.
+
+    Such a curve is too thin for spacing h: the background cannot stitch it.
+    The simple curves that do mesh keep every node at least 0.52 h from the
+    other edges at h = 0.1, 0.05 and 0.02 (an acute triangle; squares,
+    L-shapes and regular polygons keep about h), so 0.25 h leaves them a
+    margin of two.
+    """
+    n = len(bpoly)
+    for k, d in _edge_distances(bpoly, bpoly):
+        rows = np.arange(len(d))
+        d[rows, rows + k] = d[rows, (rows + k - 1) % n] = np.inf   # the node's own edges
+        near = np.argwhere(d < 0.25 * h)
+        if near.size:
+            i, e = near[0]
+            raise ConstraintViolation(
+                f"boundary curve too thin for mesh spacing h = {h:g}: resampled node "
+                f"{i + k} {tuple(bpoly[i + k].tolist())} lies {d[i, e]:.3g} from edge "
+                f"{tuple(bpoly[e].tolist())}-{tuple(bpoly[(e + 1) % n].tolist())}, "
+                "under 0.25 h")
 
 
 def _half_longest_edge(poly):
@@ -557,6 +587,8 @@ class _Background:
 def _background(domain, centers, eta, policy) -> _Background:
     h = policy.h
     bpoly = domain_boundary_polygon(domain, h)
+    if domain.kind != "unit-disk":
+        _check_width(bpoly, h)
     n_bdry = bpoly.shape[0]
     m = centers.shape[0]
 

@@ -16,7 +16,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .errors import InvalidExponent, NearSingular, NonpositiveSampled, SolverFailure
+from .errors import NearSingular, NonpositiveSampled, SolverFailure
 from .geometry import Mesh
 
 SUP_GUARD = 50.0   # sup norm of a correction beyond which the iteration diverges
@@ -110,8 +110,6 @@ class DiscreteOperators:
     # -- norms ---------------------------------------------------------------
 
     def norm_lp(self, f: np.ndarray, p) -> float:
-        if p < 1:
-            raise InvalidExponent(f"Lp norm needs p >= 1, got {p}")
         return float(np.sum(self.w * np.abs(f) ** p) ** (1.0 / p))
 
     def norm_h01(self, f: np.ndarray) -> float:

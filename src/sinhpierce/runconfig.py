@@ -16,7 +16,7 @@ from types import MappingProxyType
 import numpy as np
 
 from .coeffs import BlowupConfig
-from .corrector import MAXITER, P_NORMS, TOL
+from .corrector import MAXITER, P_NORMS, TOL, setting_problems
 from .errors import ConstraintViolation, ParseError, SchemaError
 from .geometry import DomainSpec, MeshPolicy, domain_sample_points
 from .potentials import parse_potential
@@ -24,7 +24,7 @@ from .potentials import parse_potential
 COMMANDS = ("construct", "sweep", "verify", "green-check")
 # every section and key a config may hold; anything else is a SchemaError
 KEYS = MappingProxyType({
-    "problem": ("domain", "boundary", "centers", "alphas", "m1", "tau", "nu", "v1", "v2"),
+    "problem": ("domain", "boundary", "centers", "alphas", "m1", "tau", "v1", "v2"),
     "mesh": ("h", "q"),
     "run": ("command", "rho", "p", "tol", "maxiter", "seed", "out")})
 SWEEP_REPORT = "report_rho{:.3e}"   # the prefix of each rho's report in a sweep
@@ -143,7 +143,6 @@ def parse_config(text: str, run_overrides=None) -> RunConfig:
     if m1 is None:
         problems.append("missing [problem] m1")
     tau = get_number("problem", "tau", 1.0)
-    nu = get_number("problem", "nu", 1.0)
 
     v1_expr = v2_expr = None
     v1_txt = get("problem", "v1", default="1")
@@ -172,11 +171,11 @@ def parse_config(text: str, run_overrides=None) -> RunConfig:
         except ValueError:
             problems.append(f"{key}: not numbers: {txt!r}")
             return list(default)
-        if not vals:
-            problems.append(f"{key}: no values")
         return vals
 
     rho_list = get_list("rho", [1e-3])
+    if not rho_list:
+        problems.append("rho: no values")
     if command == "construct" and len(rho_list) > 1:
         problems.append(f"construct solves one rho, got {rho_list}; pick one with --rho")
     if rho_list != sorted(rho_list, reverse=True):
@@ -187,14 +186,9 @@ def parse_config(text: str, run_overrides=None) -> RunConfig:
         problems.append(f"rho values {clashing} agree to 4 significant digits, "
                         "so their sweep reports would share a name")
     p_list = get_list("p", P_NORMS)
-    if not all(1 <= p < np.inf for p in p_list):
-        problems.append(f"p: Lp norms need finite p >= 1, got {p_list}")
     tol = get_number("run", "tol", TOL)
-    if not 0 < tol < np.inf:
-        problems.append(f"[run] tol: needs a positive tolerance, got {tol}")
     maxiter = get_number("run", "maxiter", MAXITER, int)
-    if maxiter < 1:
-        problems.append(f"[run] maxiter: needs at least one iteration, got {maxiter}")
+    problems += setting_problems(tol, maxiter, p_list)
     seed = get_number("run", "seed", 0, int)
     out_dir = get("run", "out", default="out")
 
@@ -205,13 +199,10 @@ def parse_config(text: str, run_overrides=None) -> RunConfig:
     if alphas.shape[0] != m:
         raise SchemaError([f"{m} centers but {alphas.shape[0]} alphas"])
 
-    # fold nu into V2; BlowupConfig checks the assumptions (alpha, m1, tau)
-    # and potentials_at the potentials on the sample cloud, each by name
-    def v2_scaled(x, y, _e=v2_expr, _nu=nu):
-        return _nu * _e(x, y)
-
+    # BlowupConfig checks the assumptions (alpha, m1, tau) and potentials_at
+    # the potentials on the sample cloud, each by name
     problem = BlowupConfig(domain=domain, centers=centers, alphas=alphas, m1=int(m1),
-                           tau=float(tau), V1=v1_expr, V2=v2_scaled)
+                           tau=float(tau), V1=v1_expr, V2=v2_expr)
     if not all(0 < r < np.inf for r in rho_list):
         raise ConstraintViolation(f"rho values must be positive and finite, got {rho_list}")
     problem.potentials_at(domain_sample_points(domain), "sample")

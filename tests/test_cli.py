@@ -25,7 +25,7 @@ from sinhpierce.errors import (
 )
 from sinhpierce.geometry import MIN_HOLE_RADIUS, SAMPLE_ROUNDS, DomainSpec, MeshPolicy, \
     domain_sample_points
-from sinhpierce.runconfig import parse_config
+from sinhpierce.runconfig import KEYS, parse_config
 
 from conftest import distance_to_boundary, pierced_mesh
 
@@ -255,17 +255,18 @@ def test_construct_frees_the_solver_before_writing(tmp_path, monkeypatch):
 
 
 def test_liouville_mode_accepted(tmp_path):
-    # m1 = 0 with nu = 0 kills the first nonlinearity: pure one-signed case
-    text = BASE.format(out=tmp_path).replace("m1 = 1", "m1 = 0") \
-        .replace("v2 = 1", "v2 = 1\nnu = 1.0")
+    text = BASE.format(out=tmp_path).replace("m1 = 1", "m1 = 0")
     rc = parse_config(text)
     assert rc.problem.m1 == 0
 
 
-def test_nu_scales_v2(tmp_path):
-    text = BASE.format(out=tmp_path).replace("v2 = 1", "v2 = 1\nnu = 2.5")
-    rc = parse_config(text)
-    assert rc.problem.V2(0.1, 0.2) == pytest.approx(2.5)
+def test_nu_is_an_unknown_key(tmp_path, capsys):
+    # V2 is scaled in its own expression, as in v2 = 2.5*(...)
+    text = BASE.format(out=tmp_path / "out").replace("v2 = 1", "v2 = 1\nnu = 2.5")
+    with pytest.raises(SchemaError, match="unknown key \\[problem\\] nu; "):
+        parse_config(text)
+    assert main(["construct", "--config", _write(tmp_path, text)]) == 1
+    assert "unknown key [problem] nu" in capsys.readouterr().err
 
 
 def test_construct_and_artifacts(tmp_path):
@@ -920,13 +921,13 @@ def test_run_defaults_have_one_owner(tmp_path):
                        "domain = boundary-curve\nboundary = -1 -1; 1 -1; 1 1; nan 1")),
     ("construct", [], ("tau = 1.0", "tau = nan")),
     ("construct", [], ("tau = 1.0", "tau = inf")),
-    ("construct", [], ("tau = 1.0", "tau = 1.0\nnu = inf")),
+    ("construct", [], ("v2 = 1", "v2 = exp(1000)")),
     ("construct", [], ("v1 = 1", "v1 = exp(1000)")),
 ], ids=["ascending-flag", "negative-flag", "text-flag", "empty-flag", "empty-key",
         "p-below-one-key", "p-below-one-flag", "no-iterations-key", "zero-tol-key",
         "problem-key-typo", "mesh-key-typo", "run-key-typo", "unknown-section",
         "construct-two-rho", "nan-alpha", "inf-alpha", "inf-h", "nan-boundary-point",
-        "nan-tau", "inf-tau", "inf-nu-unused-v2", "inf-v1"])
+        "nan-tau", "inf-tau", "inf-unused-v2", "inf-v1"])
 def test_bad_run_values_are_validation_failures(tmp_path, capsys, command, flags, edit):
     # the file's [run] values and the flags that override them pass the same
     # checks, before anything is solved
@@ -948,10 +949,53 @@ def test_schema_errors_name_what_is_allowed(tmp_path):
         parse_config(text)
     msg = str(exc.value)
     assert "unknown key [problem] tua; [problem] takes domain, boundary, centers, " \
-        "alphas, m1, tau, nu, v1, v2" in msg
+        "alphas, m1, tau, v1, v2" in msg
     assert "unknown key [mesh] hh; [mesh] takes h, q" in msg
     assert "unknown section [runn]; expected one of [problem], [mesh], [run]" in msg
     assert "construct solves one rho, got [0.01, 0.001]; pick one with --rho" in msg
+
+
+@pytest.mark.parametrize("edit, setting", [
+    ("p =", {"p_norms": ()}),
+    ("p = 0.5", {"p_norms": (0.5,)}),
+    ("p = inf", {"p_norms": (math.inf,)}),
+    ("p = nan", {"p_norms": (math.nan,)}),
+    ("tol = 0", {"tol": 0.0}),
+    ("tol = -1", {"tol": -1.0}),
+    ("tol = nan", {"tol": math.nan}),
+    ("tol = inf", {"tol": math.inf}),
+    ("maxiter = 0", {"maxiter": 0}),
+], ids=["empty-p", "p-half", "inf-p", "nan-p", "zero-tol", "negative-tol", "nan-tol",
+        "inf-tol", "zero-maxiter"])
+def test_config_reports_the_rule_run_applies(tmp_path, edit, setting):
+    # one rule on the solver settings: parse_config's one message for a
+    # broken [run] value is the one Run raises for the same setting
+    text = BASE.format(out=tmp_path)
+    key = edit.split()[0]
+    line = next(ln for ln in text.splitlines() if ln.startswith(f"{key} = "))
+    with pytest.raises(SchemaError) as exc:
+        parse_config(text.replace(line, edit))
+    with pytest.raises(ValueError) as ref:
+        Run(parse_config(text).problem, **setting)
+    assert exc.value.problems == [str(ref.value)]
+
+
+def test_readme_lists_the_config_keys():
+    readme = (_CONFIGS.parent / "README.md").read_text()
+    listed = dict(re.findall(r"^- `\[(\w+)\]` (.*)[;.]$", readme, re.M))
+    assert listed == {section: ", ".join(keys) for section, keys in KEYS.items()}
+
+
+def test_too_thin_curve_is_a_validation_failure(tmp_path, capsys):
+    # NumericGreen meshes the domain at h = 0.02 first, so that spacing is named
+    text = BASE.format(out=tmp_path / "out").replace("h = 0.05", "h = 0.1").replace(
+        "domain = unit-disk", "domain = boundary-curve\nboundary = 0 0; 1 0; 2 1e-12").replace(
+        "centers = 0.0 0.0", "centers = 1.0 1e-13")
+    assert main(["construct", "--config", _write(tmp_path, text)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("validation failure: boundary curve too thin for mesh spacing "
+                          "h = 0.02: resampled node 1 (0.02, 0.0) lies "), err
+    assert " from edge (" in err and "under 0.25 h" in err
 
 
 def test_descending_rho_required(tmp_path):

@@ -8,6 +8,7 @@ on broken meshes, and regular polygons, which mesh and approach the disk."""
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from scipy.spatial import Delaunay
 import sinhpierce.geometry as geometry
 from sinhpierce.coeffs import BlowupConfig, constant_potential
 from sinhpierce.corrector import Run, construct_solution
-from sinhpierce.errors import StitchFailure
+from sinhpierce.errors import ConstraintViolation, StitchFailure
 from sinhpierce.geometry import (
     DomainSpec,
     MeshPolicy,
@@ -477,13 +478,43 @@ def _ngon(n):
     return DomainSpec("boundary-curve", np.column_stack([np.cos(th), np.sin(th)]))
 
 
-@pytest.mark.parametrize("h", [0.05, 0.02, 0.01])
+@pytest.mark.parametrize("h", [0.1, 0.05, 0.02, 0.01])
 @pytest.mark.parametrize("n", [8, 12, 64, 200])
 def test_regular_polygons_mesh(n, h):
     # three resampled nodes of one slanted side are collinear only up to
     # rounding; the sliver Qhull makes of them must not cover two boundary
     # edges a second time
     assert build_domain_mesh(_ngon(n), h).min_quality > 0
+
+
+# --- curves too thin for the spacing ------------------------------------------
+
+SLIVER = [[0, 0], [1, 0], [2, 1e-12]]
+
+
+@pytest.mark.parametrize("block", [geometry._NEAREST_BLOCK, 7], ids=["one-block", "row-blocks"])
+@pytest.mark.parametrize("h", [0.1, 0.05, 0.02])
+def test_too_thin_curve_is_named(h, block, monkeypatch):
+    # the sliver's resampled nodes lie about 1e-14 from the opposite side; the
+    # message names the first of them, the edge and h
+    monkeypatch.setattr(geometry, "_NEAREST_BLOCK", block)
+    with pytest.raises(ConstraintViolation) as exc:
+        build_domain_mesh(DomainSpec("boundary-curve", SLIVER), h)
+    assert re.fullmatch(rf"boundary curve too thin for mesh spacing h = {h:g}: resampled node 1 "
+                        rf"\({h:g}, 0.0\) lies \S+ from edge \(\S+, \S+\)-\(\S+, \S+\), "
+                        r"under 0.25 h", str(exc.value)), str(exc.value)
+
+
+@pytest.mark.parametrize("h", [0.1, 0.05, 0.02])
+@pytest.mark.parametrize("curve", [
+    SQUARE.boundary, L_SHAPE.boundary, [[0, 0], [1, 0], [1, 0.06], [0, 0.06]],
+    [[0, 0], [1, 0], [0.3, 0.8]],
+], ids=["square", "L-shape", "thin-rectangle", "acute-triangle"])
+def test_curves_wider_than_the_check_mesh(curve, h):
+    # each keeps at least 0.52 h between a resampled node and the edges that
+    # do not contain it, twice the width check's 0.25 h (the regular
+    # polygons, about h, are test_regular_polygons_mesh's)
+    assert build_domain_mesh(DomainSpec("boundary-curve", curve), h).min_quality > 0
 
 
 def test_polygons_approach_the_disk():
