@@ -39,6 +39,7 @@ SMOOTH_ITERS = 2      # Laplacian smoothing passes over the background's lattice
 TWO_PI = 2.0 * math.pi   # the package's one copy of 2 pi
 _NEAREST_BLOCK = 1 << 16   # pairs per block of the all-pairs searches
 SAMPLE_ROUNDS = 64         # most draws of 4n candidates domain_sample_points makes
+MIN_GAP = 1e-9             # least node-to-edge gap over h of a boundary curve that meshes
 
 # node markers
 INTERIOR = -1
@@ -210,26 +211,28 @@ def _dist_to_polygon(points, poly):
 
 def _check_width(bpoly, h):
     """ConstraintViolation naming the first node of the resampled boundary
-    polygon that lies within 0.25 h of an edge that does not contain it.
+    polygon that lies within MIN_GAP h of an edge that does not contain it.
 
-    Such a curve is too thin for spacing h: the background cannot stitch it.
-    The simple curves that do mesh keep every node at least 0.52 h from the
-    other edges at h = 0.1, 0.05 and 0.02 (an acute triangle; squares,
-    L-shapes and regular polygons keep about h), so 0.25 h leaves them a
-    margin of two.
+    The background's Delaunay stitch cannot place such a node on its side
+    of the curve: the sliver 0 0; 1 0; 2 1e-12, whose nodes lie 5e-13 h
+    from the far side, fails it at every h. Thin or sharp curves mesh far
+    below any fixed fraction of h: a 1e-6 wide rectangle, a 1e-6 degree
+    wedge (1.8e-8 h), the same sliver with 2 1e-11 (5e-12 h). Their
+    smallest triangle quality is about that least gap over h, so the bound
+    turns away no mesh whose triangles all have quality above 1e-9.
     """
     n = len(bpoly)
     for k, d in _edge_distances(bpoly, bpoly):
         rows = np.arange(len(d))
         d[rows, rows + k] = d[rows, (rows + k - 1) % n] = np.inf   # the node's own edges
-        near = np.argwhere(d < 0.25 * h)
+        near = np.argwhere(d < MIN_GAP * h)
         if near.size:
             i, e = near[0]
             raise ConstraintViolation(
                 f"boundary curve too thin for mesh spacing h = {h:g}: resampled node "
                 f"{i + k} {tuple(bpoly[i + k].tolist())} lies {d[i, e]:.3g} from edge "
                 f"{tuple(bpoly[e].tolist())}-{tuple(bpoly[(e + 1) % n].tolist())}, "
-                "under 0.25 h")
+                f"under {MIN_GAP:g} h")
 
 
 def _half_longest_edge(poly):

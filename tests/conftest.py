@@ -1,3 +1,4 @@
+import math
 import threading
 import types
 
@@ -18,6 +19,24 @@ from sinhpierce.geometry import (
 )
 from sinhpierce.greens import GreenProvider
 from sinhpierce.operators import Field, LinearOperator, get_ops, weight_W
+
+
+# Run settings its rule refuses, by test id: the [run] edit that sets each,
+# the Run keyword that does, and the one message both give
+BAD_SETTINGS = {
+    "empty-p": ("p =", {"p_norms": ()}, "p must be one or more finite exponents >= 1, got []"),
+    "p-half": ("p = 0.5", {"p_norms": (0.5,)},
+               "p must be one or more finite exponents >= 1, got [0.5]"),
+    "inf-p": ("p = inf", {"p_norms": (math.inf,)},
+              "p must be one or more finite exponents >= 1, got [inf]"),
+    "nan-p": ("p = nan", {"p_norms": (math.nan,)},
+              "p must be one or more finite exponents >= 1, got [nan]"),
+    "zero-tol": ("tol = 0", {"tol": 0.0}, "tol must be positive and finite, got 0.0"),
+    "negative-tol": ("tol = -1", {"tol": -1.0}, "tol must be positive and finite, got -1.0"),
+    "nan-tol": ("tol = nan", {"tol": math.nan}, "tol must be positive and finite, got nan"),
+    "inf-tol": ("tol = inf", {"tol": math.inf}, "tol must be positive and finite, got inf"),
+    "zero-maxiter": ("maxiter = 0", {"maxiter": 0}, "maxiter must be at least 1, got 0"),
+}
 
 
 def pierced_mesh(domain, centers, radii, policy):

@@ -35,6 +35,8 @@ from sinhpierce.operators import (
     residual_R,
 )
 
+from conftest import BAD_SETTINGS
+
 
 def test_construct_solution_report(coarse_solution):
     r = coarse_solution.report
@@ -168,20 +170,6 @@ def test_zero_defect_gives_zero_correction(coarse_run, monkeypatch):
     assert np.abs(sol.phi.values).max() == 0.0
 
 
-# Run settings its rule refuses, and the message of each
-BAD_SETTINGS = [
-    ({"maxiter": 0}, "maxiter must be at least 1, got 0"),
-    ({"p_norms": ()}, "p must be one or more finite exponents >= 1, got []"),
-    ({"p_norms": (0.5,)}, "p must be one or more finite exponents >= 1, got [0.5]"),
-    ({"p_norms": (math.inf,)}, "p must be one or more finite exponents >= 1, got [inf]"),
-    ({"p_norms": (math.nan,)}, "p must be one or more finite exponents >= 1, got [nan]"),
-    ({"tol": 0.0}, "tol must be positive and finite, got 0.0"),
-    ({"tol": -1.0}, "tol must be positive and finite, got -1.0"),
-    ({"tol": math.nan}, "tol must be positive and finite, got nan"),
-    ({"tol": math.inf}, "tol must be positive and finite, got inf"),
-]
-
-
 def test_fixed_point_rejects_maxiter_below_one(single_cfg, gp, coarse_policy, monkeypatch):
     # the Run refuses it, and every other setting its rule breaks, before it
     # checks the layout or starts the background mesh
@@ -190,9 +178,7 @@ def test_fixed_point_rejects_maxiter_below_one(single_cfg, gp, coarse_policy, mo
 
     monkeypatch.setattr(corrector_mod, "annulus_radius", not_reached)
     monkeypatch.setattr(corrector_mod, "prefetch_background", not_reached)
-    with pytest.raises(ValueError, match="maxiter must be at least 1, got 0"):
-        Run(single_cfg, coarse_policy, gp, maxiter=0)
-    for setting, message in BAD_SETTINGS:
+    for _, setting, message in BAD_SETTINGS.values():
         with pytest.raises(ValueError) as exc:
             Run(single_cfg, coarse_policy, gp, **setting)
         assert str(exc.value) == message, setting

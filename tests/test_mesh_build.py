@@ -495,25 +495,34 @@ SLIVER = [[0, 0], [1, 0], [2, 1e-12]]
 @pytest.mark.parametrize("block", [geometry._NEAREST_BLOCK, 7], ids=["one-block", "row-blocks"])
 @pytest.mark.parametrize("h", [0.1, 0.05, 0.02])
 def test_too_thin_curve_is_named(h, block, monkeypatch):
-    # the sliver's resampled nodes lie about 1e-14 from the opposite side; the
-    # message names the first of them, the edge and h
+    # the sliver's resampled nodes lie about 5e-13 h from the opposite side;
+    # the message names the first of them, the edge and h
     monkeypatch.setattr(geometry, "_NEAREST_BLOCK", block)
     with pytest.raises(ConstraintViolation) as exc:
         build_domain_mesh(DomainSpec("boundary-curve", SLIVER), h)
     assert re.fullmatch(rf"boundary curve too thin for mesh spacing h = {h:g}: resampled node 1 "
                         rf"\({h:g}, 0.0\) lies \S+ from edge \(\S+, \S+\)-\(\S+, \S+\), "
-                        r"under 0.25 h", str(exc.value)), str(exc.value)
+                        r"under 1e-09 h", str(exc.value)), str(exc.value)
 
 
-@pytest.mark.parametrize("h", [0.1, 0.05, 0.02])
+def _wedge(degrees):
+    t = math.radians(degrees)
+    return [[0, 0], [1, 0], [math.cos(t), math.sin(t)]]
+
+
+@pytest.mark.parametrize("h", [0.1, 0.08, 0.05, 0.02])
 @pytest.mark.parametrize("curve", [
     SQUARE.boundary, L_SHAPE.boundary, [[0, 0], [1, 0], [1, 0.06], [0, 0.06]],
-    [[0, 0], [1, 0], [0.3, 0.8]],
-], ids=["square", "L-shape", "thin-rectangle", "acute-triangle"])
-def test_curves_wider_than_the_check_mesh(curve, h):
-    # each keeps at least 0.52 h between a resampled node and the edges that
-    # do not contain it, twice the width check's 0.25 h (the regular
-    # polygons, about h, are test_regular_polygons_mesh's)
+    [[0, 0], [1, 0], [1, 1e-6], [0, 1e-6]], [[0, 0], [1, 0], [0.3, 0.8]],
+    [[0, 0], [1, 0], [0, 0.45]], _wedge(15), _wedge(3), _wedge(1e-6),
+    [[0, 0], [0.05, 0], [0.05, 0.05], [0, 0.05]],
+], ids=["square", "L-shape", "thin-rectangle", "1e-6-rectangle", "acute-triangle",
+        "24-degree-triangle", "15-degree-wedge", "3-degree-wedge", "1e-6-degree-wedge",
+        "16-node-square"])
+def test_thin_and_sharp_curves_mesh(curve, h):
+    # nodes of one side of a sharp corner lie a fraction of h from the
+    # other side's edges (the 1e-6 degree wedge's 1.8e-8 h, the 16 nodes
+    # of the small square 0.125 h apart at h = 0.1), yet these mesh
     assert build_domain_mesh(DomainSpec("boundary-curve", curve), h).min_quality > 0
 
 
