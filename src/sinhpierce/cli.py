@@ -139,8 +139,13 @@ def _cmd_verify(rc: RunConfig, man: Manifest):
 
 
 def run(rc: RunConfig) -> int:
-    """Dispatch a parsed run configuration; artifacts land in rc.out_dir."""
-    os.makedirs(rc.out_dir, exist_ok=True)
+    """Dispatch a parsed run configuration; artifacts land in rc.out_dir,
+    and one that cannot be created is exit 1 before anything is solved."""
+    try:
+        os.makedirs(rc.out_dir, exist_ok=True)
+    except OSError as exc:
+        print(f"cannot create output directory: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
     man = Manifest(rc.out_dir)
     try:
         if rc.command == "construct":
@@ -179,10 +184,11 @@ def main(argv=None) -> int:
                "Exit codes: 0 success; 1 validation failure (the config or a flag "
                "value is rejected before any solve: unparseable, missing or unknown "
                "sections and keys, rho not positive or not descending, construct "
-               "with more than one rho, p < 1, tol <= 0, maxiter < 1, ...; or V1 or "
-               "V2 not positive where the sign split uses it, or not finite, at a "
-               "sampled point or, later, at a mesh node, which the message names); "
-               "2 solver failure; 3 check failure.")
+               "with more than one rho, p < 1, tol <= 0, maxiter < 1, seed < 0, ...; "
+               "or V1 or V2 not positive where the sign split uses it, or not finite, "
+               "at a sampled point or, later, at a mesh node, which the message names; "
+               "or an output directory that cannot be created); 2 solver failure; "
+               "3 check failure.")
     parser.add_argument("command", choices=COMMANDS)
     parser.add_argument("--config", required=True, help="path to the INI config")
     parser.add_argument("--out", default=None, help="output directory override")

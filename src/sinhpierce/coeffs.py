@@ -42,7 +42,7 @@ class BlowupConfig:
         object.__setattr__(self, "alphas", a)
         m = c.shape[0]
         if a.shape[0] != m:
-            raise ValueError("alphas and centers length mismatch")
+            raise ConstraintViolation(f"{m} centers but {a.shape[0]} alphas")
         for i, ai in enumerate(a):
             if not math.isfinite(ai):
                 raise ConstraintViolation(
@@ -159,10 +159,21 @@ def compute_rho_i(cfg: BlowupConfig, gp: GreenProvider) -> np.ndarray:
     return out
 
 
+def rho_problems(rho_list):
+    """The rule on a rho list, at most one message: one or more values, each
+    positive and finite, sorted descending (ties allowed) as rho -> 0.
+    choose_scales and continuation_sweep refuse what it yields; parse_config reports it."""
+    rho_list = list(rho_list)
+    if not rho_list or not all(0 < r < math.inf for r in rho_list):
+        yield f"rho values must be one or more, positive and finite, got {rho_list}"
+    elif rho_list != sorted(rho_list, reverse=True):
+        yield f"rho values must be sorted descending, got {rho_list}"
+
+
 def choose_scales(cfg: BlowupConfig, rho: float, gp: GreenProvider) -> ScaleParams:
     """Scale parameters making the ansatz match the equation on each annulus."""
-    if rho <= 0:
-        raise ValueError("rho must be positive")
+    for problem in rho_problems([rho]):
+        raise ValueError(problem)
     rho_i = compute_rho_i(cfg, gp)
     a = cfg.alphas
     m, m1, tau = cfg.m, cfg.m1, cfg.tau

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bubbles import build_ansatz, kernel_coefficient, semianalytic_laplacian_U
-from .coeffs import choose_scales, coefficient_set
+from .coeffs import choose_scales, coefficient_set, rho_problems
 from .errors import Diverged, InsufficientSamples, MeshMismatch, NearSingular, SinhPierceError
 from .geometry import (
     TWO_PI,
@@ -422,18 +422,18 @@ class SweepResult:
 
 
 def continuation_sweep(run: Run, rho_list, after_rho=None) -> SweepResult:
-    """Run the construction at each rho (descending), warm-starting phi.
+    """Run the construction at each rho, warm-starting phi.
 
-    A SinhPierceError, from the warm start or the construction, fails only
-    its entry, whose stage is then prepared once. The entry keeps the report
-    the error carries, or else gets a stub whose status names the error class.
-    after_rho(rho), if given, is called once each entry is recorded, while
-    rho's operator is still run's current one; what it raises is not a failed
-    entry but ends the sweep.
+    A list that rho_problems refuses is a ValueError before any stage. A
+    SinhPierceError, from the warm start or the construction, fails only its
+    entry, whose stage is then prepared once; the entry keeps the report the
+    error carries, or else a stub whose status names the error class.
+    after_rho(rho), if given, is called once each entry is recorded, while rho's
+    operator is still run's current one; what it raises ends the sweep.
     """
     rho_list = list(rho_list)
-    if sorted(rho_list, reverse=True) != rho_list:
-        raise ValueError("rho list must be sorted descending")
+    for problem in rho_problems(rho_list):
+        raise ValueError(problem)
     solutions, reports = [], []
     prev = None
     for rho in rho_list:

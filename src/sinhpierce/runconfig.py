@@ -1,9 +1,11 @@
 """Run configuration: INI-style text with nested sections, validated up front.
 
 Structural problems are aggregated into a single SchemaError so a bad file
-reports everything at once; violations of the standing assumptions of the
-construction (exponents, sign split, tau) raise ConstraintViolation naming
-the assumption.
+reports everything at once. It also holds a negative seed and what the rules
+on the rho list (coeffs.rho_problems) and on the solver settings
+(corrector.setting_problems) yield. BlowupConfig then checks the hole count
+and the standing assumptions of the construction (exponents, sign split,
+tau), each a ConstraintViolation naming what fails.
 """
 
 from __future__ import annotations
@@ -15,9 +17,9 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .coeffs import BlowupConfig
+from .coeffs import BlowupConfig, rho_problems
 from .corrector import MAXITER, P_NORMS, TOL, setting_problems
-from .errors import ConstraintViolation, ParseError, SchemaError
+from .errors import ParseError, SchemaError
 from .geometry import DomainSpec, MeshPolicy, domain_sample_points
 from .potentials import parse_potential
 
@@ -65,7 +67,9 @@ def parse_config(text: str, run_overrides=None) -> RunConfig:
 
     run_overrides maps [run] keys to text that takes the place of the
     document's value (the command line's command, --rho, --p, --seed, --out),
-    so an override passes the same checks as the file.
+    so an override passes the same checks as the file. A rho list is checked
+    by coeffs.rho_problems, the rule choose_scales and continuation_sweep
+    apply; construct's one rho and the sweep report names are checked here.
     """
     cp = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
     try:
@@ -167,19 +171,15 @@ def parse_config(text: str, run_overrides=None) -> RunConfig:
     def get_list(key, default):
         txt = get("run", key)
         try:
-            vals = list(default) if txt is None else _parse_floats(txt)
+            return list(default) if txt is None else _parse_floats(txt)
         except ValueError:
             problems.append(f"{key}: not numbers: {txt!r}")
             return list(default)
-        return vals
 
     rho_list = get_list("rho", [1e-3])
-    if not rho_list:
-        problems.append("rho: no values")
+    problems += rho_problems(rho_list)
     if command == "construct" and len(rho_list) > 1:
         problems.append(f"construct solves one rho, got {rho_list}; pick one with --rho")
-    if rho_list != sorted(rho_list, reverse=True):
-        problems.append("rho values must be sorted descending")
     names = [SWEEP_REPORT.format(r) for r in rho_list]
     clashing = [r for r, name in zip(rho_list, names) if names.count(name) > 1]
     if clashing:
@@ -190,21 +190,17 @@ def parse_config(text: str, run_overrides=None) -> RunConfig:
     maxiter = get_number("run", "maxiter", MAXITER, int)
     problems += setting_problems(tol, maxiter, p_list)
     seed = get_number("run", "seed", 0, int)
+    if seed < 0:
+        problems.append(f"seed must be a non-negative integer, got {seed}")
     out_dir = get("run", "out", default="out")
 
     if problems:
         raise SchemaError(problems)
 
-    m = centers.shape[0]
-    if alphas.shape[0] != m:
-        raise SchemaError([f"{m} centers but {alphas.shape[0]} alphas"])
-
-    # BlowupConfig checks the assumptions (alpha, m1, tau) and potentials_at
-    # the potentials on the sample cloud, each by name
+    # BlowupConfig checks the hole count and the assumptions (alpha, m1,
+    # tau), and potentials_at the potentials on the sample cloud, each by name
     problem = BlowupConfig(domain=domain, centers=centers, alphas=alphas, m1=int(m1),
                            tau=float(tau), V1=v1_expr, V2=v2_expr)
-    if not all(0 < r < np.inf for r in rho_list):
-        raise ConstraintViolation(f"rho values must be positive and finite, got {rho_list}")
     problem.potentials_at(domain_sample_points(domain), "sample")
 
     return RunConfig(command=command, problem=problem, policy=policy,

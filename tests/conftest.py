@@ -38,6 +38,22 @@ BAD_SETTINGS = {
     "zero-maxiter": ("maxiter = 0", {"maxiter": 0}, "maxiter must be at least 1, got 0"),
 }
 
+_NOT_POSITIVE = "rho values must be one or more, positive and finite, got "
+_NOT_SORTED = "rho values must be sorted descending, got "
+# rho lists the rho rule refuses, by test id: the [run] edit that sets each,
+# the list, and the one message parse_config, continuation_sweep and (for
+# one value) choose_scales give
+BAD_RHOS = {
+    "empty": ("rho =", [], _NOT_POSITIVE + "[]"),
+    "negative": ("rho = -1e-3", [-1e-3], _NOT_POSITIVE + "[-0.001]"),
+    "zero": ("rho = 0.0", [0.0], _NOT_POSITIVE + "[0.0]"),
+    "nan": ("rho = nan", [math.nan], _NOT_POSITIVE + "[nan]"),
+    "inf": ("rho = inf", [math.inf], _NOT_POSITIVE + "[inf]"),
+    "ascending": ("rho = 1e-3 1e-2", [1e-3, 1e-2], _NOT_SORTED + "[0.001, 0.01]"),
+    "negative-last": ("rho = 1e-2 -1e-3", [1e-2, -1e-3], _NOT_POSITIVE + "[0.01, -0.001]"),
+    "nan-first": ("rho = nan 1e-2", [math.nan, 1e-2], _NOT_POSITIVE + "[nan, 0.01]"),
+}
+
 
 def pierced_mesh(domain, centers, radii, policy):
     """The mesh of the domain pierced by holes of these radii at these

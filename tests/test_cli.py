@@ -14,8 +14,8 @@ import pytest
 
 import sinhpierce.geometry as geometry_mod
 from sinhpierce.cli import main, write_field_csv
-from sinhpierce.coeffs import BlowupConfig
-from sinhpierce.corrector import Run
+from sinhpierce.coeffs import BlowupConfig, choose_scales
+from sinhpierce.corrector import Run, continuation_sweep
 from sinhpierce.errors import (
     ConstraintViolation,
     DuplicateCenters,
@@ -27,7 +27,7 @@ from sinhpierce.geometry import MIN_HOLE_RADIUS, SAMPLE_ROUNDS, DomainSpec, Mesh
     domain_sample_points
 from sinhpierce.runconfig import KEYS, parse_config
 
-from conftest import BAD_SETTINGS, distance_to_boundary, pierced_mesh
+from conftest import BAD_RHOS, BAD_SETTINGS, distance_to_boundary, pierced_mesh
 
 # values whose '%.17g' text is easy to get wrong, then a spread of magnitudes
 AWKWARD = np.concatenate([[0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, 1e-320,
@@ -923,11 +923,14 @@ def test_run_defaults_have_one_owner(tmp_path):
     ("construct", [], ("tau = 1.0", "tau = inf")),
     ("construct", [], ("v2 = 1", "v2 = exp(1000)")),
     ("construct", [], ("v1 = 1", "v1 = exp(1000)")),
+    ("verify", ["--seed=-1"], None),
+    ("green-check", [], ("seed = 0", "seed = -1")),
 ], ids=["ascending-flag", "negative-flag", "text-flag", "empty-flag", "empty-key",
         "p-below-one-key", "p-below-one-flag", "no-iterations-key", "zero-tol-key",
         "problem-key-typo", "mesh-key-typo", "run-key-typo", "unknown-section",
         "construct-two-rho", "nan-alpha", "inf-alpha", "inf-h", "nan-boundary-point",
-        "nan-tau", "inf-tau", "inf-unused-v2", "inf-v1"])
+        "nan-tau", "inf-tau", "inf-unused-v2", "inf-v1", "negative-seed-flag",
+        "negative-seed-key"])
 def test_bad_run_values_are_validation_failures(tmp_path, capsys, command, flags, edit):
     # the file's [run] values and the flags that override them pass the same
     # checks, before anything is solved
@@ -965,6 +968,82 @@ def test_config_reports_the_rule_run_applies(tmp_path, edit, setting, message):
     with pytest.raises(SchemaError) as exc:
         parse_config(text.replace(line, edit))
     assert exc.value.problems == [message]
+
+
+@pytest.mark.parametrize("edit, message", [(row[0], row[2]) for row in BAD_RHOS.values()],
+                         ids=BAD_RHOS)
+def test_config_reports_the_rho_rule(tmp_path, edit, message):
+    # one rule on the rho list: parse_config's one message for a refused list
+    # is the one continuation_sweep raises, in the one SchemaError beside any
+    # other problem of the file
+    text = BASE.format(out=tmp_path).replace("command = construct", "command = sweep") \
+        .replace("rho = 1e-2", edit)
+    with pytest.raises(SchemaError) as exc:
+        parse_config(text)
+    assert exc.value.problems == [message]
+    with pytest.raises(SchemaError) as exc:
+        parse_config(text.replace("tau = 1.0", "tua = 1.0"))
+    assert exc.value.problems[0].startswith("unknown key [problem] tua;")
+    assert exc.value.problems[1:] == [message]
+
+
+def test_rho_rule_has_one_owner(tmp_path, monkeypatch, single_cfg, gp, coarse_run):
+    # choose_scales, continuation_sweep and parse_config each apply
+    # coeffs.rho_problems: with the rule swapped, in every module that binds
+    # it, for one that refuses everything, each refuses a valid input with
+    # its message before any stage, so no copy of the rule answers first
+    import importlib
+
+    import sinhpierce
+
+    def refuse_all(rho_list):
+        yield "the rho rule refuses every list"
+
+    bound = set()
+    for path in pathlib.Path(sinhpierce.__file__).parent.glob("*.py"):
+        module = importlib.import_module(
+            "sinhpierce" if path.stem == "__init__" else f"sinhpierce.{path.stem}")
+        if hasattr(module, "rho_problems"):
+            monkeypatch.setattr(module, "rho_problems", refuse_all)
+            bound.add(path.stem)
+    assert {"coeffs", "corrector", "runconfig"} <= bound
+    monkeypatch.setattr(Run, "stage", lambda run, rho: pytest.fail("a stage was prepared"))
+    for call in (lambda: choose_scales(single_cfg, 1e-3, gp),
+                 lambda: continuation_sweep(coarse_run, [1e-3])):
+        with pytest.raises(ValueError, match="^the rho rule refuses every list$"):
+            call()
+    with pytest.raises(SchemaError) as exc:
+        parse_config(BASE.format(out=tmp_path))
+    assert exc.value.problems == ["the rho rule refuses every list"]
+
+
+def test_hole_count_mismatch_is_a_validation_failure(tmp_path, capsys):
+    text = BASE.format(out=tmp_path / "out").replace("alphas = 3.0", "alphas = 3.0 3.0")
+    assert main(["construct", "--config", _write(tmp_path, text)]) == 1
+    assert capsys.readouterr().err == "validation failure: 1 centers but 2 alphas\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("case", ["empty-flag", "empty-key", "existing-file", "under-a-file"])
+def test_output_directory_that_cannot_be_created(tmp_path, capsys, monkeypatch, case):
+    # exit 1 with the OSError named, before anything is solved
+    text = BASE.format(out=tmp_path / "out")
+    blocker = tmp_path / "file"
+    blocker.write_text("kept\n")
+    flags = []
+    if case == "empty-flag":
+        flags = ["--out", ""]
+    elif case == "empty-key":
+        text = text.replace(f"out = {tmp_path / 'out'}", "out =")
+    elif case == "existing-file":
+        flags = ["--out", str(blocker)]
+    else:
+        flags = ["--out", str(blocker / "out")]
+    monkeypatch.setattr(Run, "stage", lambda run, rho: pytest.fail("a stage was prepared"))
+    assert main(["construct", "--config", _write(tmp_path, text), *flags]) == 1
+    assert capsys.readouterr().err.startswith("cannot create output directory: [Errno ")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["file", "run.cfg"]
+    assert blocker.read_text() == "kept\n"
 
 
 def test_readme_lists_the_config_keys():

@@ -44,7 +44,8 @@ def test_config_violations_are_named(disk):
     cases = [({"alphas": [1.5]}, "alpha must exceed 2 (alpha_1 = 1.5)"),
              ({"alphas": [3.0, 4.0], "centers": [[0, 0], [0.5, 0]]}, "even integer (alpha_2"),
              ({"m1": 2}, "m1 must lie in 0..1 (m1 = 2)"),
-             ({"tau": 0.0}, "tau must be positive (tau = 0.0)")]
+             ({"tau": 0.0}, "tau must be positive (tau = 0.0)"),
+             ({"centers": [[0, 0], [0.5, 0]]}, "2 centers but 1 alphas")]
     for override, text in cases:
         kw = dict(domain=disk, centers=[[0, 0]], alphas=[3.0], m1=1)
         kw.update(override)

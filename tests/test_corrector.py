@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import sinhpierce.corrector as corrector_mod
-from sinhpierce.coeffs import BlowupConfig, compute_rho_i, constant_potential
+from sinhpierce.coeffs import BlowupConfig, choose_scales, compute_rho_i, constant_potential
 from sinhpierce.corrector import (
     Run,
     SolveReport,
@@ -35,7 +35,7 @@ from sinhpierce.operators import (
     residual_R,
 )
 
-from conftest import BAD_SETTINGS
+from conftest import BAD_RHOS, BAD_SETTINGS
 
 
 def test_construct_solution_report(coarse_solution):
@@ -298,6 +298,30 @@ def test_failing_stage_is_prepared_once(disk, gp, coarse_policy, monkeypatch):
 def test_sweep_rejects_unsorted(coarse_run):
     with pytest.raises(ValueError):
         continuation_sweep(coarse_run, [1e-4, 1e-2])
+
+
+@pytest.mark.parametrize("rho_list, message", [row[1:] for row in BAD_RHOS.values()],
+                         ids=BAD_RHOS)
+def test_refused_rho_list_prepares_no_stage(coarse_run, monkeypatch, rho_list, message):
+    # the one rho rule: a refused list ends the sweep before its first stage,
+    # and a refused single rho ends choose_scales and run.stage with the same
+    # ValueError, not with a hole radius error
+    real_stage, staged = Run.stage, []
+
+    def counted(run, rho):
+        staged.append(rho)
+        return real_stage(run, rho)
+
+    monkeypatch.setattr(Run, "stage", counted)
+    with pytest.raises(ValueError) as exc:
+        continuation_sweep(coarse_run, rho_list)
+    assert type(exc.value) is ValueError and str(exc.value) == message
+    assert staged == []
+    if len(rho_list) == 1:
+        for call in (choose_scales, lambda cfg, rho, gp: coarse_run.stage(rho)):
+            with pytest.raises(ValueError) as exc:
+                call(coarse_run.cfg, rho_list[0], coarse_run.gp)
+            assert type(exc.value) is ValueError and str(exc.value) == message
 
 
 def test_negative_liouville_case(disk, gp, coarse_policy):
