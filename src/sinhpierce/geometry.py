@@ -37,7 +37,7 @@ MIN_HOLE_RADIUS = 1e-13
 MIN_HOLE_NODES = 32   # fewest nodes on a hole circle, whatever the grading ratio q
 SMOOTH_ITERS = 2      # Laplacian smoothing passes over the background's lattice nodes
 TWO_PI = 2.0 * math.pi   # the package's one copy of 2 pi
-_NEAREST_BLOCK = 1 << 16   # pairs per block of the all-pairs searches
+_NEAREST_BLOCK = 1 << 16   # pairs per block of the polygon searches (_runs)
 SAMPLE_ROUNDS = 64         # most draws of 4n candidates domain_sample_points makes
 MIN_GAP = 1e-9             # least node-to-edge gap over h of a boundary curve that meshes
 
@@ -134,9 +134,10 @@ def _check_simple(poly):
     order of i then j. Edge k runs from vertex k to vertex k + 1.
 
     Two segments meet when their bounding boxes overlap and neither has both
-    ends strictly on one side of the other's line. The boxes are compared
-    _NEAREST_BLOCK pairs at a time, the sides only for the pairs they keep;
-    every pair is compared, so the time grows with the square of len(poly).
+    ends strictly on one side of the other's line. Of two edges whose y
+    ranges overlap, one has its lowest y in the other's range, so _runs on
+    the lowest y offers every such pair; the x ranges are compared for
+    those, the sides only for the pairs the x ranges keep.
     """
     n = len(poly)
     a, b = poly, np.roll(poly, -1, axis=0)
@@ -146,72 +147,79 @@ def _check_simple(poly):
         return np.sign((b[e, 0] - a[e, 0]) * (q[:, 1] - a[e, 1])
                        - (b[e, 1] - a[e, 1]) * (q[:, 0] - a[e, 0]))
 
-    j = np.arange(n)
-    step = max(1, _NEAREST_BLOCK // n)
-    for k in range(0, n, step):
-        i = np.arange(k, min(k + step, n))[:, None]
+    hits = []
+    for e, f in _runs(lo[:, 1], poly, 0.0):
+        # the run makes the y ranges overlap; the x ranges must too
+        x = (lo[e, 0] <= hi[f, 0]) & (lo[f, 0] <= hi[e, 0])
+        i, j = np.minimum(e[x], f[x]), np.maximum(e[x], f[x])
         # j >= i + 2 shares no vertex with i, except the last edge with the first
         near = (j >= i + 2) & ((i > 0) | (j < n - 1))
-        for d in (0, 1):
-            near &= (lo[i, d] <= hi[j, d]) & (lo[j, d] <= hi[i, d])
-        ii, jj = np.nonzero(near)
-        ii += k
-        meet = (side(jj, a[ii]) * side(jj, b[ii]) <= 0) & (side(ii, a[jj]) * side(ii, b[jj]) <= 0)
-        if meet.any():
-            i, j = ii[np.argmax(meet)], jj[np.argmax(meet)]
-            raise ValueError(f"boundary curve is not simple: edge "
-                             f"{tuple(a[i].tolist())}-{tuple(b[i].tolist())} meets edge "
-                             f"{tuple(a[j].tolist())}-{tuple(b[j].tolist())}")
+        i, j = i[near], j[near]
+        meet = (side(j, a[i]) * side(j, b[i]) <= 0) & (side(i, a[j]) * side(i, b[j]) <= 0)
+        hits += zip(i[meet].tolist(), j[meet].tolist())
+    if hits:
+        i, j = min(hits)
+        raise ValueError(f"boundary curve is not simple: edge "
+                         f"{tuple(a[i].tolist())}-{tuple(b[i].tolist())} meets edge "
+                         f"{tuple(a[j].tolist())}-{tuple(b[j].tolist())}")
+
+
+def _runs(keys, poly, reach):
+    """Pairs (e, i) in blocks of at most _NEAREST_BLOCK: every index i of the
+    keys (never a nan) within reach of the y range of edge e of the closed
+    polygon, ends included. With the keys sorted, the candidates of an edge
+    are one contiguous run of them; every polygon question walks these."""
+    order = np.argsort(keys, kind="stable")
+    y0, y1 = poly[:, 1], np.roll(poly[:, 1], -1)
+    start = np.searchsorted(keys[order], np.minimum(y0, y1) - reach)
+    stop = np.searchsorted(keys[order], np.maximum(y0, y1) + reach, side="right")
+    end = np.cumsum(stop - start)   # pairs of the edges up to e
+    off = stop - end                # the pair numbered p of edge e is run entry off[e] + p
+    for p in range(0, int(end[-1]), _NEAREST_BLOCK):
+        e = slice(np.searchsorted(end, p, side="right"),
+                  np.searchsorted(end, p + _NEAREST_BLOCK) + 1)
+        k, i = _ranges(np.maximum(start[e], off[e] + p),
+                       np.minimum(stop[e], off[e] + p + _NEAREST_BLOCK))
+        k += e.start
+        i = order[i]
+        yield k, i
 
 
 def _point_in_polygon(points, poly):
-    """Ray-casting test; True for points strictly inside.
-
-    Edge k crosses the horizontal line through a point exactly when
-    min(y0, y1) <= y < max(y0, y1); with the points sorted by y that is one
-    contiguous run of them, so only those pairs are evaluated.
-    """
+    """Ray-casting test; True for points strictly inside. Edge k crosses the
+    horizontal line through a point exactly when min(y0, y1) <= y < max(y0,
+    y1), so only the points in its closed y range, which _runs offers, are
+    tested."""
     x, y = points[:, 0], points[:, 1]
     x0, y0 = poly[:, 0], poly[:, 1]
     x1, y1 = np.roll(x0, -1), np.roll(y0, -1)
-    order = np.argsort(y, kind="stable")
-    ys = y[order]
-    edge, run = _ranges(np.searchsorted(ys, np.minimum(y0, y1)),
-                        np.searchsorted(ys, np.maximum(y0, y1)))
-    pt = order[run]
-    with np.errstate(divide="ignore", invalid="ignore"):
+    count = np.zeros(len(points), dtype=np.int64)
+    for edge, pt in _runs(y, poly, 0.0):
+        cross = (y0[edge] <= y[pt]) != (y1[edge] <= y[pt])
+        edge, pt = edge[cross], pt[cross]
         xcross = x0[edge] + (y[pt] - y0[edge]) * (x1[edge] - x0[edge]) / (y1[edge] - y0[edge])
-    hits = x[pt] < xcross
-    return np.bincount(pt[hits], minlength=len(points)) % 2 == 1
+        count += np.bincount(pt[x[pt] < xcross], minlength=len(points))
+    return count % 2 == 1
 
 
-def _edge_distances(points, poly):
-    """(k, d) per block of _NEAREST_BLOCK point-edge pairs: d[i, e] is the
-    distance from points[k + i] to edge e of the closed polygon, which runs
-    from vertex e to vertex e + 1."""
-    a = poly
-    ab = np.roll(poly, -1, axis=0) - a
-    denom = np.einsum("ij,ij->i", ab, ab)
-    step = max(1, _NEAREST_BLOCK // len(poly))
-    for k in range(0, len(points), step):
-        pts = points[k:k + step]
-        t = np.clip(np.einsum("ikj,kj->ik", pts[:, None, :] - a, ab) / denom, 0.0, 1.0)
-        proj = a + t[:, :, None] * ab
-        yield k, np.hypot(pts[:, None, 0] - proj[:, :, 0], pts[:, None, 1] - proj[:, :, 1])
-
-
-def _dist_to_polygon(points, poly):
-    """Unsigned distance from each point to the closed polygon boundary: the
-    least of its _edge_distances."""
-    out = np.empty(len(points))
-    for k, d in _edge_distances(points, poly):
-        out[k:k + len(d)] = d.min(axis=1)
-    return out
+def _edge_gaps(points, poly, reach):
+    """(e, i, d) per block of _runs: d is the distance from points[i] to edge
+    e of the closed polygon, which runs from vertex e to vertex e + 1. Every
+    pair with d <= reach is among them: the runs widen by a rounding margin."""
+    x, y = points[:, 0], points[:, 1]
+    ax, ay = poly[:, 0], poly[:, 1]
+    abx, aby = np.roll(ax, -1) - ax, np.roll(ay, -1) - ay
+    denom = abx * abx + aby * aby
+    for e, i in _runs(y, poly, reach * (1 + 1e-9) + _rounding_slack(poly)):
+        px, py, ex, ey, dx, dy = x[i], y[i], ax[e], ay[e], abx[e], aby[e]
+        t = np.clip(((px - ex) * dx + (py - ey) * dy) / denom[e], 0.0, 1.0)
+        yield e, i, np.hypot(px - (ex + t * dx), py - (ey + t * dy))
 
 
 def _check_width(bpoly, h):
     """ConstraintViolation naming the first node of the resampled boundary
-    polygon that lies within MIN_GAP h of an edge that does not contain it.
+    polygon that lies within MIN_GAP h of an edge that does not contain it,
+    and the first such edge.
 
     The background's Delaunay stitch cannot place such a node on its side
     of the curve: the sliver 0 0; 1 0; 2 1e-12, whose nodes lie 5e-13 h
@@ -222,62 +230,56 @@ def _check_width(bpoly, h):
     turns away no mesh whose triangles all have quality above 1e-9.
     """
     n = len(bpoly)
-    for k, d in _edge_distances(bpoly, bpoly):
-        rows = np.arange(len(d))
-        d[rows, rows + k] = d[rows, (rows + k - 1) % n] = np.inf   # the node's own edges
-        near = np.argwhere(d < MIN_GAP * h)
-        if near.size:
-            i, e = near[0]
-            raise ConstraintViolation(
-                f"boundary curve too thin for mesh spacing h = {h:g}: resampled node "
-                f"{i + k} {tuple(bpoly[i + k].tolist())} lies {d[i, e]:.3g} from edge "
-                f"{tuple(bpoly[e].tolist())}-{tuple(bpoly[(e + 1) % n].tolist())}, "
-                f"under {MIN_GAP:g} h")
-
-
-def _half_longest_edge(poly):
-    ab = np.roll(poly, -1, axis=0) - poly
-    return 0.5 * math.sqrt(np.einsum("ij,ij->i", ab, ab).max())
+    hits = []
+    for e, i, d in _edge_gaps(bpoly, bpoly, MIN_GAP * h):
+        near = (d < MIN_GAP * h) & (e != i) & (e != (i - 1) % n)   # not the node's own edges
+        hits += zip(i[near].tolist(), e[near].tolist(), d[near].tolist())
+    if hits:
+        i, e, gap = min(hits)
+        raise ConstraintViolation(
+            f"boundary curve too thin for mesh spacing h = {h:g}: resampled node "
+            f"{i} {tuple(bpoly[i].tolist())} lies {gap:.3g} from edge "
+            f"{tuple(bpoly[e].tolist())}-{tuple(bpoly[(e + 1) % n].tolist())}, "
+            f"under {MIN_GAP:g} h")
 
 
 def _rounding_slack(poly):
-    return 1e-12 * (1.0 + np.abs(poly).max())
+    return 1e-12 * np.abs(poly).max()
 
 
-def _inside_farther_than(points, domain: DomainSpec, poly, dist):
-    """_signed_inside_distance(points, domain, poly) > dist, for dist >= 0.
-
-    No edge comes nearer a point than its nearest vertex less half the
-    longest edge, so only the points where that bound (with a margin for
-    rounding) leaves the answer open take the edge search; the others need
-    the inside test alone.
-    """
+def _farther_than(points, domain: DomainSpec, poly, dist, side=1):
+    """side * _signed_inside_distance(points, domain, poly) > dist, for
+    dist >= 0 and side 1 (inside) or -1 (outside), at finite points: of the
+    points the inside test puts on that side, those _edge_gaps finds within
+    dist of an edge drop out."""
     pts = np.asarray(points, dtype=float)
     if domain.kind == "unit-disk":
-        return 1.0 - np.hypot(pts[:, 0], pts[:, 1]) > dist
-    keep = _point_in_polygon(pts, poly)
-    vertex_dist, _ = cKDTree(poly).query(pts)
-    settled = vertex_dist - _half_longest_edge(poly) > dist * (1 + 1e-9) + _rounding_slack(poly)
-    band = np.flatnonzero(keep & ~settled)
-    keep[band] = _dist_to_polygon(pts[band], poly) > dist
-    return keep
+        return side * _signed_inside_distance(pts, domain, poly) > dist
+    out = _point_in_polygon(pts, poly) == (side > 0)
+    keep = np.flatnonzero(out)
+    for _, i, d in _edge_gaps(pts[keep], poly, dist):
+        out[keep[i[~(d > dist)]]] = False
+    return out
 
 
 def _ranges(start, stop):
     """(k, i) for every i in every half-open range [start[k], stop[k])."""
     n = stop - start
-    k = np.repeat(np.arange(n.size), n)
-    return k, np.arange(k.size) + np.repeat(start - (np.cumsum(n) - n), n)
+    i = np.repeat(start - (np.cumsum(n) - n), n)
+    i += np.arange(i.size)
+    return np.repeat(np.arange(n.size), n), i
 
 
 def _signed_inside_distance(points, domain: DomainSpec, poly):
-    """Distance to the boundary for inside points, -distance outside."""
+    """Distance to the boundary for inside points, -distance outside; on a
+    polygon, the least of the point's _edge_gaps over every edge."""
     pts = np.asarray(points, dtype=float)
     if domain.kind == "unit-disk":
         return 1.0 - np.hypot(pts[:, 0], pts[:, 1])
-    d = _dist_to_polygon(pts, poly)
-    inside = _point_in_polygon(pts, poly)
-    return np.where(inside, d, -d)
+    d = np.full(len(pts), np.inf)
+    for _, i, gap in _edge_gaps(pts, poly, np.inf):
+        np.minimum.at(d, i, gap)
+    return np.where(_point_in_polygon(pts, poly), d, -d)
 
 
 def domain_sample_points(domain: DomainSpec, n=2000, seed=0):
@@ -292,7 +294,7 @@ def domain_sample_points(domain: DomainSpec, n=2000, seed=0):
     pts = np.empty((0, 2))
     for _ in range(SAMPLE_ROUNDS):
         cand = rng.uniform(lo, hi, size=(4 * n, 2))
-        pts = np.vstack([pts, cand[_inside_farther_than(cand, domain, domain.boundary, 0.0)]])
+        pts = np.vstack([pts, cand[_farther_than(cand, domain, domain.boundary, 0.0)]])
         if len(pts) >= n:
             return pts[:n]
     raise ConstraintViolation(
@@ -639,7 +641,7 @@ def _background(domain, centers, eta, policy) -> _Background:
     if circle_pts:
         cpts = np.vstack(circle_pts)
         reach = 0.45 * np.concatenate(circle_spacing)
-        inside = _inside_farther_than(cpts, domain, bpoly, 0.55 * h)
+        inside = _farther_than(cpts, domain, bpoly, 0.55 * h)
         for xi in centers:
             inside &= np.hypot(cpts[:, 0] - xi[0], cpts[:, 1] - xi[1]) > eta + reach
         base = np.vstack(pot_pts)
@@ -653,7 +655,7 @@ def _background(domain, centers, eta, policy) -> _Background:
 
     # hex lattice clipped to the domain minus the patch exclusion zones
     hex_pts = _hex_lattice(*domain.box, h)
-    keep = _inside_farther_than(hex_pts, domain, bpoly, 0.55 * h)
+    keep = _farther_than(hex_pts, domain, bpoly, 0.55 * h)
     for xi, rad in exclusion:
         keep &= np.hypot(hex_pts[:, 0] - xi[0], hex_pts[:, 1] - xi[1]) > rad
     hex_pts = hex_pts[keep]
@@ -981,23 +983,20 @@ class FieldEvaluator:
 def _nearest_nodes(mesh, points):
     """Index of the node nearest to each point, the first one on a tie.
 
-    Nearest means least np.hypot; only the nodes whose squared distance
-    comes within rounding of the least one are measured that way.
+    Nearest means least np.hypot; a k-d tree of the nodes gives each point
+    the nodes within rounding of its nearest distance, and only those are
+    measured that way.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    x, y = mesh.nodes[:, 0], mesh.nodes[:, 1]
-    step = max(1, _NEAREST_BLOCK // mesh.n_nodes)
-    out = np.empty(pts.shape[0], dtype=int)
-    for k in range(0, pts.shape[0], step):
-        p = pts[k:k + step]
-        dx = x - p[:, :1]
-        dy = y - p[:, 1:]
-        d2 = dx * dx + dy * dy
-        rows, cols = np.nonzero(d2 <= d2.min(axis=1, keepdims=True) * (1 + 1e-12) + 1e-300)
-        d = np.hypot(dx[rows, cols], dy[rows, cols])
-        order = np.lexsort((cols, d, rows))
-        out[k:k + step] = cols[order][np.diff(rows[order], prepend=-1) != 0]
-    return out
+    if not len(pts):
+        return np.zeros(0, dtype=int)
+    tree = cKDTree(mesh.nodes)
+    near = tree.query_ball_point(pts, tree.query(pts)[0] * (1 + 1e-9))
+    rows = np.repeat(np.arange(len(pts)), [len(js) for js in near])
+    cols = np.concatenate(near).astype(int)
+    d = np.hypot(mesh.nodes[cols, 0] - pts[rows, 0], mesh.nodes[cols, 1] - pts[rows, 1])
+    order = np.lexsort((cols, d, rows))
+    return cols[order][np.diff(rows[order], prepend=-1) != 0]
 
 
 def _each(f, x, y):

@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import CoincidentPoints, PointOutsideDomain
-from .geometry import TWO_PI, DomainSpec, FieldEvaluator, _signed_inside_distance, build_domain_mesh
+from .geometry import TWO_PI, DomainSpec, FieldEvaluator, _farther_than, build_domain_mesh
 from .operators import get_ops, release_ops
 
 
@@ -24,13 +24,13 @@ class _Green:
 
     def check_inside(self, points):
         """Raise on the first of the points, an (n, 2) array, farther than
-        1e-10 outside the domain."""
+        1e-10 outside the domain or not finite."""
         pts = np.asarray(points, dtype=float)
-        out = np.flatnonzero(
-            _signed_inside_distance(pts, self.domain, self.domain.boundary) < -1e-10)
-        if out.size:
+        out = ~np.isfinite(pts).all(axis=1)
+        out[~out] = _farther_than(pts[~out], self.domain, self.domain.boundary, 1e-10, side=-1)
+        if out.any():
             raise PointOutsideDomain(
-                f"point {tuple(pts[out[0]].tolist())} lies outside the domain")
+                f"point {tuple(pts[np.argmax(out)].tolist())} lies outside the domain")
 
     def green(self, x, y) -> float:
         return float(self.green_many(x, y)[0])

@@ -274,9 +274,8 @@ def _nearest_nodes_per_point(mesh, points):
                      for p in pts], dtype=int)
 
 
-@pytest.mark.parametrize("block", [1, 7 * 81, 1 << 16])
-def test_nearest_nodes_match_the_per_point_pass(coarse_solution, block, monkeypatch):
-    monkeypatch.setattr(geometry, "_NEAREST_BLOCK", block)
+@pytest.mark.parametrize("n", [1, 7 * 81, 1 << 16])
+def test_nearest_nodes_match_the_per_point_pass(coarse_solution, n):
     # a dyadic grid: cell midpoints tie exactly between two or four nodes,
     # and some points sit on a node
     g = np.arange(-4, 5) * 0.125
@@ -287,8 +286,13 @@ def test_nearest_nodes_match_the_per_point_pass(coarse_solution, block, monkeypa
     got = geometry._nearest_nodes(grid, ties)
     assert got.tolist() == _nearest_nodes_per_point(grid, ties).tolist()
     assert got[0] == 40 and got[1] == 40   # the first of four, and the node itself
+    # n points on the half-step lattice: nodes, edge and cell midpoints, all ties
+    lattice = np.random.default_rng(n).integers(-10, 11, (n, 2)) * 0.0625
+    assert geometry._nearest_nodes(grid, lattice).tolist() \
+        == _nearest_nodes_per_point(grid, lattice).tolist()
     mesh = coarse_solution.stage.mesh
     pts = np.vstack([np.random.default_rng(5).uniform(-0.8, 0.8, (40, 2)), mesh.nodes[::97]])
     assert geometry._nearest_nodes(mesh, pts).tolist() \
         == _nearest_nodes_per_point(mesh, pts).tolist()
     assert geometry._nearest_nodes(mesh, mesh.nodes[5]).tolist() == [5]
+    assert geometry._nearest_nodes(mesh, np.zeros((0, 2))).shape == (0,)

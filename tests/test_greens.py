@@ -10,6 +10,8 @@ from sinhpierce.geometry import DomainSpec
 from sinhpierce.greens import AnalyticDiskGreen, GreenProvider, NumericGreen
 from sinhpierce.operators import get_ops
 
+_SQUARE = DomainSpec("boundary-curve", [[-0.9, -0.9], [0.9, -0.9], [0.9, 0.9], [-0.9, 0.9]])
+
 
 def test_green_at_disk_center(gp):
     # H(., 0) vanishes on the disk, so G is the plain logarithm
@@ -74,6 +76,31 @@ def test_one_inside_check_with_one_tolerance(backend, numeric_disk):
     with pytest.raises(PointOutsideDomain,
                        match=r"^point \(0\.0, 1\.000000001\) lies outside the domain$"):
         impl.check_inside(np.array([[0.0, 0.5], [0.0, 1 + 1e-9], [1.5, 0.0]]))
+
+
+@pytest.fixture(scope="module")
+def numeric_square():
+    return GreenProvider(_SQUARE)
+
+
+@pytest.mark.parametrize("edge", [(1, 0), (0, -1)], ids=["right", "bottom"])
+def test_square_inside_check_tolerance(numeric_square, edge):
+    # the same 1e-10 as the disk's: 0.5e-10 outside a side passes, 2e-10
+    # outside raises, wherever along the side
+    n = np.array(edge, dtype=float)
+    along = np.array([[0.3, 0.3], [-0.9, -0.9], [0.9, 0.9]]) * n[::-1]
+    numeric_square.check_inside(0.9 * n + 0.5e-10 * n + along)
+    for p in 0.9 * n + 2e-10 * n + along:
+        with pytest.raises(PointOutsideDomain):
+            numeric_square.check_inside(np.array([[0.0, 0.0], p]))
+
+
+@pytest.mark.parametrize("point", [(math.nan, 0.5), (0.5, math.nan), (math.inf, 0.5),
+                                   (0.5, math.inf), (-math.inf, 0.2)])
+def test_points_that_are_not_finite_are_outside(numeric_square, point):
+    for impl in (numeric_square, AnalyticDiskGreen(DomainSpec())):
+        with pytest.raises(PointOutsideDomain):
+            impl.check_inside(np.array([[0.0, 0.0], point]))
 
 
 def test_boundary_vanishing(gp):
@@ -180,9 +207,6 @@ def test_numeric_green_factors_its_mesh_once(monkeypatch):
     ops = get_ops(ng.mesh)
     assert len(factored) == 1 and factored[0] is ops._K_II
     assert ops._poisson_lu is not None
-
-
-_SQUARE = DomainSpec("boundary-curve", [[-0.9, -0.9], [0.9, -0.9], [0.9, 0.9], [-0.9, 0.9]])
 
 
 def test_pair_table_drops_the_domain_operators_and_rebuilds_bit_for_bit():

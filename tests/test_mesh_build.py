@@ -1,5 +1,6 @@
-"""Exactness of the mesh construction's fast paths: the pruned inside test and
-the blocked distance against one all-pairs broadcast, the vectorized curve
+"""Exactness of the mesh construction's fast paths: the y-run searches (the
+inside test, the distance, and the thin-curve and self-meeting checks also
+at small blocks) against all-pairs references, the vectorized curve
 resample against the walk it replaced, the rim filter against the sector
 test it replaced, the bincount sums against the np.add.at accumulation, the
 background a Run shares against a cold build, a closed boundary curve
@@ -46,8 +47,8 @@ def point_in_polygon_all_pairs(points, poly):
     return np.sum(hits, axis=1) % 2 == 1
 
 
-def dist_to_polygon_all_pairs(points, poly):
-    """Reference: the distance to every edge, then the minimum."""
+def edge_distances_all_pairs(points, poly):
+    """Reference: d[i, e], the distance from point i to every edge e."""
     a = poly
     b = np.roll(poly, -1, axis=0)
     ab = b - a
@@ -55,14 +56,62 @@ def dist_to_polygon_all_pairs(points, poly):
     p = points[:, None, :] - a[None, :, :]
     t = np.clip(np.einsum("ikj,kj->ik", p, ab) / denom[None, :], 0.0, 1.0)
     proj = a[None, :, :] + t[:, :, None] * ab[None, :, :]
-    d = np.hypot(points[:, None, 0] - proj[:, :, 0], points[:, None, 1] - proj[:, :, 1])
-    return d.min(axis=1)
+    return np.hypot(points[:, None, 0] - proj[:, :, 0], points[:, None, 1] - proj[:, :, 1])
+
+
+def dist_to_polygon_all_pairs(points, poly):
+    """Reference: the distance to every edge, then the minimum."""
+    return edge_distances_all_pairs(points, poly).min(axis=1)
+
+
+def first_meeting_pair_all_pairs(poly):
+    """Reference: the first pair (i, j), i < j, of non-adjacent edges that
+    meet, every pair compared in the order of i then j; None if none."""
+    n = len(poly)
+    a, b = poly, np.roll(poly, -1, axis=0)
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    i, j = np.triu_indices(n, 2)
+    i, j = i[(i > 0) | (j < n - 1)], j[(i > 0) | (j < n - 1)]
+
+    def side(e, q):
+        return np.sign((b[e, 0] - a[e, 0]) * (q[:, 1] - a[e, 1])
+                       - (b[e, 1] - a[e, 1]) * (q[:, 0] - a[e, 0]))
+
+    meet = np.all((lo[i] <= hi[j]) & (lo[j] <= hi[i]), axis=1) \
+        & (side(j, a[i]) * side(j, b[i]) <= 0) & (side(i, a[j]) * side(i, b[j]) <= 0)
+    k = np.flatnonzero(meet)
+    return (int(i[k[0]]), int(j[k[0]])) if k.size else None
+
+
+def first_thin_node_all_pairs(bpoly, h):
+    """Reference: the first node within MIN_GAP h of an edge not its own,
+    that node's first such edge, and the gap; None if none."""
+    n = len(bpoly)
+    d = edge_distances_all_pairs(bpoly, bpoly)
+    d[np.arange(n), np.arange(n)] = d[np.arange(n), np.arange(n) - 1] = np.inf
+    near = np.argwhere(d < geometry.MIN_GAP * h)
+    return (int(near[0, 0]), int(near[0, 1]), d[tuple(near[0])]) if near.size else None
 
 
 def _star40():
     t = 2 * math.pi * np.arange(40) / 40
     rad = 0.6 + 0.3 * np.cos(5 * t)
     return np.column_stack([rad * np.cos(t), rad * np.sin(t)])
+
+
+def _d_shape(n):
+    """n vertices on the right half of the unit circle, closed by the chord
+    along the y axis: one edge whose y range holds every point."""
+    t = math.pi * (np.arange(n) / (n - 1) - 0.5)
+    return np.column_stack([np.cos(t), np.sin(t)])
+
+
+def _sawtooth(teeth):
+    """The unit square with teeth 1e-4 high along 0.01 of its bottom side:
+    many edges that share one thin y range."""
+    x = 0.01 * np.arange(2 * teeth + 1) / (2 * teeth)
+    y = np.where(np.arange(2 * teeth + 1) % 2 == 1, 1e-4, 0.0)
+    return np.vstack([np.column_stack([x, y]), [[1, 0], [1, 1], [0, 1]]])
 
 
 def resample_closed_curve_walk(p, h):
@@ -93,8 +142,9 @@ def test_resample_equals_the_walk(curve, h):
 
 @pytest.mark.parametrize("poly", [domain_boundary_polygon(SQUARE, 0.02),
                                   domain_boundary_polygon(SQUARE, 0.005),
-                                  _star40()],
-                         ids=["square-h0.02", "square-h0.005", "nonconvex-40gon"])
+                                  _star40(), _d_shape(400), _sawtooth(500)],
+                         ids=["square-h0.02", "square-h0.005", "nonconvex-40gon",
+                              "D-shape-400", "sawtooth-500"])
 def test_polygon_tests_equal_all_pairs(poly):
     rng = np.random.default_rng(3)
     lo, hi = poly.min(axis=0) - 0.2, poly.max(axis=0) + 0.2
@@ -108,23 +158,26 @@ def test_polygon_tests_equal_all_pairs(poly):
         # on the horizontal line through a vertex: the half-open crossing rule
         "vertex-y": np.column_stack([rng.uniform(lo[0], hi[0], len(poly)), poly[:, 1]]),
     }
+    domain = DomainSpec("boundary-curve", poly)
     for name, pts in point_sets.items():
         inside = geometry._point_in_polygon(pts, poly)
         assert np.array_equal(inside, point_in_polygon_all_pairs(pts, poly)), name
-        d = geometry._dist_to_polygon(pts, poly)
+        d = geometry._signed_inside_distance(pts, domain, poly)
         ref = dist_to_polygon_all_pairs(pts, poly)
-        assert np.array_equal(d.view(np.int64), ref.view(np.int64)), name
+        assert np.array_equal(d.view(np.int64), np.where(inside, ref, -ref).view(np.int64)), name
     # the sets reach both sides of the boundary
     assert 0 < geometry._point_in_polygon(point_sets["random"], poly).sum() < 3000
 
 
 @pytest.mark.parametrize("poly, h", [(domain_boundary_polygon(SQUARE, 0.02), 0.02),
                                      (domain_boundary_polygon(SQUARE, 0.005), 0.005),
-                                     (_star40(), 0.02)],
-                         ids=["square-h0.02", "square-h0.005", "nonconvex-40gon"])
+                                     (_star40(), 0.02), (_d_shape(400), 0.02),
+                                     (_sawtooth(500), 0.02)],
+                         ids=["square-h0.02", "square-h0.005", "nonconvex-40gon",
+                              "D-shape-400", "sawtooth-500"])
 def test_inside_farther_than_equals_signed_distance(poly, h):
-    # the hex-lattice filter of _background skips the edge search where the
-    # nearest-vertex bound settles it: the mask must be the full test's
+    # the hex-lattice filter of _background searches only the edges within
+    # reach of each point's y: the mask must be the full test's
     domain = DomainSpec("boundary-curve", poly)
     lo, hi = poly.min(axis=0), poly.max(axis=0)
     lattice = geometry._hex_lattice(lo, hi, h)
@@ -139,16 +192,10 @@ def test_inside_farther_than_equals_signed_distance(poly, h):
     for name, pts in point_sets.items():
         # the lattice at the filter's own threshold, the smaller sets at others
         for dist in (0.55 * h,) if name == "hex" else (0.0, 0.55 * h, 0.3):
-            keep = geometry._inside_farther_than(pts, domain, poly, dist)
+            keep = geometry._farther_than(pts, domain, poly, dist)
             assert np.array_equal(keep, signed[name] > dist), (name, dist)
-    # at the filter's threshold both branches occur: the band near the
-    # boundary takes the edge search, the points beyond it do not
-    vertex_dist = geometry.cKDTree(poly).query(lattice)[0]
-    band = vertex_dist - geometry._half_longest_edge(poly) <= 0.55 * h * (1 + 1e-9) \
-        + geometry._rounding_slack(poly)
-    assert band.any() and (~band & (signed["hex"] > 0)).any()
     disk = DomainSpec()
-    assert np.array_equal(geometry._inside_farther_than(lattice, disk, poly, 0.55 * h),
+    assert np.array_equal(geometry._farther_than(lattice, disk, poly, 0.55 * h),
                           geometry._signed_inside_distance(lattice, disk, poly) > 0.55 * h)
 
 
@@ -404,6 +451,36 @@ def test_curve_that_meets_itself_is_rejected(block, monkeypatch):
         assert np.array_equal(DomainSpec("boundary-curve", curve).boundary, curve)
 
 
+def _pentagram(n):
+    """The star polygon {n/2}: every edge crosses four others."""
+    t = 2 * math.pi * 2 * np.arange(n) / n
+    return np.column_stack([np.cos(t), np.sin(t)])
+
+
+@pytest.mark.parametrize("block", [geometry._NEAREST_BLOCK, 7], ids=["one-block", "row-blocks"])
+def test_first_meeting_pair_equals_all_pairs(block, monkeypatch):
+    # the run search offers the pairs in another order than i then j, and
+    # from either end; the message still names the all-pairs first pair
+    monkeypatch.setattr(geometry, "_NEAREST_BLOCK", block)
+    rng = np.random.default_rng(13)
+    curves = [np.array(FIGURE_EIGHT, dtype=float), _pentagram(5), _pentagram(11)]
+    curves += [rng.uniform(-1, 1, size=(n, 2)) for n in (8, 30, 120)]
+    # a zigzag that comes back across itself: crossings whose first edge
+    # has the higher lowest y
+    zig = np.column_stack([np.arange(40) % 2, np.arange(40) * 0.1])
+    curves.append(np.vstack([zig, zig[::-1] + [0.5, 0.05]]))
+    for poly in curves:
+        i, j = first_meeting_pair_all_pairs(poly)
+        a, b = poly, np.roll(poly, -1, axis=0)
+        with pytest.raises(ValueError) as exc:
+            geometry._check_simple(poly)
+        assert str(exc.value) == (
+            f"boundary curve is not simple: edge {tuple(a[i].tolist())}-{tuple(b[i].tolist())} "
+            f"meets edge {tuple(a[j].tolist())}-{tuple(b[j].tolist())}")
+    geometry._check_simple(_d_shape(60))
+    geometry._check_simple(_sawtooth(20))
+
+
 # --- conformity check ----------------------------------------------------
 
 def _assert_rejects_broken(mesh, k):
@@ -503,6 +580,30 @@ def test_too_thin_curve_is_named(h, block, monkeypatch):
     assert re.fullmatch(rf"boundary curve too thin for mesh spacing h = {h:g}: resampled node 1 "
                         rf"\({h:g}, 0.0\) lies \S+ from edge \(\S+, \S+\)-\(\S+, \S+\), "
                         r"under 1e-09 h", str(exc.value)), str(exc.value)
+
+
+@pytest.mark.parametrize("block", [geometry._NEAREST_BLOCK, 7], ids=["one-block", "row-blocks"])
+def test_first_thin_node_equals_all_pairs(block, monkeypatch):
+    # many nodes lie within the gap, at several edges each: the message
+    # names the first node, its first edge and its gap, as all pairs do
+    monkeypatch.setattr(geometry, "_NEAREST_BLOCK", block)
+    cases = [(domain_boundary_polygon(DomainSpec("boundary-curve", SLIVER), 0.05), 0.05),
+             (geometry._resample_closed_curve(np.array([[0, 0], [1, 0], [1, 1e-12],
+                                                        [0, 1e-12]]), 0.1), 0.1),
+             # gaps of 0.05 to 0.3: most nodes have several edges within them
+             (_star40(), 0.2 / geometry.MIN_GAP), (_d_shape(60), 0.3 / geometry.MIN_GAP),
+             (_sawtooth(20), 0.05 / geometry.MIN_GAP)]
+    for bpoly, h in cases:
+        i, e, gap = first_thin_node_all_pairs(bpoly, h)
+        n = len(bpoly)
+        with pytest.raises(ConstraintViolation) as exc:
+            geometry._check_width(bpoly, h)
+        assert str(exc.value) == (
+            f"boundary curve too thin for mesh spacing h = {h:g}: resampled node {i} "
+            f"{tuple(bpoly[i].tolist())} lies {gap:.3g} from edge "
+            f"{tuple(bpoly[e].tolist())}-{tuple(bpoly[(e + 1) % n].tolist())}, under 1e-09 h")
+    for poly in (_d_shape(60), _sawtooth(20)):
+        geometry._check_width(poly, 1e-3)
 
 
 def _wedge(degrees):

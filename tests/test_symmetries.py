@@ -5,15 +5,23 @@ first m1 holes positive, then -tau u solves it with (rho tau, 1/tau, V2, V1)
 and the other holes positive, listed first. The construction follows the
 mirror to rounding, on the same nodes, and the answer does not depend on the
 order in which the holes are listed.
+
+Scaling: x -> L x maps a solution on the domain to one on the scaled domain
+(rho scaled by 1/L^2). With h and the hole radii scaled by L too, the mesh
+keeps its node and triangle counts; a count that moved with L would show an
+absolute length, such as a search margin, inside the mesh build.
 """
 
 import numpy as np
 import pytest
 
+from sinhpierce import geometry
 from sinhpierce.coeffs import BlowupConfig
 from sinhpierce.corrector import Run, construct_solution
-from sinhpierce.geometry import DomainSpec, MeshPolicy
+from sinhpierce.geometry import DomainSpec, MeshPolicy, annulus_radius
 from sinhpierce.greens import GreenProvider
+
+from conftest import pierced_mesh
 
 SQUARE = DomainSpec("boundary-curve", [[-0.9, -0.9], [0.9, -0.9], [0.9, 0.9], [-0.9, 0.9]])
 PAIR = [[0.4, 0.0], [-0.4, 0.1]]   # the first lexicographically larger
@@ -65,3 +73,16 @@ def test_pair_table_does_not_depend_on_the_hole_order():
         Hp, Gp = gp.pair_table(c[perm])
         assert Hp.tobytes() == H[np.ix_(perm, perm)].tobytes(), perm
         assert Gp.tobytes() == G[np.ix_(perm, perm)].tobytes(), perm
+
+
+@pytest.mark.parametrize("L", [0.5, 1.0, 8.0])
+def test_mesh_counts_scale_with_the_domain(L):
+    # the square pair at h = 0.02 L with radii 1e-3 L: background and pierced
+    # mesh keep their node and triangle counts at every L (exact in binary)
+    domain = DomainSpec("boundary-curve", L * SQUARE.boundary)
+    centers = L * np.array([[-0.4, 0.0], [0.4, 0.0]])
+    policy = MeshPolicy(h=0.02 * L)
+    bg = geometry._background(domain, centers, annulus_radius(domain, centers), policy)
+    mesh = pierced_mesh(domain, centers, [1e-3 * L] * 2, policy)
+    assert (len(bg.pot), len(bg.tris)) == (8441, 16460)
+    assert (mesh.n_nodes, mesh.n_triangles) == (9785, 19148)
