@@ -17,7 +17,7 @@ import sys
 
 from . import verify
 from .coeffs import dump_csv
-from .corrector import Run, construct_solution, continuation_sweep
+from .corrector import construct_solution, continuation_sweep
 from .errors import (
     ConstraintViolation,
     Diverged,
@@ -78,8 +78,7 @@ def _write_report(report, man: Manifest, claim):
 def _cmd_construct(rc: RunConfig, man: Manifest):
     # the Run is not kept, so its Lap + W factor is freed before the files are written
     try:
-        sol = construct_solution(Run(rc.problem, rc.policy, tol=rc.tol, maxiter=rc.maxiter,
-                                     p_norms=rc.p_list), rc.rho_list[0])
+        sol = construct_solution(rc.new_run(), rc.rho_list[0])
     except (Diverged, NearSingular) as exc:
         _write_report(exc.report, man, "failed correction: status and history so far")
         raise
@@ -98,8 +97,7 @@ def _cmd_construct(rc: RunConfig, man: Manifest):
 
 
 def _cmd_sweep(rc: RunConfig, man: Manifest):
-    sw = continuation_sweep(Run(rc.problem, rc.policy, tol=rc.tol, maxiter=rc.maxiter,
-                                p_norms=rc.p_list), rc.rho_list)
+    sw = continuation_sweep(rc.new_run(), rc.rho_list)
     out = man.out_dir
     path = os.path.join(out, "sweep.csv")
     sw.write_csv(path)
@@ -186,8 +184,8 @@ def main(argv=None) -> int:
                "sections and keys, rho not positive or not descending, construct "
                "with more than one rho, p < 1, tol <= 0, maxiter < 1, seed < 0, ...; "
                "or V1 or V2 not positive where the sign split uses it, or not finite, "
-               "at a sampled point or, later, at a mesh node, which the message names; "
-               "or an output directory that cannot be created); 2 solver failure; "
+               "at a sampled point or, later, at a hole center or a mesh node, which the "
+               "message names; or an output directory that cannot be created); 2 solver failure; "
                "3 check failure.")
     parser.add_argument("command", choices=COMMANDS)
     parser.add_argument("--config", required=True, help="path to the INI config")

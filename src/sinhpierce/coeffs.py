@@ -13,8 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (ConstraintViolation, NonpositivePotentialAtCenter, NonpositiveSampled,
-                     SingularSystem)
+from .errors import ConstraintViolation, NonpositiveSampled, SingularSystem
 from .geometry import TWO_PI, DomainSpec
 from .greens import GreenProvider
 
@@ -83,19 +82,32 @@ class BlowupConfig:
         -V2 e^{-tau u} term makes -tau u, not u, the Liouville bubble."""
         return v if i < self.m1 else -v / self.tau
 
+    def couple(self, i, j, w):
+        """Bubble j's term w as it enters at hole i: w on i's side, -w/tau for
+        a negative j at a positive i, -tau w for a positive j at a negative i."""
+        if (i < self.m1) == (j < self.m1):
+            return w
+        return -w / self.tau if i < self.m1 else -self.tau * w
+
+    def feed(self, i):
+        """(k, weight): V1 (k = 0) with 1.0 feeds the first m1 holes, V2 (k = 1)
+        with tau the rest, as -tau u solves Liouville with potential tau V2."""
+        return (0, 1.0) if i < self.m1 else (1, self.tau)
+
     def potentials_at(self, points, where):
         """V1 and V2 at the (n, 2) points, each an (n,) array, once both pass
         the one rule for the potentials: V1 then V2, each positive where the
         sign split uses it (V1 if m1 > 0, V2 if m1 < m; nan fails) or else
         NonpositiveSampled, then finite or else ConstraintViolation. where is
         "sample" for parse_config's sample cloud (the message says that only
-        those points are checked) or "node" (it names the mesh node)."""
+        those points are checked), "node" or "center" (it names the node or hole)."""
         pts = np.asarray(points, dtype=float)
         n = pts.shape[0]
 
         def at(i):
             xy = f"({pts[i, 0]:.6g}, {pts[i, 1]:.6g})"
-            return xy if where == "sample" else f"node {i} {xy}"
+            return {"sample": xy, "node": f"node {i} {xy}",
+                    "center": f"hole {i + 1} center {xy}"}[where]
 
         out = []
         for name, V, positive in (("V1", self.V1, self.m1 > 0), ("V2", self.V2, self.m1 < self.m)):
@@ -143,18 +155,12 @@ def compute_rho_i(cfg: BlowupConfig, gp: GreenProvider) -> np.ndarray:
     """Interaction exponents rho_i built from Green values at the centers."""
     H, G = gp.pair_table(cfg.centers)
     a = cfg.alphas
-    m, m1, tau = cfg.m, cfg.m1, cfg.tau
-    out = np.zeros(m)
-    for i in range(m):
+    out = np.zeros(cfg.m)
+    for i in range(cfg.m):
         v = (a[i] + 2) * H[i, i]
-        for j in range(m):
-            if j == i:
-                continue
-            w = (a[j] + 2) * G[i, j]
-            if i < m1:
-                v += w if j < m1 else -w / tau
-            else:
-                v += -tau * w if j < m1 else w
+        for j in range(cfg.m):
+            if j != i:
+                v += cfg.couple(i, j, (a[j] + 2) * G[i, j])
         out[i] = v
     return out
 
@@ -176,22 +182,15 @@ def choose_scales(cfg: BlowupConfig, rho: float, gp: GreenProvider) -> ScalePara
         raise ValueError(problem)
     rho_i = compute_rho_i(cfg, gp)
     a = cfg.alphas
-    m, m1, tau = cfg.m, cfg.m1, cfg.tau
-    d = np.zeros(m)
-    for i in range(m):
-        # near a negative hole w = -tau u solves a Liouville equation with
-        # potential tau V2, so the bubble scale carries tau (1.0 leaves the bits)
-        name, V, weight = ("V1", cfg.V1, 1.0) if i < m1 else ("V2", cfg.V2, tau)
-        with np.errstate(all="ignore"):
-            v = float(V(cfg.centers[i, 0], cfg.centers[i, 1]))
-        if not 0 < v < math.inf:
-            raise NonpositivePotentialAtCenter(
-                f"{name}{tuple(cfg.centers[i].tolist())} = {v:.3g} is not positive and finite")
+    V = [v.tolist() for v in cfg.potentials_at(cfg.centers, "center")]   # floats overflow quietly
+    d = np.zeros(cfg.m)
+    for i in range(cfg.m):
+        k, weight = cfg.feed(i)   # weight 1.0 leaves the bits
         try:
             grow = math.exp(TWO_PI * rho_i[i])   # its bits set every scale
         except OverflowError:
             grow = math.inf
-        d[i] = v * grow * weight / (2 * a[i] ** 2)
+        d[i] = V[k][i] * grow * weight / (2 * a[i] ** 2)
     # d and r may leave the float range (d = 0 where exp(2 pi rho_i)
     # underflows, inf where it overflows); the eps that gives, 0, inf or nan,
     # is check_radii's to name
@@ -252,14 +251,11 @@ def solve_beta(cfg: BlowupConfig, scales: ScaleParams, gp: GreenProvider) -> np.
 
 
 def constraint_combination(cfg, beta) -> np.ndarray:
-    """Weighted column sums that the scale choice drives to 2 pi (alpha_i - 2)."""
-    m, m1, tau = cfg.m, cfg.m1, cfg.tau
-    out = np.zeros(m)
-    for i in range(m):
-        pos = sum(beta[j, i] for j in range(m1))
-        neg = sum(beta[j, i] for j in range(m1, m))
-        out[i] = pos - neg / tau if i < m1 else -tau * pos + neg
-    return out
+    """Weighted column sums that the scale choice drives to 2 pi (alpha_i - 2):
+    each side's sum enters at hole i through the coupling of any of its holes."""
+    sides = [[j for j in range(cfg.m) if cfg.sign(j) == s] for s in (1.0, -1.0)]
+    return np.array([sum(cfg.couple(i, g[0], sum(beta[j, i] for j in g)) for g in sides if g)
+                     for i in range(cfg.m)])
 
 
 def constraint_deviation(cfg, beta) -> np.ndarray:

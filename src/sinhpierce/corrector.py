@@ -122,14 +122,15 @@ class SolveReport:
                 wr.writerow([i + 1, f"{upd:.17g}", fac])
 
 
-def _check_resonance(report, L):
-    """Record the smallest eigenvalue of L; refuse to solve near resonance."""
-    lam = L.smallest_eigenvalue()
-    report.smallest_eigenvalue = lam
-    if abs(lam) < EIG_FLOOR:
-        report.status = "near-singular"
-        report.error = f"linearized operator near resonance, |lambda| ~ {abs(lam):.3e}"
-        raise NearSingular(report.error, report=report)
+def status_of(error_class):
+    """The report status that names an error class: NearSingular is "near-singular"."""
+    return re.sub(r"(?<!^)(?=[A-Z])", "-", error_class.__name__).lower()
+
+
+def _fail(report, error_class, message):
+    """Mark the report failed with error_class and raise it, report attached."""
+    report.status, report.error = status_of(error_class), message
+    raise error_class(message, report=report)
 
 
 def _defect(phi, st, cfg):
@@ -140,12 +141,6 @@ def _defect(phi, st, cfg):
                      st.V, cfg.tau, st.scales.rho)
     res[ops.boundary] = 0.0
     return res
-
-
-def _diverged(report, message):
-    report.status = "diverged"
-    report.error = message
-    raise Diverged(message, report=report)
 
 
 def _finish(report, phi, st, cfg):
@@ -184,7 +179,10 @@ def fixed_point_correct(run: Run, rho, phi0=None) -> tuple[Field, SolveReport]:
     L = run.linear_operator(rho)
     ops = get_ops(mesh)
     report = SolveReport(rho=scales.rho)
-    _check_resonance(report, L)
+    report.smallest_eigenvalue = lam = L.smallest_eigenvalue()
+    if abs(lam) < EIG_FLOOR:   # near resonance: refuse to solve
+        _fail(report, NearSingular,
+              f"linearized operator near resonance, |lambda| ~ {abs(lam):.3e}")
     for p in run.p_norms:
         report.r_norms[p] = ops.norm_lp(R, p)
 
@@ -193,10 +191,11 @@ def fixed_point_correct(run: Run, rho, phi0=None) -> tuple[Field, SolveReport]:
     for it in range(run.maxiter):
         sup = ops.norm_sup(phi.values)
         if sup > SUP_GUARD:
-            _diverged(report, f"sup norm {sup:.3g} exceeded the guard")
+            _fail(report, Diverged, f"sup norm {sup:.3g} exceeded the guard")
         N = nonlinear_N(phi.values, U.values, st.V, cfg.tau, scales.rho)
         if not np.all(np.isfinite(N)):
-            _diverged(report, f"N(phi) is not finite at sup norm {sup:.3g} (tau {cfg.tau:.6g})")
+            _fail(report, Diverged,
+                  f"N(phi) is not finite at sup norm {sup:.3g} (tau {cfg.tau:.6g})")
         new = L.solve(-(R + N))
         upd = ops.norm_h01(new.values - phi.values)
         report.updates_h01.append(upd)
@@ -210,8 +209,8 @@ def fixed_point_correct(run: Run, rho, phi0=None) -> tuple[Field, SolveReport]:
         report.iterations = it + 1
         if upd < run.tol * max(1.0, ops.norm_h01(phi.values)):
             return _finish(report, phi, st, cfg)
-    _diverged(report, f"no convergence in {run.maxiter} iterations "
-                      f"(last update {prev_update:.3e})")
+    _fail(report, Diverged, f"no convergence in {run.maxiter} iterations "
+                            f"(last update {prev_update:.3e})")
 
 
 # ---------------------------------------------------------------------------
@@ -449,9 +448,7 @@ def continuation_sweep(run: Run, rho_list, after_rho=None) -> SweepResult:
             reports.append(sol.report)
             prev = sol
         except SinhPierceError as exc:
-            stub = getattr(exc, "report", None) or SolveReport(
-                rho=rho,
-                status=re.sub(r"(?<!^)(?=[A-Z])", "-", type(exc).__name__).lower())
+            stub = getattr(exc, "report", None) or SolveReport(rho=rho, status=status_of(type(exc)))
             stub.error = stub.error or str(exc)
             solutions.append(None)
             reports.append(stub)

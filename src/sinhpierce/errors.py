@@ -32,10 +32,6 @@ class PointOutsideDomain(SinhPierceError):
 
 
 # --- coeffs ---
-class NonpositivePotentialAtCenter(SinhPierceError):
-    pass
-
-
 class SingularSystem(SinhPierceError):
     pass
 

@@ -137,18 +137,24 @@ def _check_simple(poly):
     ends strictly on one side of the other's line. Of two edges whose y
     ranges overlap, one has its lowest y in the other's range, so _runs on
     the lowest y offers every such pair; the x ranges are compared for
-    those, the sides only for the pairs the x ranges keep.
+    those, the sides only for the pairs the x ranges keep. Past one block,
+    x and y swap where that offers fewer pairs; side() only changes sign.
     """
     n = len(poly)
     a, b = poly, np.roll(poly, -1, axis=0)
     lo, hi = np.minimum(a, b), np.maximum(a, b)
+    runs = _run_bounds(lo[:, 1], a, 0.0)
+    if np.sum(runs[2] - runs[1]) > _NEAREST_BLOCK:
+        swap = _run_bounds(lo[:, 0], a[:, ::-1], 0.0)
+        if np.sum(swap[2] - swap[1]) < np.sum(runs[2] - runs[1]):
+            runs, a, b, lo, hi = swap, a[:, ::-1], b[:, ::-1], lo[:, ::-1], hi[:, ::-1]
 
     def side(e, q):
         return np.sign((b[e, 0] - a[e, 0]) * (q[:, 1] - a[e, 1])
                        - (b[e, 1] - a[e, 1]) * (q[:, 0] - a[e, 0]))
 
     hits = []
-    for e, f in _runs(lo[:, 1], poly, 0.0):
+    for e, f in _runs(*runs):
         # the run makes the y ranges overlap; the x ranges must too
         x = (lo[e, 0] <= hi[f, 0]) & (lo[f, 0] <= hi[e, 0])
         i, j = np.minimum(e[x], f[x]), np.maximum(e[x], f[x])
@@ -159,20 +165,23 @@ def _check_simple(poly):
         hits += zip(i[meet].tolist(), j[meet].tolist())
     if hits:
         i, j = min(hits)
-        raise ValueError(f"boundary curve is not simple: edge "
-                         f"{tuple(a[i].tolist())}-{tuple(b[i].tolist())} meets edge "
-                         f"{tuple(a[j].tolist())}-{tuple(b[j].tolist())}")
+        ends = [f"{tuple(poly[k].tolist())}-{tuple(poly[(k + 1) % n].tolist())}" for k in (i, j)]
+        raise ValueError(f"boundary curve is not simple: edge {ends[0]} meets edge {ends[1]}")
 
 
-def _runs(keys, poly, reach):
-    """Pairs (e, i) in blocks of at most _NEAREST_BLOCK: every index i of the
-    keys (never a nan) within reach of the y range of edge e of the closed
-    polygon, ends included. With the keys sorted, the candidates of an edge
-    are one contiguous run of them; every polygon question walks these."""
+def _run_bounds(keys, poly, reach):
+    """(order, start, stop): with the keys (never a nan) sorted by order, the
+    run start[e]:stop[e] of them holds every key within reach of the y range
+    of edge e of the closed polygon, ends included."""
     order = np.argsort(keys, kind="stable")
     y0, y1 = poly[:, 1], np.roll(poly[:, 1], -1)
     start = np.searchsorted(keys[order], np.minimum(y0, y1) - reach)
     stop = np.searchsorted(keys[order], np.maximum(y0, y1) + reach, side="right")
+    return order, start, stop
+
+
+def _runs(order, start, stop):
+    """Pairs (e, i) of _run_bounds' runs, in blocks of at most _NEAREST_BLOCK."""
     end = np.cumsum(stop - start)   # pairs of the edges up to e
     off = stop - end                # the pair numbered p of edge e is run entry off[e] + p
     for p in range(0, int(end[-1]), _NEAREST_BLOCK):
@@ -194,7 +203,7 @@ def _point_in_polygon(points, poly):
     x0, y0 = poly[:, 0], poly[:, 1]
     x1, y1 = np.roll(x0, -1), np.roll(y0, -1)
     count = np.zeros(len(points), dtype=np.int64)
-    for edge, pt in _runs(y, poly, 0.0):
+    for edge, pt in _runs(*_run_bounds(y, poly, 0.0)):
         cross = (y0[edge] <= y[pt]) != (y1[edge] <= y[pt])
         edge, pt = edge[cross], pt[cross]
         xcross = x0[edge] + (y[pt] - y0[edge]) * (x1[edge] - x0[edge]) / (y1[edge] - y0[edge])
@@ -210,7 +219,7 @@ def _edge_gaps(points, poly, reach):
     ax, ay = poly[:, 0], poly[:, 1]
     abx, aby = np.roll(ax, -1) - ax, np.roll(ay, -1) - ay
     denom = abx * abx + aby * aby
-    for e, i in _runs(y, poly, reach * (1 + 1e-9) + _rounding_slack(poly)):
+    for e, i in _runs(*_run_bounds(y, poly, reach * (1 + 1e-9) + _rounding_slack(poly))):
         px, py, ex, ey, dx, dy = x[i], y[i], ax[e], ay[e], abx[e], aby[e]
         t = np.clip(((px - ex) * dx + (py - ey) * dy) / denom[e], 0.0, 1.0)
         yield e, i, np.hypot(px - (ex + t * dx), py - (ey + t * dy))

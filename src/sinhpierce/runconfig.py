@@ -18,7 +18,7 @@ from types import MappingProxyType
 import numpy as np
 
 from .coeffs import BlowupConfig, rho_problems
-from .corrector import MAXITER, P_NORMS, TOL, setting_problems
+from .corrector import MAXITER, P_NORMS, TOL, Run, setting_problems
 from .errors import ParseError, SchemaError
 from .geometry import DomainSpec, MeshPolicy, domain_sample_points
 from .potentials import parse_potential
@@ -43,6 +43,11 @@ class RunConfig:
     maxiter: int
     seed: int
     out_dir: str
+
+    def new_run(self) -> Run:
+        """A Run of this problem with this mesh policy and these solver settings."""
+        return Run(self.problem, self.policy, tol=self.tol, maxiter=self.maxiter,
+                   p_norms=self.p_list)
 
 
 def _parse_floats(text):
@@ -133,8 +138,8 @@ def parse_config(text: str, run_overrides=None) -> RunConfig:
     except ValueError as exc:
         problems.append(f"alphas: {exc}")
 
-    def get_number(section, key, default, cast=float):
-        txt = get(section, key, default=None)
+    def get_number(section, key, default, cast=float, required=False):
+        txt = get(section, key, default=None, required=required)
         if txt is None:
             return default
         try:
@@ -143,9 +148,7 @@ def parse_config(text: str, run_overrides=None) -> RunConfig:
             problems.append(f"[{section}] {key}: not a number: {txt!r}")
             return default
 
-    m1 = get_number("problem", "m1", None, int)
-    if m1 is None:
-        problems.append("missing [problem] m1")
+    m1 = get_number("problem", "m1", None, int, required=True)
     tau = get_number("problem", "tau", 1.0)
 
     v1_expr = v2_expr = None

@@ -17,7 +17,7 @@ import numpy as np
 
 from .bubbles import far_expansion, lalpha_weight, make_bubbles
 from .coeffs import choose_scales, constraint_deviation, dominance_threshold, solve_beta
-from .corrector import SLOPE_SAMPLES, Run, continuation_sweep, log_slope
+from .corrector import SLOPE_SAMPLES, continuation_sweep, log_slope
 from .errors import QuadratureNonConvergence
 from .greens import AnalyticDiskGreen, NumericGreen
 from .geometry import TWO_PI, domain_sample_points
@@ -211,7 +211,7 @@ def suite(rc):
     # the quadrature loads scipy.integrate: do it before Run starts the
     # background mesh on its own thread, not while that thread works
     results = check_integral_identities(alphas=sorted(set(cfg.alphas.tolist())))
-    run = Run(cfg, rc.policy, tol=rc.tol, maxiter=rc.maxiter, p_norms=rc.p_list)
+    run = rc.new_run()
     for a in sorted(set(cfg.alphas.tolist())):
         results.append(check_kernel_annihilation(a))
 

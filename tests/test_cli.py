@@ -73,6 +73,12 @@ def test_parse_roundtrip(tmp_path):
     assert rc.policy.h == 0.05
 
 
+def test_m1_that_is_not_a_number_is_not_also_missing(tmp_path):
+    with pytest.raises(SchemaError) as exc:
+        parse_config(BASE.format(out=tmp_path).replace("m1 = 1", "m1 = one"))
+    assert exc.value.problems == ["[problem] m1: not a number: 'one'"]
+
+
 def test_even_alpha_rejected(tmp_path):
     with pytest.raises(ConstraintViolation) as exc:
         parse_config(BASE.format(out=tmp_path).replace("alphas = 3.0", "alphas = 4.0"))
@@ -155,6 +161,26 @@ def test_potential_fails_only_at_a_node(tmp_path, capsys, key, text, message, st
     assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "s"), "--rho", "1e-2 1e-3"]) == 2
     with open(tmp_path / "s" / "sweep.csv", newline="") as f:
         assert [row["status"] for row in csv.DictReader(f)] == [status] * 2
+
+
+@pytest.mark.parametrize("command, rho, code", [("construct", "1e-3", 1),
+                                                ("verify", "1e-2 1e-3", 1),
+                                                ("sweep", "1e-2 1e-3", 2)])
+def test_potential_zero_at_a_hole_center(tmp_path, capsys, command, rho, code):
+    # V1 = x^2 + y^2 passes at every sampled point but vanishes at the
+    # center of hole 1, which it feeds: the potentials' rule names the hole,
+    # as it names a node
+    cfg = _write(tmp_path, BASE.format(out=tmp_path).replace("v1 = 1", "v1 = x^2 + y^2"))
+    out = tmp_path / command
+    assert main([command, "--config", cfg, "--out", str(out), "--rho", rho]) == code
+    message = "V1 is not positive: value 0 at hole 1 center (0, 0)"
+    if command == "sweep":
+        with open(out / "sweep.csv", newline="") as f:
+            rows = list(csv.DictReader(f))
+        assert [(row["status"], row["error"]) for row in rows] == [
+            ("nonpositive-sampled", message)] * 2
+    else:
+        assert capsys.readouterr().err == f"validation failure: {message}\n"
 
 
 def test_long_potential_sum_is_accepted(tmp_path):

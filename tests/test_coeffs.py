@@ -20,7 +20,7 @@ from sinhpierce.coeffs import (
     solve_beta,
     solve_gamma,
 )
-from sinhpierce.errors import ConstraintViolation, NonpositivePotentialAtCenter
+from sinhpierce.errors import ConstraintViolation, NonpositiveSampled
 from sinhpierce.geometry import DomainSpec
 from sinhpierce.greens import GreenProvider
 from sinhpierce.potentials import parse_potential
@@ -104,22 +104,86 @@ def test_scales_out_of_range_without_warnings(disk, gp):
 def test_scales_nonpositive_potential(disk, gp):
     cfg = BlowupConfig(domain=disk, centers=[[0, 0]], alphas=[3.0], m1=1,
                        V1=constant_potential(0.0), V2=constant_potential(1.0))
-    with pytest.raises(NonpositivePotentialAtCenter):
+    with pytest.raises(NonpositiveSampled,
+                       match=r"^V1 is not positive: value 0 at hole 1 center \(0, 0\)$"):
         choose_scales(cfg, 1e-3, gp)
 
 
 @pytest.mark.parametrize("m1, name", [(1, "V1"), (0, "V2")])
 @pytest.mark.parametrize("text", ["1 + 1/x^2", "log(x^2 + y^2)^2", "0/x"])
 def test_scales_reject_a_potential_not_finite_at_a_center(disk, gp, m1, name, text):
-    # inf (and nan) at the center is named like a value <= 0, and the
-    # division's floating warning does not escape
-    V = parse_potential(text)
-    cfg = BlowupConfig(domain=disk, centers=[[0, 0]], alphas=[3.0], m1=m1, V1=V, V2=V)
+    # the potentials' one rule at the centers: nan is not positive, inf not
+    # finite, and the division's floating warning does not escape
+    V, one = parse_potential(text), constant_potential(1.0)
+    cfg = BlowupConfig(domain=disk, centers=[[0, 0]], alphas=[3.0], m1=m1,
+                       V1=V if m1 else one, V2=one if m1 else V)
+    error, message = ((NonpositiveSampled, rf"{name} is not positive: value nan")
+                      if text == "0/x" else
+                      (ConstraintViolation,
+                       rf"potential assumption violated: {name} must be finite \(value inf"))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(NonpositivePotentialAtCenter,
-                           match=rf"^{name}\(0\.0, 0\.0\) = (inf|nan) is not positive and finite$"):
+        with pytest.raises(error, match=rf"^{message} at hole 1 center \(0, 0\)\)?$"):
             choose_scales(cfg, 1e-3, gp)
+
+
+@pytest.mark.parametrize("m1, name", [(1, "V2"), (0, "V1")])
+def test_scales_need_the_unused_potential_finite_at_a_center(disk, gp, m1, name):
+    # hole 2's center (0, 0) takes the potential hole 1 does not use: it must
+    # be finite there too, as at every sample and node
+    V, one = parse_potential("1 + 1/x^2"), constant_potential(1.0)
+    cfg = BlowupConfig(domain=disk, centers=[[0.5, 0], [0, 0]], alphas=[3.0, 3.0], m1=m1,
+                       V1=one if m1 else V, V2=V if m1 else one)
+    with pytest.raises(ConstraintViolation, match=rf"^potential assumption violated: {name} "
+                                                  r"must be finite \(value inf at hole 2 center"):
+        choose_scales(cfg, 1e-3, gp)
+
+
+def _rho_i_written_out(cfg, gp):
+    """compute_rho_i with the sign split spelled out by m1 and tau."""
+    H, G = gp.pair_table(cfg.centers)
+    a, m, m1, tau = cfg.alphas, cfg.m, cfg.m1, cfg.tau
+    out = np.zeros(m)
+    for i in range(m):
+        v = (a[i] + 2) * H[i, i]
+        for j in range(m):
+            if j == i:
+                continue
+            w = (a[j] + 2) * G[i, j]
+            if i < m1:
+                v += w if j < m1 else -w / tau
+            else:
+                v += -tau * w if j < m1 else w
+        out[i] = v
+    return out
+
+
+def _combination_written_out(cfg, beta):
+    """constraint_combination with the sign split spelled out by m1 and tau."""
+    m, m1, tau = cfg.m, cfg.m1, cfg.tau
+    out = np.zeros(m)
+    for i in range(m):
+        pos = sum(beta[j, i] for j in range(m1))
+        neg = sum(beta[j, i] for j in range(m1, m))
+        out[i] = pos - neg / tau if i < m1 else -tau * pos + neg
+    return out
+
+
+@pytest.mark.parametrize("tau", [0.3, 1.0, 7.0])
+@pytest.mark.parametrize("m1", [0, 1, 2, 3])
+def test_sign_split_readers_equal_the_written_out_split(disk, gp, m1, tau):
+    # compute_rho_i and constraint_combination read the split from
+    # BlowupConfig; the bits are those of the split spelled out
+    cfg = BlowupConfig(domain=disk, centers=[[0.3, 0.2], [-0.4, 0.1], [0.05, -0.5]],
+                       alphas=[3.0, 3.5, 5.2], m1=m1, tau=tau,
+                       V1=constant_potential(1.3), V2=constant_potential(0.7))
+    assert np.array_equal(compute_rho_i(cfg, gp), _rho_i_written_out(cfg, gp))
+    betas = [solve_beta(cfg, choose_scales(cfg, rho, gp), gp) for rho in (1e-2, 1e-4)]
+    betas += list(np.random.default_rng(m1).normal(size=(4, 3, 3)))
+    betas.append(np.zeros((3, 3)))
+    for beta in betas:
+        got, want = constraint_combination(cfg, beta), _combination_written_out(cfg, beta)
+        assert np.array_equal(np.signbit(got), np.signbit(want)) and np.array_equal(got, want)
 
 
 @given(alpha=st.floats(2.05, 6.0).filter(lambda a: abs(a - round(a / 2) * 2) > 1e-3),

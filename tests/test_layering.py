@@ -66,3 +66,18 @@ def test_module_level_imports_follow_the_order():
                 if ORDER.index(module) >= rank:
                     upward.append((path.stem, module))
     assert upward == []
+
+
+def test_only_blowupconfig_reads_m1():
+    # BlowupConfig owns the sign split: every other reader asks it (sign,
+    # weigh, couple, feed, potentials_at) instead of comparing with m1
+    readers = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text())
+        owner = [id(node) for cls in ast.walk(tree)
+                 if isinstance(cls, ast.ClassDef) and cls.name == "BlowupConfig"
+                 for node in ast.walk(cls)]
+        readers += [(path.stem, node.lineno) for node in ast.walk(tree)
+                    if isinstance(node, ast.Attribute) and node.attr == "m1"
+                    and id(node) not in owner]
+    assert readers == []

@@ -469,6 +469,8 @@ def test_first_meeting_pair_equals_all_pairs(block, monkeypatch):
     # has the higher lowest y
     zig = np.column_stack([np.arange(40) % 2, np.arange(40) * 0.1])
     curves.append(np.vstack([zig, zig[::-1] + [0.5, 0.05]]))
+    # and each transposed: past one block (at 7 pairs) the sweep may take x
+    curves += [poly[:, ::-1] for poly in curves]
     for poly in curves:
         i, j = first_meeting_pair_all_pairs(poly)
         a, b = poly, np.roll(poly, -1, axis=0)
@@ -477,8 +479,9 @@ def test_first_meeting_pair_equals_all_pairs(block, monkeypatch):
         assert str(exc.value) == (
             f"boundary curve is not simple: edge {tuple(a[i].tolist())}-{tuple(b[i].tolist())} "
             f"meets edge {tuple(a[j].tolist())}-{tuple(b[j].tolist())}")
-    geometry._check_simple(_d_shape(60))
-    geometry._check_simple(_sawtooth(20))
+    for poly in (_d_shape(60), _sawtooth(20)):
+        geometry._check_simple(poly)
+        geometry._check_simple(poly[:, ::-1])
 
 
 # --- conformity check ----------------------------------------------------
