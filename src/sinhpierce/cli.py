@@ -183,10 +183,10 @@ def main(argv=None) -> int:
                "value is rejected before any solve: unparseable, missing or unknown "
                "sections and keys, rho not positive or not descending, construct "
                "with more than one rho, p < 1, tol <= 0, maxiter < 1, seed < 0, ...; "
-               "or V1 or V2 not positive where the sign split uses it, or not finite, "
-               "at a sampled point or, later, at a hole center or a mesh node, which the "
-               "message names; or an output directory that cannot be created); 2 solver failure; "
-               "3 check failure.")
+               "or V1 or V2 not positive where the sign split uses it, negative where it "
+               "does not, or not finite, at a sampled point or, later, at a hole center or "
+               "a mesh node, which the message names; or an output directory that cannot "
+               "be created); 2 solver failure; 3 check failure.")
     parser.add_argument("command", choices=COMMANDS)
     parser.add_argument("--config", required=True, help="path to the INI config")
     parser.add_argument("--out", default=None, help="output directory override")

@@ -16,6 +16,7 @@ import numpy as np
 from .errors import ConstraintViolation, NonpositiveSampled, SingularSystem
 from .geometry import TWO_PI, DomainSpec
 from .greens import GreenProvider
+from .operators import check_residual
 
 
 @dataclass(frozen=True)
@@ -97,8 +98,8 @@ class BlowupConfig:
     def potentials_at(self, points, where):
         """V1 and V2 at the (n, 2) points, each an (n,) array, once both pass
         the one rule for the potentials: V1 then V2, each positive where the
-        sign split uses it (V1 if m1 > 0, V2 if m1 < m; nan fails) or else
-        NonpositiveSampled, then finite or else ConstraintViolation. where is
+        sign split uses it (V1 if m1 > 0, V2 if m1 < m; nan fails), else
+        nonnegative, or NonpositiveSampled; then finite, or ConstraintViolation. where is
         "sample" for parse_config's sample cloud (the message says that only
         those points are checked), "node" or "center" (it names the node or hole)."""
         pts = np.asarray(points, dtype=float)
@@ -110,15 +111,16 @@ class BlowupConfig:
                     "center": f"hole {i + 1} center {xy}"}[where]
 
         out = []
-        for name, V, positive in (("V1", self.V1, self.m1 > 0), ("V2", self.V2, self.m1 < self.m)):
+        for name, V, used in (("V1", self.V1, self.m1 > 0), ("V2", self.V2, self.m1 < self.m)):
             with np.errstate(all="ignore"):   # what overflows or is invalid is named below
                 vals = np.broadcast_to(np.asarray(V(pts[:, 0], pts[:, 1]), dtype=float), (n,))
-            if positive and not np.all(vals > 0.0):
-                i = int(np.argmin(vals > 0.0))
-                only = (f"; positivity is checked at {n:,} sampled points, and a potential "
+            bad = ~(vals > 0.0) if used else vals < 0.0
+            if bad.any():
+                i = int(np.argmax(bad))
+                only = (f"; the sign is checked at {n:,} sampled points, and a potential "
                         "that is negative only between them passes") if where == "sample" else ""
-                raise NonpositiveSampled(
-                    f"{name} is not positive: value {vals[i]:.6g} at {at(i)}{only}")
+                raise NonpositiveSampled(f"{name} is {'not positive' if used else 'negative'}: "
+                                         f"value {vals[i]:.6g} at {at(i)}{only}")
             if not np.all(np.isfinite(vals)):
                 i = int(np.argmin(np.isfinite(vals)))
                 raise ConstraintViolation(f"potential assumption violated: {name} must be "
@@ -224,9 +226,7 @@ def _check_solve(A, B, name):
     if not np.isfinite(cond) or cond > 1e12:
         raise SingularSystem(f"{name} system ill conditioned (cond ~ {cond:.3g})")
     X = np.linalg.solve(A, B)
-    res = np.linalg.norm(A @ X - B) / max(np.linalg.norm(B), 1e-300)
-    if res > 1e-10:
-        raise SingularSystem(f"{name} system residual {res:.3e}")
+    check_residual(A @ X, B, SingularSystem, f"{name} system residual")
     return X
 
 
@@ -246,8 +246,7 @@ def solve_beta(cfg: BlowupConfig, scales: ScaleParams, gp: GreenProvider) -> np.
                 sep = math.hypot(cfg.centers[i, 0] - cfg.centers[j, 0],
                                  cfg.centers[i, 1] - cfg.centers[j, 1])
                 R[i, j] += 2 * a[i] * math.log(sep)
-    beta = _check_solve(A, R.T, "beta").T
-    return beta
+    return _check_solve(A, R.T, "beta").T
 
 
 def constraint_combination(cfg, beta) -> np.ndarray:

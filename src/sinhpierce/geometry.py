@@ -67,8 +67,8 @@ class DomainSpec:
             # polygon test sees a zero-length edge; of the pair first/last (a
             # curve given closed) the last goes, so the curve keeps its start
             if b.ndim == 2 and len(b) > 1 and b.shape[1] == 2:
-                b = b[np.concatenate([[True], ~np.isclose(b[1:], b[:-1]).all(axis=1)])]
-                if len(b) > 1 and np.allclose(b[-1], b[0]):
+                b = b[np.concatenate([[True], (b[1:] != b[:-1]).any(axis=1)])]
+                if len(b) > 1 and np.array_equal(b[-1], b[0]):
                     b = b[:-1]
             if b.ndim != 2 or b.shape[0] < 3 or b.shape[1] != 2:
                 raise ValueError("boundary curve needs at least three points, as an "

@@ -21,6 +21,18 @@ from .geometry import Mesh
 
 SUP_GUARD = 50.0   # sup norm of a correction beyond which the iteration diverges
 EIG_FLOOR = 1e-8   # |smallest eigenvalue| of Lap + W below which it is resonant
+SOLVE_TOL = 1e-10  # largest relative residual a linear solve may leave
+
+
+def check_residual(Ax, b, error, stem):
+    """The one acceptance rule of a linear solve x of A x = b: raise
+    error(f"{stem} {ratio:.3e}") unless ratio = ||Ax - b|| / max(||b||, ||Ax||)
+    (0 when Ax = b = 0) is finite and at most SOLVE_TOL."""
+    with np.errstate(invalid="ignore", over="ignore"):   # an inf or nan ratio is refused
+        res = np.linalg.norm(Ax - b)
+        ratio = res / max(np.linalg.norm(b), np.linalg.norm(Ax)) if res else 0.0
+    if not ratio <= SOLVE_TOL:
+        raise error(f"{stem} {ratio:.3e}")
 
 
 @dataclass(eq=False)
@@ -92,15 +104,11 @@ class DiscreteOperators:
         if self._poisson_lu is None:
             self._poisson_lu = spla.splu(self._K_II)
         g = np.asarray(boundary_values, dtype=float)
+        b = -(self._K_IB @ g)
         u = np.zeros(self.mesh.n_nodes)
-        u[self.interior] = self._poisson_lu.solve(-(self._K_IB @ g))
+        u[self.interior] = self._poisson_lu.solve(b)
         u[self.boundary] = g
-        res = self.K @ u
-        scale = max(np.linalg.norm(res), 1e-300)
-        res[self.boundary] = 0.0
-        rel = np.linalg.norm(res) / scale
-        if not np.isfinite(rel) or rel > 1e-10:
-            raise SolverFailure(f"Poisson solve residual {rel:.3e}")
+        check_residual(self._K_II @ u[self.interior], b, SolverFailure, "Poisson solve residual")
         return u
 
     def release_poisson_factor(self):
@@ -171,11 +179,8 @@ class LinearOperator:
                 f"weight W = {W[i]:.6g} is negative at node {i} ({x:.6g}, {y:.6g}): "
                 "a potential is negative there")
         self.mesh = mesh
-        ops = get_ops(mesh)
-        self._ops = ops
-        interior = ops.interior
-        A = (-ops._K_II + sp.diags((ops.w * W)[interior])).tocsc()
-        self.matrix = A
+        self._ops = ops = get_ops(mesh)
+        self.matrix = (-ops._K_II + sp.diags((ops.w * W)[ops.interior])).tocsc()
         self._lu = None
         self._eig_estimate = None
 
@@ -213,18 +218,12 @@ class LinearOperator:
 
     def solve(self, h: np.ndarray) -> Field:
         """phi with (Lap + W) phi = h at the interior nodes, phi = 0 on the boundary."""
-        lu = self._factor()
         ops = self._ops
         b = (ops.w * h)[ops.interior]
-        phi_I = lu.solve(b)
+        phi_I = self._factor().solve(b)
         if not np.all(np.isfinite(phi_I)):
             raise NearSingular("Lap+W solve produced non-finite values")
-        A_phi = self.matrix @ phi_I
-        res = A_phi - b
-        scale = max(np.linalg.norm(b), np.linalg.norm(A_phi), 1e-300)
-        rel = np.linalg.norm(res) / scale
-        if rel > 1e-10:
-            raise SolverFailure(f"Lap+W solve residual {rel:.3e}")
+        check_residual(self.matrix @ phi_I, b, SolverFailure, "Lap+W solve residual")
         phi = np.zeros(self.mesh.n_nodes)
         phi[ops.interior] = phi_I
         return Field(self.mesh, phi)

@@ -25,6 +25,7 @@ from sinhpierce.errors import (
 )
 from sinhpierce.geometry import MIN_HOLE_RADIUS, SAMPLE_ROUNDS, DomainSpec, MeshPolicy, \
     domain_sample_points
+from sinhpierce.greens import GreenProvider
 from sinhpierce.runconfig import KEYS, parse_config
 
 from conftest import BAD_RHOS, BAD_SETTINGS, distance_to_boundary, pierced_mesh
@@ -183,6 +184,30 @@ def test_potential_zero_at_a_hole_center(tmp_path, capsys, command, rho, code):
         assert capsys.readouterr().err == f"validation failure: {message}\n"
 
 
+# with m1 = 0 no hole uses V1, which the paper sets to 0: V1 must not be
+# negative, and a value below 0 is named as V1's
+_UNUSED_V1 = BASE.replace("m1 = 1", "m1 = 0")
+
+
+@pytest.mark.parametrize("text, value", [("x - 2", r"-[0-9.]+"), ("-1e-9", "-1e-09")])
+def test_unused_potential_negative_at_a_sample(tmp_path, text, value):
+    # named when the config is read, before any mesh is built
+    with pytest.raises(NonpositiveSampled, match=rf"^V1 is negative: value {value} at \(.*\); "
+                                                 "the sign is checked at 2,000 sampled points"):
+        parse_config(_UNUSED_V1.format(out=tmp_path).replace("v1 = 1", f"v1 = {text}"))
+
+
+@pytest.mark.parametrize("text, message", [
+    (_DIP, r"V1 is negative: value -2 at node \d+ \(1, 0\)"),
+    # nan stays with the finiteness rule
+    ("1 + 0*log(x + 0.9995)", r"potential assumption violated: V1 must be finite "
+                              r"\(value nan at node \d+ \(-1, 1.22465e-16\)\)")])
+def test_unused_potential_fails_only_at_a_node(tmp_path, capsys, text, message):
+    cfg = _write(tmp_path, _UNUSED_V1.format(out=tmp_path).replace("v1 = 1", f"v1 = {text}"))
+    assert main(["construct", "--config", cfg, "--out", str(tmp_path / "c")]) == 1
+    assert re.match(rf"validation failure: {message}\n$", capsys.readouterr().err)
+
+
 def test_long_potential_sum_is_accepted(tmp_path):
     # 1,500 terms nest deeper than Python's recursion limit
     v1 = "+".join(["0.001"] * 1500)
@@ -194,7 +219,8 @@ _CONFIGS = pathlib.Path(__file__).resolve().parents[1] / "configs"
 
 
 @pytest.mark.parametrize("name, command, m", [("single_bubble.cfg", "construct", 1),
-                                               ("two_bubble.cfg", "sweep", 2)])
+                                               ("two_bubble.cfg", "sweep", 2),
+                                               ("variable_intensity.cfg", "verify", 2)])
 def test_bundled_configs_parse(name, command, m):
     rc = parse_config((_CONFIGS / name).read_text())
     assert (rc.command, rc.problem.m) == (command, m)
@@ -205,6 +231,40 @@ def test_bundled_single_bubble_constructs(tmp_path):
     out = tmp_path / "single"
     assert main(["construct", "--config", _write(tmp_path, text), "--out", str(out)]) == 0
     assert "status converged\n" in (out / "report.txt").read_text()
+
+
+def test_bundled_variable_intensity_verifies(tmp_path):
+    # the paper's title case: V1 = 2 + sin(3x), V2 = 1 + x^2 on the mixed pair
+    text = re.sub(r"(?m)^h = .*$", "h = 0.1", (_CONFIGS / "variable_intensity.cfg").read_text())
+    out = tmp_path / "variable"
+    assert main(["verify", "--config", _write(tmp_path, text), "--out", str(out)]) == 0
+    with open(out / "checks.csv", newline="") as f:
+        rows = list(csv.DictReader(f))
+    assert len(rows) == 16 and all(row["pass"] == "1" for row in rows)
+
+
+def test_documented_rho_floors_match_the_hole_radius_floor(capsys):
+    # the smallest rho whose hole radii all reach MIN_HOLE_RADIUS, bisected
+    # on choose_scales, is the floor the help text and the README give, to
+    # two significant digits
+    floors = {}
+    for name in ("single_bubble", "two_bubble"):
+        cfg = parse_config((_CONFIGS / f"{name}.cfg").read_text()).problem
+        gp = GreenProvider(cfg.domain)
+        lo, hi = 1e-12, 1e-2   # too small, large enough
+        for _ in range(60):
+            mid = math.sqrt(lo * hi)
+            if np.all(choose_scales(cfg, mid, gp).eps >= MIN_HOLE_RADIUS):
+                hi = mid
+            else:
+                lo = mid
+        floors[name] = f"{hi:.1e}".replace("e-0", "e-")
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    readme = (_CONFIGS.parent / "README.md").read_text()
+    for text in (capsys.readouterr().out, readme):
+        found = re.findall(r"rho >= (\S+) for `?configs/(\w+)\.cfg", " ".join(text.split()))
+        assert {name: floor for floor, name in found} == floors
 
 
 def _single_bubble(tmp_path, **run):

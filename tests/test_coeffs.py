@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import sinhpierce.coeffs as coeffs_mod
 from sinhpierce.coeffs import (
     BlowupConfig,
     _beta_matrix,
@@ -20,7 +21,7 @@ from sinhpierce.coeffs import (
     solve_beta,
     solve_gamma,
 )
-from sinhpierce.errors import ConstraintViolation, NonpositiveSampled
+from sinhpierce.errors import ConstraintViolation, NonpositiveSampled, SingularSystem
 from sinhpierce.geometry import DomainSpec
 from sinhpierce.greens import GreenProvider
 from sinhpierce.potentials import parse_potential
@@ -137,6 +138,21 @@ def test_scales_need_the_unused_potential_finite_at_a_center(disk, gp, m1, name)
     with pytest.raises(ConstraintViolation, match=rf"^potential assumption violated: {name} "
                                                   r"must be finite \(value inf at hole 2 center"):
         choose_scales(cfg, 1e-3, gp)
+
+
+@pytest.mark.parametrize("m1, name", [(1, "V2"), (0, "V1")])
+def test_scales_need_the_unused_potential_nonnegative_at_a_center(disk, gp, m1, name):
+    # the paper sets the potential a sign split does not use to 0: 0 passes,
+    # a value below 0 is named, however small
+    def config(unused):
+        one, low = constant_potential(1.0), constant_potential(unused)
+        return BlowupConfig(domain=disk, centers=[[0, 0]], alphas=[3.0], m1=m1,
+                            V1=one if m1 else low, V2=low if m1 else one)
+
+    choose_scales(config(0.0), 1e-3, gp)
+    with pytest.raises(NonpositiveSampled,
+                       match=rf"^{name} is negative: value -1e-09 at hole 1 center \(0, 0\)$"):
+        choose_scales(config(-1e-9), 1e-3, gp)
 
 
 def _rho_i_written_out(cfg, gp):
@@ -293,6 +309,27 @@ def test_beta_system_residual(two_cfg, gp):
             rhs[j] = -4 * math.pi * 3 * H[i, j]
             rhs[j] += 2 * 3 * (math.log(s.delta[i]) if i == j else math.log(0.8))
         assert np.abs(lhs - rhs).max() / np.abs(rhs).max() <= 1e-10
+
+
+@pytest.mark.parametrize("solve, name, sign", [(solve_beta, "beta", 1.0),
+                                               (solve_gamma, "gamma", -1.0)])
+def test_rank_deficient_matching_matrix_is_singular(monkeypatch, two_cfg, gp, solve, name, sign):
+    # the gamma system's matrix is the beta system's, negated
+    monkeypatch.setattr(coeffs_mod, "_beta_matrix", lambda H, G, log_eps: np.ones((2, 2)))
+    with pytest.raises(SingularSystem, match=rf"^{name} system ill conditioned \(cond ~ "):
+        solve(two_cfg, choose_scales(two_cfg, 1e-3, gp), gp)
+
+
+@pytest.mark.parametrize("scale, ratio", [(1 + 1e-6, r"1\.000e-06"), (math.nan, "nan")])
+@pytest.mark.parametrize("solve, name", [(solve_beta, "beta"), (solve_gamma, "gamma")])
+def test_matching_solve_refuses_a_perturbed_answer(monkeypatch, two_cfg, gp, solve, name,
+                                                   scale, ratio):
+    # a dense solve that scales its answer: a nan ratio is refused too
+    scales = choose_scales(two_cfg, 1e-3, gp)
+    exact = np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve", lambda A, B: exact(A, B) * scale)
+    with pytest.raises(SingularSystem, match=rf"^{name} system residual {ratio}$"):
+        solve(two_cfg, scales, gp)
 
 
 def test_gamma_one_by_one(single_cfg, gp):

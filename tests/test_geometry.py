@@ -102,6 +102,21 @@ def test_batched_clearance_equals_per_point():
 
 # --- meshes ---------------------------------------------------------------
 
+@pytest.mark.parametrize("curve, kept", [
+    # a tiny square far from the origin, and a thin strip: near points, none repeated
+    ([[1000, 1000], [1000.005, 1000], [1000.005, 1000.005], [1000, 1000.005]], [0, 1, 2, 3]),
+    ([[100, 0], [100.0005, 0], [100.0005, 1], [100, 1]], [0, 1, 2, 3]),
+    # a vertex 2e-6 from its predecessor on the unit square's top side
+    ([[0, 0], [1, 0], [1, 1], [1 - 2e-6, 1], [0, 1]], [0, 1, 2, 3, 4]),
+    # exact repeats: inside the curve, and the closing point
+    ([[0, 0], [1, 0], [1, 0], [1, 1], [0, 1], [0, 0]], [0, 1, 3, 4]),
+])
+def test_only_exact_repeats_are_dropped(curve, kept):
+    # a point goes only when it equals its predecessor, whatever the curve's scale
+    b = DomainSpec("boundary-curve", curve).boundary
+    assert b.tolist() == [curve[i] for i in kept]
+
+
 def test_graded_patch_layer_count():
     mesh = pierced_mesh(DomainSpec(), [[0.0, 0.0]], [1e-3], MeshPolicy(h=0.02, q=1.3))
     expected = math.ceil(math.log(annulus_radius(DomainSpec(), [[0.0, 0.0]]) / 1e-3)

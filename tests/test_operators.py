@@ -1,8 +1,10 @@
 import dataclasses
 import gc
+import importlib
 import math
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import types
@@ -10,6 +12,7 @@ import weakref
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 import sinhpierce
 import sinhpierce.geometry as geometry
@@ -20,14 +23,24 @@ from sinhpierce.coeffs import (
     coefficient_set,
     compute_rho_i,
     constant_potential,
+    solve_beta,
+    solve_gamma,
 )
 from sinhpierce.corrector import fixed_point_correct
-from sinhpierce.errors import MeshMismatch, NonpositiveSampled
+from sinhpierce.errors import (
+    MeshMismatch,
+    NearSingular,
+    NonpositiveSampled,
+    SingularSystem,
+    SolverFailure,
+)
 from sinhpierce.geometry import annulus_radius, build_domain_mesh
 from sinhpierce.operators import (
+    SOLVE_TOL,
     Field,
     LinearOperator,
     _assemble_stiffness,
+    check_residual,
     get_ops,
     nonlinear_N,
     release_ops,
@@ -410,6 +423,104 @@ def test_residual_small_outside_annuli(single_cfg, gp, coarse_policy):
         outside = (~mesh.is_boundary) & (mesh.center_distance(0) > eta)
         consts.append(np.abs(R[outside]).max() / rho)
     assert max(consts) / min(consts) <= 3.0
+
+
+# --- the one acceptance rule of a linear solve -------------------------------
+
+class _Perturbed:
+    """A factor whose solve scales the true answer: by 1 + 1e-6 it leaves a
+    relative residual of 1e-6, by nan one of nan."""
+
+    def __init__(self, lu, scale):
+        self.lu, self.scale = lu, scale
+
+    def solve(self, b):
+        return self.lu.solve(b) * self.scale
+
+
+@pytest.fixture
+def small(disk):
+    """A fresh mesh at h = 0.2 with its operators, a Lap + W on it (W = 1)
+    and boundary data (x at each boundary node)."""
+    mesh = _raw_lattice_mesh(disk, 0.2)
+    ops = get_ops(mesh)
+    return mesh, ops, LinearOperator(mesh, np.ones(mesh.n_nodes)), mesh.nodes[ops.boundary, 0]
+
+
+@pytest.mark.parametrize("Ax, b", [([0.0, 0.0], [0.0, 0.0]), ([1.0, 2.0], [1.0, 2.0]),
+                                   ([1.0 + 0.5e-10, 0.0], [1.0, 0.0])])
+def test_residual_rule_accepts(Ax, b):
+    check_residual(np.array(Ax), np.array(b), SolverFailure, "solve residual")
+
+
+@pytest.mark.parametrize("Ax, b, ratio", [([1.0 + 2e-10, 0.0], [1.0, 0.0], r"2\.000e-10"),
+                                          ([math.nan, 1.0], [1.0, 1.0], "nan"),
+                                          ([math.inf, 1.0], [1.0, 1.0], "nan"),
+                                          ([1.0, 0.0], [0.0, 0.0], r"1\.000e\+00")])
+def test_residual_rule_refuses(Ax, b, ratio):
+    # ||Ax - b|| / max(||b||, ||Ax||) must be finite and at most SOLVE_TOL
+    assert SOLVE_TOL == 1e-10
+    with pytest.raises(SingularSystem, match=rf"^stem {ratio}$"):
+        check_residual(np.array(Ax), np.array(b), SingularSystem, "stem")
+
+
+@pytest.mark.parametrize("scale, ratio", [(1 + 1e-6, r"1\.000e-06"), (math.nan, "nan")])
+def test_poisson_solve_refuses_a_perturbed_answer(small, scale, ratio):
+    mesh, ops, _, g = small
+    ops._poisson_lu = _Perturbed(spla.splu(ops._K_II), scale)
+    with pytest.raises(SolverFailure, match=rf"^Poisson solve residual {ratio}$"):
+        ops.solve_dirichlet(g)
+
+
+def test_lap_w_factorization_failure_is_near_singular(small):
+    mesh, _, L, _ = small
+    L.matrix = L.matrix * 0.0   # every pivot is zero
+    with pytest.raises(NearSingular,
+                       match=r"^factorization of Lap\+W failed: Factor is exactly singular$"):
+        L.solve(np.ones(mesh.n_nodes))
+
+
+def test_lap_w_solve_refuses_a_perturbed_answer(small):
+    mesh, _, L, _ = small
+    h = np.ones(mesh.n_nodes)
+    L._lu = _Perturbed(L._factor(), math.nan)
+    with pytest.raises(NearSingular, match=r"^Lap\+W solve produced non-finite values$"):
+        L.solve(h)
+    L._lu = _Perturbed(L._lu.lu, 1 + 1e-6)
+    with pytest.raises(SolverFailure, match=r"^Lap\+W solve residual 1\.000e-06$"):
+        L.solve(h)
+
+
+def test_every_linear_solve_goes_through_the_one_rule(monkeypatch, small, two_cfg, gp):
+    # the Dirichlet projections, Lap + W and the matching systems each apply
+    # operators.check_residual: with the rule swapped, in every module that
+    # binds it, for one that refuses everything, each refuses a good solve
+    # with its own error class and message stem
+    def refuse_all(Ax, b, error, stem):
+        raise error(f"{stem} refused by the swapped rule")
+
+    package = pathlib.Path(sinhpierce.__file__).parent
+    bound = set()
+    for path in package.glob("*.py"):
+        module = importlib.import_module(
+            "sinhpierce" if path.stem == "__init__" else f"sinhpierce.{path.stem}")
+        if hasattr(module, "check_residual"):
+            monkeypatch.setattr(module, "check_residual", refuse_all)
+            bound.add(path.stem)
+    assert bound == {"operators", "coeffs"}
+    # the tolerance is written once, and no floor is left beside it
+    text = {stem: (package / f"{stem}.py").read_text() for stem in bound}
+    assert text["operators"].count("1e-10") == 1 and "1e-10" not in text["coeffs"]
+    assert "1e-300" not in text["operators"] + text["coeffs"]
+    mesh, ops, L, g = small
+    scales = choose_scales(two_cfg, 1e-3, gp)
+    for call, error, stem in (
+            (lambda: ops.solve_dirichlet(g), SolverFailure, "Poisson solve residual"),
+            (lambda: L.solve(np.ones(mesh.n_nodes)), SolverFailure, "Lap+W solve residual"),
+            (lambda: solve_beta(two_cfg, scales, gp), SingularSystem, "beta system residual"),
+            (lambda: solve_gamma(two_cfg, scales, gp), SingularSystem, "gamma system residual")):
+        with pytest.raises(error, match=rf"^{re.escape(stem)} refused by the swapped rule$"):
+            call()
 
 
 _H01_PROBE = """
